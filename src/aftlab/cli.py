@@ -75,13 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_program(path: str) -> Program:
+def _load_program(path: str, max_atoms: int | None) -> Program:
+    """Parse and compile the program; compiling refuses a universe above the
+    atom cap."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read program file: {exc}") from exc
-    return prog.parse(text)
+    p = prog.parse(text)
+    p.compile(max_atoms)
+    return p
 
 
 def _parse_pair(u: AtomUniverse, spec: str) -> ApproxPair:
@@ -97,7 +101,7 @@ def _parse_pair(u: AtomUniverse, spec: str) -> ApproxPair:
 
 
 def _cmd_eval(args) -> int:
-    p = _load_program(args.program)
+    p = _load_program(args.program, args.max_atoms)
     if args.operator is None:
         raise UsageError("eval needs --operator")
     kind = OperatorKind(args.operator)
@@ -136,7 +140,7 @@ def semantics_json(result: SemanticsResult, u: AtomUniverse) -> dict:
 
 
 def _cmd_semantics(args) -> int:
-    p = _load_program(args.program)
+    p = _load_program(args.program, args.max_atoms)
     name = args.semantics
     kind = OperatorKind(args.operator) if args.operator else None
     if name in sem.OPERATOR_BASED and kind is None:

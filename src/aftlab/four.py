@@ -32,6 +32,12 @@ class Truth(Enum):
         return self.value
 
 
+# A value as two bits (lower, upper): T=11, C=10, U=01, F=00. A value is
+# >=_t C iff its lower bit is set and >=_t U iff its upper bit is set.
+LOWER_BIT = 0b10
+UPPER_BIT = 0b01
+BITS = {Truth.T: 0b11, Truth.C: 0b10, Truth.U: 0b01, Truth.F: 0b00}
+
 _NEG = {Truth.T: Truth.F, Truth.F: Truth.T, Truth.U: Truth.U, Truth.C: Truth.C}
 
 # Strict relations; reflexivity is added by the predicates below.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 AtomSet = frozenset[str]
@@ -87,30 +88,34 @@ class AtomUniverse:
     def __len__(self) -> int:
         return len(self.atoms)
 
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        """Atom name -> its bit (1 << index); the universe's only such map."""
+        return {name: 1 << i for i, name in enumerate(self.atoms)}
+
     def __contains__(self, name: str) -> bool:
-        return name in self.atoms
+        return name in self._bits
 
     def index(self, name: str) -> int:
-        try:
-            return self.atoms.index(name)
-        except ValueError as exc:
-            raise UnknownAtomError(f"unknown atom {name!r}") from exc
+        return self.mask((name,)).bit_length() - 1
 
     def atom_set(self, names: Iterable[str]) -> AtomSet:
         """Validated atom set over this universe."""
         s = frozenset(names)
-        for name in s:
-            if name not in self.atoms:
-                raise UnknownAtomError(f"unknown atom {name!r}")
+        self.mask(s)
         return s
 
     def full(self) -> AtomSet:
         return frozenset(self.atoms)
 
-    def mask(self, s: AtomSet) -> int:
+    def mask(self, s: Iterable[str]) -> int:
+        bits = self._bits
         m = 0
-        for name in s:
-            m |= 1 << self.index(name)
+        try:
+            for name in s:
+                m |= bits[name]
+        except KeyError as exc:
+            raise UnknownAtomError(f"unknown atom {exc.args[0]!r}") from None
         return m
 
     def unmask(self, m: int) -> AtomSet:

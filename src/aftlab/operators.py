@@ -23,7 +23,7 @@ from .lattice import (
     NdPair,
     NdSet,
 )
-from .program import Program, ProgramClassError, Rule, classify
+from .program import Program, ProgramClassError
 
 
 class OperatorKind(Enum):
@@ -47,25 +47,30 @@ def consistent_only(kind: OperatorKind) -> bool:
 @cache
 def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
     """Heads of the rules whose bodies are true at the total interpretation x."""
-    return frozenset(r.head_set() for r in p.rules if prog.eval_body(p.universe, x, r))
+    u = p.universe
+    xm = u.mask(x)
+    return frozenset(r.head for r in p.compile().rules if r.holds(u, x, xm))
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
     """All subsets of the union of `heads` meeting every member.
 
     The empty family yields {{}} (the single vacuous hitting set); sets are
-    not restricted to minimal ones.
+    not restricted to minimal ones. Candidates are the submasks of the union,
+    with atom k of the union as bit k; only members become frozensets.
     """
     heads = frozenset(heads)
-    for delta in heads:
-        if not delta:
-            raise AftlabError("empty head set has no hitting sets")
-    union = sorted(frozenset().union(*heads)) if heads else []
+    if frozenset() in heads:
+        raise AftlabError("empty head set has no hitting sets")
+    bit = {a: 1 << k for k, a in enumerate(frozenset().union(*heads))}
+    masks = [sum([bit[a] for a in delta]) for delta in heads]
     out = []
-    for m in range(1 << len(union)):
-        candidate = frozenset(a for i, a in enumerate(union) if m >> i & 1)
-        if all(candidate & delta for delta in heads):
-            out.append(candidate)
+    for m in range(1 << len(bit)):
+        for h in masks:
+            if not m & h:
+                break
+        else:
+            out.append(frozenset([a for a, b in bit.items() if m & b]))
     return frozenset(out)
 
 
@@ -76,7 +81,7 @@ def ic(p: Program, x: AtomSet) -> NdSet:
 
 
 def _require_aggregate_free(p: Program) -> None:
-    if classify(p).has_aggregates:
+    if p.compile().classification.has_aggregates:
         raise ProgramClassError("the four-valued operator needs an aggregate-free program")
 
 
@@ -91,11 +96,32 @@ def _require_consistent(i: ApproxPair) -> None:
 
 
 def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[AtomSet]:
+    """Heads of the rules whose body value at i = (x, y) is >=_t threshold,
+    which is C or U.
+
+    A body's value is two bits (Denecker, Marek & Truszczyński 2000): the
+    lower bit is its truth at x with negation read at y, the upper bit its
+    truth at y with negation read at x. A value is >=_t C iff its lower bit is
+    set and >=_t U iff its upper bit is. Aggregate literals take their bits
+    from their trivial approximation, general bodies from `four.eval_pair`.
+    """
+    u = p.universe
+    bit = four.LOWER_BIT if threshold is Truth.C else four.UPPER_BIT
+    here, there = u.mask(i.lower), u.mask(i.upper)
+    if bit == four.UPPER_BIT:
+        here, there = there, here
     out = []
-    for rule in p.rules:
-        value = four.eval_pair(p.universe, i, prog.body_formula(rule, i))
-        if four.truth_leq_t(threshold, value):
-            out.append(rule.head_set())
+    for r in p.compile().rules:
+        if r.formula is not None:
+            fired = four.BITS[four.eval_pair(u, i, r.formula)] & bit
+        else:
+            fired = (
+                not r.pos & ~here
+                and not r.neg & there
+                and all(four.BITS[prog.trivial_aggregate_value(i, lit)] & bit for lit in r.aggs)
+            )
+        if fired:
+            out.append(r.head)
     return frozenset(out)
 
 

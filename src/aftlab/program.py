@@ -26,7 +26,15 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from . import four
-from .lattice import AftlabError, ApproxPair, AtomSet, AtomUniverse, InconsistentPairError
+from .lattice import (
+    AftlabError,
+    ApproxPair,
+    AtomSet,
+    AtomUniverse,
+    CapExceededError,
+    InconsistentPairError,
+    atom_cap,
+)
 from .four import Formula, Truth
 
 
@@ -121,6 +129,9 @@ class Rule:
 
 @dataclass(frozen=True)
 class Program:
+    """An immutable program. Its hash and its compiled form are computed the
+    first time they are needed and then kept."""
+
     rules: tuple[Rule, ...]
     universe: AtomUniverse
 
@@ -130,6 +141,36 @@ class Program:
 
     def __str__(self) -> str:
         return self.text
+
+    def __hash__(self) -> int:
+        # Every operator memo is keyed by the program; rehashing each rule,
+        # literal and weight on every lookup cost more than the operators.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.rules, self.universe))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process, so a kept hash must not travel.
+        return {"rules": self.rules, "universe": self.universe}
+
+    def compile(self, max_atoms: int | None = None) -> "Compiled":
+        """The compiled form, built on first use and then kept.
+
+        Raises CapExceededError when the universe has more atoms than the cap
+        (`lattice.atom_cap`): when the form is built, and whenever `max_atoms`
+        is given, so every entry point honours the cap.
+        """
+        compiled = self.__dict__.get("_compiled")
+        if compiled is None or max_atoms is not None:
+            cap = atom_cap(max_atoms)
+            if len(self.universe) > cap:
+                raise CapExceededError(f"universe has {len(self.universe)} atoms, cap is {cap}")
+        if compiled is None:
+            compiled = Compiled(tuple(CompiledRule.of(self.universe, r) for r in self.rules), classify(self))
+            object.__setattr__(self, "_compiled", compiled)
+        return compiled
 
 
 SHAPE_NORMAL = "normal"
@@ -146,6 +187,44 @@ class Classification:
     @property
     def aggregate_free(self) -> bool:
         return not self.has_aggregates
+
+
+@dataclass(frozen=True)
+class CompiledRule:
+    """A rule over its program's universe. A conjunctive body is read as the
+    mask `pos` of its positive atoms, the mask `neg` of its negated atoms and
+    its aggregate literals `aggs`; a general body keeps its `formula`."""
+
+    head: AtomSet
+    pos: int
+    neg: int
+    aggs: tuple[BodyLiteral, ...]
+    formula: Formula | None
+
+    @staticmethod
+    def of(u: AtomUniverse, rule: Rule) -> "CompiledRule":
+        if isinstance(rule.body, GeneralFormula):
+            return CompiledRule(rule.head_set(), 0, 0, (), rule.body.formula)
+        items = rule.body.items
+        pos = u.mask(lit.name for lit in items if isinstance(lit, PositiveAtom))
+        neg = u.mask(lit.name for lit in items if isinstance(lit, NegatedAtom))
+        aggs = tuple(lit for lit in items if isinstance(lit, (PositiveAgg, NegatedAgg)))
+        return CompiledRule(rule.head_set(), pos, neg, aggs, None)
+
+    def holds(self, u: AtomUniverse, x: AtomSet, xm: int) -> bool:
+        """Two-valued truth of the body at x, given also as the mask xm: pos
+        within x, neg outside it, and every aggregate literal true."""
+        if self.formula is not None:
+            return four.eval_two(u, x, self.formula) is Truth.T
+        return not self.pos & ~xm and not self.neg & xm and all(literal_true(u, x, lit) for lit in self.aggs)
+
+
+@dataclass(frozen=True)
+class Compiled:
+    """What the operators read of a program, built once by `Program.compile`."""
+
+    rules: tuple[CompiledRule, ...]
+    classification: Classification
 
 
 def _rule_atoms(rule: Rule) -> set[str]:
@@ -551,9 +630,7 @@ def literal_true(u: AtomUniverse, x: AtomSet, lit: BodyLiteral) -> bool:
 
 def eval_body(u: AtomUniverse, x: AtomSet, rule: Rule) -> bool:
     """Two-valued truth of a rule body at x."""
-    if isinstance(rule.body, GeneralFormula):
-        return four.eval_two(u, x, rule.body.formula) is Truth.T
-    return all(literal_true(u, x, lit) for lit in rule.body.items)
+    return CompiledRule.of(u, rule).holds(u, x, u.mask(x))
 
 
 def trivial_aggregate_value(i: ApproxPair, lit: BodyLiteral) -> Truth:
@@ -577,10 +654,8 @@ def trivial_aggregate_value(i: ApproxPair, lit: BodyLiteral) -> Truth:
     return Truth.T if defined and (truth is Truth.T) == isinstance(lit, PositiveAgg) else Truth.F
 
 
-def body_formula(rule: Rule, at: ApproxPair | None = None) -> Formula:
-    """Rule body as a formula. Aggregate literals have no formula reading;
-    given a pair `at`, each becomes the constant of its trivial approximation
-    there, and without one they are rejected."""
+def body_formula(rule: Rule) -> Formula:
+    """Rule body as a formula; aggregate literals have no formula reading."""
     if isinstance(rule.body, GeneralFormula):
         return rule.body.formula
     parts: list[Formula] = []
@@ -589,8 +664,6 @@ def body_formula(rule: Rule, at: ApproxPair | None = None) -> Formula:
             parts.append(four.Atom(lit.name))
         elif isinstance(lit, NegatedAtom):
             parts.append(four.Not(four.Atom(lit.name)))
-        elif at is not None:
-            parts.append(four.Const(trivial_aggregate_value(at, lit)))
         else:
             raise ProgramClassError("aggregate atom has no formula reading")
     return four.conj(parts)
@@ -614,7 +687,7 @@ def gl_transform(p: Program, i: ApproxPair) -> Program:
     """Replace each negated literal by its four-valued truth constant at i,
     yielding a positive program. Requires a disjunctively normal,
     aggregate-free program and a consistent pair."""
-    cls = classify(p)
+    cls = p.compile().classification
     _require(cls.shape != SHAPE_GENERAL, "GL transformation needs conjunctive rule bodies")
     _require(cls.aggregate_free, "GL transformation needs an aggregate-free program")
     if not i.is_consistent:
@@ -644,7 +717,7 @@ def gz_reduct(p: Program, x: AtomSet) -> Program:
 
     The result is aggregate-free and keeps the original atom universe.
     """
-    cls = classify(p)
+    cls = p.compile().classification
     _require(cls.shape != SHAPE_GENERAL, "GZ reduct needs conjunctive rule bodies")
     _require(not cls.has_negated_aggregates, "GZ reduct does not allow negated aggregate atoms")
     rules = []

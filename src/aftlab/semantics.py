@@ -19,16 +19,14 @@ from .lattice import (
     AftlabError,
     ApproxPair,
     AtomSet,
-    CapExceededError,
     NdSet,
-    atom_cap,
     gap,
     leq_i,
     leq_t,
     smyth_leq,
 )
 from .operators import OperatorKind
-from .program import Program, ProgramClassError, classify
+from .program import Program, ProgramClassError
 
 
 class WellFoundedAnomalyError(AftlabError):
@@ -37,12 +35,6 @@ class WellFoundedAnomalyError(AftlabError):
     def __init__(self, pairs: tuple[ApproxPair, ...]):
         super().__init__(f"no unique information-least stable fixpoint; minimal ones: {pairs}")
         self.pairs = pairs
-
-
-def _check_cap(p: Program, max_atoms: int | None) -> None:
-    cap = atom_cap(max_atoms)
-    if len(p.universe) > cap:
-        raise CapExceededError(f"universe has {len(p.universe)} atoms, cap is {cap}")
 
 
 def _consistent_pairs(p: Program, max_atoms: int | None) -> list[ApproxPair]:
@@ -56,6 +48,7 @@ def _member(pair: ApproxPair, value: "ops.NdPair") -> bool:
 
 def fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Consistent pairs that are membership fixpoints of the operator."""
+    p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
     return [i for i in _consistent_pairs(p, max_atoms) if _member(i, ops.apply(kind, p, i))]
 
@@ -103,6 +96,7 @@ def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
 def stable_fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x among the complete lower stable values
     for y and y among the complete upper stable values for x."""
+    p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
     lower_cache: dict[AtomSet, NdSet] = {}
     upper_cache: dict[AtomSet, NdSet] = {}
@@ -157,8 +151,8 @@ def _lfp_det_upper(p: Program, x: AtomSet) -> AtomSet | None:
 def det_stable_fixpoints(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Stable pairs of the deterministic interval operator, via least
     fixpoints of its frozen-side maps."""
+    p.compile(max_atoms)
     ops.check_kind_applicable(OperatorKind.DMT_DET, p)
-    _check_cap(p, max_atoms)
     out = []
     lower_cache: dict[AtomSet, AtomSet] = {}
     upper_cache: dict[AtomSet, AtomSet | None] = {}
@@ -192,13 +186,14 @@ def wf_fixpoint_det(p: Program, max_atoms: int | None = None) -> ApproxPair:
 
 
 def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
-    cls = classify(p)
+    cls = p.compile().classification
     if cls.shape == prog.SHAPE_GENERAL or cls.has_aggregates:
         raise ProgramClassError(f"{what} needs a disjunctively normal aggregate-free program")
 
 
 def ht_models_program(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Pairs satisfying every rule under here-and-there satisfaction."""
+    p.compile(max_atoms)
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
     out = []
     for i in _consistent_pairs(p, max_atoms):
@@ -213,6 +208,7 @@ def ht_models_program(p: Program, max_atoms: int | None = None) -> list[ApproxPa
 def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Algebraic HT pairs: y closed under the base operator (in the Smyth
     sense) and x covering the operator's lower value."""
+    p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
     out = []
     for i in _consistent_pairs(p, max_atoms):
@@ -273,6 +269,7 @@ def _is_stable_model_of(p: Program, i: ApproxPair, candidates: list[ApproxPair])
 
 def three_valued_stable(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Truth-minimal models of the program's GL transformation at each pair."""
+    p.compile(max_atoms)
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
     pairs = _consistent_pairs(p, max_atoms)
     return [i for i in pairs if _is_stable_model_of(p, i, pairs)]
@@ -281,16 +278,16 @@ def three_valued_stable(p: Program, max_atoms: int | None = None) -> list[Approx
 def gz_answer_sets(p: Program, max_atoms: int | None = None) -> list[AtomSet]:
     """Sets x whose total pair is an answer set of the GZ reduct at x; these
     are the total stable fixpoints of the `ic-triv` operator."""
-    cls = classify(p)
+    cls = p.compile(max_atoms).classification
     if cls.shape == prog.SHAPE_GENERAL:
         raise ProgramClassError("GZ answer sets need conjunctive rule bodies")
     if cls.has_negated_aggregates:
         raise ProgramClassError("GZ answer sets do not allow negated aggregate atoms")
-    _check_cap(p, max_atoms)
     pairs = _consistent_pairs(p, max_atoms)
     out = []
     for x in p.universe.subsets():
         reduct = prog.gz_reduct(p, x)
+        reduct.compile(max_atoms)  # same universe as p, so under the same cap
         if _is_stable_model_of(reduct, ApproxPair(x, x), pairs):
             out.append(x)
     return out
@@ -333,6 +330,7 @@ def run_semantics(
     max_atoms: int | None = None,
 ) -> SemanticsResult:
     """Run one named semantics; atom sets are reported as total pairs."""
+    p.compile(max_atoms)
     if name in OPERATOR_BASED and kind is None:
         raise AftlabError(f"semantics {name!r} needs an operator")
     if name == "fixpoints":

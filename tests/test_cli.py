@@ -1,6 +1,7 @@
 import io
 import json
 import contextlib
+import time
 
 import pytest
 
@@ -186,6 +187,42 @@ def test_max_atoms_flag_and_env(monkeypatch, tmp_path):
     monkeypatch.setenv("AFTLAB_MAX_ATOMS", "4")
     assert run(*argv)[0] == 2
     assert run(*argv, "--max-atoms", "6")[0] == 0
+
+
+CHAIN = "a0.\n" + "".join(f"a{k} :- a{k - 1}.\n" for k in range(1, 23))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semantics", "--semantics", "kk"],
+        ["eval", "--operator", "ultimate", "--pair", ";" + ",".join(f"a{k}" for k in range(23))],
+    ],
+)
+def test_every_entry_point_refuses_a_program_above_the_cap(argv, monkeypatch, tmp_path):
+    monkeypatch.delenv("AFTLAB_MAX_ATOMS", raising=False)
+    chain = tmp_path / "chain.lp"
+    chain.write_text(CHAIN, encoding="utf-8")
+    start = time.perf_counter()
+    code, _, err = run(*argv, "--program", str(chain))
+    assert (code, err) == (2, "error: universe has 23 atoms, cap is 12\n")
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semantics", "--semantics", "kk"],
+        ["semantics", "--semantics", "gz-answer-sets"],
+        ["eval", "--operator", "ultimate", "--pair", ";a0,a1,a2"],
+    ],
+)
+def test_max_atoms_lifts_the_cap(argv, monkeypatch, tmp_path):
+    chain = tmp_path / "chain.lp"
+    chain.write_text("a0.\na1 :- a0.\na2 :- a1.\n", encoding="utf-8")
+    monkeypatch.setenv("AFTLAB_MAX_ATOMS", "2")
+    assert run(*argv, "--program", str(chain))[0] == 2
+    assert run(*argv, "--program", str(chain), "--max-atoms", "3")[0] == 0
 
 
 def test_check_selected_laws_pass():
