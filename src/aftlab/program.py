@@ -168,7 +168,7 @@ class Program:
             if len(self.universe) > cap:
                 raise CapExceededError(f"universe has {len(self.universe)} atoms, cap is {cap}")
         if compiled is None:
-            compiled = Compiled(tuple(CompiledRule.of(self.universe, r) for r in self.rules), classify(self))
+            compiled = Compiled(self)
             object.__setattr__(self, "_compiled", compiled)
         return compiled
 
@@ -189,27 +189,27 @@ class Classification:
         return not self.has_aggregates
 
 
-@dataclass(frozen=True)
 class CompiledRule:
     """A rule over its program's universe. A conjunctive body is read as the
     mask `pos` of its positive atoms, the mask `neg` of its negated atoms and
     its aggregate literals `aggs`; a general body keeps its `formula`."""
 
-    head: AtomSet
-    pos: int
-    neg: int
-    aggs: tuple[BodyLiteral, ...]
-    formula: Formula | None
+    # Plain classes, not dataclasses: creating a frozen dataclass takes about
+    # 0.7 ms at import, and every CLI run pays the import.
+    __slots__ = ("head", "pos", "neg", "aggs", "formula")
 
-    @staticmethod
-    def of(u: AtomUniverse, rule: Rule) -> "CompiledRule":
+    def __init__(self, u: AtomUniverse, rule: Rule):
+        self.head = rule.head_set()
+        self.pos = self.neg = 0
+        self.aggs: tuple[BodyLiteral, ...] = ()
+        self.formula: Formula | None = None
         if isinstance(rule.body, GeneralFormula):
-            return CompiledRule(rule.head_set(), 0, 0, (), rule.body.formula)
+            self.formula = rule.body.formula
+            return
         items = rule.body.items
-        pos = u.mask(lit.name for lit in items if isinstance(lit, PositiveAtom))
-        neg = u.mask(lit.name for lit in items if isinstance(lit, NegatedAtom))
-        aggs = tuple(lit for lit in items if isinstance(lit, (PositiveAgg, NegatedAgg)))
-        return CompiledRule(rule.head_set(), pos, neg, aggs, None)
+        self.pos = u.mask(lit.name for lit in items if isinstance(lit, PositiveAtom))
+        self.neg = u.mask(lit.name for lit in items if isinstance(lit, NegatedAtom))
+        self.aggs = tuple(lit for lit in items if isinstance(lit, (PositiveAgg, NegatedAgg)))
 
     def holds(self, u: AtomUniverse, x: AtomSet, xm: int) -> bool:
         """Two-valued truth of the body at x, given also as the mask xm: pos
@@ -219,12 +219,14 @@ class CompiledRule:
         return not self.pos & ~xm and not self.neg & xm and all(literal_true(u, x, lit) for lit in self.aggs)
 
 
-@dataclass(frozen=True)
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`."""
 
-    rules: tuple[CompiledRule, ...]
-    classification: Classification
+    __slots__ = ("rules", "classification")
+
+    def __init__(self, p: Program):
+        self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
+        self.classification = classify(p)
 
 
 def _rule_atoms(rule: Rule) -> set[str]:
@@ -630,7 +632,7 @@ def literal_true(u: AtomUniverse, x: AtomSet, lit: BodyLiteral) -> bool:
 
 def eval_body(u: AtomUniverse, x: AtomSet, rule: Rule) -> bool:
     """Two-valued truth of a rule body at x."""
-    return CompiledRule.of(u, rule).holds(u, x, u.mask(x))
+    return CompiledRule(u, rule).holds(u, x, u.mask(x))
 
 
 def trivial_aggregate_value(i: ApproxPair, lit: BodyLiteral) -> Truth:
