@@ -173,7 +173,7 @@ def _cmd_check(args) -> int:
     else:
         raise UsageError("check needs --all or --laws")
     programs = laws.suite_programs(args.programs, args.atoms, args.rules, args.seed)
-    outcomes = laws.run_laws(programs, names)
+    outcomes = laws.run_laws(programs, names, max_atoms=args.max_atoms)
     ok = all(o.ok for o in outcomes)
     if args.format == "json":
         payload = {

@@ -3,7 +3,8 @@ approximating pair, and here-and-there satisfaction of rules.
 
 Conjunction is the greatest lower bound and disjunction the least upper bound
 of the truth order F < {C, U} < T (C and U incomparable); negation swaps T/F
-and fixes C and U.
+and fixes C and U. With each value held as its two bits these are `&`, `|`
+and "swap the bits, then complement them".
 """
 
 from __future__ import annotations
@@ -23,54 +24,46 @@ from .lattice import (
 
 
 class Truth(Enum):
-    F = "F"
-    U = "U"
-    C = "C"
-    T = "T"
+    """A truth value as its two bits (Denecker, Marek & Truszczyński 2000):
+    the lower bit is its truth at x, the upper bit its truth at y of a pair
+    (x, y). A value is >=_t C iff its lower bit is set and >=_t U iff its
+    upper bit is set."""
+
+    F = 0b00
+    U = 0b01
+    C = 0b10
+    T = 0b11
 
     def __str__(self) -> str:
-        return self.value
+        return self.name
 
 
-# A value as two bits (lower, upper): T=11, C=10, U=01, F=00. A value is
-# >=_t C iff its lower bit is set and >=_t U iff its upper bit is set.
 LOWER_BIT = 0b10
 UPPER_BIT = 0b01
-BITS = {Truth.T: 0b11, Truth.C: 0b10, Truth.U: 0b01, Truth.F: 0b00}
-
-_NEG = {Truth.T: Truth.F, Truth.F: Truth.T, Truth.U: Truth.U, Truth.C: Truth.C}
-
-# Strict relations; reflexivity is added by the predicates below.
-_LT_T = {(Truth.F, Truth.C), (Truth.F, Truth.U), (Truth.C, Truth.T), (Truth.U, Truth.T), (Truth.F, Truth.T)}
-_LT_I = {(Truth.U, Truth.F), (Truth.U, Truth.T), (Truth.F, Truth.C), (Truth.T, Truth.C), (Truth.U, Truth.C)}
 
 
 def neg(v: Truth) -> Truth:
-    return _NEG[v]
+    """Swap the two bits and complement them: T and F trade, C and U stay."""
+    return Truth((~v.value & UPPER_BIT) << 1 | (~v.value & LOWER_BIT) >> 1)
 
 
 def truth_leq_t(a: Truth, b: Truth) -> bool:
-    return a == b or (a, b) in _LT_T
+    """Truth order F < {C, U} < T: bitwise inclusion."""
+    return not a.value & ~b.value
 
 
 def truth_leq_i(a: Truth, b: Truth) -> bool:
-    return a == b or (a, b) in _LT_I
+    """Information order U < {F, T} < C: inclusion on the lower bit, reverse
+    inclusion on the upper bit."""
+    return not (a.value & ~b.value & LOWER_BIT or b.value & ~a.value & UPPER_BIT)
 
 
 def glb_t(a: Truth, b: Truth) -> Truth:
-    if truth_leq_t(a, b):
-        return a
-    if truth_leq_t(b, a):
-        return b
-    return Truth.F  # C and U meet at the bottom
+    return Truth(a.value & b.value)
 
 
 def lub_t(a: Truth, b: Truth) -> Truth:
-    if truth_leq_t(a, b):
-        return b
-    if truth_leq_t(b, a):
-        return a
-    return Truth.T  # C and U join at the top
+    return Truth(a.value | b.value)
 
 
 @dataclass(frozen=True)
@@ -137,14 +130,7 @@ def eval_pair(u: AtomUniverse, i: ApproxPair, f: Formula) -> Truth:
     if isinstance(f, Atom):
         if f.name not in u:
             raise UnknownAtomError(f"unknown atom {f.name!r}")
-        in_x, in_y = f.name in i.lower, f.name in i.upper
-        if in_x and in_y:
-            return Truth.T
-        if in_x:
-            return Truth.C
-        if in_y:
-            return Truth.U
-        return Truth.F
+        return Truth((f.name in i.lower) << 1 | (f.name in i.upper))
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Not):

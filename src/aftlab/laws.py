@@ -38,13 +38,13 @@ def _atomic_heads(p: Program) -> bool:
     return all(len(r.head) == 1 for r in p.rules)
 
 
-def _pairs(p: Program) -> list[ApproxPair]:
-    return list(p.universe.consistent_pairs())
+def _pairs(p: Program, max_atoms: int | None) -> list[ApproxPair]:
+    return list(p.universe.consistent_pairs(max_atoms))
 
 
-def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_monotonicity(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if _atomic_heads(p) else [])
-    pairs = _pairs(p)
+    pairs = _pairs(p, max_atoms)
     cases = 0
     for kind in kinds:
         values = {i: apply_fn(kind, p, i) for i in pairs}
@@ -62,7 +62,7 @@ def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_exactness(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         for x in p.universe.subsets():
@@ -74,9 +74,9 @@ def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_precision_chain(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
-    for i in _pairs(p):
+    for i in _pairs(p, max_atoms):
         cases += 1
         gz = apply_fn(OperatorKind.GZ, p, i)
         dmt = apply_fn(OperatorKind.DMT, p, i)
@@ -88,10 +88,10 @@ def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None
     return cases, None
 
 
-def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_ultimate_max(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     kinds = [k for k in _ndao_kinds(p) if k is not OperatorKind.ULTIMATE]
     cases = 0
-    for i in _pairs(p):
+    for i in _pairs(p, max_atoms):
         ult = apply_fn(OperatorKind.ULTIMATE, p, i)
         for kind in kinds:
             cases += 1
@@ -100,7 +100,7 @@ def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_symmetry(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     if classify(p).has_aggregates:
         return 0, None
     cases = 0
@@ -117,10 +117,10 @@ def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_upwards_coherence(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
-        for i in _pairs(p):
+        for i in _pairs(p, max_atoms):
             cases += 1
             value = apply_fn(kind, p, i)
             if not value.lower_set or not value.upper_set:
@@ -130,67 +130,67 @@ def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | No
     return cases, None
 
 
-def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_ht_equality(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cls = classify(p)
     if cls.has_aggregates or cls.shape == prog.SHAPE_GENERAL:
         return 0, None
-    algebraic = sem.ht_pairs(OperatorKind.IC, p)
-    by_rules = sem.ht_models_program(p)
+    algebraic = sem.ht_pairs(OperatorKind.IC, p, max_atoms)
+    by_rules = sem.ht_models_program(p, max_atoms)
     if algebraic != by_rules:
         return 1, "algebraic HT pairs differ from rule-level HT models"
     return 1, None
 
 
-def _law_total_stable_ht(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_total_stable_ht(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        ht_totals = {i for i in sem.min_t(sem.ht_pairs(kind, p)) if i.is_total}
-        stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
+        ht_totals = {i for i in sem.min_t(sem.ht_pairs(kind, p, max_atoms)) if i.is_total}
+        stable_totals = {i for i in sem.stable_fixpoints(kind, p, max_atoms) if i.is_total}
         if ht_totals != stable_totals:
             return cases, f"{kind.value}: total truth-minimal HT pairs differ from total stable fixpoints"
     return cases, None
 
 
-def _law_seq_nonempty(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_seq_nonempty(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        models = sem.seq(kind, p)
+        models = sem.seq(kind, p, max_atoms)
         if not models:
             return cases, f"{kind.value}: no semi-equilibrium model"
         if any(i.is_total for i in models):
-            stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
+            stable_totals = {i for i in sem.stable_fixpoints(kind, p, max_atoms) if i.is_total}
             if set(models) != stable_totals:
                 return cases, f"{kind.value}: semi-equilibrium models differ from total stable fixpoints"
     return cases, None
 
 
-def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        minimal = set(sem.min_t(sem.fixpoints(kind, p)))
-        for i in sem.stable_fixpoints(kind, p):
+        minimal = set(sem.min_t(sem.fixpoints(kind, p, max_atoms)))
+        for i in sem.stable_fixpoints(kind, p, max_atoms):
             if i not in minimal:
                 return cases, f"{kind.value}: stable fixpoint {render.fmt_pair(p.universe, i)} not truth-minimal"
     return cases, None
 
 
-def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cls = classify(p)
     if cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     cases = 1
-    non_total = [i for i in sem.min_t(sem.fixpoints(OperatorKind.GZ, p)) if not i.is_total]
+    non_total = [i for i in sem.min_t(sem.fixpoints(OperatorKind.GZ, p, max_atoms)) if not i.is_total]
     if non_total:
         return cases, (
             f"truth-minimal trivial-operator fixpoint {render.fmt_pair(p.universe, non_total[0])} is not total"
         )
     if not cls.has_negated_aggregates:
         cases += 1
-        stable = sorted(sem.total_stable_fixpoints(OperatorKind.GZ, p), key=p.universe.sort_key)
-        answer_sets = sorted(sem.gz_answer_sets(p), key=p.universe.sort_key)
+        stable = sorted(sem.total_stable_fixpoints(OperatorKind.GZ, p, max_atoms), key=p.universe.sort_key)
+        answer_sets = sorted(sem.gz_answer_sets(p, max_atoms), key=p.universe.sort_key)
         if stable != answer_sets:
             return cases, (
                 "trivial-operator total stable fixpoints "
@@ -200,23 +200,23 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]
     return cases, None
 
 
-def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     if not _atomic_heads(p):
         return 0, None
     cases = 0
-    for i in _pairs(p):
+    for i in _pairs(p, max_atoms):
         cases += 1
         nd = ops.dmt_ndao(p, i)
         det = ops.dmt_det(p, i)
         if frozenset().union(*nd.lower_set) != det.lower or frozenset().union(*nd.upper_set) != det.upper:
             return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, i)}"
     cases += 1
-    if sem.stable_fixpoints(OperatorKind.DMT, p) != sem.det_stable_fixpoints(p):
+    if sem.stable_fixpoints(OperatorKind.DMT, p, max_atoms) != sem.det_stable_fixpoints(p, max_atoms):
         return cases, "interval-operator stable fixpoints differ from the deterministic stable pairs"
     return cases, None
 
 
-def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         for y in p.universe.subsets():
@@ -236,7 +236,7 @@ def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | 
     return cases, None
 
 
-LAWS: dict[str, Callable[[Program, ApplyFn], tuple[int, str | None]]] = {
+LAWS: dict[str, Callable[[Program, ApplyFn, int | None], tuple[int, str | None]]] = {
     "monotonicity": _law_monotonicity,
     "exactness": _law_exactness,
     "precision-chain": _law_precision_chain,
@@ -275,19 +275,24 @@ def run_laws(
     programs: Iterable[Program],
     names: Sequence[str] | None = None,
     apply_fn: ApplyFn = ops.apply,
+    max_atoms: int | None = None,
 ) -> list[LawOutcome]:
+    """Run the named laws (all by default) over the programs, each compiled
+    under the atom cap `max_atoms` (`lattice.atom_cap`)."""
     ordered = sorted(programs, key=lambda p: (len(p.rules), len(p.universe), p.text))
     selected = list(names) if names is not None else list(LAW_NAMES)
     unknown = [n for n in selected if n not in LAWS]
     if unknown:
         raise prog.ProgramClassError(f"unknown law name(s): {', '.join(unknown)}")
+    for p in ordered:
+        p.compile(max_atoms)
     outcomes = []
     for name in selected:
         law = LAWS[name]
         cases = 0
         failure = None
         for p in ordered:
-            checked, detail = law(p, apply_fn)
+            checked, detail = law(p, apply_fn, max_atoms)
             cases += checked
             if detail is not None:
                 failure = f"{detail}\nreproducer:\n{p.text}"

@@ -97,28 +97,24 @@ def _require_consistent(i: ApproxPair) -> None:
 
 def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[AtomSet]:
     """Heads of the rules whose body value at i = (x, y) is >=_t threshold,
-    which is C or U.
-
-    A body's value is two bits (Denecker, Marek & Truszczyński 2000): the
-    lower bit is its truth at x with negation read at y, the upper bit its
-    truth at y with negation read at x. A value is >=_t C iff its lower bit is
-    set and >=_t U iff its upper bit is. Aggregate literals take their bits
-    from their trivial approximation, general bodies from `four.eval_pair`.
-    """
+    which is C or U: a `four.Truth` whose lower bit is the body's truth at x
+    with negation read at y, and whose upper bit is its truth at y with
+    negation read at x. Aggregate literals take their bits from their trivial
+    approximation, general bodies from `four.eval_pair`."""
     u = p.universe
-    bit = four.LOWER_BIT if threshold is Truth.C else four.UPPER_BIT
+    bit = threshold.value  # C is the lower bit alone, U the upper bit alone
     here, there = u.mask(i.lower), u.mask(i.upper)
     if bit == four.UPPER_BIT:
         here, there = there, here
     out = []
     for r in p.compile().rules:
         if r.formula is not None:
-            fired = four.BITS[four.eval_pair(u, i, r.formula)] & bit
+            fired = four.eval_pair(u, i, r.formula).value & bit
         else:
             fired = (
                 not r.pos & ~here
                 and not r.neg & there
-                and all(four.BITS[prog.trivial_aggregate_value(i, lit)] & bit for lit in r.aggs)
+                and all(prog.trivial_aggregate_value(i, lit).value & bit for lit in r.aggs)
             )
         if fired:
             out.append(r.head)
@@ -242,14 +238,6 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         pair = dmt_det(p, i)
         return NdPair(frozenset((pair.lower,)), frozenset((pair.upper,)))
     raise AftlabError(f"unknown operator kind {kind!r}")
-
-
-def lower_set(kind: OperatorKind, p: Program, i: ApproxPair) -> NdSet:
-    return apply(kind, p, i).lower_set
-
-
-def upper_set(kind: OperatorKind, p: Program, i: ApproxPair) -> NdSet:
-    return apply(kind, p, i).upper_set
 
 
 def check_kind_applicable(kind: OperatorKind, p: Program) -> None:

@@ -190,16 +190,18 @@ class Classification:
 
 
 class CompiledRule:
-    """A rule over its program's universe. A conjunctive body is read as the
-    mask `pos` of its positive atoms, the mask `neg` of its negated atoms and
-    its aggregate literals `aggs`; a general body keeps its `formula`."""
+    """A rule over its program's universe: its `head` set and `head_mask`. A
+    conjunctive body is read as the mask `pos` of its positive atoms, the mask
+    `neg` of its negated atoms and its aggregate literals `aggs`; a general
+    body keeps its `formula`."""
 
     # Plain classes, not dataclasses: creating a frozen dataclass takes about
     # 0.7 ms at import, and every CLI run pays the import.
-    __slots__ = ("head", "pos", "neg", "aggs", "formula")
+    __slots__ = ("head", "head_mask", "pos", "neg", "aggs", "formula")
 
     def __init__(self, u: AtomUniverse, rule: Rule):
         self.head = rule.head_set()
+        self.head_mask = u.mask(rule.head)
         self.pos = self.neg = 0
         self.aggs: tuple[BodyLiteral, ...] = ()
         self.formula: Formula | None = None
@@ -279,6 +281,11 @@ def program_hash(p: Program) -> str:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# Formulas are walked recursively (parsed, evaluated, printed, hashed), so the
+# parser refuses one whose connectives and parentheses nest deeper than this;
+# Python stops recursing at 1000 frames.
+MAX_FORMULA_DEPTH = 128
+
 _PUNCT = (":-", "<=", ">=", ".", "|", ",", ";", ":", "&", "(", ")", "{", "}", "<", ">", "=")
 _HASH_CONSTS = {"#true": four.TRUE, "#false": four.FALSE, "#u": four.Const(Truth.U), "#c": four.Const(Truth.C)}
 _AGG_FUNCS = {"#sum": AggFunc.SUM, "#count": AggFunc.COUNT, "#max": AggFunc.MAX}
@@ -352,6 +359,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # parentheses and negations open around the formula being parsed
 
     def peek(self, offset: int = 0) -> _Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -483,41 +491,55 @@ class _Parser:
 
     # -- formulas ----------------------------------------------------------
 
+    # The helpers below return a formula with its height, the number of
+    # connectives on its longest path.
+
     def formula(self) -> Formula:
-        return self._or_expr()
+        return self._or_expr()[0]
 
-    def _or_expr(self) -> Formula:
-        out = self._and_expr()
+    def _checked(self, tok: _Token, height: int) -> int:
+        if height + self.nesting > MAX_FORMULA_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok.line, tok.col)
+        return height
+
+    def _or_expr(self) -> tuple[Formula, int]:
+        out, height = self._and_expr()
         while self.peek().kind == "|":
-            self.next()
-            out = four.Or(out, self._and_expr())
-        return out
+            tok = self.next()
+            right, right_height = self._and_expr()
+            out, height = four.Or(out, right), self._checked(tok, max(height, right_height) + 1)
+        return out, height
 
-    def _and_expr(self) -> Formula:
-        out = self._unary()
+    def _and_expr(self) -> tuple[Formula, int]:
+        out, height = self._unary()
         while self.peek().kind == "&":
-            self.next()
-            out = four.And(out, self._unary())
-        return out
+            tok = self.next()
+            right, right_height = self._unary()
+            out, height = four.And(out, right), self._checked(tok, max(height, right_height) + 1)
+        return out, height
 
-    def _unary(self) -> Formula:
+    def _unary(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text == "not":
+        if tok.kind == "(" or (tok.kind == "ident" and tok.text == "not"):
             self.next()
-            return four.Not(self._unary())
-        if tok.kind == "(":
-            self.next()
-            out = self._or_expr()
-            self.expect(")")
-            return out
+            self.nesting += 1
+            self._checked(tok, 0)
+            if tok.kind == "(":
+                out, height = self._or_expr()
+                self.expect(")")
+            else:
+                operand, operand_height = self._unary()
+                out, height = four.Not(operand), operand_height + 1
+            self.nesting -= 1
+            return out, height
         if tok.kind == "hash":
             if tok.text in _AGG_FUNCS:
                 raise ParseError("aggregate atom not allowed in a formula body", tok.line, tok.col)
             if tok.text not in _HASH_CONSTS:
                 raise ParseError(f"unknown constant {tok.text!r}", tok.line, tok.col)
             self.next()
-            return _HASH_CONSTS[tok.text]
-        return four.Atom(self.atom_name())
+            return _HASH_CONSTS[tok.text], 0
+        return four.Atom(self.atom_name()), 0
 
 
 def parse(text: str) -> Program:
@@ -530,16 +552,12 @@ def parse(text: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _format_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def format_aggregate(agg: AggregateAtom) -> str:
     entries = []
     for entry in agg.term.entries:
-        weights = ",".join(_format_fraction(w) for w in entry.weights)
+        weights = ",".join(str(w) for w in entry.weights)
         entries.append(f"{weights}:{' & '.join(entry.condition)}")
-    return f"#{agg.func.value}{{{'; '.join(entries)}}} {agg.comparator.value} {_format_fraction(agg.bound)}"
+    return f"#{agg.func.value}{{{'; '.join(entries)}}} {agg.comparator.value} {agg.bound!s}"
 
 
 def _format_literal(lit: BodyLiteral) -> str:
@@ -572,7 +590,12 @@ def format_formula(f: Formula, _ctx: int = 1) -> str:
 def print_rule(rule: Rule) -> str:
     head = " | ".join(rule.head)
     if isinstance(rule.body, GeneralFormula):
-        return f"{head} :- {format_formula(rule.body.formula)}."
+        text = format_formula(rule.body.formula)
+        f = rule.body.formula
+        while isinstance(f, four.Not):
+            f = f.operand
+        # Bare, an atom under zero or more negations would not read back as a formula.
+        return f"{head} :- ({text})." if isinstance(f, four.Atom) else f"{head} :- {text}."
     if not rule.body.items:
         return f"{head} :- ."
     return f"{head} :- {', '.join(_format_literal(lit) for lit in rule.body.items)}."
@@ -651,7 +674,7 @@ def trivial_aggregate_value(i: ApproxPair, lit: BodyLiteral) -> Truth:
         below |= at_x and not at_y
         above |= at_y and not at_x
     if below or above:
-        return {(True, True): Truth.T, (True, False): Truth.C, (False, True): Truth.U}[(below, above)]
+        return Truth(below << 1 | above)
     truth, defined = eval_aggregate(i.lower, lit.agg)
     return Truth.T if defined and (truth is Truth.T) == isinstance(lit, PositiveAgg) else Truth.F
 
@@ -669,10 +692,6 @@ def body_formula(rule: Rule) -> Formula:
         else:
             raise ProgramClassError("aggregate atom has no formula reading")
     return four.conj(parts)
-
-
-def head_formula(rule: Rule) -> Formula:
-    return four.disj(four.Atom(a) for a in rule.head)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import four, operators as ops, program as prog
-from .four import Truth
+from . import operators as ops, program as prog
 from .lattice import (
     AftlabError,
     ApproxPair,
@@ -80,7 +79,7 @@ def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
     return minimal_sets(
         x
         for x in lower_candidates(kind, p, y)
-        if x in ops.lower_set(kind, p, ApproxPair(x, y))
+        if x in ops.apply(kind, p, ApproxPair(x, y)).lower_set
     )
 
 
@@ -89,7 +88,7 @@ def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     return minimal_sets(
         y
         for y in upper_candidates(kind, p, x)
-        if y in ops.upper_set(kind, p, ApproxPair(x, y))
+        if y in ops.apply(kind, p, ApproxPair(x, y)).upper_set
     )
 
 
@@ -192,17 +191,13 @@ def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
 
 
 def ht_models_program(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
-    """Pairs satisfying every rule under here-and-there satisfaction."""
+    """Pairs (x, y) satisfying every rule under here-and-there satisfaction:
+    the models (x, y) of p's GL transformation at (y, y), that is, every rule
+    has pos within x and neg outside y imply that the head meets x, and pos
+    within y and neg outside y imply that the head meets y."""
     p.compile(max_atoms)
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    out = []
-    for i in _consistent_pairs(p, max_atoms):
-        if all(
-            four.ht_satisfies_rule(p.universe, i, prog.body_formula(r), r.head)
-            for r in p.rules
-        ):
-            out.append(i)
-    return out
+    return [i for i in _consistent_pairs(p, max_atoms) if is_model(p, ApproxPair(i.upper, i.upper), i)]
 
 
 def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
@@ -214,7 +209,7 @@ def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> li
     for i in _consistent_pairs(p, max_atoms):
         if not smyth_leq(ops.ic(p, i.upper), frozenset((i.upper,))):
             continue
-        if smyth_leq(ops.lower_set(kind, p, i), frozenset((i.lower,))):
+        if smyth_leq(ops.apply(kind, p, i).lower_set, frozenset((i.lower,))):
             out.append(i)
     return out
 
@@ -248,23 +243,26 @@ def seq_no_difference(kind: OperatorKind, p: Program, max_atoms: int | None = No
 # ---------------------------------------------------------------------------
 
 
-def is_model(p: Program, i: ApproxPair) -> bool:
-    """Three-valued model: every rule head is at least as true as its body."""
-    for rule in p.rules:
-        body_value = four.eval_pair(p.universe, i, prog.body_formula(rule))
-        head_value = four.eval_pair(p.universe, i, prog.head_formula(rule))
-        if not four.truth_leq_t(body_value, head_value):
-            return False
-    return True
+def is_model(p: Program, i: ApproxPair, j: ApproxPair | None = None) -> bool:
+    """Whether j (by default i) is a three-valued model of p's GL
+    transformation at i (`program.gl_transform`). For j = (x_j, y_j) and
+    i = (x_i, y_i), every rule has pos within x_j and neg outside y_i imply
+    that the head meets x_j, and pos within y_j and neg outside x_i imply that
+    the head meets y_j."""
+    _require_disjunctively_normal_aggregate_free(p, "the three-valued model test")
+    u = p.universe
+    xi, yi = u.mask(i.lower), u.mask(i.upper)
+    xj, yj = (xi, yi) if j is None else (u.mask(j.lower), u.mask(j.upper))
+    return all(
+        (r.pos & ~xj or r.neg & yi or r.head_mask & xj) and (r.pos & ~yj or r.neg & xi or r.head_mask & yj)
+        for r in p.compile().rules
+    )
 
 
 def _is_stable_model_of(p: Program, i: ApproxPair, candidates: list[ApproxPair]) -> bool:
-    transformed = prog.gl_transform(p, i)
-    if not is_model(transformed, i):
+    if not is_model(p, i):
         return False
-    return not any(
-        j != i and leq_t(j, i) and is_model(transformed, j) for j in candidates
-    )
+    return not any(j != i and leq_t(j, i) and is_model(p, i, j) for j in candidates)
 
 
 def three_valued_stable(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:

@@ -4,10 +4,14 @@ import contextlib
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aftlab import cli, corpus
+from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.operators import OperatorKind
+from aftlab.program import GeneralFormula, Rule, make_program, parse, print_program
 from aftlab import semantics as sem
+from test_four import _formula_strategy
 
 
 def run(*argv):
@@ -225,6 +229,46 @@ def test_max_atoms_lifts_the_cap(argv, monkeypatch, tmp_path):
     assert run(*argv, "--program", str(chain), "--max-atoms", "3")[0] == 0
 
 
+def test_check_honours_max_atoms(monkeypatch):
+    monkeypatch.setenv("AFTLAB_MAX_ATOMS", "2")
+    code, out, _ = run("check", "--laws", "exactness", "--programs", "2", "--atoms", "3", "--max-atoms", "3")
+    assert code == 0
+    assert "PASS exactness" in out
+
+
+def test_check_refuses_programs_above_max_atoms(monkeypatch):
+    monkeypatch.delenv("AFTLAB_MAX_ATOMS", raising=False)
+    code, _, err = run("check", "--laws", "exactness", "--max-atoms", "2")
+    assert code == 2
+    assert "cap is 2" in err
+
+
+def formula_program(tmp_path, body):
+    path = tmp_path / "formula.lp"
+    path.write_text(f"q.\np :- {body}.\n", encoding="utf-8")
+    return ["semantics", "--program", str(path), "--semantics", "fixpoints", "--operator", "ic"]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [" & ".join(["q"] * 1500), "(" * 1500 + "q" + ")" * 1500 + " & q", "not " * 1500 + "q | q"],
+    ids=["conjuncts", "parentheses", "negations"],
+)
+def test_over_deep_formula_exits_2_without_a_traceback(tmp_path, body):
+    code, out, err = run(*formula_program(tmp_path, body))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2, column ")
+    assert "nested deeper than" in err
+    assert "Traceback" not in err
+
+
+def test_hundred_conjunct_formula_parses_and_evaluates(tmp_path):
+    code, out, err = run(*formula_program(tmp_path, " & ".join(["q"] * 100)))
+    assert (code, err) == (0, "")
+    assert out.endswith("models (1):\n  ({p,q}, {p,q})\n")
+
+
 def test_check_selected_laws_pass():
     code, out, _ = run(
         "check", "--laws", "precision-chain,seq-nonempty", "--programs", "10"
@@ -265,3 +309,46 @@ def test_generate_json():
     payload = json.loads(out)
     assert payload["config"]["seed"] == 3
     assert payload["program"].endswith(".\n")
+
+
+ATOMS = ("p", "q", "r", "s")
+TOKENS = (":-", ".", "|", ",", ";", ":", "&", "(", ")", "{", "}", "<", ">=", "=", "not", "%", "\n",
+          "#sum", "#count", "#max", "#true", "#c", "#u", "#bogus", "1", "-1", "1/0", "0.5", *ATOMS)
+
+heads = st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2).map(lambda names: tuple(sorted(set(names))))
+formula_programs = st.lists(
+    st.tuples(heads, _formula_strategy(ATOMS)), min_size=1, max_size=3
+).map(lambda rules: make_program(tuple(Rule(head, GeneralFormula(f)) for head, f in rules)))
+generated_programs = st.builds(
+    GeneratorConfig,
+    atoms=st.integers(1, 4),
+    rules=st.integers(1, 4),
+    aggregate_probability=st.sampled_from((0.0, 0.5)),
+    disjunction_width=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+).map(generate_program)
+program_texts = st.one_of(
+    generated_programs.map(print_program),
+    formula_programs.map(print_program),
+    st.lists(st.sampled_from(TOKENS), max_size=30).map(" ".join),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    text=program_texts,
+    semantics=st.sampled_from(sem.SEMANTICS_NAMES),
+    operator=st.sampled_from((None, *(k.value for k in OperatorKind))),
+)
+def test_every_semantics_run_exits_with_a_documented_code(tmp_path_factory, text, semantics, operator):
+    path = tmp_path_factory.mktemp("program") / "program.lp"
+    path.write_text(text, encoding="utf-8")
+    argv = ["semantics", "--program", str(path), "--semantics", semantics]
+    if operator is not None:
+        argv += ["--operator", operator]
+    assert run(*argv)[0] in (0, 1, 2, 3)
+
+
+@given(formula_programs)
+def test_print_parse_round_trips_formula_bodies(p):
+    assert parse(p.text) == p

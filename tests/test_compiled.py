@@ -142,3 +142,15 @@ def test_kept_hash_and_compiled_form_keep_value_equality():
     assert {p: 1}[again] == 1
     copied = pickle.loads(pickle.dumps(p))
     assert copied == p and vars(copied) == {"rules": p.rules, "universe": p.universe}
+
+
+def test_hd_reads_a_formula_body_two_valued():
+    # #c has only its lower bit set, so its rule fires in the lower
+    # four-valued head selection; but hd is two-valued and C is not T.
+    p = parse("p :- #c.\nq :- #true.\n")
+    for x in p.universe.subsets():
+        assert ops.hd(p, x) == frozenset({frozenset({"q"})})
+        assert four.eval_pair(p.universe, ApproxPair(x, x), four.Const(Truth.C)) is Truth.C
+    assert ops.ic_lower_set(p, ApproxPair(frozenset(), frozenset())) == ops.hitting_sets(
+        frozenset({frozenset({"p"}), frozenset({"q"})})
+    )

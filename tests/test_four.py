@@ -7,7 +7,7 @@ from aftlab import four
 from aftlab.four import And, Atom, Const, Not, Or, Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, AtomUniverse, InconsistentPairError, UnknownAtomError
-from aftlab.program import body_formula, classify, head_formula
+from aftlab.program import body_formula, classify
 from aftlab import semantics as sem
 from conftest import atoms, pair
 
@@ -44,6 +44,30 @@ def test_truth_lattice_meets_joins():
     for a, b in itertools.product(Truth, repeat=2):
         assert four.truth_leq_t(four.glb_t(a, b), a)
         assert four.truth_leq_t(a, four.lub_t(a, b))
+
+
+F, U, C, T = Truth.F, Truth.U, Truth.C, Truth.T
+
+# Rows a, columns b, both in the order F, U, C, T.
+GLB_T = [[F, F, F, F], [F, U, F, U], [F, F, C, C], [F, U, C, T]]
+LUB_T = [[F, U, C, T], [U, U, T, T], [C, T, C, T], [T, T, T, T]]
+LEQ_T = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+LEQ_I = [[1, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 0], [0, 0, 1, 1]]
+
+
+def test_truth_values_are_their_bits():
+    assert list(Truth) == [F, U, C, T]
+    assert [str(v) for v in Truth] == ["F", "U", "C", "T"]
+    assert [v.value for v in Truth] == [0b00, 0b01, 0b10, 0b11]
+
+
+def test_connectives_and_orders_on_all_sixteen_pairs():
+    assert [four.neg(v) for v in Truth] == [T, U, C, F]
+    for (ia, a), (ib, b) in itertools.product(enumerate(Truth), repeat=2):
+        assert four.glb_t(a, b) is GLB_T[ia][ib], (a, b)
+        assert four.lub_t(a, b) is LUB_T[ia][ib], (a, b)
+        assert four.truth_leq_t(a, b) is bool(LEQ_T[ia][ib]), (a, b)
+        assert four.truth_leq_i(a, b) is bool(LEQ_I[ia][ib]), (a, b)
 
 
 def test_eval_atom_table():

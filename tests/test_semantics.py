@@ -1,9 +1,10 @@
 import pytest
 
-from aftlab import corpus, operators as ops, semantics as sem
-from aftlab.lattice import ApproxPair, CapExceededError, leq_i
+from aftlab import corpus, four, operators as ops, semantics as sem
+from aftlab.generator import GeneratorConfig, generate_program
+from aftlab.lattice import ApproxPair, CapExceededError, leq_i, leq_t
 from aftlab.operators import OperatorKind
-from aftlab.program import ProgramClassError, classify, parse
+from aftlab.program import ProgramClassError, body_formula, classify, gl_transform, parse
 from conftest import atoms, pair
 
 
@@ -248,3 +249,56 @@ def test_run_semantics_dispatch(disjunctive_self_defeat):
     assert kk.operator == "dmt-det"
     with pytest.raises(Exception):
         sem.run_semantics("stable", disjunctive_self_defeat, None)
+
+
+# Aggregate-free programs with 1-3 atoms and heads of width 1-3.
+MASK_TEST_PROGRAMS = [
+    generate_program(
+        GeneratorConfig(atoms=1 + s % 3, rules=1 + s % 4, negation_probability=0.5, disjunction_width=1 + s // 3 % 3, seed=s)
+    )
+    for s in range(210)
+]
+
+
+def gl_model_reference(transformed, j):
+    """Whether j is a model of a GL-transformed program, by evaluating each
+    body formula and head disjunction with `four.eval_pair`."""
+    u = transformed.universe
+    return all(
+        four.truth_leq_t(
+            four.eval_pair(u, j, body_formula(r)),
+            four.eval_pair(u, j, four.disj(four.Atom(a) for a in r.head)),
+        )
+        for r in transformed.rules
+    )
+
+
+def test_is_model_masks_agree_with_the_gl_transformation():
+    checked = 0
+    for p in MASK_TEST_PROGRAMS:
+        pairs = list(p.universe.consistent_pairs())
+        for i in pairs:
+            transformed = gl_transform(p, i)
+            assert sem.is_model(p, i) == sem.is_model(p, i, i)
+            for j in pairs:
+                if leq_t(j, i):
+                    assert sem.is_model(p, i, j) == gl_model_reference(transformed, j), (p.text, i, j)
+                    checked += 1
+    assert len({len(r.head) for p in MASK_TEST_PROGRAMS for r in p.rules}) == 3
+    assert checked > 10000
+
+
+def test_ht_model_masks_agree_with_ht_satisfaction():
+    for p in MASK_TEST_PROGRAMS:
+        expected = [
+            i
+            for i in p.universe.consistent_pairs()
+            if all(four.ht_satisfies_rule(p.universe, i, body_formula(r), r.head) for r in p.rules)
+        ]
+        assert sem.ht_models_program(p) == expected, p.text
+
+
+def test_is_model_refuses_general_bodies_and_aggregates():
+    for text in ("p :- q & not r.", "p :- #sum{1:q} > 0."):
+        with pytest.raises(ProgramClassError):
+            sem.is_model(parse(text), pair())
