@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from . import corpus, operators as ops, program as prog, render, semantics as sem
+from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
 from .lattice import ApproxPair, aprec_leq, leq_i, leq_t, smyth_leq
 from .operators import OperatorKind
@@ -135,9 +135,12 @@ def _law_ht_equality(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tu
     if cls.has_aggregates or cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     algebraic = sem.ht_pairs(OperatorKind.IC, p, max_atoms)
-    by_rules = sem.ht_models_program(p, max_atoms)
-    if algebraic != by_rules:
+    if algebraic != sem.ht_models_program(p, max_atoms):
         return 1, "algebraic HT pairs differ from rule-level HT models"
+    # The definition, independent of the compiled masks: HT satisfaction of each rule as a formula.
+    u, rules = p.universe, [(prog.body_formula(r), r.head) for r in p.rules]
+    if algebraic != [i for i in _pairs(p, max_atoms) if all(four.ht_satisfies_rule(u, i, *r) for r in rules)]:
+        return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 
 

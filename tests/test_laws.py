@@ -52,6 +52,17 @@ def test_corrupted_operator_fails_with_reproducer():
     assert "gz not exact" in outcomes[0].failure
 
 
+def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
+    # A fault shared by both mask-computed sides (here: both drop the last
+    # pair) is caught by the formula-level definition.
+    ht_pairs, ht_models = laws.sem.ht_pairs, laws.sem.ht_models_program
+    monkeypatch.setattr(laws.sem, "ht_pairs", lambda kind, p, max_atoms=None: ht_pairs(kind, p, max_atoms)[:-1])
+    monkeypatch.setattr(laws.sem, "ht_models_program", lambda p, max_atoms=None: ht_models(p, max_atoms)[:-1])
+    outcomes = laws.run_laws(corpus.programs(), ["ht-equality"])
+    assert not outcomes[0].ok
+    assert "differ from HT satisfaction of the rules" in outcomes[0].failure
+
+
 def test_suite_programs_deterministic():
     a = [p.text for p in laws.suite_programs(10, 3, 4, 0)]
     b = [p.text for p in laws.suite_programs(10, 3, 4, 0)]
