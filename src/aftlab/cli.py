@@ -172,6 +172,8 @@ def _cmd_check(args) -> int:
         names = None
     else:
         raise UsageError("check needs --all or --laws")
+    if args.programs < 0:
+        raise UsageError("--programs must not be negative")
     programs = laws.suite_programs(args.programs, args.atoms, args.rules, args.seed)
     outcomes = laws.run_laws(programs, names, max_atoms=args.max_atoms)
     ok = all(o.ok for o in outcomes)

@@ -58,6 +58,9 @@ def generate_program(cfg: GeneratorConfig) -> Program:
         raise AftlabError(f"atom count must be between 1 and {len(ATOM_POOL)}")
     if cfg.rules < 1 or cfg.disjunction_width < 1:
         raise AftlabError("rule count and disjunction width must be positive")
+    for name in ("negation_probability", "aggregate_probability"):
+        if not 0 <= getattr(cfg, name) <= 1:
+            raise AftlabError(f"{name.replace('_', ' ')} must be between 0 and 1")
     rng = random.Random(cfg.seed)
     atoms = ATOM_POOL[: cfg.atoms]
     rules = []

@@ -1,9 +1,10 @@
 """Finite powerset lattice: atom universes, the pair orders, the set-lifted
 orders, lattice difference, and deterministic enumeration of intervals and
-consistent pairs.
+consistent pairs, also as pairs of masks and along the two orders.
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
-ordering (lexicographic) that every enumeration and rendering follows.
+ordering (lexicographic) that every enumeration and rendering follows, and
+atom i is bit i of a set's mask.
 """
 
 from __future__ import annotations
@@ -140,19 +141,59 @@ class AtomUniverse:
         for m in range(1 << len(free)):
             yield x | frozenset(a for i, a in enumerate(free) if m >> i & 1)
 
-    def consistent_pairs(self, cap: int | None = None) -> Iterator[ApproxPair]:
-        """All 3^n pairs (x, y) with x <= y, ordered by (mask(x), mask(y))."""
+    def pair(self, xm: int, ym: int) -> ApproxPair:
+        return ApproxPair(self.unmask(xm), self.unmask(ym))
+
+    def consistent_masks(self, cap: int | None = None) -> Iterator[tuple[int, int]]:
+        """The masks of all 3^n pairs (x, y) with x <= y, in increasing
+        (mask(x), mask(y)) order."""
         n = len(self.atoms)
         if n > atom_cap(cap):
             raise CapExceededError(f"universe has {n} atoms, cap is {atom_cap(cap)}")
-        full = (1 << n) - 1
-        for xm in range(full + 1):
-            ym = xm
-            while True:
-                yield ApproxPair(self.unmask(xm), self.unmask(ym))
-                if ym == full:
-                    break
-                ym = (ym + 1) | xm
+        return masks_above_i(0, (1 << n) - 1)
+
+    def consistent_pairs(self, cap: int | None = None) -> Iterator[ApproxPair]:
+        """All 3^n pairs (x, y) with x <= y, ordered by (mask(x), mask(y))."""
+        for xm, ym in self.consistent_masks(cap):
+            yield self.pair(xm, ym)
+
+
+def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
+    """The consistent mask pairs (a, b) >=_i the consistent pair (xm, ym),
+    that is xm <= a <= b <= ym, in increasing (a, b) order: 3^|ym - xm| many.
+    The submask of m that follows t in increasing order is `(t - m) & m`."""
+    free = ym & ~xm
+    s = 0
+    while True:
+        a = xm | s
+        rest = free & ~s
+        t = 0
+        while True:
+            yield a, a | t
+            if t == rest:
+                break
+            t = (t - rest) & rest
+        if s == free:
+            return
+        s = (s - free) & free
+
+
+def masks_below_t(xm: int, ym: int) -> Iterator[tuple[int, int]]:
+    """The consistent mask pairs (a, b) <=_t (xm, ym), that is b <= ym and
+    a <= xm & b, in no particular order; 3^|xm| * 2^|ym - xm| many for a
+    consistent pair."""
+    b = ym
+    while True:
+        top = xm & b
+        a = top
+        while True:
+            yield a, b
+            if not a:
+                break
+            a = (a - 1) & top
+        if not b:
+            return
+        b = (b - 1) & ym
 
 
 def leq_t(a: ApproxPair, b: ApproxPair) -> bool:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import ApproxPair, aprec_leq, leq_i, leq_t, smyth_leq
+from .lattice import ApproxPair, aprec_leq, masks_above_i, smyth_leq
 from .operators import OperatorKind
 from .program import Program, classify
 
@@ -44,20 +44,19 @@ def _pairs(p: Program, max_atoms: int | None) -> list[ApproxPair]:
 
 def _law_monotonicity(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
     kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if _atomic_heads(p) else [])
-    pairs = _pairs(p, max_atoms)
+    u = p.universe
+    # The pairs above each i1 come from `masks_above_i` in the order of the full sweep.
+    index = {u.pair_key(i): i for i in _pairs(p, max_atoms)}
     cases = 0
     for kind in kinds:
-        values = {i: apply_fn(kind, p, i) for i in pairs}
-        for i1 in pairs:
-            for i2 in pairs:
-                if not leq_i(i1, i2):
-                    continue
+        values = {key: apply_fn(kind, p, i) for key, i in index.items()}
+        for key1, i1 in index.items():
+            for key2 in masks_above_i(*key1):
                 cases += 1
-                if not aprec_leq(values[i1], values[i2]):
-                    u = p.universe
+                if not aprec_leq(values[key1], values[key2]):
                     return cases, (
                         f"{kind.value} not precision-monotone: "
-                        f"{render.fmt_pair(u, i1)} <=_i {render.fmt_pair(u, i2)}"
+                        f"{render.fmt_pair(u, i1)} <=_i {render.fmt_pair(u, index[key2])}"
                     )
     return cases, None
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
+from typing import Iterator
 
 from . import four, program as prog
 from .four import Truth
@@ -35,13 +36,18 @@ class OperatorKind(Enum):
     IC_TRIV = "ic-triv"
 
 
+# The four-valued operators, whose membership and Smyth tests read head masks
+# (`contains`, `smyth_below`).
+FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
+
+
 def consistent_only(kind: OperatorKind) -> bool:
     """Whether the operator is defined only on consistent pairs.
 
     The four-valued operators are total; the interval-based operators and the
     trivial operator are not extended to inconsistent pairs.
     """
-    return kind not in (OperatorKind.IC, OperatorKind.IC_TRIV)
+    return kind not in FOUR_VALUED
 
 
 @cache
@@ -95,30 +101,55 @@ def _require_consistent(i: ApproxPair) -> None:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
 
 
+def _fired(p: Program, xm: int, ym: int, bit: int, i: ApproxPair | None = None) -> Iterator[prog.CompiledRule]:
+    """The rules whose body value at the pair of masks (xm, ym) has `bit` set,
+    `four.LOWER_BIT` or `four.UPPER_BIT`. The lower bit is the body's truth at
+    x with negation read at y, the upper bit its truth at y with negation read
+    at x. Aggregate literals take their bits from their trivial approximation,
+    general bodies from `four.eval_pair`; both read the pair i of atom sets,
+    built from the masks only when such a rule is reached."""
+    here, there = (ym, xm) if bit == four.UPPER_BIT else (xm, ym)
+    for r in p.compile().rules:
+        if r.formula is None:
+            if r.pos & ~here or r.neg & there:
+                continue
+            if not r.aggs:
+                yield r
+                continue
+        if i is None:
+            i = p.universe.pair(xm, ym)
+        if r.formula is not None:
+            fired = four.eval_pair(p.universe, i, r.formula).value & bit
+        else:
+            fired = all(prog.trivial_aggregate_value(i, lit).value & bit for lit in r.aggs)
+        if fired:
+            yield r
+
+
 def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[AtomSet]:
     """Heads of the rules whose body value at i = (x, y) is >=_t threshold,
-    which is C or U: a `four.Truth` whose lower bit is the body's truth at x
-    with negation read at y, and whose upper bit is its truth at y with
-    negation read at x. Aggregate literals take their bits from their trivial
-    approximation, general bodies from `four.eval_pair`."""
+    which is C (the lower bit alone) or U (the upper bit alone)."""
     u = p.universe
-    bit = threshold.value  # C is the lower bit alone, U the upper bit alone
-    here, there = u.mask(i.lower), u.mask(i.upper)
-    if bit == four.UPPER_BIT:
-        here, there = there, here
-    out = []
-    for r in p.compile().rules:
-        if r.formula is not None:
-            fired = four.eval_pair(u, i, r.formula).value & bit
-        else:
-            fired = (
-                not r.pos & ~here
-                and not r.neg & there
-                and all(prog.trivial_aggregate_value(i, lit).value & bit for lit in r.aggs)
-            )
-        if fired:
-            out.append(r.head)
-    return frozenset(out)
+    return frozenset(r.head for r in _fired(p, u.mask(i.lower), u.mask(i.upper), threshold.value, i))
+
+
+def contains(p: Program, xm: int, ym: int, m: int, upper: bool = False) -> bool:
+    """Whether the set with mask m is in the lower (or upper) set of `ic` and
+    `ic-triv` at the pair of masks (xm, ym), without building the family: a
+    hitting set of the fired heads lies within their union and meets each."""
+    union = 0
+    for r in _fired(p, xm, ym, four.UPPER_BIT if upper else four.LOWER_BIT):
+        if not m & r.head_mask:
+            return False
+        union |= r.head_mask
+    return not m & ~union
+
+
+def smyth_below(p: Program, xm: int, ym: int, m: int) -> bool:
+    """Whether the lower set of `ic` and `ic-triv` at (xm, ym) is Smyth-below
+    {m}, that is some member lies within m: m meets every fired lower head
+    (its intersection with their union is then a member)."""
+    return all(m & r.head_mask for r in _fired(p, xm, ym, four.LOWER_BIT))
 
 
 @cache

@@ -4,8 +4,10 @@ semi-equilibrium models, three-valued stable models via the GL transformation,
 and GZ answer sets via the reduct.
 
 Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
-total interpretations), relying on the memoized operators; n is bounded by the
-atom cap.
+total interpretations); n is bounded by the atom cap. The sweeps of the
+four-valued operators iterate masks and test membership on the fired heads
+(`operators.contains`, `operators.smyth_below`); the other operators' sweeps
+rely on their memoized values.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from .lattice import (
     AftlabError,
     ApproxPair,
     AtomSet,
+    AtomUniverse,
     NdSet,
     gap,
     leq_i,
     leq_t,
+    masks_below_t,
     smyth_leq,
 )
 from .operators import OperatorKind
@@ -40,16 +44,24 @@ def _consistent_pairs(p: Program, max_atoms: int | None) -> list[ApproxPair]:
     return list(p.universe.consistent_pairs(max_atoms))
 
 
-def _member(pair: ApproxPair, value: "ops.NdPair") -> bool:
-    # "(x, y) in O(x, y)" is componentwise membership.
-    return pair.lower in value.lower_set and pair.upper in value.upper_set
-
-
 def fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
-    """Consistent pairs that are membership fixpoints of the operator."""
+    """Consistent pairs (x, y) with x in the lower and y in the upper set of
+    the operator at (x, y)."""
     p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
-    return [i for i in _consistent_pairs(p, max_atoms) if _member(i, ops.apply(kind, p, i))]
+    u = p.universe
+    if kind in ops.FOUR_VALUED:
+        return [
+            u.pair(xm, ym)
+            for xm, ym in u.consistent_masks(max_atoms)
+            if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
+        ]
+    out = []
+    for i in _consistent_pairs(p, max_atoms):
+        value = ops.apply(kind, p, i)
+        if i.lower in value.lower_set and i.upper in value.upper_set:
+            out.append(i)
+    return out
 
 
 def lower_candidates(kind: OperatorKind, p: Program, y: AtomSet) -> Iterator[AtomSet]:
@@ -69,6 +81,16 @@ def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
     return frozenset(s for s in collected if not any(t < s for t in collected))
 
 
+def _minimal_masks(u: AtomUniverse, masks: Iterable[int]) -> NdSet:
+    """The minimal sets among masks given in increasing order: a proper
+    submask is a smaller number, so it comes first."""
+    kept: list[int] = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return frozenset(u.unmask(m) for m in kept)
+
+
 def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
     """Minimal x with x a member of the lower operator at (x, y).
 
@@ -76,6 +98,10 @@ def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
     four-valued operator, subsets of y for the interval-based ones.
     """
     ops.check_kind_applicable(kind, p)
+    if kind in ops.FOUR_VALUED:
+        u = p.universe
+        ym = u.mask(y)
+        return _minimal_masks(u, (xm for xm in range(1 << len(u)) if ops.contains(p, xm, ym, xm)))
     return minimal_sets(
         x
         for x in lower_candidates(kind, p, y)
@@ -85,6 +111,10 @@ def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
 
 def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     ops.check_kind_applicable(kind, p)
+    if kind in ops.FOUR_VALUED:
+        u = p.universe
+        xm = u.mask(x)
+        return _minimal_masks(u, (ym for ym in range(1 << len(u)) if ops.contains(p, xm, ym, ym, upper=True)))
     return minimal_sets(
         y
         for y in upper_candidates(kind, p, x)
@@ -195,20 +225,31 @@ def ht_models_program(p: Program, max_atoms: int | None = None) -> list[ApproxPa
     the models (x, y) of p's GL transformation at (y, y), that is, every rule
     has pos within x and neg outside y imply that the head meets x, and pos
     within y and neg outside y imply that the head meets y."""
-    p.compile(max_atoms)
+    rules = p.compile(max_atoms).rules
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    return [i for i in _consistent_pairs(p, max_atoms) if is_model(p, ApproxPair(i.upper, i.upper), i)]
+    u = p.universe
+    return [u.pair(xm, ym) for xm, ym in u.consistent_masks(max_atoms) if _gl_model(rules, ym, ym, xm, ym)]
 
 
 def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Algebraic HT pairs: y closed under the base operator (in the Smyth
-    sense) and x covering the operator's lower value."""
+    sense) and x covering the operator's lower value.
+
+    y is closed iff some member of ic(y), the hitting sets of hd(y), lies
+    within y, that is iff y meets every head of hd(y)."""
     p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
+    u = p.universe
+    closed = [all(h & y for h in ops.hd(p, y)) for y in u.subsets()]
     out = []
-    for i in _consistent_pairs(p, max_atoms):
-        if not smyth_leq(ops.ic(p, i.upper), frozenset((i.upper,))):
+    for xm, ym in u.consistent_masks(max_atoms):
+        if not closed[ym]:
             continue
+        if kind in ops.FOUR_VALUED:
+            if ops.smyth_below(p, xm, ym, xm):
+                out.append(u.pair(xm, ym))
+            continue
+        i = u.pair(xm, ym)
         if smyth_leq(ops.apply(kind, p, i).lower_set, frozenset((i.lower,))):
             out.append(i)
     return out
@@ -253,24 +294,31 @@ def is_model(p: Program, i: ApproxPair, j: ApproxPair | None = None) -> bool:
     u = p.universe
     xi, yi = u.mask(i.lower), u.mask(i.upper)
     xj, yj = (xi, yi) if j is None else (u.mask(j.lower), u.mask(j.upper))
+    return _gl_model(p.compile().rules, xi, yi, xj, yj)
+
+
+def _gl_model(rules: Iterable[prog.CompiledRule], xi: int, yi: int, xj: int, yj: int) -> bool:
     return all(
         (r.pos & ~xj or r.neg & yi or r.head_mask & xj) and (r.pos & ~yj or r.neg & xi or r.head_mask & yj)
-        for r in p.compile().rules
+        for r in rules
     )
 
 
-def _is_stable_model_of(p: Program, i: ApproxPair, candidates: list[ApproxPair]) -> bool:
-    if not is_model(p, i):
-        return False
-    return not any(j != i and leq_t(j, i) and is_model(p, i, j) for j in candidates)
+def _is_stable_model_of(p: Program, xm: int, ym: int) -> bool:
+    """Whether the consistent pair (xm, ym) is a model of p's GL transformation
+    at itself and no other consistent pair below it in the truth order is."""
+    rules = p.compile().rules
+    return _gl_model(rules, xm, ym, xm, ym) and not any(
+        (a != xm or b != ym) and _gl_model(rules, xm, ym, a, b) for a, b in masks_below_t(xm, ym)
+    )
 
 
 def three_valued_stable(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
     """Truth-minimal models of the program's GL transformation at each pair."""
     p.compile(max_atoms)
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
-    pairs = _consistent_pairs(p, max_atoms)
-    return [i for i in pairs if _is_stable_model_of(p, i, pairs)]
+    u = p.universe
+    return [u.pair(xm, ym) for xm, ym in u.consistent_masks(max_atoms) if _is_stable_model_of(p, xm, ym)]
 
 
 def gz_answer_sets(p: Program, max_atoms: int | None = None) -> list[AtomSet]:
@@ -281,12 +329,13 @@ def gz_answer_sets(p: Program, max_atoms: int | None = None) -> list[AtomSet]:
         raise ProgramClassError("GZ answer sets need conjunctive rule bodies")
     if cls.has_negated_aggregates:
         raise ProgramClassError("GZ answer sets do not allow negated aggregate atoms")
-    pairs = _consistent_pairs(p, max_atoms)
+    u = p.universe
     out = []
-    for x in p.universe.subsets():
+    for x in u.subsets():
         reduct = prog.gz_reduct(p, x)
         reduct.compile(max_atoms)  # same universe as p, so under the same cap
-        if _is_stable_model_of(reduct, ApproxPair(x, x), pairs):
+        xm = u.mask(x)
+        if _is_stable_model_of(reduct, xm, xm):
             out.append(x)
     return out
 

@@ -157,6 +157,7 @@ def test_semantics_wf_and_kk():
         ["semantics", "--program", "x", "--semantics", "nope", "--operator", "ic"],
         ["eval", "--program", "x", "--operator", "ic"],  # missing pair
         ["check"],  # neither --all nor --laws
+        ["check", "--laws", "exactness", "--programs", "-1"],
         ["eval", "--program", "/nonexistent.lp", "--operator", "ic", "--pair", ";"],
     ],
 )
@@ -301,6 +302,16 @@ def test_generate_deterministic():
     assert first[0] == 0
     assert first[1] == "p :- not q, p.\np | q :- q, not p, p.\n"
     assert run(*argv) == first
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--negation-probability", "2"), ("--aggregate-probability", "-1"), ("--negation-probability", "nan")],
+)
+def test_generate_refuses_a_probability_outside_the_unit_interval(option, value):
+    code, out, err = run("generate", "--seed", "1", option, value)
+    assert (code, out) == (2, "")
+    assert "between 0 and 1" in err
 
 
 def test_generate_json():

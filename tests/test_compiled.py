@@ -1,6 +1,7 @@
 """Differential tests: the compiled rule bodies (two bitmasks plus aggregate
-literals), the integer hitting-set enumeration and the kept program hash,
-against direct readings of the program kept here as references."""
+literals), the integer hitting-set enumeration, the membership and Smyth tests
+on head masks and the kept program hash, against direct readings of the
+program kept here as references."""
 
 from __future__ import annotations
 
@@ -9,15 +10,16 @@ import random
 
 import pytest
 
-from aftlab import four, operators as ops
+from aftlab import cli, corpus, four, operators as ops, semantics as sem
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair
+from aftlab.lattice import AftlabError, ApproxPair, smyth_leq
 from aftlab.program import (
     Conj,
     GeneralFormula,
     NegatedAtom,
     PositiveAtom,
+    ProgramClassError,
     Rule,
     eval_body,
     literal_true,
@@ -71,16 +73,20 @@ def test_programs_cover_aggregates_and_formula_bodies():
                for b in bodies) >= 10
 
 
+def heads_at_least(p, i: ApproxPair, threshold: Truth) -> frozenset:
+    """Heads of the rules whose formula reading at i is >=_t threshold."""
+    return frozenset(
+        r.head_set()
+        for r in p.rules
+        if four.truth_leq_t(threshold, four.eval_pair(p.universe, i, formula_reading(r, i)))
+    )
+
+
 @pytest.mark.parametrize("threshold", [Truth.C, Truth.U])
 def test_two_bit_head_selection_equals_the_formula_reading(threshold):
     for p in programs():
         for i in all_pairs(p):
-            expected = frozenset(
-                r.head_set()
-                for r in p.rules
-                if four.truth_leq_t(threshold, four.eval_pair(p.universe, i, formula_reading(r, i)))
-            )
-            assert ops._heads_at_least(p, i, threshold) == expected, (p.text, i)
+            assert ops._heads_at_least(p, i, threshold) == heads_at_least(p, i, threshold), (p.text, i)
 
 
 def test_hd_equals_the_eval_body_filter_and_the_literal_reading():
@@ -115,6 +121,64 @@ def test_hitting_sets_equal_brute_force():
     assert ops.hitting_sets(frozenset()) == frozenset((frozenset(),))
     with pytest.raises(AftlabError):
         ops.hitting_sets(frozenset((frozenset("p"), frozenset())))
+
+
+def membership_programs():
+    for seed in range(32):
+        cfg = GeneratorConfig(atoms=1 + seed % 4, rules=1 + seed % 3, aggregate_probability=0.6 * (seed % 2), seed=seed)
+        yield generate_program(cfg)
+    yield from (parse(text) for text in FORMULA_PROGRAMS)
+
+
+def test_membership_and_smyth_tests_equal_the_materialised_families():
+    for p in membership_programs():
+        u = p.universe
+        for i in all_pairs(p):
+            xm, ym = u.pair_key(i)
+            lower = ops.hitting_sets(heads_at_least(p, i, Truth.C))
+            upper = ops.hitting_sets(heads_at_least(p, i, Truth.U))
+            for m in range(1 << len(u)):
+                s = u.unmask(m)
+                assert ops.contains(p, xm, ym, m) == (s in lower), (p.text, i, s)
+                assert ops.contains(p, xm, ym, m, upper=True) == (s in upper), (p.text, i, s)
+                assert ops.smyth_below(p, xm, ym, m) == smyth_leq(lower, frozenset((s,))), (p.text, i, s)
+
+
+def _count_hitting_sets(monkeypatch) -> list:
+    # Cleared, so a family memoised by an earlier test cannot hide a call.
+    for fn in (ops.hd, ops.ic, ops.ic_lower_set, ops.ic_upper_set, ops.ic_triv_ndao):
+        fn.cache_clear()
+    calls = []
+    hitting_sets = ops.hitting_sets
+
+    def counting(heads):
+        calls.append(heads)
+        return hitting_sets(heads)
+
+    monkeypatch.setattr(ops, "hitting_sets", counting)
+    return calls
+
+
+def test_four_valued_sweeps_build_no_hitting_set_family(monkeypatch):
+    calls = _count_hitting_sets(monkeypatch)
+    runs = 0
+    for p in corpus.programs():
+        for kind in ops.FOUR_VALUED:
+            for name in ("stable", "fixpoints", "ht", "seq"):
+                try:
+                    sem.run_semantics(name, p, kind)
+                except ProgramClassError:
+                    continue
+                runs += 1
+    assert runs >= 40
+    assert calls == []
+
+
+def test_eval_still_builds_the_family(monkeypatch):
+    calls = _count_hitting_sets(monkeypatch)
+    path = str(corpus.path("disjunctive_self_defeat"))
+    assert cli.main(["eval", "--program", path, "--operator", "ic", "--pair", ";p,q", "--format", "json"]) == 0
+    assert len(calls) == 2
 
 
 def test_memo_lookup_does_not_rehash_the_rules(monkeypatch):

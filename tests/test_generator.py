@@ -44,3 +44,7 @@ def test_invalid_configs_rejected():
         generate_program(GeneratorConfig(rules=0))
     with pytest.raises(AftlabError):
         generate_program(GeneratorConfig(atoms=99))
+    with pytest.raises(AftlabError):
+        generate_program(GeneratorConfig(negation_probability=1.5))
+    with pytest.raises(AftlabError):
+        generate_program(GeneratorConfig(aggregate_probability=-0.1))

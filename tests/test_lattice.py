@@ -15,6 +15,8 @@ from aftlab.lattice import (
     hoare_leq,
     leq_i,
     leq_t,
+    masks_above_i,
+    masks_below_t,
     smyth_leq,
 )
 from conftest import atoms, pair
@@ -153,6 +155,18 @@ def test_consistent_pairs_enumeration():
     assert len(list(U2.consistent_pairs())) == 9
     assert list(AtomUniverse.of([]).consistent_pairs()) == [pair()]
     assert len(list(U4.consistent_pairs())) == 3**4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mask_enumerations_equal_the_order_scans(n):
+    u = AtomUniverse.of("pqrs"[:n])
+    pairs = list(u.consistent_pairs())
+    assert [u.pair(*m) for m in u.consistent_masks()] == pairs
+    for i in pairs:
+        assert [u.pair(*m) for m in masks_above_i(*u.pair_key(i))] == [j for j in pairs if leq_i(i, j)]
+        below = [u.pair(*m) for m in masks_below_t(*u.pair_key(i))]
+        assert len(below) == len(set(below))
+        assert set(below) == {j for j in pairs if leq_t(j, i)}
 
 
 def test_consistent_pairs_cap():
