@@ -19,6 +19,7 @@ from .lattice import (
 )
 from .four import Truth, eval_pair, eval_two, ht_satisfies, ht_satisfies_rule
 from .program import (
+    FormulaDepthError,
     ParseError,
     Program,
     ProgramClassError,

@@ -125,6 +125,24 @@ def formula_atoms(f: Formula) -> frozenset[str]:
     return formula_atoms(f.left) | formula_atoms(f.right)
 
 
+def formula_depth(f: Formula) -> int:
+    """The number of connectives on the longest path from f down to an atom
+    or constant. Computed without recursion and once per shared subformula,
+    since a formula built through the API may nest deeper than Python
+    recurses."""
+    depth: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        parts = (g.operand,) if isinstance(g, Not) else (g.left, g.right) if isinstance(g, (And, Or)) else ()
+        if all(id(h) in depth for h in parts):
+            depth[id(g)] = max((depth[id(h)] + 1 for h in parts), default=0)
+        else:
+            stack.append(g)
+            stack.extend(h for h in parts if id(h) not in depth)
+    return depth[id(f)]
+
+
 def eval_pair(u: AtomUniverse, i: ApproxPair, f: Formula) -> Truth:
     """Four-valued value of f under (x, y); total on arbitrary pairs."""
     if isinstance(f, Atom):

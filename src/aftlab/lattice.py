@@ -1,6 +1,7 @@
 """Finite powerset lattice: atom universes, the pair orders, the set-lifted
 orders, lattice difference, and deterministic enumeration of intervals and
-consistent pairs, also as pairs of masks and along the two orders.
+consistent pairs, also as pairs of masks and along the two orders, and a
+numbering of the consistent pairs for tables with one entry per pair.
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
 ordering (lexicographic) that every enumeration and rendering follows, and
@@ -12,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 AtomSet = frozenset[str]
 NdSet = frozenset[AtomSet]
@@ -158,24 +159,25 @@ class AtomUniverse:
             yield self.pair(xm, ym)
 
 
+def submasks(m: int) -> Iterator[int]:
+    """The submasks of m in increasing order; the one that follows t is
+    `(t - m) & m`."""
+    t = 0
+    while True:
+        yield t
+        if t == m:
+            return
+        t = (t - m) & m
+
+
 def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
     """The consistent mask pairs (a, b) >=_i the consistent pair (xm, ym),
-    that is xm <= a <= b <= ym, in increasing (a, b) order: 3^|ym - xm| many.
-    The submask of m that follows t in increasing order is `(t - m) & m`."""
+    that is xm <= a <= b <= ym, in increasing (a, b) order: 3^|ym - xm| many."""
     free = ym & ~xm
-    s = 0
-    while True:
+    for s in submasks(free):
         a = xm | s
-        rest = free & ~s
-        t = 0
-        while True:
+        for t in submasks(free & ~s):
             yield a, a | t
-            if t == rest:
-                break
-            t = (t - rest) & rest
-        if s == free:
-            return
-        s = (s - free) & free
 
 
 def masks_below_t(xm: int, ym: int) -> Iterator[tuple[int, int]]:
@@ -194,6 +196,39 @@ def masks_below_t(xm: int, ym: int) -> Iterator[tuple[int, int]]:
         if not b:
             return
         b = (b - 1) & ym
+
+
+def pair_numbers(n: int) -> tuple[list[int], list[int], list[int]]:
+    """A numbering of the 3^n consistent mask pairs over n atoms, so that a
+    list of 3^n entries holds one value per pair. The pair (x, y) is number
+    `weight[x] + weight[y]`: its base-3 digit i is 2 when atom i is in x, 1
+    when it is in y but not in x, and 0 otherwise. `lowers[k]` and
+    `uppers[k]` give back the x and y of number k."""
+    weight, lowers, uppers = [0], [0], [0]
+    for i in range(n):
+        bit, step = 1 << i, 3**i
+        weight += [w + step for w in weight]
+        lowers += lowers + [x | bit for x in lowers]
+        uppers += [y | bit for y in uppers] * 2
+    return weight, lowers, uppers
+
+
+def along_digit(table: list, digit: int, fn: Callable, near: int, far: int) -> None:
+    """Set table[k] = fn(table[k + near * 3^digit], table[k + far * 3^digit])
+    for every pair number k (`pair_numbers`) whose digit `digit` is 1, that is
+    whose atom `digit` is in y but not in x. An offset of -1 reads the pair
+    with that atom out of y, 0 the pair k itself and 1 the pair with the atom
+    in x. Those numbers form runs of 3^digit at a stride of 3^(digit+1); each
+    run, or each offset within the runs, whichever are fewer, is one slice."""
+    run = 3**digit
+    stride = 3 * run
+    near, far = near * run, far * run
+    if run <= len(table) // stride:
+        for k in range(run, 2 * run):
+            table[k::stride] = map(fn, table[k + near :: stride], table[k + far :: stride])
+    else:
+        for k in range(run, len(table), stride):
+            table[k : k + run] = map(fn, table[k + near : k + near + run], table[k + far : k + far + run])
 
 
 def leq_t(a: ApproxPair, b: ApproxPair) -> bool:

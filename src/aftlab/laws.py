@@ -223,13 +223,13 @@ def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn, max_atoms: int | Non
     for kind in _ndao_kinds(p):
         for y in p.universe.subsets():
             cases += 1
-            candidates = list(sem.lower_candidates(kind, p, y))
-            fixed = [x for x in candidates if x in apply_fn(kind, p, ApproxPair(x, y)).lower_set]
-            pre = [
-                x
-                for x in candidates
-                if smyth_leq(apply_fn(kind, p, ApproxPair(x, y)).lower_set, frozenset((x,)))
-            ]
+            fixed, pre = [], []
+            for x in sem.lower_candidates(kind, p, y):
+                lower_set = apply_fn(kind, p, ApproxPair(x, y)).lower_set
+                if x in lower_set:
+                    fixed.append(x)
+                if smyth_leq(lower_set, frozenset((x,))):
+                    pre.append(x)
             if sem.minimal_sets(fixed) != sem.minimal_sets(pre):
                 return cases, (
                     f"{kind.value}: minimal fixpoints and minimal pre-fixpoints differ "

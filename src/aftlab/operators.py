@@ -5,14 +5,16 @@ trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
-pair).
+pair). The sweeps read the interval-based operators from per-sweep tables
+instead (`HeadTables`, `interval_tables`), built on the program's masks.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from typing import Iterator
+from operator import and_, eq, or_
+from typing import Iterator, NamedTuple
 
 from . import four, program as prog
 from .four import Truth
@@ -23,6 +25,8 @@ from .lattice import (
     InconsistentPairError,
     NdPair,
     NdSet,
+    along_digit,
+    pair_numbers,
 )
 from .program import Program, ProgramClassError
 
@@ -251,6 +255,132 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
         consequences = ic(p, i.lower)
         return NdPair(consequences, consequences)
     return NdPair(frozenset((frozenset(),)), frozenset((p.universe.full(),)))
+
+
+class HeadTables:
+    """The heads a program fires at every total set, for one sweep. A head
+    class is a distinct head mask, class j being bit j. `fired[z]` holds the
+    classes of the rules whose bodies hold at z (`CompiledRule.holds`, so
+    aggregates and formula bodies are read exactly), `atoms[z]` the atoms of
+    those heads and `missed[w]` the classes that w misses."""
+
+    __slots__ = ("heads", "fired", "atoms", "missed", "_covers")
+
+    def __init__(self, p: Program):
+        u = p.universe
+        rules = p.compile().rules
+        bit: dict[int, int] = {}
+        for r in rules:
+            bit.setdefault(r.head_mask, 1 << len(bit))
+        self.heads = tuple(bit)
+        self.fired: list[int] = []
+        self.atoms: list[int] = []
+        for z in range(1 << len(u)):
+            x = u.unmask(z)
+            fired = atoms = 0
+            for r in rules:
+                if r.holds(u, x, z):
+                    fired |= bit[r.head_mask]
+                    atoms |= r.head_mask
+            self.fired.append(fired)
+            self.atoms.append(atoms)
+        self.missed = [(1 << len(bit)) - 1]
+        for i in range(len(u)):
+            meeting = sum(b for h, b in bit.items() if h >> i & 1)
+            self.missed += [m & ~meeting for m in self.missed]
+        self._covers: dict[int, int] = {}
+
+    def covered(self, c: int) -> int:
+        """The atoms of the classes in c."""
+        atoms = self._covers.get(c)
+        if atoms is None:
+            atoms = 0
+            for j, h in enumerate(self.heads):
+                if c >> j & 1:
+                    atoms |= h
+            self._covers[c] = atoms
+        return atoms
+
+    def member(self, w: int, c: int) -> bool:
+        """Whether w is a hitting set of the classes c: it lies within their
+        atoms and meets each of them."""
+        return not (c & self.missed[w] or w & ~self.covered(c))
+
+
+def interval_folds(values: list[int], weight: list[int]) -> tuple[list[int], list[int]]:
+    """The AND and the OR of values[z] over every interval [x, y], by pair
+    number (`lattice.pair_numbers`, whose `weight` is given). With a the
+    highest atom of y - x, [x, y] splits into [x, y - a] and [x + a, y], so
+    F(x, y) = F(x, y - a) (op) F(x + a, y): one combine per pair, the
+    subset-lattice zeta transform (Björklund, Husfeldt, Kaski and Koivisto,
+    "Fourier meets Möbius", STOC 2007). The pass of digit a writes every pair
+    with a in y - x; a pair's last pass is that of its highest such atom,
+    and it reads two halves whose atoms in y - x are all lower, so final."""
+    n = len(weight).bit_length() - 1
+    meet = [0] * 3**n
+    for z, v in enumerate(values):
+        meet[2 * weight[z]] = v
+    join = meet[:]
+    for a in range(n):
+        along_digit(meet, a, and_, -1, 1)
+        along_digit(join, a, or_, -1, 1)
+    return meet, join
+
+
+class PairTables(NamedTuple):
+    """An operator read at every consistent pair (x, y), by pair number
+    `weight[x] + weight[y]` (`lattice.pair_numbers`): whether x is in its
+    lower set, whether y is in its upper set, and whether some member of its
+    lower set lies within x (the Smyth test of the HT pairs)."""
+
+    weight: list[int]
+    lower: list[bool]
+    upper: list[bool]
+    smyth: list[bool]
+
+
+def interval_tables(kind: OperatorKind, heads: HeadTables) -> PairTables:
+    """The tables of a consistent-only operator, from the heads its program
+    fires:
+
+    - `dmt`: the AND and the OR of the fired classes over each interval are
+      its lower and upper heads;
+    - `dmt-det`: the AND and the OR of the fired atoms are its two sets;
+    - `ultimate`: x is in its set at (x, y) iff x hits the heads fired at
+      some z in [x, y]. Each test is marked at z = y (for the upper side, at
+      z = x) and ORed over the subsets of y within the supersets of x (the
+      supersets of x within the subsets of y), one digit at a time;
+    - `gz`: exact on total pairs, ({∅}, {A}) elsewhere.
+    """
+    member, missed, fired = heads.member, heads.missed, heads.fired
+    n = len(fired).bit_length() - 1
+    weight, xs, ys = pair_numbers(n)
+    if kind is OperatorKind.DMT:
+        meet, join = interval_folds(fired, weight)
+        lower = list(map(member, xs, meet))
+        upper = list(map(member, ys, join))
+        smyth = [not c & missed[x] for x, c in zip(xs, meet)]
+    elif kind is OperatorKind.DMT_DET:
+        meet, join = interval_folds(heads.atoms, weight)
+        lower = list(map(eq, xs, meet))
+        upper = list(map(eq, ys, join))
+        smyth = [not m & ~x for x, m in zip(xs, meet)]
+    elif kind is OperatorKind.ULTIMATE:
+        lower = [member(x, fired[y]) for x, y in zip(xs, ys)]
+        upper = [member(y, fired[x]) for x, y in zip(xs, ys)]
+        smyth = [not fired[y] & missed[x] for x, y in zip(xs, ys)]
+        for a in range(n):
+            along_digit(lower, a, or_, 0, -1)
+            along_digit(upper, a, or_, 0, 1)
+            along_digit(smyth, a, or_, 0, -1)
+    elif kind is OperatorKind.GZ:
+        full = len(fired) - 1
+        lower = [member(x, fired[x]) if x == y else not x for x, y in zip(xs, ys)]
+        upper = [member(y, fired[y]) if x == y else y == full for x, y in zip(xs, ys)]
+        smyth = [x != y or not fired[x] & missed[x] for x, y in zip(xs, ys)]
+    else:
+        raise AftlabError(f"operator {kind.value!r} has no interval tables")
+    return PairTables(weight, lower, upper, smyth)
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:

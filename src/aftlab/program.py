@@ -49,6 +49,10 @@ class ProgramClassError(AftlabError):
     """A transformation or operator was applied to the wrong program class."""
 
 
+class FormulaDepthError(AftlabError):
+    """A formula body nests its connectives deeper than `MAX_FORMULA_DEPTH`."""
+
+
 class AggFunc(Enum):
     SUM = "sum"
     COUNT = "count"
@@ -227,6 +231,7 @@ class Compiled:
     __slots__ = ("rules", "classification")
 
     def __init__(self, p: Program):
+        _check_depth(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
         self.classification = classify(p)
 
@@ -245,7 +250,20 @@ def _rule_atoms(rule: Rule) -> set[str]:
     return atoms
 
 
+def _check_depth(rules: tuple[Rule, ...]) -> None:
+    for rule in rules:
+        if isinstance(rule.body, GeneralFormula) and four.formula_depth(rule.body.formula) > MAX_FORMULA_DEPTH:
+            raise FormulaDepthError(
+                f"the body of a rule with head {' | '.join(rule.head)} nests deeper than {MAX_FORMULA_DEPTH} levels"
+            )
+
+
 def make_program(rules: tuple[Rule, ...], universe: AtomUniverse | None = None) -> Program:
+    """A program of the rules, over the atoms they mention unless a universe
+    is given. Formula bodies nested deeper than `MAX_FORMULA_DEPTH` are
+    refused, as the parser refuses them, before anything recurses into
+    them."""
+    _check_depth(rules)
     if universe is None:
         atoms: set[str] = set()
         for rule in rules:
@@ -282,8 +300,9 @@ def program_hash(p: Program) -> str:
 # ---------------------------------------------------------------------------
 
 # Formulas are walked recursively (parsed, evaluated, printed, hashed), so the
-# parser refuses one whose connectives and parentheses nest deeper than this;
-# Python stops recursing at 1000 frames.
+# parser refuses one whose connectives and parentheses nest deeper than this,
+# and `make_program` and `Program.compile` one built through the API whose
+# connectives do; Python stops recursing at 1000 frames.
 MAX_FORMULA_DEPTH = 128
 
 _PUNCT = (":-", "<=", ">=", ".", "|", ",", ";", ":", "&", "(", ")", "{", "}", "<", ">", "=")

@@ -4,29 +4,32 @@ semi-equilibrium models, three-valued stable models via the GL transformation,
 and GZ answer sets via the reduct.
 
 Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
-total interpretations); n is bounded by the atom cap. The sweeps of the
-four-valued operators iterate masks and test membership on the fired heads
-(`operators.contains`, `operators.smyth_below`); the other operators' sweeps
-rely on their memoized values.
+total interpretations); n is bounded by the atom cap. The sweeps iterate
+masks: those of the four-valued operators test membership on the fired heads
+(`operators.contains`, `operators.smyth_below`), those of the consistent-only
+operators read tables built once per sweep (`operators.interval_tables`).
+Sets are built only for the models returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import reduce
+from operator import and_
+from typing import Callable, Iterable, Iterator
 
 from . import operators as ops, program as prog
 from .lattice import (
     AftlabError,
     ApproxPair,
     AtomSet,
-    AtomUniverse,
     NdSet,
     gap,
     leq_i,
     leq_t,
     masks_below_t,
-    smyth_leq,
+    pair_numbers,
+    submasks,
 )
 from .operators import OperatorKind
 from .program import Program, ProgramClassError
@@ -38,10 +41,6 @@ class WellFoundedAnomalyError(AftlabError):
     def __init__(self, pairs: tuple[ApproxPair, ...]):
         super().__init__(f"no unique information-least stable fixpoint; minimal ones: {pairs}")
         self.pairs = pairs
-
-
-def _consistent_pairs(p: Program, max_atoms: int | None) -> list[ApproxPair]:
-    return list(p.universe.consistent_pairs(max_atoms))
 
 
 def fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
@@ -56,12 +55,12 @@ def fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> l
             for xm, ym in u.consistent_masks(max_atoms)
             if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
         ]
-    out = []
-    for i in _consistent_pairs(p, max_atoms):
-        value = ops.apply(kind, p, i)
-        if i.lower in value.lower_set and i.upper in value.upper_set:
-            out.append(i)
-    return out
+    weight, lower, upper, _ = ops.interval_tables(kind, ops.HeadTables(p))
+    return [
+        u.pair(xm, ym)
+        for xm, ym in u.consistent_masks(max_atoms)
+        if lower[weight[xm] + weight[ym]] and upper[weight[xm] + weight[ym]]
+    ]
 
 
 def lower_candidates(kind: OperatorKind, p: Program, y: AtomSet) -> Iterator[AtomSet]:
@@ -70,56 +69,57 @@ def lower_candidates(kind: OperatorKind, p: Program, y: AtomSet) -> Iterator[Ato
     return p.universe.subsets()
 
 
-def upper_candidates(kind: OperatorKind, p: Program, x: AtomSet) -> Iterator[AtomSet]:
-    if ops.consistent_only(kind):
-        return p.universe.interval(x, p.universe.full())
-    return p.universe.subsets()
-
-
 def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
     collected = frozenset(sets)
     return frozenset(s for s in collected if not any(t < s for t in collected))
 
 
-def _minimal_masks(u: AtomUniverse, masks: Iterable[int]) -> NdSet:
-    """The minimal sets among masks given in increasing order: a proper
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The minimal masks among masks given in increasing order: a proper
     submask is a smaller number, so it comes first."""
     kept: list[int] = []
     for m in masks:
         if not any(k & m == k for k in kept):
             kept.append(m)
-    return frozenset(u.unmask(m) for m in kept)
+    return kept
+
+
+def _stable_values(kind: OperatorKind, p: Program) -> tuple[Callable[[int], list[int]], Callable[[int], list[int]]]:
+    """The complete lower stable value at the mask y (minimal x with x a
+    member of the lower operator at (x, y)) and the complete upper one at the
+    mask x, as functions giving the minimal masks in increasing order.
+
+    Candidates range over the operator's domain: everything for the total
+    four-valued operators, the subsets of y (supersets of x) for the
+    consistent-only ones, whose tests are read from their interval tables.
+    """
+    n = len(p.universe)
+    if kind in ops.FOUR_VALUED:
+        every = range(1 << n)
+        return (
+            lambda ym: _minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
+            lambda xm: _minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
+        )
+    weight, lower, upper, _ = ops.interval_tables(kind, ops.HeadTables(p))
+    full = (1 << n) - 1
+    return (
+        lambda ym: _minimal_masks(xm for xm in submasks(ym) if lower[weight[xm] + weight[ym]]),
+        lambda xm: _minimal_masks(xm | d for d in submasks(full & ~xm) if upper[weight[xm] + weight[xm | d]]),
+    )
 
 
 def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
-    """Minimal x with x a member of the lower operator at (x, y).
-
-    Candidates range over the operator's domain: everything for the total
-    four-valued operator, subsets of y for the interval-based ones.
-    """
+    """Minimal x with x a member of the lower operator at (x, y)."""
     ops.check_kind_applicable(kind, p)
-    if kind in ops.FOUR_VALUED:
-        u = p.universe
-        ym = u.mask(y)
-        return _minimal_masks(u, (xm for xm in range(1 << len(u)) if ops.contains(p, xm, ym, xm)))
-    return minimal_sets(
-        x
-        for x in lower_candidates(kind, p, y)
-        if x in ops.apply(kind, p, ApproxPair(x, y)).lower_set
-    )
+    u = p.universe
+    return frozenset(map(u.unmask, _stable_values(kind, p)[0](u.mask(y))))
 
 
 def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
+    """Minimal y with y a member of the upper operator at (x, y)."""
     ops.check_kind_applicable(kind, p)
-    if kind in ops.FOUR_VALUED:
-        u = p.universe
-        xm = u.mask(x)
-        return _minimal_masks(u, (ym for ym in range(1 << len(u)) if ops.contains(p, xm, ym, ym, upper=True)))
-    return minimal_sets(
-        y
-        for y in upper_candidates(kind, p, x)
-        if y in ops.apply(kind, p, ApproxPair(x, y)).upper_set
-    )
+    u = p.universe
+    return frozenset(map(u.unmask, _stable_values(kind, p)[1](u.mask(x))))
 
 
 def stable_fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
@@ -127,16 +127,18 @@ def stable_fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = Non
     for y and y among the complete upper stable values for x."""
     p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
-    lower_cache: dict[AtomSet, NdSet] = {}
-    upper_cache: dict[AtomSet, NdSet] = {}
+    u = p.universe
+    lower_value, upper_value = _stable_values(kind, p)
+    lower_at: dict[int, set[int]] = {}
     out = []
-    for i in _consistent_pairs(p, max_atoms):
-        if i.upper not in lower_cache:
-            lower_cache[i.upper] = complete_lower_stable(kind, p, i.upper)
-        if i.lower not in upper_cache:
-            upper_cache[i.lower] = complete_upper_stable(kind, p, i.lower)
-        if i.lower in lower_cache[i.upper] and i.upper in upper_cache[i.lower]:
-            out.append(i)
+    for xm in range(1 << len(u)):
+        for ym in upper_value(xm):
+            if xm & ~ym:
+                continue
+            if ym not in lower_at:
+                lower_at[ym] = set(lower_value(ym))
+            if xm in lower_at[ym]:
+                out.append(u.pair(xm, ym))
     return out
 
 
@@ -160,40 +162,34 @@ def kk_fixpoint_det(p: Program) -> ApproxPair:
         pair = nxt
 
 
-def _lfp_det_lower(p: Program, y: AtomSet) -> AtomSet:
-    w: AtomSet = frozenset()
-    while True:
-        nxt = ops.det_lower(p, w, y)
-        if nxt == w:
-            return w
-        w = nxt
-
-
-def _lfp_det_upper(p: Program, x: AtomSet) -> AtomSet | None:
-    """Least fixpoint of z -> upper(x, z) over the supersets of x, where the
-    map is defined; None when no least fixpoint exists there."""
-    fixed = [z for z in p.universe.interval(x, p.universe.full()) if ops.det_upper(p, x, z) == z]
-    least = [z for z in fixed if all(z <= other for other in fixed)]
-    return least[0] if least else None
-
-
 def det_stable_fixpoints(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
-    """Stable pairs of the deterministic interval operator, via least
-    fixpoints of its frozen-side maps."""
+    """Stable pairs (x, y) of the deterministic interval operator: x is the
+    least fixpoint of w -> det_lower(w, y) reached from the empty set, and y
+    the least fixpoint of z -> det_upper(x, z) over the supersets of x. Both
+    maps are read from the AND and the OR of the fired atoms over each
+    interval (`operators.interval_folds`)."""
     p.compile(max_atoms)
     ops.check_kind_applicable(OperatorKind.DMT_DET, p)
+    u = p.universe
+    full = (1 << len(u)) - 1
+    weight, _, _ = pair_numbers(len(u))
+    lower, upper = ops.interval_folds(ops.HeadTables(p).atoms, weight)
+
+    def least_lower(ym: int) -> int:
+        w = 0
+        while True:
+            # det_lower is the full set off the pairs below y, keeping the map monotone
+            nxt = full if w & ~ym else lower[weight[w] + weight[ym]]
+            if nxt == w:
+                return w
+            w = nxt
+
     out = []
-    lower_cache: dict[AtomSet, AtomSet] = {}
-    upper_cache: dict[AtomSet, AtomSet | None] = {}
-    for i in _consistent_pairs(p, max_atoms):
-        if i.upper not in lower_cache:
-            lower_cache[i.upper] = _lfp_det_lower(p, i.upper)
-        if lower_cache[i.upper] != i.lower:
-            continue
-        if i.lower not in upper_cache:
-            upper_cache[i.lower] = _lfp_det_upper(p, i.lower)
-        if upper_cache[i.lower] == i.upper:
-            out.append(i)
+    for xm in range(full + 1):
+        fixed = [xm | d for d in submasks(full & ~xm) if upper[weight[xm] + weight[xm | d]] == xm | d]
+        least = reduce(and_, fixed, full)
+        if least in fixed and least_lower(least) == xm:
+            out.append(u.pair(xm, least))
     return out
 
 
@@ -236,23 +232,22 @@ def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> li
     sense) and x covering the operator's lower value.
 
     y is closed iff some member of ic(y), the hitting sets of hd(y), lies
-    within y, that is iff y meets every head of hd(y)."""
+    within y, that is iff y misses no head class fired at y."""
     p.compile(max_atoms)
     ops.check_kind_applicable(kind, p)
     u = p.universe
-    closed = [all(h & y for h in ops.hd(p, y)) for y in u.subsets()]
-    out = []
-    for xm, ym in u.consistent_masks(max_atoms):
-        if not closed[ym]:
-            continue
-        if kind in ops.FOUR_VALUED:
-            if ops.smyth_below(p, xm, ym, xm):
-                out.append(u.pair(xm, ym))
-            continue
-        i = u.pair(xm, ym)
-        if smyth_leq(ops.apply(kind, p, i).lower_set, frozenset((i.lower,))):
-            out.append(i)
-    return out
+    heads = ops.HeadTables(p)
+    closed = [not c & m for c, m in zip(heads.fired, heads.missed)]
+    if kind in ops.FOUR_VALUED:
+        return [
+            u.pair(xm, ym)
+            for xm, ym in u.consistent_masks(max_atoms)
+            if closed[ym] and ops.smyth_below(p, xm, ym, xm)
+        ]
+    weight, _, _, smyth = ops.interval_tables(kind, heads)
+    return [
+        u.pair(xm, ym) for xm, ym in u.consistent_masks(max_atoms) if closed[ym] and smyth[weight[xm] + weight[ym]]
+    ]
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:

@@ -1,0 +1,174 @@
+"""Differential tests: the sweeps of the consistent-only operators (`dmt`,
+`ultimate`, `gz`, `dmt-det`), which read per-sweep interval tables, against
+definitional sweeps kept here that read the operators' families through
+`operators.apply`, and the deterministic stable pairs against least-fixpoint
+loops over `operators.det_lower` and `operators.det_upper`."""
+
+from __future__ import annotations
+
+from functools import reduce
+from operator import and_, or_
+
+import pytest
+
+from aftlab import corpus, operators as ops, semantics as sem
+from aftlab.generator import GeneratorConfig, generate_program
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, leq_i, pair_numbers, smyth_leq
+from aftlab.operators import OperatorKind
+from aftlab.program import parse
+
+INTERVAL_KINDS = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
+GENERAL_BODY = "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n"
+
+
+def seeded_programs():
+    """n = 1..5, alternately atomic and disjunctive heads, without aggregates,
+    with positive aggregates and with negated ones as well."""
+    for seed in range(45):
+        yield generate_program(
+            GeneratorConfig(
+                atoms=1 + seed % 5,
+                rules=1 + seed % 4,
+                negation_probability=0.4,
+                aggregate_probability=(0.0, 0.5, 0.7)[seed % 3],
+                disjunction_width=1 + seed // 5 % 2,
+                seed=seed,
+            )
+        )
+
+
+PROGRAMS = [*seeded_programs(), *corpus.programs(), parse(GENERAL_BODY)]
+
+
+def cases():
+    for p in PROGRAMS:
+        for kind in INTERVAL_KINDS:
+            if kind is OperatorKind.DMT_DET and any(len(r.head) > 1 for r in p.rules):
+                continue
+            yield p, kind
+
+
+def consistent_pairs(p):
+    subsets = list(p.universe.subsets())
+    return [ApproxPair(x, y) for x in subsets for y in subsets if x <= y]
+
+
+def minimal(sets):
+    return {s for s in sets if not any(t < s for t in sets)}
+
+
+def ref_lower_stable(kind, p, y):
+    return minimal({x for x in p.universe.subsets() if x <= y and x in ops.apply(kind, p, ApproxPair(x, y)).lower_set})
+
+
+def ref_upper_stable(kind, p, x):
+    return minimal({y for y in p.universe.subsets() if x <= y and y in ops.apply(kind, p, ApproxPair(x, y)).upper_set})
+
+
+def test_programs_cover_every_class():
+    heads = {len(r.head) > 1 for p in PROGRAMS for r in p.rules}
+    literals = {type(lit).__name__ for p in PROGRAMS for r in p.rules for lit in getattr(r.body, "items", ())}
+    assert heads == {False, True}
+    assert {"PositiveAgg", "NegatedAgg", "PositiveAtom", "NegatedAtom"} <= literals
+    assert {len(p.universe) for p in PROGRAMS} >= {1, 2, 3, 4, 5}
+    assert sum(kind is OperatorKind.DMT_DET for _, kind in cases()) >= 10
+
+
+@pytest.mark.parametrize("values", [[0b101, 0b110, 0b011, 0b111, 0b001, 0b100, 0b010, 0b000], [3, 1], [5]])
+def test_interval_folds_are_the_and_and_or_over_each_interval(values):
+    n = len(values).bit_length() - 1
+    weight, lowers, uppers = pair_numbers(n)
+    meet, join = ops.interval_folds(values, weight)
+    assert sorted(zip(lowers, uppers)) == [(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
+    for k, (x, y) in enumerate(zip(lowers, uppers)):
+        assert weight[x] + weight[y] == k
+        inside = [values[z] for z in range(1 << n) if not x & ~z and not z & ~y]
+        assert (meet[k], join[k]) == (reduce(and_, inside), reduce(or_, inside))
+
+
+def test_fixpoints_equal_the_definition():
+    for p, kind in cases():
+        expected = [
+            i for i in consistent_pairs(p)
+            if i.lower in (v := ops.apply(kind, p, i)).lower_set and i.upper in v.upper_set
+        ]
+        assert sorted(sem.fixpoints(kind, p), key=p.universe.pair_key) == sorted(expected, key=p.universe.pair_key)
+
+
+def test_complete_stable_values_and_stable_fixpoints_equal_the_definition():
+    for p, kind in cases():
+        subsets = list(p.universe.subsets())
+        lower = {y: ref_lower_stable(kind, p, y) for y in subsets}
+        upper = {x: ref_upper_stable(kind, p, x) for x in subsets}
+        for s in subsets:
+            assert sem.complete_lower_stable(kind, p, s) == lower[s]
+            assert sem.complete_upper_stable(kind, p, s) == upper[s]
+        expected = [i for i in consistent_pairs(p) if i.lower in lower[i.upper] and i.upper in upper[i.lower]]
+        key = p.universe.pair_key
+        assert sem.stable_fixpoints(kind, p) == sorted(expected, key=key)
+
+
+def test_ht_pairs_equal_the_definition():
+    for p, kind in cases():
+        expected = [
+            i for i in consistent_pairs(p)
+            if smyth_leq(ops.ic(p, i.upper), frozenset((i.upper,)))
+            and smyth_leq(ops.apply(kind, p, i).lower_set, frozenset((i.lower,)))
+        ]
+        key = p.universe.pair_key
+        assert sorted(sem.ht_pairs(kind, p), key=key) == sorted(expected, key=key)
+
+
+def ref_det_stable(p):
+    """Pairs (x, y) with x the least fixpoint of w -> det_lower(w, y), reached
+    by iteration from the empty set, and y the least of the fixpoints of
+    z -> det_upper(x, z) over the supersets of x."""
+    out = []
+    for i in consistent_pairs(p):
+        w = frozenset()
+        while (nxt := ops.det_lower(p, w, i.upper)) != w:
+            w = nxt
+        fixed = [z for z in p.universe.subsets() if i.lower <= z and ops.det_upper(p, i.lower, z) == z]
+        least = [z for z in fixed if all(z <= other for other in fixed)]
+        if w == i.lower and least == [i.upper]:
+            out.append(i)
+    return sorted(out, key=p.universe.pair_key)
+
+
+def test_det_stable_fixpoints_and_wf_equal_least_fixpoint_loops():
+    for p, kind in cases():
+        if kind is not OperatorKind.DMT_DET:
+            continue
+        expected = ref_det_stable(p)
+        assert sem.det_stable_fixpoints(p) == expected
+        least = [i for i in expected if all(leq_i(i, j) for j in expected)]
+        if len(least) == 1:
+            assert sem.wf_fixpoint_det(p) == least[0]
+        else:
+            with pytest.raises(AftlabError):
+                sem.wf_fixpoint_det(p)
+
+
+def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
+    calls = {"interval": 0, "hitting_sets": 0, "apply": 0}
+    interval, hitting_sets, apply = AtomUniverse.interval, ops.hitting_sets, ops.apply
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(AtomUniverse, "interval", counting("interval", interval))
+    monkeypatch.setattr(ops, "hitting_sets", counting("hitting_sets", hitting_sets))
+    monkeypatch.setattr(ops, "apply", counting("apply", apply))
+    for p, kind in cases():
+        for name in ("fixpoints", "stable", "ht", "seq", "seq-approx"):
+            sem.run_semantics(name, p, kind)
+        if kind is OperatorKind.DMT_DET:
+            sem.det_stable_fixpoints(p)
+    assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
+    ops.dmt_ndao.cache_clear()
+    ops.dmt_ndao(PROGRAMS[-1], ApproxPair(frozenset(), PROGRAMS[-1].universe.full()))
+    assert calls["interval"] == 1 and calls["hitting_sets"] == 2

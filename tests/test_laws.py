@@ -68,3 +68,22 @@ def test_suite_programs_deterministic():
     b = [p.text for p in laws.suite_programs(10, 3, 4, 0)]
     assert a == b
     assert len(a) == 10 + len(corpus.names())
+
+
+def test_prefixpoint_minimal_reads_the_operator_once_per_candidate():
+    calls = []
+
+    def counting(kind, p, i):
+        calls.append((kind, p, i))
+        return ops.apply(kind, p, i)
+
+    programs = corpus.programs()
+    outcome = laws.run_laws(programs, ["prefixpoint-minimal"], apply_fn=counting)[0]
+    assert outcome.ok
+    candidates = sum(
+        len(list(laws.sem.lower_candidates(kind, p, y)))
+        for p in programs
+        for kind in laws._ndao_kinds(p)
+        for y in p.universe.subsets()
+    )
+    assert len(calls) == len(set(calls)) == candidates

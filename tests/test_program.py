@@ -7,17 +7,21 @@ from aftlab.four import Const, Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair
 from aftlab.program import (
+    MAX_FORMULA_DEPTH,
     AggFunc,
     AggregateAtom,
     Comparator,
     Conj,
+    FormulaDepthError,
     GeneralFormula,
     NegatedAgg,
     NegatedAtom,
     ParseError,
     PositiveAgg,
     PositiveAtom,
+    Program,
     ProgramClassError,
+    Rule,
     SetTerm,
     SetTermEntry,
     classify,
@@ -26,6 +30,7 @@ from aftlab.program import (
     eval_multiset,
     gl_transform,
     gz_reduct,
+    make_program,
     parse,
     print_program,
     trivial_aggregate_value,
@@ -269,3 +274,24 @@ def test_print_formula_parenthesization():
     assert parse(p.text) == p
     q = parse("p :- q & (r | s).")
     assert parse(q.text) == q
+
+
+def _deep(step, height):
+    f = four.Atom("q")
+    for _ in range(height):
+        f = step(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "step", [four.Not, lambda f: four.And(f, four.Atom("r"))], ids=["not-chain", "and-chain"]
+)
+def test_formulas_built_deeper_than_the_bound_are_refused(step):
+    deep = (Rule(("p",), GeneralFormula(_deep(step, 5000))),)
+    with pytest.raises(FormulaDepthError):
+        make_program(deep)
+    with pytest.raises(FormulaDepthError):
+        Program(deep, make_program((Rule(("p", "q", "r"), Conj(())),)).universe).compile()
+    at_bound = make_program((Rule(("p",), GeneralFormula(_deep(step, MAX_FORMULA_DEPTH))),))
+    assert four.formula_depth(at_bound.rules[0].body.formula) == MAX_FORMULA_DEPTH
+    assert at_bound.compile().rules[0].formula is not None

@@ -1,0 +1,115 @@
+"""End-to-end timing matrix of `aftlab semantics`: every semantics under
+every operator it takes, on seeded generator programs with n = 4..12 atoms.
+
+    python3 tools/bench_matrix.py --label pr6
+    python3 tools/bench_matrix.py --label pr5 --src /path/to/other/checkout/src
+
+Each cell is one fresh interpreter running `aftlab.cli.main(["semantics",
+..., "--format", "json"])` on the program of `aftlab generate --atoms n
+--rules n --width 2 --seed n`, timed from spawn to exit, start-up included.
+The `dmt-det` rows use `--width 1` instead: the deterministic operator needs
+atomic heads, and every width-2 program of this series has a disjunctive one.
+A cell gets TIMEOUT_S seconds; a row stops at its first timeout, since larger
+programs only take longer. The output file `BENCH_<label>.json` records per
+cell the seconds, the exit code, the model count and a digest of the output,
+so two files can be checked for identical answers as well as compared for
+time. Standard library only; run it from the root of a checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TIMEOUT_S = 30
+ATOMS = range(4, 13)
+OPERATORS = ("ic", "ic-triv", "dmt", "ultimate", "gz", "dmt-det")
+OPERATOR_BASED = ("fixpoints", "stable", "total-stable", "ht", "seq", "seq-approx")
+ROWS = (
+    [(s, op) for op in OPERATORS for s in OPERATOR_BASED]
+    + [("kk", "dmt-det"), ("wf", "dmt-det"), ("three-valued-stable", None), ("gz-answer-sets", None)]
+)
+RUN = "import sys; sys.path.insert(0, sys.argv[1]); from aftlab.cli import main; sys.exit(main(sys.argv[2:]))"
+
+
+def run_cli(src: Path, argv: list[str], timeout: float | None = None) -> tuple[int, str, float]:
+    """Exit code, standard output and wall seconds of one interpreter."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", RUN, str(src), *argv], capture_output=True, text=True, timeout=timeout, check=False
+    )
+    return done.returncode, done.stdout, time.perf_counter() - start
+
+
+def program_file(src: Path, tmp: Path, n: int, width: int) -> str:
+    path = tmp / f"n{n}-w{width}.lp"
+    if not path.exists():
+        code, text, _ = run_cli(src, ["generate", "--atoms", str(n), "--rules", str(n), "--width", str(width),
+                                      "--seed", str(n)])
+        if code != 0:
+            raise SystemExit(f"generate failed for n={n}, width={width}")
+        path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None) -> list[dict]:
+    cells = []
+    for n in ATOMS:
+        argv = ["semantics", "--program", program_file(src, tmp, n, 1 if operator == "dmt-det" else 2),
+                "--semantics", semantics, "--format", "json"]
+        if operator is not None:
+            argv += ["--operator", operator]
+        try:
+            code, out, seconds = run_cli(src, argv, TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            cells.append({"n": n, "timeout": True})
+            break
+        cell = {"n": n, "seconds": round(seconds, 3), "exit": code,
+                "output": hashlib.sha256(out.encode()).hexdigest()[:16]}
+        if code == 0:
+            cell["models"] = json.loads(out)["counts"]["models"]
+        cells.append(cell)
+    return cells
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    parser.add_argument("--src", type=Path, default=Path("src"), help="directory to import aftlab from")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "aftlab" / "__init__.py").is_file():
+        print(f"bench_matrix: no aftlab package under {src}", file=sys.stderr)
+        return 2
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for semantics, operator in ROWS:
+            cells = measure_row(src, Path(tmp), semantics, operator)
+            rows.append({"semantics": semantics, "operator": operator, "cells": cells})
+            print(semantics, operator or "-", " ".join(
+                "T/O" if c.get("timeout") else f"{c['seconds']:.2f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
+                for c in cells), flush=True)
+    payload = {
+        "label": args.label,
+        "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
+        "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det)",
+        "cell": "one interpreter per cell, wall seconds from spawn to exit",
+        "timeout_s": TIMEOUT_S,
+        "rows": rows,
+    }
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
