@@ -106,7 +106,6 @@ def _cmd_eval(args) -> int:
         raise UsageError("eval needs --operator")
     kind = OperatorKind(args.operator)
     pair = _parse_pair(p.universe, args.pair)
-    ops.check_kind_applicable(kind, p)
     value = ops.apply(kind, p, pair)
     u = p.universe
     if args.format == "json":
@@ -141,17 +140,8 @@ def semantics_json(result: SemanticsResult, u: AtomUniverse) -> dict:
 
 def _cmd_semantics(args) -> int:
     p = _load_program(args.program, args.max_atoms)
-    name = args.semantics
     kind = OperatorKind(args.operator) if args.operator else None
-    if name in sem.OPERATOR_BASED and kind is None:
-        raise UsageError(f"semantics {name!r} needs --operator")
-    if name in sem.DETERMINISTIC:
-        if kind not in (None, OperatorKind.DMT_DET):
-            raise UsageError(f"semantics {name!r} only works with --operator dmt-det")
-        kind = OperatorKind.DMT_DET
-    if name in ("three-valued-stable", "gz-answer-sets") and kind is not None:
-        raise UsageError(f"semantics {name!r} does not take an operator")
-    result = sem.run_semantics(name, p, kind, args.max_atoms)
+    result = sem.run_semantics(args.semantics, p, kind)
     u = p.universe
     if args.format == "json":
         print(json.dumps(semantics_json(result, u), indent=2))
@@ -168,12 +158,16 @@ def _cmd_semantics(args) -> int:
 def _cmd_check(args) -> int:
     if args.laws:
         names = [part.strip() for part in args.laws.split(",") if part.strip()]
+        if not names:
+            raise UsageError("--laws names no law")
     elif args.all:
         names = None
     else:
         raise UsageError("check needs --all or --laws")
     if args.programs < 0:
         raise UsageError("--programs must not be negative")
+    if args.rules < 1:
+        raise UsageError("--rules must be at least 1")
     programs = laws.suite_programs(args.programs, args.atoms, args.rules, args.seed)
     outcomes = laws.run_laws(programs, names, max_atoms=args.max_atoms)
     ok = all(o.ok for o in outcomes)
@@ -230,7 +224,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, sem.SemanticsChoiceError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WellFoundedAnomalyError as exc:

@@ -145,17 +145,18 @@ class AtomUniverse:
     def pair(self, xm: int, ym: int) -> ApproxPair:
         return ApproxPair(self.unmask(xm), self.unmask(ym))
 
-    def consistent_masks(self, cap: int | None = None) -> Iterator[tuple[int, int]]:
+    def consistent_masks(self) -> Iterator[tuple[int, int]]:
         """The masks of all 3^n pairs (x, y) with x <= y, in increasing
-        (mask(x), mask(y)) order."""
+        (mask(x), mask(y)) order; the atom cap is `Program.compile`'s to check."""
+        return masks_above_i(0, (1 << len(self.atoms)) - 1)
+
+    def consistent_pairs(self, cap: int | None = None) -> Iterator[ApproxPair]:
+        """All 3^n pairs (x, y) with x <= y, ordered by (mask(x), mask(y));
+        refused above the atom cap."""
         n = len(self.atoms)
         if n > atom_cap(cap):
             raise CapExceededError(f"universe has {n} atoms, cap is {atom_cap(cap)}")
-        return masks_above_i(0, (1 << n) - 1)
-
-    def consistent_pairs(self, cap: int | None = None) -> Iterator[ApproxPair]:
-        """All 3^n pairs (x, y) with x <= y, ordered by (mask(x), mask(y))."""
-        for xm, ym in self.consistent_masks(cap):
+        for xm, ym in self.consistent_masks():
             yield self.pair(xm, ym)
 
 

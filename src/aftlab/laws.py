@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import ApproxPair, aprec_leq, masks_above_i, smyth_leq
+from .lattice import AftlabError, ApproxPair, aprec_leq, masks_above_i, smyth_leq
 from .operators import OperatorKind
 from .program import Program, classify
 
@@ -38,15 +38,15 @@ def _atomic_heads(p: Program) -> bool:
     return all(len(r.head) == 1 for r in p.rules)
 
 
-def _pairs(p: Program, max_atoms: int | None) -> list[ApproxPair]:
-    return list(p.universe.consistent_pairs(max_atoms))
+def _pairs(p: Program) -> list[ApproxPair]:
+    return list(p.universe.consistent_pairs(p.compile().cap))
 
 
-def _law_monotonicity(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if _atomic_heads(p) else [])
     u = p.universe
     # The pairs above each i1 come from `masks_above_i` in the order of the full sweep.
-    index = {u.pair_key(i): i for i in _pairs(p, max_atoms)}
+    index = {u.pair_key(i): i for i in _pairs(p)}
     cases = 0
     for kind in kinds:
         values = {key: apply_fn(kind, p, i) for key, i in index.items()}
@@ -61,7 +61,7 @@ def _law_monotonicity(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> t
     return cases, None
 
 
-def _law_exactness(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         for x in p.universe.subsets():
@@ -73,9 +73,9 @@ def _law_exactness(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tupl
     return cases, None
 
 
-def _law_precision_chain(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
-    for i in _pairs(p, max_atoms):
+    for i in _pairs(p):
         cases += 1
         gz = apply_fn(OperatorKind.GZ, p, i)
         dmt = apply_fn(OperatorKind.DMT, p, i)
@@ -87,10 +87,10 @@ def _law_precision_chain(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -
     return cases, None
 
 
-def _law_ultimate_max(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     kinds = [k for k in _ndao_kinds(p) if k is not OperatorKind.ULTIMATE]
     cases = 0
-    for i in _pairs(p, max_atoms):
+    for i in _pairs(p):
         ult = apply_fn(OperatorKind.ULTIMATE, p, i)
         for kind in kinds:
             cases += 1
@@ -99,7 +99,7 @@ def _law_ultimate_max(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> t
     return cases, None
 
 
-def _law_symmetry(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     if classify(p).has_aggregates:
         return 0, None
     cases = 0
@@ -116,10 +116,10 @@ def _law_symmetry(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple
     return cases, None
 
 
-def _law_upwards_coherence(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
-        for i in _pairs(p, max_atoms):
+        for i in _pairs(p):
             cases += 1
             value = apply_fn(kind, p, i)
             if not value.lower_set or not value.upper_set:
@@ -129,70 +129,70 @@ def _law_upwards_coherence(p: Program, apply_fn: ApplyFn, max_atoms: int | None)
     return cases, None
 
 
-def _law_ht_equality(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cls = classify(p)
     if cls.has_aggregates or cls.shape == prog.SHAPE_GENERAL:
         return 0, None
-    algebraic = sem.ht_pairs(OperatorKind.IC, p, max_atoms)
-    if algebraic != sem.ht_models_program(p, max_atoms):
+    algebraic = sem.ht_pairs(OperatorKind.IC, p)
+    if algebraic != sem.ht_models_program(p):
         return 1, "algebraic HT pairs differ from rule-level HT models"
     # The definition, independent of the compiled masks: HT satisfaction of each rule as a formula.
     u, rules = p.universe, [(prog.body_formula(r), r.head) for r in p.rules]
-    if algebraic != [i for i in _pairs(p, max_atoms) if all(four.ht_satisfies_rule(u, i, *r) for r in rules)]:
+    if algebraic != [i for i in _pairs(p) if all(four.ht_satisfies_rule(u, i, *r) for r in rules)]:
         return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 
 
-def _law_total_stable_ht(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_total_stable_ht(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        ht_totals = {i for i in sem.min_t(sem.ht_pairs(kind, p, max_atoms)) if i.is_total}
-        stable_totals = {i for i in sem.stable_fixpoints(kind, p, max_atoms) if i.is_total}
+        ht_totals = {i for i in sem.min_t(sem.ht_pairs(kind, p)) if i.is_total}
+        stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
         if ht_totals != stable_totals:
             return cases, f"{kind.value}: total truth-minimal HT pairs differ from total stable fixpoints"
     return cases, None
 
 
-def _law_seq_nonempty(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_seq_nonempty(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        models = sem.seq(kind, p, max_atoms)
+        models = sem.seq(kind, p)
         if not models:
             return cases, f"{kind.value}: no semi-equilibrium model"
         if any(i.is_total for i in models):
-            stable_totals = {i for i in sem.stable_fixpoints(kind, p, max_atoms) if i.is_total}
+            stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
             if set(models) != stable_totals:
                 return cases, f"{kind.value}: semi-equilibrium models differ from total stable fixpoints"
     return cases, None
 
 
-def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        minimal = set(sem.min_t(sem.fixpoints(kind, p, max_atoms)))
-        for i in sem.stable_fixpoints(kind, p, max_atoms):
+        minimal = set(sem.min_t(sem.fixpoints(kind, p)))
+        for i in sem.stable_fixpoints(kind, p):
             if i not in minimal:
                 return cases, f"{kind.value}: stable fixpoint {render.fmt_pair(p.universe, i)} not truth-minimal"
     return cases, None
 
 
-def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cls = classify(p)
     if cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     cases = 1
-    non_total = [i for i in sem.min_t(sem.fixpoints(OperatorKind.GZ, p, max_atoms)) if not i.is_total]
+    non_total = [i for i in sem.min_t(sem.fixpoints(OperatorKind.GZ, p)) if not i.is_total]
     if non_total:
         return cases, (
             f"truth-minimal trivial-operator fixpoint {render.fmt_pair(p.universe, non_total[0])} is not total"
         )
     if not cls.has_negated_aggregates:
         cases += 1
-        stable = sorted(sem.total_stable_fixpoints(OperatorKind.GZ, p, max_atoms), key=p.universe.sort_key)
-        answer_sets = sorted(sem.gz_answer_sets(p, max_atoms), key=p.universe.sort_key)
+        stable = sorted(sem.total_stable_fixpoints(OperatorKind.GZ, p), key=p.universe.sort_key)
+        answer_sets = sorted(sem.gz_answer_sets(p), key=p.universe.sort_key)
         if stable != answer_sets:
             return cases, (
                 "trivial-operator total stable fixpoints "
@@ -202,23 +202,23 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn, max_atoms: int | None) ->
     return cases, None
 
 
-def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     if not _atomic_heads(p):
         return 0, None
     cases = 0
-    for i in _pairs(p, max_atoms):
+    for i in _pairs(p):
         cases += 1
         nd = ops.dmt_ndao(p, i)
         det = ops.dmt_det(p, i)
         if frozenset().union(*nd.lower_set) != det.lower or frozenset().union(*nd.upper_set) != det.upper:
             return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, i)}"
     cases += 1
-    if sem.stable_fixpoints(OperatorKind.DMT, p, max_atoms) != sem.det_stable_fixpoints(p, max_atoms):
+    if sem.stable_fixpoints(OperatorKind.DMT, p) != sem.det_stable_fixpoints(p):
         return cases, "interval-operator stable fixpoints differ from the deterministic stable pairs"
     return cases, None
 
 
-def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn, max_atoms: int | None) -> tuple[int, str | None]:
+def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         for y in p.universe.subsets():
@@ -238,7 +238,7 @@ def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn, max_atoms: int | Non
     return cases, None
 
 
-LAWS: dict[str, Callable[[Program, ApplyFn, int | None], tuple[int, str | None]]] = {
+LAWS: dict[str, Callable[[Program, ApplyFn], tuple[int, str | None]]] = {
     "monotonicity": _law_monotonicity,
     "exactness": _law_exactness,
     "precision-chain": _law_precision_chain,
@@ -258,7 +258,9 @@ LAW_NAMES = tuple(LAWS)
 
 
 def suite_programs(count: int = 200, atoms: int = 3, rules: int = 4, seed: int = 0) -> list[Program]:
-    """Golden corpus plus `count` seeded random programs."""
+    """Golden corpus plus `count` seeded random programs of 1 to `rules` rules."""
+    if rules < 1:
+        raise AftlabError(f"programs need at least 1 rule, got {rules}")
     programs = corpus.programs()
     for offset in range(count):
         cfg = GeneratorConfig(
@@ -294,7 +296,7 @@ def run_laws(
         cases = 0
         failure = None
         for p in ordered:
-            checked, detail = law(p, apply_fn, max_atoms)
+            checked, detail = law(p, apply_fn)
             cases += checked
             if detail is not None:
                 failure = f"{detail}\nreproducer:\n{p.text}"

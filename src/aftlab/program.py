@@ -162,18 +162,20 @@ class Program:
     def compile(self, max_atoms: int | None = None) -> "Compiled":
         """The compiled form, built on first use and then kept.
 
-        Raises CapExceededError when the universe has more atoms than the cap
-        (`lattice.atom_cap`): when the form is built, and whenever `max_atoms`
-        is given, so every entry point honours the cap.
+        The one place the atom cap (`lattice.atom_cap`) is decided: raises
+        CapExceededError when the universe has more atoms than the cap, when
+        the form is built and whenever `max_atoms` is given. The cap accepted
+        last is kept as `Compiled.cap`.
         """
         compiled = self.__dict__.get("_compiled")
         if compiled is None or max_atoms is not None:
             cap = atom_cap(max_atoms)
             if len(self.universe) > cap:
                 raise CapExceededError(f"universe has {len(self.universe)} atoms, cap is {cap}")
-        if compiled is None:
-            compiled = Compiled(self)
-            object.__setattr__(self, "_compiled", compiled)
+            if compiled is None:
+                compiled = Compiled(self)
+                object.__setattr__(self, "_compiled", compiled)
+            compiled.cap = cap
         return compiled
 
 
@@ -226,9 +228,10 @@ class CompiledRule:
 
 
 class Compiled:
-    """What the operators read of a program, built once by `Program.compile`."""
+    """What the operators read of a program, built once by `Program.compile`,
+    and the atom cap it was accepted under."""
 
-    __slots__ = ("rules", "classification")
+    __slots__ = ("rules", "classification", "cap")
 
     def __init__(self, p: Program):
         _check_depth(p.rules)

@@ -43,22 +43,22 @@ class WellFoundedAnomalyError(AftlabError):
         self.pairs = pairs
 
 
-def fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x in the lower and y in the upper set of
     the operator at (x, y)."""
-    p.compile(max_atoms)
+    p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
     if kind in ops.FOUR_VALUED:
         return [
             u.pair(xm, ym)
-            for xm, ym in u.consistent_masks(max_atoms)
+            for xm, ym in u.consistent_masks()
             if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
         ]
     weight, lower, upper, _ = ops.interval_tables(kind, ops.HeadTables(p))
     return [
         u.pair(xm, ym)
-        for xm, ym in u.consistent_masks(max_atoms)
+        for xm, ym in u.consistent_masks()
         if lower[weight[xm] + weight[ym]] and upper[weight[xm] + weight[ym]]
     ]
 
@@ -122,10 +122,10 @@ def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     return frozenset(map(u.unmask, _stable_values(kind, p)[1](u.mask(x))))
 
 
-def stable_fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x among the complete lower stable values
     for y and y among the complete upper stable values for x."""
-    p.compile(max_atoms)
+    p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
     lower_value, upper_value = _stable_values(kind, p)
@@ -142,8 +142,8 @@ def stable_fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = Non
     return out
 
 
-def total_stable_fixpoints(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[AtomSet]:
-    return [i.lower for i in stable_fixpoints(kind, p, max_atoms) if i.is_total]
+def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:
+    return [i.lower for i in stable_fixpoints(kind, p) if i.is_total]
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +162,13 @@ def kk_fixpoint_det(p: Program) -> ApproxPair:
         pair = nxt
 
 
-def det_stable_fixpoints(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
     """Stable pairs (x, y) of the deterministic interval operator: x is the
     least fixpoint of w -> det_lower(w, y) reached from the empty set, and y
     the least fixpoint of z -> det_upper(x, z) over the supersets of x. Both
     maps are read from the AND and the OR of the fired atoms over each
     interval (`operators.interval_folds`)."""
-    p.compile(max_atoms)
+    p.compile()
     ops.check_kind_applicable(OperatorKind.DMT_DET, p)
     u = p.universe
     full = (1 << len(u)) - 1
@@ -193,9 +193,9 @@ def det_stable_fixpoints(p: Program, max_atoms: int | None = None) -> list[Appro
     return out
 
 
-def wf_fixpoint_det(p: Program, max_atoms: int | None = None) -> ApproxPair:
+def wf_fixpoint_det(p: Program) -> ApproxPair:
     """Information-least deterministic stable fixpoint."""
-    stable = det_stable_fixpoints(p, max_atoms)
+    stable = det_stable_fixpoints(p)
     if not stable:
         raise AftlabError("program has no deterministic stable fixpoint")
     least = [i for i in stable if all(leq_i(i, j) for j in stable)]
@@ -216,24 +216,24 @@ def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
         raise ProgramClassError(f"{what} needs a disjunctively normal aggregate-free program")
 
 
-def ht_models_program(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def ht_models_program(p: Program) -> list[ApproxPair]:
     """Pairs (x, y) satisfying every rule under here-and-there satisfaction:
     the models (x, y) of p's GL transformation at (y, y), that is, every rule
     has pos within x and neg outside y imply that the head meets x, and pos
     within y and neg outside y imply that the head meets y."""
-    rules = p.compile(max_atoms).rules
+    rules = p.compile().rules
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
     u = p.universe
-    return [u.pair(xm, ym) for xm, ym in u.consistent_masks(max_atoms) if _gl_model(rules, ym, ym, xm, ym)]
+    return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if _gl_model(rules, ym, ym, xm, ym)]
 
 
-def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Algebraic HT pairs: y closed under the base operator (in the Smyth
     sense) and x covering the operator's lower value.
 
     y is closed iff some member of ic(y), the hitting sets of hd(y), lies
     within y, that is iff y misses no head class fired at y."""
-    p.compile(max_atoms)
+    p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
     heads = ops.HeadTables(p)
@@ -241,18 +241,25 @@ def ht_pairs(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> li
     if kind in ops.FOUR_VALUED:
         return [
             u.pair(xm, ym)
-            for xm, ym in u.consistent_masks(max_atoms)
+            for xm, ym in u.consistent_masks()
             if closed[ym] and ops.smyth_below(p, xm, ym, xm)
         ]
     weight, _, _, smyth = ops.interval_tables(kind, heads)
     return [
-        u.pair(xm, ym) for xm, ym in u.consistent_masks(max_atoms) if closed[ym] and smyth[weight[xm] + weight[ym]]
+        u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and smyth[weight[xm] + weight[ym]]
     ]
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
+    """The truth-minimal pairs, in input order. A pair below another has fewer
+    atoms, so visited by size each is compared only with the minimal ones kept."""
     collected = list(pairs)
-    return [a for a in collected if not any(b != a and leq_t(b, a) for b in collected)]
+    kept: list[int] = []
+    for k in sorted(range(len(collected)), key=lambda k: len(collected[k].lower) + len(collected[k].upper)):
+        a = collected[k]
+        if not any(collected[j] != a and leq_t(collected[j], a) for j in kept):
+            kept.append(k)
+    return [collected[k] for k in sorted(kept)]
 
 
 def mc(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
@@ -262,15 +269,15 @@ def mc(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
     return [a for a in collected if not any(gap(b) < gap(a) for b in collected)]
 
 
-def seq(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def seq(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Semi-equilibrium models: maximal canonical truth-minimal HT pairs."""
-    return mc(min_t(ht_pairs(kind, p, max_atoms)))
+    return mc(min_t(ht_pairs(kind, p)))
 
 
-def seq_no_difference(kind: OperatorKind, p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def seq_no_difference(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Difference-free approximation: information-maximal truth-minimal HT
     pairs; always a superset of the semi-equilibrium models."""
-    minimal = min_t(ht_pairs(kind, p, max_atoms))
+    minimal = min_t(ht_pairs(kind, p))
     return [a for a in minimal if not any(b != a and leq_i(a, b) for b in minimal)]
 
 
@@ -308,27 +315,27 @@ def _is_stable_model_of(p: Program, xm: int, ym: int) -> bool:
     )
 
 
-def three_valued_stable(p: Program, max_atoms: int | None = None) -> list[ApproxPair]:
+def three_valued_stable(p: Program) -> list[ApproxPair]:
     """Truth-minimal models of the program's GL transformation at each pair."""
-    p.compile(max_atoms)
+    p.compile()
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
     u = p.universe
-    return [u.pair(xm, ym) for xm, ym in u.consistent_masks(max_atoms) if _is_stable_model_of(p, xm, ym)]
+    return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if _is_stable_model_of(p, xm, ym)]
 
 
-def gz_answer_sets(p: Program, max_atoms: int | None = None) -> list[AtomSet]:
+def gz_answer_sets(p: Program) -> list[AtomSet]:
     """Sets x whose total pair is an answer set of the GZ reduct at x; these
     are the total stable fixpoints of the `ic-triv` operator."""
-    cls = p.compile(max_atoms).classification
-    if cls.shape == prog.SHAPE_GENERAL:
+    compiled = p.compile()
+    if compiled.classification.shape == prog.SHAPE_GENERAL:
         raise ProgramClassError("GZ answer sets need conjunctive rule bodies")
-    if cls.has_negated_aggregates:
+    if compiled.classification.has_negated_aggregates:
         raise ProgramClassError("GZ answer sets do not allow negated aggregate atoms")
     u = p.universe
     out = []
     for x in u.subsets():
         reduct = prog.gz_reduct(p, x)
-        reduct.compile(max_atoms)  # same universe as p, so under the same cap
+        reduct.compile(compiled.cap)  # same universe as p, so under p's cap
         xm = u.mask(x)
         if _is_stable_model_of(reduct, xm, xm):
             out.append(x)
@@ -336,24 +343,33 @@ def gz_answer_sets(p: Program, max_atoms: int | None = None) -> list[AtomSet]:
 
 
 # ---------------------------------------------------------------------------
-# Uniform dispatch for the CLI
+# Uniform dispatch: the one place that decides which operator a semantics takes
 # ---------------------------------------------------------------------------
 
-SEMANTICS_NAMES = (
-    "fixpoints",
-    "stable",
-    "total-stable",
-    "kk",
-    "wf",
-    "ht",
-    "seq",
-    "seq-approx",
-    "three-valued-stable",
-    "gz-answer-sets",
-)
 
-OPERATOR_BASED = ("fixpoints", "stable", "total-stable", "ht", "seq", "seq-approx")
-DETERMINISTIC = ("kk", "wf")
+class SemanticsChoiceError(AftlabError):
+    """An unknown semantics, or an operator choice the semantics does not take."""
+
+
+ANY_OPERATOR, DETERMINISTIC_OPERATOR, NO_OPERATOR = "any", "dmt-det", "none"
+
+# Each semantics: the operator it takes and its run. The runs look the sweeps
+# up in this module when called, so a sweep patched here is the one that runs.
+SEMANTICS: dict[str, tuple[str, Callable[[Program, OperatorKind | None], Iterable[ApproxPair]]]] = {
+    "fixpoints": (ANY_OPERATOR, lambda p, kind: fixpoints(kind, p)),
+    "stable": (ANY_OPERATOR, lambda p, kind: stable_fixpoints(kind, p)),
+    "total-stable": (ANY_OPERATOR, lambda p, kind: (ApproxPair(x, x) for x in total_stable_fixpoints(kind, p))),
+    "kk": (DETERMINISTIC_OPERATOR, lambda p, kind: (kk_fixpoint_det(p),)),
+    "wf": (DETERMINISTIC_OPERATOR, lambda p, kind: (wf_fixpoint_det(p),)),
+    "ht": (ANY_OPERATOR, lambda p, kind: ht_pairs(kind, p)),
+    "seq": (ANY_OPERATOR, lambda p, kind: seq(kind, p)),
+    "seq-approx": (ANY_OPERATOR, lambda p, kind: seq_no_difference(kind, p)),
+    "three-valued-stable": (NO_OPERATOR, lambda p, kind: three_valued_stable(p)),
+    "gz-answer-sets": (NO_OPERATOR, lambda p, kind: (ApproxPair(x, x) for x in gz_answer_sets(p))),
+}
+
+SEMANTICS_NAMES = tuple(SEMANTICS)
+OPERATOR_BASED = tuple(name for name, (takes, _) in SEMANTICS.items() if takes == ANY_OPERATOR)
 
 
 @dataclass
@@ -365,47 +381,28 @@ class SemanticsResult:
     universe: tuple[str, ...]
 
 
-def run_semantics(
-    name: str,
-    p: Program,
-    kind: OperatorKind | None = None,
-    max_atoms: int | None = None,
-) -> SemanticsResult:
-    """Run one named semantics; atom sets are reported as total pairs."""
-    p.compile(max_atoms)
-    if name in OPERATOR_BASED and kind is None:
-        raise AftlabError(f"semantics {name!r} needs an operator")
-    if name == "fixpoints":
-        models = tuple(fixpoints(kind, p, max_atoms))
-    elif name == "stable":
-        models = tuple(stable_fixpoints(kind, p, max_atoms))
-    elif name == "total-stable":
-        models = tuple(ApproxPair(x, x) for x in total_stable_fixpoints(kind, p, max_atoms))
-    elif name == "kk":
-        models = (kk_fixpoint_det(p),)
-    elif name == "wf":
-        models = (wf_fixpoint_det(p, max_atoms),)
-    elif name == "ht":
-        models = tuple(ht_pairs(kind, p, max_atoms))
-    elif name == "seq":
-        models = tuple(seq(kind, p, max_atoms))
-    elif name == "seq-approx":
-        models = tuple(seq_no_difference(kind, p, max_atoms))
-    elif name == "three-valued-stable":
-        models = tuple(three_valued_stable(p, max_atoms))
-    elif name == "gz-answer-sets":
-        models = tuple(ApproxPair(x, x) for x in gz_answer_sets(p, max_atoms))
-    else:
-        raise AftlabError(f"unknown semantics {name!r}")
-    if name in DETERMINISTIC:
-        operator = OperatorKind.DMT_DET.value
-    else:
-        operator = kind.value if kind is not None else None
-    key = p.universe.pair_key
+def run_semantics(name: str, p: Program, kind: OperatorKind | None = None) -> SemanticsResult:
+    """Run one named semantics; atom sets are reported as total pairs.
+
+    Kripke-Kleene and well-founded run the deterministic interval operator,
+    implied when no operator is given. A wrong choice of name or operator
+    raises SemanticsChoiceError before the program is looked at."""
+    if name not in SEMANTICS:
+        raise SemanticsChoiceError(f"unknown semantics {name!r}")
+    takes, run = SEMANTICS[name]
+    if takes == ANY_OPERATOR and kind is None:
+        raise SemanticsChoiceError(f"semantics {name!r} needs --operator")
+    if takes == DETERMINISTIC_OPERATOR:
+        if kind not in (None, OperatorKind.DMT_DET):
+            raise SemanticsChoiceError(f"semantics {name!r} only works with --operator dmt-det")
+        kind = OperatorKind.DMT_DET
+    if takes == NO_OPERATOR and kind is not None:
+        raise SemanticsChoiceError(f"semantics {name!r} does not take an operator")
+    p.compile()
     return SemanticsResult(
         kind=name,
-        models=tuple(sorted(models, key=key)),
-        operator=operator,
+        models=tuple(sorted(run(p, kind), key=p.universe.pair_key)),
+        operator=kind.value if kind is not None else None,
         program_digest=prog.program_hash(p),
         universe=p.universe.atoms,
     )

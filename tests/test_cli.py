@@ -158,6 +158,9 @@ def test_semantics_wf_and_kk():
         ["eval", "--program", "x", "--operator", "ic"],  # missing pair
         ["check"],  # neither --all nor --laws
         ["check", "--laws", "exactness", "--programs", "-1"],
+        ["check", "--laws", "exactness", "--rules", "0"],
+        ["check", "--laws", "exactness", "--rules", "-1"],
+        ["check", "--laws", ","],
         ["eval", "--program", "/nonexistent.lp", "--operator", "ic", "--pair", ";"],
     ],
 )
@@ -166,6 +169,46 @@ def test_usage_errors_exit_1(argv):
     code, _, err = run(*argv)
     assert code == 1
     assert "usage error" in err
+
+
+OPERATORS = (None, "ic", "dmt", "ultimate", "gz", "dmt-det", "ic-triv")
+NEEDS = ((None,), "semantics {!r} needs --operator")
+DMT_DET_ONLY = (("ic", "dmt", "ultimate", "gz", "ic-triv"), "semantics {!r} only works with --operator dmt-det")
+NO_OPERATOR = (OPERATORS[1:], "semantics {!r} does not take an operator")
+# The operator choices the CLI refused, with its message, before the check
+# moved into `semantics.run_semantics`.
+REFUSED_OPERATORS = {
+    "fixpoints": NEEDS,
+    "stable": NEEDS,
+    "total-stable": NEEDS,
+    "kk": DMT_DET_ONLY,
+    "wf": DMT_DET_ONLY,
+    "ht": NEEDS,
+    "seq": NEEDS,
+    "seq-approx": NEEDS,
+    "three-valued-stable": NO_OPERATOR,
+    "gz-answer-sets": NO_OPERATOR,
+}
+
+
+@pytest.mark.parametrize("semantics", REFUSED_OPERATORS)
+def test_operator_choices_are_refused_once(semantics):
+    # Every operator applies to this program, so a run either succeeds or is refused for its operator.
+    p = corpus.load("negation_vs_positive_loop")
+    refused, message = REFUSED_OPERATORS[semantics]
+    for operator in OPERATORS:
+        argv = ["semantics", "--program", corpus_arg("negation_vs_positive_loop"), "--semantics", semantics]
+        code, _, err = run(*argv, *(["--operator", operator] if operator else []))
+        kind = OperatorKind(operator) if operator else None
+        if operator in refused:
+            assert (code, err) == (1, f"usage error: {message.format(semantics)}\n")
+            with pytest.raises(sem.SemanticsChoiceError) as refusal:
+                sem.run_semantics(semantics, p, kind)
+            assert str(refusal.value) == message.format(semantics)
+        else:
+            assert (code, err) == (0, "")
+            implied = "dmt-det" if semantics in ("kk", "wf") else None
+            assert sem.run_semantics(semantics, p, kind).operator == (operator or implied)
 
 
 def test_class_violation_exits_2():

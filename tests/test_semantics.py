@@ -1,6 +1,6 @@
 import pytest
 
-from aftlab import corpus, four, operators as ops, semantics as sem
+from aftlab import corpus, four, laws, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, CapExceededError, leq_i, leq_t
 from aftlab.operators import OperatorKind
@@ -230,13 +230,32 @@ def test_total_stability_needs_only_the_lower_operator():
             assert stable_totals == via_lower
 
 
-def test_cap_is_enforced():
+def test_cap_is_enforced(monkeypatch):
     text = "".join(f"a{i} :- .\n" for i in range(5))
-    p = parse(text)
     with pytest.raises(CapExceededError):
-        sem.fixpoints(OperatorKind.IC, p, max_atoms=4)
+        parse(text).compile(4)
+    monkeypatch.setenv("AFTLAB_MAX_ATOMS", "4")
     with pytest.raises(CapExceededError):
-        sem.gz_answer_sets(p, max_atoms=4)
+        sem.fixpoints(OperatorKind.IC, parse(text))
+    with pytest.raises(CapExceededError):
+        sem.gz_answer_sets(parse(text))
+
+
+def test_a_program_compiled_under_a_larger_cap_runs_everywhere(monkeypatch):
+    monkeypatch.setenv("AFTLAB_MAX_ATOMS", "2")
+    p = parse("a0.\na1 :- a0.\na2 :- not a1.\n")
+    p.compile(3)
+    for kind in OperatorKind:
+        for sweep in (sem.fixpoints, sem.stable_fixpoints, sem.total_stable_fixpoints, sem.ht_pairs, sem.seq,
+                      sem.seq_no_difference):
+            sweep(kind, p)
+    for sweep in (sem.kk_fixpoint_det, sem.det_stable_fixpoints, sem.wf_fixpoint_det, sem.ht_models_program,
+                  sem.three_valued_stable, sem.gz_answer_sets):
+        sweep(p)
+    for name in sem.SEMANTICS_NAMES:
+        sem.run_semantics(name, p, OperatorKind.IC if name in sem.OPERATOR_BASED else None)
+    outcomes = laws.run_laws([p], max_atoms=3)
+    assert [o.name for o in outcomes] == list(laws.LAW_NAMES)
 
 
 def test_run_semantics_dispatch(disjunctive_self_defeat):
