@@ -15,7 +15,7 @@ from . import corpus, four, operators as ops, program as prog, render, semantics
 from .generator import GeneratorConfig, generate_program
 from .lattice import AftlabError, ApproxPair, aprec_leq, masks_above_i, smyth_leq
 from .operators import OperatorKind
-from .program import Program, classify
+from .program import Program
 
 ApplyFn = Callable[[OperatorKind, Program, ApproxPair], "ops.NdPair"]
 
@@ -29,7 +29,7 @@ class LawOutcome:
 
 
 def _ndao_kinds(p: Program) -> list[OperatorKind]:
-    kinds = [] if classify(p).has_aggregates else [OperatorKind.IC]
+    kinds = [] if p.compile().classification.has_aggregates else [OperatorKind.IC]
     kinds += [OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ]
     return kinds
 
@@ -100,7 +100,7 @@ def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 
 
 def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    if classify(p).has_aggregates:
+    if p.compile().classification.has_aggregates:
         return 0, None
     cases = 0
     subsets = list(p.universe.subsets())
@@ -130,7 +130,7 @@ def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | No
 
 
 def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    cls = classify(p)
+    cls = p.compile().classification
     if cls.has_aggregates or cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     algebraic = sem.ht_pairs(OperatorKind.IC, p)
@@ -180,7 +180,7 @@ def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | Non
 
 
 def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    cls = classify(p)
+    cls = p.compile().classification
     if cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     cases = 1

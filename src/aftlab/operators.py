@@ -261,10 +261,10 @@ class HeadTables:
     """The heads a program fires at every total set, for one sweep. A head
     class is a distinct head mask, class j being bit j. `fired[z]` holds the
     classes of the rules whose bodies hold at z (`CompiledRule.holds`, so
-    aggregates and formula bodies are read exactly), `atoms[z]` the atoms of
-    those heads and `missed[w]` the classes that w misses."""
+    aggregates and formula bodies are read exactly) and `missed[w]` the
+    classes that w misses."""
 
-    __slots__ = ("heads", "fired", "atoms", "missed", "_covers")
+    __slots__ = ("heads", "fired", "missed", "_covers")
 
     def __init__(self, p: Program):
         u = p.universe
@@ -274,16 +274,13 @@ class HeadTables:
             bit.setdefault(r.head_mask, 1 << len(bit))
         self.heads = tuple(bit)
         self.fired: list[int] = []
-        self.atoms: list[int] = []
         for z in range(1 << len(u)):
             x = u.unmask(z)
-            fired = atoms = 0
+            fired = 0
             for r in rules:
                 if r.holds(u, x, z):
                     fired |= bit[r.head_mask]
-                    atoms |= r.head_mask
             self.fired.append(fired)
-            self.atoms.append(atoms)
         self.missed = [(1 << len(bit)) - 1]
         for i in range(len(u)):
             meeting = sum(b for h, b in bit.items() if h >> i & 1)
@@ -361,7 +358,7 @@ def interval_tables(kind: OperatorKind, heads: HeadTables) -> PairTables:
         upper = list(map(member, ys, join))
         smyth = [not c & missed[x] for x, c in zip(xs, meet)]
     elif kind is OperatorKind.DMT_DET:
-        meet, join = interval_folds(heads.atoms, weight)
+        meet, join = interval_folds(list(map(heads.covered, fired)), weight)
         lower = list(map(eq, xs, meet))
         upper = list(map(eq, ys, join))
         smyth = [not m & ~x for x, m in zip(xs, meet)]

@@ -23,6 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import eq, ge, gt, le, lt
 from typing import Iterator, Union
 
 from . import four
@@ -639,6 +640,15 @@ def eval_multiset(x: AtomSet, term: SetTerm) -> tuple[tuple[Fraction, ...], ...]
     return tuple(sorted(picked))
 
 
+_COMPARE = {
+    Comparator.LT: lt,
+    Comparator.LE: le,
+    Comparator.GE: ge,
+    Comparator.GT: gt,
+    Comparator.EQ: eq,
+}
+
+
 def eval_aggregate(x: AtomSet, agg: AggregateAtom) -> tuple[Truth, bool]:
     """Two-valued truth of the positive aggregate atom plus a definedness flag.
 
@@ -654,14 +664,7 @@ def eval_aggregate(x: AtomSet, agg: AggregateAtom) -> tuple[Truth, bool]:
         if not firsts:
             return Truth.F, False
         value = max(firsts)
-    holds = {
-        Comparator.LT: value < agg.bound,
-        Comparator.LE: value <= agg.bound,
-        Comparator.GE: value >= agg.bound,
-        Comparator.GT: value > agg.bound,
-        Comparator.EQ: value == agg.bound,
-    }[agg.comparator]
-    return (Truth.T if holds else Truth.F), True
+    return (Truth.T if _COMPARE[agg.comparator](value, agg.bound) else Truth.F), True
 
 
 def literal_true(u: AtomUniverse, x: AtomSet, lit: BodyLiteral) -> bool:

@@ -14,8 +14,6 @@ Sets are built only for the models returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Callable, Iterable, Iterator
 
 from . import operators as ops, program as prog
@@ -28,7 +26,6 @@ from .lattice import (
     leq_i,
     leq_t,
     masks_below_t,
-    pair_numbers,
     submasks,
 )
 from .operators import OperatorKind
@@ -164,33 +161,11 @@ def kk_fixpoint_det(p: Program) -> ApproxPair:
 
 def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
     """Stable pairs (x, y) of the deterministic interval operator: x is the
-    least fixpoint of w -> det_lower(w, y) reached from the empty set, and y
-    the least fixpoint of z -> det_upper(x, z) over the supersets of x. Both
-    maps are read from the AND and the OR of the fired atoms over each
-    interval (`operators.interval_folds`)."""
-    p.compile()
-    ops.check_kind_applicable(OperatorKind.DMT_DET, p)
-    u = p.universe
-    full = (1 << len(u)) - 1
-    weight, _, _ = pair_numbers(len(u))
-    lower, upper = ops.interval_folds(ops.HeadTables(p).atoms, weight)
-
-    def least_lower(ym: int) -> int:
-        w = 0
-        while True:
-            # det_lower is the full set off the pairs below y, keeping the map monotone
-            nxt = full if w & ~ym else lower[weight[w] + weight[ym]]
-            if nxt == w:
-                return w
-            w = nxt
-
-    out = []
-    for xm in range(full + 1):
-        fixed = [xm | d for d in submasks(full & ~xm) if upper[weight[xm] + weight[xm | d]] == xm | d]
-        least = reduce(and_, fixed, full)
-        if least in fixed and least_lower(least) == xm:
-            out.append(u.pair(xm, least))
-    return out
+    least fixpoint of w -> det_lower(w, y) and y the least fixpoint of
+    z -> det_upper(x, z) over the supersets of x. At such pairs each least
+    fixpoint is the one minimal fixpoint, so these are the stable fixpoints of
+    the operator lifted to singletons (README "Programs are compiled once")."""
+    return stable_fixpoints(OperatorKind.DMT_DET, p)
 
 
 def wf_fixpoint_det(p: Program) -> ApproxPair:

@@ -6,6 +6,7 @@ loops over `operators.det_lower` and `operators.det_upper`."""
 
 from __future__ import annotations
 
+import random
 from functools import reduce
 from operator import and_, or_
 
@@ -15,7 +16,7 @@ from aftlab import corpus, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, leq_i, pair_numbers, smyth_leq
 from aftlab.operators import OperatorKind
-from aftlab.program import parse
+from aftlab.program import make_program, parse
 
 INTERVAL_KINDS = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
 GENERAL_BODY = "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n"
@@ -119,26 +120,57 @@ def test_ht_pairs_equal_the_definition():
         assert sorted(sem.ht_pairs(kind, p), key=key) == sorted(expected, key=key)
 
 
+def ref_least_lower(p, y):
+    """The least fixpoint of w -> det_lower(w, y), reached by iteration from
+    the empty set."""
+    w = frozenset()
+    while (nxt := ops.det_lower(p, w, y)) != w:
+        w = nxt
+    return w
+
+
 def ref_det_stable(p):
-    """Pairs (x, y) with x the least fixpoint of w -> det_lower(w, y), reached
-    by iteration from the empty set, and y the least of the fixpoints of
-    z -> det_upper(x, z) over the supersets of x."""
+    """Pairs (x, y) with x the least fixpoint of w -> det_lower(w, y) and y
+    the least of the fixpoints of z -> det_upper(x, z) over the supersets of
+    x."""
     out = []
     for i in consistent_pairs(p):
-        w = frozenset()
-        while (nxt := ops.det_lower(p, w, i.upper)) != w:
-            w = nxt
         fixed = [z for z in p.universe.subsets() if i.lower <= z and ops.det_upper(p, i.lower, z) == z]
         least = [z for z in fixed if all(z <= other for other in fixed)]
-        if w == i.lower and least == [i.upper]:
+        if ref_least_lower(p, i.upper) == i.lower and least == [i.upper]:
             out.append(i)
     return sorted(out, key=p.universe.pair_key)
 
 
+def characteristic_program(atoms, table):
+    """The program with a rule h :- body(z) for each atom h of table[z], where
+    body(z) holds exactly at z; its fired atoms at the set z are table[z]."""
+    rules = []
+    for z, fired in enumerate(table):
+        body = ", ".join(a if z >> i & 1 else f"not {a}" for i, a in enumerate(atoms))
+        rules += [f"{h} :- {body}." for i, h in enumerate(atoms) if fired >> i & 1]
+    return make_program(parse("\n".join(rules)).rules, AtomUniverse.of(atoms))
+
+
+def fired_atom_tables():
+    """Every fired-atom table over 2 atoms, a seeded sample over 3 atoms, and a
+    program whose upper map at x = {a} has two minimal fixpoints, {a, b} and
+    {a, c}."""
+    for k in range(4**4):
+        yield characteristic_program("ab", [k >> 2 * z & 3 for z in range(4)])
+    rng = random.Random(8)
+    for _ in range(150):
+        yield characteristic_program("abc", [rng.randrange(8) for _ in range(8)])
+    yield parse("a :- b.\nb :- b.\na :- c.\nc :- c.\n")
+
+
 def test_det_stable_fixpoints_and_wf_equal_least_fixpoint_loops():
-    for p, kind in cases():
-        if kind is not OperatorKind.DMT_DET:
-            continue
+    det_programs = [p for p, kind in cases() if kind is OperatorKind.DMT_DET]
+    for p in [*det_programs, *fired_atom_tables()]:
+        for y in p.universe.subsets():
+            # The least fixpoint is the one minimal one, if it lies below y.
+            w = ref_least_lower(p, y)
+            assert sem.complete_lower_stable(OperatorKind.DMT_DET, p, y) == ({w} if w <= y else set())
         expected = ref_det_stable(p)
         assert sem.det_stable_fixpoints(p) == expected
         least = [i for i in expected if all(leq_i(i, j) for j in expected)]
