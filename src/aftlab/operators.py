@@ -59,7 +59,7 @@ def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
     """Heads of the rules whose bodies are true at the total interpretation x."""
     u = p.universe
     xm = u.mask(x)
-    return frozenset(r.head for r in p.compile().rules if r.holds(u, x, xm))
+    return frozenset(r.head for r in p.compile().rules if r.holds(u, xm))
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
@@ -105,36 +105,29 @@ def _require_consistent(i: ApproxPair) -> None:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
 
 
-def _fired(p: Program, xm: int, ym: int, bit: int, i: ApproxPair | None = None) -> Iterator[prog.CompiledRule]:
+def _fired(p: Program, xm: int, ym: int, bit: int) -> Iterator[prog.CompiledRule]:
     """The rules whose body value at the pair of masks (xm, ym) has `bit` set,
     `four.LOWER_BIT` or `four.UPPER_BIT`. The lower bit is the body's truth at
     x with negation read at y, the upper bit its truth at y with negation read
-    at x. Aggregate literals take their bits from their trivial approximation,
-    general bodies from `four.eval_pair`; both read the pair i of atom sets,
-    built from the masks only when such a rule is reached."""
+    at x. Aggregate literals take their bits from their trivial approximation
+    (`program.CompiledAggregate.trivial`); general bodies from
+    `four.eval_pair`, which reads the pair of atom sets."""
     here, there = (ym, xm) if bit == four.UPPER_BIT else (xm, ym)
     for r in p.compile().rules:
         if r.formula is None:
             if r.pos & ~here or r.neg & there:
                 continue
-            if not r.aggs:
+            if not r.aggs or all(a.trivial(xm, ym) & bit for a in r.aggs):
                 yield r
-                continue
-        if i is None:
-            i = p.universe.pair(xm, ym)
-        if r.formula is not None:
-            fired = four.eval_pair(p.universe, i, r.formula).value & bit
-        else:
-            fired = all(prog.trivial_aggregate_value(i, lit).value & bit for lit in r.aggs)
-        if fired:
+        elif four.eval_pair(p.universe, p.universe.pair(xm, ym), r.formula).value & bit:
             yield r
 
 
 def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[AtomSet]:
     """Heads of the rules whose body value at i = (x, y) is >=_t threshold,
     which is C (the lower bit alone) or U (the upper bit alone)."""
-    u = p.universe
-    return frozenset(r.head for r in _fired(p, u.mask(i.lower), u.mask(i.upper), threshold.value, i))
+    xm, ym = p.universe.pair_key(i)
+    return frozenset(r.head for r in _fired(p, xm, ym, threshold.value))
 
 
 def contains(p: Program, xm: int, ym: int, m: int, upper: bool = False) -> bool:
@@ -178,7 +171,7 @@ def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
 @cache
 def ic_triv_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Four-valued operator with each aggregate literal approximated trivially
-    (`program.trivial_aggregate_value`); equal to `ic_ndao` on aggregate-free
+    (`program.CompiledAggregate.trivial`); equal to `ic_ndao` on aggregate-free
     programs. Its total stable fixpoints are the reduct answer sets
     (`semantics.gz_answer_sets`); README "Aggregates and GZ answer sets"."""
     return NdPair(hitting_sets(_heads_at_least(p, i, Truth.C)), hitting_sets(_heads_at_least(p, i, Truth.U)))
@@ -275,10 +268,9 @@ class HeadTables:
         self.heads = tuple(bit)
         self.fired: list[int] = []
         for z in range(1 << len(u)):
-            x = u.unmask(z)
             fired = 0
             for r in rules:
-                if r.holds(u, x, z):
+                if r.holds(u, z):
                     fired |= bit[r.head_mask]
             self.fired.append(fired)
         self.missed = [(1 << len(bit)) - 1]

@@ -199,8 +199,8 @@ class Classification:
 class CompiledRule:
     """A rule over its program's universe: its `head` set and `head_mask`. A
     conjunctive body is read as the mask `pos` of its positive atoms, the mask
-    `neg` of its negated atoms and its aggregate literals `aggs`; a general
-    body keeps its `formula`."""
+    `neg` of its negated atoms and its aggregate literals `aggs`, each a
+    `CompiledAggregate`; a general body keeps its `formula`."""
 
     # Plain classes, not dataclasses: creating a frozen dataclass takes about
     # 0.7 ms at import, and every CLI run pays the import.
@@ -210,7 +210,7 @@ class CompiledRule:
         self.head = rule.head_set()
         self.head_mask = u.mask(rule.head)
         self.pos = self.neg = 0
-        self.aggs: tuple[BodyLiteral, ...] = ()
+        self.aggs: tuple[CompiledAggregate, ...] = ()
         self.formula: Formula | None = None
         if isinstance(rule.body, GeneralFormula):
             self.formula = rule.body.formula
@@ -218,14 +218,46 @@ class CompiledRule:
         items = rule.body.items
         self.pos = u.mask(lit.name for lit in items if isinstance(lit, PositiveAtom))
         self.neg = u.mask(lit.name for lit in items if isinstance(lit, NegatedAtom))
-        self.aggs = tuple(lit for lit in items if isinstance(lit, (PositiveAgg, NegatedAgg)))
+        self.aggs = tuple(CompiledAggregate(u, lit) for lit in items if isinstance(lit, (PositiveAgg, NegatedAgg)))
 
-    def holds(self, u: AtomUniverse, x: AtomSet, xm: int) -> bool:
-        """Two-valued truth of the body at x, given also as the mask xm: pos
-        within x, neg outside it, and every aggregate literal true."""
+    def holds(self, u: AtomUniverse, xm: int) -> bool:
+        """Two-valued truth of the body at the set with mask xm: pos within
+        it, neg outside it, and every aggregate literal true."""
         if self.formula is not None:
-            return four.eval_two(u, x, self.formula) is Truth.T
-        return not self.pos & ~xm and not self.neg & xm and all(literal_true(u, x, lit) for lit in self.aggs)
+            return four.eval_two(u, u.unmask(xm), self.formula) is Truth.T
+        return not self.pos & ~xm and not self.neg & xm and all(a.holds(xm) for a in self.aggs)
+
+
+class CompiledAggregate:
+    """An aggregate literal over its program's universe: its aggregate `agg`,
+    whether it is `positive`, and the mask of each entry condition,
+    `conditions`. A set holds a condition iff the mask lies within it."""
+
+    __slots__ = ("agg", "positive", "conditions")
+
+    def __init__(self, u: AtomUniverse, lit: PositiveAgg | NegatedAgg):
+        self.agg = lit.agg
+        self.positive = isinstance(lit, PositiveAgg)
+        self.conditions = tuple(u.mask(entry.condition) for entry in lit.agg.term.entries)
+
+    def holds(self, xm: int) -> bool:
+        """Two-valued truth of the literal at the set with mask xm; an
+        undefined aggregate makes it false either way round."""
+        firsts = [e.weights[0] for e, c in zip(self.agg.term.entries, self.conditions) if not c & ~xm]
+        truth, defined = _aggregate_truth(self.agg, firsts)
+        return defined and (truth is Truth.T) == self.positive
+
+    def trivial(self, xm: int, ym: int) -> int:
+        """The two bits (`four.Truth`) of the literal's trivial approximation
+        at the pair of masks (xm, ym). Where every entry condition has the
+        same truth at x and at y (is T or F), both give the same multiset and
+        the literal takes its two-valued value. Otherwise its lower reading
+        holds iff some condition holds at x but not at y (is C), and its upper
+        reading iff some condition holds at y but not at x (is U); so on a
+        consistent pair the value is exact or U."""
+        seen = {(not c & ~xm) << 1 | (not c & ~ym) for c in self.conditions}
+        inexact = (Truth.C.value in seen) << 1 | (Truth.U.value in seen)
+        return inexact or (Truth.T.value if self.holds(xm) else Truth.F.value)
 
 
 class Compiled:
@@ -649,13 +681,13 @@ _COMPARE = {
 }
 
 
-def eval_aggregate(x: AtomSet, agg: AggregateAtom) -> tuple[Truth, bool]:
-    """Two-valued truth of the positive aggregate atom plus a definedness flag.
+def _aggregate_truth(agg: AggregateAtom, firsts: list[Fraction]) -> tuple[Truth, bool]:
+    """Two-valued truth of the positive aggregate atom whose picked entries
+    have the first weights `firsts`, plus a definedness flag.
 
     Sum and count are total (empty multiset gives 0); max is undefined on the
     empty multiset, and an undefined value makes the atom false.
     """
-    firsts = [weights[0] for weights in eval_multiset(x, agg.term)]
     if agg.func is AggFunc.SUM:
         value = sum(firsts, Fraction(0))
     elif agg.func is AggFunc.COUNT:
@@ -667,41 +699,15 @@ def eval_aggregate(x: AtomSet, agg: AggregateAtom) -> tuple[Truth, bool]:
     return (Truth.T if _COMPARE[agg.comparator](value, agg.bound) else Truth.F), True
 
 
-def literal_true(u: AtomUniverse, x: AtomSet, lit: BodyLiteral) -> bool:
-    if isinstance(lit, PositiveAtom):
-        return lit.name in x
-    if isinstance(lit, NegatedAtom):
-        return lit.name not in x
-    truth, defined = eval_aggregate(x, lit.agg)
-    if isinstance(lit, PositiveAgg):
-        return defined and truth is Truth.T
-    return defined and truth is Truth.F
+def eval_aggregate(x: AtomSet, agg: AggregateAtom) -> tuple[Truth, bool]:
+    """`_aggregate_truth` with the entry conditions read at the set x; the
+    set-level reading of `CompiledAggregate.holds`."""
+    return _aggregate_truth(agg, [weights[0] for weights in eval_multiset(x, agg.term)])
 
 
 def eval_body(u: AtomUniverse, x: AtomSet, rule: Rule) -> bool:
     """Two-valued truth of a rule body at x."""
-    return CompiledRule(u, rule).holds(u, x, u.mask(x))
-
-
-def trivial_aggregate_value(i: ApproxPair, lit: BodyLiteral) -> Truth:
-    """Trivial approximation of an aggregate literal at the pair i = (x, y).
-
-    Where every entry condition of the set term has the same truth at x and
-    at y, both give the same multiset and the literal takes its two-valued
-    value. Otherwise its lower reading holds iff some condition holds at x but
-    not at y, and its upper reading iff some condition holds at y but not at
-    x; so on a consistent pair the value is exact or U.
-    """
-    below = above = False
-    for entry in lit.agg.term.entries:
-        condition = set(entry.condition)
-        at_x, at_y = condition <= i.lower, condition <= i.upper
-        below |= at_x and not at_y
-        above |= at_y and not at_x
-    if below or above:
-        return Truth(below << 1 | above)
-    truth, defined = eval_aggregate(i.lower, lit.agg)
-    return Truth.T if defined and (truth is Truth.T) == isinstance(lit, PositiveAgg) else Truth.F
+    return CompiledRule(u, rule).holds(u, u.mask(x))
 
 
 def body_formula(rule: Rule) -> Formula:
@@ -763,28 +769,29 @@ def gz_reduct(p: Program, x: AtomSet) -> Program:
 
     The result is aggregate-free and keeps the original atom universe.
     """
-    cls = p.compile().classification
+    compiled = p.compile()
+    cls = compiled.classification
     _require(cls.shape != SHAPE_GENERAL, "GZ reduct needs conjunctive rule bodies")
     _require(not cls.has_negated_aggregates, "GZ reduct does not allow negated aggregate atoms")
+    xm = p.universe.mask(x)
     rules = []
-    for rule in p.rules:
+    for rule, r in zip(p.rules, compiled.rules):
         assert isinstance(rule.body, Conj)
+        aggs = iter(r.aggs)
         items: list[BodyLiteral] = []
-        deleted = False
         for lit in rule.body.items:
             if isinstance(lit, (PositiveAtom, NegatedAtom)):
                 items.append(lit)
                 continue
             assert isinstance(lit, PositiveAgg)
-            truth, defined = eval_aggregate(x, lit.agg)
-            if not defined or truth is not Truth.T:
-                deleted = True
+            agg = next(aggs)
+            if not agg.holds(xm):
                 break
             replacement: set[str] = set()
-            for entry in lit.agg.term.entries:
-                if set(entry.condition) <= x:
+            for entry, c in zip(lit.agg.term.entries, agg.conditions):
+                if not c & ~xm:
                     replacement.update(entry.condition)
             items.extend(PositiveAtom(a) for a in sorted(replacement))
-        if not deleted:
+        else:
             rules.append(Rule(rule.head, Conj(tuple(items))))
     return Program(tuple(rules), p.universe)

@@ -1,7 +1,7 @@
 """Differential tests: the compiled rule bodies (two bitmasks plus aggregate
-literals), the integer hitting-set enumeration, the membership and Smyth tests
-on head masks and the kept program hash, against direct readings of the
-program kept here as references."""
+literals read on condition masks), the integer hitting-set enumeration, the
+membership and Smyth tests on head masks and the kept program hash, against
+direct readings of the program kept here as references."""
 
 from __future__ import annotations
 
@@ -10,21 +10,22 @@ import random
 
 import pytest
 
-from aftlab import cli, corpus, four, operators as ops, semantics as sem
+from aftlab import cli, corpus, four, operators as ops, program as prog, semantics as sem
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, smyth_leq
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, smyth_leq
 from aftlab.program import (
+    CompiledAggregate,
     Conj,
     GeneralFormula,
     NegatedAtom,
+    PositiveAgg,
     PositiveAtom,
     ProgramClassError,
     Rule,
+    eval_aggregate,
     eval_body,
-    literal_true,
     parse,
-    trivial_aggregate_value,
 )
 
 FORMULA_PROGRAMS = (
@@ -48,6 +49,30 @@ def programs():
 def all_pairs(p):
     subsets = list(p.universe.subsets())
     return [ApproxPair(x, y) for x in subsets for y in subsets]
+
+
+def literal_reading(x, lit) -> bool:
+    """Two-valued truth of a body literal at the set x; an undefined
+    aggregate makes it false either way round."""
+    if isinstance(lit, PositiveAtom):
+        return lit.name in x
+    if isinstance(lit, NegatedAtom):
+        return lit.name not in x
+    truth, defined = eval_aggregate(x, lit.agg)
+    return defined and (truth is Truth.T) == isinstance(lit, PositiveAgg)
+
+
+def trivial_aggregate_value(i: ApproxPair, lit) -> Truth:
+    """The trivial approximation of an aggregate literal at i = (x, y), on
+    sets: exact where every entry condition has the same truth at x and at y,
+    else its lower reading holds iff some condition holds at x only and its
+    upper reading iff some condition holds at y only."""
+    at = [(set(e.condition) <= i.lower, set(e.condition) <= i.upper) for e in lit.agg.term.entries]
+    below = any(at_x and not at_y for at_x, at_y in at)
+    above = any(at_y and not at_x for at_x, at_y in at)
+    if below or above:
+        return Truth(below << 1 | above)
+    return Truth.T if literal_reading(i.lower, lit) else Truth.F
 
 
 def formula_reading(rule: Rule, i: ApproxPair) -> four.Formula:
@@ -96,10 +121,57 @@ def test_hd_equals_the_eval_body_filter_and_the_literal_reading():
             assert ops.hd(p, x) == frozenset(r.head_set() for r in p.rules if eval_body(u, x, r))
             for r in p.rules:
                 if isinstance(r.body, Conj):
-                    expected = all(literal_true(u, x, lit) for lit in r.body.items)
+                    expected = all(literal_reading(x, lit) for lit in r.body.items)
                 else:
                     expected = four.eval_two(u, x, r.body.formula) is Truth.T
                 assert eval_body(u, x, r) == expected, (p.text, r, x)
+
+
+def aggregate_literals():
+    for p in [*seeded_aggregate_programs(), *corpus.programs()]:
+        for r in p.rules:
+            if isinstance(r.body, Conj):
+                aggs = [lit for lit in r.body.items if not isinstance(lit, (PositiveAtom, NegatedAtom))]
+                yield from ((p.universe, lit) for lit in aggs)
+
+
+def test_compiled_aggregates_equal_the_set_reading():
+    literals = list(aggregate_literals())
+    assert len(literals) >= 20
+    for u, lit in literals:
+        compiled = CompiledAggregate(u, lit)
+        for xm in range(1 << len(u)):
+            x = u.unmask(xm)
+            assert compiled.holds(xm) == literal_reading(x, lit), (lit, x)
+            # Every pair, the inconsistent ones too: ic-triv is total.
+            for ym in range(1 << len(u)):
+                i = ApproxPair(x, u.unmask(ym))
+                assert Truth(compiled.trivial(xm, ym)) is trivial_aggregate_value(i, lit), (lit, i)
+
+
+def test_sweeps_build_no_sets_to_read_a_body(monkeypatch):
+    # A formula-free aggregate program: its bodies are read on masks only,
+    # so the sweep builds sets just for the pairs it returns.
+    p = parse(
+        "p :- #sum{1:p; 2:q & r} >= 1.\nq | r :- not #count{1:p} > 0.\nr :- #max{1:q; 2:p} < 2, not s.\ns :- q, r.\n"
+    )
+    aggregate_calls, unmask_calls = [], []
+    real_eval_aggregate, real_unmask = prog.eval_aggregate, AtomUniverse.unmask
+
+    def counting_eval_aggregate(x, agg):
+        aggregate_calls.append(x)
+        return real_eval_aggregate(x, agg)
+
+    def counting_unmask(u, m):
+        unmask_calls.append(m)
+        return real_unmask(u, m)
+
+    monkeypatch.setattr(prog, "eval_aggregate", counting_eval_aggregate)
+    monkeypatch.setattr(AtomUniverse, "unmask", counting_unmask)
+    models = sem.stable_fixpoints(ops.OperatorKind.DMT, p)
+    assert models
+    assert aggregate_calls == []
+    assert len(unmask_calls) == 2 * len(models)
 
 
 def brute_force_hitting_sets(heads):

@@ -5,12 +5,14 @@ import pytest
 from aftlab import corpus, four
 from aftlab.four import Const, Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import ApproxPair
+from aftlab.lattice import ApproxPair, AtomUniverse, UnknownAtomError
+from aftlab.operators import OperatorKind
 from aftlab.program import (
     MAX_FORMULA_DEPTH,
     AggFunc,
     AggregateAtom,
     Comparator,
+    CompiledAggregate,
     Conj,
     FormulaDepthError,
     GeneralFormula,
@@ -33,8 +35,8 @@ from aftlab.program import (
     make_program,
     parse,
     print_program,
-    trivial_aggregate_value,
 )
+from aftlab.semantics import stable_fixpoints
 from conftest import atoms, pair
 
 
@@ -176,6 +178,12 @@ def test_eval_aggregate_examples():
     assert eval_aggregate(atoms(), count) == (Truth.T, True)
 
 
+def trivial_aggregate_value(i: ApproxPair, lit) -> Truth:
+    """The compiled trivial approximation of lit at i, over the atoms p and q."""
+    u = AtomUniverse.of(["p", "q"])
+    return Truth(CompiledAggregate(u, lit).trivial(*u.pair_key(i)))
+
+
 def test_trivial_aggregate_value_examples():
     sum_q = PositiveAgg(agg(AggFunc.SUM, [((1,), ("q",))], Comparator.GT, 0))
     assert trivial_aggregate_value(pair("q", "q"), sum_q) is Truth.T
@@ -198,6 +206,19 @@ def test_trivial_aggregate_value_examples():
     # One condition only below and one only above: both readings hold.
     sum_pq = agg(AggFunc.SUM, [((1,), ("p",)), ((1,), ("q",))], Comparator.GT, 5)
     assert trivial_aggregate_value(pair("p", "q"), PositiveAgg(sum_pq)) is Truth.T
+
+
+@pytest.mark.parametrize(
+    "text", ["q :- p.", "p :- q.", "p :- not q.", "p :- #count{1:q} < 1.", "p :- #sum{1:p; 1:p & q} > 0."]
+)
+def test_an_atom_outside_the_universe_is_refused(text):
+    # q is read nowhere as false: the head, the body and each aggregate
+    # condition are compiled through AtomUniverse.mask.
+    p = make_program(parse(text).rules, AtomUniverse.of(["p"]))
+    with pytest.raises(UnknownAtomError, match="'q'"):
+        p.compile()
+    with pytest.raises(UnknownAtomError, match="'q'"):
+        stable_fixpoints(OperatorKind.DMT, p)
 
 
 def test_eval_body_examples(aggregate_cycle):
