@@ -1,18 +1,19 @@
 """Finite powerset lattice: atom universes, the pair orders, the set-lifted
-orders, lattice difference, and deterministic enumeration of intervals and
-consistent pairs, also as pairs of masks and along the two orders, and a
-numbering of the consistent pairs for tables with one entry per pair.
+orders (also as one AND on precision codes), lattice difference, and
+deterministic enumeration of intervals and consistent pairs, also as pairs of
+masks and along the two orders, and a numbering of the consistent pairs for
+tables with one entry per pair.
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
-ordering (lexicographic) that every enumeration and rendering follows, and
-atom i is bit i of a set's mask.
+ordering (lexicographic) that every enumeration and rendering follows, atom i
+is bit i of a set's mask, and it builds the set of each mask once.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 AtomSet = frozenset[str]
@@ -95,6 +96,15 @@ class AtomUniverse:
         """Atom name -> its bit (1 << index); the universe's only such map."""
         return {name: 1 << i for i, name in enumerate(self.atoms)}
 
+    @cached_property
+    def _sets(self) -> dict[int, AtomSet]:
+        """Mask -> the one set `unmask` gives for it, filled as asked."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # Both maps are rebuilt on demand; the sets need not travel.
+        return {"atoms": self.atoms}
+
     def __contains__(self, name: str) -> bool:
         return name in self._bits
 
@@ -121,7 +131,13 @@ class AtomUniverse:
         return m
 
     def unmask(self, m: int) -> AtomSet:
-        return frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
+        """The set with mask m, built once per universe, so that pairs, sweep
+        outputs and memo keys share one object and its cached hash."""
+        sets = self._sets
+        s = sets.get(m)
+        if s is None:
+            s = sets[m] = frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
+        return s
 
     def sort_key(self, s: AtomSet) -> int:
         return self.mask(s)
@@ -138,9 +154,9 @@ class AtomUniverse:
         """All z with x <= z <= y, in lexicographic subset order; 2^|y-x| many."""
         if not x <= y:
             raise InconsistentPairError(f"interval requires x <= y, got {set(x)} !<= {set(y)}")
-        free = sorted(y - x, key=self.index)
-        for m in range(1 << len(free)):
-            yield x | frozenset(a for i, a in enumerate(free) if m >> i & 1)
+        xm, ym = self.mask(x), self.mask(y)
+        for s in submasks(ym & ~xm):
+            yield self.unmask(xm | s)
 
     def pair(self, xm: int, ym: int) -> ApproxPair:
         return ApproxPair(self.unmask(xm), self.unmask(ym))
@@ -256,6 +272,46 @@ def aprec_leq(a: NdPair, b: NdPair) -> bool:
     """Information precision on operator ranges: lower sets by Smyth, upper
     sets by Hoare reversed."""
     return smyth_leq(a.lower_set, b.lower_set) and hoare_leq(b.upper_set, a.upper_set)
+
+
+class PrecisionCode(NamedTuple):
+    """An `NdPair` over n atoms as two ints of 2^(n+1) bits: bit m stands for
+    the set with mask m in the lower set, bit 2^n + m for it in the upper set.
+    `members` marks the members; `allowed` marks the sets Smyth-above the
+    lower set and those Hoare-below the upper set. So `aprec_leq(a, b)` holds
+    iff `not code(b).members & ~code(a).allowed`."""
+
+    members: int
+    allowed: int
+
+
+@cache
+def _closure_steps(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per atom i: its bit, and the positions of the sets without atom i in
+    the lower and in the upper half of a `PrecisionCode`."""
+    steps = []
+    for i in range(n):
+        bit = 1 << i
+        without = sum(1 << m for m in range(1 << n) if not m & bit)
+        steps.append((bit, without, without << (1 << n)))
+    return tuple(steps)
+
+
+def precision_code(u: AtomUniverse, value: NdPair) -> PrecisionCode:
+    """The precision code of an operator value. The lower set's up-closure and
+    the upper set's down-closure are the OR form of the subset zeta transform
+    (`operators.interval_folds`): one shift-and-or pass per atom."""
+    size = 1 << len(u)
+    mask = u.mask
+    members = 0
+    for s in value.lower_set:
+        members |= 1 << mask(s)
+    for s in value.upper_set:
+        members |= 1 << (size + mask(s))
+    allowed = members
+    for bit, lower, upper in _closure_steps(len(u)):
+        allowed |= ((allowed & lower) << bit) | ((allowed >> bit) & upper)
+    return PrecisionCode(members, allowed)
 
 
 def difference(y: AtomSet, x: AtomSet) -> AtomSet:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import AftlabError, ApproxPair, aprec_leq, masks_above_i, smyth_leq
+from .lattice import AftlabError, ApproxPair, NdPair, PrecisionCode, masks_above_i, precision_code, smyth_leq
 from .operators import OperatorKind
 from .program import Program
 
@@ -42,18 +42,27 @@ def _pairs(p: Program) -> list[ApproxPair]:
     return list(p.universe.consistent_pairs(p.compile().cap))
 
 
+def _precision_codes(p: Program) -> Callable[[NdPair], PrecisionCode]:
+    """`lattice.precision_code` over p's universe, built once per distinct value."""
+    codes: dict[NdPair, PrecisionCode] = {}
+    return lambda value: codes.get(value) or codes.setdefault(value, precision_code(p.universe, value))
+
+
 def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if _atomic_heads(p) else [])
     u = p.universe
+    code = _precision_codes(p)
     # The pairs above each i1 come from `masks_above_i` in the order of the full sweep.
-    index = {u.pair_key(i): i for i in _pairs(p)}
+    index = dict(zip(u.consistent_masks(), _pairs(p)))
     cases = 0
     for kind in kinds:
-        values = {key: apply_fn(kind, p, i) for key, i in index.items()}
+        codes = {key: code(apply_fn(kind, p, i)) for key, i in index.items()}
+        members = {key: c.members for key, c in codes.items()}
         for key1, i1 in index.items():
+            outside = ~codes[key1].allowed
             for key2 in masks_above_i(*key1):
                 cases += 1
-                if not aprec_leq(values[key1], values[key2]):
+                if members[key2] & outside:
                     return cases, (
                         f"{kind.value} not precision-monotone: "
                         f"{render.fmt_pair(u, i1)} <=_i {render.fmt_pair(u, index[key2])}"
@@ -74,27 +83,29 @@ def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 
 
 def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+    code = _precision_codes(p)
     cases = 0
     for i in _pairs(p):
         cases += 1
-        gz = apply_fn(OperatorKind.GZ, p, i)
-        dmt = apply_fn(OperatorKind.DMT, p, i)
-        ult = apply_fn(OperatorKind.ULTIMATE, p, i)
-        if not aprec_leq(gz, dmt):
+        gz = code(apply_fn(OperatorKind.GZ, p, i))
+        dmt = code(apply_fn(OperatorKind.DMT, p, i))
+        ult = code(apply_fn(OperatorKind.ULTIMATE, p, i))
+        if dmt.members & ~gz.allowed:
             return cases, f"gz not below dmt at {render.fmt_pair(p.universe, i)}"
-        if not aprec_leq(dmt, ult):
+        if ult.members & ~dmt.allowed:
             return cases, f"dmt not below ultimate at {render.fmt_pair(p.universe, i)}"
     return cases, None
 
 
 def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     kinds = [k for k in _ndao_kinds(p) if k is not OperatorKind.ULTIMATE]
+    code = _precision_codes(p)
     cases = 0
     for i in _pairs(p):
-        ult = apply_fn(OperatorKind.ULTIMATE, p, i)
+        ult = code(apply_fn(OperatorKind.ULTIMATE, p, i)).members
         for kind in kinds:
             cases += 1
-            if not aprec_leq(apply_fn(kind, p, i), ult):
+            if ult & ~code(apply_fn(kind, p, i)).allowed:
                 return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, i)}"
     return cases, None
 
@@ -117,6 +128,8 @@ def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 
 
 def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+    code = _precision_codes(p)
+    size = 1 << len(p.universe)
     cases = 0
     for kind in _ndao_kinds(p):
         for i in _pairs(p):
@@ -124,7 +137,9 @@ def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | No
             value = apply_fn(kind, p, i)
             if not value.lower_set or not value.upper_set:
                 return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(p.universe, i)}"
-            if not smyth_leq(value.lower_set, value.upper_set):
+            c = code(value)
+            # smyth_leq(lower set, upper set): every upper member is Smyth-above the lower set.
+            if c.members >> size & ~c.allowed:
                 return cases, f"{kind.value} not upwards coherent at {render.fmt_pair(p.universe, i)}"
     return cases, None
 

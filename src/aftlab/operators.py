@@ -5,8 +5,9 @@ trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
-pair). The sweeps read the interval-based operators from per-sweep tables
-instead (`HeadTables`, `interval_tables`), built on the program's masks.
+pair). The sweeps read the interval-based operators from tables instead,
+built on the program's masks: the program's `HeadTables`, kept on its
+compiled form, and the per-sweep `interval_tables`.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
 
 
 class HeadTables:
-    """The heads a program fires at every total set, for one sweep. A head
+    """The heads a program fires at every total set (`head_tables`). A head
     class is a distinct head mask, class j being bit j. `fired[z]` holds the
     classes of the rules whose bodies hold at z (`CompiledRule.holds`, so
     aggregates and formula bodies are read exactly) and `missed[w]` the
@@ -294,6 +295,15 @@ class HeadTables:
         """Whether w is a hitting set of the classes c: it lies within their
         atoms and meets each of them."""
         return not (c & self.missed[w] or w & ~self.covered(c))
+
+
+def head_tables(p: Program) -> HeadTables:
+    """The program's `HeadTables`, built by the first sweep that asks and then
+    kept on its compiled form."""
+    compiled = p.compile()
+    if compiled.heads is None:
+        compiled.heads = HeadTables(p)
+    return compiled.heads
 
 
 def interval_folds(values: list[int], weight: list[int]) -> tuple[list[int], list[int]]:

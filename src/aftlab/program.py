@@ -262,14 +262,17 @@ class CompiledAggregate:
 
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`,
-    and the atom cap it was accepted under."""
+    and the atom cap it was accepted under. `heads` keeps the program's
+    `operators.HeadTables` once a sweep has built them
+    (`operators.head_tables`)."""
 
-    __slots__ = ("rules", "classification", "cap")
+    __slots__ = ("rules", "classification", "cap", "heads")
 
     def __init__(self, p: Program):
         _check_depth(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
         self.classification = classify(p)
+        self.heads = None
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

@@ -52,7 +52,7 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
             for xm, ym in u.consistent_masks()
             if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
         ]
-    weight, lower, upper, _ = ops.interval_tables(kind, ops.HeadTables(p))
+    weight, lower, upper, _ = ops.interval_tables(kind, ops.head_tables(p))
     return [
         u.pair(xm, ym)
         for xm, ym in u.consistent_masks()
@@ -97,7 +97,7 @@ def _stable_values(kind: OperatorKind, p: Program) -> tuple[Callable[[int], list
             lambda ym: _minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
             lambda xm: _minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
         )
-    weight, lower, upper, _ = ops.interval_tables(kind, ops.HeadTables(p))
+    weight, lower, upper, _ = ops.interval_tables(kind, ops.head_tables(p))
     full = (1 << n) - 1
     return (
         lambda ym: _minimal_masks(xm for xm in submasks(ym) if lower[weight[xm] + weight[ym]]),
@@ -211,7 +211,7 @@ def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
-    heads = ops.HeadTables(p)
+    heads = ops.head_tables(p)
     closed = [not c & m for c, m in zip(heads.fired, heads.missed)]
     if kind in ops.FOUR_VALUED:
         return [

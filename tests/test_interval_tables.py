@@ -204,3 +204,29 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     ops.dmt_ndao.cache_clear()
     ops.dmt_ndao(PROGRAMS[-1], ApproxPair(frozenset(), PROGRAMS[-1].universe.full()))
     assert calls["interval"] == 1 and calls["hitting_sets"] == 2
+
+
+def test_each_program_builds_its_head_tables_once(monkeypatch):
+    builds = []
+
+    class Counting(ops.HeadTables):
+        __slots__ = ()
+
+        def __init__(self, p):
+            builds.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(ops, "HeadTables", Counting)
+    for original in PROGRAMS:
+        p = make_program(original.rules, original.universe)
+        for kind in (*INTERVAL_KINDS, OperatorKind.IC_TRIV):
+            if kind is OperatorKind.DMT_DET and any(len(r.head) > 1 for r in p.rules):
+                continue
+            sem.fixpoints(kind, p)
+            sem.stable_fixpoints(kind, p)
+            sem.ht_pairs(kind, p)
+            for s in p.universe.subsets():
+                sem.complete_lower_stable(kind, p, s)
+                sem.complete_upper_stable(kind, p, s)
+        assert builds == [p]
+        builds.clear()

@@ -1,7 +1,10 @@
 import itertools
+import pickle
+import random
 
 import pytest
 
+from aftlab import render
 from aftlab.lattice import (
     ApproxPair,
     AtomUniverse,
@@ -17,8 +20,10 @@ from aftlab.lattice import (
     leq_t,
     masks_above_i,
     masks_below_t,
+    precision_code,
     smyth_leq,
 )
+from aftlab.program import parse
 from conftest import atoms, pair
 
 
@@ -180,3 +185,66 @@ def test_atom_cap_env(monkeypatch):
     monkeypatch.setenv("AFTLAB_MAX_ATOMS", "5")
     assert atom_cap() == 5
     assert atom_cap(7) == 7
+
+
+def families(u, rng, count):
+    """The empty family, {∅}, every set, and `count` seeded random families."""
+    subsets = list(u.subsets())
+    yield frozenset()
+    yield frozenset((frozenset(),))
+    yield frozenset(subsets)
+    for _ in range(count):
+        yield frozenset(rng.sample(subsets, rng.randint(0, len(subsets))))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_precision_code_decides_aprec_leq(n):
+    u = AtomUniverse.of("pqrs"[:n])
+    size = 1 << n
+    fams = list(families(u, random.Random(n), 12))
+    values = [NdPair(a, b) for a in fams for b in fams]
+    codes = [precision_code(u, v) for v in values]
+    for v, c in zip(values, codes):
+        for m, s in enumerate(u.subsets()):
+            assert (c.members >> m & 1, c.members >> (size + m) & 1) == (s in v.lower_set, s in v.upper_set)
+            assert c.allowed >> m & 1 == smyth_leq(v.lower_set, frozenset((s,)))
+            assert c.allowed >> (size + m) & 1 == hoare_leq(frozenset((s,)), v.upper_set)
+        assert not c.members >> 2 * size and not c.allowed >> 2 * size
+    for a, ca in zip(values, codes):
+        for b, cb in zip(values, codes):
+            assert aprec_leq(a, b) == (not cb.members & ~ca.allowed)
+
+
+def test_unmask_keeps_one_set_per_mask():
+    u = AtomUniverse.of("pqrs")
+    for m in range(16):
+        s = u.unmask(m)
+        assert u.unmask(m) is s
+        assert s == frozenset(a for i, a in enumerate(u.atoms) if m >> i & 1)
+    assert all(z is u.unmask(u.mask(z)) for z in u.subsets())
+    assert all(z is u.unmask(u.mask(z)) for z in u.interval(atoms("q"), atoms("p", "q", "s")))
+    i = u.pair(1, 3)
+    assert i.lower is u.unmask(1) and i.upper is u.unmask(3)
+
+
+def test_a_pickled_universe_leaves_its_sets_behind():
+    u = AtomUniverse.of(["p", "q"])
+    u.unmask(3)
+    copied = pickle.loads(pickle.dumps(u))
+    assert copied == u and hash(copied) == hash(u)
+    assert "_sets" not in copied.__dict__ and "_bits" not in copied.__dict__
+    assert copied.unmask(3) == atoms("p", "q") and copied.mask(["q"]) == 2
+
+
+def test_a_universe_above_the_cap_renders_without_filling_its_sets():
+    names = [f"a{k:02}" for k in range(23)]
+    p = parse("\n".join(f"{a} :- not {b}." for a, b in zip(names, names[1:] + names[:1])))
+    u = p.universe
+    assert len(u) == 23
+    with pytest.raises(CapExceededError):
+        p.compile()
+    full = (1 << 23) - 1
+    assert render.fmt_pair(u, u.pair(0, full)) == "(∅, {" + ",".join(names) + "})"
+    assert render.json_pair(u, u.pair(1, full))["lower"] == ["a00"]
+    assert p.text.startswith("a00 :- not a01.")
+    assert len(u.__dict__["_sets"]) == 3

@@ -1,7 +1,7 @@
 import pytest
 
-from aftlab import corpus, laws, operators as ops
-from aftlab.lattice import AftlabError, NdPair
+from aftlab import corpus, laws, operators as ops, render
+from aftlab.lattice import AftlabError, NdPair, aprec_leq, masks_above_i, smyth_leq
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError
 
@@ -117,3 +117,122 @@ def test_prefixpoint_minimal_reads_the_operator_once_per_candidate():
         for y in p.universe.subsets()
     )
     assert len(calls) == len(set(calls)) == candidates
+
+
+# The four laws that order operator values, as first written: they compare the
+# values with the frozenset definitions `aprec_leq` and `smyth_leq`, where the
+# laws compare precision codes.
+def frozenset_monotonicity(p, apply_fn):
+    kinds = laws._ndao_kinds(p) + ([OperatorKind.DMT_DET] if laws._atomic_heads(p) else [])
+    u = p.universe
+    index = {u.pair_key(i): i for i in laws._pairs(p)}
+    cases = 0
+    for kind in kinds:
+        values = {key: apply_fn(kind, p, i) for key, i in index.items()}
+        for key1, i1 in index.items():
+            for key2 in masks_above_i(*key1):
+                cases += 1
+                if not aprec_leq(values[key1], values[key2]):
+                    return cases, (
+                        f"{kind.value} not precision-monotone: "
+                        f"{render.fmt_pair(u, i1)} <=_i {render.fmt_pair(u, index[key2])}"
+                    )
+    return cases, None
+
+
+def frozenset_precision_chain(p, apply_fn):
+    cases = 0
+    for i in laws._pairs(p):
+        cases += 1
+        gz, dmt, ult = (apply_fn(k, p, i) for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
+        if not aprec_leq(gz, dmt):
+            return cases, f"gz not below dmt at {render.fmt_pair(p.universe, i)}"
+        if not aprec_leq(dmt, ult):
+            return cases, f"dmt not below ultimate at {render.fmt_pair(p.universe, i)}"
+    return cases, None
+
+
+def frozenset_ultimate_max(p, apply_fn):
+    cases = 0
+    for i in laws._pairs(p):
+        ult = apply_fn(OperatorKind.ULTIMATE, p, i)
+        for kind in laws._ndao_kinds(p):
+            if kind is not OperatorKind.ULTIMATE:
+                cases += 1
+                if not aprec_leq(apply_fn(kind, p, i), ult):
+                    return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, i)}"
+    return cases, None
+
+
+def frozenset_upwards_coherence(p, apply_fn):
+    cases = 0
+    for kind in laws._ndao_kinds(p):
+        for i in laws._pairs(p):
+            cases += 1
+            value = apply_fn(kind, p, i)
+            if not value.lower_set or not value.upper_set:
+                return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(p.universe, i)}"
+            if not smyth_leq(value.lower_set, value.upper_set):
+                return cases, f"{kind.value} not upwards coherent at {render.fmt_pair(p.universe, i)}"
+    return cases, None
+
+
+FROZENSET_LAWS = {
+    "monotonicity": frozenset_monotonicity,
+    "precision-chain": frozenset_precision_chain,
+    "ultimate-max": frozenset_ultimate_max,
+    "upwards-coherence": frozenset_upwards_coherence,
+}
+
+
+def at_the_least_precise_pair(kind, change):
+    """The operator with `kind`'s value at the non-total pair (∅, A) changed."""
+
+    def mutant(k, p, i):
+        value = ops.apply(k, p, i)
+        if k is kind and not i.lower and i.upper == p.universe.full() and i.upper:
+            return change(p.universe, value)
+        return value
+
+    return mutant
+
+
+MUTANTS = {
+    "unchanged": ops.apply,
+    "dmt-drops-a-lower-member": at_the_least_precise_pair(
+        OperatorKind.DMT, lambda u, v: NdPair(v.lower_set - {min(v.lower_set, key=u.sort_key)}, v.upper_set)
+    ),
+    "ultimate-drops-an-upper-member": at_the_least_precise_pair(
+        OperatorKind.ULTIMATE, lambda u, v: NdPair(v.lower_set, v.upper_set - {max(v.upper_set, key=u.sort_key)})
+    ),
+    "dmt-lower-set-is-the-full-set": at_the_least_precise_pair(
+        OperatorKind.DMT, lambda u, v: NdPair(frozenset((u.full(),)), v.upper_set)
+    ),
+}
+
+
+# Every mutant breaks every one of these laws but two: ultimate's upper set
+# with a member less only fails where ultimate is the less precise side, which
+# precision-chain and ultimate-max never make it.
+UNBROKEN = {("precision-chain", "ultimate-drops-an-upper-member"), ("ultimate-max", "ultimate-drops-an-upper-member")}
+
+
+@pytest.fixture(scope="module")
+def precision_suite():
+    programs = laws.suite_programs(24, atoms=3, rules=4, seed=0)
+    for p in programs:
+        p.compile()
+    return programs
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+@pytest.mark.parametrize("name", FROZENSET_LAWS)
+def test_precision_codes_give_the_frozenset_outcome(monkeypatch, precision_suite, name, mutant):
+    apply_fn = MUTANTS[mutant]
+    per_program = [laws.LAWS[name](p, apply_fn) for p in precision_suite]
+    assert per_program == [FROZENSET_LAWS[name](p, apply_fn) for p in precision_suite]
+    outcome = laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
+    monkeypatch.setitem(laws.LAWS, name, FROZENSET_LAWS[name])
+    assert outcome == laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
+    assert outcome[0].ok == (mutant == "unchanged" or (name, mutant) in UNBROKEN)
+

@@ -6,14 +6,15 @@ every operator it takes, on seeded generator programs with n = 4..12 atoms.
 
 Each cell is one fresh interpreter running `aftlab.cli.main(["semantics",
 ..., "--format", "json"])` on the program of `aftlab generate --atoms n
---rules n --width 2 --seed n`, timed from spawn to exit, start-up included.
+--rules n --width 2 --seed n`, timed from fork to exit, start-up included.
 The `dmt-det` rows use `--width 1` instead: the deterministic operator needs
 atomic heads, and every width-2 program of this series has a disjunctive one.
 A cell gets TIMEOUT_S seconds; a row stops at its first timeout, since larger
 programs only take longer. The output file `BENCH_<label>.json` records per
-cell the seconds, the exit code, the model count and a digest of the output,
-so two files can be checked for identical answers as well as compared for
-time. Standard library only; run it from the root of a checkout.
+cell the seconds, the peak resident MB (the interpreter's `ru_maxrss`, read
+with `os.wait4`), the exit code, the model count and a digest of the output, so
+two files can be checked for identical answers as well as compared for time
+and memory. Standard library only, Linux; run it from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import platform
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 TIMEOUT_S = 30
@@ -38,22 +38,45 @@ ROWS = (
     + [("kk", "dmt-det"), ("wf", "dmt-det"), ("three-valued-stable", None), ("gz-answer-sets", None)]
 )
 RUN = "import sys; sys.path.insert(0, sys.argv[1]); from aftlab.cli import main; sys.exit(main(sys.argv[2:]))"
+# Each cell runs under a small launcher, which forks and execs it and reports
+# its exit code, seconds and peak resident kilobytes (`os.wait4`). Linux
+# carries the peak of the address space that exec replaces over into the new
+# program's, so a cell spawned from this process would report this process's
+# peak, which grows with the outputs it reads, whenever that is larger.
+LAUNCH = """
+import os, signal, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
+    os.execv(sys.executable, [sys.executable, "-c", *sys.argv[2:]])
+signal.signal(signal.SIGALRM, lambda *_: os.kill(pid, signal.SIGKILL))
+signal.alarm(int(sys.argv[1]))
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss, file=sys.stderr)
+"""
 
 
-def run_cli(src: Path, argv: list[str], timeout: float | None = None) -> tuple[int, str, float]:
-    """Exit code, standard output and wall seconds of one interpreter."""
-    start = time.perf_counter()
-    done = subprocess.run(
-        [sys.executable, "-c", RUN, str(src), *argv], capture_output=True, text=True, timeout=timeout, check=False
-    )
-    return done.returncode, done.stdout, time.perf_counter() - start
+def run_cli(src: Path, argv: list[str], timeout: int = 0) -> tuple[int, str, float, float]:
+    """Exit code, standard output, wall seconds and peak resident MB of one
+    interpreter; raises `subprocess.TimeoutExpired` after `timeout` seconds
+    (0: none)."""
+    with tempfile.TemporaryFile() as out:
+        done = subprocess.run([sys.executable, "-c", LAUNCH, str(timeout), RUN, str(src), *argv], stdout=out,
+                              stderr=subprocess.PIPE, text=True, check=True)
+        code, seconds, rss_kb = done.stderr.split()
+        if timeout and float(seconds) >= timeout:
+            raise subprocess.TimeoutExpired(argv, timeout)
+        out.seek(0)
+        # ru_maxrss is in kilobytes on Linux.
+        return int(code), out.read().decode(), float(seconds), int(rss_kb) / 1024
 
 
 def program_file(src: Path, tmp: Path, n: int, width: int) -> str:
     path = tmp / f"n{n}-w{width}.lp"
     if not path.exists():
-        code, text, _ = run_cli(src, ["generate", "--atoms", str(n), "--rules", str(n), "--width", str(width),
-                                      "--seed", str(n)])
+        code, text, _, _ = run_cli(src, ["generate", "--atoms", str(n), "--rules", str(n), "--width", str(width),
+                                         "--seed", str(n)])
         if code != 0:
             raise SystemExit(f"generate failed for n={n}, width={width}")
         path.write_text(text, encoding="utf-8")
@@ -68,11 +91,11 @@ def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None) -> l
         if operator is not None:
             argv += ["--operator", operator]
         try:
-            code, out, seconds = run_cli(src, argv, TIMEOUT_S)
+            code, out, seconds, rss_mb = run_cli(src, argv, TIMEOUT_S)
         except subprocess.TimeoutExpired:
             cells.append({"n": n, "timeout": True})
             break
-        cell = {"n": n, "seconds": round(seconds, 3), "exit": code,
+        cell = {"n": n, "seconds": round(seconds, 3), "peak_rss_mb": round(rss_mb, 1), "exit": code,
                 "output": hashlib.sha256(out.encode()).hexdigest()[:16]}
         if code == 0:
             cell["models"] = json.loads(out)["counts"]["models"]
@@ -101,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
         "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det)",
-        "cell": "one interpreter per cell, wall seconds from spawn to exit",
+        "cell": "one interpreter per cell, wall seconds from fork to exit, peak resident MB of the interpreter",
         "timeout_s": TIMEOUT_S,
         "rows": rows,
     }
