@@ -5,9 +5,10 @@ trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
-pair). The sweeps read the interval-based operators from tables instead,
-built on the program's masks: the program's `HeadTables`, kept on its
-compiled form, and the per-sweep `interval_tables`.
+pair). The sweeps read the operators from tables instead, built on the
+program's masks: the four-valued ones from its `RuleTables`, the
+interval-based ones from its `HeadTables` (both kept on its compiled form)
+and the per-sweep `interval_tables`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ class OperatorKind(Enum):
     IC_TRIV = "ic-triv"
 
 
-# The four-valued operators, whose membership and Smyth tests read head masks
-# (`contains`, `smyth_below`).
+# The four-valued operators. Their sweeps read the program's `RuleTables`
+# when every body is conjunctive and aggregate-free, and otherwise test
+# membership on the fired heads (`contains`, `smyth_below`).
 FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
 
 
@@ -251,14 +253,36 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     return NdPair(frozenset((frozenset(),)), frozenset((p.universe.full(),)))
 
 
-class HeadTables:
+class _Heads:
+    """Head masks, bit j standing for `heads[j]`, and the atoms of any set of
+    them, kept per set."""
+
+    __slots__ = ("heads", "_covers")
+
+    def __init__(self, heads: tuple[int, ...]):
+        self.heads = heads
+        self._covers: dict[int, int] = {}
+
+    def covered(self, c: int) -> int:
+        """The atoms of the heads in c."""
+        atoms = self._covers.get(c)
+        if atoms is None:
+            atoms = 0
+            for j, h in enumerate(self.heads):
+                if c >> j & 1:
+                    atoms |= h
+            self._covers[c] = atoms
+        return atoms
+
+
+class HeadTables(_Heads):
     """The heads a program fires at every total set (`head_tables`). A head
     class is a distinct head mask, class j being bit j. `fired[z]` holds the
     classes of the rules whose bodies hold at z (`CompiledRule.holds`, so
     aggregates and formula bodies are read exactly) and `missed[w]` the
     classes that w misses."""
 
-    __slots__ = ("heads", "fired", "missed", "_covers")
+    __slots__ = ("fired", "missed")
 
     def __init__(self, p: Program):
         u = p.universe
@@ -266,7 +290,7 @@ class HeadTables:
         bit: dict[int, int] = {}
         for r in rules:
             bit.setdefault(r.head_mask, 1 << len(bit))
-        self.heads = tuple(bit)
+        super().__init__(tuple(bit))
         self.fired: list[int] = []
         for z in range(1 << len(u)):
             fired = 0
@@ -278,18 +302,6 @@ class HeadTables:
         for i in range(len(u)):
             meeting = sum(b for h, b in bit.items() if h >> i & 1)
             self.missed += [m & ~meeting for m in self.missed]
-        self._covers: dict[int, int] = {}
-
-    def covered(self, c: int) -> int:
-        """The atoms of the classes in c."""
-        atoms = self._covers.get(c)
-        if atoms is None:
-            atoms = 0
-            for j, h in enumerate(self.heads):
-                if c >> j & 1:
-                    atoms |= h
-            self._covers[c] = atoms
-        return atoms
 
     def member(self, w: int, c: int) -> bool:
         """Whether w is a hitting set of the classes c: it lies within their
@@ -304,6 +316,72 @@ def head_tables(p: Program) -> HeadTables:
     if compiled.heads is None:
         compiled.heads = HeadTables(p)
     return compiled.heads
+
+
+class RuleTables(_Heads):
+    """Three rule bitmasks over the 2^n sets of a program whose bodies are
+    all conjunctive and aggregate-free (`rule_tables`), rule k being bit k:
+    `pos_in[x]` holds the rules whose pos lies within x, `neg_out[y]` those
+    whose neg misses y, and `head_out[x]` those whose head misses x. So the
+    rules `pos_in[x] & neg_out[y]` fire on the lower side of `ic` at (x, y)
+    and `pos_in[y] & neg_out[x]` on its upper side, and `violated[x]`, which
+    is `pos_in[x] & head_out[x]`, holds the rules x violates unless their
+    negation is blocked.
+
+    Each table takes n doublings, one per atom, as `HeadTables.missed`
+    does."""
+
+    __slots__ = ("pos_in", "neg_out", "head_out", "violated", "_models")
+
+    def __init__(self, rules: tuple[prog.CompiledRule, ...], n: int):
+        super().__init__(tuple(r.head_mask for r in rules))
+        every = (1 << len(rules)) - 1
+        pos_in, neg_out, head_out = [every], [every], [every]
+        for i in range(n):
+            bit = 1 << i
+            with_pos = sum(1 << k for k, r in enumerate(rules) if r.pos & bit)
+            with_neg = sum(1 << k for k, r in enumerate(rules) if r.neg & bit)
+            with_head = sum(1 << k for k, r in enumerate(rules) if r.head_mask & bit)
+            pos_in = [m & ~with_pos for m in pos_in] + pos_in
+            neg_out += [m & ~with_neg for m in neg_out]
+            head_out += [m & ~with_head for m in head_out]
+        self.pos_in, self.neg_out, self.head_out = pos_in, neg_out, head_out
+        self.violated = list(map(and_, pos_in, head_out))
+        self._models: dict[int, tuple[int, ...]] = {}
+
+    def member(self, w: int, f: int) -> bool:
+        """Whether w is a hitting set of the heads of the rules f: it meets
+        each of them and lies within their atoms."""
+        return not (f & self.head_out[w] or w & ~self.covered(f))
+
+    def minimal_models(self, live: int) -> tuple[int, ...]:
+        """The minimal sets s with `violated[s] & live == 0`, in increasing
+        order, kept per `live`. With live = neg_out[y] these are the minimal
+        models of the reduct P^y (Gelfond and Lifschitz, 1991), which are the
+        complete lower stable value of `ic` at y: every member of the lower
+        set at (x, y) is a model, and every minimal model is a member, since
+        it is supported and so lies within the heads fired at (x, y). With
+        live = neg_out[x] they are the complete upper stable value at x."""
+        models = self._models.get(live)
+        if models is None:
+            kept: list[int] = []
+            for s, v in enumerate(self.violated):
+                if not v & live and not any(k & s == k for k in kept):
+                    kept.append(s)
+            models = self._models[live] = tuple(kept)
+        return models
+
+
+def rule_tables(p: Program) -> RuleTables | None:
+    """The program's `RuleTables`, built by the first sweep that asks and then
+    kept on its compiled form; None when some body has a general formula or
+    an aggregate literal, which only `_fired` reads."""
+    compiled = p.compile()
+    if compiled.rule_tables is None:
+        if any(r.formula is not None or r.aggs for r in compiled.rules):
+            return None
+        compiled.rule_tables = RuleTables(compiled.rules, len(p.universe))
+    return compiled.rule_tables
 
 
 def interval_folds(values: list[int], weight: list[int]) -> tuple[list[int], list[int]]:

@@ -262,17 +262,17 @@ class CompiledAggregate:
 
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`,
-    and the atom cap it was accepted under. `heads` keeps the program's
-    `operators.HeadTables` once a sweep has built them
-    (`operators.head_tables`)."""
+    and the atom cap it was accepted under. `heads` and `rule_tables` keep the
+    program's `operators.HeadTables` and `operators.RuleTables` once a sweep
+    has built them (`operators.head_tables`, `operators.rule_tables`)."""
 
-    __slots__ = ("rules", "classification", "cap", "heads")
+    __slots__ = ("rules", "classification", "cap", "heads", "rule_tables")
 
     def __init__(self, p: Program):
         _check_depth(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
         self.classification = classify(p)
-        self.heads = None
+        self.heads = self.rule_tables = None
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

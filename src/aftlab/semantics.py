@@ -1,20 +1,22 @@
 """Fixpoint semantics by exhaustive enumeration: plain and stable fixpoints,
 deterministic Kripke-Kleene and well-founded fixpoints, here-and-there pairs,
 semi-equilibrium models, three-valued stable models via the GL transformation,
-and GZ answer sets via the reduct.
+and GZ answer sets as minimal models of the reduct.
 
 Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
 total interpretations); n is bounded by the atom cap. The sweeps iterate
-masks: those of the four-valued operators test membership on the fired heads
-(`operators.contains`, `operators.smyth_below`), those of the consistent-only
-operators read tables built once per sweep (`operators.interval_tables`).
-Sets are built only for the models returned.
+masks. Those of the four-valued operators read the program's rule tables
+(`operators.rule_tables`) when every body is conjunctive and
+aggregate-free, and otherwise test membership on the fired heads
+(`operators.contains`, `operators.smyth_below`); those of the
+consistent-only operators read tables built once per sweep
+(`operators.interval_tables`). Sets are built only for the models returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import operators as ops, program as prog
 from .lattice import (
@@ -47,6 +49,16 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     ops.check_kind_applicable(kind, p)
     u = p.universe
     if kind in ops.FOUR_VALUED:
+        tables = ops.rule_tables(p)
+        if tables is not None:
+            # x is a lower member at (x, y) iff it hits the heads of the rules
+            # pos_in[x] & neg_out[y]; y an upper one likewise, x and y swapped.
+            pos_in, neg_out, member = tables.pos_in, tables.neg_out, tables.member
+            return [
+                u.pair(xm, ym)
+                for xm, ym in u.consistent_masks()
+                if member(xm, pos_in[xm] & neg_out[ym]) and member(ym, pos_in[ym] & neg_out[xm])
+            ]
         return [
             u.pair(xm, ym)
             for xm, ym in u.consistent_masks()
@@ -81,7 +93,9 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _stable_values(kind: OperatorKind, p: Program) -> tuple[Callable[[int], list[int]], Callable[[int], list[int]]]:
+def _stable_values(
+    kind: OperatorKind, p: Program
+) -> tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
     """The complete lower stable value at the mask y (minimal x with x a
     member of the lower operator at (x, y)) and the complete upper one at the
     mask x, as functions giving the minimal masks in increasing order.
@@ -89,9 +103,16 @@ def _stable_values(kind: OperatorKind, p: Program) -> tuple[Callable[[int], list
     Candidates range over the operator's domain: everything for the total
     four-valued operators, the subsets of y (supersets of x) for the
     consistent-only ones, whose tests are read from their interval tables.
+    With rule tables both four-valued values are the minimal models of the
+    reduct at the other side, kept per distinct `neg_out` mask
+    (`operators.RuleTables.minimal_models`).
     """
     n = len(p.universe)
     if kind in ops.FOUR_VALUED:
+        tables = ops.rule_tables(p)
+        if tables is not None:
+            neg_out, minimal_models = tables.neg_out, tables.minimal_models
+            return (lambda ym: minimal_models(neg_out[ym]), lambda xm: minimal_models(neg_out[xm]))
         every = range(1 << n)
         return (
             lambda ym: _minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
@@ -207,10 +228,20 @@ def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     sense) and x covering the operator's lower value.
 
     y is closed iff some member of ic(y), the hitting sets of hd(y), lies
-    within y, that is iff y misses no head class fired at y."""
+    within y, that is iff y misses no head class fired at y. With rule tables
+    that is `violated[y] & neg_out[y] == 0`, and the Smyth test of `ic` and
+    `ic-triv` at (x, y) is `violated[x] & neg_out[y] == 0`."""
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
+    tables = ops.rule_tables(p) if kind in ops.FOUR_VALUED else None
+    if tables is not None:
+        violated, neg_out = tables.violated, tables.neg_out
+        return [
+            u.pair(xm, ym)
+            for xm, ym in u.consistent_masks()
+            if not violated[ym] & neg_out[ym] and not violated[xm] & neg_out[ym]
+        ]
     heads = ops.head_tables(p)
     closed = [not c & m for c, m in zip(heads.fired, heads.missed)]
     if kind in ops.FOUR_VALUED:
@@ -298,9 +329,25 @@ def three_valued_stable(p: Program) -> list[ApproxPair]:
     return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if _is_stable_model_of(p, xm, ym)]
 
 
+def _is_minimal_model(rules: list[tuple[int, int]], xm: int) -> bool:
+    """Whether xm is a model of the positive rules, given as (body, head)
+    mask pairs, and no proper submask of xm is."""
+
+    def model(s: int) -> bool:
+        return all(body & ~s or head & s for body, head in rules)
+
+    return model(xm) and not any(model(s) for s in submasks(xm) if s != xm)
+
+
 def gz_answer_sets(p: Program) -> list[AtomSet]:
     """Sets x whose total pair is an answer set of the GZ reduct at x; these
-    are the total stable fixpoints of the `ic-triv` operator."""
+    are the total stable fixpoints of the `ic-triv` operator.
+
+    The reduct at x (`program.gz_reduct`) is read as (body, head) mask pairs:
+    of the rules whose neg misses x and whose aggregates hold at x, the body
+    is pos together with the x-true conditions of the aggregates. (x, x) is a
+    stable model of it iff x is a minimal model of those pairs: at (x, x) the
+    three-valued GL test of a pair (a, b) is the same test on a and on b."""
     compiled = p.compile()
     if compiled.classification.shape == prog.SHAPE_GENERAL:
         raise ProgramClassError("GZ answer sets need conjunctive rule bodies")
@@ -308,12 +355,19 @@ def gz_answer_sets(p: Program) -> list[AtomSet]:
         raise ProgramClassError("GZ answer sets do not allow negated aggregate atoms")
     u = p.universe
     out = []
-    for x in u.subsets():
-        reduct = prog.gz_reduct(p, x)
-        reduct.compile(compiled.cap)  # same universe as p, so under p's cap
-        xm = u.mask(x)
-        if _is_stable_model_of(reduct, xm, xm):
-            out.append(x)
+    for xm in range(1 << len(u)):
+        reduct = []
+        for r in compiled.rules:
+            if r.neg & xm or not all(a.holds(xm) for a in r.aggs):
+                continue
+            body = r.pos
+            for a in r.aggs:
+                for c in a.conditions:
+                    if not c & ~xm:
+                        body |= c
+            reduct.append((body, r.head_mask))
+        if _is_minimal_model(reduct, xm):
+            out.append(u.unmask(xm))
     return out
 
 

@@ -1,7 +1,9 @@
 """Differential tests: the sweeps of the consistent-only operators (`dmt`,
-`ultimate`, `gz`, `dmt-det`), which read per-sweep interval tables, against
+`ultimate`, `gz`, `dmt-det`), which read per-sweep interval tables, and those
+of the four-valued ones (`ic`, `ic-triv`), which read the program's rule
+tables or, on general and aggregate bodies, test the fired heads, against
 definitional sweeps kept here that read the operators' families through
-`operators.apply`, and the deterministic stable pairs against least-fixpoint
+`operators.apply`; and the deterministic stable pairs against least-fixpoint
 loops over `operators.det_lower` and `operators.det_upper`."""
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from aftlab.operators import OperatorKind
 from aftlab.program import make_program, parse
 
 INTERVAL_KINDS = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
+FOUR_VALUED_KINDS = (OperatorKind.IC, OperatorKind.IC_TRIV)
 GENERAL_BODY = "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n"
 
 
@@ -43,8 +46,10 @@ PROGRAMS = [*seeded_programs(), *corpus.programs(), parse(GENERAL_BODY)]
 
 def cases():
     for p in PROGRAMS:
-        for kind in INTERVAL_KINDS:
+        for kind in (*INTERVAL_KINDS, *FOUR_VALUED_KINDS):
             if kind is OperatorKind.DMT_DET and any(len(r.head) > 1 for r in p.rules):
+                continue
+            if kind is OperatorKind.IC and p.compile().classification.has_aggregates:
                 continue
             yield p, kind
 
@@ -58,12 +63,22 @@ def minimal(sets):
     return {s for s in sets if not any(t < s for t in sets)}
 
 
+def in_domain(kind, x, y):
+    """The four-valued operators are total; the others are read only on
+    consistent pairs."""
+    return kind in FOUR_VALUED_KINDS or x <= y
+
+
 def ref_lower_stable(kind, p, y):
-    return minimal({x for x in p.universe.subsets() if x <= y and x in ops.apply(kind, p, ApproxPair(x, y)).lower_set})
+    return minimal({
+        x for x in p.universe.subsets() if in_domain(kind, x, y) and x in ops.apply(kind, p, ApproxPair(x, y)).lower_set
+    })
 
 
 def ref_upper_stable(kind, p, x):
-    return minimal({y for y in p.universe.subsets() if x <= y and y in ops.apply(kind, p, ApproxPair(x, y)).upper_set})
+    return minimal({
+        y for y in p.universe.subsets() if in_domain(kind, x, y) and y in ops.apply(kind, p, ApproxPair(x, y)).upper_set
+    })
 
 
 def test_programs_cover_every_class():
@@ -73,6 +88,9 @@ def test_programs_cover_every_class():
     assert {"PositiveAgg", "NegatedAgg", "PositiveAtom", "NegatedAtom"} <= literals
     assert {len(p.universe) for p in PROGRAMS} >= {1, 2, 3, 4, 5}
     assert sum(kind is OperatorKind.DMT_DET for _, kind in cases()) >= 10
+    # Both paths of the four-valued sweeps: rule tables and fired heads.
+    paths = {(kind, ops.rule_tables(p) is None) for p, kind in cases() if kind in FOUR_VALUED_KINDS}
+    assert paths == {(kind, fallback) for kind in FOUR_VALUED_KINDS for fallback in (False, True)}
 
 
 @pytest.mark.parametrize("values", [[0b101, 0b110, 0b011, 0b111, 0b001, 0b100, 0b010, 0b000], [3, 1], [5]])
@@ -230,3 +248,43 @@ def test_each_program_builds_its_head_tables_once(monkeypatch):
                 sem.complete_upper_stable(kind, p, s)
         assert builds == [p]
         builds.clear()
+
+
+def test_each_program_builds_its_rule_tables_once(monkeypatch):
+    """Rule tables are built once per program whose bodies are all
+    conjunctive and aggregate-free, and never for any other; the four-valued
+    sweeps of such a program build no head tables."""
+    builds = {"rule": [], "head": []}
+
+    class CountingRules(ops.RuleTables):
+        __slots__ = ()
+
+        def __init__(self, rules, n):
+            builds["rule"].append(rules)
+            super().__init__(rules, n)
+
+    class CountingHeads(ops.HeadTables):
+        __slots__ = ()
+
+        def __init__(self, p):
+            builds["head"].append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(ops, "RuleTables", CountingRules)
+    monkeypatch.setattr(ops, "HeadTables", CountingHeads)
+    for original in PROGRAMS:
+        p = make_program(original.rules, original.universe)
+        plain = all(r.formula is None and not r.aggs for r in p.compile().rules)
+        for kind in FOUR_VALUED_KINDS:
+            if kind is OperatorKind.IC and p.compile().classification.has_aggregates:
+                continue
+            sem.fixpoints(kind, p)
+            sem.stable_fixpoints(kind, p)
+            sem.ht_pairs(kind, p)
+            for s in p.universe.subsets():
+                sem.complete_lower_stable(kind, p, s)
+                sem.complete_upper_stable(kind, p, s)
+        assert builds["rule"] == ([p.compile().rules] if plain else [])
+        assert builds["head"] == ([] if plain else [p])
+        builds["rule"].clear()
+        builds["head"].clear()

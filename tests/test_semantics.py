@@ -4,7 +4,7 @@ from aftlab import corpus, four, laws, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, CapExceededError, leq_i, leq_t
 from aftlab.operators import OperatorKind
-from aftlab.program import ProgramClassError, body_formula, classify, gl_transform, parse
+from aftlab.program import ProgramClassError, body_formula, classify, gl_transform, gz_reduct, parse
 from conftest import atoms, pair
 
 
@@ -175,6 +175,28 @@ def test_gz_answer_sets_examples(sum_chain_program, sum_split_program):
     assert sem.gz_answer_sets(sum_split_program) == []
     with pytest.raises(ProgramClassError):
         sem.gz_answer_sets(parse("p :- not #sum{1:q} > 0."))
+
+
+def gz_answer_sets_reference(p):
+    """The sets x for which (x, x) is a stable model of the reduct program
+    `gz_reduct(p, x)`: a model of its GL transformation at (x, x) with no
+    other such model below it in the truth order."""
+    u = p.universe
+    return [x for x in u.subsets() if sem._is_stable_model_of(gz_reduct(p, x), u.mask(x), u.mask(x))]
+
+
+def test_gz_answer_sets_equal_the_reduct_definition(sum_chain_program, sum_split_program):
+    programs = [sum_chain_program, sum_split_program, parse("p :- #count{1:p & q} < 1."), parse("p :- #sum{1:p} >= 0.")]
+    for s in range(150):
+        cfg = GeneratorConfig(atoms=1 + s % 5, rules=1 + s % 4, aggregate_probability=0.6,
+                              disjunction_width=1 + s // 5 % 2, seed=s)
+        p = generate_program(cfg)
+        if not classify(p).has_negated_aggregates:
+            programs.append(p)
+    assert sum(classify(p).has_aggregates for p in programs) >= 40
+    assert sum(bool(gz_answer_sets_reference(p)) for p in programs if classify(p).has_aggregates) >= 30
+    for p in programs:
+        assert sem.gz_answer_sets(p) == gz_answer_sets_reference(p), p.text
 
 
 def test_gz_answer_sets_equal_total_stable_on_aggregate_free_corpus():
