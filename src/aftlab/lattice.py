@@ -187,6 +187,16 @@ def submasks(m: int) -> Iterator[int]:
         t = (t - m) & m
 
 
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The minimal masks among masks given in increasing order: a proper
+    submask is a smaller number, so it comes first."""
+    kept: list[int] = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
     """The consistent mask pairs (a, b) >=_i the consistent pair (xm, ym),
     that is xm <= a <= b <= ym, in increasing (a, b) order: 3^|ym - xm| many."""

@@ -6,9 +6,10 @@ plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
 pair). The sweeps read the operators from tables instead, built on the
-program's masks: the four-valued ones from its `RuleTables`, the
-interval-based ones from its `HeadTables` (both kept on its compiled form)
-and the per-sweep `interval_tables`.
+program's masks: its one `RuleTables`, kept on its compiled form, and for
+the interval-based operators the per-sweep `interval_tables` built from it.
+The four-valued sweeps of a program that is not plain test the fired heads
+(`contains`, `smyth_below`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 from operator import and_, eq, or_
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import four, program as prog
 from .four import Truth
@@ -24,10 +25,12 @@ from .lattice import (
     AftlabError,
     ApproxPair,
     AtomSet,
+    AtomUniverse,
     InconsistentPairError,
     NdPair,
     NdSet,
     along_digit,
+    minimal_masks,
     pair_numbers,
 )
 from .program import Program, ProgramClassError
@@ -43,8 +46,8 @@ class OperatorKind(Enum):
 
 
 # The four-valued operators. Their sweeps read the program's `RuleTables`
-# when every body is conjunctive and aggregate-free, and otherwise test
-# membership on the fired heads (`contains`, `smyth_below`).
+# when it is plain, and otherwise test membership on the fired heads
+# (`contains`, `smyth_below`).
 FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
 
 
@@ -253,91 +256,34 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     return NdPair(frozenset((frozenset(),)), frozenset((p.universe.full(),)))
 
 
-class _Heads:
-    """Head masks, bit j standing for `heads[j]`, and the atoms of any set of
-    them, kept per set."""
-
-    __slots__ = ("heads", "_covers")
-
-    def __init__(self, heads: tuple[int, ...]):
-        self.heads = heads
-        self._covers: dict[int, int] = {}
-
-    def covered(self, c: int) -> int:
-        """The atoms of the heads in c."""
-        atoms = self._covers.get(c)
-        if atoms is None:
-            atoms = 0
-            for j, h in enumerate(self.heads):
-                if c >> j & 1:
-                    atoms |= h
-            self._covers[c] = atoms
-        return atoms
+def _shared(values: Iterable[int]) -> list[int]:
+    """The values as a list holding one object per distinct value."""
+    one: dict[int, int] = {}
+    return [one.setdefault(v, v) for v in values]
 
 
-class HeadTables(_Heads):
-    """The heads a program fires at every total set (`head_tables`). A head
-    class is a distinct head mask, class j being bit j. `fired[z]` holds the
-    classes of the rules whose bodies hold at z (`CompiledRule.holds`, so
-    aggregates and formula bodies are read exactly) and `missed[w]` the
-    classes that w misses."""
+class RuleTables:
+    """What a program fires and misses at each of the 2^n sets, as rule
+    bitmasks, rule k being bit k (`rule_tables`). `pos_in[x]` holds the rules
+    whose pos lies within x, `neg_out[y]` those whose neg misses y, and
+    `head_out[w]` those whose head misses w; each takes n doublings, one per
+    atom. `fired[z]` holds the rules whose bodies hold at z
+    (`CompiledRule.holds`): `pos_in[z] & neg_out[z]`, less the rules with an
+    aggregate literal or a general body that does not hold there, the only
+    rules that call `holds`. The program is `plain` when it has no such rule.
 
-    __slots__ = ("fired", "missed")
+    On a plain program the rules `pos_in[x] & neg_out[y]` fire on the lower
+    side of `ic` at (x, y) and `pos_in[y] & neg_out[x]` on its upper side,
+    and `violated[x]`, which is `pos_in[x] & head_out[x]`, holds the rules x
+    violates unless their negation is blocked."""
 
-    def __init__(self, p: Program):
-        u = p.universe
-        rules = p.compile().rules
-        bit: dict[int, int] = {}
-        for r in rules:
-            bit.setdefault(r.head_mask, 1 << len(bit))
-        super().__init__(tuple(bit))
-        self.fired: list[int] = []
-        for z in range(1 << len(u)):
-            fired = 0
-            for r in rules:
-                if r.holds(u, z):
-                    fired |= bit[r.head_mask]
-            self.fired.append(fired)
-        self.missed = [(1 << len(bit)) - 1]
-        for i in range(len(u)):
-            meeting = sum(b for h, b in bit.items() if h >> i & 1)
-            self.missed += [m & ~meeting for m in self.missed]
+    __slots__ = ("heads", "pos_in", "neg_out", "head_out", "violated", "fired", "plain", "_covers", "_models")
 
-    def member(self, w: int, c: int) -> bool:
-        """Whether w is a hitting set of the classes c: it lies within their
-        atoms and meets each of them."""
-        return not (c & self.missed[w] or w & ~self.covered(c))
-
-
-def head_tables(p: Program) -> HeadTables:
-    """The program's `HeadTables`, built by the first sweep that asks and then
-    kept on its compiled form."""
-    compiled = p.compile()
-    if compiled.heads is None:
-        compiled.heads = HeadTables(p)
-    return compiled.heads
-
-
-class RuleTables(_Heads):
-    """Three rule bitmasks over the 2^n sets of a program whose bodies are
-    all conjunctive and aggregate-free (`rule_tables`), rule k being bit k:
-    `pos_in[x]` holds the rules whose pos lies within x, `neg_out[y]` those
-    whose neg misses y, and `head_out[x]` those whose head misses x. So the
-    rules `pos_in[x] & neg_out[y]` fire on the lower side of `ic` at (x, y)
-    and `pos_in[y] & neg_out[x]` on its upper side, and `violated[x]`, which
-    is `pos_in[x] & head_out[x]`, holds the rules x violates unless their
-    negation is blocked.
-
-    Each table takes n doublings, one per atom, as `HeadTables.missed`
-    does."""
-
-    __slots__ = ("pos_in", "neg_out", "head_out", "violated", "_models")
-
-    def __init__(self, rules: tuple[prog.CompiledRule, ...], n: int):
-        super().__init__(tuple(r.head_mask for r in rules))
+    def __init__(self, u: AtomUniverse, rules: tuple[prog.CompiledRule, ...]):
+        self.heads = tuple(r.head_mask for r in rules)
         every = (1 << len(rules)) - 1
         pos_in, neg_out, head_out = [every], [every], [every]
-        for i in range(n):
+        for i in range(len(u)):
             bit = 1 << i
             with_pos = sum(1 << k for k, r in enumerate(rules) if r.pos & bit)
             with_neg = sum(1 << k for k, r in enumerate(rules) if r.neg & bit)
@@ -345,9 +291,30 @@ class RuleTables(_Heads):
             pos_in = [m & ~with_pos for m in pos_in] + pos_in
             neg_out += [m & ~with_neg for m in neg_out]
             head_out += [m & ~with_head for m in head_out]
-        self.pos_in, self.neg_out, self.head_out = pos_in, neg_out, head_out
-        self.violated = list(map(and_, pos_in, head_out))
+        fired = list(map(and_, pos_in, neg_out))
+        read = [(1 << k, r) for k, r in enumerate(rules) if r.formula is not None or r.aggs]
+        self.plain = not read
+        for bit, r in read:
+            for z, f in enumerate(fired):
+                if f & bit and not r.holds(u, z):
+                    fired[z] = f & ~bit
+        # Each table takes few distinct values over the 2^n sets; holding one
+        # int per value keeps it near the size of its 2^n references.
+        self.pos_in, self.neg_out, self.head_out, self.fired = map(_shared, (pos_in, neg_out, head_out, fired))
+        self.violated = _shared(map(and_, pos_in, head_out))
+        self._covers: dict[int, int] = {}
         self._models: dict[int, tuple[int, ...]] = {}
+
+    def covered(self, f: int) -> int:
+        """The atoms of the heads of the rules f, kept per f."""
+        atoms = self._covers.get(f)
+        if atoms is None:
+            atoms = 0
+            for k, h in enumerate(self.heads):
+                if f >> k & 1:
+                    atoms |= h
+            self._covers[f] = atoms
+        return atoms
 
     def member(self, w: int, f: int) -> bool:
         """Whether w is a hitting set of the heads of the rules f: it meets
@@ -356,31 +323,26 @@ class RuleTables(_Heads):
 
     def minimal_models(self, live: int) -> tuple[int, ...]:
         """The minimal sets s with `violated[s] & live == 0`, in increasing
-        order, kept per `live`. With live = neg_out[y] these are the minimal
-        models of the reduct P^y (Gelfond and Lifschitz, 1991), which are the
-        complete lower stable value of `ic` at y: every member of the lower
-        set at (x, y) is a model, and every minimal model is a member, since
-        it is supported and so lies within the heads fired at (x, y). With
-        live = neg_out[x] they are the complete upper stable value at x."""
+        order, kept per `live`; read on plain programs. With live = neg_out[y]
+        these are the minimal models of the reduct P^y (Gelfond and
+        Lifschitz, 1991), which are the complete lower stable value of `ic` at
+        y: every member of the lower set at (x, y) is a model, and every
+        minimal model is a member, since it is supported and so lies within
+        the heads fired at (x, y). With live = neg_out[x] they are the
+        complete upper stable value at x."""
         models = self._models.get(live)
         if models is None:
-            kept: list[int] = []
-            for s, v in enumerate(self.violated):
-                if not v & live and not any(k & s == k for k in kept):
-                    kept.append(s)
-            models = self._models[live] = tuple(kept)
+            found = minimal_masks(s for s, v in enumerate(self.violated) if not v & live)
+            models = self._models[live] = tuple(found)
         return models
 
 
-def rule_tables(p: Program) -> RuleTables | None:
+def rule_tables(p: Program) -> RuleTables:
     """The program's `RuleTables`, built by the first sweep that asks and then
-    kept on its compiled form; None when some body has a general formula or
-    an aggregate literal, which only `_fired` reads."""
+    kept on its compiled form."""
     compiled = p.compile()
     if compiled.rule_tables is None:
-        if any(r.formula is not None or r.aggs for r in compiled.rules):
-            return None
-        compiled.rule_tables = RuleTables(compiled.rules, len(p.universe))
+        compiled.rule_tables = RuleTables(p.universe, compiled.rules)
     return compiled.rule_tables
 
 
@@ -416,12 +378,15 @@ class PairTables(NamedTuple):
     smyth: list[bool]
 
 
-def interval_tables(kind: OperatorKind, heads: HeadTables) -> PairTables:
-    """The tables of a consistent-only operator, from the heads its program
-    fires:
+def interval_tables(kind: OperatorKind, tables: RuleTables) -> PairTables:
+    """The tables of a consistent-only operator, from the rules its program
+    fires (`RuleTables.fired`):
 
-    - `dmt`: the AND and the OR of the fired classes over each interval are
-      its lower and upper heads;
+    - `dmt`: the AND and the OR of the fired rules over each interval are
+      its lower and upper heads. A head is activated at z when any of its
+      rules fires, so each fired mask is first widened to every rule with
+      the same head as one of its rules, which makes the AND a fold of
+      heads;
     - `dmt-det`: the AND and the OR of the fired atoms are its two sets;
     - `ultimate`: x is in its set at (x, y) iff x hits the heads fired at
       some z in [x, y]. Each test is marked at z = y (for the upper side, at
@@ -429,23 +394,28 @@ def interval_tables(kind: OperatorKind, heads: HeadTables) -> PairTables:
       supersets of x within the subsets of y), one digit at a time;
     - `gz`: exact on total pairs, ({∅}, {A}) elsewhere.
     """
-    member, missed, fired = heads.member, heads.missed, heads.fired
+    member, head_out, fired = tables.member, tables.head_out, tables.fired
     n = len(fired).bit_length() - 1
     weight, xs, ys = pair_numbers(n)
     if kind is OperatorKind.DMT:
-        meet, join = interval_folds(fired, weight)
+        heads = tables.heads
+        widened: dict[int, int] = {}
+        for f in set(fired):
+            hit = {h for k, h in enumerate(heads) if f >> k & 1}
+            widened[f] = sum(1 << k for k, h in enumerate(heads) if h in hit)
+        meet, join = interval_folds([widened[f] for f in fired], weight)
         lower = list(map(member, xs, meet))
         upper = list(map(member, ys, join))
-        smyth = [not c & missed[x] for x, c in zip(xs, meet)]
+        smyth = [not f & head_out[x] for x, f in zip(xs, meet)]
     elif kind is OperatorKind.DMT_DET:
-        meet, join = interval_folds(list(map(heads.covered, fired)), weight)
+        meet, join = interval_folds(list(map(tables.covered, fired)), weight)
         lower = list(map(eq, xs, meet))
         upper = list(map(eq, ys, join))
         smyth = [not m & ~x for x, m in zip(xs, meet)]
     elif kind is OperatorKind.ULTIMATE:
         lower = [member(x, fired[y]) for x, y in zip(xs, ys)]
         upper = [member(y, fired[x]) for x, y in zip(xs, ys)]
-        smyth = [not fired[y] & missed[x] for x, y in zip(xs, ys)]
+        smyth = [not fired[y] & head_out[x] for x, y in zip(xs, ys)]
         for a in range(n):
             along_digit(lower, a, or_, 0, -1)
             along_digit(upper, a, or_, 0, 1)
@@ -454,7 +424,7 @@ def interval_tables(kind: OperatorKind, heads: HeadTables) -> PairTables:
         full = len(fired) - 1
         lower = [member(x, fired[x]) if x == y else not x for x, y in zip(xs, ys)]
         upper = [member(y, fired[y]) if x == y else y == full for x, y in zip(xs, ys)]
-        smyth = [x != y or not fired[x] & missed[x] for x, y in zip(xs, ys)]
+        smyth = [x != y or not fired[x] & head_out[x] for x, y in zip(xs, ys)]
     else:
         raise AftlabError(f"operator {kind.value!r} has no interval tables")
     return PairTables(weight, lower, upper, smyth)

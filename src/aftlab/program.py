@@ -262,17 +262,17 @@ class CompiledAggregate:
 
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`,
-    and the atom cap it was accepted under. `heads` and `rule_tables` keep the
-    program's `operators.HeadTables` and `operators.RuleTables` once a sweep
-    has built them (`operators.head_tables`, `operators.rule_tables`)."""
+    and the atom cap it was accepted under. `rule_tables` keeps the program's
+    `operators.RuleTables`, every sweep's one table object, once a sweep has
+    built it (`operators.rule_tables`)."""
 
-    __slots__ = ("rules", "classification", "cap", "heads", "rule_tables")
+    __slots__ = ("rules", "classification", "cap", "rule_tables")
 
     def __init__(self, p: Program):
-        _check_depth(p.rules)
+        _check_rules(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
         self.classification = classify(p)
-        self.heads = self.rule_tables = None
+        self.rule_tables = None
 
 
 def _rule_atoms(rule: Rule) -> set[str]:
@@ -289,8 +289,12 @@ def _rule_atoms(rule: Rule) -> set[str]:
     return atoms
 
 
-def _check_depth(rules: tuple[Rule, ...]) -> None:
+def _check_rules(rules: tuple[Rule, ...]) -> None:
+    """Refuse a rule with an empty head, which no set hits and the printer
+    cannot write, and a formula body nested deeper than `MAX_FORMULA_DEPTH`."""
     for rule in rules:
+        if not rule.head:
+            raise AftlabError("a rule needs at least one head atom")
         if isinstance(rule.body, GeneralFormula) and four.formula_depth(rule.body.formula) > MAX_FORMULA_DEPTH:
             raise FormulaDepthError(
                 f"the body of a rule with head {' | '.join(rule.head)} nests deeper than {MAX_FORMULA_DEPTH} levels"
@@ -299,10 +303,10 @@ def _check_depth(rules: tuple[Rule, ...]) -> None:
 
 def make_program(rules: tuple[Rule, ...], universe: AtomUniverse | None = None) -> Program:
     """A program of the rules, over the atoms they mention unless a universe
-    is given. Formula bodies nested deeper than `MAX_FORMULA_DEPTH` are
-    refused, as the parser refuses them, before anything recurses into
-    them."""
-    _check_depth(rules)
+    is given. Empty heads and formula bodies nested deeper than
+    `MAX_FORMULA_DEPTH` are refused, as the parser refuses them, before
+    anything recurses into them."""
+    _check_rules(rules)
     if universe is None:
         atoms: set[str] = set()
         for rule in rules:

@@ -5,11 +5,11 @@ and GZ answer sets as minimal models of the reduct.
 
 Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
 total interpretations); n is bounded by the atom cap. The sweeps iterate
-masks. Those of the four-valued operators read the program's rule tables
-(`operators.rule_tables`) when every body is conjunctive and
-aggregate-free, and otherwise test membership on the fired heads
-(`operators.contains`, `operators.smyth_below`); those of the
-consistent-only operators read tables built once per sweep
+masks and read the program's rule tables (`operators.rule_tables`). Those
+of the four-valued operators read them directly when the program is plain
+(every body conjunctive and aggregate-free), and otherwise test membership
+on the fired heads (`operators.contains`, `operators.smyth_below`); those of
+the consistent-only operators read tables built from them once per sweep
 (`operators.interval_tables`). Sets are built only for the models returned.
 """
 
@@ -28,6 +28,7 @@ from .lattice import (
     leq_i,
     leq_t,
     masks_below_t,
+    minimal_masks,
     submasks,
 )
 from .operators import OperatorKind
@@ -48,9 +49,9 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
+    tables = ops.rule_tables(p)
     if kind in ops.FOUR_VALUED:
-        tables = ops.rule_tables(p)
-        if tables is not None:
+        if tables.plain:
             # x is a lower member at (x, y) iff it hits the heads of the rules
             # pos_in[x] & neg_out[y]; y an upper one likewise, x and y swapped.
             pos_in, neg_out, member = tables.pos_in, tables.neg_out, tables.member
@@ -64,7 +65,7 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
             for xm, ym in u.consistent_masks()
             if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
         ]
-    weight, lower, upper, _ = ops.interval_tables(kind, ops.head_tables(p))
+    weight, lower, upper, _ = ops.interval_tables(kind, tables)
     return [
         u.pair(xm, ym)
         for xm, ym in u.consistent_masks()
@@ -83,16 +84,6 @@ def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
     return frozenset(s for s in collected if not any(t < s for t in collected))
 
 
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    """The minimal masks among masks given in increasing order: a proper
-    submask is a smaller number, so it comes first."""
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
 def _stable_values(
     kind: OperatorKind, p: Program
 ) -> tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
@@ -103,26 +94,26 @@ def _stable_values(
     Candidates range over the operator's domain: everything for the total
     four-valued operators, the subsets of y (supersets of x) for the
     consistent-only ones, whose tests are read from their interval tables.
-    With rule tables both four-valued values are the minimal models of the
+    On a plain program both four-valued values are the minimal models of the
     reduct at the other side, kept per distinct `neg_out` mask
     (`operators.RuleTables.minimal_models`).
     """
     n = len(p.universe)
+    tables = ops.rule_tables(p)
     if kind in ops.FOUR_VALUED:
-        tables = ops.rule_tables(p)
-        if tables is not None:
+        if tables.plain:
             neg_out, minimal_models = tables.neg_out, tables.minimal_models
             return (lambda ym: minimal_models(neg_out[ym]), lambda xm: minimal_models(neg_out[xm]))
         every = range(1 << n)
         return (
-            lambda ym: _minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
-            lambda xm: _minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
+            lambda ym: minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
+            lambda xm: minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
         )
-    weight, lower, upper, _ = ops.interval_tables(kind, ops.head_tables(p))
+    weight, lower, upper, _ = ops.interval_tables(kind, tables)
     full = (1 << n) - 1
     return (
-        lambda ym: _minimal_masks(xm for xm in submasks(ym) if lower[weight[xm] + weight[ym]]),
-        lambda xm: _minimal_masks(xm | d for d in submasks(full & ~xm) if upper[weight[xm] + weight[xm | d]]),
+        lambda ym: minimal_masks(xm for xm in submasks(ym) if lower[weight[xm] + weight[ym]]),
+        lambda xm: minimal_masks(xm | d for d in submasks(full & ~xm) if upper[weight[xm] + weight[xm | d]]),
     )
 
 
@@ -228,29 +219,26 @@ def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     sense) and x covering the operator's lower value.
 
     y is closed iff some member of ic(y), the hitting sets of hd(y), lies
-    within y, that is iff y misses no head class fired at y. With rule tables
-    that is `violated[y] & neg_out[y] == 0`, and the Smyth test of `ic` and
-    `ic-triv` at (x, y) is `violated[x] & neg_out[y] == 0`."""
+    within y, that is iff y misses the head of no rule fired at y:
+    `fired[y] & head_out[y] == 0`. On a plain program the Smyth test of `ic`
+    and `ic-triv` at (x, y) is `violated[x] & neg_out[y] == 0`."""
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
-    tables = ops.rule_tables(p) if kind in ops.FOUR_VALUED else None
-    if tables is not None:
-        violated, neg_out = tables.violated, tables.neg_out
-        return [
-            u.pair(xm, ym)
-            for xm, ym in u.consistent_masks()
-            if not violated[ym] & neg_out[ym] and not violated[xm] & neg_out[ym]
-        ]
-    heads = ops.head_tables(p)
-    closed = [not c & m for c, m in zip(heads.fired, heads.missed)]
+    tables = ops.rule_tables(p)
+    closed = [not f & m for f, m in zip(tables.fired, tables.head_out)]
     if kind in ops.FOUR_VALUED:
+        if tables.plain:
+            violated, neg_out = tables.violated, tables.neg_out
+            return [
+                u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and not violated[xm] & neg_out[ym]
+            ]
         return [
             u.pair(xm, ym)
             for xm, ym in u.consistent_masks()
             if closed[ym] and ops.smyth_below(p, xm, ym, xm)
         ]
-    weight, _, _, smyth = ops.interval_tables(kind, heads)
+    weight, _, _, smyth = ops.interval_tables(kind, tables)
     return [
         u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and smyth[weight[xm] + weight[ym]]
     ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import combinations
 from operator import and_, or_
 
 import pytest
@@ -88,9 +89,26 @@ def test_programs_cover_every_class():
     assert {"PositiveAgg", "NegatedAgg", "PositiveAtom", "NegatedAtom"} <= literals
     assert {len(p.universe) for p in PROGRAMS} >= {1, 2, 3, 4, 5}
     assert sum(kind is OperatorKind.DMT_DET for _, kind in cases()) >= 10
-    # Both paths of the four-valued sweeps: rule tables and fired heads.
-    paths = {(kind, ops.rule_tables(p) is None) for p, kind in cases() if kind in FOUR_VALUED_KINDS}
-    assert paths == {(kind, fallback) for kind in FOUR_VALUED_KINDS for fallback in (False, True)}
+    # Both paths of the four-valued sweeps: plain rule tables and fired heads.
+    paths = {(kind, ops.rule_tables(p).plain) for p, kind in cases() if kind in FOUR_VALUED_KINDS}
+    assert paths == {(kind, plain) for kind in FOUR_VALUED_KINDS for plain in (False, True)}
+    # Two rules with one head that fire at different sets, where the `dmt`
+    # fold must run per head rather than per rule.
+    assert any(
+        fired >> j & 1 != fired >> k & 1
+        for p in PROGRAMS
+        for j, k in combinations(range(len(p.rules)), 2)
+        if p.rules[j].head == p.rules[k].head
+        for fired in ops.rule_tables(p).fired
+    )
+
+
+def test_fired_rules_have_the_heads_of_hd():
+    for p in PROGRAMS:
+        tables = ops.rule_tables(p)
+        for z in p.universe.subsets():
+            fired = tables.fired[p.universe.mask(z)]
+            assert {r.head_set() for k, r in enumerate(p.rules) if fired >> k & 1} == ops.hd(p, z)
 
 
 @pytest.mark.parametrize("values", [[0b101, 0b110, 0b011, 0b111, 0b001, 0b100, 0b010, 0b000], [3, 1], [5]])
@@ -224,67 +242,27 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     assert calls["interval"] == 1 and calls["hitting_sets"] == 2
 
 
-def test_each_program_builds_its_head_tables_once(monkeypatch):
+def test_each_program_builds_its_rule_tables_once(monkeypatch):
+    """One `RuleTables` per program, shared by every operator, sweep and
+    complete stable value."""
     builds = []
 
-    class Counting(ops.HeadTables):
+    class Counting(ops.RuleTables):
         __slots__ = ()
 
-        def __init__(self, p):
-            builds.append(p)
-            super().__init__(p)
+        def __init__(self, u, rules):
+            builds.append(rules)
+            super().__init__(u, rules)
 
-    monkeypatch.setattr(ops, "HeadTables", Counting)
+    monkeypatch.setattr(ops, "RuleTables", Counting)
     for original in PROGRAMS:
         p = make_program(original.rules, original.universe)
-        for kind in (*INTERVAL_KINDS, OperatorKind.IC_TRIV):
-            if kind is OperatorKind.DMT_DET and any(len(r.head) > 1 for r in p.rules):
-                continue
+        for kind in [kind for q, kind in cases() if q is original]:
             sem.fixpoints(kind, p)
             sem.stable_fixpoints(kind, p)
             sem.ht_pairs(kind, p)
             for s in p.universe.subsets():
                 sem.complete_lower_stable(kind, p, s)
                 sem.complete_upper_stable(kind, p, s)
-        assert builds == [p]
+        assert builds == [p.compile().rules]
         builds.clear()
-
-
-def test_each_program_builds_its_rule_tables_once(monkeypatch):
-    """Rule tables are built once per program whose bodies are all
-    conjunctive and aggregate-free, and never for any other; the four-valued
-    sweeps of such a program build no head tables."""
-    builds = {"rule": [], "head": []}
-
-    class CountingRules(ops.RuleTables):
-        __slots__ = ()
-
-        def __init__(self, rules, n):
-            builds["rule"].append(rules)
-            super().__init__(rules, n)
-
-    class CountingHeads(ops.HeadTables):
-        __slots__ = ()
-
-        def __init__(self, p):
-            builds["head"].append(p)
-            super().__init__(p)
-
-    monkeypatch.setattr(ops, "RuleTables", CountingRules)
-    monkeypatch.setattr(ops, "HeadTables", CountingHeads)
-    for original in PROGRAMS:
-        p = make_program(original.rules, original.universe)
-        plain = all(r.formula is None and not r.aggs for r in p.compile().rules)
-        for kind in FOUR_VALUED_KINDS:
-            if kind is OperatorKind.IC and p.compile().classification.has_aggregates:
-                continue
-            sem.fixpoints(kind, p)
-            sem.stable_fixpoints(kind, p)
-            sem.ht_pairs(kind, p)
-            for s in p.universe.subsets():
-                sem.complete_lower_stable(kind, p, s)
-                sem.complete_upper_stable(kind, p, s)
-        assert builds["rule"] == ([p.compile().rules] if plain else [])
-        assert builds["head"] == ([] if plain else [p])
-        builds["rule"].clear()
-        builds["head"].clear()

@@ -5,7 +5,7 @@ import pytest
 from aftlab import corpus, four
 from aftlab.four import Const, Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import ApproxPair, AtomUniverse, UnknownAtomError
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, UnknownAtomError
 from aftlab.operators import OperatorKind
 from aftlab.program import (
     MAX_FORMULA_DEPTH,
@@ -316,3 +316,11 @@ def test_formulas_built_deeper_than_the_bound_are_refused(step):
     at_bound = make_program((Rule(("p",), GeneralFormula(_deep(step, MAX_FORMULA_DEPTH))),))
     assert four.formula_depth(at_bound.rules[0].body.formula) == MAX_FORMULA_DEPTH
     assert at_bound.compile().rules[0].formula is not None
+
+
+def test_rules_with_an_empty_head_are_refused():
+    rules = (Rule((), Conj(())), Rule(("p",), Conj(())))
+    with pytest.raises(AftlabError, match="head"):
+        make_program(rules, AtomUniverse.of(["p"]))
+    with pytest.raises(AftlabError, match="head"):
+        Program(rules, AtomUniverse.of(["p"])).compile()
