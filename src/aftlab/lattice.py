@@ -1,8 +1,8 @@
 """Finite powerset lattice: atom universes, the pair orders, the set-lifted
 orders (also as one AND on precision codes), lattice difference, and
 deterministic enumeration of intervals and consistent pairs, also as pairs of
-masks and along the two orders, and a numbering of the consistent pairs for
-tables with one entry per pair.
+masks and along the two orders, and bit planes over the consistent pairs,
+one bit per pair.
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
 ordering (lexicographic) that every enumeration and rendering follows, atom i
@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 AtomSet = frozenset[str]
 NdSet = frozenset[AtomSet]
@@ -225,37 +225,152 @@ def masks_below_t(xm: int, ym: int) -> Iterator[tuple[int, int]]:
         b = (b - 1) & ym
 
 
-def pair_numbers(n: int) -> tuple[list[int], list[int], list[int]]:
-    """A numbering of the 3^n consistent mask pairs over n atoms, so that a
-    list of 3^n entries holds one value per pair. The pair (x, y) is number
-    `weight[x] + weight[y]`: its base-3 digit i is 2 when atom i is in x, 1
-    when it is in y but not in x, and 0 otherwise. `lowers[k]` and
-    `uppers[k]` give back the x and y of number k."""
-    weight, lowers, uppers = [0], [0], [0]
-    for i in range(n):
-        bit, step = 1 << i, 3**i
-        weight += [w + step for w in weight]
-        lowers += lowers + [x | bit for x in lowers]
-        uppers += [y | bit for y in uppers] * 2
-    return weight, lowers, uppers
+class DigitPlanes:
+    """Bit planes over the 3^n consistent pairs of n atoms (`digit_planes`).
+    Pair (x, y) is number k, whose base-3 digit i is 2, 1 or 0 as atom i is
+    in x, in y - x or outside y; a plane is an int of 3^n bits, bit k for
+    pair k, so one int operation reads or writes every pair at once, the
+    bit-parallel technique of Baeza-Yates and Gonnet ("A new approach to text
+    searching", CACM 1992). `d0[i]`, `d1[i]` and `d2[i]` mark the pairs whose
+    digit i is 0, 1 and 2, `total` those with x = y and `full` every pair.
+    Only `d1` is kept; `d0` and `d2`, the same runs one run lower and
+    higher, and `total` are built from it when asked, so the instance that
+    `digit_planes` keeps per n holds n planes (2n once `spread` is used).
+
+    The pair (x, y - a) is number k - 3^a and (x + a, y) is k + 3^a, so a
+    shift by 3^a moves every pair's value to its neighbour along atom a. The
+    folds and closures below take one such shift per atom: the subset-lattice
+    zeta transform (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+    Möbius", STOC 2007) run on every pair at once."""
+
+    __slots__ = ("n", "steps", "d1", "_spread", "_decode")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.steps = tuple(3**i for i in range(n))
+        self.d1 = tuple(self._repeat(((1 << s) - 1) << s, 3 * s) for s in self.steps)
+        self._spread: tuple[int, ...] | None = None
+        low = n // 2
+        self._decode = (3**low, _pair_keys(n, range(low)), _pair_keys(n, range(low, n)))
+
+    @property
+    def full(self) -> int:
+        return (1 << 3**self.n) - 1
+
+    @property
+    def total(self) -> int:
+        total = self.full
+        for d in self.d1:
+            total &= ~d
+        return total
+
+    @property
+    def d0(self) -> tuple[int, ...]:
+        return tuple(d >> s for d, s in zip(self.d1, self.steps))
+
+    @property
+    def d2(self) -> tuple[int, ...]:
+        return tuple(d << s for d, s in zip(self.d1, self.steps))
+
+    def _repeat(self, block: int, period: int) -> int:
+        """The block, within [0, period), repeated every period bits by
+        shift-or doubling, cut at 3^n bits."""
+        while period < 3**self.n:
+            block |= block << period
+            period *= 2
+        return block & self.full
+
+    def spread(self, sets: int) -> int:
+        """The plane marking the total pair (z, z) for each set z in `sets`, an
+        int with bit z for the set with mask z. Bit z moves to the number of
+        (z, z), 2 * sum_{i in z} 3^i, by one masked shift per atom, highest
+        first. Before atom i is placed, the set z sits at
+        sum_{j>i} 2*3^j z_j + sum_{j<=i} 2^j z_j, which has atom i iff it lies
+        in [2^i, 2^(i+1)) modulo 2*3^(i+1)."""
+        if self._spread is None:
+            runs = [((1 << (1 << i)) - 1) << (1 << i) for i in range(self.n)]
+            self._spread = tuple(self._repeat(run, 2 * 3 ** (i + 1)) for i, run in enumerate(runs))
+        for i in reversed(range(self.n)):
+            at = self._spread[i]
+            sets = sets & ~at | (sets & at) << (2 * 3**i - (1 << i))
+        return sets
+
+    def fold(self, plane: int, meet: bool) -> int:
+        """The AND (meet) or OR of the plane's total pairs over each interval:
+        pair (x, y) gets the AND (OR) of the bits at (z, z) for z in [x, y]
+        (other bits are ignored). With a the highest atom of y - x, [x, y]
+        splits into [x, y - a] and [x + a, y], so F(x, y) = F(x, y - a) (op)
+        F(x + a, y): the pass of atom a writes every pair with a in y - x,
+        ascending, so the two halves a pair's last pass reads are final."""
+        for s, d1 in zip(self.steps, self.d1):
+            half = (plane << s) & (plane >> s) if meet else (plane << s) | (plane >> s)
+            plane = plane & ~d1 | d1 & half
+        return plane
+
+    def below_y(self, plane: int) -> int:
+        """Pair (x, y) marked iff some (x, z) with z in [x, y] is."""
+        for s, d1 in zip(self.steps, self.d1):
+            plane |= d1 & (plane << s)
+        return plane
+
+    def above_x(self, plane: int) -> int:
+        """Pair (x, y) marked iff some (z, y) with z in [x, y] is."""
+        for s, d1 in zip(self.steps, self.d1):
+            plane |= d1 & (plane >> s)
+        return plane
+
+    def minimal_x(self, plane: int) -> int:
+        """The marked pairs (x, y) with no marked (w, y), w a proper subset of
+        x. `closed` marks (x, y) when some (w, y) with w within x is marked;
+        (x, y) has a marked proper subset iff some atom a of x has (x - a, y)
+        in `closed`."""
+        closed, runs = plane, tuple(zip(self.steps, self.d2))
+        for s, d2 in runs:
+            closed |= d2 & (closed << s)
+        for s, d2 in runs:
+            plane &= ~(d2 & (closed << s))
+        return plane
+
+    def minimal_y(self, plane: int) -> int:
+        """The marked pairs (x, y) with no marked (x, z), z a proper subset of
+        y."""
+        closed = self.below_y(plane)
+        for s, d1 in zip(self.steps, self.d1):
+            plane &= ~(d1 & (closed << s))
+        return plane
+
+    def pairs(self, plane: int) -> Iterator[tuple[int, int]]:
+        """The (x, y) masks of the marked pairs, in increasing order. Only the
+        set bits are visited: the digits of each pair number are split at
+        digit n // 2 and read from two tables of 3^(n/2) entries, which give
+        x << n | y, a key in (x, y) order."""
+        base, low_keys, high_keys = self._decode
+        bits = bin(plane)[:1:-1]
+        keys = []
+        k = bits.find("1")
+        while k >= 0:
+            high, low = divmod(k, base)
+            keys.append(high_keys[high] | low_keys[low])
+            k = bits.find("1", k + 1)
+        keys.sort()
+        n, y = self.n, (1 << self.n) - 1
+        return ((key >> n, key & y) for key in keys)
 
 
-def along_digit(table: list, digit: int, fn: Callable, near: int, far: int) -> None:
-    """Set table[k] = fn(table[k + near * 3^digit], table[k + far * 3^digit])
-    for every pair number k (`pair_numbers`) whose digit `digit` is 1, that is
-    whose atom `digit` is in y but not in x. An offset of -1 reads the pair
-    with that atom out of y, 0 the pair k itself and 1 the pair with the atom
-    in x. Those numbers form runs of 3^digit at a stride of 3^(digit+1); each
-    run, or each offset within the runs, whichever are fewer, is one slice."""
-    run = 3**digit
-    stride = 3 * run
-    near, far = near * run, far * run
-    if run <= len(table) // stride:
-        for k in range(run, 2 * run):
-            table[k::stride] = map(fn, table[k + near :: stride], table[k + far :: stride])
-    else:
-        for k in range(run, len(table), stride):
-            table[k : k + run] = map(fn, table[k + near : k + near + run], table[k + far : k + far + run])
+def _pair_keys(n: int, atoms: range) -> list[int]:
+    """x << n | y for each number of a pair (x, y) over the given atoms, whose
+    lowest is digit 0."""
+    keys = [0]
+    for i in atoms:
+        y = 1 << i
+        keys = keys + [k | y for k in keys] + [k | y << n | y for k in keys]
+    return keys
+
+
+@cache
+def digit_planes(n: int) -> DigitPlanes:
+    """The digit planes over n atoms, built once per n on first use."""
+    return DigitPlanes(n)
 
 
 def leq_t(a: ApproxPair, b: ApproxPair) -> bool:
@@ -310,7 +425,7 @@ def _closure_steps(n: int) -> tuple[tuple[int, int, int], ...]:
 def precision_code(u: AtomUniverse, value: NdPair) -> PrecisionCode:
     """The precision code of an operator value. The lower set's up-closure and
     the upper set's down-closure are the OR form of the subset zeta transform
-    (`operators.interval_folds`): one shift-and-or pass per atom."""
+    (`DigitPlanes`): one shift-and-or pass per atom."""
     size = 1 << len(u)
     mask = u.mask
     members = 0

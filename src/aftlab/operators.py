@@ -6,18 +6,19 @@ plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
 pair). The sweeps read the operators from tables instead, built on the
-program's masks: its one `RuleTables`, kept on its compiled form, and for
-the interval-based operators the per-sweep `interval_tables` built from it.
-The four-valued sweeps of a program that is not plain test the fired heads
-(`contains`, `smyth_below`).
+program's masks and kept on its compiled form: its one `RuleTables`, and for
+each interval-based operator its `PairPlanes`, bit planes with one bit per
+consistent pair (`interval_tables`, `pair_planes`). The four-valued sweeps of
+a program that is not plain test the fired heads (`contains`,
+`smyth_below`).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from operator import and_, eq, or_
-from typing import Iterable, Iterator, NamedTuple
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 from . import four, program as prog
 from .four import Truth
@@ -26,12 +27,12 @@ from .lattice import (
     ApproxPair,
     AtomSet,
     AtomUniverse,
+    DigitPlanes,
     InconsistentPairError,
     NdPair,
     NdSet,
-    along_digit,
+    digit_planes,
     minimal_masks,
-    pair_numbers,
 )
 from .program import Program, ProgramClassError
 
@@ -346,88 +347,160 @@ def rule_tables(p: Program) -> RuleTables:
     return compiled.rule_tables
 
 
-def interval_folds(values: list[int], weight: list[int]) -> tuple[list[int], list[int]]:
-    """The AND and the OR of values[z] over every interval [x, y], by pair
-    number (`lattice.pair_numbers`, whose `weight` is given). With a the
-    highest atom of y - x, [x, y] splits into [x, y - a] and [x + a, y], so
-    F(x, y) = F(x, y - a) (op) F(x + a, y): one combine per pair, the
-    subset-lattice zeta transform (Björklund, Husfeldt, Kaski and Koivisto,
-    "Fourier meets Möbius", STOC 2007). The pass of digit a writes every pair
-    with a in y - x; a pair's last pass is that of its highest such atom,
-    and it reads two halves whose atoms in y - x are all lower, so final."""
-    n = len(weight).bit_length() - 1
-    meet = [0] * 3**n
-    for z, v in enumerate(values):
-        meet[2 * weight[z]] = v
-    join = meet[:]
-    for a in range(n):
-        along_digit(meet, a, and_, -1, 1)
-        along_digit(join, a, or_, -1, 1)
-    return meet, join
+class PairPlanes:
+    """A consistent-only operator read at every consistent pair, as planes
+    over the pair numbers (`lattice.DigitPlanes`, its `digits`): `lower`
+    marks the pairs (x, y) with x in the operator's lower set, `upper` those
+    with y in its upper set, `smyth` those where some member of the lower set
+    lies within x, and `closed` those whose y is closed under the base
+    operator, some member of ic(y) lying within y. Kept per program and
+    operator (`pair_planes`), with the complete stable values read from
+    them."""
+
+    __slots__ = ("digits", "lower", "upper", "smyth", "closed", "_minimal", "_values")
+
+    def __init__(self, digits: DigitPlanes, lower: int, upper: int, smyth: int, closed: int):
+        self.digits, self.lower, self.upper, self.smyth, self.closed = digits, lower, upper, smyth, closed
+        self._minimal: tuple[int, int] | None = None
+        self._values: tuple[dict[int, list[int]], dict[int, list[int]]] | None = None
+
+    def minimal(self) -> tuple[int, int]:
+        """The pairs (x, y) with x a minimal lower member among the subsets of
+        y, and those with y a minimal upper member among the supersets of x:
+        the complete lower stable value at y and the upper one at x."""
+        if self._minimal is None:
+            self._minimal = (self.digits.minimal_x(self.lower), self.digits.minimal_y(self.upper))
+        return self._minimal
+
+    def stable_values(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """The complete lower stable value at each mask y and the upper one at
+        each mask x, as increasing lists of masks; an empty value is absent."""
+        if self._values is None:
+            lower, upper = self.minimal()
+            at_y: dict[int, list[int]] = {}
+            at_x: dict[int, list[int]] = {}
+            for xm, ym in self.digits.pairs(lower):
+                at_y.setdefault(ym, []).append(xm)
+            for xm, ym in self.digits.pairs(upper):
+                at_x.setdefault(xm, []).append(ym)
+            self._values = at_y, at_x
+        return self._values
 
 
-class PairTables(NamedTuple):
-    """An operator read at every consistent pair (x, y), by pair number
-    `weight[x] + weight[y]` (`lattice.pair_numbers`): whether x is in its
-    lower set, whether y is in its upper set, and whether some member of its
-    lower set lies within x (the Smyth test of the HT pairs)."""
-
-    weight: list[int]
-    lower: list[bool]
-    upper: list[bool]
-    smyth: list[bool]
+def _missed(heads: dict[int, int], miss: dict[int, int]) -> int:
+    """The pairs at which a head is marked (`heads`, by head mask) that one
+    side misses (`miss`, by head mask)."""
+    out = 0
+    for h, plane in heads.items():
+        out |= plane & miss[h]
+    return out
 
 
-def interval_tables(kind: OperatorKind, tables: RuleTables) -> PairTables:
-    """The tables of a consistent-only operator, from the rules its program
-    fires (`RuleTables.fired`):
+def _members(digits: DigitPlanes, heads: dict[int, int], miss: dict[int, int], inside: Sequence[int]) -> int:
+    """The pairs whose set on one side (`inside[i]` marks atom i in it) is a
+    hitting set of the heads marked there: it misses none of them and has no
+    atom outside them."""
+    out = _missed(heads, miss)
+    for i, within in enumerate(inside):
+        covered = 0
+        for h, plane in heads.items():
+            if h >> i & 1:
+                covered |= plane
+        out |= within & ~covered
+    return digits.full & ~out
 
-    - `dmt`: the AND and the OR of the fired rules over each interval are
-      its lower and upper heads. A head is activated at z when any of its
-      rules fires, so each fired mask is first widened to every rule with
-      the same head as one of its rules, which makes the AND a fold of
-      heads;
-    - `dmt-det`: the AND and the OR of the fired atoms are its two sets;
+
+def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
+    """The planes of a consistent-only operator. Each head gets the plane of
+    the total pairs (z, z) at which a rule with that head fires (a plain body
+    is the AND of the digit planes of its atoms; any other body is read from
+    `RuleTables.fired` and spread). A set w hits the heads marked at a pair
+    iff it misses none of them and lies within their atoms; some hitting set
+    lies within x, the Smyth test, iff x misses none of them. Per operator:
+
+    - `dmt`: the AND and the OR of those planes over each interval
+      (`DigitPlanes.fold`) mark its lower and upper heads. A head is
+      activated at z when any of its rules fires, so the AND runs per head,
+      not per rule;
+    - `dmt-det`: the same folds of the planes of the fired atoms, one per
+      atom; x is its lower set iff x has each atom exactly where the AND has;
     - `ultimate`: x is in its set at (x, y) iff x hits the heads fired at
-      some z in [x, y]. Each test is marked at z = y (for the upper side, at
-      z = x) and ORed over the subsets of y within the supersets of x (the
-      supersets of x within the subsets of y), one digit at a time;
+      some z in [x, y]. The test is made at z = y (`above_x` copies the heads
+      of each total pair to the pairs below it) and ORed over the subsets of
+      y within the supersets of x (`below_y`); the upper side likewise, with
+      x and y swapped;
     - `gz`: exact on total pairs, ({∅}, {A}) elsewhere.
     """
-    member, head_out, fired = tables.member, tables.head_out, tables.fired
-    n = len(fired).bit_length() - 1
-    weight, xs, ys = pair_numbers(n)
+    compiled = p.compile()
+    fired = rule_tables(p).fired
+    n = len(p.universe)
+    digits = digit_planes(n)
+    full, total, d0, d2 = digits.full, digits.total, digits.d0, digits.d2
+    in_y = [full ^ d for d in d0]
+    fires: dict[int, int] = {}
+    for k, r in enumerate(compiled.rules):
+        if r.formula is None and not r.aggs:
+            plane = total
+            for i in range(n):
+                if r.pos >> i & 1:
+                    plane &= d2[i]
+                if r.neg >> i & 1:
+                    plane &= d0[i]
+        else:
+            plane = digits.spread(int("".join("1" if f >> k & 1 else "0" for f in reversed(fired)), 2))
+        fires[r.head_mask] = fires.get(r.head_mask, 0) | plane
+    x_misses, y_misses = {}, {}
+    for h in fires:
+        x_misses[h] = y_misses[h] = full
+        for i in range(n):
+            if h >> i & 1:
+                x_misses[h] &= ~d2[i]
+                y_misses[h] &= d0[i]
+    closed = full & ~digits.above_x(_missed(fires, x_misses))
     if kind is OperatorKind.DMT:
-        heads = tables.heads
-        widened: dict[int, int] = {}
-        for f in set(fired):
-            hit = {h for k, h in enumerate(heads) if f >> k & 1}
-            widened[f] = sum(1 << k for k, h in enumerate(heads) if h in hit)
-        meet, join = interval_folds([widened[f] for f in fired], weight)
-        lower = list(map(member, xs, meet))
-        upper = list(map(member, ys, join))
-        smyth = [not f & head_out[x] for x, f in zip(xs, meet)]
+        meet = {h: digits.fold(plane, True) for h, plane in fires.items()}
+        join = {h: digits.fold(plane, False) for h, plane in fires.items()}
+        lower = _members(digits, meet, x_misses, d2)
+        upper = _members(digits, join, y_misses, in_y)
+        smyth = full & ~_missed(meet, x_misses)
     elif kind is OperatorKind.DMT_DET:
-        meet, join = interval_folds(list(map(tables.covered, fired)), weight)
-        lower = list(map(eq, xs, meet))
-        upper = list(map(eq, ys, join))
-        smyth = [not m & ~x for x, m in zip(xs, meet)]
+        lower = upper = smyth = full
+        for i in range(n):
+            atom = 0
+            for h, plane in fires.items():
+                if h >> i & 1:
+                    atom |= plane
+            meet, join = digits.fold(atom, True), digits.fold(atom, False)
+            lower &= ~(d2[i] ^ meet)
+            upper &= ~(in_y[i] ^ join)
+            smyth &= ~(meet & ~d2[i])
     elif kind is OperatorKind.ULTIMATE:
-        lower = [member(x, fired[y]) for x, y in zip(xs, ys)]
-        upper = [member(y, fired[x]) for x, y in zip(xs, ys)]
-        smyth = [not fired[y] & head_out[x] for x, y in zip(xs, ys)]
-        for a in range(n):
-            along_digit(lower, a, or_, 0, -1)
-            along_digit(upper, a, or_, 0, 1)
-            along_digit(smyth, a, or_, 0, -1)
+        at_y = {h: digits.above_x(plane) for h, plane in fires.items()}
+        at_x = {h: digits.below_y(plane) for h, plane in fires.items()}
+        lower = digits.below_y(_members(digits, at_y, x_misses, d2))
+        upper = digits.above_x(_members(digits, at_x, y_misses, in_y))
+        smyth = digits.below_y(full & ~_missed(at_y, x_misses))
     elif kind is OperatorKind.GZ:
-        full = len(fired) - 1
-        lower = [member(x, fired[x]) if x == y else not x for x, y in zip(xs, ys)]
-        upper = [member(y, fired[y]) if x == y else y == full for x, y in zip(xs, ys)]
-        smyth = [x != y or not fired[x] & head_out[x] for x, y in zip(xs, ys)]
+        exact = total & _members(digits, fires, x_misses, d2)
+        x_empty = y_full = full ^ total
+        for i in range(n):
+            x_empty &= ~d2[i]
+            y_full &= ~d0[i]
+        lower, upper, smyth = exact | x_empty, exact | y_full, full & ~total | closed & total
     else:
-        raise AftlabError(f"operator {kind.value!r} has no interval tables")
-    return PairTables(weight, lower, upper, smyth)
+        raise AftlabError(f"operator {kind.value!r} has no pair planes")
+    return PairPlanes(digits, lower, upper, smyth, closed)
+
+
+def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
+    """The planes of a consistent-only operator on the program, built by the
+    first sweep that asks (`interval_tables`) and then kept on its compiled
+    form."""
+    kept = p.compile().pair_planes
+    planes = kept.get(kind)
+    if planes is None:
+        planes = kept[kind] = interval_tables(kind, p)
+    return planes
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:

@@ -264,15 +264,18 @@ class Compiled:
     """What the operators read of a program, built once by `Program.compile`,
     and the atom cap it was accepted under. `rule_tables` keeps the program's
     `operators.RuleTables`, every sweep's one table object, once a sweep has
-    built it (`operators.rule_tables`)."""
+    built it (`operators.rule_tables`), and `pair_planes` the
+    `operators.PairPlanes` of each consistent-only operator a sweep has asked
+    for (`operators.pair_planes`)."""
 
-    __slots__ = ("rules", "classification", "cap", "rule_tables")
+    __slots__ = ("rules", "classification", "cap", "rule_tables", "pair_planes")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
         self.classification = classify(p)
         self.rule_tables = None
+        self.pair_planes: dict = {}
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

@@ -4,13 +4,14 @@ semi-equilibrium models, three-valued stable models via the GL transformation,
 and GZ answer sets as minimal models of the reduct.
 
 Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
-total interpretations); n is bounded by the atom cap. The sweeps iterate
-masks and read the program's rule tables (`operators.rule_tables`). Those
-of the four-valued operators read them directly when the program is plain
+total interpretations); n is bounded by the atom cap. The sweeps read the
+program's rule tables (`operators.rule_tables`). Those of the four-valued
+operators iterate masks and read them directly when the program is plain
 (every body conjunctive and aggregate-free), and otherwise test membership
-on the fired heads (`operators.contains`, `operators.smyth_below`); those of
-the consistent-only operators read tables built from them once per sweep
-(`operators.interval_tables`). Sets are built only for the models returned.
+on the fired heads (`operators.contains`, `operators.smyth_below`). Those of
+the consistent-only operators AND bit planes built from them, one bit per
+pair and kept per program and operator (`operators.pair_planes`), and decode
+only the set bits. Sets are built only for the models returned.
 """
 
 from __future__ import annotations
@@ -49,27 +50,23 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
+    if ops.consistent_only(kind):
+        planes = ops.pair_planes(kind, p)
+        return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.lower & planes.upper)]
     tables = ops.rule_tables(p)
-    if kind in ops.FOUR_VALUED:
-        if tables.plain:
-            # x is a lower member at (x, y) iff it hits the heads of the rules
-            # pos_in[x] & neg_out[y]; y an upper one likewise, x and y swapped.
-            pos_in, neg_out, member = tables.pos_in, tables.neg_out, tables.member
-            return [
-                u.pair(xm, ym)
-                for xm, ym in u.consistent_masks()
-                if member(xm, pos_in[xm] & neg_out[ym]) and member(ym, pos_in[ym] & neg_out[xm])
-            ]
+    if tables.plain:
+        # x is a lower member at (x, y) iff it hits the heads of the rules
+        # pos_in[x] & neg_out[y]; y an upper one likewise, x and y swapped.
+        pos_in, neg_out, member = tables.pos_in, tables.neg_out, tables.member
         return [
             u.pair(xm, ym)
             for xm, ym in u.consistent_masks()
-            if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
+            if member(xm, pos_in[xm] & neg_out[ym]) and member(ym, pos_in[ym] & neg_out[xm])
         ]
-    weight, lower, upper, _ = ops.interval_tables(kind, tables)
     return [
         u.pair(xm, ym)
         for xm, ym in u.consistent_masks()
-        if lower[weight[xm] + weight[ym]] and upper[weight[xm] + weight[ym]]
+        if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
     ]
 
 
@@ -93,27 +90,23 @@ def _stable_values(
 
     Candidates range over the operator's domain: everything for the total
     four-valued operators, the subsets of y (supersets of x) for the
-    consistent-only ones, whose tests are read from their interval tables.
-    On a plain program both four-valued values are the minimal models of the
-    reduct at the other side, kept per distinct `neg_out` mask
+    consistent-only ones, whose values are read from their planes
+    (`operators.PairPlanes.stable_values`). On a plain program both
+    four-valued values are the minimal models of the reduct at the other
+    side, kept per distinct `neg_out` mask
     (`operators.RuleTables.minimal_models`).
     """
-    n = len(p.universe)
+    if ops.consistent_only(kind):
+        at_y, at_x = ops.pair_planes(kind, p).stable_values()
+        return (lambda ym: at_y.get(ym, ()), lambda xm: at_x.get(xm, ()))
     tables = ops.rule_tables(p)
-    if kind in ops.FOUR_VALUED:
-        if tables.plain:
-            neg_out, minimal_models = tables.neg_out, tables.minimal_models
-            return (lambda ym: minimal_models(neg_out[ym]), lambda xm: minimal_models(neg_out[xm]))
-        every = range(1 << n)
-        return (
-            lambda ym: minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
-            lambda xm: minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
-        )
-    weight, lower, upper, _ = ops.interval_tables(kind, tables)
-    full = (1 << n) - 1
+    if tables.plain:
+        neg_out, minimal_models = tables.neg_out, tables.minimal_models
+        return (lambda ym: minimal_models(neg_out[ym]), lambda xm: minimal_models(neg_out[xm]))
+    every = range(1 << len(p.universe))
     return (
-        lambda ym: minimal_masks(xm for xm in submasks(ym) if lower[weight[xm] + weight[ym]]),
-        lambda xm: minimal_masks(xm | d for d in submasks(full & ~xm) if upper[weight[xm] + weight[xm | d]]),
+        lambda ym: minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
+        lambda xm: minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
     )
 
 
@@ -133,10 +126,16 @@ def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
 
 def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x among the complete lower stable values
-    for y and y among the complete upper stable values for x."""
+    for y and y among the complete upper stable values for x; for a
+    consistent-only operator, the AND of the planes of both
+    (`operators.PairPlanes.minimal`)."""
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
+    if ops.consistent_only(kind):
+        planes = ops.pair_planes(kind, p)
+        lower, upper = planes.minimal()
+        return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(lower & upper)]
     lower_value, upper_value = _stable_values(kind, p)
     lower_at: dict[int, set[int]] = {}
     out = []
@@ -162,13 +161,23 @@ def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:
 
 def kk_fixpoint_det(p: Program) -> ApproxPair:
     """Information-least fixpoint of the deterministic interval operator,
-    reached by iterating from the least precise pair."""
-    pair = ApproxPair(frozenset(), p.universe.full())
+    reached by iterating from the least precise pair. Each step is
+    `operators.dmt_det` on masks: the AND and the OR of the atoms of the
+    rules fired at each z in [x, y] (`RuleTables.fired`, `covered`)."""
+    ops.check_kind_applicable(OperatorKind.DMT_DET, p)
+    tables = ops.rule_tables(p)
+    fired, covered = tables.fired, tables.covered
+    full = len(fired) - 1
+    xm, ym = 0, full
     while True:
-        nxt = ops.dmt_det(p, pair)
-        if nxt == pair:
-            return pair
-        pair = nxt
+        lower, upper = full, 0
+        for d in submasks(ym & ~xm):
+            atoms = covered(fired[xm | d])
+            lower &= atoms
+            upper |= atoms
+        if (lower, upper) == (xm, ym):
+            return p.universe.pair(xm, ym)
+        xm, ym = lower, upper
 
 
 def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
@@ -221,27 +230,20 @@ def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     y is closed iff some member of ic(y), the hitting sets of hd(y), lies
     within y, that is iff y misses the head of no rule fired at y:
     `fired[y] & head_out[y] == 0`. On a plain program the Smyth test of `ic`
-    and `ic-triv` at (x, y) is `violated[x] & neg_out[y] == 0`."""
+    and `ic-triv` at (x, y) is `violated[x] & neg_out[y] == 0`. For a
+    consistent-only operator both tests are planes (`operators.PairPlanes`)."""
     p.compile()
     ops.check_kind_applicable(kind, p)
     u = p.universe
+    if ops.consistent_only(kind):
+        planes = ops.pair_planes(kind, p)
+        return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.smyth & planes.closed)]
     tables = ops.rule_tables(p)
     closed = [not f & m for f, m in zip(tables.fired, tables.head_out)]
-    if kind in ops.FOUR_VALUED:
-        if tables.plain:
-            violated, neg_out = tables.violated, tables.neg_out
-            return [
-                u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and not violated[xm] & neg_out[ym]
-            ]
-        return [
-            u.pair(xm, ym)
-            for xm, ym in u.consistent_masks()
-            if closed[ym] and ops.smyth_below(p, xm, ym, xm)
-        ]
-    weight, _, _, smyth = ops.interval_tables(kind, tables)
-    return [
-        u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and smyth[weight[xm] + weight[ym]]
-    ]
+    if tables.plain:
+        violated, neg_out = tables.violated, tables.neg_out
+        return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and not violated[xm] & neg_out[ym]]
+    return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and ops.smyth_below(p, xm, ym, xm)]
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:

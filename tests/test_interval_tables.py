@@ -1,10 +1,11 @@
 """Differential tests: the sweeps of the consistent-only operators (`dmt`,
-`ultimate`, `gz`, `dmt-det`), which read per-sweep interval tables, and those
-of the four-valued ones (`ic`, `ic-triv`), which read the program's rule
-tables or, on general and aggregate bodies, test the fired heads, against
-definitional sweeps kept here that read the operators' families through
-`operators.apply`; and the deterministic stable pairs against least-fixpoint
-loops over `operators.det_lower` and `operators.det_upper`."""
+`ultimate`, `gz`, `dmt-det`), which read bit planes kept per program and
+operator, and those of the four-valued ones (`ic`, `ic-triv`), which read the
+program's rule tables or, on general and aggregate bodies, test the fired
+heads, against definitional sweeps kept here that read the operators'
+families through `operators.apply`; the deterministic stable pairs against
+least-fixpoint loops over `operators.det_lower` and `operators.det_upper`;
+and Kripke-Kleene against the iteration of `operators.dmt_det`."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import pytest
 
 from aftlab import corpus, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, leq_i, pair_numbers, smyth_leq
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, digit_planes, leq_i, smyth_leq
 from aftlab.operators import OperatorKind
-from aftlab.program import make_program, parse
+from aftlab.program import ProgramClassError, make_program, parse
 
 INTERVAL_KINDS = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
 FOUR_VALUED_KINDS = (OperatorKind.IC, OperatorKind.IC_TRIV)
@@ -113,14 +114,22 @@ def test_fired_rules_have_the_heads_of_hd():
 
 @pytest.mark.parametrize("values", [[0b101, 0b110, 0b011, 0b111, 0b001, 0b100, 0b010, 0b000], [3, 1], [5]])
 def test_interval_folds_are_the_and_and_or_over_each_interval(values):
+    """Bit b of the values is one plane, marked at the total pairs (z, z)
+    where values[z] has it; its folds give bit b of the AND and the OR."""
     n = len(values).bit_length() - 1
-    weight, lowers, uppers = pair_numbers(n)
-    meet, join = ops.interval_folds(values, weight)
-    assert sorted(zip(lowers, uppers)) == [(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
-    for k, (x, y) in enumerate(zip(lowers, uppers)):
-        assert weight[x] + weight[y] == k
+    digits = digit_planes(n)
+    assert list(digits.pairs(digits.full)) == [(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
+    assert list(digits.pairs(digits.total)) == [(z, z) for z in range(1 << n)]
+    bits = range(max(values).bit_length())
+    at_total = [digits.spread(sum(1 << z for z, v in enumerate(values) if v >> b & 1)) for b in bits]
+    meet = [digits.fold(plane, True) for plane in at_total]
+    join = [digits.fold(plane, False) for plane in at_total]
+    for x, y in digits.pairs(digits.full):
+        # Digit i of the pair number is 2, 1 or 0 as atom i is in x, in y - x or outside y.
+        k = sum((2 if x >> i & 1 else y >> i & 1) * 3**i for i in range(n))
         inside = [values[z] for z in range(1 << n) if not x & ~z and not z & ~y]
-        assert (meet[k], join[k]) == (reduce(and_, inside), reduce(or_, inside))
+        folds = (sum((meet[b] >> k & 1) << b for b in bits), sum((join[b] >> k & 1) << b for b in bits))
+        assert folds == (reduce(and_, inside), reduce(or_, inside))
 
 
 def test_fixpoints_equal_the_definition():
@@ -217,6 +226,40 @@ def test_det_stable_fixpoints_and_wf_equal_least_fixpoint_loops():
                 sem.wf_fixpoint_det(p)
 
 
+def ref_kk(p):
+    """The Kripke-Kleene pair: `operators.dmt_det` iterated from the least
+    precise pair until it stops moving."""
+    pair = ApproxPair(frozenset(), p.universe.full())
+    while (nxt := ops.dmt_det(p, pair)) != pair:
+        pair = nxt
+    return pair
+
+
+def test_kk_fixpoint_det_is_the_iteration_of_dmt_det():
+    atomic = [p for p in PROGRAMS if all(len(r.head) == 1 for r in p.rules)]
+    assert len(atomic) >= 20
+    for p in [*atomic, *fired_atom_tables()]:
+        assert sem.kk_fixpoint_det(p) == ref_kk(p)
+    for p in PROGRAMS:
+        if p not in atomic:
+            with pytest.raises(ProgramClassError, match="^the deterministic operator needs atomic heads$"):
+                sem.kk_fixpoint_det(p)
+
+
+def test_the_empty_program_has_one_bit_planes():
+    """No atoms: one pair, (∅, ∅), and planes of 3^0 = 1 bit."""
+    p = parse("")
+    empty = (ApproxPair(frozenset(), frozenset()),)
+    for kind in INTERVAL_KINDS:
+        for name in ("fixpoints", "stable", "total-stable", "ht", "seq", "seq-approx"):
+            assert sem.run_semantics(name, p, kind).models == empty
+        assert sem.complete_lower_stable(kind, p, frozenset()) == {frozenset()}
+        assert sem.complete_upper_stable(kind, p, frozenset()) == {frozenset()}
+        assert ops.pair_planes(kind, p).digits.full == 1
+    for name in ("kk", "wf"):
+        assert sem.run_semantics(name, p).models == empty
+
+
 def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     calls = {"interval": 0, "hitting_sets": 0, "apply": 0}
     interval, hitting_sets, apply = AtomUniverse.interval, ops.hitting_sets, ops.apply
@@ -244,8 +287,10 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
 
 def test_each_program_builds_its_rule_tables_once(monkeypatch):
     """One `RuleTables` per program, shared by every operator, sweep and
-    complete stable value."""
+    complete stable value, and the planes of each consistent-only operator
+    once per program."""
     builds = []
+    plane_builds = []
 
     class Counting(ops.RuleTables):
         __slots__ = ()
@@ -254,7 +299,13 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
             builds.append(rules)
             super().__init__(u, rules)
 
+    def counting_planes(kind, p):
+        plane_builds.append(kind)
+        return interval_tables(kind, p)
+
+    interval_tables = ops.interval_tables
     monkeypatch.setattr(ops, "RuleTables", Counting)
+    monkeypatch.setattr(ops, "interval_tables", counting_planes)
     for original in PROGRAMS:
         p = make_program(original.rules, original.universe)
         for kind in [kind for q, kind in cases() if q is original]:
@@ -265,4 +316,6 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
                 sem.complete_lower_stable(kind, p, s)
                 sem.complete_upper_stable(kind, p, s)
         assert builds == [p.compile().rules]
+        assert plane_builds == [kind for q, kind in cases() if q is original and ops.consistent_only(kind)]
         builds.clear()
+        plane_builds.clear()
