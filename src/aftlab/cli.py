@@ -7,9 +7,10 @@ Exit codes: 0 ok, 1 usage, 2 precondition or class violation, 3 law violation
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import corpus, laws, operators as ops, program as prog, render, semantics as sem
@@ -29,50 +30,190 @@ class UsageError(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: A003 - argparse API
-        raise UsageError(message)
+REQUIRED = object()
+_PROGRAM = (str, REQUIRED, "path to a .lp program file")
+_OPERATOR = (tuple(k.value for k in OperatorKind), None, "operator")
+_FORMAT = (("text", "json"), "text", "output format")
+_MAX_ATOMS = (int, None, "atom cap; overrides AFTLAB_MAX_ATOMS and the default of 12")
+
+# The command table: each command's one-line help and its options. An option
+# name maps to (kind, default, help): kind is `bool` for a flag, `int`, `float`
+# or `str` for a value, or the tuple of the values it accepts; a default of
+# REQUIRED makes the option required. `parse_args` reads argv against it and
+# `help_text` prints it.
+COMMANDS = {
+    "eval": ("apply an operator at one pair", {
+        "--program": _PROGRAM,
+        "--operator": _OPERATOR,
+        "--format": _FORMAT,
+        "--max-atoms": _MAX_ATOMS,
+        "--pair": (str, REQUIRED, 'pair as "x;y", atoms comma-separated per side'),
+    }),
+    "semantics": ("run a fixpoint semantics", {
+        "--program": _PROGRAM,
+        "--operator": _OPERATOR,
+        "--format": _FORMAT,
+        "--max-atoms": _MAX_ATOMS,
+        "--semantics": (sem.SEMANTICS_NAMES, REQUIRED, "semantics"),
+    }),
+    "check": ("run the law suite", {
+        "--all": (bool, False, "run every law"),
+        "--laws": (str, None, "comma-separated law names"),
+        "--programs": (int, 200, "number of random programs"),
+        "--atoms": (int, 3, "atoms per random program"),
+        "--rules": (int, 4, "rules per random program"),
+        "--seed": (int, 0, "seed of the random programs"),
+        "--format": _FORMAT,
+        "--max-atoms": _MAX_ATOMS,
+    }),
+    "generate": ("generate a seeded random program", {
+        "--atoms": (int, 3, "number of atoms"),
+        "--rules": (int, 3, "number of rules"),
+        "--negation-probability": (float, 0.4, "probability of a negated body literal"),
+        "--aggregate-probability": (float, 0.0, "probability of an aggregate body literal"),
+        "--width": (int, 2, "maximum disjunction width"),
+        "--seed": (int, REQUIRED, "random seed"),
+        "--format": _FORMAT,
+    }),
+}
+HELP = ("-h", "--help")
+# argparse's test for a value that merely looks like a negative number.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="aftlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
 
-    def common(p: argparse.ArgumentParser, with_operator: bool) -> None:
-        p.add_argument("--program", required=True, help="path to a .lp program file")
-        if with_operator:
-            p.add_argument("--operator", choices=[k.value for k in OperatorKind])
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-atoms", type=int, default=None)
 
-    p_eval = sub.add_parser("eval", help="apply an operator at one pair")
-    common(p_eval, with_operator=True)
-    p_eval.add_argument("--pair", required=True, help='pair as "x;y", atoms comma-separated per side')
+def _classify(token: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """None if `token` is a value, else (the option it names among `names`,
+    or None for an unknown option; the value after its `=`, or None). Reads
+    a token as argparse does: `--name=value`, a unique prefix of a long name,
+    and `-hX` as `-h` given the value X; an ambiguous prefix is refused."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in names:
+        return token, None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        matches = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    p_sem = sub.add_parser("semantics", help="run a fixpoint semantics")
-    common(p_sem, with_operator=True)
-    p_sem.add_argument("--semantics", required=True, choices=sem.SEMANTICS_NAMES)
 
-    p_check = sub.add_parser("check", help="run the law suite")
-    p_check.add_argument("--all", action="store_true", help="run every law")
-    p_check.add_argument("--laws", help="comma-separated law names")
-    p_check.add_argument("--programs", type=int, default=200, help="number of random programs")
-    p_check.add_argument("--atoms", type=int, default=3)
-    p_check.add_argument("--rules", type=int, default=4)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--max-atoms", type=int, default=None)
+def _value(name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
 
-    p_gen = sub.add_parser("generate", help="generate a seeded random program")
-    p_gen.add_argument("--atoms", type=int, default=3)
-    p_gen.add_argument("--rules", type=int, default=3)
-    p_gen.add_argument("--negation-probability", type=float, default=0.4)
-    p_gen.add_argument("--aggregate-probability", type=float, default=0.0)
-    p_gen.add_argument("--width", type=int, default=2, help="maximum disjunction width")
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--format", choices=("text", "json"), default="text")
 
-    return parser
+def _no_value(name: str, value: str | None) -> None:
+    if value is not None:
+        raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """Read argv against COMMANDS: the command's options as a namespace with
+    `command` and one attribute per option, or None once `-h`/`--help` has
+    printed its help. Refuses what argparse refuses with UsageError: a
+    missing or unknown command, an unknown option, a missing value, a bad
+    number or choice, a missing required option. An option given twice keeps
+    its last value; everything from a `--` on is unrecognized."""
+    extras: list[str] = []
+    for at, token in enumerate(argv):
+        kind = _classify(token, HELP)
+        if kind is None:
+            break
+        if kind[0] is None:
+            extras.append(token)
+            continue
+        _no_value("-h/--help", kind[1])
+        print(help_text())
+        return None
+    else:
+        raise UsageError("the following arguments are required: command")
+    command = argv[at]
+    if command not in COMMANDS:
+        raise UsageError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    options = COMMANDS[command][1]
+    tokens = list(argv[at + 1:])
+    if "--" in tokens:  # as in argparse, no token from a "--" on names an option or is read as a value
+        cut = tokens.index("--")
+        extras += tokens[cut:]
+        del tokens[cut:]
+    names = (*options, *HELP)
+    kinds = [_classify(token, names) for token in tokens]
+    values = {"command": command}
+    values.update((_dest(name), default) for name, (_, default, _) in options.items() if default is not REQUIRED)
+    i = 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            extras.append(token)
+            continue
+        name, value = kind
+        if name in HELP:
+            _no_value("-h/--help", value)
+            print(help_text(command))
+            return None
+        option_kind = options[name][0]
+        if option_kind is bool:
+            _no_value(name, value)
+            values[_dest(name)] = True
+            continue
+        if value is None:
+            if i == len(tokens) or kinds[i] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            value = tokens[i]
+            i += 1
+        values[_dest(name)] = _value(name, option_kind, value)
+    missing = [name for name, (_, default, _) in options.items() if default is REQUIRED and _dest(name) not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def help_text(command: str | None = None) -> str:
+    """The commands, or one command's options with their choices and
+    defaults, from COMMANDS."""
+    if command is None:
+        head = f"usage: aftlab {{{','.join(COMMANDS)}}} [options]\n\n{__doc__}\ncommands:"
+        rows = [(name, summary) for name, (summary, _) in COMMANDS.items()]
+        tail = ("\n\nOptions are given as `--name value` or `--name=value`; a unique prefix of a name will do.\n"
+                "`aftlab COMMAND --help` lists the options of a command.")
+    else:
+        summary, options = COMMANDS[command]
+        head = f"usage: aftlab {command} [options]\n\n{summary}\n\noptions:"
+        rows = []
+        for name, (kind, default, text) in options.items():
+            if kind is bool:
+                rows.append((name, text))
+                continue
+            if isinstance(kind, tuple):
+                text += f": {', '.join(kind)}"
+            note = "required" if default is REQUIRED else f"default: {'none' if default is None else default}"
+            meta = "CHOICE" if isinstance(kind, tuple) else "TEXT" if kind is str else kind.__name__.upper()
+            rows.append((f"{name} {meta}", f"{text} ({note})"))
+        rows.append((", ".join(HELP), "show this help and exit"))
+        tail = ""
+    width = max(len(left) for left, _ in rows)
+    return head + "".join(f"\n  {left:<{width}}  {right}" for left, right in rows) + tail
 
 
 def _load_program(path: str, max_atoms: int | None) -> Program:
@@ -156,6 +297,8 @@ def _cmd_semantics(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.all and args.laws is not None:
+        raise UsageError("check takes --all or --laws, not both")
     if args.laws:
         names = [part.strip() for part in args.laws.split(",") if part.strip()]
         if not names:
@@ -212,18 +355,12 @@ def _cmd_generate(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "semantics":
-            return _cmd_semantics(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
+        run = {"eval": _cmd_eval, "semantics": _cmd_semantics, "check": _cmd_check, "generate": _cmd_generate}
+        return run[args.command](args)
     except (UsageError, sem.SemanticsChoiceError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

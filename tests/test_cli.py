@@ -1,12 +1,20 @@
+import argparse
+import contextlib
+import functools
 import io
 import json
-import contextlib
+import re
+import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aftlab import cli, corpus
+from aftlab.cli import COMMANDS, HELP, UsageError
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.operators import OperatorKind
 from aftlab.program import GeneralFormula, Rule, make_program, parse, print_program
@@ -162,6 +170,11 @@ def test_semantics_wf_and_kk():
         ["check", "--laws", "exactness", "--rules", "-1"],
         ["check", "--laws", ","],
         ["eval", "--program", "/nonexistent.lp", "--operator", "ic", "--pair", ";"],
+        ["check", "--all", "--laws", "exactness"],  # --all would silently give way to --laws
+        ["check", "--laws=exactness", "--all"],
+        ["semantics", "--program", "x", "--semantics", "stable", "--operator", "ic", "--bogus"],
+        ["check", "--a", "--laws", "exactness"],  # ambiguous: --all or --atoms
+        ["generate", "--seed", "1.5"],
     ],
 )
 def test_usage_errors_exit_1(argv):
@@ -406,3 +419,246 @@ def test_every_semantics_run_exits_with_a_documented_code(tmp_path_factory, text
 @given(formula_programs)
 def test_print_parse_round_trips_formula_bodies(p):
     assert parse(p.text) == p
+
+
+# ---------------------------------------------------------------------------
+# The command table against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+
+# The argparse parser that `cli.COMMANDS` and `cli.parse_args` replaced, kept
+# verbatim (bar the imports and the description) as the reference the table
+# reader is compared with.
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # noqa: A003 - argparse API
+        raise UsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(prog="aftlab", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, with_operator: bool) -> None:
+        p.add_argument("--program", required=True, help="path to a .lp program file")
+        if with_operator:
+            p.add_argument("--operator", choices=[k.value for k in OperatorKind])
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--max-atoms", type=int, default=None)
+
+    p_eval = sub.add_parser("eval", help="apply an operator at one pair")
+    common(p_eval, with_operator=True)
+    p_eval.add_argument("--pair", required=True, help='pair as "x;y", atoms comma-separated per side')
+
+    p_sem = sub.add_parser("semantics", help="run a fixpoint semantics")
+    common(p_sem, with_operator=True)
+    p_sem.add_argument("--semantics", required=True, choices=sem.SEMANTICS_NAMES)
+
+    p_check = sub.add_parser("check", help="run the law suite")
+    p_check.add_argument("--all", action="store_true", help="run every law")
+    p_check.add_argument("--laws", help="comma-separated law names")
+    p_check.add_argument("--programs", type=int, default=200, help="number of random programs")
+    p_check.add_argument("--atoms", type=int, default=3)
+    p_check.add_argument("--rules", type=int, default=4)
+    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--format", choices=("text", "json"), default="text")
+    p_check.add_argument("--max-atoms", type=int, default=None)
+
+    p_gen = sub.add_parser("generate", help="generate a seeded random program")
+    p_gen.add_argument("--atoms", type=int, default=3)
+    p_gen.add_argument("--rules", type=int, default=3)
+    p_gen.add_argument("--negation-probability", type=float, default=0.4)
+    p_gen.add_argument("--aggregate-probability", type=float, default=0.0)
+    p_gen.add_argument("--width", type=int, default=2, help="maximum disjunction width")
+    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--format", choices=("text", "json"), default="text")
+
+    return parser
+
+
+reference_parser = functools.cache(build_parser)
+
+
+def _namespace(args) -> dict:
+    # repr, so that a NaN read by both sides compares equal
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+def reference_outcome(argv):
+    """"refused", "help" or the parsed options, by argparse."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return _namespace(reference_parser().parse_args(argv))
+    except UsageError:
+        return "refused"
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help"
+
+
+def reader_outcome(argv):
+    """"refused", "help" or the parsed options, by the command table."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = cli.parse_args(argv)
+    except UsageError:
+        return "refused"
+    return "help" if args is None else _namespace(args)
+
+
+REQUIRED_ARGV = {
+    "eval": ["--program", "p.lp", "--pair", ";p"],
+    "semantics": ["--program", "p.lp", "--semantics", "stable"],
+    "check": ["--all"],
+    "generate": ["--seed", "1"],
+}
+SAMPLE = {int: ("-7", "12"), float: ("0.25", "-.5"), str: ("x.lp", "-")}
+
+
+def samples(kind):
+    return kind[-2:] if isinstance(kind, tuple) else SAMPLE[kind]
+
+
+def prefixes(name):
+    return [name[:k] for k in range(3, len(name) + 1)]
+
+
+def readme_argv():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line, comments=True) for line in re.findall(r"^aftlab (.*)$", readme, re.MULTILINE)]
+
+
+def listed_argv():
+    yield from readme_argv()
+    operators = (None, *(k.value for k in OperatorKind))
+    for semantics in sem.SEMANTICS_NAMES:
+        for operator in operators:
+            yield ["semantics", "--program", "p.lp", "--semantics", semantics, *(["--operator", operator] if operator else [])]
+    for command, (_, options) in COMMANDS.items():
+        base = [command, *REQUIRED_ARGV[command]]
+        yield base
+        yield [command]  # required options missing
+        yield [*base, "--bogus"]
+        yield [*base, "stray"]
+        yield [*base, "--"]
+        yield [*base, "-h"]
+        yield [*base, "--", "-h"]  # everything from "--" on is unrecognized
+        yield [command, "--", *REQUIRED_ARGV[command]]
+        for name, (kind, _, _) in options.items():
+            for spelled in prefixes(name):  # unique prefixes are read, ambiguous ones refused
+                if kind is bool:
+                    yield [*base, spelled]
+                    yield [*base, f"{spelled}=x"]
+                    continue
+                first, last = samples(kind)
+                yield [*base, spelled, first]
+                yield [*base, f"{spelled}={first}"]
+                yield [*base, spelled, first, name, last]  # the last value wins
+                yield [*base, spelled]  # missing value
+                yield [*base, spelled, "--format"]  # an option is no value
+                yield [*base, spelled, "--"]
+                yield [*base, spelled, "bogus"]  # bad number or choice
+    for help_token in ("-h", "--help", "--he", "--help=x", "-h=", "-hx"):
+        yield [help_token]
+        yield ["semantics", help_token]
+        yield ["semantics", help_token, "-h"]
+        yield ["semantics", "--bogus", help_token]  # argparse leaves unknown options to the end
+        yield ["semantics", "--format", "bogus", help_token]
+        yield ["semantics", "--a", help_token]
+        yield ["check", "--a", help_token]  # an ambiguous prefix is refused before anything runs
+    yield from ([], ["bogus"], ["--"], ["-x"], ["--bogus", "check", "--all"], ["", "check"], ["-h", "bogus"],
+                ["check", "--all", "--seed", "-1_0"], ["check", "--all", "--seed", "-1"], ["check", "--all", "--seed", "٣"],
+                ["generate", "--seed", "1", "--width", "-1e3"], ["generate", "--seed", "1", "--atoms", " 4 "],
+                ["generate", "--seed", "1", "--negation-probability", "nan"], ["eval", "--pair", "-p q", "--program", ""])
+
+
+def test_reader_agrees_with_argparse_on_listed_argv():
+    disagreements = [
+        (argv, reader, reference)
+        for argv in listed_argv()
+        if (reader := reader_outcome(argv)) != (reference := reference_outcome(argv))
+    ]
+    assert disagreements == []
+    assert len(readme_argv()) >= 7
+
+
+# Where the reader deliberately departs from argparse: argv, reader, argparse.
+DIFFERENCES = [
+    # argparse reads "-hh" as "-h -h"; the reader refuses a value given to -h.
+    (["semantics", "-hh"], "refused", "help"),
+]
+
+
+@pytest.mark.parametrize("argv, reader, reference", DIFFERENCES)
+def test_deliberate_differences_from_argparse(argv, reader, reference):
+    assert (reader_outcome(argv), reference_outcome(argv)) == (reader, reference)
+
+
+def test_an_explicit_double_dash_is_a_value():
+    # argparse drops the "--" of "--pair=--" and stores an empty list.
+    argv = ["eval", "--program", "p.lp", "--pair=--"]
+    assert reader_outcome(argv)["pair"] == repr("--")
+    assert reference_outcome(argv)["pair"] == repr([])
+
+
+OPTION_NAMES = sorted({name for _, options in COMMANDS.values() for name in options} | set(HELP))
+CHOICES = sorted({value for _, options in COMMANDS.values() for kind, _, _ in options.values()
+                  if isinstance(kind, tuple) for value in kind})
+JUNK = ("", "x", "p.lp", ";p", "-", "--", "-x", "--bogus", "--=x", "-1", "-0.5", ".5", "-1e3", "1.5", "nan", "a b",
+        "-a b", "--a", "--s", "--f=json", "--all=", "-h=", "-hx")
+tokens = st.one_of(
+    st.sampled_from(tuple(COMMANDS)),
+    st.sampled_from(OPTION_NAMES),
+    st.sampled_from(OPTION_NAMES).flatmap(lambda name: st.sampled_from(prefixes(name) or [name])),
+    st.sampled_from(CHOICES),
+    st.integers(-20, 300).map(str),
+    st.sampled_from(JUNK),
+)
+
+
+@st.composite
+def near_valid_argv(draw):
+    """A command with some of its options, spelled in full, abbreviated or as
+    `--name=value`, some with wrong values, and a few stray tokens."""
+    command = draw(st.sampled_from(tuple(COMMANDS)))
+    options = COMMANDS[command][1]
+    required = [name for name, (_, default, _) in options.items() if default is cli.REQUIRED]
+    names = draw(st.lists(st.sampled_from(tuple(options)), max_size=4))
+    names += draw(st.sampled_from(([], required, required, required, ["--help"])))
+    argv = []
+    for name in draw(st.permutations(names)):
+        spelled = draw(st.one_of(st.just(name), st.sampled_from(prefixes(name))))
+        kind = options.get(name, (bool,))[0]
+        if kind is bool:
+            argv.append(spelled)
+            continue
+        value = draw(tokens if draw(st.sampled_from((True, False, False, False))) else st.sampled_from(samples(kind)))
+        # argparse reads "--name=--" as an empty list (test_an_explicit_double_dash_is_a_value)
+        argv += draw(st.sampled_from(([spelled, value], [f"{spelled}={value}"] if value != "--" else [spelled, value])))
+    for token in draw(st.lists(tokens, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return [command, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(tokens, max_size=8), near_valid_argv()))
+def test_reader_agrees_with_argparse(argv):
+    assert reader_outcome(argv) == reference_outcome(argv)
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_returns_0_and_lists_the_table(command):
+    code, out, err = run(*([] if command is None else [command]), "--help")
+    assert (code, err) == (0, "")
+    if command is None:
+        names = list(COMMANDS)
+    else:
+        options = COMMANDS[command][1]
+        names = [*options, *(value for kind, _, _ in options.values() if isinstance(kind, tuple) for value in kind)]
+    assert [name for name in names if name not in out] == []
+
+
+def test_importing_the_cli_does_not_import_argparse():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import aftlab.cli, aftlab.laws; print('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "False\n"
