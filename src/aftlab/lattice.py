@@ -139,9 +139,6 @@ class AtomUniverse:
             s = sets[m] = frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
         return s
 
-    def sort_key(self, s: AtomSet) -> int:
-        return self.mask(s)
-
     def pair_key(self, pair: ApproxPair) -> tuple[int, int]:
         return (self.mask(pair.lower), self.mask(pair.upper))
 
@@ -166,12 +163,8 @@ class AtomUniverse:
         (mask(x), mask(y)) order; the atom cap is `Program.compile`'s to check."""
         return masks_above_i(0, (1 << len(self.atoms)) - 1)
 
-    def consistent_pairs(self, cap: int | None = None) -> Iterator[ApproxPair]:
-        """All 3^n pairs (x, y) with x <= y, ordered by (mask(x), mask(y));
-        refused above the atom cap."""
-        n = len(self.atoms)
-        if n > atom_cap(cap):
-            raise CapExceededError(f"universe has {n} atoms, cap is {atom_cap(cap)}")
+    def consistent_pairs(self) -> Iterator[ApproxPair]:
+        """All 3^n pairs (x, y) with x <= y, ordered by (mask(x), mask(y))."""
         for xm, ym in self.consistent_masks():
             yield self.pair(xm, ym)
 
@@ -338,6 +331,11 @@ class DigitPlanes:
         for s, d1 in zip(self.steps, self.d1):
             plane &= ~(d1 & (closed << s))
         return plane
+
+    def number(self, xm: int, ym: int) -> int:
+        """The number of the pair (x, y): 3^i for each atom i of x, plus 3^i
+        for each atom i of y."""
+        return sum(s * ((xm >> i & 1) + (ym >> i & 1)) for i, s in enumerate(self.steps))
 
     def pairs(self, plane: int) -> Iterator[tuple[int, int]]:
         """The (x, y) masks of the marked pairs, in increasing order. Only the

@@ -39,7 +39,7 @@ def _atomic_heads(p: Program) -> bool:
 
 
 def _pairs(p: Program) -> list[ApproxPair]:
-    return list(p.universe.consistent_pairs(p.compile().cap))
+    return list(p.universe.consistent_pairs())
 
 
 def _precision_codes(p: Program) -> Callable[[NdPair], PrecisionCode]:
@@ -206,8 +206,8 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]
         )
     if not cls.has_negated_aggregates:
         cases += 1
-        stable = sorted(sem.total_stable_fixpoints(OperatorKind.GZ, p), key=p.universe.sort_key)
-        answer_sets = sorted(sem.gz_answer_sets(p), key=p.universe.sort_key)
+        stable = sorted(sem.total_stable_fixpoints(OperatorKind.GZ, p), key=p.universe.mask)
+        answer_sets = sorted(sem.gz_answer_sets(p), key=p.universe.mask)
         if stable != answer_sets:
             return cases, (
                 "trivial-operator total stable fixpoints "
@@ -296,10 +296,11 @@ def run_laws(
     apply_fn: ApplyFn = ops.apply,
     max_atoms: int | None = None,
 ) -> list[LawOutcome]:
-    """Run the named laws (all by default) over the programs, each compiled
-    under the atom cap `max_atoms` (`lattice.atom_cap`)."""
+    """Run the named laws (all by default), each once in the order first
+    named, over the programs, each compiled under the atom cap `max_atoms`
+    (`lattice.atom_cap`)."""
     ordered = sorted(programs, key=lambda p: (len(p.rules), len(p.universe), p.text))
-    selected = list(names) if names is not None else list(LAW_NAMES)
+    selected = list(dict.fromkeys(names)) if names is not None else list(LAW_NAMES)
     unknown = [n for n in selected if n not in LAWS]
     if unknown:
         raise prog.ProgramClassError(f"unknown law name(s): {', '.join(unknown)}")

@@ -354,15 +354,14 @@ class PairPlanes:
     with y in its upper set, `smyth` those where some member of the lower set
     lies within x, and `closed` those whose y is closed under the base
     operator, some member of ic(y) lying within y. Kept per program and
-    operator (`pair_planes`), with the complete stable values read from
-    them."""
+    operator (`pair_planes`); the complete stable values are read from its
+    `minimal` planes."""
 
-    __slots__ = ("digits", "lower", "upper", "smyth", "closed", "_minimal", "_values")
+    __slots__ = ("digits", "lower", "upper", "smyth", "closed", "_minimal")
 
     def __init__(self, digits: DigitPlanes, lower: int, upper: int, smyth: int, closed: int):
         self.digits, self.lower, self.upper, self.smyth, self.closed = digits, lower, upper, smyth, closed
         self._minimal: tuple[int, int] | None = None
-        self._values: tuple[dict[int, list[int]], dict[int, list[int]]] | None = None
 
     def minimal(self) -> tuple[int, int]:
         """The pairs (x, y) with x a minimal lower member among the subsets of
@@ -371,20 +370,6 @@ class PairPlanes:
         if self._minimal is None:
             self._minimal = (self.digits.minimal_x(self.lower), self.digits.minimal_y(self.upper))
         return self._minimal
-
-    def stable_values(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """The complete lower stable value at each mask y and the upper one at
-        each mask x, as increasing lists of masks; an empty value is absent."""
-        if self._values is None:
-            lower, upper = self.minimal()
-            at_y: dict[int, list[int]] = {}
-            at_x: dict[int, list[int]] = {}
-            for xm, ym in self.digits.pairs(lower):
-                at_y.setdefault(ym, []).append(xm)
-            for xm, ym in self.digits.pairs(upper):
-                at_x.setdefault(xm, []).append(ym)
-            self._values = at_y, at_x
-        return self._values
 
 
 def _missed(heads: dict[int, int], miss: dict[int, int]) -> int:

@@ -165,8 +165,7 @@ class Program:
 
         The one place the atom cap (`lattice.atom_cap`) is decided: raises
         CapExceededError when the universe has more atoms than the cap, when
-        the form is built and whenever `max_atoms` is given. The cap accepted
-        last is kept as `Compiled.cap`.
+        the form is built and whenever `max_atoms` is given.
         """
         compiled = self.__dict__.get("_compiled")
         if compiled is None or max_atoms is not None:
@@ -176,7 +175,6 @@ class Program:
             if compiled is None:
                 compiled = Compiled(self)
                 object.__setattr__(self, "_compiled", compiled)
-            compiled.cap = cap
         return compiled
 
 
@@ -261,14 +259,13 @@ class CompiledAggregate:
 
 
 class Compiled:
-    """What the operators read of a program, built once by `Program.compile`,
-    and the atom cap it was accepted under. `rule_tables` keeps the program's
-    `operators.RuleTables`, every sweep's one table object, once a sweep has
-    built it (`operators.rule_tables`), and `pair_planes` the
-    `operators.PairPlanes` of each consistent-only operator a sweep has asked
-    for (`operators.pair_planes`)."""
+    """What the operators read of a program, built once by `Program.compile`.
+    `rule_tables` keeps the program's `operators.RuleTables`, every sweep's
+    one table object, once a sweep has built it (`operators.rule_tables`),
+    and `pair_planes` the `operators.PairPlanes` of each consistent-only
+    operator a sweep has asked for (`operators.pair_planes`)."""
 
-    __slots__ = ("rules", "classification", "cap", "rule_tables", "pair_planes")
+    __slots__ = ("rules", "classification", "rule_tables", "pair_planes")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)

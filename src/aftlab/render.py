@@ -12,7 +12,7 @@ def fmt_set(u: AtomUniverse, s: AtomSet) -> str:
 
 
 def fmt_family(u: AtomUniverse, family: NdSet) -> str:
-    members = sorted(family, key=u.sort_key)
+    members = sorted(family, key=u.mask)
     return "{" + ", ".join(fmt_set(u, s) for s in members) + "}"
 
 
@@ -29,7 +29,7 @@ def json_set(u: AtomUniverse, s: AtomSet) -> list[str]:
 
 
 def json_family(u: AtomUniverse, family: NdSet) -> list[list[str]]:
-    return [json_set(u, s) for s in sorted(family, key=u.sort_key)]
+    return [json_set(u, s) for s in sorted(family, key=u.mask)]
 
 
 def json_pair(u: AtomUniverse, pair: ApproxPair) -> dict[str, list[str]]:

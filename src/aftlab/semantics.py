@@ -81,7 +81,7 @@ def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
     return frozenset(s for s in collected if not any(t < s for t in collected))
 
 
-def _stable_values(
+def _complete_values(
     kind: OperatorKind, p: Program
 ) -> tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
     """The complete lower stable value at the mask y (minimal x with x a
@@ -90,15 +90,20 @@ def _stable_values(
 
     Candidates range over the operator's domain: everything for the total
     four-valued operators, the subsets of y (supersets of x) for the
-    consistent-only ones, whose values are read from their planes
-    (`operators.PairPlanes.stable_values`). On a plain program both
-    four-valued values are the minimal models of the reduct at the other
-    side, kept per distinct `neg_out` mask
+    consistent-only ones, whose values are read from their minimal planes
+    (`operators.PairPlanes.minimal`) at each candidate pair's number. On a
+    plain program both four-valued values are the minimal models of the
+    reduct at the other side, kept per distinct `neg_out` mask
     (`operators.RuleTables.minimal_models`).
     """
     if ops.consistent_only(kind):
-        at_y, at_x = ops.pair_planes(kind, p).stable_values()
-        return (lambda ym: at_y.get(ym, ()), lambda xm: at_x.get(xm, ()))
+        planes = ops.pair_planes(kind, p)
+        lower, upper = planes.minimal()
+        number, full = planes.digits.number, (1 << len(p.universe)) - 1
+        return (
+            lambda ym: [xm for xm in submasks(ym) if lower >> number(xm, ym) & 1],
+            lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
+        )
     tables = ops.rule_tables(p)
     if tables.plain:
         neg_out, minimal_models = tables.neg_out, tables.minimal_models
@@ -114,14 +119,14 @@ def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
     """Minimal x with x a member of the lower operator at (x, y)."""
     ops.check_kind_applicable(kind, p)
     u = p.universe
-    return frozenset(map(u.unmask, _stable_values(kind, p)[0](u.mask(y))))
+    return frozenset(map(u.unmask, _complete_values(kind, p)[0](u.mask(y))))
 
 
 def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     """Minimal y with y a member of the upper operator at (x, y)."""
     ops.check_kind_applicable(kind, p)
     u = p.universe
-    return frozenset(map(u.unmask, _stable_values(kind, p)[1](u.mask(x))))
+    return frozenset(map(u.unmask, _complete_values(kind, p)[1](u.mask(x))))
 
 
 def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
@@ -136,7 +141,7 @@ def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
         planes = ops.pair_planes(kind, p)
         lower, upper = planes.minimal()
         return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(lower & upper)]
-    lower_value, upper_value = _stable_values(kind, p)
+    lower_value, upper_value = _complete_values(kind, p)
     lower_at: dict[int, set[int]] = {}
     out = []
     for xm in range(1 << len(u)):
@@ -420,7 +425,7 @@ def run_semantics(name: str, p: Program, kind: OperatorKind | None = None) -> Se
     p.compile()
     return SemanticsResult(
         kind=name,
-        models=tuple(sorted(run(p, kind), key=p.universe.pair_key)),
+        models=tuple(run(p, kind)),
         operator=kind.value if kind is not None else None,
         program_digest=prog.program_hash(p),
         universe=p.universe.atoms,

@@ -342,6 +342,15 @@ def test_check_reports_the_known_defect():
     assert "reproducer" in out
 
 
+def test_check_runs_a_law_named_twice_once():
+    code, out, _ = run("check", "--laws", "exactness,exactness", "--programs", "1")
+    assert code == 0
+    assert out.count("PASS exactness") == 1
+    assert "OK: 1/1 laws hold" in out
+    code, out, _ = run("check", "--laws", "exactness,exactness", "--programs", "1", "--format", "json")
+    assert [law["name"] for law in json.loads(out)["laws"]] == ["exactness"]
+
+
 def test_check_json():
     code, out, _ = run(
         "check", "--laws", "exactness", "--programs", "5", "--format", "json"

@@ -14,6 +14,7 @@ from aftlab.lattice import (
     aprec_leq,
     atom_cap,
     difference,
+    digit_planes,
     gap,
     hoare_leq,
     leq_i,
@@ -154,6 +155,15 @@ def test_interval_counts():
                 assert all(x <= z <= y for z in members)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_the_number_of_a_pair_marks_that_pair_alone(n):
+    digits = digit_planes(n)
+    for x in range(1 << n):
+        for y in range(1 << n):
+            if not x & ~y:
+                assert list(digits.pairs(1 << digits.number(x, y))) == [(x, y)]
+
+
 def test_consistent_pairs_enumeration():
     u1 = AtomUniverse.of(["p"])
     assert list(u1.consistent_pairs()) == [pair(), pair("", "p"), pair("p", "p")]
@@ -172,11 +182,6 @@ def test_mask_enumerations_equal_the_order_scans(n):
         below = [u.pair(*m) for m in masks_below_t(*u.pair_key(i))]
         assert len(below) == len(set(below))
         assert set(below) == {j for j in pairs if leq_t(j, i)}
-
-
-def test_consistent_pairs_cap():
-    with pytest.raises(CapExceededError):
-        list(U4.consistent_pairs(cap=3))
 
 
 def test_atom_cap_env(monkeypatch):

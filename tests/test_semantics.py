@@ -6,6 +6,7 @@ from aftlab.lattice import ApproxPair, CapExceededError, leq_i, leq_t
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, body_formula, classify, gl_transform, gz_reduct, parse
 from conftest import atoms, pair
+from test_interval_tables import PROGRAMS as INTERVAL_TABLE_PROGRAMS
 
 
 def family(*sets):
@@ -278,6 +279,24 @@ def test_a_program_compiled_under_a_larger_cap_runs_everywhere(monkeypatch):
         sem.run_semantics(name, p, OperatorKind.IC if name in sem.OPERATOR_BASED else None)
     outcomes = laws.run_laws([p], max_atoms=3)
     assert [o.name for o in outcomes] == list(laws.LAW_NAMES)
+
+
+def test_every_semantics_yields_its_models_once_in_increasing_mask_order():
+    """`run_semantics` returns the models in the order the sweeps yield them."""
+    kinds = {sem.ANY_OPERATOR: list(OperatorKind), sem.DETERMINISTIC_OPERATOR: [OperatorKind.DMT_DET],
+             sem.NO_OPERATOR: [None]}
+    runs = 0
+    for p in INTERVAL_TABLE_PROGRAMS:
+        key = p.universe.pair_key
+        for name, (takes, run) in sem.SEMANTICS.items():
+            for kind in kinds[takes]:
+                try:
+                    keys = [key(i) for i in run(p, kind)]
+                except ProgramClassError:
+                    continue
+                runs += 1
+                assert all(a < b for a, b in zip(keys, keys[1:])), (name, kind, p.text)
+    assert runs == 1901
 
 
 def test_run_semantics_dispatch(disjunctive_self_defeat):
