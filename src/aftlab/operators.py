@@ -8,16 +8,16 @@ All operators are pure; applications are memoized per (operator, program,
 pair). The sweeps read the operators from tables instead, built on the
 program's masks and kept on its compiled form: its one `RuleTables`, and for
 each interval-based operator its `PairPlanes`, bit planes with one bit per
-consistent pair (`interval_tables`, `pair_planes`). The four-valued sweeps of
-a program that is not plain test the fired heads (`contains`,
-`smyth_below`).
+consistent pair (`interval_tables`, `pair_planes`), which `dmt-det` shares
+with `dmt`. The four-valued sweeps of a program that is not plain test the
+fired heads (`contains`, `smyth_below`).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
-from operator import and_
+from functools import cache, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import four, program as prog
@@ -354,8 +354,8 @@ class PairPlanes:
     with y in its upper set, `smyth` those where some member of the lower set
     lies within x, and `closed` those whose y is closed under the base
     operator, some member of ic(y) lying within y. Kept per program and
-    operator (`pair_planes`); the complete stable values are read from its
-    `minimal` planes."""
+    distinct set of planes (`pair_planes`); the complete stable values are
+    read from its `minimal` planes."""
 
     __slots__ = ("digits", "lower", "upper", "smyth", "closed", "_minimal")
 
@@ -372,20 +372,20 @@ class PairPlanes:
         return self._minimal
 
 
-def _missed(heads: dict[int, int], miss: dict[int, int]) -> int:
-    """The pairs at which a head is marked (`heads`, by head mask) that one
-    side misses (`miss`, by head mask)."""
+def _missed(heads: dict[int, int], inside: Sequence[int]) -> int:
+    """The pairs at which a head is marked (`heads`, by head mask) that the
+    set on one side misses (`inside[i]` marks atom i in it)."""
     out = 0
     for h, plane in heads.items():
-        out |= plane & miss[h]
+        out |= plane & ~reduce(or_, [within for i, within in enumerate(inside) if h >> i & 1])
     return out
 
 
-def _members(digits: DigitPlanes, heads: dict[int, int], miss: dict[int, int], inside: Sequence[int]) -> int:
+def _members(digits: DigitPlanes, heads: dict[int, int], inside: Sequence[int]) -> int:
     """The pairs whose set on one side (`inside[i]` marks atom i in it) is a
     hitting set of the heads marked there: it misses none of them and has no
     atom outside them."""
-    out = _missed(heads, miss)
+    out = _missed(heads, inside)
     for i, within in enumerate(inside):
         covered = 0
         for h, plane in heads.items():
@@ -406,9 +406,9 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
     - `dmt`: the AND and the OR of those planes over each interval
       (`DigitPlanes.fold`) mark its lower and upper heads. A head is
       activated at z when any of its rules fires, so the AND runs per head,
-      not per rule;
-    - `dmt-det`: the same folds of the planes of the fired atoms, one per
-      atom; x is its lower set iff x has each atom exactly where the AND has;
+      not per rule. These are also the planes of `dmt-det` (`pair_planes`):
+      on atomic heads the one hitting set of the marked heads is the set of
+      their atoms, so x is a member iff it has exactly those atoms;
     - `ultimate`: x is in its set at (x, y) iff x hits the heads fired at
       some z in [x, y]. The test is made at z = y (`above_x` copies the heads
       of each total pair to the pairs below it) and ORed over the subsets of
@@ -434,39 +434,23 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
         else:
             plane = digits.spread(int("".join("1" if f >> k & 1 else "0" for f in reversed(fired)), 2))
         fires[r.head_mask] = fires.get(r.head_mask, 0) | plane
-    x_misses, y_misses = {}, {}
-    for h in fires:
-        x_misses[h] = y_misses[h] = full
-        for i in range(n):
-            if h >> i & 1:
-                x_misses[h] &= ~d2[i]
-                y_misses[h] &= d0[i]
-    closed = full & ~digits.above_x(_missed(fires, x_misses))
+    closed = full & ~digits.above_x(_missed(fires, d2))
     if kind is OperatorKind.DMT:
+        # One side at a time: the folds of the lower side are dropped before
+        # those of the upper side are built, which keeps the peak lower.
         meet = {h: digits.fold(plane, True) for h, plane in fires.items()}
+        lower, smyth = _members(digits, meet, d2), full & ~_missed(meet, d2)
+        del meet
         join = {h: digits.fold(plane, False) for h, plane in fires.items()}
-        lower = _members(digits, meet, x_misses, d2)
-        upper = _members(digits, join, y_misses, in_y)
-        smyth = full & ~_missed(meet, x_misses)
-    elif kind is OperatorKind.DMT_DET:
-        lower = upper = smyth = full
-        for i in range(n):
-            atom = 0
-            for h, plane in fires.items():
-                if h >> i & 1:
-                    atom |= plane
-            meet, join = digits.fold(atom, True), digits.fold(atom, False)
-            lower &= ~(d2[i] ^ meet)
-            upper &= ~(in_y[i] ^ join)
-            smyth &= ~(meet & ~d2[i])
+        upper = _members(digits, join, in_y)
     elif kind is OperatorKind.ULTIMATE:
         at_y = {h: digits.above_x(plane) for h, plane in fires.items()}
         at_x = {h: digits.below_y(plane) for h, plane in fires.items()}
-        lower = digits.below_y(_members(digits, at_y, x_misses, d2))
-        upper = digits.above_x(_members(digits, at_x, y_misses, in_y))
-        smyth = digits.below_y(full & ~_missed(at_y, x_misses))
+        lower = digits.below_y(_members(digits, at_y, d2))
+        upper = digits.above_x(_members(digits, at_x, in_y))
+        smyth = digits.below_y(full & ~_missed(at_y, d2))
     elif kind is OperatorKind.GZ:
-        exact = total & _members(digits, fires, x_misses, d2)
+        exact = total & _members(digits, fires, d2)
         x_empty = y_full = full ^ total
         for i in range(n):
             x_empty &= ~d2[i]
@@ -480,7 +464,11 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
 def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
     """The planes of a consistent-only operator on the program, built by the
     first sweep that asks (`interval_tables`) and then kept on its compiled
-    form."""
+    form. `dmt-det` reads the planes of `dmt`, the same object: on atomic
+    heads, which `check_kind_applicable` asks of every `dmt-det` sweep, `dmt`
+    is `dmt-det` lifted to singletons."""
+    if kind is OperatorKind.DMT_DET:
+        kind = OperatorKind.DMT
     kept = p.compile().pair_planes
     planes = kept.get(kind)
     if planes is None:

@@ -262,8 +262,8 @@ class Compiled:
     """What the operators read of a program, built once by `Program.compile`.
     `rule_tables` keeps the program's `operators.RuleTables`, every sweep's
     one table object, once a sweep has built it (`operators.rule_tables`),
-    and `pair_planes` the `operators.PairPlanes` of each consistent-only
-    operator a sweep has asked for (`operators.pair_planes`)."""
+    and `pair_planes` the `operators.PairPlanes` a sweep has asked for, one
+    per distinct set of planes (`operators.pair_planes`)."""
 
     __slots__ = ("rules", "classification", "rule_tables", "pair_planes")
 

@@ -10,14 +10,15 @@ operators iterate masks and read them directly when the program is plain
 (every body conjunctive and aggregate-free), and otherwise test membership
 on the fired heads (`operators.contains`, `operators.smyth_below`). Those of
 the consistent-only operators AND bit planes built from them, one bit per
-pair and kept per program and operator (`operators.pair_planes`), and decode
-only the set bits. Sets are built only for the models returned.
+pair and kept per program and distinct set of planes
+(`operators.pair_planes`), and decode only the set bits. Sets are built only
+for the models returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import operators as ops, program as prog
 from .lattice import (
@@ -68,12 +69,6 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
         for xm, ym in u.consistent_masks()
         if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
     ]
-
-
-def lower_candidates(kind: OperatorKind, p: Program, y: AtomSet) -> Iterator[AtomSet]:
-    if ops.consistent_only(kind):
-        return p.universe.interval(frozenset(), y)
-    return p.universe.subsets()
 
 
 def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:

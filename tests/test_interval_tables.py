@@ -1,11 +1,13 @@
 """Differential tests: the sweeps of the consistent-only operators (`dmt`,
 `ultimate`, `gz`, `dmt-det`), which read bit planes kept per program and
-operator, and those of the four-valued ones (`ic`, `ic-triv`), which read the
-program's rule tables or, on general and aggregate bodies, test the fired
-heads, against definitional sweeps kept here that read the operators'
-families through `operators.apply`; the deterministic stable pairs against
-least-fixpoint loops over `operators.det_lower` and `operators.det_upper`;
-and Kripke-Kleene against the iteration of `operators.dmt_det`."""
+distinct set of planes, and those of the four-valued ones (`ic`, `ic-triv`),
+which read the program's rule tables or, on general and aggregate bodies,
+test the fired heads, against definitional sweeps kept here that read the
+operators' families through `operators.apply`; the deterministic stable pairs
+against least-fixpoint loops over `operators.det_lower` and
+`operators.det_upper`; and Kripke-Kleene against the iteration of
+`operators.dmt_det`. `dmt-det` reads the planes of `dmt`, so `dmt` is checked
+to be `dmt-det` lifted to singletons wherever the heads are atomic."""
 
 from __future__ import annotations
 
@@ -226,6 +228,17 @@ def test_det_stable_fixpoints_and_wf_equal_least_fixpoint_loops():
                 sem.wf_fixpoint_det(p)
 
 
+def test_dmt_det_is_dmt_on_atomic_heads():
+    atomic = [p for p in PROGRAMS if all(len(r.head) == 1 for r in p.rules)]
+    pairs = 0
+    for p in [*atomic, *fired_atom_tables()]:
+        for i in p.universe.consistent_pairs():
+            pairs += 1
+            assert ops.apply(OperatorKind.DMT, p, i) == ops.apply(OperatorKind.DMT_DET, p, i)
+        assert ops.pair_planes(OperatorKind.DMT_DET, p) is ops.pair_planes(OperatorKind.DMT, p)
+    assert pairs == 7359
+
+
 def ref_kk(p):
     """The Kripke-Kleene pair: `operators.dmt_det` iterated from the least
     precise pair until it stops moving."""
@@ -287,8 +300,8 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
 
 def test_each_program_builds_its_rule_tables_once(monkeypatch):
     """One `RuleTables` per program, shared by every operator, sweep and
-    complete stable value, and the planes of each consistent-only operator
-    once per program."""
+    complete stable value, and each distinct set of planes once per program:
+    `dmt-det`, swept after `dmt`, builds none."""
     builds = []
     plane_builds = []
 
@@ -316,6 +329,10 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
                 sem.complete_lower_stable(kind, p, s)
                 sem.complete_upper_stable(kind, p, s)
         assert builds == [p.compile().rules]
-        assert plane_builds == [kind for q, kind in cases() if q is original and ops.consistent_only(kind)]
+        assert plane_builds == [
+            kind
+            for q, kind in cases()
+            if q is original and ops.consistent_only(kind) and kind is not OperatorKind.DMT_DET
+        ]
         builds.clear()
         plane_builds.clear()

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from aftlab import corpus, laws, operators as ops, render
-from aftlab.lattice import AftlabError, NdPair, aprec_leq, masks_above_i, smyth_leq
+from aftlab.lattice import AftlabError, ApproxPair, NdPair, aprec_leq, masks_above_i, smyth_leq
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, parse
 
@@ -128,13 +128,44 @@ def test_prefixpoint_minimal_reads_the_operator_once_per_candidate():
     programs = corpus.programs()
     outcome = laws.run_laws(programs, ["prefixpoint-minimal"], apply_fn=counting)[0]
     assert outcome.ok
+    # The candidates at y are its 2^|y| subsets for a consistent-only
+    # operator and all 2^n sets for a four-valued one.
     candidates = sum(
-        len(list(laws.sem.lower_candidates(kind, p, y)))
+        1 << (len(y) if ops.consistent_only(kind) else len(p.universe))
         for p in programs
         for kind in laws._ndao_kinds(p)
         for y in p.universe.subsets()
     )
     assert len(calls) == len(set(calls)) == candidates
+
+
+def is_least_precise(p, i):
+    return i == ApproxPair(frozenset(), p.universe.full())
+
+
+def test_symmetry_reads_ic_through_apply_fn():
+    def emptied(kind, p, i):
+        value = ops.apply(kind, p, i)
+        if kind is OperatorKind.IC and is_least_precise(p, i):
+            return NdPair(frozenset(), value.upper_set)
+        return value
+
+    outcome = laws.run_laws(corpus.programs(), ["symmetry"], apply_fn=emptied)[0]
+    assert not outcome.ok
+    assert "differs from upper at the swapped pair\nreproducer:" in outcome.failure
+
+
+def test_dmt_det_collapse_reads_both_operators_through_apply_fn():
+    def complemented(kind, p, i):
+        value = ops.apply(kind, p, i)
+        if kind is OperatorKind.DMT_DET and is_least_precise(p, i):
+            (lower,) = value.lower_set
+            return NdPair(frozenset((p.universe.full() - lower,)), value.upper_set)
+        return value
+
+    outcome = laws.run_laws(corpus.programs(), ["dmt-det-collapse"], apply_fn=complemented)[0]
+    assert not outcome.ok
+    assert outcome.failure.startswith("head-level interval operator does not collapse at ")
 
 
 # The four laws that order operator values, as first written: they compare the
