@@ -228,7 +228,7 @@ class DigitPlanes:
     digit i is 0, 1 and 2, `total` those with x = y and `full` every pair.
     Only `d1` is kept; `d0` and `d2`, the same runs one run lower and
     higher, and `total` are built from it when asked, so the instance that
-    `digit_planes` keeps per n holds n planes (2n once `spread` is used).
+    `digit_planes` keeps per n holds n planes.
 
     The pair (x, y - a) is number k - 3^a and (x + a, y) is k + 3^a, so a
     shift by 3^a moves every pair's value to its neighbour along atom a. The
@@ -236,13 +236,12 @@ class DigitPlanes:
     zeta transform (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets
     Möbius", STOC 2007) run on every pair at once."""
 
-    __slots__ = ("n", "steps", "d1", "_spread", "_decode")
+    __slots__ = ("n", "steps", "d1", "_decode")
 
     def __init__(self, n: int):
         self.n = n
         self.steps = tuple(3**i for i in range(n))
         self.d1 = tuple(self._repeat(((1 << s) - 1) << s, 3 * s) for s in self.steps)
-        self._spread: tuple[int, ...] | None = None
         low = n // 2
         self._decode = (3**low, _pair_keys(n, range(low)), _pair_keys(n, range(low, n)))
 
@@ -272,21 +271,6 @@ class DigitPlanes:
             block |= block << period
             period *= 2
         return block & self.full
-
-    def spread(self, sets: int) -> int:
-        """The plane marking the total pair (z, z) for each set z in `sets`, an
-        int with bit z for the set with mask z. Bit z moves to the number of
-        (z, z), 2 * sum_{i in z} 3^i, by one masked shift per atom, highest
-        first. Before atom i is placed, the set z sits at
-        sum_{j>i} 2*3^j z_j + sum_{j<=i} 2^j z_j, which has atom i iff it lies
-        in [2^i, 2^(i+1)) modulo 2*3^(i+1)."""
-        if self._spread is None:
-            runs = [((1 << (1 << i)) - 1) << (1 << i) for i in range(self.n)]
-            self._spread = tuple(self._repeat(run, 2 * 3 ** (i + 1)) for i, run in enumerate(runs))
-        for i in reversed(range(self.n)):
-            at = self._spread[i]
-            sets = sets & ~at | (sets & at) << (2 * 3**i - (1 << i))
-        return sets
 
     def fold(self, plane: int, meet: bool) -> int:
         """The AND (meet) or OR of the plane's total pairs over each interval:

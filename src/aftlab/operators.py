@@ -6,11 +6,14 @@ plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
 pair). The sweeps read the operators from tables instead, built on the
-program's masks and kept on its compiled form: its one `RuleTables`, and for
-each interval-based operator its `PairPlanes`, bit planes with one bit per
-consistent pair (`interval_tables`, `pair_planes`), which `dmt-det` shares
-with `dmt`. The four-valued sweeps of a program that is not plain test the
-fired heads (`contains`, `smyth_below`).
+program's masks and kept on its compiled form. Every rule body is read once
+as two bit planes over the consistent pairs, the pairs where its value has
+the lower bit and those where it has the upper bit, and each operator's
+`PairPlanes` are built from them (`interval_tables`, `pair_planes`): `ic`
+shares the planes of `ic-triv`, and `dmt-det` those of `dmt`. The complete
+stable values of `ic` and `ic-triv` range over the inconsistent pairs too;
+they read the `RuleTables` of a plain program, and otherwise test the fired
+heads (`contains`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import four, program as prog
 from .four import Truth
@@ -46,9 +49,9 @@ class OperatorKind(Enum):
     IC_TRIV = "ic-triv"
 
 
-# The four-valued operators. Their sweeps read the program's `RuleTables`
-# when it is plain, and otherwise test membership on the fired heads
-# (`contains`, `smyth_below`).
+# The four-valued operators, total on every pair. Their complete stable
+# values range over the inconsistent pairs too, so they are not read from
+# planes but from the program's `RuleTables`, or else by `contains`.
 FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
 
 
@@ -56,7 +59,8 @@ def consistent_only(kind: OperatorKind) -> bool:
     """Whether the operator is defined only on consistent pairs.
 
     The four-valued operators are total; the interval-based operators and the
-    trivial operator are not extended to inconsistent pairs.
+    trivial operator are not extended to inconsistent pairs. Only their
+    complete stable values are read from planes (`PairPlanes.minimal`).
     """
     return kind not in FOUR_VALUED
 
@@ -147,13 +151,6 @@ def contains(p: Program, xm: int, ym: int, m: int, upper: bool = False) -> bool:
             return False
         union |= r.head_mask
     return not m & ~union
-
-
-def smyth_below(p: Program, xm: int, ym: int, m: int) -> bool:
-    """Whether the lower set of `ic` and `ic-triv` at (xm, ym) is Smyth-below
-    {m}, that is some member lies within m: m meets every fired lower head
-    (its intersection with their union is then a member)."""
-    return all(m & r.head_mask for r in _fired(p, xm, ym, four.LOWER_BIT))
 
 
 @cache
@@ -264,24 +261,15 @@ def _shared(values: Iterable[int]) -> list[int]:
 
 
 class RuleTables:
-    """What a program fires and misses at each of the 2^n sets, as rule
-    bitmasks, rule k being bit k (`rule_tables`). `pos_in[x]` holds the rules
-    whose pos lies within x, `neg_out[y]` those whose neg misses y, and
-    `head_out[w]` those whose head misses w; each takes n doublings, one per
-    atom. `fired[z]` holds the rules whose bodies hold at z
-    (`CompiledRule.holds`): `pos_in[z] & neg_out[z]`, less the rules with an
-    aggregate literal or a general body that does not hold there, the only
-    rules that call `holds`. The program is `plain` when it has no such rule.
+    """What the rules of a plain program miss at each of the 2^n sets, as
+    rule bitmasks, rule k being bit k (`rule_tables`): `neg_out[y]` holds the
+    rules whose neg misses y, and `violated[x]` those whose pos lies within x
+    and whose head misses x, the rules x violates unless their negation is
+    blocked. Each is built with n doublings, one per atom."""
 
-    On a plain program the rules `pos_in[x] & neg_out[y]` fire on the lower
-    side of `ic` at (x, y) and `pos_in[y] & neg_out[x]` on its upper side,
-    and `violated[x]`, which is `pos_in[x] & head_out[x]`, holds the rules x
-    violates unless their negation is blocked."""
-
-    __slots__ = ("heads", "pos_in", "neg_out", "head_out", "violated", "fired", "plain", "_covers", "_models")
+    __slots__ = ("neg_out", "violated", "_models")
 
     def __init__(self, u: AtomUniverse, rules: tuple[prog.CompiledRule, ...]):
-        self.heads = tuple(r.head_mask for r in rules)
         every = (1 << len(rules)) - 1
         pos_in, neg_out, head_out = [every], [every], [every]
         for i in range(len(u)):
@@ -292,45 +280,20 @@ class RuleTables:
             pos_in = [m & ~with_pos for m in pos_in] + pos_in
             neg_out += [m & ~with_neg for m in neg_out]
             head_out += [m & ~with_head for m in head_out]
-        fired = list(map(and_, pos_in, neg_out))
-        read = [(1 << k, r) for k, r in enumerate(rules) if r.formula is not None or r.aggs]
-        self.plain = not read
-        for bit, r in read:
-            for z, f in enumerate(fired):
-                if f & bit and not r.holds(u, z):
-                    fired[z] = f & ~bit
         # Each table takes few distinct values over the 2^n sets; holding one
         # int per value keeps it near the size of its 2^n references.
-        self.pos_in, self.neg_out, self.head_out, self.fired = map(_shared, (pos_in, neg_out, head_out, fired))
+        self.neg_out = _shared(neg_out)
         self.violated = _shared(map(and_, pos_in, head_out))
-        self._covers: dict[int, int] = {}
         self._models: dict[int, tuple[int, ...]] = {}
-
-    def covered(self, f: int) -> int:
-        """The atoms of the heads of the rules f, kept per f."""
-        atoms = self._covers.get(f)
-        if atoms is None:
-            atoms = 0
-            for k, h in enumerate(self.heads):
-                if f >> k & 1:
-                    atoms |= h
-            self._covers[f] = atoms
-        return atoms
-
-    def member(self, w: int, f: int) -> bool:
-        """Whether w is a hitting set of the heads of the rules f: it meets
-        each of them and lies within their atoms."""
-        return not (f & self.head_out[w] or w & ~self.covered(f))
 
     def minimal_models(self, live: int) -> tuple[int, ...]:
         """The minimal sets s with `violated[s] & live == 0`, in increasing
-        order, kept per `live`; read on plain programs. With live = neg_out[y]
-        these are the minimal models of the reduct P^y (Gelfond and
-        Lifschitz, 1991), which are the complete lower stable value of `ic` at
-        y: every member of the lower set at (x, y) is a model, and every
-        minimal model is a member, since it is supported and so lies within
-        the heads fired at (x, y). With live = neg_out[x] they are the
-        complete upper stable value at x."""
+        order, kept per `live`. With live = neg_out[y] these are the minimal
+        models of the reduct P^y (Gelfond and Lifschitz, 1991), which are the
+        complete lower stable value of `ic` at y: every member of the lower
+        set at (x, y) is a model, and every minimal model is a member, since
+        it is supported and so lies within the heads fired at (x, y). With
+        live = neg_out[x] they are the complete upper stable value at x."""
         models = self._models.get(live)
         if models is None:
             found = minimal_masks(s for s, v in enumerate(self.violated) if not v & live)
@@ -339,8 +302,8 @@ class RuleTables:
 
 
 def rule_tables(p: Program) -> RuleTables:
-    """The program's `RuleTables`, built by the first sweep that asks and then
-    kept on its compiled form."""
+    """The `RuleTables` of a plain program (`program.Classification.plain`),
+    built by the first sweep that asks and then kept on its compiled form."""
     compiled = p.compile()
     if compiled.rule_tables is None:
         compiled.rule_tables = RuleTables(p.universe, compiled.rules)
@@ -348,14 +311,14 @@ def rule_tables(p: Program) -> RuleTables:
 
 
 class PairPlanes:
-    """A consistent-only operator read at every consistent pair, as planes
-    over the pair numbers (`lattice.DigitPlanes`, its `digits`): `lower`
-    marks the pairs (x, y) with x in the operator's lower set, `upper` those
-    with y in its upper set, `smyth` those where some member of the lower set
-    lies within x, and `closed` those whose y is closed under the base
-    operator, some member of ic(y) lying within y. Kept per program and
-    distinct set of planes (`pair_planes`); the complete stable values are
-    read from its `minimal` planes."""
+    """An operator read at every consistent pair, as planes over the pair
+    numbers (`lattice.DigitPlanes`, its `digits`): `lower` marks the pairs
+    (x, y) with x in the operator's lower set, `upper` those with y in its
+    upper set, `smyth` those where some member of the lower set lies within
+    x, and `closed` those whose y is closed under the base operator, some
+    member of ic(y) lying within y. Kept per program and distinct set of
+    planes (`pair_planes`). The complete stable values of a consistent-only
+    operator are read from its `minimal` planes."""
 
     __slots__ = ("digits", "lower", "upper", "smyth", "closed", "_minimal")
 
@@ -372,12 +335,78 @@ class PairPlanes:
         return self._minimal
 
 
+def _within(m: int, inside: Sequence[int], full: int) -> int:
+    """The pairs whose set on one side (`inside[i]` marks atom i in it)
+    contains every atom of the mask m."""
+    return reduce(and_, [within for i, within in enumerate(inside) if m >> i & 1], full)
+
+
+def _meets(m: int, inside: Sequence[int]) -> int:
+    """The pairs whose set on one side has some atom of the mask m."""
+    return reduce(or_, [within for i, within in enumerate(inside) if m >> i & 1], 0)
+
+
+def _aggregate_planes(a: prog.CompiledAggregate, full: int, in_x: Sequence[int], in_y: Sequence[int]) -> tuple[int, int]:
+    """The lower and upper planes of an aggregate literal under its trivial
+    approximation (`program.CompiledAggregate.trivial`). On a consistent pair
+    no condition holds at x but not at y, so the literal is U where some
+    condition holds at y only, and elsewhere takes its two-valued value at x,
+    which depends only on the conditions that hold there. The pairs are split
+    by those conditions, and the literal is read once per part, at the union
+    of the conditions that hold in it, where exactly they hold."""
+    inexact, parts = 0, [(full, 0)]
+    for c in a.conditions:
+        at_x = _within(c, in_x, full)
+        inexact |= _within(c, in_y, full) & ~at_x
+        split = []
+        for plane, atoms in parts:
+            split += [(plane & at_x, atoms | c), (plane & ~at_x, atoms)]
+        parts = [(plane, atoms) for plane, atoms in split if plane]
+    holds = reduce(or_, [plane for plane, atoms in parts if a.holds(atoms)], 0)
+    return holds & ~inexact, holds | inexact
+
+
+def _formula_planes(f: four.Formula, atom: Callable[[str], tuple[int, int]], full: int) -> tuple[int, int]:
+    """`four.eval_pair` on every consistent pair at once: the planes of the
+    pairs at which the value of f has the lower bit and the upper bit, those
+    of an atom given by `atom`. A constant has its bits everywhere; negation
+    swaps the two planes and complements them, conjunction and disjunction
+    AND and OR them."""
+    if isinstance(f, four.Atom):
+        return atom(f.name)
+    if isinstance(f, four.Const):
+        return full if f.value.value & four.LOWER_BIT else 0, full if f.value.value & four.UPPER_BIT else 0
+    if isinstance(f, four.Not):
+        lower, upper = _formula_planes(f.operand, atom, full)
+        return full ^ upper, full ^ lower
+    (ll, lu), (rl, ru) = _formula_planes(f.left, atom, full), _formula_planes(f.right, atom, full)
+    return (ll & rl, lu & ru) if isinstance(f, four.And) else (ll | rl, lu | ru)
+
+
+def _body_planes(
+    u: AtomUniverse, r: prog.CompiledRule, full: int, in_x: Sequence[int], in_y: Sequence[int]
+) -> tuple[int, int]:
+    """The planes of the consistent pairs (x, y) at which the body of r has
+    the lower bit and the upper bit, the two bits that `_fired` reads one
+    pair at a time. An atom has the lower bit where it is in x (`in_x`) and
+    the upper bit where it is in y (`in_y`); a conjunctive body is the AND of
+    its literals."""
+    if r.formula is not None:
+        return _formula_planes(r.formula, lambda a: (in_x[u.index(a)], in_y[u.index(a)]), full)
+    lower = _within(r.pos, in_x, full) & ~_meets(r.neg, in_y)
+    upper = _within(r.pos, in_y, full) & ~_meets(r.neg, in_x)
+    for a in r.aggs:
+        agg_lower, agg_upper = _aggregate_planes(a, full, in_x, in_y)
+        lower, upper = lower & agg_lower, upper & agg_upper
+    return lower, upper
+
+
 def _missed(heads: dict[int, int], inside: Sequence[int]) -> int:
     """The pairs at which a head is marked (`heads`, by head mask) that the
     set on one side misses (`inside[i]` marks atom i in it)."""
     out = 0
     for h, plane in heads.items():
-        out |= plane & ~reduce(or_, [within for i, within in enumerate(inside) if h >> i & 1])
+        out |= plane & ~_meets(h, inside)
     return out
 
 
@@ -396,15 +425,18 @@ def _members(digits: DigitPlanes, heads: dict[int, int], inside: Sequence[int]) 
 
 
 def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
-    """The planes of a consistent-only operator. Each head gets the plane of
-    the total pairs (z, z) at which a rule with that head fires (a plain body
-    is the AND of the digit planes of its atoms; any other body is read from
-    `RuleTables.fired` and spread). A set w hits the heads marked at a pair
-    iff it misses none of them and lies within their atoms; some hitting set
-    lies within x, the Smyth test, iff x misses none of them. Per operator:
+    """The planes of an operator. Each rule body is read once as its two
+    planes (`_body_planes`). A set w hits the heads marked at a pair iff it
+    misses none of them and lies within their atoms; some hitting set lies
+    within x, the Smyth test, iff x misses none of them. A body has both
+    bits at a total pair (z, z), it is true, iff it holds at z, so the rules
+    with both bits there have the heads of `hd(z)`: y is closed iff it
+    misses none of those at (y, y). Per operator:
 
-    - `dmt`: the AND and the OR of those planes over each interval
-      (`DigitPlanes.fold`) mark its lower and upper heads. A head is
+    - `ic-triv`: the heads of the rules with the lower bit mark its lower
+      side and its Smyth test, those with the upper bit its upper side;
+    - `dmt`: the AND and the OR of each head's total planes over each
+      interval (`DigitPlanes.fold`) mark its lower and upper heads. A head is
       activated at z when any of its rules fires, so the AND runs per head,
       not per rule. These are also the planes of `dmt-det` (`pair_planes`):
       on atomic heads the one hitting set of the marked heads is the set of
@@ -416,26 +448,28 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
       x and y swapped;
     - `gz`: exact on total pairs, ({∅}, {A}) elsewhere.
     """
-    compiled = p.compile()
-    fired = rule_tables(p).fired
-    n = len(p.universe)
-    digits = digit_planes(n)
+    u = p.universe
+    digits = digit_planes(len(u))
     full, total, d0, d2 = digits.full, digits.total, digits.d0, digits.d2
     in_y = [full ^ d for d in d0]
+    # Per head mask, the total pairs at which a rule with that head fires,
+    # and for `ic-triv` alone, the pairs at which the body of one has the
+    # lower bit and those at which it has the upper bit.
     fires: dict[int, int] = {}
-    for k, r in enumerate(compiled.rules):
-        if r.formula is None and not r.aggs:
-            plane = total
-            for i in range(n):
-                if r.pos >> i & 1:
-                    plane &= d2[i]
-                if r.neg >> i & 1:
-                    plane &= d0[i]
-        else:
-            plane = digits.spread(int("".join("1" if f >> k & 1 else "0" for f in reversed(fired)), 2))
-        fires[r.head_mask] = fires.get(r.head_mask, 0) | plane
+    lower_heads: dict[int, int] = {}
+    upper_heads: dict[int, int] = {}
+    for r in p.compile().rules:
+        h = r.head_mask
+        body_lower, body_upper = _body_planes(u, r, full, d2, in_y)
+        fires[h] = fires.get(h, 0) | body_lower & body_upper & total
+        if kind is OperatorKind.IC_TRIV:
+            lower_heads[h] = lower_heads.get(h, 0) | body_lower
+            upper_heads[h] = upper_heads.get(h, 0) | body_upper
     closed = full & ~digits.above_x(_missed(fires, d2))
-    if kind is OperatorKind.DMT:
+    if kind is OperatorKind.IC_TRIV:
+        lower, upper = _members(digits, lower_heads, d2), _members(digits, upper_heads, in_y)
+        smyth = full & ~_missed(lower_heads, d2)
+    elif kind is OperatorKind.DMT:
         # One side at a time: the folds of the lower side are dropped before
         # those of the upper side are built, which keeps the peak lower.
         meet = {h: digits.fold(plane, True) for h, plane in fires.items()}
@@ -450,25 +484,28 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
         upper = digits.above_x(_members(digits, at_x, in_y))
         smyth = digits.below_y(full & ~_missed(at_y, d2))
     elif kind is OperatorKind.GZ:
-        exact = total & _members(digits, fires, d2)
-        x_empty = y_full = full ^ total
-        for i in range(n):
-            x_empty &= ~d2[i]
-            y_full &= ~d0[i]
-        lower, upper, smyth = exact | x_empty, exact | y_full, full & ~total | closed & total
+        # Off the total pairs, x = ∅ is the lower member and y = A the upper.
+        exact, off, every = total & _members(digits, fires, d2), full ^ total, (1 << len(u)) - 1
+        lower, upper = exact | off & ~_meets(every, d2), exact | off & ~_meets(every, d0)
+        smyth = off | closed & total
     else:
-        raise AftlabError(f"operator {kind.value!r} has no pair planes")
+        raise AftlabError(f"operator {kind.value!r} has no pair planes of its own")
     return PairPlanes(digits, lower, upper, smyth, closed)
 
 
+# Operators that read the planes of another: `ic` is `ic-triv` on the
+# aggregate-free programs it is defined on, and on atomic heads, which
+# `check_kind_applicable` asks of every `dmt-det` sweep, `dmt` is `dmt-det`
+# lifted to singletons.
+_SHARED_PLANES = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}
+
+
 def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
-    """The planes of a consistent-only operator on the program, built by the
-    first sweep that asks (`interval_tables`) and then kept on its compiled
-    form. `dmt-det` reads the planes of `dmt`, the same object: on atomic
-    heads, which `check_kind_applicable` asks of every `dmt-det` sweep, `dmt`
-    is `dmt-det` lifted to singletons."""
-    if kind is OperatorKind.DMT_DET:
-        kind = OperatorKind.DMT
+    """The planes of an operator on the program, built by the first sweep
+    that asks (`interval_tables`) and then kept on its compiled form. `ic`
+    reads the planes of `ic-triv` and `dmt-det` those of `dmt`, the same
+    objects."""
+    kind = _SHARED_PLANES.get(kind, kind)
     kept = p.compile().pair_planes
     planes = kept.get(kind)
     if planes is None:

@@ -193,6 +193,12 @@ class Classification:
     def aggregate_free(self) -> bool:
         return not self.has_aggregates
 
+    @property
+    def plain(self) -> bool:
+        """Disjunctively normal and aggregate-free: every body a conjunction
+        of atoms and negated atoms."""
+        return self.shape != SHAPE_GENERAL and not self.has_aggregates
+
 
 class CompiledRule:
     """A rule over its program's universe: its `head` set and `head_mask`. A
@@ -212,6 +218,7 @@ class CompiledRule:
         self.formula: Formula | None = None
         if isinstance(rule.body, GeneralFormula):
             self.formula = rule.body.formula
+            u.mask(four.formula_atoms(self.formula))
             return
         items = rule.body.items
         self.pos = u.mask(lit.name for lit in items if isinstance(lit, PositiveAtom))
@@ -260,10 +267,10 @@ class CompiledAggregate:
 
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`.
-    `rule_tables` keeps the program's `operators.RuleTables`, every sweep's
-    one table object, once a sweep has built it (`operators.rule_tables`),
-    and `pair_planes` the `operators.PairPlanes` a sweep has asked for, one
-    per distinct set of planes (`operators.pair_planes`)."""
+    `pair_planes` keeps the `operators.PairPlanes` a sweep has asked for, one
+    per distinct set of planes (`operators.pair_planes`), and `rule_tables`
+    the `operators.RuleTables` of a plain program once the complete stable
+    values of `ic` or `ic-triv` have built them (`operators.rule_tables`)."""
 
     __slots__ = ("rules", "classification", "rule_tables", "pair_planes")
 

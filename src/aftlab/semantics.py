@@ -4,15 +4,14 @@ semi-equilibrium models, three-valued stable models via the GL transformation,
 and GZ answer sets as minimal models of the reduct.
 
 Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
-total interpretations); n is bounded by the atom cap. The sweeps read the
-program's rule tables (`operators.rule_tables`). Those of the four-valued
-operators iterate masks and read them directly when the program is plain
-(every body conjunctive and aggregate-free), and otherwise test membership
-on the fired heads (`operators.contains`, `operators.smyth_below`). Those of
-the consistent-only operators AND bit planes built from them, one bit per
-pair and kept per program and distinct set of planes
-(`operators.pair_planes`), and decode only the set bits. Sets are built only
-for the models returned.
+total interpretations); n is bounded by the atom cap. The fixpoint, HT and
+stable sweeps of every operator AND bit planes, one bit per consistent pair,
+built from the two planes of each rule body and kept per program and
+distinct set of planes (`operators.pair_planes`), and decode only the set
+bits. Only the complete stable values of the four-valued operators, which
+range over the inconsistent pairs too, read otherwise: the program's rule
+tables when it is plain (`operators.rule_tables`), and else the fired heads
+(`operators.contains`). Sets are built only for the models returned.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .lattice import (
     AftlabError,
     ApproxPair,
     AtomSet,
+    InconsistentPairError,
     NdSet,
     gap,
     leq_i,
@@ -47,28 +47,12 @@ class WellFoundedAnomalyError(AftlabError):
 
 def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x in the lower and y in the upper set of
-    the operator at (x, y)."""
+    the operator at (x, y): the AND of its lower and upper planes
+    (`operators.PairPlanes`)."""
     p.compile()
     ops.check_kind_applicable(kind, p)
-    u = p.universe
-    if ops.consistent_only(kind):
-        planes = ops.pair_planes(kind, p)
-        return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.lower & planes.upper)]
-    tables = ops.rule_tables(p)
-    if tables.plain:
-        # x is a lower member at (x, y) iff it hits the heads of the rules
-        # pos_in[x] & neg_out[y]; y an upper one likewise, x and y swapped.
-        pos_in, neg_out, member = tables.pos_in, tables.neg_out, tables.member
-        return [
-            u.pair(xm, ym)
-            for xm, ym in u.consistent_masks()
-            if member(xm, pos_in[xm] & neg_out[ym]) and member(ym, pos_in[ym] & neg_out[xm])
-        ]
-    return [
-        u.pair(xm, ym)
-        for xm, ym in u.consistent_masks()
-        if ops.contains(p, xm, ym, xm) and ops.contains(p, xm, ym, ym, upper=True)
-    ]
+    planes = ops.pair_planes(kind, p)
+    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.lower & planes.upper)]
 
 
 def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
@@ -89,7 +73,9 @@ def _complete_values(
     (`operators.PairPlanes.minimal`) at each candidate pair's number. On a
     plain program both four-valued values are the minimal models of the
     reduct at the other side, kept per distinct `neg_out` mask
-    (`operators.RuleTables.minimal_models`).
+    (`operators.RuleTables.minimal_models`); on any other they are read on
+    the fired heads (`operators.contains`). Planes alone would not do for
+    the four-valued operators, whose candidates include inconsistent pairs.
     """
     if ops.consistent_only(kind):
         planes = ops.pair_planes(kind, p)
@@ -99,8 +85,8 @@ def _complete_values(
             lambda ym: [xm for xm in submasks(ym) if lower >> number(xm, ym) & 1],
             lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
         )
-    tables = ops.rule_tables(p)
-    if tables.plain:
+    if p.compile().classification.plain:
+        tables = ops.rule_tables(p)
         neg_out, minimal_models = tables.neg_out, tables.minimal_models
         return (lambda ym: minimal_models(neg_out[ym]), lambda xm: minimal_models(neg_out[xm]))
     every = range(1 << len(p.universe))
@@ -160,24 +146,19 @@ def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:
 
 
 def kk_fixpoint_det(p: Program) -> ApproxPair:
-    """Information-least fixpoint of the deterministic interval operator,
-    reached by iterating from the least precise pair. Each step is
-    `operators.dmt_det` on masks: the AND and the OR of the atoms of the
-    rules fired at each z in [x, y] (`RuleTables.fired`, `covered`)."""
+    """Information-least fixpoint of the deterministic interval operator, the
+    limit of its iteration from the least precise pair (∅, A). Each iterate
+    lies <=_i below every fixpoint, since the operator is <=_i-monotone, and
+    the limit is a fixpoint, so it is (∩x, ∪y) over the fixpoints (x, y) of
+    the `dmt-det` planes (`operators.PairPlanes`): atom i is in x iff every
+    fixpoint has digit 2 there, and in y iff some fixpoint has a digit
+    other than 0."""
     ops.check_kind_applicable(OperatorKind.DMT_DET, p)
-    tables = ops.rule_tables(p)
-    fired, covered = tables.fired, tables.covered
-    full = len(fired) - 1
-    xm, ym = 0, full
-    while True:
-        lower, upper = full, 0
-        for d in submasks(ym & ~xm):
-            atoms = covered(fired[xm | d])
-            lower &= atoms
-            upper |= atoms
-        if (lower, upper) == (xm, ym):
-            return p.universe.pair(xm, ym)
-        xm, ym = lower, upper
+    planes = ops.pair_planes(OperatorKind.DMT_DET, p)
+    fixed, digits = planes.lower & planes.upper, planes.digits
+    xm = sum(1 << i for i, d2 in enumerate(digits.d2) if not fixed & ~d2)
+    ym = sum(1 << i for i, d0 in enumerate(digits.d0) if fixed & ~d0)
+    return p.universe.pair(xm, ym)
 
 
 def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
@@ -207,8 +188,7 @@ def wf_fixpoint_det(p: Program) -> ApproxPair:
 
 
 def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
-    cls = p.compile().classification
-    if cls.shape == prog.SHAPE_GENERAL or cls.has_aggregates:
+    if not p.compile().classification.plain:
         raise ProgramClassError(f"{what} needs a disjunctively normal aggregate-free program")
 
 
@@ -225,25 +205,14 @@ def ht_models_program(p: Program) -> list[ApproxPair]:
 
 def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Algebraic HT pairs: y closed under the base operator (in the Smyth
-    sense) and x covering the operator's lower value.
-
-    y is closed iff some member of ic(y), the hitting sets of hd(y), lies
-    within y, that is iff y misses the head of no rule fired at y:
-    `fired[y] & head_out[y] == 0`. On a plain program the Smyth test of `ic`
-    and `ic-triv` at (x, y) is `violated[x] & neg_out[y] == 0`. For a
-    consistent-only operator both tests are planes (`operators.PairPlanes`)."""
+    sense) and x covering the operator's lower value, the AND of the
+    operator's `closed` and `smyth` planes (`operators.PairPlanes`). y is
+    closed iff some member of ic(y), the hitting sets of hd(y), lies within
+    y, that is iff y misses the head of no rule fired at y."""
     p.compile()
     ops.check_kind_applicable(kind, p)
-    u = p.universe
-    if ops.consistent_only(kind):
-        planes = ops.pair_planes(kind, p)
-        return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.smyth & planes.closed)]
-    tables = ops.rule_tables(p)
-    closed = [not f & m for f, m in zip(tables.fired, tables.head_out)]
-    if tables.plain:
-        violated, neg_out = tables.violated, tables.neg_out
-        return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and not violated[xm] & neg_out[ym]]
-    return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if closed[ym] and ops.smyth_below(p, xm, ym, xm)]
+    planes = ops.pair_planes(kind, p)
+    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.smyth & planes.closed)]
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
@@ -287,8 +256,10 @@ def is_model(p: Program, i: ApproxPair, j: ApproxPair | None = None) -> bool:
     transformation at i (`program.gl_transform`). For j = (x_j, y_j) and
     i = (x_i, y_i), every rule has pos within x_j and neg outside y_i imply
     that the head meets x_j, and pos within y_j and neg outside x_i imply that
-    the head meets y_j."""
+    the head meets y_j. Like the transformation, it needs a consistent i."""
     _require_disjunctively_normal_aggregate_free(p, "the three-valued model test")
+    if not i.is_consistent:
+        raise InconsistentPairError("the three-valued model test needs a consistent pair")
     u = p.universe
     xi, yi = u.mask(i.lower), u.mask(i.upper)
     xj, yj = (xi, yi) if j is None else (u.mask(j.lower), u.mask(j.upper))

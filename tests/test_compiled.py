@@ -1,7 +1,8 @@
 """Differential tests: the compiled rule bodies (two bitmasks plus aggregate
-literals read on condition masks), the integer hitting-set enumeration, the
-membership and Smyth tests on head masks and the kept program hash, against
-direct readings of the program kept here as references."""
+literals read on condition masks), their bit planes over the consistent
+pairs, the integer hitting-set enumeration, the membership test on head masks
+and the kept program hash, against direct readings of the program kept here
+as references."""
 
 from __future__ import annotations
 
@@ -13,11 +14,12 @@ import pytest
 from aftlab import cli, corpus, four, operators as ops, program as prog, semantics as sem
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, smyth_leq
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, digit_planes
 from aftlab.program import (
     CompiledAggregate,
     Conj,
     GeneralFormula,
+    NegatedAgg,
     NegatedAtom,
     PositiveAgg,
     PositiveAtom,
@@ -105,6 +107,32 @@ def heads_at_least(p, i: ApproxPair, threshold: Truth) -> frozenset:
         for r in p.rules
         if four.truth_leq_t(threshold, four.eval_pair(p.universe, i, formula_reading(r, i)))
     )
+
+
+def test_body_planes_equal_the_two_bit_reading():
+    """At each consistent pair k, bit k of a rule's lower (upper) body plane
+    is whether `operators._fired` selects the rule there with the lower
+    (upper) bit."""
+    # The generator writes at most two entries per aggregate; these have more,
+    # some sharing atoms, so that their conditions split the pairs many ways.
+    many_entries = parse(
+        "p :- #sum{1:p; 2:q & r; -1:s; 1:q} >= 1, not #count{1:q; 1:r & s; 1:p} > 1.\n"
+        "q | r :- #max{1:s; 3:p & q; 2:r} < 2.\ns :- not #sum{1:p; 1:q; 1:r; 1:s} = 2.\n"
+    )
+    tested = [*programs(), *corpus.programs(), many_entries]
+    literals = {type(lit) for p in tested for r in p.rules if isinstance(r.body, Conj) for lit in r.body.items}
+    assert {PositiveAgg, NegatedAgg} <= literals
+    for p in tested:
+        u = p.universe
+        digits = digit_planes(len(u))
+        in_y = [digits.full ^ d for d in digits.d0]
+        rules = p.compile().rules
+        planes = [ops._body_planes(u, r, digits.full, digits.d2, in_y) for r in rules]
+        for xm, ym in u.consistent_masks():
+            k = digits.number(xm, ym)
+            for side, bit in enumerate((four.LOWER_BIT, four.UPPER_BIT)):
+                fired = set(ops._fired(p, xm, ym, bit))
+                assert [plane[side] >> k & 1 for plane in planes] == [r in fired for r in rules], (p.text, xm, ym)
 
 
 @pytest.mark.parametrize("threshold", [Truth.C, Truth.U])
@@ -202,7 +230,7 @@ def membership_programs():
     yield from (parse(text) for text in FORMULA_PROGRAMS)
 
 
-def test_membership_and_smyth_tests_equal_the_materialised_families():
+def test_membership_tests_equal_the_materialised_families():
     for p in membership_programs():
         u = p.universe
         for i in all_pairs(p):
@@ -213,7 +241,6 @@ def test_membership_and_smyth_tests_equal_the_materialised_families():
                 s = u.unmask(m)
                 assert ops.contains(p, xm, ym, m) == (s in lower), (p.text, i, s)
                 assert ops.contains(p, xm, ym, m, upper=True) == (s in upper), (p.text, i, s)
-                assert ops.smyth_below(p, xm, ym, m) == smyth_leq(lower, frozenset((s,))), (p.text, i, s)
 
 
 def _count_hitting_sets(monkeypatch) -> list:

@@ -1,13 +1,13 @@
-"""Differential tests: the sweeps of the consistent-only operators (`dmt`,
-`ultimate`, `gz`, `dmt-det`), which read bit planes kept per program and
-distinct set of planes, and those of the four-valued ones (`ic`, `ic-triv`),
-which read the program's rule tables or, on general and aggregate bodies,
-test the fired heads, against definitional sweeps kept here that read the
-operators' families through `operators.apply`; the deterministic stable pairs
-against least-fixpoint loops over `operators.det_lower` and
-`operators.det_upper`; and Kripke-Kleene against the iteration of
-`operators.dmt_det`. `dmt-det` reads the planes of `dmt`, so `dmt` is checked
-to be `dmt-det` lifted to singletons wherever the heads are atomic."""
+"""Differential tests: the sweeps of every operator, which read bit planes
+kept per program and distinct set of planes, and the complete stable values
+of the four-valued ones (`ic`, `ic-triv`), which read the program's rule
+tables or, on general and aggregate bodies, test the fired heads, against
+definitional sweeps kept here that read the operators' families through
+`operators.apply`; the deterministic stable pairs against least-fixpoint
+loops over `operators.det_lower` and `operators.det_upper`; and Kripke-Kleene
+against the iteration of `operators.dmt_det`. `dmt-det` reads the planes of
+`dmt`, so `dmt` is checked to be `dmt-det` lifted to singletons wherever the
+heads are atomic."""
 
 from __future__ import annotations
 
@@ -92,26 +92,19 @@ def test_programs_cover_every_class():
     assert {"PositiveAgg", "NegatedAgg", "PositiveAtom", "NegatedAtom"} <= literals
     assert {len(p.universe) for p in PROGRAMS} >= {1, 2, 3, 4, 5}
     assert sum(kind is OperatorKind.DMT_DET for _, kind in cases()) >= 10
-    # Both paths of the four-valued sweeps: plain rule tables and fired heads.
-    paths = {(kind, ops.rule_tables(p).plain) for p, kind in cases() if kind in FOUR_VALUED_KINDS}
+    # Both paths of the four-valued complete stable values: rule tables on
+    # plain programs and fired heads on the others.
+    paths = {(kind, p.compile().classification.plain) for p, kind in cases() if kind in FOUR_VALUED_KINDS}
     assert paths == {(kind, plain) for kind in FOUR_VALUED_KINDS for plain in (False, True)}
     # Two rules with one head that fire at different sets, where the `dmt`
     # fold must run per head rather than per rule.
     assert any(
-        fired >> j & 1 != fired >> k & 1
+        first.holds(p.universe, z) != second.holds(p.universe, z)
         for p in PROGRAMS
-        for j, k in combinations(range(len(p.rules)), 2)
-        if p.rules[j].head == p.rules[k].head
-        for fired in ops.rule_tables(p).fired
+        for first, second in combinations(p.compile().rules, 2)
+        if first.head_mask == second.head_mask
+        for z in range(1 << len(p.universe))
     )
-
-
-def test_fired_rules_have_the_heads_of_hd():
-    for p in PROGRAMS:
-        tables = ops.rule_tables(p)
-        for z in p.universe.subsets():
-            fired = tables.fired[p.universe.mask(z)]
-            assert {r.head_set() for k, r in enumerate(p.rules) if fired >> k & 1} == ops.hd(p, z)
 
 
 @pytest.mark.parametrize("values", [[0b101, 0b110, 0b011, 0b111, 0b001, 0b100, 0b010, 0b000], [3, 1], [5]])
@@ -123,7 +116,7 @@ def test_interval_folds_are_the_and_and_or_over_each_interval(values):
     assert list(digits.pairs(digits.full)) == [(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
     assert list(digits.pairs(digits.total)) == [(z, z) for z in range(1 << n)]
     bits = range(max(values).bit_length())
-    at_total = [digits.spread(sum(1 << z for z, v in enumerate(values) if v >> b & 1)) for b in bits]
+    at_total = [sum(1 << digits.number(z, z) for z, v in enumerate(values) if v >> b & 1) for b in bits]
     meet = [digits.fold(plane, True) for plane in at_total]
     join = [digits.fold(plane, False) for plane in at_total]
     for x, y in digits.pairs(digits.full):
@@ -299,9 +292,10 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
 
 
 def test_each_program_builds_its_rule_tables_once(monkeypatch):
-    """One `RuleTables` per program, shared by every operator, sweep and
-    complete stable value, and each distinct set of planes once per program:
-    `dmt-det`, swept after `dmt`, builds none."""
+    """Each distinct set of planes once per program, shared by every sweep:
+    `dmt-det`, swept after `dmt`, and `ic-triv`, swept after `ic`, build
+    none. One `RuleTables` per plain program, shared by the complete stable
+    values of `ic` and `ic-triv`, and none for any other program."""
     builds = []
     plane_builds = []
 
@@ -328,11 +322,10 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
             for s in p.universe.subsets():
                 sem.complete_lower_stable(kind, p, s)
                 sem.complete_upper_stable(kind, p, s)
-        assert builds == [p.compile().rules]
-        assert plane_builds == [
-            kind
-            for q, kind in cases()
-            if q is original and ops.consistent_only(kind) and kind is not OperatorKind.DMT_DET
-        ]
+        assert builds == ([p.compile().rules] if p.compile().classification.plain else [])
+        shared = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}
+        assert plane_builds == list(dict.fromkeys(shared.get(kind, kind) for q, kind in cases() if q is original))
+        if p.compile().classification.aggregate_free:
+            assert ops.pair_planes(OperatorKind.IC, p) is ops.pair_planes(OperatorKind.IC_TRIV, p)
         builds.clear()
         plane_builds.clear()

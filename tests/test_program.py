@@ -209,11 +209,13 @@ def test_trivial_aggregate_value_examples():
 
 
 @pytest.mark.parametrize(
-    "text", ["q :- p.", "p :- q.", "p :- not q.", "p :- #count{1:q} < 1.", "p :- #sum{1:p; 1:p & q} > 0."]
+    "text",
+    ["q :- p.", "p :- q.", "p :- not q.", "p :- #count{1:q} < 1.", "p :- #sum{1:p; 1:p & q} > 0.", "p :- q | p."],
 )
 def test_an_atom_outside_the_universe_is_refused(text):
-    # q is read nowhere as false: the head, the body and each aggregate
-    # condition are compiled through AtomUniverse.mask.
+    # q is read nowhere as false: the head, the body, each aggregate
+    # condition and the atoms of a formula body are compiled through
+    # AtomUniverse.mask.
     p = make_program(parse(text).rules, AtomUniverse.of(["p"]))
     with pytest.raises(UnknownAtomError, match="'q'"):
         p.compile()

@@ -2,7 +2,7 @@ import pytest
 
 from aftlab import corpus, four, laws, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import ApproxPair, CapExceededError, leq_i, leq_t
+from aftlab.lattice import ApproxPair, CapExceededError, InconsistentPairError, leq_i, leq_t
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, body_formula, classify, gl_transform, gz_reduct, parse
 from conftest import atoms, pair
@@ -356,6 +356,18 @@ def test_ht_model_masks_agree_with_ht_satisfaction():
             if all(four.ht_satisfies_rule(p.universe, i, body_formula(r), r.head) for r in p.rules)
         ]
         assert sem.ht_models_program(p) == expected, p.text
+
+
+def test_is_model_refuses_an_inconsistent_pair():
+    # As the GL transformation it tests the models of does.
+    p = parse("p :- not q.")
+    inconsistent = pair("p,q", "")
+    with pytest.raises(InconsistentPairError):
+        gl_transform(p, inconsistent)
+    with pytest.raises(InconsistentPairError):
+        sem.is_model(p, inconsistent)
+    with pytest.raises(InconsistentPairError):
+        sem.is_model(p, inconsistent, pair())
 
 
 def test_is_model_refuses_general_bodies_and_aggregates():

@@ -9,12 +9,17 @@ Each cell is one fresh interpreter running `aftlab.cli.main(["semantics",
 --rules n --width 2 --seed n`, timed from fork to exit, start-up included.
 The `dmt-det` rows use `--width 1` instead: the deterministic operator needs
 atomic heads, and every width-2 program of this series has a disjunctive one.
-A cell gets TIMEOUT_S seconds; a row stops at its first timeout, since larger
-programs only take longer. The output file `BENCH_<label>.json` records per
-cell the seconds, the peak resident MB (the interpreter's `ru_maxrss`, read
-with `os.wait4`), the exit code, the model count and a digest of the output, so
-two files can be checked for identical answers as well as compared for time
-and memory. Standard library only, Linux; run it from the root of a checkout.
+A second series (rows marked `"series": "aggregates"`) runs the operators
+defined on aggregates, and GZ answer sets, on the programs of the same
+commands with `--aggregate-probability 0.5` added. A cell gets TIMEOUT_S
+seconds; a row stops at its first timeout, since larger programs only take
+longer, and goes on past a cell that exits non-zero, such as GZ answer sets
+refusing a negated aggregate, with its exit code recorded. The output file
+`BENCH_<label>.json` records per cell the seconds, the peak resident MB (the
+interpreter's `ru_maxrss`, read with `os.wait4`), the exit code, the model
+count and a digest of the output, so two files can be checked for identical
+answers as well as compared for time and memory. Standard library only,
+Linux; run it from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ OPERATOR_BASED = ("fixpoints", "stable", "total-stable", "ht", "seq", "seq-appro
 ROWS = (
     [(s, op) for op in OPERATORS for s in OPERATOR_BASED]
     + [("kk", "dmt-det"), ("wf", "dmt-det"), ("three-valued-stable", None), ("gz-answer-sets", None)]
+)
+AGGREGATE_PROBABILITY = 0.5
+AGGREGATE_ROWS = (
+    [(s, op) for op in ("ic-triv", "dmt", "ultimate", "gz", "dmt-det") for s in OPERATOR_BASED]
+    + [("kk", "dmt-det"), ("wf", "dmt-det"), ("gz-answer-sets", None)]
 )
 RUN = "import sys; sys.path.insert(0, sys.argv[1]); from aftlab.cli import main; sys.exit(main(sys.argv[2:]))"
 # Each cell runs under a small launcher, which forks and execs it and reports
@@ -72,22 +82,24 @@ def run_cli(src: Path, argv: list[str], timeout: int = 0) -> tuple[int, str, flo
         return int(code), out.read().decode(), float(seconds), int(rss_kb) / 1024
 
 
-def program_file(src: Path, tmp: Path, n: int, width: int) -> str:
-    path = tmp / f"n{n}-w{width}.lp"
+def program_file(src: Path, tmp: Path, n: int, width: int, aggregates: float) -> str:
+    path = tmp / f"n{n}-w{width}-a{aggregates}.lp"
     if not path.exists():
-        code, text, _, _ = run_cli(src, ["generate", "--atoms", str(n), "--rules", str(n), "--width", str(width),
-                                         "--seed", str(n)])
+        argv = ["generate", "--atoms", str(n), "--rules", str(n), "--width", str(width), "--seed", str(n)]
+        if aggregates:
+            argv += ["--aggregate-probability", str(aggregates)]
+        code, text, _, _ = run_cli(src, argv)
         if code != 0:
-            raise SystemExit(f"generate failed for n={n}, width={width}")
+            raise SystemExit(f"generate failed for n={n}, width={width}, aggregates={aggregates}")
         path.write_text(text, encoding="utf-8")
     return str(path)
 
 
-def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None) -> list[dict]:
+def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggregates: float) -> list[dict]:
     cells = []
     for n in ATOMS:
-        argv = ["semantics", "--program", program_file(src, tmp, n, 1 if operator == "dmt-det" else 2),
-                "--semantics", semantics, "--format", "json"]
+        program = program_file(src, tmp, n, 1 if operator == "dmt-det" else 2, aggregates)
+        argv = ["semantics", "--program", program, "--semantics", semantics, "--format", "json"]
         if operator is not None:
             argv += ["--operator", operator]
         try:
@@ -114,16 +126,21 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for semantics, operator in ROWS:
-            cells = measure_row(src, Path(tmp), semantics, operator)
-            rows.append({"semantics": semantics, "operator": operator, "cells": cells})
-            print(semantics, operator or "-", " ".join(
-                "T/O" if c.get("timeout") else f"{c['seconds']:.2f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
-                for c in cells), flush=True)
+        for aggregates, series in ((0.0, ROWS), (AGGREGATE_PROBABILITY, AGGREGATE_ROWS)):
+            for semantics, operator in series:
+                cells = measure_row(src, Path(tmp), semantics, operator, aggregates)
+                row = {"semantics": semantics, "operator": operator, "cells": cells}
+                if aggregates:
+                    row["series"] = "aggregates"
+                rows.append(row)
+                print(row.get("series", "plain"), semantics, operator or "-", " ".join(
+                    "T/O" if c.get("timeout") else f"{c['seconds']:.2f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
+                    for c in cells), flush=True)
     payload = {
         "label": args.label,
         "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
-        "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det)",
+        "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det); rows of the"
+                    f" aggregates series add --aggregate-probability {AGGREGATE_PROBABILITY}",
         "cell": "one interpreter per cell, wall seconds from fork to exit, peak resident MB of the interpreter",
         "timeout_s": TIMEOUT_S,
         "rows": rows,
