@@ -18,6 +18,7 @@ from .generator import GeneratorConfig, generate_program
 from .lattice import AftlabError, ApproxPair, AtomUniverse
 from .operators import OperatorKind
 from .program import Program
+from .record import asdict
 from .semantics import SemanticsResult, WellFoundedAnomalyError
 
 EXIT_OK = 0
@@ -348,7 +349,7 @@ def _cmd_generate(args) -> int:
     )
     p = generate_program(cfg)
     if args.format == "json":
-        print(json.dumps({"config": cfg.__dict__, "program": p.text}, indent=2))
+        print(json.dumps({"config": asdict(cfg), "program": p.text}, indent=2))
     else:
         sys.stdout.write(p.text)
     return EXIT_OK

@@ -9,7 +9,6 @@ and "swap the bits, then complement them".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -21,6 +20,7 @@ from .lattice import (
     InconsistentPairError,
     UnknownAtomError,
 )
+from .record import record
 
 
 class Truth(Enum):
@@ -66,28 +66,28 @@ def lub_t(a: Truth, b: Truth) -> Truth:
     return Truth(a.value | b.value)
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Const:
     value: Truth
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     operand: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Formula"
     right: "Formula"

@@ -6,7 +6,6 @@ Identical configuration and seed always produce the identical program.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import AftlabError
@@ -26,11 +25,12 @@ from .program import (
     SetTermEntry,
     make_program,
 )
+from .record import record
 
 ATOM_POOL = ("p", "q", "r", "s", "a", "b", "c", "d", "e", "f", "g", "h")
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorConfig:
     atoms: int = 3
     rules: int = 3

@@ -12,9 +12,10 @@ is bit i of a set's mask, and it builds the set of each mask once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, NamedTuple
+
+from .record import record
 
 AtomSet = frozenset[str]
 NdSet = frozenset[AtomSet]
@@ -74,10 +75,13 @@ class NdPair(NamedTuple):
     upper_set: NdSet
 
 
-@dataclass(frozen=True)
+@record
 class AtomUniverse:
-    """Ordered set of distinct atom names; atom i maps to bit i of a mask."""
+    """Ordered set of distinct atom names; atom i maps to bit i of a mask.
+    The maps `_bits` and `_sets` are built on demand and kept outside its
+    fields, so pickles leave them behind."""
 
+    __slots__ = ("__dict__",)
     atoms: tuple[str, ...]
 
     @staticmethod
@@ -100,10 +104,6 @@ class AtomUniverse:
     def _sets(self) -> dict[int, AtomSet]:
         """Mask -> the one set `unmask` gives for it, filled as asked."""
         return {}
-
-    def __getstate__(self) -> dict:
-        # Both maps are rebuilt on demand; the sets need not travel.
-        return {"atoms": self.atoms}
 
     def __contains__(self, name: str) -> bool:
         return name in self._bits

@@ -8,7 +8,6 @@ are visited in increasing size order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
@@ -16,11 +15,12 @@ from .generator import GeneratorConfig, generate_program
 from .lattice import AftlabError, ApproxPair, NdPair, PrecisionCode, masks_above_i, precision_code, smyth_leq
 from .operators import OperatorKind
 from .program import Program
+from .record import record
 
 ApplyFn = Callable[[OperatorKind, Program, ApproxPair], "ops.NdPair"]
 
 
-@dataclass
+@record
 class LawOutcome:
     name: str
     ok: bool

@@ -20,7 +20,7 @@ Weights and bounds are exact rationals ("2", "-1", "1/2", "0.5").
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import re
 from enum import Enum
 from fractions import Fraction
 from operator import eq, ge, gt, le, lt
@@ -37,6 +37,7 @@ from .lattice import (
     atom_cap,
 )
 from .four import Formula, Truth
+from .record import record
 
 
 class ParseError(AftlabError):
@@ -68,18 +69,18 @@ class Comparator(Enum):
     EQ = "="
 
 
-@dataclass(frozen=True)
+@record
 class SetTermEntry:
     weights: tuple[Fraction, ...]
     condition: tuple[str, ...]  # non-empty conjunction of atoms
 
 
-@dataclass(frozen=True)
+@record
 class SetTerm:
     entries: tuple[SetTermEntry, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AggregateAtom:
     func: AggFunc
     term: SetTerm
@@ -87,22 +88,22 @@ class AggregateAtom:
     bound: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class PositiveAtom:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class NegatedAtom:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class PositiveAgg:
     agg: AggregateAtom
 
 
-@dataclass(frozen=True)
+@record
 class NegatedAgg:
     agg: AggregateAtom
 
@@ -110,12 +111,12 @@ class NegatedAgg:
 BodyLiteral = Union[PositiveAtom, NegatedAtom, PositiveAgg, NegatedAgg]
 
 
-@dataclass(frozen=True)
+@record
 class Conj:
     items: tuple[BodyLiteral, ...]
 
 
-@dataclass(frozen=True)
+@record
 class GeneralFormula:
     formula: Formula
 
@@ -123,7 +124,7 @@ class GeneralFormula:
 Body = Union[Conj, GeneralFormula]
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     head: tuple[str, ...]  # sorted, deduplicated, non-empty
     body: Body
@@ -132,11 +133,13 @@ class Rule:
         return frozenset(self.head)
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """An immutable program. Its hash and its compiled form are computed the
-    first time they are needed and then kept."""
+    first time they are needed and then kept outside its fields, so pickles
+    leave them behind (str hashes are salted per process)."""
 
+    __slots__ = ("__dict__",)
     rules: tuple[Rule, ...]
     universe: AtomUniverse
 
@@ -153,12 +156,8 @@ class Program:
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.rules, self.universe))
-            object.__setattr__(self, "_hash", h)
+            self.__dict__["_hash"] = h
         return h
-
-    def __getstate__(self) -> dict:
-        # str hashes are salted per process, so a kept hash must not travel.
-        return {"rules": self.rules, "universe": self.universe}
 
     def compile(self, max_atoms: int | None = None) -> "Compiled":
         """The compiled form, built on first use and then kept.
@@ -174,7 +173,7 @@ class Program:
                 raise CapExceededError(f"universe has {len(self.universe)} atoms, cap is {cap}")
             if compiled is None:
                 compiled = Compiled(self)
-                object.__setattr__(self, "_compiled", compiled)
+                self.__dict__["_compiled"] = compiled
         return compiled
 
 
@@ -183,7 +182,7 @@ SHAPE_DISJUNCTIVE = "disjunctively_normal"
 SHAPE_GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     shape: str
     has_aggregates: bool
@@ -355,73 +354,67 @@ def program_hash(p: Program) -> str:
 # connectives do; Python stops recursing at 1000 frames.
 MAX_FORMULA_DEPTH = 128
 
-_PUNCT = (":-", "<=", ">=", ".", "|", ",", ";", ":", "&", "(", ")", "{", "}", "<", ">", "=")
 _HASH_CONSTS = {"#true": four.TRUE, "#false": four.FALSE, "#u": four.Const(Truth.U), "#c": four.Const(Truth.C)}
 _AGG_FUNCS = {"#sum": AggFunc.SUM, "#count": AggFunc.COUNT, "#max": AggFunc.MAX}
 
+# A token is a tuple (kind, text, line, column); its kind is "ident", "number",
+# "hash", "eof" or the punctuation itself.
+_Token = tuple[str, str, int, int]
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "number" | "hash" | punctuation literal | "eof"
-    text: str
-    line: int
-    col: int
+
+def _token_pattern(digits: str = "", numerals: str = "") -> re.Pattern:
+    """The tokens as one regex. An identifier starts with a letter (in the
+    sense of `str.isalpha`) or '_' and goes on with word characters (`\\w`,
+    `str.isalnum` or '_'); a number is digits (`str.isdigit`), a '-' before a
+    digit, and '.' or '/' before a digit; a hash is '#' and letters. The regex
+    `\\d` accepts the decimal digits only, so the text's other digits
+    (superscripts, circled digits) come as `digits` and the word characters
+    that are neither letters nor digits (fractions, Roman numerals) as
+    `numerals`."""
+    d = rf"[\d{digits}]"
+    return re.compile(
+        rf"""(?P<newline>\n) | [ \t\r]+ | %[^\n]*
+        | (?P<ident>[^\W\d{digits}{numerals}]\w*)
+        | (?P<number>(?:{d}|-(?={d}))(?:{d}|[./](?={d}))*)
+        | (?P<hash>\#[^\W\d_{digits}{numerals}]*)
+        | (?P<punct>:-|<=|>=|[.|,;:&(){{}}<>=])
+        | (?P<other>.)""",
+        re.VERBOSE | re.DOTALL,
+    )
+
+
+_TOKENS = _token_pattern()
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
+    tokens_re = _TOKENS
+    if not text.isascii():
+        odd = [c for c in set(text) if c.isalnum() and not (c.isalpha() or c.isdecimal())]
+        if odd:
+            digits = "".join(c for c in odd if c.isdigit())
+            tokens_re = _token_pattern(digits, "".join(c for c in odd if not c.isdigit()))
+    line, line_start = 1, 0
+    for m in tokens_re.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if ch == "%":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            tokens.append(_Token("ident", text[pos:end], start_line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        if ch.isdigit() or (ch == "-" and pos + 1 < n and text[pos + 1].isdigit()):
-            end = pos + 1
-            while end < n and (text[end].isdigit() or text[end] in "./" and end + 1 < n and text[end + 1].isdigit()):
-                end += 1
-            tokens.append(_Token("number", text[pos:end], start_line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        if ch == "#":
-            end = pos + 1
-            while end < n and text[end].isalpha():
-                end += 1
-            tokens.append(_Token("hash", text[pos:end], start_line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, pos):
-                tokens.append(_Token(punct, punct, start_line, start_col))
-                pos += len(punct)
-                col += len(punct)
-                break
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "other":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
         else:
-            raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+            word = m.group()
+            tokens.append((word if kind == "punct" else kind, word, line, m.start() - line_start + 1))
+    # Columns count the characters before a token on its line, comments
+    # excepted; only the end of input can follow a comment on its line.
+    comment = text.find("%", line_start)
+    tokens.append(("eof", "", line, (len(text) if comment < 0 else comment) - line_start + 1))
     return tokens
+
+
+def _error(message: str, tok: _Token) -> ParseError:
+    return ParseError(message, tok[2], tok[3])
 
 
 class _Parser:
@@ -433,53 +426,56 @@ class _Parser:
     def peek(self, offset: int = 0) -> _Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
+
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        if tok[0] != kind:
+            raise _error(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok)
         return self.next()
 
     def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise _error(message, self.peek())
 
     def atom_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text == "not":
+        kind, text, _, _ = self.peek()
+        if kind != "ident" or text == "not":
             self.fail("expected atom")
-        return self.next().text
+        self.next()
+        return text
 
     def number(self) -> Fraction:
         tok = self.expect("number")
         try:
-            return Fraction(tok.text)
+            return Fraction(tok[1])
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad number {tok.text!r}", tok.line, tok.col) from None
+            raise _error(f"bad number {tok[1]!r}", tok) from None
 
     # -- rules ------------------------------------------------------------
 
     def program(self) -> tuple[Rule, ...]:
         rules = []
-        while self.peek().kind != "eof":
+        while not self.at("eof"):
             rules.append(self.rule())
         return tuple(rules)
 
     def rule(self) -> Rule:
         head = [self.atom_name()]
-        while self.peek().kind == "|":
+        while self.at("|"):
             self.next()
             head.append(self.atom_name())
-        if self.peek().kind == ".":
+        if self.at("."):
             self.next()
             return Rule(tuple(sorted(set(head))), Conj(()))
         self.expect(":-")
-        if self.peek().kind == ".":
+        if self.at("."):
             self.next()
             return Rule(tuple(sorted(set(head))), Conj(()))
         body = self.body()
@@ -490,7 +486,7 @@ class _Parser:
         if self._body_is_formula():
             return GeneralFormula(self.formula())
         items = [self.literal()]
-        while self.peek().kind == ",":
+        while self.at(","):
             self.next()
             items.append(self.literal())
         return Conj(tuple(items))
@@ -505,24 +501,25 @@ class _Parser:
         offset = 0
         while True:
             tok = self.peek(offset)
-            if tok.kind == "eof":
-                raise ParseError("missing '.' at end of rule", tok.line, tok.col)
-            if tok.kind == "{":
+            kind = tok[0]
+            if kind == "eof":
+                raise _error("missing '.' at end of rule", tok)
+            if kind == "{":
                 depth += 1
-            elif tok.kind == "}":
+            elif kind == "}":
                 depth -= 1
-            elif tok.kind == "." and depth == 0:
+            elif kind == "." and depth == 0:
                 return False
-            elif depth == 0 and (tok.kind in ("&", "|", "(", ")") or tok.text in _HASH_CONSTS):
+            elif depth == 0 and (kind in ("&", "|", "(", ")") or tok[1] in _HASH_CONSTS):
                 return True
             offset += 1
 
     def literal(self) -> BodyLiteral:
         negated = False
-        if self.peek().kind == "ident" and self.peek().text == "not":
+        if self.peek()[:2] == ("ident", "not"):
             self.next()
             negated = True
-        if self.peek().kind == "hash":
+        if self.at("hash"):
             agg = self.aggregate()
             return NegatedAgg(agg) if negated else PositiveAgg(agg)
         name = self.atom_name()
@@ -530,30 +527,30 @@ class _Parser:
 
     def aggregate(self) -> AggregateAtom:
         tok = self.expect("hash")
-        if tok.text not in _AGG_FUNCS:
-            raise ParseError(f"unknown aggregate function symbol {tok.text!r}", tok.line, tok.col)
-        func = _AGG_FUNCS[tok.text]
+        if tok[1] not in _AGG_FUNCS:
+            raise _error(f"unknown aggregate function symbol {tok[1]!r}", tok)
+        func = _AGG_FUNCS[tok[1]]
         self.expect("{")
         entries = [self.entry()]
-        while self.peek().kind == ";":
+        while self.at(";"):
             self.next()
             entries.append(self.entry())
         self.expect("}")
-        cmp_tok = self.peek()
-        if cmp_tok.kind not in ("<", "<=", ">", ">=", "="):
+        comparator = self.peek()[0]
+        if comparator not in ("<", "<=", ">", ">=", "="):
             self.fail("expected comparison operator")
         self.next()
         bound = self.number()
-        return AggregateAtom(func, SetTerm(tuple(entries)), Comparator(cmp_tok.kind), bound)
+        return AggregateAtom(func, SetTerm(tuple(entries)), Comparator(comparator), bound)
 
     def entry(self) -> SetTermEntry:
         weights = [self.number()]
-        while self.peek().kind == ",":
+        while self.at(","):
             self.next()
             weights.append(self.number())
         self.expect(":")
         condition = [self.atom_name()]
-        while self.peek().kind == "&":
+        while self.at("&"):
             self.next()
             condition.append(self.atom_name())
         return SetTermEntry(tuple(weights), tuple(condition))
@@ -568,12 +565,12 @@ class _Parser:
 
     def _checked(self, tok: _Token, height: int) -> int:
         if height + self.nesting > MAX_FORMULA_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok.line, tok.col)
+            raise _error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", tok)
         return height
 
     def _or_expr(self) -> tuple[Formula, int]:
         out, height = self._and_expr()
-        while self.peek().kind == "|":
+        while self.at("|"):
             tok = self.next()
             right, right_height = self._and_expr()
             out, height = four.Or(out, right), self._checked(tok, max(height, right_height) + 1)
@@ -581,7 +578,7 @@ class _Parser:
 
     def _and_expr(self) -> tuple[Formula, int]:
         out, height = self._unary()
-        while self.peek().kind == "&":
+        while self.at("&"):
             tok = self.next()
             right, right_height = self._unary()
             out, height = four.And(out, right), self._checked(tok, max(height, right_height) + 1)
@@ -589,11 +586,12 @@ class _Parser:
 
     def _unary(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind == "(" or (tok.kind == "ident" and tok.text == "not"):
+        kind, text = tok[:2]
+        if kind == "(" or (kind == "ident" and text == "not"):
             self.next()
             self.nesting += 1
             self._checked(tok, 0)
-            if tok.kind == "(":
+            if kind == "(":
                 out, height = self._or_expr()
                 self.expect(")")
             else:
@@ -601,13 +599,13 @@ class _Parser:
                 out, height = four.Not(operand), operand_height + 1
             self.nesting -= 1
             return out, height
-        if tok.kind == "hash":
-            if tok.text in _AGG_FUNCS:
-                raise ParseError("aggregate atom not allowed in a formula body", tok.line, tok.col)
-            if tok.text not in _HASH_CONSTS:
-                raise ParseError(f"unknown constant {tok.text!r}", tok.line, tok.col)
+        if kind == "hash":
+            if text in _AGG_FUNCS:
+                raise _error("aggregate atom not allowed in a formula body", tok)
+            if text not in _HASH_CONSTS:
+                raise _error(f"unknown constant {text!r}", tok)
             self.next()
-            return _HASH_CONSTS[tok.text], 0
+            return _HASH_CONSTS[text], 0
         return four.Atom(self.atom_name()), 0
 
 

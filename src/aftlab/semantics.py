@@ -16,7 +16,6 @@ tables when it is plain (`operators.rule_tables`), and else the fired heads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import operators as ops, program as prog
@@ -35,6 +34,7 @@ from .lattice import (
 )
 from .operators import OperatorKind
 from .program import Program, ProgramClassError
+from .record import record
 
 
 class WellFoundedAnomalyError(AftlabError):
@@ -362,7 +362,7 @@ SEMANTICS_NAMES = tuple(SEMANTICS)
 OPERATOR_BASED = tuple(name for name, (takes, _) in SEMANTICS.items() if takes == ANY_OPERATOR)
 
 
-@dataclass
+@record
 class SemanticsResult:
     kind: str
     models: tuple[ApproxPair, ...]

@@ -11,10 +11,13 @@ The `dmt-det` rows use `--width 1` instead: the deterministic operator needs
 atomic heads, and every width-2 program of this series has a disjunctive one.
 A second series (rows marked `"series": "aggregates"`) runs the operators
 defined on aggregates, and GZ answer sets, on the programs of the same
-commands with `--aggregate-probability 0.5` added. A cell gets TIMEOUT_S
+commands with `--aggregate-probability 0.5` added. GZ answer sets refuse a
+negated aggregate, so their row of that series (marked
+`"negation_probability": 0`) also adds `--negation-probability 0`, which
+makes every aggregate, and every literal, positive. A cell gets TIMEOUT_S
 seconds; a row stops at its first timeout, since larger programs only take
-longer, and goes on past a cell that exits non-zero, such as GZ answer sets
-refusing a negated aggregate, with its exit code recorded. The output file
+longer, and goes on past a cell that exits non-zero, with its exit code
+recorded. The output file
 `BENCH_<label>.json` records per cell the seconds, the peak resident MB (the
 interpreter's `ru_maxrss`, read with `os.wait4`), the exit code, the model
 count and a digest of the output, so two files can be checked for identical
@@ -47,6 +50,8 @@ AGGREGATE_ROWS = (
     [(s, op) for op in ("ic-triv", "dmt", "ultimate", "gz", "dmt-det") for s in OPERATOR_BASED]
     + [("kk", "dmt-det"), ("wf", "dmt-det"), ("gz-answer-sets", None)]
 )
+# Rows of the aggregates series whose programs have no negation at all.
+POSITIVE_AGGREGATE_ROWS = {("gz-answer-sets", None)}
 RUN = "import sys; sys.path.insert(0, sys.argv[1]); from aftlab.cli import main; sys.exit(main(sys.argv[2:]))"
 # Each cell runs under a small launcher, which forks and execs it and reports
 # its exit code, seconds and peak resident kilobytes (`os.wait4`). Linux
@@ -82,23 +87,26 @@ def run_cli(src: Path, argv: list[str], timeout: int = 0) -> tuple[int, str, flo
         return int(code), out.read().decode(), float(seconds), int(rss_kb) / 1024
 
 
-def program_file(src: Path, tmp: Path, n: int, width: int, aggregates: float) -> str:
-    path = tmp / f"n{n}-w{width}-a{aggregates}.lp"
+def program_file(src: Path, tmp: Path, n: int, width: int, aggregates: float, positive: bool) -> str:
+    path = tmp / f"n{n}-w{width}-a{aggregates}{'-positive' if positive else ''}.lp"
     if not path.exists():
         argv = ["generate", "--atoms", str(n), "--rules", str(n), "--width", str(width), "--seed", str(n)]
         if aggregates:
             argv += ["--aggregate-probability", str(aggregates)]
+        if positive:
+            argv += ["--negation-probability", "0"]
         code, text, _, _ = run_cli(src, argv)
         if code != 0:
-            raise SystemExit(f"generate failed for n={n}, width={width}, aggregates={aggregates}")
+            raise SystemExit(f"generate failed for n={n}, width={width}, aggregates={aggregates}, positive={positive}")
         path.write_text(text, encoding="utf-8")
     return str(path)
 
 
-def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggregates: float) -> list[dict]:
+def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggregates: float,
+                positive: bool) -> list[dict]:
     cells = []
     for n in ATOMS:
-        program = program_file(src, tmp, n, 1 if operator == "dmt-det" else 2, aggregates)
+        program = program_file(src, tmp, n, 1 if operator == "dmt-det" else 2, aggregates, positive)
         argv = ["semantics", "--program", program, "--semantics", semantics, "--format", "json"]
         if operator is not None:
             argv += ["--operator", operator]
@@ -128,10 +136,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for aggregates, series in ((0.0, ROWS), (AGGREGATE_PROBABILITY, AGGREGATE_ROWS)):
             for semantics, operator in series:
-                cells = measure_row(src, Path(tmp), semantics, operator, aggregates)
+                positive = bool(aggregates) and (semantics, operator) in POSITIVE_AGGREGATE_ROWS
+                cells = measure_row(src, Path(tmp), semantics, operator, aggregates, positive)
                 row = {"semantics": semantics, "operator": operator, "cells": cells}
                 if aggregates:
                     row["series"] = "aggregates"
+                if positive:
+                    row["negation_probability"] = 0
                 rows.append(row)
                 print(row.get("series", "plain"), semantics, operator or "-", " ".join(
                     "T/O" if c.get("timeout") else f"{c['seconds']:.2f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
@@ -140,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
         "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det); rows of the"
-                    f" aggregates series add --aggregate-probability {AGGREGATE_PROBABILITY}",
+                    f" aggregates series add --aggregate-probability {AGGREGATE_PROBABILITY}, and rows marked"
+                    " negation_probability 0 also --negation-probability 0",
         "cell": "one interpreter per cell, wall seconds from fork to exit, peak resident MB of the interpreter",
         "timeout_s": TIMEOUT_S,
         "rows": rows,
