@@ -1,8 +1,8 @@
 """Finite powerset lattice: atom universes, the pair orders, the set-lifted
 orders (also as one AND on precision codes), lattice difference, and
 deterministic enumeration of intervals and consistent pairs, also as pairs of
-masks and along the two orders, and bit planes over the consistent pairs,
-one bit per pair.
+masks and along the two orders, bit planes over the consistent pairs (one
+bit per pair) and rows over the 2^n sets (one bit per set).
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
 ordering (lexicographic) that every enumeration and rendering follows, atom i
@@ -178,16 +178,6 @@ def submasks(m: int) -> Iterator[int]:
         if t == m:
             return
         t = (t - m) & m
-
-
-def minimal_masks(masks: Iterable[int]) -> list[int]:
-    """The minimal masks among masks given in increasing order: a proper
-    submask is a smaller number, so it comes first."""
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
 
 
 def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
@@ -394,14 +384,32 @@ class PrecisionCode(NamedTuple):
 
 @cache
 def _closure_steps(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per atom i: its bit, and the positions of the sets without atom i in
-    the lower and in the upper half of a `PrecisionCode`."""
+    """Per atom i: its bit, and the sets without atom i as a row (bit m for
+    mask m) and as the upper half of a `PrecisionCode`."""
     steps = []
     for i in range(n):
         bit = 1 << i
         without = sum(1 << m for m in range(1 << n) if not m & bit)
         steps.append((bit, without, without << (1 << n)))
     return tuple(steps)
+
+
+def minimal_bits(n: int, row: int) -> list[int]:
+    """The minimal sets of a row over the 2^n sets of n atoms (bit m for the
+    set with mask m), as masks in increasing order: the marked m with no
+    marked proper submask. As in `DigitPlanes.minimal_x`, one shift per atom
+    marks the up-closure `closed`, and m has a marked proper submask iff some
+    atom a of m has m - a in it."""
+    closed, steps = row, _closure_steps(n)
+    for bit, without, _ in steps:
+        closed |= (closed & without) << bit
+    for bit, without, _ in steps:
+        row &= ~((closed & without) << bit)
+    found = []
+    while row:
+        found.append((row & -row).bit_length() - 1)
+        row &= row - 1
+    return found
 
 
 def precision_code(u: AtomUniverse, value: NdPair) -> PrecisionCode:

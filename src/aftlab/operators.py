@@ -12,16 +12,16 @@ the lower bit and those where it has the upper bit, and each operator's
 `PairPlanes` are built from them (`interval_tables`, `pair_planes`): `ic`
 shares the planes of `ic-triv`, and `dmt-det` those of `dmt`. The complete
 stable values of `ic` and `ic-triv` range over the inconsistent pairs too;
-they read the `RuleTables` of a plain program, and otherwise test the fired
-heads (`contains`).
+they read the same body readings with one side of the pair fixed, as rows
+of one bit per set of the other side (`member_row`, `stable_rows`).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache, reduce
-from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import or_
+from typing import Callable, Iterator, Sequence
 
 from . import four, program as prog
 from .four import Truth
@@ -34,8 +34,9 @@ from .lattice import (
     InconsistentPairError,
     NdPair,
     NdSet,
+    _closure_steps,
     digit_planes,
-    minimal_masks,
+    minimal_bits,
 )
 from .program import Program, ProgramClassError
 
@@ -51,7 +52,7 @@ class OperatorKind(Enum):
 
 # The four-valued operators, total on every pair. Their complete stable
 # values range over the inconsistent pairs too, so they are not read from
-# planes but from the program's `RuleTables`, or else by `contains`.
+# planes over the consistent pairs but from rows (`stable_rows`).
 FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
 
 
@@ -60,7 +61,8 @@ def consistent_only(kind: OperatorKind) -> bool:
 
     The four-valued operators are total; the interval-based operators and the
     trivial operator are not extended to inconsistent pairs. Only their
-    complete stable values are read from planes (`PairPlanes.minimal`).
+    complete stable values are read from planes (`PairPlanes.minimal`); those
+    of the four-valued ones are read from rows (`stable_rows`).
     """
     return kind not in FOUR_VALUED
 
@@ -139,18 +141,6 @@ def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[At
     which is C (the lower bit alone) or U (the upper bit alone)."""
     xm, ym = p.universe.pair_key(i)
     return frozenset(r.head for r in _fired(p, xm, ym, threshold.value))
-
-
-def contains(p: Program, xm: int, ym: int, m: int, upper: bool = False) -> bool:
-    """Whether the set with mask m is in the lower (or upper) set of `ic` and
-    `ic-triv` at the pair of masks (xm, ym), without building the family: a
-    hitting set of the fired heads lies within their union and meets each."""
-    union = 0
-    for r in _fired(p, xm, ym, four.UPPER_BIT if upper else four.LOWER_BIT):
-        if not m & r.head_mask:
-            return False
-        union |= r.head_mask
-    return not m & ~union
 
 
 @cache
@@ -254,62 +244,6 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     return NdPair(frozenset((frozenset(),)), frozenset((p.universe.full(),)))
 
 
-def _shared(values: Iterable[int]) -> list[int]:
-    """The values as a list holding one object per distinct value."""
-    one: dict[int, int] = {}
-    return [one.setdefault(v, v) for v in values]
-
-
-class RuleTables:
-    """What the rules of a plain program miss at each of the 2^n sets, as
-    rule bitmasks, rule k being bit k (`rule_tables`): `neg_out[y]` holds the
-    rules whose neg misses y, and `violated[x]` those whose pos lies within x
-    and whose head misses x, the rules x violates unless their negation is
-    blocked. Each is built with n doublings, one per atom."""
-
-    __slots__ = ("neg_out", "violated", "_models")
-
-    def __init__(self, u: AtomUniverse, rules: tuple[prog.CompiledRule, ...]):
-        every = (1 << len(rules)) - 1
-        pos_in, neg_out, head_out = [every], [every], [every]
-        for i in range(len(u)):
-            bit = 1 << i
-            with_pos = sum(1 << k for k, r in enumerate(rules) if r.pos & bit)
-            with_neg = sum(1 << k for k, r in enumerate(rules) if r.neg & bit)
-            with_head = sum(1 << k for k, r in enumerate(rules) if r.head_mask & bit)
-            pos_in = [m & ~with_pos for m in pos_in] + pos_in
-            neg_out += [m & ~with_neg for m in neg_out]
-            head_out += [m & ~with_head for m in head_out]
-        # Each table takes few distinct values over the 2^n sets; holding one
-        # int per value keeps it near the size of its 2^n references.
-        self.neg_out = _shared(neg_out)
-        self.violated = _shared(map(and_, pos_in, head_out))
-        self._models: dict[int, tuple[int, ...]] = {}
-
-    def minimal_models(self, live: int) -> tuple[int, ...]:
-        """The minimal sets s with `violated[s] & live == 0`, in increasing
-        order, kept per `live`. With live = neg_out[y] these are the minimal
-        models of the reduct P^y (Gelfond and Lifschitz, 1991), which are the
-        complete lower stable value of `ic` at y: every member of the lower
-        set at (x, y) is a model, and every minimal model is a member, since
-        it is supported and so lies within the heads fired at (x, y). With
-        live = neg_out[x] they are the complete upper stable value at x."""
-        models = self._models.get(live)
-        if models is None:
-            found = minimal_masks(s for s, v in enumerate(self.violated) if not v & live)
-            models = self._models[live] = tuple(found)
-        return models
-
-
-def rule_tables(p: Program) -> RuleTables:
-    """The `RuleTables` of a plain program (`program.Classification.plain`),
-    built by the first sweep that asks and then kept on its compiled form."""
-    compiled = p.compile()
-    if compiled.rule_tables is None:
-        compiled.rule_tables = RuleTables(p.universe, compiled.rules)
-    return compiled.rule_tables
-
-
 class PairPlanes:
     """An operator read at every consistent pair, as planes over the pair
     numbers (`lattice.DigitPlanes`, its `digits`): `lower` marks the pairs
@@ -338,32 +272,42 @@ class PairPlanes:
 def _within(m: int, inside: Sequence[int], full: int) -> int:
     """The pairs whose set on one side (`inside[i]` marks atom i in it)
     contains every atom of the mask m."""
-    return reduce(and_, [within for i, within in enumerate(inside) if m >> i & 1], full)
+    while m:
+        full &= inside[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return full
 
 
 def _meets(m: int, inside: Sequence[int]) -> int:
     """The pairs whose set on one side has some atom of the mask m."""
-    return reduce(or_, [within for i, within in enumerate(inside) if m >> i & 1], 0)
+    out = 0
+    while m:
+        out |= inside[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return out
 
 
 def _aggregate_planes(a: prog.CompiledAggregate, full: int, in_x: Sequence[int], in_y: Sequence[int]) -> tuple[int, int]:
     """The lower and upper planes of an aggregate literal under its trivial
-    approximation (`program.CompiledAggregate.trivial`). On a consistent pair
-    no condition holds at x but not at y, so the literal is U where some
-    condition holds at y only, and elsewhere takes its two-valued value at x,
-    which depends only on the conditions that hold there. The pairs are split
-    by those conditions, and the literal is read once per part, at the union
-    of the conditions that hold in it, where exactly they hold."""
-    inexact, parts = 0, [(full, 0)]
+    approximation (`program.CompiledAggregate.trivial`). The literal has the
+    lower bit where some condition holds at x but not at y (is C), the upper
+    bit where some holds at y but not at x (is U), and where neither is
+    found takes its two-valued value at x, which depends only on the
+    conditions that hold there. The pairs are split by those conditions, and
+    the literal is read once per part, at the union of the conditions that
+    hold in it, where exactly they hold. On a consistent pair no condition
+    is C."""
+    at_x_only, at_y_only, parts = 0, 0, [(full, 0)]
     for c in a.conditions:
-        at_x = _within(c, in_x, full)
-        inexact |= _within(c, in_y, full) & ~at_x
+        at_x, at_y = _within(c, in_x, full), _within(c, in_y, full)
+        at_x_only |= at_x & ~at_y
+        at_y_only |= at_y & ~at_x
         split = []
         for plane, atoms in parts:
             split += [(plane & at_x, atoms | c), (plane & ~at_x, atoms)]
         parts = [(plane, atoms) for plane, atoms in split if plane]
-    holds = reduce(or_, [plane for plane, atoms in parts if a.holds(atoms)], 0)
-    return holds & ~inexact, holds | inexact
+    exact = reduce(or_, [plane for plane, atoms in parts if a.holds(atoms)], 0) & ~(at_x_only | at_y_only)
+    return exact | at_x_only, exact | at_y_only
 
 
 def _formula_planes(f: four.Formula, atom: Callable[[str], tuple[int, int]], full: int) -> tuple[int, int]:
@@ -410,7 +354,7 @@ def _missed(heads: dict[int, int], inside: Sequence[int]) -> int:
     return out
 
 
-def _members(digits: DigitPlanes, heads: dict[int, int], inside: Sequence[int]) -> int:
+def _members(full: int, heads: dict[int, int], inside: Sequence[int]) -> int:
     """The pairs whose set on one side (`inside[i]` marks atom i in it) is a
     hitting set of the heads marked there: it misses none of them and has no
     atom outside them."""
@@ -421,7 +365,7 @@ def _members(digits: DigitPlanes, heads: dict[int, int], inside: Sequence[int]) 
             if h >> i & 1:
                 covered |= plane
         out |= within & ~covered
-    return digits.full & ~out
+    return full & ~out
 
 
 def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
@@ -467,25 +411,25 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
             upper_heads[h] = upper_heads.get(h, 0) | body_upper
     closed = full & ~digits.above_x(_missed(fires, d2))
     if kind is OperatorKind.IC_TRIV:
-        lower, upper = _members(digits, lower_heads, d2), _members(digits, upper_heads, in_y)
+        lower, upper = _members(full, lower_heads, d2), _members(full, upper_heads, in_y)
         smyth = full & ~_missed(lower_heads, d2)
     elif kind is OperatorKind.DMT:
         # One side at a time: the folds of the lower side are dropped before
         # those of the upper side are built, which keeps the peak lower.
         meet = {h: digits.fold(plane, True) for h, plane in fires.items()}
-        lower, smyth = _members(digits, meet, d2), full & ~_missed(meet, d2)
+        lower, smyth = _members(full, meet, d2), full & ~_missed(meet, d2)
         del meet
         join = {h: digits.fold(plane, False) for h, plane in fires.items()}
-        upper = _members(digits, join, in_y)
+        upper = _members(full, join, in_y)
     elif kind is OperatorKind.ULTIMATE:
         at_y = {h: digits.above_x(plane) for h, plane in fires.items()}
         at_x = {h: digits.below_y(plane) for h, plane in fires.items()}
-        lower = digits.below_y(_members(digits, at_y, d2))
-        upper = digits.above_x(_members(digits, at_x, in_y))
+        lower = digits.below_y(_members(full, at_y, d2))
+        upper = digits.above_x(_members(full, at_x, in_y))
         smyth = digits.below_y(full & ~_missed(at_y, d2))
     elif kind is OperatorKind.GZ:
         # Off the total pairs, x = ∅ is the lower member and y = A the upper.
-        exact, off, every = total & _members(digits, fires, d2), full ^ total, (1 << len(u)) - 1
+        exact, off, every = total & _members(full, fires, d2), full ^ total, (1 << len(u)) - 1
         lower, upper = exact | off & ~_meets(every, d2), exact | off & ~_meets(every, d0)
         smyth = off | closed & total
     else:
@@ -511,6 +455,59 @@ def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
     if planes is None:
         planes = kept[kind] = interval_tables(kind, p)
     return planes
+
+
+def member_row(p: Program, fixed: int, upper: bool = False) -> int:
+    """`ic-triv`, so also `ic`, with one side of the pair fixed at the set
+    with mask `fixed`, as a row over the 2^n sets of the other side: bit m
+    marks the sets m in its lower set at (m, fixed), or (upper) in its upper
+    set at (fixed, m).
+    Each rule body is read by `_body_planes` on rows: an atom of the free
+    side is the row of the sets containing it, one of the fixed side all
+    ones or 0. A set is a member iff it hits the heads marked at its bit
+    (`_members`)."""
+    u = p.universe
+    full = (1 << (1 << len(u))) - 1
+    inside = [full ^ without for _, without, _ in _closure_steps(len(u))]
+    fixed_side = [full if fixed >> i & 1 else 0 for i in range(len(u))]
+    in_x, in_y = (fixed_side, inside) if upper else (inside, fixed_side)
+    heads: dict[int, int] = {}
+    for r in p.compile().rules:
+        lower_row, upper_row = _body_planes(u, r, full, in_x, in_y)
+        heads[r.head_mask] = heads.get(r.head_mask, 0) | (upper_row if upper else lower_row)
+    return _members(full, heads, inside)
+
+
+def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[[int], tuple[int, ...]]]:
+    """The complete stable values of `ic` and `ic-triv`, the lower one at
+    each set y and the upper one at each set x, as functions of its mask
+    giving the minimal members of `member_row` in increasing order. A row
+    depends on the fixed set only through its key: the plain rules whose neg
+    misses it (`live`, built with one doubling per atom) and the atoms of it
+    that aggregate and formula bodies read. Each row is built once per
+    program, side and key, and kept on its compiled form."""
+    compiled, u = p.compile(), p.universe
+    plain_negs = [r.neg for r in compiled.rules if r.formula is None and not r.aggs]
+    read = 0
+    for r in compiled.rules:
+        if r.formula is not None:
+            read |= u.mask(four.formula_atoms(r.formula))
+        elif r.aggs:
+            read |= reduce(or_, [c for a in r.aggs for c in a.conditions], r.neg)
+    live = [(1 << len(plain_negs)) - 1]
+    for i in range(len(u)):
+        with_neg = sum(1 << k for k, neg in enumerate(plain_negs) if neg >> i & 1)
+        live += [m & ~with_neg for m in live]
+    kept = compiled.stable_rows
+
+    def value(m: int, upper: bool) -> tuple[int, ...]:
+        key = (upper, live[m], m & read)
+        found = kept.get(key)
+        if found is None:
+            found = kept[key] = tuple(minimal_bits(len(u), member_row(p, m, upper)))
+        return found
+
+    return (lambda ym: value(ym, False)), (lambda xm: value(xm, True))
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:

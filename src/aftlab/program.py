@@ -19,7 +19,6 @@ Weights and bounds are exact rationals ("2", "-1", "1/2", "0.5").
 
 from __future__ import annotations
 
-import hashlib
 import re
 from enum import Enum
 from fractions import Fraction
@@ -267,18 +266,18 @@ class CompiledAggregate:
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`.
     `pair_planes` keeps the `operators.PairPlanes` a sweep has asked for, one
-    per distinct set of planes (`operators.pair_planes`), and `rule_tables`
-    the `operators.RuleTables` of a plain program once the complete stable
-    values of `ic` or `ic-triv` have built them (`operators.rule_tables`)."""
+    per distinct set of planes (`operators.pair_planes`), and `stable_rows`
+    the complete stable values of `ic` and `ic-triv` read from rows, per
+    side and key (`operators.stable_rows`)."""
 
-    __slots__ = ("rules", "classification", "rule_tables", "pair_planes")
+    __slots__ = ("rules", "classification", "pair_planes", "stable_rows")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
         self.classification = classify(p)
-        self.rule_tables = None
         self.pair_planes: dict = {}
+        self.stable_rows: dict = {}
 
 
 def _rule_atoms(rule: Rule) -> set[str]:
@@ -341,6 +340,10 @@ def classify(p: Program) -> Classification:
 
 
 def program_hash(p: Program) -> str:
+    # Imported here: hashlib loads OpenSSL, and only the runs that report a
+    # digest need it.
+    import hashlib
+
     return hashlib.sha256(p.text.encode()).hexdigest()[:12]
 
 

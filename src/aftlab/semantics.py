@@ -9,9 +9,10 @@ stable sweeps of every operator AND bit planes, one bit per consistent pair,
 built from the two planes of each rule body and kept per program and
 distinct set of planes (`operators.pair_planes`), and decode only the set
 bits. Only the complete stable values of the four-valued operators, which
-range over the inconsistent pairs too, read otherwise: the program's rule
-tables when it is plain (`operators.rule_tables`), and else the fired heads
-(`operators.contains`). Sets are built only for the models returned.
+range over the inconsistent pairs too, read otherwise: rows of one bit per
+set, the same body readings with one side of the pair fixed, kept per
+program, side and key (`operators.stable_rows`). Sets are built only for the
+models returned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .lattice import (
     leq_i,
     leq_t,
     masks_below_t,
-    minimal_masks,
     submasks,
 )
 from .operators import OperatorKind
@@ -67,15 +67,14 @@ def _complete_values(
     member of the lower operator at (x, y)) and the complete upper one at the
     mask x, as functions giving the minimal masks in increasing order.
 
-    Candidates range over the operator's domain: everything for the total
-    four-valued operators, the subsets of y (supersets of x) for the
-    consistent-only ones, whose values are read from their minimal planes
-    (`operators.PairPlanes.minimal`) at each candidate pair's number. On a
-    plain program both four-valued values are the minimal models of the
-    reduct at the other side, kept per distinct `neg_out` mask
-    (`operators.RuleTables.minimal_models`); on any other they are read on
-    the fired heads (`operators.contains`). Planes alone would not do for
-    the four-valued operators, whose candidates include inconsistent pairs.
+    Candidates range over the operator's domain: the subsets of y (supersets
+    of x) for the consistent-only operators, whose values are read from their
+    minimal planes (`operators.PairPlanes.minimal`) at each candidate pair's
+    number, and every set for the total four-valued ones, whose candidates
+    include inconsistent pairs, where the planes say nothing. Those are read
+    from rows over all 2^n sets with the other side fixed
+    (`operators.stable_rows`); on a plain program they are the minimal models
+    of the reduct at the other side.
     """
     if ops.consistent_only(kind):
         planes = ops.pair_planes(kind, p)
@@ -85,15 +84,7 @@ def _complete_values(
             lambda ym: [xm for xm in submasks(ym) if lower >> number(xm, ym) & 1],
             lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
         )
-    if p.compile().classification.plain:
-        tables = ops.rule_tables(p)
-        neg_out, minimal_models = tables.neg_out, tables.minimal_models
-        return (lambda ym: minimal_models(neg_out[ym]), lambda xm: minimal_models(neg_out[xm]))
-    every = range(1 << len(p.universe))
-    return (
-        lambda ym: minimal_masks(xm for xm in every if ops.contains(p, xm, ym, xm)),
-        lambda xm: minimal_masks(ym for ym in every if ops.contains(p, xm, ym, ym, upper=True)),
-    )
+    return ops.stable_rows(p)
 
 
 def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:

@@ -673,10 +673,11 @@ def test_help_returns_0_and_lists_the_table(command):
 
 def test_importing_the_cli_does_not_import_argparse():
     # Nor `dataclasses` or `inspect`: the value types are records (`aftlab.record`).
+    # Nor `hashlib`, which loads OpenSSL: only `program.program_hash` needs it.
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import aftlab.cli, aftlab.laws; "
-        "print(sorted(m for m in ('argparse', 'dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('argparse', 'dataclasses', 'inspect', 'hashlib') if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"

@@ -1,8 +1,8 @@
 """Differential tests: the compiled rule bodies (two bitmasks plus aggregate
 literals read on condition masks), their bit planes over the consistent
-pairs, the integer hitting-set enumeration, the membership test on head masks
-and the kept program hash, against direct readings of the program kept here
-as references."""
+pairs and their rows over the sets of one side with the other fixed, the
+integer hitting-set enumeration, the member rows and the kept program hash,
+against direct readings of the program kept here as references."""
 
 from __future__ import annotations
 
@@ -112,7 +112,9 @@ def heads_at_least(p, i: ApproxPair, threshold: Truth) -> frozenset:
 def test_body_planes_equal_the_two_bit_reading():
     """At each consistent pair k, bit k of a rule's lower (upper) body plane
     is whether `operators._fired` selects the rule there with the lower
-    (upper) bit."""
+    (upper) bit. In the row form, at every pair (x, y), the inconsistent ones
+    too, where an aggregate condition can hold at x but not at y: bit x of a
+    rule's lower row at fixed y, and bit y of its upper row at fixed x."""
     # The generator writes at most two entries per aggregate; these have more,
     # some sharing atoms, so that their conditions split the pairs many ways.
     many_entries = parse(
@@ -133,6 +135,18 @@ def test_body_planes_equal_the_two_bit_reading():
             for side, bit in enumerate((four.LOWER_BIT, four.UPPER_BIT)):
                 fired = set(ops._fired(p, xm, ym, bit))
                 assert [plane[side] >> k & 1 for plane in planes] == [r in fired for r in rules], (p.text, xm, ym)
+        size = 1 << len(u)
+        full = (1 << size) - 1
+        free = [sum(1 << m for m in range(size) if m >> i & 1) for i in range(len(u))]
+        for fixed in range(size):
+            at = [full if fixed >> i & 1 else 0 for i in range(len(u))]
+            lower_rows = [ops._body_planes(u, r, full, free, at)[0] for r in rules]
+            upper_rows = [ops._body_planes(u, r, full, at, free)[1] for r in rules]
+            for m in range(size):
+                fired = set(ops._fired(p, m, fixed, four.LOWER_BIT))
+                assert [row >> m & 1 for row in lower_rows] == [r in fired for r in rules], (p.text, m, fixed)
+                fired = set(ops._fired(p, fixed, m, four.UPPER_BIT))
+                assert [row >> m & 1 for row in upper_rows] == [r in fired for r in rules], (p.text, fixed, m)
 
 
 @pytest.mark.parametrize("threshold", [Truth.C, Truth.U])
@@ -231,16 +245,19 @@ def membership_programs():
 
 
 def test_membership_tests_equal_the_materialised_families():
+    """At every pair (x, y), the inconsistent ones too: bit x of the member
+    row at fixed y is whether x is in the lower set, and bit y of the upper
+    member row at fixed x whether y is in the upper set."""
     for p in membership_programs():
         u = p.universe
+        lower_rows = [ops.member_row(p, m) for m in range(1 << len(u))]
+        upper_rows = [ops.member_row(p, m, upper=True) for m in range(1 << len(u))]
         for i in all_pairs(p):
             xm, ym = u.pair_key(i)
             lower = ops.hitting_sets(heads_at_least(p, i, Truth.C))
             upper = ops.hitting_sets(heads_at_least(p, i, Truth.U))
-            for m in range(1 << len(u)):
-                s = u.unmask(m)
-                assert ops.contains(p, xm, ym, m) == (s in lower), (p.text, i, s)
-                assert ops.contains(p, xm, ym, m, upper=True) == (s in upper), (p.text, i, s)
+            assert lower_rows[ym] >> xm & 1 == (i.lower in lower), (p.text, i)
+            assert upper_rows[xm] >> ym & 1 == (i.upper in upper), (p.text, i)
 
 
 def _count_hitting_sets(monkeypatch) -> list:

@@ -1,7 +1,7 @@
 """Differential tests: the sweeps of every operator, which read bit planes
 kept per program and distinct set of planes, and the complete stable values
-of the four-valued ones (`ic`, `ic-triv`), which read the program's rule
-tables or, on general and aggregate bodies, test the fired heads, against
+of the four-valued ones (`ic`, `ic-triv`), which read rows over the sets of
+one side with the other side fixed, kept per program, side and key, against
 definitional sweeps kept here that read the operators' families through
 `operators.apply`; the deterministic stable pairs against least-fixpoint
 loops over `operators.det_lower` and `operators.det_upper`; and Kripke-Kleene
@@ -18,11 +18,11 @@ from operator import and_, or_
 
 import pytest
 
-from aftlab import corpus, operators as ops, semantics as sem
+from aftlab import corpus, four, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, digit_planes, leq_i, smyth_leq
 from aftlab.operators import OperatorKind
-from aftlab.program import ProgramClassError, make_program, parse
+from aftlab.program import GeneralFormula, NegatedAgg, NegatedAtom, PositiveAgg, ProgramClassError, make_program, parse
 
 INTERVAL_KINDS = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
 FOUR_VALUED_KINDS = (OperatorKind.IC, OperatorKind.IC_TRIV)
@@ -266,6 +266,27 @@ def test_the_empty_program_has_one_bit_planes():
         assert sem.run_semantics(name, p).models == empty
 
 
+def test_the_four_valued_stable_values_read_one_and_two_bit_rows():
+    """No atoms: rows of 2^0 = 1 bit and the one stable pair (∅, ∅). One
+    atom: rows of two bits, whose candidates include the inconsistent pair
+    ({p}, ∅), at which the aggregate's condition is C."""
+    empty, none = parse(""), frozenset()
+    assert ops.member_row(empty, 0) == ops.member_row(empty, 0, upper=True) == 1
+    for kind in FOUR_VALUED_KINDS:
+        for name in ("stable", "total-stable"):
+            assert sem.run_semantics(name, empty, kind).models == (ApproxPair(none, none),)
+    p_only = frozenset("p")
+    negation, aggregate = parse("p :- not p."), parse("p :- #count{1:p} < 1.")
+    for p, kind in [(negation, kind) for kind in FOUR_VALUED_KINDS] + [(aggregate, OperatorKind.IC_TRIV)]:
+        assert sem.run_semantics("stable", p, kind).models == (ApproxPair(none, p_only),)
+        assert sem.run_semantics("total-stable", p, kind).models == ()
+        for s in (none, p_only):
+            assert sem.complete_lower_stable(kind, p, s) == ref_lower_stable(kind, p, s), (p.text, kind, s)
+            assert sem.complete_upper_stable(kind, p, s) == ref_upper_stable(kind, p, s), (p.text, kind, s)
+    # The body is C at ({p}, ∅), so {p} hits its head there.
+    assert sem.complete_lower_stable(OperatorKind.IC_TRIV, aggregate, none) == {p_only}
+
+
 def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     calls = {"interval": 0, "hitting_sets": 0, "apply": 0}
     interval, hitting_sets, apply = AtomUniverse.interval, ops.hitting_sets, ops.apply
@@ -291,41 +312,63 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     assert calls["interval"] == 1 and calls["hitting_sets"] == 2
 
 
+def row_key(p, fixed):
+    """What a row of the four-valued complete stable values reads of its
+    fixed set: which plain rules' neg misses it, and its atoms that the
+    aggregate and formula bodies read there, the negated atoms and the
+    entry conditions of an aggregate body, every atom of a formula body."""
+    plain, read = [], set()
+    for r in p.rules:
+        if isinstance(r.body, GeneralFormula):
+            read |= four.formula_atoms(r.body.formula)
+        elif any(isinstance(lit, (PositiveAgg, NegatedAgg)) for lit in r.body.items):
+            for lit in r.body.items:
+                if isinstance(lit, NegatedAtom):
+                    read.add(lit.name)
+                elif isinstance(lit, (PositiveAgg, NegatedAgg)):
+                    read.update(a for entry in lit.agg.term.entries for a in entry.condition)
+        else:
+            plain.append(not any(isinstance(lit, NegatedAtom) and lit.name in fixed for lit in r.body.items))
+    return tuple(plain), fixed & read
+
+
 def test_each_program_builds_its_rule_tables_once(monkeypatch):
     """Each distinct set of planes once per program, shared by every sweep:
     `dmt-det`, swept after `dmt`, and `ic-triv`, swept after `ic`, build
-    none. One `RuleTables` per plain program, shared by the complete stable
-    values of `ic` and `ic-triv`, and none for any other program."""
-    builds = []
+    none. The complete stable values of `ic` and `ic-triv` build one row per
+    program, side and key (`row_key`), shared by both operators and by every
+    fixed set with that key; a consistent-only operator builds none."""
+    row_builds = []
     plane_builds = []
 
-    class Counting(ops.RuleTables):
-        __slots__ = ()
-
-        def __init__(self, u, rules):
-            builds.append(rules)
-            super().__init__(u, rules)
+    def counting_rows(p, fixed, upper=False):
+        row_builds.append((upper, row_key(p, p.universe.unmask(fixed))))
+        return member_row(p, fixed, upper)
 
     def counting_planes(kind, p):
         plane_builds.append(kind)
         return interval_tables(kind, p)
 
-    interval_tables = ops.interval_tables
-    monkeypatch.setattr(ops, "RuleTables", Counting)
+    member_row, interval_tables = ops.member_row, ops.interval_tables
+    monkeypatch.setattr(ops, "member_row", counting_rows)
     monkeypatch.setattr(ops, "interval_tables", counting_planes)
     for original in PROGRAMS:
         p = make_program(original.rules, original.universe)
         for kind in [kind for q, kind in cases() if q is original]:
+            before = len(row_builds)
             sem.fixpoints(kind, p)
             sem.stable_fixpoints(kind, p)
             sem.ht_pairs(kind, p)
             for s in p.universe.subsets():
                 sem.complete_lower_stable(kind, p, s)
                 sem.complete_upper_stable(kind, p, s)
-        assert builds == ([p.compile().rules] if p.compile().classification.plain else [])
+            if ops.consistent_only(kind):
+                assert len(row_builds) == before, kind
+        keys = {(upper, row_key(p, s)) for upper in (False, True) for s in p.universe.subsets()}
+        assert len(row_builds) == len(keys) and set(row_builds) == keys
         shared = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}
         assert plane_builds == list(dict.fromkeys(shared.get(kind, kind) for q, kind in cases() if q is original))
         if p.compile().classification.aggregate_free:
             assert ops.pair_planes(OperatorKind.IC, p) is ops.pair_planes(OperatorKind.IC_TRIV, p)
-        builds.clear()
+        row_builds.clear()
         plane_builds.clear()
