@@ -1,7 +1,7 @@
 """Finite powerset lattice: atom universes, the pair orders, the set-lifted
 orders (also as one AND on precision codes), lattice difference, and
 deterministic enumeration of intervals and consistent pairs, also as pairs of
-masks and along the two orders, bit planes over the consistent pairs (one
+masks and information-above a pair, bit planes over the consistent pairs (one
 bit per pair) and rows over the 2^n sets (one bit per set).
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
@@ -188,24 +188,6 @@ def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
         a = xm | s
         for t in submasks(free & ~s):
             yield a, a | t
-
-
-def masks_below_t(xm: int, ym: int) -> Iterator[tuple[int, int]]:
-    """The consistent mask pairs (a, b) <=_t (xm, ym), that is b <= ym and
-    a <= xm & b, in no particular order; 3^|xm| * 2^|ym - xm| many for a
-    consistent pair."""
-    b = ym
-    while True:
-        top = xm & b
-        a = top
-        while True:
-            yield a, b
-            if not a:
-                break
-            a = (a - 1) & top
-        if not b:
-            return
-        b = (b - 1) & ym
 
 
 class DigitPlanes:

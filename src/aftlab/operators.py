@@ -52,7 +52,10 @@ class OperatorKind(Enum):
 
 # The four-valued operators, total on every pair. Their complete stable
 # values range over the inconsistent pairs too, so they are not read from
-# planes over the consistent pairs but from rows (`stable_rows`).
+# planes over the consistent pairs but from rows (`stable_rows`). The
+# minimal planes of `ic-triv` read those values over the consistent pairs
+# alone; on a plain program their pairs are the three-valued stable models
+# (`semantics.three_valued_stable`).
 FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
 
 
@@ -252,7 +255,9 @@ class PairPlanes:
     x, and `closed` those whose y is closed under the base operator, some
     member of ic(y) lying within y. Kept per program and distinct set of
     planes (`pair_planes`). The complete stable values of a consistent-only
-    operator are read from its `minimal` planes."""
+    operator are read from its `minimal` planes, and so are the three-valued
+    stable models of a plain program, from those of `ic-triv`
+    (`semantics.three_valued_stable`)."""
 
     __slots__ = ("digits", "lower", "upper", "smyth", "closed", "_minimal")
 

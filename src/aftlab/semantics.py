@@ -1,18 +1,19 @@
 """Fixpoint semantics by exhaustive enumeration: plain and stable fixpoints,
 deterministic Kripke-Kleene and well-founded fixpoints, here-and-there pairs,
-semi-equilibrium models, three-valued stable models via the GL transformation,
-and GZ answer sets as minimal models of the reduct.
+semi-equilibrium models, three-valued stable models (the truth-minimal models
+of the GL transformation), and GZ answer sets as minimal models of the reduct.
 
-Every solver is a brute-force sweep over the 3^n consistent pairs (or the 2^n
-total interpretations); n is bounded by the atom cap. The fixpoint, HT and
-stable sweeps of every operator AND bit planes, one bit per consistent pair,
-built from the two planes of each rule body and kept per program and
-distinct set of planes (`operators.pair_planes`), and decode only the set
-bits. Only the complete stable values of the four-valued operators, which
-range over the inconsistent pairs too, read otherwise: rows of one bit per
-set, the same body readings with one side of the pair fixed, kept per
-program, side and key (`operators.stable_rows`). Sets are built only for the
-models returned.
+Every solver decides each of the 3^n consistent pairs (or the 2^n total
+interpretations); n is bounded by the atom cap. The fixpoint, HT and stable
+sweeps of every operator, and the three-valued stable models, which are the
+pairs of the minimal planes of `ic-triv`, AND bit planes, one bit per
+consistent pair, built from the two planes of each rule body and kept per
+program and distinct set of planes (`operators.pair_planes`), and decode
+only the set bits. Only the complete stable values of the four-valued
+operators, which range over the inconsistent pairs too, read otherwise: rows
+of one bit per set, the same body readings with one side of the pair fixed,
+kept per program, side and key (`operators.stable_rows`). Sets are built
+only for the models returned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .lattice import (
     gap,
     leq_i,
     leq_t,
-    masks_below_t,
     submasks,
 )
 from .operators import OperatorKind
@@ -101,6 +101,14 @@ def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     return frozenset(map(u.unmask, _complete_values(kind, p)[1](u.mask(x))))
 
 
+def _minimal_pairs(p: Program, planes: ops.PairPlanes) -> list[ApproxPair]:
+    """The pairs (x, y) with x among the minimal lower members below y and y
+    among the minimal upper members above x: the AND of the planes'
+    `minimal` planes, decoded."""
+    lower, upper = planes.minimal()
+    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(lower & upper)]
+
+
 def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x among the complete lower stable values
     for y and y among the complete upper stable values for x; for a
@@ -108,11 +116,9 @@ def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     (`operators.PairPlanes.minimal`)."""
     p.compile()
     ops.check_kind_applicable(kind, p)
-    u = p.universe
     if ops.consistent_only(kind):
-        planes = ops.pair_planes(kind, p)
-        lower, upper = planes.minimal()
-        return [u.pair(xm, ym) for xm, ym in planes.digits.pairs(lower & upper)]
+        return _minimal_pairs(p, ops.pair_planes(kind, p))
+    u = p.universe
     lower_value, upper_value = _complete_values(kind, p)
     lower_at: dict[int, set[int]] = {}
     out = []
@@ -264,21 +270,15 @@ def _gl_model(rules: Iterable[prog.CompiledRule], xi: int, yi: int, xj: int, yj:
     )
 
 
-def _is_stable_model_of(p: Program, xm: int, ym: int) -> bool:
-    """Whether the consistent pair (xm, ym) is a model of p's GL transformation
-    at itself and no other consistent pair below it in the truth order is."""
-    rules = p.compile().rules
-    return _gl_model(rules, xm, ym, xm, ym) and not any(
-        (a != xm or b != ym) and _gl_model(rules, xm, ym, a, b) for a, b in masks_below_t(xm, ym)
-    )
-
-
 def three_valued_stable(p: Program) -> list[ApproxPair]:
-    """Truth-minimal models of the program's GL transformation at each pair."""
+    """Truth-minimal models of the program's GL transformation at each pair.
+    These are the pairs of the minimal planes of `ic-triv`
+    (`operators.PairPlanes.minimal`): x a minimal model of the reduct with
+    negation read at y, and y a minimal model among the supersets of x of the
+    reduct with negation read at x (README "Programs are compiled once")."""
     p.compile()
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
-    u = p.universe
-    return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if _is_stable_model_of(p, xm, ym)]
+    return _minimal_pairs(p, ops.pair_planes(OperatorKind.IC_TRIV, p))
 
 
 def _is_minimal_model(rules: list[tuple[int, int]], xm: int) -> bool:

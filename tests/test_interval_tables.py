@@ -306,6 +306,9 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
             sem.run_semantics(name, p, kind)
         if kind is OperatorKind.DMT_DET:
             sem.det_stable_fixpoints(p)
+    for p in PROGRAMS:
+        if p.compile().classification.plain:
+            sem.run_semantics("three-valued-stable", p)
     assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
     ops.dmt_ndao.cache_clear()
     ops.dmt_ndao(PROGRAMS[-1], ApproxPair(frozenset(), PROGRAMS[-1].universe.full()))
@@ -335,11 +338,17 @@ def row_key(p, fixed):
 def test_each_program_builds_its_rule_tables_once(monkeypatch):
     """Each distinct set of planes once per program, shared by every sweep:
     `dmt-det`, swept after `dmt`, and `ic-triv`, swept after `ic`, build
-    none. The complete stable values of `ic` and `ic-triv` build one row per
+    none, nor do three-valued stable models, which read the minimal planes of
+    `ic`. The complete stable values of `ic` and `ic-triv` build one row per
     program, side and key (`row_key`), shared by both operators and by every
     fixed set with that key; a consistent-only operator builds none."""
     row_builds = []
     plane_builds = []
+    minimal_reads = []
+
+    def recording_minimal(planes):
+        minimal_reads.append(planes)
+        return minimal(planes)
 
     def counting_rows(p, fixed, upper=False):
         row_builds.append((upper, row_key(p, p.universe.unmask(fixed))))
@@ -349,9 +358,10 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
         plane_builds.append(kind)
         return interval_tables(kind, p)
 
-    member_row, interval_tables = ops.member_row, ops.interval_tables
+    member_row, interval_tables, minimal = ops.member_row, ops.interval_tables, ops.PairPlanes.minimal
     monkeypatch.setattr(ops, "member_row", counting_rows)
     monkeypatch.setattr(ops, "interval_tables", counting_planes)
+    monkeypatch.setattr(ops.PairPlanes, "minimal", recording_minimal)
     for original in PROGRAMS:
         p = make_program(original.rules, original.universe)
         for kind in [kind for q, kind in cases() if q is original]:
@@ -364,6 +374,12 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
                 sem.complete_upper_stable(kind, p, s)
             if ops.consistent_only(kind):
                 assert len(row_builds) == before, kind
+        if p.compile().classification.plain:
+            builds = len(row_builds), len(plane_builds)
+            minimal_reads.clear()
+            sem.three_valued_stable(p)
+            assert (len(row_builds), len(plane_builds)) == builds
+            assert len(minimal_reads) == 1 and minimal_reads[0] is ops.pair_planes(OperatorKind.IC, p)
         keys = {(upper, row_key(p, s)) for upper in (False, True) for s in p.universe.subsets()}
         assert len(row_builds) == len(keys) and set(row_builds) == keys
         shared = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}

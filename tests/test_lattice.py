@@ -20,7 +20,6 @@ from aftlab.lattice import (
     leq_i,
     leq_t,
     masks_above_i,
-    masks_below_t,
     precision_code,
     smyth_leq,
 )
@@ -179,9 +178,6 @@ def test_mask_enumerations_equal_the_order_scans(n):
     assert [u.pair(*m) for m in u.consistent_masks()] == pairs
     for i in pairs:
         assert [u.pair(*m) for m in masks_above_i(*u.pair_key(i))] == [j for j in pairs if leq_i(i, j)]
-        below = [u.pair(*m) for m in masks_below_t(*u.pair_key(i))]
-        assert len(below) == len(set(below))
-        assert set(below) == {j for j in pairs if leq_t(j, i)}
 
 
 def test_atom_cap_env(monkeypatch):

@@ -178,12 +178,60 @@ def test_gz_answer_sets_examples(sum_chain_program, sum_split_program):
         sem.gz_answer_sets(parse("p :- not #sum{1:q} > 0."))
 
 
+def is_three_valued_stable(p, i, pairs):
+    """Przymusinski's definition: i is a model of p's GL transformation at i
+    (`sem.is_model`) and no other consistent pair j truth-below i, among
+    `pairs` (every consistent pair of p's universe), is."""
+    return sem.is_model(p, i) and not any(j != i and leq_t(j, i) and sem.is_model(p, i, j) for j in pairs)
+
+
+def three_valued_stable_reference(p):
+    """The three-valued stable models of a plain program by the definition,
+    in `consistent_pairs` order."""
+    pairs = list(p.universe.consistent_pairs())
+    return [i for i in pairs if is_three_valued_stable(p, i, pairs)]
+
+
+def plain_programs(atoms, seeds):
+    """Seeded programs without aggregates: widths 1-3, negation 0.4 and 0.7,
+    1 to 2n rules."""
+    for n in atoms:
+        for width in (1, 2, 3):
+            for negation in (0.4, 0.7):
+                for s in seeds:
+                    yield generate_program(GeneratorConfig(atoms=n, rules=1 + s % (2 * n), seed=s,
+                                                           negation_probability=negation, disjunction_width=width))
+
+
+def test_three_valued_stable_equals_the_definition():
+    programs = [p for p in corpus.programs() if classify(p).plain] + list(plain_programs(range(1, 5), range(8)))
+    assert sum(len(sem.three_valued_stable(p)) > 1 for p in programs) >= 30
+    for p in programs:
+        assert sem.three_valued_stable(p) == three_valued_stable_reference(p), p.text
+
+
+def test_ic_stable_fixpoints_are_three_valued_stable_with_the_same_totals():
+    """`ic` asks y to be minimal among all sets, not only among the supersets
+    of x: every stable fixpoint of `ic` is three-valued stable, with the same
+    total pairs, and not conversely (README "Programs are compiled once")."""
+    strict = 0
+    for p in plain_programs(range(1, 7), range(10)):
+        ic_stable, three_valued = sem.stable_fixpoints(OperatorKind.IC, p), sem.three_valued_stable(p)
+        assert set(ic_stable) <= set(three_valued), p.text
+        assert [i for i in ic_stable if i.is_total] == [i for i in three_valued if i.is_total], p.text
+        strict += len(ic_stable) < len(three_valued)
+    assert strict >= 10
+    p = parse("p :- q, not p.\np :- not q.\np | q :- .\n")
+    assert sem.three_valued_stable(p) == [pair("p", "p"), pair("q", "p,q")]
+    assert sem.stable_fixpoints(OperatorKind.IC, p) == [pair("p", "p")]
+
+
 def gz_answer_sets_reference(p):
     """The sets x for which (x, x) is a stable model of the reduct program
     `gz_reduct(p, x)`: a model of its GL transformation at (x, x) with no
     other such model below it in the truth order."""
-    u = p.universe
-    return [x for x in u.subsets() if sem._is_stable_model_of(gz_reduct(p, x), u.mask(x), u.mask(x))]
+    pairs = list(p.universe.consistent_pairs())
+    return [x for x in p.universe.subsets() if is_three_valued_stable(gz_reduct(p, x), ApproxPair(x, x), pairs)]
 
 
 def test_gz_answer_sets_equal_the_reduct_definition(sum_chain_program, sum_split_program):

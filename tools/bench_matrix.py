@@ -21,8 +21,15 @@ recorded. The output file
 `BENCH_<label>.json` records per cell the seconds, the peak resident MB (the
 interpreter's `ru_maxrss`, read with `os.wait4`), the exit code, the model
 count and a digest of the output, so two files can be checked for identical
-answers as well as compared for time and memory. Standard library only,
-Linux; run it from the root of a checkout.
+answers as well as compared for time and memory.
+
+The host's speed drifts between phases of a run, so each cell also records
+`reference_s`: the time of a fixed pure-Python loop (`reference_loop`), the
+fastest of REFERENCE_TRIES tries taken right before the cell and of as many
+right after it, averaged. The rows printed while the matrix runs give each
+cell's seconds in units of that loop, seconds / reference_s; two files are
+compared on that ratio, or on seconds scaled by it to one loop time. Standard
+library only, Linux; run it from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -35,9 +42,11 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 TIMEOUT_S = 30
+REFERENCE_TRIES = 2
 ATOMS = range(4, 13)
 OPERATORS = ("ic", "ic-triv", "dmt", "ultimate", "gz", "dmt-det")
 OPERATOR_BASED = ("fixpoints", "stable", "total-stable", "ht", "seq", "seq-approx")
@@ -87,6 +96,30 @@ def run_cli(src: Path, argv: list[str], timeout: int = 0) -> tuple[int, str, flo
         return int(code), out.read().decode(), float(seconds), int(rss_kb) / 1024
 
 
+def reference_loop() -> int:
+    """Fixed work in the style of aftlab's inner loops: frozensets, tuples,
+    hashing and dict updates; it uses no aftlab code, so a change to aftlab
+    moves the cells and not the loop."""
+    seen: dict = {}
+    acc = 0
+    for i in range(6000):
+        key = frozenset((i & 15, (i >> 2) & 15, (i >> 4) & 7))
+        pair = (key, i & 63)
+        seen[pair] = seen.get(pair, 0) + 1
+        acc += len(key & {1, 2, 3, 4}) + hash(pair) % 3
+    return acc
+
+
+def reference_s() -> float:
+    """The fastest of REFERENCE_TRIES timings of reference_loop()."""
+    times = []
+    for _ in range(REFERENCE_TRIES):
+        start = time.perf_counter()
+        reference_loop()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def program_file(src: Path, tmp: Path, n: int, width: int, aggregates: float, positive: bool) -> str:
     path = tmp / f"n{n}-w{width}-a{aggregates}{'-positive' if positive else ''}.lp"
     if not path.exists():
@@ -110,13 +143,15 @@ def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggr
         argv = ["semantics", "--program", program, "--semantics", semantics, "--format", "json"]
         if operator is not None:
             argv += ["--operator", operator]
+        ref_before = reference_s()
         try:
             code, out, seconds, rss_mb = run_cli(src, argv, TIMEOUT_S)
         except subprocess.TimeoutExpired:
             cells.append({"n": n, "timeout": True})
             break
-        cell = {"n": n, "seconds": round(seconds, 3), "peak_rss_mb": round(rss_mb, 1), "exit": code,
-                "output": hashlib.sha256(out.encode()).hexdigest()[:16]}
+        ref = (ref_before + reference_s()) / 2
+        cell = {"n": n, "seconds": round(seconds, 3), "reference_s": round(ref, 5), "peak_rss_mb": round(rss_mb, 1),
+                "exit": code, "output": hashlib.sha256(out.encode()).hexdigest()[:16]}
         if code == 0:
             cell["models"] = json.loads(out)["counts"]["models"]
         cells.append(cell)
@@ -145,7 +180,8 @@ def main(argv: list[str] | None = None) -> int:
                     row["negation_probability"] = 0
                 rows.append(row)
                 print(row.get("series", "plain"), semantics, operator or "-", " ".join(
-                    "T/O" if c.get("timeout") else f"{c['seconds']:.2f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
+                    "T/O" if c.get("timeout")
+                    else f"{c['seconds'] / c['reference_s']:.1f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
                     for c in cells), flush=True)
     payload = {
         "label": args.label,
@@ -153,7 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det); rows of the"
                     f" aggregates series add --aggregate-probability {AGGREGATE_PROBABILITY}, and rows marked"
                     " negation_probability 0 also --negation-probability 0",
-        "cell": "one interpreter per cell, wall seconds from fork to exit, peak resident MB of the interpreter",
+        "cell": "one interpreter per cell, wall seconds from fork to exit, peak resident MB of the interpreter;"
+                " reference_s is the fastest of two timings of a fixed pure-Python loop right before the cell and"
+                " of two right after it, averaged, and the printed rows give seconds / reference_s",
         "timeout_s": TIMEOUT_S,
         "rows": rows,
     }
