@@ -5,15 +5,17 @@ trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
 All operators are pure; applications are memoized per (operator, program,
-pair). The sweeps read the operators from tables instead, built on the
-program's masks and kept on its compiled form. Every rule body is read once
-as two bit planes over the consistent pairs, the pairs where its value has
-the lower bit and those where it has the upper bit, and each operator's
-`PairPlanes` are built from them (`interval_tables`, `pair_planes`): `ic`
-shares the planes of `ic-triv`, and `dmt-det` those of `dmt`. The complete
-stable values of `ic` and `ic-triv` range over the inconsistent pairs too;
-they read the same body readings with one side of the pair fixed, as rows
-of one bit per set of the other side (`member_row`, `stable_rows`).
+pair), and the hitting sets of each head family are built once per program
+and kept on its compiled form (`_hits`). The sweeps read the operators from
+tables instead, built on the program's masks and kept on its compiled form.
+Every rule body is read once as two bit planes over the consistent pairs,
+the pairs where its value has the lower bit and those where it has the
+upper bit, and each operator's `PairPlanes` are built from them
+(`interval_tables`, `pair_planes`): `ic` shares the planes of `ic-triv`, and
+`dmt-det` those of `dmt`. The complete stable values of `ic` and `ic-triv`
+range over the inconsistent pairs too; they read the same body readings
+with one side of the pair fixed, as rows of one bit per set of the other
+side (`member_row`, `stable_rows`).
 """
 
 from __future__ import annotations
@@ -100,10 +102,21 @@ def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
     return frozenset(out)
 
 
+def _hits(p: Program, heads: frozenset[AtomSet]) -> NdSet:
+    """`hitting_sets(heads)`, built on the first ask for the family and then
+    kept on the program's compiled form: an operator's value depends on the
+    pair only through its head family, and a program has few of them."""
+    kept = p.compile().families
+    found = kept.get(heads)
+    if found is None:
+        found = kept[heads] = hitting_sets(heads)
+    return found
+
+
 @cache
 def ic(p: Program, x: AtomSet) -> NdSet:
     """Immediate consequences of x: hitting sets of the activated heads."""
-    return hitting_sets(hd(p, x))
+    return _hits(p, hd(p, x))
 
 
 def _require_aggregate_free(p: Program) -> None:
@@ -150,13 +163,13 @@ def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[At
 def ic_lower_set(p: Program, i: ApproxPair) -> NdSet:
     """Lower component of the four-valued operator; total on arbitrary pairs."""
     _require_aggregate_free(p)
-    return hitting_sets(_heads_at_least(p, i, Truth.C))
+    return _hits(p, _heads_at_least(p, i, Truth.C))
 
 
 @cache
 def ic_upper_set(p: Program, i: ApproxPair) -> NdSet:
     _require_aggregate_free(p)
-    return hitting_sets(_heads_at_least(p, i, Truth.U))
+    return _hits(p, _heads_at_least(p, i, Truth.U))
 
 
 def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
@@ -171,7 +184,7 @@ def ic_triv_ndao(p: Program, i: ApproxPair) -> NdPair:
     (`program.CompiledAggregate.trivial`); equal to `ic_ndao` on aggregate-free
     programs. Its total stable fixpoints are the reduct answer sets
     (`semantics.gz_answer_sets`); README "Aggregates and GZ answer sets"."""
-    return NdPair(hitting_sets(_heads_at_least(p, i, Truth.C)), hitting_sets(_heads_at_least(p, i, Truth.U)))
+    return NdPair(_hits(p, _heads_at_least(p, i, Truth.C)), _hits(p, _heads_at_least(p, i, Truth.U)))
 
 
 @cache
@@ -221,7 +234,7 @@ def dmt_ndao(p: Program, i: ApproxPair) -> NdPair:
         lower_heads = heads if lower_heads is None else lower_heads & heads
         upper_heads |= heads
     assert lower_heads is not None
-    return NdPair(hitting_sets(lower_heads), hitting_sets(upper_heads))
+    return NdPair(_hits(p, lower_heads), _hits(p, upper_heads))
 
 
 @cache

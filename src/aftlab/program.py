@@ -268,9 +268,10 @@ class Compiled:
     `pair_planes` keeps the `operators.PairPlanes` a sweep has asked for, one
     per distinct set of planes (`operators.pair_planes`), and `stable_rows`
     the complete stable values of `ic` and `ic-triv` read from rows, per
-    side and key (`operators.stable_rows`)."""
+    side and key (`operators.stable_rows`), and `families` the hitting sets
+    of each head family the reference operators have built (`operators._hits`)."""
 
-    __slots__ = ("rules", "classification", "pair_planes", "stable_rows")
+    __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
@@ -278,6 +279,7 @@ class Compiled:
         self.classification = classify(p)
         self.pair_planes: dict = {}
         self.stable_rows: dict = {}
+        self.families: dict = {}
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from aftlab import cli, corpus, four, operators as ops, program as prog, semantics as sem
+from aftlab import cli, corpus, four, laws, operators as ops, program as prog, semantics as sem
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, digit_planes
@@ -260,10 +260,22 @@ def test_membership_tests_equal_the_materialised_families():
             assert upper_rows[xm] >> ym & 1 == (i.upper in upper), (p.text, i)
 
 
-def _count_hitting_sets(monkeypatch) -> list:
-    # Cleared, so a family memoised by an earlier test cannot hide a call.
-    for fn in (ops.hd, ops.ic, ops.ic_lower_set, ops.ic_upper_set, ops.ic_triv_ndao):
+# Every memoized operator. Programs equal in value share their entries, so
+# a family memoised by an earlier test, or by an equal program parsed
+# earlier, would hide a build.
+MEMOS = (
+    ops.hd, ops.ic, ops.ic_lower_set, ops.ic_upper_set, ops.ic_triv_ndao,
+    ops._fired_atoms, ops.dmt_det, ops.dmt_ndao, ops.ultimate_ndao, ops.gz_ndao,
+)
+
+
+def clear_memos() -> None:
+    for fn in MEMOS:
         fn.cache_clear()
+
+
+def _count_hitting_sets(monkeypatch) -> list:
+    clear_memos()
     calls = []
     hitting_sets = ops.hitting_sets
 
@@ -295,6 +307,49 @@ def test_eval_still_builds_the_family(monkeypatch):
     path = str(corpus.path("disjunctive_self_defeat"))
     assert cli.main(["eval", "--program", path, "--operator", "ic", "--pair", ";p,q", "--format", "json"]) == 0
     assert len(calls) == 2
+
+
+def test_the_laws_build_each_family_once_per_program(monkeypatch):
+    calls = _count_hitting_sets(monkeypatch)
+    for name in ("disjunctive_self_defeat", "aggregate_cycle"):
+        p = parse(corpus.text(name))
+        calls.clear()
+        laws.run_laws([p])
+        built = list(calls)
+        assert built and len(built) == len(set(built)), name
+        laws.run_laws([p])
+        assert calls == built, name
+        # A fresh parse has a store of its own and builds the families again.
+        clear_memos()
+        calls.clear()
+        laws.run_laws([parse(p.text)])
+        assert set(calls) == set(built), name
+
+
+def apply_values(p, visits):
+    """ops.apply at each (kind, pair) in the order given: the value, or the
+    class of the error it refuses the pair with."""
+    out = {}
+    for kind, i in visits:
+        try:
+            out[kind, i] = ops.apply(kind, p, i)
+        except AftlabError as e:
+            out[kind, i] = type(e)
+    return out
+
+
+def test_kept_families_give_the_values_of_a_fresh_parse_visited_in_reverse():
+    seeded = [
+        generate_program(GeneratorConfig(atoms=1 + seed % 3, rules=3, aggregate_probability=0.5 * (seed % 2), seed=seed))
+        for seed in range(16)
+    ]
+    for p in [*corpus.programs(), *seeded]:
+        clear_memos()
+        visits = [(kind, i) for kind in ops.OperatorKind for i in all_pairs(p)]
+        first = apply_values(p, visits)
+        assert any(not isinstance(v, type) for v in first.values()), p.text
+        clear_memos()
+        assert apply_values(parse(p.text), visits[::-1]) == first, p.text
 
 
 def test_memo_lookup_does_not_rehash_the_rules(monkeypatch):

@@ -310,8 +310,11 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
         if p.compile().classification.plain:
             sem.run_semantics("three-valued-stable", p)
     assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
+    # A fresh parse: the other tests of this module have filled the family
+    # store of PROGRAMS[-1] (`Compiled.families`).
     ops.dmt_ndao.cache_clear()
-    ops.dmt_ndao(PROGRAMS[-1], ApproxPair(frozenset(), PROGRAMS[-1].universe.full()))
+    fresh = parse(PROGRAMS[-1].text)
+    ops.dmt_ndao(fresh, ApproxPair(frozenset(), fresh.universe.full()))
     assert calls["interval"] == 1 and calls["hitting_sets"] == 2
 
 

@@ -21,15 +21,23 @@ recorded. The output file
 `BENCH_<label>.json` records per cell the seconds, the peak resident MB (the
 interpreter's `ru_maxrss`, read with `os.wait4`), the exit code, the model
 count and a digest of the output, so two files can be checked for identical
-answers as well as compared for time and memory.
+answers as well as compared for time and memory. One more cell, `law_suite`,
+runs the whole law suite, `aftlab check --all --format json`, the same way;
+it exits 3, because one law fails by design (README "Known defect").
+
+Each cell also records `engine_s`, the time of the `main(...)` call alone,
+taken inside the interpreter after its imports and sent to the launcher over
+a pipe of its own, so the output, whose digest is recorded, stays as it is.
+It leaves out interpreter start-up and the imports of `aftlab.cli`, most of
+a cell that takes 0.1-0.15 s.
 
 The host's speed drifts between phases of a run, so each cell also records
 `reference_s`: the time of a fixed pure-Python loop (`reference_loop`), the
 fastest of REFERENCE_TRIES tries taken right before the cell and of as many
 right after it, averaged. The rows printed while the matrix runs give each
-cell's seconds in units of that loop, seconds / reference_s; two files are
-compared on that ratio, or on seconds scaled by it to one loop time. Standard
-library only, Linux; run it from the root of a checkout.
+cell's `engine_s`; two files are compared on that, or on seconds / reference_s,
+or on seconds scaled by that ratio to one loop time. Standard library only,
+Linux; run it from the root of a checkout.
 """
 
 from __future__ import annotations
@@ -61,39 +69,51 @@ AGGREGATE_ROWS = (
 )
 # Rows of the aggregates series whose programs have no negation at all.
 POSITIVE_AGGREGATE_ROWS = {("gz-answer-sets", None)}
-RUN = "import sys; sys.path.insert(0, sys.argv[1]); from aftlab.cli import main; sys.exit(main(sys.argv[2:]))"
+LAW_SUITE = ["check", "--all", "--format", "json"]
+# A cell: its first argument is the pipe to write the seconds of `main` to.
+RUN = (
+    "import os, sys, time; sys.path.insert(0, sys.argv[2]); from aftlab.cli import main; start = time.perf_counter();"
+    " code = main(sys.argv[3:]); os.write(int(sys.argv[1]), repr(time.perf_counter() - start).encode()); sys.exit(code)"
+)
 # Each cell runs under a small launcher, which forks and execs it and reports
-# its exit code, seconds and peak resident kilobytes (`os.wait4`). Linux
-# carries the peak of the address space that exec replaces over into the new
+# its exit code, seconds, peak resident kilobytes (`os.wait4`) and the
+# seconds of `main` the cell wrote to its pipe ("nan" if none). Linux carries
+# the peak of the address space that exec replaces over into the new
 # program's, so a cell spawned from this process would report this process's
 # peak, which grows with the outputs it reads, whenever that is larger.
 LAUNCH = """
 import os, signal, sys, time
 start = time.perf_counter()
+read, write = os.pipe()
 pid = os.fork()
 if pid == 0:
+    os.close(read)
+    os.set_inheritable(write, True)
     os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
-    os.execv(sys.executable, [sys.executable, "-c", *sys.argv[2:]])
+    os.execv(sys.executable, [sys.executable, "-c", sys.argv[2], str(write), *sys.argv[3:]])
+os.close(write)
 signal.signal(signal.SIGALRM, lambda *_: os.kill(pid, signal.SIGKILL))
 signal.alarm(int(sys.argv[1]))
 _, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss, file=sys.stderr)
+seconds = time.perf_counter() - start
+engine = os.read(read, 64).decode() or "nan"
+print(os.waitstatus_to_exitcode(status), seconds, usage.ru_maxrss, engine, file=sys.stderr)
 """
 
 
-def run_cli(src: Path, argv: list[str], timeout: int = 0) -> tuple[int, str, float, float]:
-    """Exit code, standard output, wall seconds and peak resident MB of one
-    interpreter; raises `subprocess.TimeoutExpired` after `timeout` seconds
-    (0: none)."""
+def run_cli(src: Path, argv: list[str], timeout: int = 0) -> tuple[int, str, float, float, float]:
+    """Exit code, standard output, wall seconds, peak resident MB and seconds
+    of `main` of one interpreter; raises `subprocess.TimeoutExpired` after
+    `timeout` seconds (0: none)."""
     with tempfile.TemporaryFile() as out:
         done = subprocess.run([sys.executable, "-c", LAUNCH, str(timeout), RUN, str(src), *argv], stdout=out,
                               stderr=subprocess.PIPE, text=True, check=True)
-        code, seconds, rss_kb = done.stderr.split()
+        code, seconds, rss_kb, engine_s = done.stderr.split()
         if timeout and float(seconds) >= timeout:
             raise subprocess.TimeoutExpired(argv, timeout)
         out.seek(0)
         # ru_maxrss is in kilobytes on Linux.
-        return int(code), out.read().decode(), float(seconds), int(rss_kb) / 1024
+        return int(code), out.read().decode(), float(seconds), int(rss_kb) / 1024, float(engine_s)
 
 
 def reference_loop() -> int:
@@ -128,11 +148,21 @@ def program_file(src: Path, tmp: Path, n: int, width: int, aggregates: float, po
             argv += ["--aggregate-probability", str(aggregates)]
         if positive:
             argv += ["--negation-probability", "0"]
-        code, text, _, _ = run_cli(src, argv)
+        code, text, _, _, _ = run_cli(src, argv)
         if code != 0:
             raise SystemExit(f"generate failed for n={n}, width={width}, aggregates={aggregates}, positive={positive}")
         path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def measure_cell(src: Path, argv: list[str]) -> tuple[dict, str]:
+    """One cell and its output; raises `subprocess.TimeoutExpired`."""
+    ref_before = reference_s()
+    code, out, seconds, rss_mb, engine_s = run_cli(src, argv, TIMEOUT_S)
+    ref = (ref_before + reference_s()) / 2
+    cell = {"seconds": round(seconds, 3), "engine_s": round(engine_s, 4), "reference_s": round(ref, 5),
+            "peak_rss_mb": round(rss_mb, 1), "exit": code, "output": hashlib.sha256(out.encode()).hexdigest()[:16]}
+    return cell, out
 
 
 def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggregates: float,
@@ -143,16 +173,13 @@ def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggr
         argv = ["semantics", "--program", program, "--semantics", semantics, "--format", "json"]
         if operator is not None:
             argv += ["--operator", operator]
-        ref_before = reference_s()
         try:
-            code, out, seconds, rss_mb = run_cli(src, argv, TIMEOUT_S)
+            cell, out = measure_cell(src, argv)
         except subprocess.TimeoutExpired:
             cells.append({"n": n, "timeout": True})
             break
-        ref = (ref_before + reference_s()) / 2
-        cell = {"n": n, "seconds": round(seconds, 3), "reference_s": round(ref, 5), "peak_rss_mb": round(rss_mb, 1),
-                "exit": code, "output": hashlib.sha256(out.encode()).hexdigest()[:16]}
-        if code == 0:
+        cell = {"n": n, **cell}
+        if cell["exit"] == 0:
             cell["models"] = json.loads(out)["counts"]["models"]
         cells.append(cell)
     return cells
@@ -180,9 +207,13 @@ def main(argv: list[str] | None = None) -> int:
                     row["negation_probability"] = 0
                 rows.append(row)
                 print(row.get("series", "plain"), semantics, operator or "-", " ".join(
-                    "T/O" if c.get("timeout")
-                    else f"{c['seconds'] / c['reference_s']:.1f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
+                    "T/O" if c.get("timeout") else f"{c['engine_s']:.4f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
                     for c in cells), flush=True)
+    try:
+        law_suite, _ = measure_cell(src, LAW_SUITE)
+    except subprocess.TimeoutExpired:
+        law_suite = {"timeout": True}
+    print("law suite", " ".join(LAW_SUITE), law_suite.get("engine_s", "T/O"), law_suite.get("exit", ""), flush=True)
     payload = {
         "label": args.label,
         "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
@@ -190,10 +221,12 @@ def main(argv: list[str] | None = None) -> int:
                     f" aggregates series add --aggregate-probability {AGGREGATE_PROBABILITY}, and rows marked"
                     " negation_probability 0 also --negation-probability 0",
         "cell": "one interpreter per cell, wall seconds from fork to exit, peak resident MB of the interpreter;"
+                " engine_s is the time of the main(...) call alone, after the imports, and the printed rows give it;"
                 " reference_s is the fastest of two timings of a fixed pure-Python loop right before the cell and"
-                " of two right after it, averaged, and the printed rows give seconds / reference_s",
+                " of two right after it, averaged",
         "timeout_s": TIMEOUT_S,
         "rows": rows,
+        "law_suite": {"argv": LAW_SUITE, **law_suite},
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
