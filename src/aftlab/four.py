@@ -27,7 +27,7 @@ class Truth(Enum):
     """A truth value as its two bits (Denecker, Marek & Truszczyński 2000):
     the lower bit is its truth at x, the upper bit its truth at y of a pair
     (x, y). A value is >=_t C iff its lower bit is set and >=_t U iff its
-    upper bit is set."""
+    upper bit is set. The value of two bits is read from `_BY_BITS`."""
 
     F = 0b00
     U = 0b01
@@ -41,10 +41,14 @@ class Truth(Enum):
 LOWER_BIT = 0b10
 UPPER_BIT = 0b01
 
+# The value of two bits, by index: `Truth(bits)` runs `EnumMeta.__call__` in
+# Python.
+_BY_BITS = (Truth.F, Truth.U, Truth.C, Truth.T)
+
 
 def neg(v: Truth) -> Truth:
     """Swap the two bits and complement them: T and F trade, C and U stay."""
-    return Truth((~v.value & UPPER_BIT) << 1 | (~v.value & LOWER_BIT) >> 1)
+    return _BY_BITS[(~v.value & UPPER_BIT) << 1 | (~v.value & LOWER_BIT) >> 1]
 
 
 def truth_leq_t(a: Truth, b: Truth) -> bool:
@@ -59,11 +63,11 @@ def truth_leq_i(a: Truth, b: Truth) -> bool:
 
 
 def glb_t(a: Truth, b: Truth) -> Truth:
-    return Truth(a.value & b.value)
+    return _BY_BITS[a.value & b.value]
 
 
 def lub_t(a: Truth, b: Truth) -> Truth:
-    return Truth(a.value | b.value)
+    return _BY_BITS[a.value | b.value]
 
 
 @record
@@ -148,7 +152,7 @@ def eval_pair(u: AtomUniverse, i: ApproxPair, f: Formula) -> Truth:
     if isinstance(f, Atom):
         if f.name not in u:
             raise UnknownAtomError(f"unknown atom {f.name!r}")
-        return Truth((f.name in i.lower) << 1 | (f.name in i.upper))
+        return _BY_BITS[(f.name in i.lower) << 1 | (f.name in i.upper)]
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Not):

@@ -288,6 +288,20 @@ class DigitPlanes:
             plane &= ~(d1 & (closed << s))
         return plane
 
+    def minimal_t(self, plane: int) -> int:
+        """The marked pairs with no marked pair truth-below them. On consistent
+        pairs ≤_t is the digit-wise order on pair numbers, so `closed`, the
+        up-closure, takes two shifts by 3^i per atom i, each kept where digit
+        i is at least 1, and a pair has a marked pair below it iff one step
+        down some digit lands in `closed`."""
+        closed, runs = plane, tuple(zip(self.steps, self.d1))
+        for s, d1 in runs:
+            for _ in range(2):
+                closed |= (d1 | d1 << s) & (closed << s)
+        for s, d1 in runs:
+            plane &= ~((d1 | d1 << s) & (closed << s))
+        return plane
+
     def number(self, xm: int, ym: int) -> int:
         """The number of the pair (x, y): 3^i for each atom i of x, plus 3^i
         for each atom i of y."""

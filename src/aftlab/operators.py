@@ -4,10 +4,12 @@ non-deterministic approximating operators (four-valued, four-valued with
 trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
-All operators are pure; applications are memoized per (operator, program,
-pair), and the hitting sets of each head family are built once per program
-and kept on its compiled form (`_hits`). The sweeps read the operators from
-tables instead, built on the program's masks and kept on its compiled form.
+All operators are pure. Each value `apply` gives is kept on the program's
+compiled form per (operator, pair) (`Compiled.values`), in front of the
+memos of the operator functions, and the hitting sets of each head family
+are built once per program and kept there too (`_hits`). The sweeps read the
+operators from tables instead, built on the program's masks and kept on its
+compiled form.
 Every rule body is read once as two bit planes over the consistent pairs,
 the pairs where its value has the lower bit and those where it has the
 upper bit, and each operator's `PairPlanes` are built from them
@@ -44,6 +46,10 @@ from .program import Program, ProgramClassError
 
 
 class OperatorKind(Enum):
+    # Members are singletons compared by identity, so they hash by identity
+    # too: `Enum.__hash__` runs in Python on every (kind, pair) key `apply` reads.
+    __hash__ = object.__hash__
+
     IC = "ic"
     DMT = "dmt"
     ULTIMATE = "ultimate"
@@ -178,7 +184,6 @@ def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
     return NdPair(ic_lower_set(p, i), ic_upper_set(p, i))
 
 
-@cache
 def ic_triv_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Four-valued operator with each aggregate literal approximated trivially
     (`program.CompiledAggregate.trivial`); equal to `ic_ndao` on aggregate-free
@@ -529,21 +534,31 @@ def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
-    """Uniform dispatch; the deterministic operator is lifted to singletons."""
+    """Uniform dispatch; the deterministic operator is lifted to singletons.
+    Each value is kept on the program's compiled form per (kind, pair), a
+    refusal is not. A kept value is found with no call into Python: the form
+    is read from the program's dict, and the key hashes in C."""
+    values = (p.__dict__.get("_compiled") or p.compile()).values
+    found = values.get((kind, i))
+    if found is not None:
+        return found
     if kind is OperatorKind.IC:
-        return ic_ndao(p, i)
-    if kind is OperatorKind.IC_TRIV:
-        return ic_triv_ndao(p, i)
-    if kind is OperatorKind.DMT:
-        return dmt_ndao(p, i)
-    if kind is OperatorKind.ULTIMATE:
-        return ultimate_ndao(p, i)
-    if kind is OperatorKind.GZ:
-        return gz_ndao(p, i)
-    if kind is OperatorKind.DMT_DET:
+        found = ic_ndao(p, i)
+    elif kind is OperatorKind.IC_TRIV:
+        found = ic_triv_ndao(p, i)
+    elif kind is OperatorKind.DMT:
+        found = dmt_ndao(p, i)
+    elif kind is OperatorKind.ULTIMATE:
+        found = ultimate_ndao(p, i)
+    elif kind is OperatorKind.GZ:
+        found = gz_ndao(p, i)
+    elif kind is OperatorKind.DMT_DET:
         pair = dmt_det(p, i)
-        return NdPair(frozenset((pair.lower,)), frozenset((pair.upper,)))
-    raise AftlabError(f"unknown operator kind {kind!r}")
+        found = NdPair(frozenset((pair.lower,)), frozenset((pair.upper,)))
+    else:
+        raise AftlabError(f"unknown operator kind {kind!r}")
+    values[kind, i] = found
+    return found
 
 
 def check_kind_applicable(kind: OperatorKind, p: Program) -> None:

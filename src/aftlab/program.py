@@ -159,7 +159,8 @@ class Program:
         return h
 
     def compile(self, max_atoms: int | None = None) -> "Compiled":
-        """The compiled form, built on first use and then kept.
+        """The compiled form, built on first use and then kept in the
+        program's dict as `_compiled`, where `operators.apply` reads it.
 
         The one place the atom cap (`lattice.atom_cap`) is decided: raises
         CapExceededError when the universe has more atoms than the cap, when
@@ -268,10 +269,11 @@ class Compiled:
     `pair_planes` keeps the `operators.PairPlanes` a sweep has asked for, one
     per distinct set of planes (`operators.pair_planes`), and `stable_rows`
     the complete stable values of `ic` and `ic-triv` read from rows, per
-    side and key (`operators.stable_rows`), and `families` the hitting sets
-    of each head family the reference operators have built (`operators._hits`)."""
+    side and key (`operators.stable_rows`), `families` the hitting sets of
+    each head family the reference operators have built (`operators._hits`),
+    and `values` each value `operators.apply` has given, per (kind, pair)."""
 
-    __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families")
+    __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families", "values")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
@@ -280,6 +282,7 @@ class Compiled:
         self.pair_planes: dict = {}
         self.stable_rows: dict = {}
         self.families: dict = {}
+        self.values: dict = {}
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

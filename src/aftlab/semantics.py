@@ -5,8 +5,9 @@ of the GL transformation), and GZ answer sets as minimal models of the reduct.
 
 Every solver decides each of the 3^n consistent pairs (or the 2^n total
 interpretations); n is bounded by the atom cap. The fixpoint, HT and stable
-sweeps of every operator, and the three-valued stable models, which are the
-pairs of the minimal planes of `ic-triv`, AND bit planes, one bit per
+sweeps of every operator, the truth-minimal HT pairs of `seq` and
+`seq-approx`, and the three-valued stable models, which are the pairs of
+the minimal planes of `ic-triv`, AND bit planes, one bit per
 consistent pair, built from the two planes of each rule body and kept per
 program and distinct set of planes (`operators.pair_planes`), and decode
 only the set bits. Only the complete stable values of the four-valued
@@ -206,10 +207,20 @@ def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     operator's `closed` and `smyth` planes (`operators.PairPlanes`). y is
     closed iff some member of ic(y), the hitting sets of hd(y), lies within
     y, that is iff y misses the head of no rule fired at y."""
+    return _ht_plane_pairs(kind, p, False)
+
+
+def _ht_plane_pairs(kind: OperatorKind, p: Program, truth_minimal: bool) -> list[ApproxPair]:
+    """The HT pairs, or (truth_minimal) only the truth-minimal ones,
+    `min_t(ht_pairs(kind, p))`, read on the plane
+    (`lattice.DigitPlanes.minimal_t`), so only those are decoded."""
     p.compile()
     ops.check_kind_applicable(kind, p)
     planes = ops.pair_planes(kind, p)
-    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.smyth & planes.closed)]
+    plane = planes.smyth & planes.closed
+    if truth_minimal:
+        plane = planes.digits.minimal_t(plane)
+    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(plane)]
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
@@ -233,13 +244,13 @@ def mc(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
 
 def seq(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Semi-equilibrium models: maximal canonical truth-minimal HT pairs."""
-    return mc(min_t(ht_pairs(kind, p)))
+    return mc(_ht_plane_pairs(kind, p, True))
 
 
 def seq_no_difference(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Difference-free approximation: information-maximal truth-minimal HT
     pairs; always a superset of the semi-equilibrium models."""
-    minimal = min_t(ht_pairs(kind, p))
+    minimal = _ht_plane_pairs(kind, p, True)
     return [a for a in minimal if not any(b != a and leq_i(a, b) for b in minimal)]
 
 

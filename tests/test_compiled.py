@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 
 import pytest
 
 from aftlab import cli, corpus, four, laws, operators as ops, program as prog, semantics as sem
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, digit_planes
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, InconsistentPairError, digit_planes
 from aftlab.program import (
     CompiledAggregate,
     Conj,
@@ -264,7 +265,7 @@ def test_membership_tests_equal_the_materialised_families():
 # a family memoised by an earlier test, or by an equal program parsed
 # earlier, would hide a build.
 MEMOS = (
-    ops.hd, ops.ic, ops.ic_lower_set, ops.ic_upper_set, ops.ic_triv_ndao,
+    ops.hd, ops.ic, ops.ic_lower_set, ops.ic_upper_set,
     ops._fired_atoms, ops.dmt_det, ops.dmt_ndao, ops.ultimate_ndao, ops.gz_ndao,
 )
 
@@ -350,6 +351,73 @@ def test_kept_families_give_the_values_of_a_fresh_parse_visited_in_reverse():
         assert any(not isinstance(v, type) for v in first.values()), p.text
         clear_memos()
         assert apply_values(parse(p.text), visits[::-1]) == first, p.text
+
+
+# Atomic heads and an aggregate: every operator but `ic` takes it.
+STORE_PROGRAM = "p :- not r.\nq :- not p.\nr :- #sum{1:p; 2:q} > 1.\ns :- p, not q.\n"
+
+
+def test_apply_keeps_each_value_on_the_compiled_form():
+    p = parse(STORE_PROGRAM)
+    values = p.compile().values
+    for kind in ops.OperatorKind:
+        for i in p.universe.consistent_pairs():
+            try:
+                first = ops.apply(kind, p, i)
+            except ProgramClassError:
+                continue
+            assert values[kind, i] is first
+            assert ops.apply(kind, p, i) is first
+    assert {kind for kind, _ in values} == set(ops.OperatorKind) - {ops.OperatorKind.IC}
+    assert len(values) == 5 * 3 ** len(p.universe)
+    # A fresh parse is an equal program with a store of its own, empty.
+    assert parse(p.text).compile().values == {}
+
+
+def test_a_kept_value_is_found_without_a_call_into_python(monkeypatch):
+    p = parse(STORE_PROGRAM)
+    i = ApproxPair(frozenset(), frozenset("pq"))
+    kept = {kind: ops.apply(kind, p, i) for kind in ops.OperatorKind if kind is not ops.OperatorKind.IC}
+    hashes = []
+    program_hash = prog.Program.__hash__
+
+    def counting_hash(program):
+        hashes.append(program)
+        return program_hash(program)
+
+    monkeypatch.setattr(prog.Program, "__hash__", counting_hash)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        found = {kind: ops.apply(kind, p, i) for kind in kept}
+    finally:
+        sys.setprofile(None)
+    assert all(found[kind] is kept[kind] for kind in kept)
+    assert hashes == []
+    # `apply` alone runs in Python: no `Program.__hash__`, no `Enum.__hash__`.
+    assert [name for name in calls if name != "<dictcomp>"] == ["apply"] * len(kept)
+
+
+def test_a_refusal_is_not_kept_and_raises_on_every_ask():
+    aggregate = parse("p :- #count{1:q} >= 1.\nq :- not p.\n")
+    disjunctive = parse("p | q :- not r.\nr :- p.\n")
+    inconsistent = ApproxPair(frozenset("p"), frozenset())
+    refusals = [
+        (ops.OperatorKind.IC, aggregate, ApproxPair(frozenset(), frozenset("p")), ProgramClassError),
+        (ops.OperatorKind.DMT_DET, disjunctive, ApproxPair(frozenset(), frozenset("pq")), ProgramClassError),
+        *((kind, disjunctive, inconsistent, InconsistentPairError)
+          for kind in (ops.OperatorKind.DMT, ops.OperatorKind.ULTIMATE, ops.OperatorKind.GZ)),
+    ]
+    for kind, p, i, error in refusals:
+        for _ in range(2):
+            with pytest.raises(error):
+                ops.apply(kind, p, i)
+        assert (kind, i) not in p.compile().values, kind
 
 
 def test_memo_lookup_does_not_rehash_the_rules(monkeypatch):

@@ -163,6 +163,22 @@ def test_the_number_of_a_pair_marks_that_pair_alone(n):
                 assert list(digits.pairs(1 << digits.number(x, y))) == [(x, y)]
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_minimal_t_keeps_the_truth_minimal_marked_pairs(n):
+    """Every plane for n <= 2, random ones of several densities above."""
+    digits, rng = digit_planes(n), random.Random(n)
+    numbers = [digits.number(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
+    if n <= 2:
+        planes = range(1 << 3**n)
+    else:
+        planes = [sum(1 << k for k in numbers if rng.random() < density)
+                  for density in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7) for _ in range(20)]
+    for plane in planes:
+        marked = list(digits.pairs(plane))
+        below = [(x, y) for x, y in marked if not any((w, z) != (x, y) and not w & ~x and not z & ~y for w, z in marked)]
+        assert list(digits.pairs(digits.minimal_t(plane))) == below
+
+
 def test_consistent_pairs_enumeration():
     u1 = AtomUniverse.of(["p"])
     assert list(u1.consistent_pairs()) == [pair(), pair("", "p"), pair("p", "p")]

@@ -152,6 +152,32 @@ def test_seq_guarded_choice_all_operators():
         assert sem.seq(kind, p) == [pair("", "p"), pair("", "q")]
 
 
+def test_truth_minimal_planes_give_min_t_of_the_ht_pairs():
+    """`seq` and `seq-approx` decode only the truth-minimal HT pairs
+    (`DigitPlanes.minimal_t`): the list of `min_t(ht_pairs(kind, p))`, order
+    included, under every operator that `ht` takes."""
+    seeded = [
+        generate_program(GeneratorConfig(atoms=n, rules=n + s % n, disjunction_width=width,
+                                         aggregate_probability=aggregates, seed=s))
+        for n in range(1, 7) for width in (1, 2, 3) for aggregates in (0.0, 0.5) for s in range(10)
+    ]
+    cases = 0
+    for p in [*corpus.programs(), *seeded]:
+        for kind in OperatorKind:
+            try:
+                ht = sem.ht_pairs(kind, p)
+            except ProgramClassError:
+                continue
+            minimal = sem.min_t(ht)
+            assert sem._ht_plane_pairs(kind, p, True) == minimal, (p.text, kind)
+            assert sem.seq(kind, p) == sem.mc(minimal), (p.text, kind)
+            assert sem.seq_no_difference(kind, p) == [
+                a for a in minimal if not any(b != a and leq_i(a, b) for b in minimal)
+            ], (p.text, kind)
+            cases += 1
+    assert cases >= 1800
+
+
 def test_seq_approx_examples(no_total_stable_program):
     assert sem.seq_no_difference(OperatorKind.IC, parse("")) == [pair()]
     for name in ("disjunctive_self_defeat", "negation_vs_positive_loop", "negation_loop_disjunction", "no_total_stable", "ht_strictness"):
