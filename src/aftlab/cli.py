@@ -362,7 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_OK
         run = {"eval": _cmd_eval, "semantics": _cmd_semantics, "check": _cmd_check, "generate": _cmd_generate}
         return run[args.command](args)
-    except (UsageError, sem.SemanticsChoiceError) as exc:
+    except (UsageError, sem.SemanticsChoiceError, laws.UnknownLawError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except WellFoundedAnomalyError as exc:

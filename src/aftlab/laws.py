@@ -20,6 +20,10 @@ from .record import record
 ApplyFn = Callable[[OperatorKind, Program, ApproxPair], "ops.NdPair"]
 
 
+class UnknownLawError(prog.ProgramClassError):
+    """A law name the suite does not have; the CLI reports it as a usage error."""
+
+
 @record
 class LawOutcome:
     name: str
@@ -34,10 +38,6 @@ def _ndao_kinds(p: Program) -> list[OperatorKind]:
     return kinds
 
 
-def _atomic_heads(p: Program) -> bool:
-    return all(len(r.head) == 1 for r in p.rules)
-
-
 def _pairs(p: Program) -> list[ApproxPair]:
     return list(p.universe.consistent_pairs())
 
@@ -49,7 +49,7 @@ def _precision_codes(p: Program) -> Callable[[NdPair], PrecisionCode]:
 
 
 def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if _atomic_heads(p) else [])
+    kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else [])
     u = p.universe
     code = _precision_codes(p)
     # The pairs above each i1 come from `masks_above_i` in the order of the full sweep.
@@ -145,8 +145,7 @@ def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | No
 
 
 def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    cls = p.compile().classification
-    if cls.has_aggregates or cls.shape == prog.SHAPE_GENERAL:
+    if not p.compile().classification.plain:
         return 0, None
     algebraic = sem.ht_pairs(OperatorKind.IC, p)
     if algebraic != sem.ht_models_program(p):
@@ -219,7 +218,7 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]
 
 
 def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    if not _atomic_heads(p):
+    if not p.compile().classification.atomic_heads:
         return 0, None
     cases = 0
     for i in _pairs(p):
@@ -304,7 +303,7 @@ def run_laws(
     selected = list(dict.fromkeys(names)) if names is not None else list(LAW_NAMES)
     unknown = [n for n in selected if n not in LAWS]
     if unknown:
-        raise prog.ProgramClassError(f"unknown law name(s): {', '.join(unknown)}")
+        raise UnknownLawError(f"unknown law name(s): {', '.join(unknown)}")
     for p in ordered:
         p.compile(max_atoms)
     outcomes = []

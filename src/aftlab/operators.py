@@ -14,7 +14,8 @@ Every rule body is read once as two bit planes over the consistent pairs,
 the pairs where its value has the lower bit and those where it has the
 upper bit, and each operator's `PairPlanes` are built from them
 (`interval_tables`, `pair_planes`): `ic` shares the planes of `ic-triv`, and
-`dmt-det` those of `dmt`. The complete stable values of `ic` and `ic-triv`
+`dmt-det` those of `dmt`, on the programs of their class, which
+`pair_planes` checks. The complete stable values of `ic` and `ic-triv`
 range over the inconsistent pairs too; they read the same body readings
 with one side of the pair fixed, as rows of one bit per set of the other
 side (`member_row`, `stable_rows`).
@@ -125,13 +126,14 @@ def ic(p: Program, x: AtomSet) -> NdSet:
     return _hits(p, hd(p, x))
 
 
-def _require_aggregate_free(p: Program) -> None:
-    if p.compile().classification.has_aggregates:
+def check_kind_applicable(kind: OperatorKind, p: Program) -> None:
+    """Raise when the program falls outside the operator's class, read from
+    its compiled classification: `ic` needs an aggregate-free program and
+    `dmt-det` atomic heads. Compiling decides the atom cap first."""
+    cls = p.compile().classification
+    if kind is OperatorKind.IC and cls.has_aggregates:
         raise ProgramClassError("the four-valued operator needs an aggregate-free program")
-
-
-def _require_atomic_heads(p: Program) -> None:
-    if any(len(r.head) > 1 for r in p.rules):
+    if kind is OperatorKind.DMT_DET and not cls.atomic_heads:
         raise ProgramClassError("the deterministic operator needs atomic heads")
 
 
@@ -168,13 +170,13 @@ def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[At
 @cache
 def ic_lower_set(p: Program, i: ApproxPair) -> NdSet:
     """Lower component of the four-valued operator; total on arbitrary pairs."""
-    _require_aggregate_free(p)
+    check_kind_applicable(OperatorKind.IC, p)
     return _hits(p, _heads_at_least(p, i, Truth.C))
 
 
 @cache
 def ic_upper_set(p: Program, i: ApproxPair) -> NdSet:
-    _require_aggregate_free(p)
+    check_kind_applicable(OperatorKind.IC, p)
     return _hits(p, _heads_at_least(p, i, Truth.U))
 
 
@@ -222,7 +224,7 @@ def det_upper(p: Program, x: AtomSet, z: AtomSet) -> AtomSet:
 def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
     """Deterministic interval operator: intersection / union of derivable
     atoms over [x, y]. Needs atomic heads and a consistent pair."""
-    _require_atomic_heads(p)
+    check_kind_applicable(OperatorKind.DMT_DET, p)
     _require_consistent(i)
     return ApproxPair(det_lower(p, i.lower, i.upper), det_upper(p, i.lower, i.upper))
 
@@ -461,9 +463,9 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
 
 
 # Operators that read the planes of another: `ic` is `ic-triv` on the
-# aggregate-free programs it is defined on, and on atomic heads, which
-# `check_kind_applicable` asks of every `dmt-det` sweep, `dmt` is `dmt-det`
-# lifted to singletons.
+# aggregate-free programs it is defined on, and on atomic heads `dmt` is
+# `dmt-det` lifted to singletons. `pair_planes` refuses a program outside
+# the operator's class before it maps the operator here.
 _SHARED_PLANES = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}
 
 
@@ -471,7 +473,8 @@ def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
     """The planes of an operator on the program, built by the first sweep
     that asks (`interval_tables`) and then kept on its compiled form. `ic`
     reads the planes of `ic-triv` and `dmt-det` those of `dmt`, the same
-    objects."""
+    objects, on a program of the operator's class (`check_kind_applicable`)."""
+    check_kind_applicable(kind, p)
     kind = _SHARED_PLANES.get(kind, kind)
     kept = p.compile().pair_planes
     planes = kept.get(kind)
@@ -559,11 +562,3 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         raise AftlabError(f"unknown operator kind {kind!r}")
     values[kind, i] = found
     return found
-
-
-def check_kind_applicable(kind: OperatorKind, p: Program) -> None:
-    """Raise when the program falls outside the operator's class."""
-    if kind is OperatorKind.IC:
-        _require_aggregate_free(p)
-    elif kind is OperatorKind.DMT_DET:
-        _require_atomic_heads(p)

@@ -187,6 +187,7 @@ class Classification:
     shape: str
     has_aggregates: bool
     has_negated_aggregates: bool
+    atomic_heads: bool
 
     @property
     def aggregate_free(self) -> bool:
@@ -329,11 +330,13 @@ def classify(p: Program) -> Classification:
     shape = SHAPE_NORMAL
     has_aggs = False
     has_neg_aggs = False
+    atomic_heads = True
     for rule in p.rules:
+        atomic_heads = atomic_heads and len(rule.head) == 1
         if isinstance(rule.body, GeneralFormula):
             shape = SHAPE_GENERAL
             continue
-        if len(rule.head) > 1 and shape != SHAPE_GENERAL:
+        if not atomic_heads and shape != SHAPE_GENERAL:
             shape = SHAPE_DISJUNCTIVE
         for lit in rule.body.items:
             if isinstance(lit, PositiveAgg):
@@ -341,7 +344,7 @@ def classify(p: Program) -> Classification:
             elif isinstance(lit, NegatedAgg):
                 has_aggs = True
                 has_neg_aggs = True
-    return Classification(shape, has_aggs, has_neg_aggs)
+    return Classification(shape, has_aggs, has_neg_aggs, atomic_heads)
 
 
 def program_hash(p: Program) -> str:

@@ -14,7 +14,8 @@ only the set bits. Only the complete stable values of the four-valued
 operators, which range over the inconsistent pairs too, read otherwise: rows
 of one bit per set, the same body readings with one side of the pair fixed,
 kept per program, side and key (`operators.stable_rows`). Sets are built
-only for the models returned.
+only for the models returned. The planes and rows refuse a program outside
+the operator's class, so the sweeps check nothing of their own.
 """
 
 from __future__ import annotations
@@ -50,10 +51,13 @@ def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x in the lower and y in the upper set of
     the operator at (x, y): the AND of its lower and upper planes
     (`operators.PairPlanes`)."""
-    p.compile()
-    ops.check_kind_applicable(kind, p)
     planes = ops.pair_planes(kind, p)
-    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(planes.lower & planes.upper)]
+    return _decode(p, planes, planes.lower & planes.upper)
+
+
+def _decode(p: Program, planes: ops.PairPlanes, plane: int) -> list[ApproxPair]:
+    """The pairs whose bits are set in `plane`, a plane over the pair numbers of `planes`."""
+    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(plane)]
 
 
 def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
@@ -75,7 +79,8 @@ def _complete_values(
     include inconsistent pairs, where the planes say nothing. Those are read
     from rows over all 2^n sets with the other side fixed
     (`operators.stable_rows`); on a plain program they are the minimal models
-    of the reduct at the other side.
+    of the reduct at the other side. A program outside the operator's class
+    is refused, by `operators.pair_planes` or here, before either is read.
     """
     if ops.consistent_only(kind):
         planes = ops.pair_planes(kind, p)
@@ -85,19 +90,18 @@ def _complete_values(
             lambda ym: [xm for xm in submasks(ym) if lower >> number(xm, ym) & 1],
             lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
         )
+    ops.check_kind_applicable(kind, p)
     return ops.stable_rows(p)
 
 
 def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
     """Minimal x with x a member of the lower operator at (x, y)."""
-    ops.check_kind_applicable(kind, p)
     u = p.universe
     return frozenset(map(u.unmask, _complete_values(kind, p)[0](u.mask(y))))
 
 
 def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     """Minimal y with y a member of the upper operator at (x, y)."""
-    ops.check_kind_applicable(kind, p)
     u = p.universe
     return frozenset(map(u.unmask, _complete_values(kind, p)[1](u.mask(x))))
 
@@ -107,7 +111,7 @@ def _minimal_pairs(p: Program, planes: ops.PairPlanes) -> list[ApproxPair]:
     among the minimal upper members above x: the AND of the planes'
     `minimal` planes, decoded."""
     lower, upper = planes.minimal()
-    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(lower & upper)]
+    return _decode(p, planes, lower & upper)
 
 
 def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
@@ -115,23 +119,16 @@ def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     for y and y among the complete upper stable values for x; for a
     consistent-only operator, the AND of the planes of both
     (`operators.PairPlanes.minimal`)."""
-    p.compile()
-    ops.check_kind_applicable(kind, p)
     if ops.consistent_only(kind):
         return _minimal_pairs(p, ops.pair_planes(kind, p))
-    u = p.universe
     lower_value, upper_value = _complete_values(kind, p)
-    lower_at: dict[int, set[int]] = {}
-    out = []
-    for xm in range(1 << len(u)):
-        for ym in upper_value(xm):
-            if xm & ~ym:
-                continue
-            if ym not in lower_at:
-                lower_at[ym] = set(lower_value(ym))
-            if xm in lower_at[ym]:
-                out.append(u.pair(xm, ym))
-    return out
+    u = p.universe
+    return [
+        u.pair(xm, ym)
+        for xm in range(1 << len(u))
+        for ym in upper_value(xm)
+        if not xm & ~ym and xm in lower_value(ym)
+    ]
 
 
 def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:
@@ -151,7 +148,6 @@ def kk_fixpoint_det(p: Program) -> ApproxPair:
     the `dmt-det` planes (`operators.PairPlanes`): atom i is in x iff every
     fixpoint has digit 2 there, and in y iff some fixpoint has a digit
     other than 0."""
-    ops.check_kind_applicable(OperatorKind.DMT_DET, p)
     planes = ops.pair_planes(OperatorKind.DMT_DET, p)
     fixed, digits = planes.lower & planes.upper, planes.digits
     xm = sum(1 << i for i, d2 in enumerate(digits.d2) if not fixed & ~d2)
@@ -214,13 +210,9 @@ def _ht_plane_pairs(kind: OperatorKind, p: Program, truth_minimal: bool) -> list
     """The HT pairs, or (truth_minimal) only the truth-minimal ones,
     `min_t(ht_pairs(kind, p))`, read on the plane
     (`lattice.DigitPlanes.minimal_t`), so only those are decoded."""
-    p.compile()
-    ops.check_kind_applicable(kind, p)
     planes = ops.pair_planes(kind, p)
     plane = planes.smyth & planes.closed
-    if truth_minimal:
-        plane = planes.digits.minimal_t(plane)
-    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(plane)]
+    return _decode(p, planes, planes.digits.minimal_t(plane) if truth_minimal else plane)
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
@@ -287,7 +279,6 @@ def three_valued_stable(p: Program) -> list[ApproxPair]:
     (`operators.PairPlanes.minimal`): x a minimal model of the reduct with
     negation read at y, and y a minimal model among the supersets of x of the
     reduct with negation read at x (README "Programs are compiled once")."""
-    p.compile()
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
     return _minimal_pairs(p, ops.pair_planes(OperatorKind.IC_TRIV, p))
 
@@ -390,7 +381,6 @@ def run_semantics(name: str, p: Program, kind: OperatorKind | None = None) -> Se
         kind = OperatorKind.DMT_DET
     if takes == NO_OPERATOR and kind is not None:
         raise SemanticsChoiceError(f"semantics {name!r} does not take an operator")
-    p.compile()
     return SemanticsResult(
         kind=name,
         models=tuple(run(p, kind)),

@@ -175,6 +175,7 @@ def test_semantics_wf_and_kk():
         ["semantics", "--program", "x", "--semantics", "stable", "--operator", "ic", "--bogus"],
         ["check", "--a", "--laws", "exactness"],  # ambiguous: --all or --atoms
         ["generate", "--seed", "1.5"],
+        ["check", "--laws", "nope"],  # an unknown law name
     ],
 )
 def test_usage_errors_exit_1(argv):

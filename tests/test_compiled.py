@@ -418,6 +418,14 @@ def test_a_refusal_is_not_kept_and_raises_on_every_ask():
             with pytest.raises(error):
                 ops.apply(kind, p, i)
         assert (kind, i) not in p.compile().values, kind
+    # The planes `ic` and `dmt-det` share, those of `ic-triv` and `dmt`, are
+    # refused to them outside their class, and none are built.
+    shared = [(ops.OperatorKind.IC, aggregate, "the four-valued operator needs an aggregate-free program"),
+              (ops.OperatorKind.DMT_DET, disjunctive, "the deterministic operator needs atomic heads")]
+    for kind, p, message in shared:
+        with pytest.raises(ProgramClassError, match=f"^{message}$"):
+            ops.pair_planes(kind, p)
+        assert p.compile().pair_planes == {}, kind
 
 
 def test_memo_lookup_does_not_rehash_the_rules(monkeypatch):

@@ -172,7 +172,7 @@ def test_dmt_det_collapse_reads_both_operators_through_apply_fn():
 # values with the frozenset definitions `aprec_leq` and `smyth_leq`, where the
 # laws compare precision codes.
 def frozenset_monotonicity(p, apply_fn):
-    kinds = laws._ndao_kinds(p) + ([OperatorKind.DMT_DET] if laws._atomic_heads(p) else [])
+    kinds = laws._ndao_kinds(p) + ([OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else [])
     u = p.universe
     index = {u.pair_key(i): i for i in laws._pairs(p)}
     cases = 0

@@ -146,6 +146,10 @@ def test_classify_examples():
     assert classify(disjunctive).shape == "disjunctively_normal"
     negated = parse("p :- not #sum{1:q} > 0.")
     assert classify(negated).has_negated_aggregates
+    assert classify(parse("p :- not q.")).atomic_heads
+    assert not classify(parse("p | q.")).atomic_heads
+    general = classify(parse("p :- (q | not r).\nq :- not p."))
+    assert general.shape == "general" and general.atomic_heads
 
 
 def test_eval_multiset_examples():

@@ -53,7 +53,7 @@ SAMPLES = {
     prog.GeneralFormula: lambda: prog.GeneralFormula(four.Not(four.Atom("q"))),
     prog.Rule: lambda: prog.Rule(("p", "q"), prog.Conj(())),
     prog.Program: _program,
-    prog.Classification: lambda: prog.Classification(prog.SHAPE_GENERAL, True, False),
+    prog.Classification: lambda: prog.Classification(prog.SHAPE_GENERAL, True, False, True),
     AtomUniverse: _universe,
     GeneratorConfig: lambda: GeneratorConfig(atoms=4, seed=7),
     LawOutcome: lambda: LawOutcome("exactness", False, 12, "a reproducer"),

@@ -359,6 +359,21 @@ def test_cap_is_enforced(monkeypatch):
         sem.fixpoints(OperatorKind.IC, parse(text))
     with pytest.raises(CapExceededError):
         sem.gz_answer_sets(parse(text))
+    # A fresh program above the cap, outside the class of `ic` and `dmt-det`
+    # and of the GL semantics: every sweep decides the cap first.
+    text += "a0 | a1 :- #count{1:a2} >= 1.\n"
+    for kind in OperatorKind:
+        for sweep in (sem.fixpoints, sem.stable_fixpoints, sem.total_stable_fixpoints, sem.ht_pairs, sem.seq,
+                      sem.seq_no_difference):
+            with pytest.raises(CapExceededError):
+                sweep(kind, parse(text))
+        for complete in (sem.complete_lower_stable, sem.complete_upper_stable):
+            with pytest.raises(CapExceededError):
+                complete(kind, parse(text), frozenset())
+    for sweep in (sem.kk_fixpoint_det, sem.det_stable_fixpoints, sem.wf_fixpoint_det, sem.ht_models_program,
+                  sem.three_valued_stable, sem.gz_answer_sets):
+        with pytest.raises(CapExceededError):
+            sweep(parse(text))
 
 
 def test_a_program_compiled_under_a_larger_cap_runs_everywhere(monkeypatch):
