@@ -1,13 +1,15 @@
 """Command-line front-end: evaluate operators, run semantics, check laws,
 generate random programs.
 
-Exit codes: 0 ok, 1 usage, 2 precondition or class violation, 3 law violation
-(or well-founded anomaly).
+Exit codes: 0 ok, 1 usage, 2 precondition or class violation or a failed
+write to standard output (a closed pipe ends quietly), 3 law violation (or
+well-founded anomaly).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -19,7 +21,7 @@ from .lattice import AftlabError, ApproxPair, AtomUniverse
 from .operators import OperatorKind
 from .program import Program
 from .record import asdict
-from .semantics import SemanticsResult, WellFoundedAnomalyError
+from .semantics import WellFoundedAnomalyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -266,34 +268,10 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def semantics_json(result: SemanticsResult, u: AtomUniverse) -> dict:
-    return {
-        "universe": list(result.universe),
-        "operator": result.operator,
-        "semantics": result.kind,
-        "models": [render.json_pair(u, i) for i in result.models],
-        "counts": {
-            "models": len(result.models),
-            "consistent_pairs": 3 ** len(result.universe),
-        },
-        "program": result.program_digest,
-    }
-
-
 def _cmd_semantics(args) -> int:
     p = _load_program(args.program, args.max_atoms)
     kind = OperatorKind(args.operator) if args.operator else None
-    result = sem.run_semantics(args.semantics, p, kind)
-    u = p.universe
-    if args.format == "json":
-        print(json.dumps(semantics_json(result, u), indent=2))
-    else:
-        print(f"semantics: {result.kind}")
-        print(f"operator: {result.operator or '-'}")
-        print(f"universe: {render.fmt_set(u, u.full())}")
-        print(f"models ({len(result.models)}):")
-        for i in result.models:
-            print(f"  {render.fmt_pair(u, i)}")
+    render.write_semantics(sem.run_semantics(args.semantics, p, kind), args.format)
     return EXIT_OK
 
 
@@ -358,10 +336,10 @@ def _cmd_generate(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            return EXIT_OK
         run = {"eval": _cmd_eval, "semantics": _cmd_semantics, "check": _cmd_check, "generate": _cmd_generate}
-        return run[args.command](args)
+        code = EXIT_OK if args is None else run[args.command](args)
+        sys.stdout.flush()
+        return code
     except (UsageError, sem.SemanticsChoiceError, laws.UnknownLawError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -370,6 +348,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_LAW
     except AftlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except OSError as exc:  # a failed write to stdout; a program file that cannot be read is a usage error
+        if sys.stdout is sys.__stdout__:  # so that the interpreter's flush at exit meets no second failure
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -23,7 +23,10 @@ interpreter's `ru_maxrss`, read with `os.wait4`), the exit code, the model
 count and a digest of the output, so two files can be checked for identical
 answers as well as compared for time and memory. One more cell, `law_suite`,
 runs the whole law suite, `aftlab check --all --format json`, the same way;
-it exits 3, because one law fails by design (README "Known defect").
+it exits 3, because one law fails by design (README "Known defect"). And one,
+`text_cell`, runs `semantics --semantics ht --operator gz --format text` on
+the n=12 program of the aggregates series, the largest output of the matrix,
+so that the bytes of the text form are checked too.
 
 Each cell also records `engine_s`, the time of the `main(...)` call alone,
 taken inside the interpreter after its imports and sent to the launcher over
@@ -70,6 +73,8 @@ AGGREGATE_ROWS = (
 # Rows of the aggregates series whose programs have no negation at all.
 POSITIVE_AGGREGATE_ROWS = {("gz-answer-sets", None)}
 LAW_SUITE = ["check", "--all", "--format", "json"]
+# The text cell's argv, after `--program` and the n=12 program of the aggregates series.
+TEXT_CELL = ["--semantics", "ht", "--operator", "gz", "--format", "text"]
 # A cell: its first argument is the pipe to write the seconds of `main` to.
 RUN = (
     "import os, sys, time; sys.path.insert(0, sys.argv[2]); from aftlab.cli import main; start = time.perf_counter();"
@@ -209,6 +214,12 @@ def main(argv: list[str] | None = None) -> int:
                 print(row.get("series", "plain"), semantics, operator or "-", " ".join(
                     "T/O" if c.get("timeout") else f"{c['engine_s']:.4f}" + ("" if c["exit"] == 0 else f"!{c['exit']}")
                     for c in cells), flush=True)
+        program = program_file(src, Path(tmp), ATOMS[-1], 2, AGGREGATE_PROBABILITY, False)
+        try:
+            text_cell, _ = measure_cell(src, ["semantics", "--program", program, *TEXT_CELL])
+        except subprocess.TimeoutExpired:
+            text_cell = {"timeout": True}
+    print("text cell", " ".join(TEXT_CELL), text_cell.get("engine_s", "T/O"), text_cell.get("exit", ""), flush=True)
     try:
         law_suite, _ = measure_cell(src, LAW_SUITE)
     except subprocess.TimeoutExpired:
@@ -227,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         "timeout_s": TIMEOUT_S,
         "rows": rows,
         "law_suite": {"argv": LAW_SUITE, **law_suite},
+        "text_cell": {"argv": TEXT_CELL, "n": ATOMS[-1], "series": "aggregates", **text_cell},
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
