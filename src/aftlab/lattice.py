@@ -78,8 +78,8 @@ class NdPair(NamedTuple):
 @record
 class AtomUniverse:
     """Ordered set of distinct atom names; atom i maps to bit i of a mask.
-    The maps `_bits` and `_sets` are built on demand and kept outside its
-    fields, so pickles leave them behind."""
+    The maps `_bits` and `_sets` and the tuple `consistent_tuple` are built on
+    demand and kept outside its fields, so pickles leave them behind."""
 
     __slots__ = ("__dict__",)
     atoms: tuple[str, ...]
@@ -104,6 +104,12 @@ class AtomUniverse:
     def _sets(self) -> dict[int, AtomSet]:
         """Mask -> the one set `unmask` gives for it, filled as asked."""
         return {}
+
+    @cached_property
+    def consistent_tuple(self) -> tuple[ApproxPair, ...]:
+        """All 3^n consistent pairs, in `consistent_pairs` order, built on the
+        first ask and kept: the laws read them again and again."""
+        return tuple(self.consistent_pairs())
 
     def __contains__(self, name: str) -> bool:
         return name in self._bits

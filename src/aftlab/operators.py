@@ -7,7 +7,10 @@ plus the deterministic interval operator.
 All operators are pure. Each value `apply` gives is kept on the program's
 compiled form per (operator, pair) (`Compiled.values`), in front of the
 memos of the operator functions, and the hitting sets of each head family
-are built once per program and kept there too (`_hits`). The sweeps read the
+are built once per program and kept there too (`_hits`), as is the base
+entry of each set, the heads fired there and their atoms (`_base`). The
+four-valued operators read both sides of a pair in one pass over the rules
+(`_four_heads`). The sweeps read the
 operators from tables instead, built on the program's masks and kept on its
 compiled form.
 Every rule body is read once as two bit planes over the consistent pairs,
@@ -26,10 +29,9 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache, reduce
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import four, program as prog
-from .four import Truth
 from .lattice import (
     AftlabError,
     ApproxPair,
@@ -79,12 +81,26 @@ def consistent_only(kind: OperatorKind) -> bool:
     return kind not in FOUR_VALUED
 
 
+def _base(p: Program, xm: int) -> tuple[frozenset[AtomSet], int]:
+    """The base entry of the set with mask xm: the heads of the rules whose
+    bodies hold there and the mask of their atoms, built by one pass over the
+    rules on the first ask and then kept on the program's compiled form."""
+    compiled = p.compile()
+    found = compiled.base.get(xm)
+    if found is None:
+        u, heads, atoms = p.universe, set(), 0
+        for r in compiled.rules:
+            if r.holds(u, xm):
+                heads.add(r.head)
+                atoms |= r.head_mask
+        found = compiled.base[xm] = (frozenset(heads), atoms)
+    return found
+
+
 @cache
 def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
     """Heads of the rules whose bodies are true at the total interpretation x."""
-    u = p.universe
-    xm = u.mask(x)
-    return frozenset(r.head for r in p.compile().rules if r.holds(u, xm))
+    return _base(p, p.universe.mask(x))[0]
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
@@ -142,48 +158,50 @@ def _require_consistent(i: ApproxPair) -> None:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
 
 
-def _fired(p: Program, xm: int, ym: int, bit: int) -> Iterator[prog.CompiledRule]:
-    """The rules whose body value at the pair of masks (xm, ym) has `bit` set,
-    `four.LOWER_BIT` or `four.UPPER_BIT`. The lower bit is the body's truth at
-    x with negation read at y, the upper bit its truth at y with negation read
-    at x. Aggregate literals take their bits from their trivial approximation
+def _four_heads(p: Program, i: ApproxPair) -> tuple[frozenset[AtomSet], frozenset[AtomSet]]:
+    """The heads of the rules whose body value at i = (x, y) has the lower
+    bit (is >=_t C), and those whose value has the upper bit (is >=_t U), in
+    one pass over the rules. The lower bit is the body's truth at x with
+    negation read at y, the upper bit its truth at y with negation read at x.
+    Aggregate literals take their bits from their trivial approximation
     (`program.CompiledAggregate.trivial`); general bodies from
     `four.eval_pair`, which reads the pair of atom sets."""
-    here, there = (ym, xm) if bit == four.UPPER_BIT else (xm, ym)
+    u = p.universe
+    xm, ym = u.mask(i.lower), u.mask(i.upper)
+    lower, upper = set(), set()
     for r in p.compile().rules:
-        if r.formula is None:
-            if r.pos & ~here or r.neg & there:
-                continue
-            if not r.aggs or all(a.trivial(xm, ym) & bit for a in r.aggs):
-                yield r
-        elif four.eval_pair(p.universe, p.universe.pair(xm, ym), r.formula).value & bit:
-            yield r
-
-
-def _heads_at_least(p: Program, i: ApproxPair, threshold: Truth) -> frozenset[AtomSet]:
-    """Heads of the rules whose body value at i = (x, y) is >=_t threshold,
-    which is C (the lower bit alone) or U (the upper bit alone)."""
-    xm, ym = p.universe.pair_key(i)
-    return frozenset(r.head for r in _fired(p, xm, ym, threshold.value))
+        if r.formula is not None:
+            bits = four.eval_pair(u, i, r.formula).value
+        else:
+            bits = (not r.pos & ~xm and not r.neg & ym) << 1 | (not r.pos & ~ym and not r.neg & xm)
+            for a in r.aggs:
+                if not bits:
+                    break
+                bits &= a.trivial(xm, ym)
+        if bits & four.LOWER_BIT:
+            lower.add(r.head)
+        if bits & four.UPPER_BIT:
+            upper.add(r.head)
+    return frozenset(lower), frozenset(upper)
 
 
 @cache
 def ic_lower_set(p: Program, i: ApproxPair) -> NdSet:
     """Lower component of the four-valued operator; total on arbitrary pairs."""
-    check_kind_applicable(OperatorKind.IC, p)
-    return _hits(p, _heads_at_least(p, i, Truth.C))
+    return ic_ndao(p, i).lower_set
 
 
 @cache
 def ic_upper_set(p: Program, i: ApproxPair) -> NdSet:
-    check_kind_applicable(OperatorKind.IC, p)
-    return _hits(p, _heads_at_least(p, i, Truth.U))
+    return ic_ndao(p, i).upper_set
 
 
 def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Four-valued approximating operator: lower heads need body value >=_t C,
-    upper heads >=_t U."""
-    return NdPair(ic_lower_set(p, i), ic_upper_set(p, i))
+    upper heads >=_t U. It is `ic_triv_ndao` on the aggregate-free programs
+    it is defined on."""
+    check_kind_applicable(OperatorKind.IC, p)
+    return ic_triv_ndao(p, i)
 
 
 def ic_triv_ndao(p: Program, i: ApproxPair) -> NdPair:
@@ -191,33 +209,35 @@ def ic_triv_ndao(p: Program, i: ApproxPair) -> NdPair:
     (`program.CompiledAggregate.trivial`); equal to `ic_ndao` on aggregate-free
     programs. Its total stable fixpoints are the reduct answer sets
     (`semantics.gz_answer_sets`); README "Aggregates and GZ answer sets"."""
-    return NdPair(_hits(p, _heads_at_least(p, i, Truth.C)), _hits(p, _heads_at_least(p, i, Truth.U)))
+    lower, upper = _four_heads(p, i)
+    return NdPair(_hits(p, lower), _hits(p, upper))
 
 
 @cache
 def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
-    return frozenset().union(*hd(p, z)) if hd(p, z) else frozenset()
+    return p.universe.unmask(_base(p, p.universe.mask(z))[1])
 
 
 def det_lower(p: Program, w: AtomSet, y: AtomSet) -> AtomSet:
     """Atoms derivable at every interpretation of [w, y]; the empty interval
     (w not below y) yields the full universe, keeping the map monotone."""
+    u = p.universe
     if not w <= y:
-        return p.universe.full()
-    out = p.universe.full()
-    for z in p.universe.interval(w, y):
-        out &= _fired_atoms(p, z)
-    return out
+        return u.full()
+    out = (1 << len(u)) - 1
+    for z in u.interval(w, y):
+        out &= _base(p, u.mask(z))[1]
+    return u.unmask(out)
 
 
 def det_upper(p: Program, x: AtomSet, z: AtomSet) -> AtomSet:
     """Atoms derivable somewhere in [x, z]; only defined for x <= z."""
     if not x <= z:
         raise InconsistentPairError("upper interval operator needs x <= z")
-    out: AtomSet = frozenset()
-    for w in p.universe.interval(x, z):
-        out |= _fired_atoms(p, w)
-    return out
+    u, out = p.universe, 0
+    for w in u.interval(x, z):
+        out |= _base(p, u.mask(w))[1]
+    return u.unmask(out)
 
 
 @cache
@@ -234,14 +254,9 @@ def dmt_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Interval operator at head level: heads activated everywhere in [x, y]
     below, somewhere in [x, y] above, then hitting sets on each side."""
     _require_consistent(i)
-    lower_heads: frozenset[AtomSet] | None = None
-    upper_heads: frozenset[AtomSet] = frozenset()
-    for z in p.universe.interval(i.lower, i.upper):
-        heads = hd(p, z)
-        lower_heads = heads if lower_heads is None else lower_heads & heads
-        upper_heads |= heads
-    assert lower_heads is not None
-    return NdPair(_hits(p, lower_heads), _hits(p, upper_heads))
+    u = p.universe
+    heads = [_base(p, u.mask(z))[0] for z in u.interval(i.lower, i.upper)]
+    return NdPair(_hits(p, frozenset.intersection(*heads)), _hits(p, frozenset().union(*heads)))
 
 
 @cache
@@ -356,8 +371,8 @@ def _body_planes(
     u: AtomUniverse, r: prog.CompiledRule, full: int, in_x: Sequence[int], in_y: Sequence[int]
 ) -> tuple[int, int]:
     """The planes of the consistent pairs (x, y) at which the body of r has
-    the lower bit and the upper bit, the two bits that `_fired` reads one
-    pair at a time. An atom has the lower bit where it is in x (`in_x`) and
+    the lower bit and the upper bit, the two bits that `_four_heads` reads
+    one pair at a time. An atom has the lower bit where it is in x (`in_x`) and
     the upper bit where it is in y (`in_y`); a conjunctive body is the AND of
     its literals."""
     if r.formula is not None:

@@ -272,9 +272,12 @@ class Compiled:
     the complete stable values of `ic` and `ic-triv` read from rows, per
     side and key (`operators.stable_rows`), `families` the hitting sets of
     each head family the reference operators have built (`operators._hits`),
-    and `values` each value `operators.apply` has given, per (kind, pair)."""
+    `values` each value `operators.apply` has given, per (kind, pair), and
+    `base` the base entry of each set the reference operators have read, per
+    mask: the heads of the rules whose bodies hold there and the mask of
+    their atoms (`operators._base`)."""
 
-    __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families", "values")
+    __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families", "values", "base")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
@@ -284,6 +287,7 @@ class Compiled:
         self.stable_rows: dict = {}
         self.families: dict = {}
         self.values: dict = {}
+        self.base: dict = {}
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

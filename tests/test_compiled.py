@@ -15,7 +15,7 @@ import pytest
 from aftlab import cli, corpus, four, laws, operators as ops, program as prog, semantics as sem
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, InconsistentPairError, digit_planes
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, InconsistentPairError, NdPair, digit_planes
 from aftlab.program import (
     CompiledAggregate,
     Conj,
@@ -110,12 +110,22 @@ def heads_at_least(p, i: ApproxPair, threshold: Truth) -> frozenset:
     )
 
 
+def body_bits(p, i: ApproxPair) -> list[int]:
+    """The two bits of each rule's formula reading at i, in rule order."""
+    return [four.eval_pair(p.universe, i, formula_reading(r, i)).value for r in p.rules]
+
+
+def heads_with(p, bits: list[int], bit: int) -> frozenset:
+    return frozenset(r.head_set() for r, b in zip(p.rules, bits) if b & bit)
+
+
 def test_body_planes_equal_the_two_bit_reading():
     """At each consistent pair k, bit k of a rule's lower (upper) body plane
-    is whether `operators._fired` selects the rule there with the lower
-    (upper) bit. In the row form, at every pair (x, y), the inconsistent ones
-    too, where an aggregate condition can hold at x but not at y: bit x of a
-    rule's lower row at fixed y, and bit y of its upper row at fixed x."""
+    is whether the rule's body has the lower (upper) bit there, and
+    `operators._four_heads` selects the heads of the rules so marked. In the
+    row form, at every pair (x, y), the inconsistent ones too, where an
+    aggregate condition can hold at x but not at y: bit x of a rule's lower
+    row at fixed y, and bit y of its upper row at fixed x."""
     # The generator writes at most two entries per aggregate; these have more,
     # some sharing atoms, so that their conditions split the pairs many ways.
     many_entries = parse(
@@ -133,9 +143,12 @@ def test_body_planes_equal_the_two_bit_reading():
         planes = [ops._body_planes(u, r, digits.full, digits.d2, in_y) for r in rules]
         for xm, ym in u.consistent_masks():
             k = digits.number(xm, ym)
+            bits = body_bits(p, u.pair(xm, ym))
+            heads = ops._four_heads(p, u.pair(xm, ym))
             for side, bit in enumerate((four.LOWER_BIT, four.UPPER_BIT)):
-                fired = set(ops._fired(p, xm, ym, bit))
-                assert [plane[side] >> k & 1 for plane in planes] == [r in fired for r in rules], (p.text, xm, ym)
+                fired = [bool(b & bit) for b in bits]
+                assert [plane[side] >> k & 1 for plane in planes] == fired, (p.text, xm, ym)
+                assert heads[side] == heads_with(p, bits, bit), (p.text, xm, ym)
         size = 1 << len(u)
         full = (1 << size) - 1
         free = [sum(1 << m for m in range(size) if m >> i & 1) for i in range(len(u))]
@@ -144,17 +157,22 @@ def test_body_planes_equal_the_two_bit_reading():
             lower_rows = [ops._body_planes(u, r, full, free, at)[0] for r in rules]
             upper_rows = [ops._body_planes(u, r, full, at, free)[1] for r in rules]
             for m in range(size):
-                fired = set(ops._fired(p, m, fixed, four.LOWER_BIT))
-                assert [row >> m & 1 for row in lower_rows] == [r in fired for r in rules], (p.text, m, fixed)
-                fired = set(ops._fired(p, fixed, m, four.UPPER_BIT))
-                assert [row >> m & 1 for row in upper_rows] == [r in fired for r in rules], (p.text, fixed, m)
+                bits = body_bits(p, u.pair(m, fixed))
+                fired = [bool(b & four.LOWER_BIT) for b in bits]
+                assert [row >> m & 1 for row in lower_rows] == fired, (p.text, m, fixed)
+                assert ops._four_heads(p, u.pair(m, fixed))[0] == heads_with(p, bits, four.LOWER_BIT)
+                bits = body_bits(p, u.pair(fixed, m))
+                fired = [bool(b & four.UPPER_BIT) for b in bits]
+                assert [row >> m & 1 for row in upper_rows] == fired, (p.text, fixed, m)
+                assert ops._four_heads(p, u.pair(fixed, m))[1] == heads_with(p, bits, four.UPPER_BIT)
 
 
 @pytest.mark.parametrize("threshold", [Truth.C, Truth.U])
 def test_two_bit_head_selection_equals_the_formula_reading(threshold):
+    side = 0 if threshold is Truth.C else 1
     for p in programs():
         for i in all_pairs(p):
-            assert ops._heads_at_least(p, i, threshold) == heads_at_least(p, i, threshold), (p.text, i)
+            assert ops._four_heads(p, i)[side] == heads_at_least(p, i, threshold), (p.text, i)
 
 
 def test_hd_equals_the_eval_body_filter_and_the_literal_reading():
@@ -236,6 +254,72 @@ def test_hitting_sets_equal_brute_force():
     assert ops.hitting_sets(frozenset()) == frozenset((frozenset(),))
     with pytest.raises(AftlabError):
         ops.hitting_sets(frozenset((frozenset("p"), frozenset())))
+
+
+def reference_programs():
+    """The corpus, seeded programs of 1 to 4 atoms with and without
+    aggregates, and a program with general formula bodies."""
+    seeded = [
+        generate_program(GeneratorConfig(atoms=n, rules=n + 1, aggregate_probability=aggregates, seed=10 * n + k))
+        for n in range(1, 5)
+        for aggregates in (0.0, 0.5)
+        for k in range(3)
+    ]
+    return [*corpus.programs(), *seeded, parse(FORMULA_PROGRAMS[0])]
+
+
+def meet(sets):
+    return frozenset.intersection(*sets)
+
+
+def join(sets):
+    return frozenset().union(*sets)
+
+
+def test_reference_operators_equal_their_definitions():
+    """`ops.apply` for every operator at every consistent pair, and for `ic`
+    and `ic-triv` at every pair, against the definitions on frozensets: `hd`
+    the heads of the bodies `eval_body` makes true, `ic` their hitting sets,
+    `dmt` the hitting sets of the meet and the join of `hd` over the
+    interval, `ultimate` the union of `ic` over it, `gz` `ic` on a total pair
+    and ({∅}, {A}) elsewhere, `dmt-det` the meet and the join of the fired
+    heads' atoms over the interval, and the four-valued operators the hitting
+    sets of the heads whose body reading has the lower bit and the upper bit
+    (`four.eval_pair`). Also `hd`, `ic` and `_fired_atoms` at every set."""
+    OK = ops.OperatorKind
+    tested = reference_programs()
+    assert any(p.compile().classification.has_aggregates for p in tested)
+    assert any(p.compile().classification.shape == prog.SHAPE_GENERAL for p in tested)
+    for p in tested:
+        u, cls = p.universe, p.compile().classification
+        hd = {x: frozenset(r.head_set() for r in p.rules if eval_body(u, x, r)) for x in u.subsets()}
+        ic = {x: brute_force_hitting_sets(heads) for x, heads in hd.items()}
+        fired = {x: join(heads) for x, heads in hd.items()}
+        for x in u.subsets():
+            assert (ops.hd(p, x), ops.ic(p, x), ops._fired_atoms(p, x)) == (hd[x], ic[x], fired[x]), (p.text, x)
+        four_valued = [OK.IC_TRIV] if cls.has_aggregates else [OK.IC_TRIV, OK.IC]
+        for i in all_pairs(p):
+            lower, upper = (brute_force_hitting_sets(heads_at_least(p, i, t)) for t in (Truth.C, Truth.U))
+            for kind in four_valued:
+                assert ops.apply(kind, p, i) == NdPair(lower, upper), (p.text, kind, i)
+        for i in u.consistent_pairs():
+            interval = list(u.interval(i.lower, i.upper))
+            everywhere, somewhere = meet([hd[z] for z in interval]), join([hd[z] for z in interval])
+            gathered = join([ic[z] for z in interval])
+            expected = {
+                OK.DMT: NdPair(brute_force_hitting_sets(everywhere), brute_force_hitting_sets(somewhere)),
+                OK.ULTIMATE: NdPair(gathered, gathered),
+                OK.GZ: NdPair(ic[i.lower], ic[i.lower]) if i.is_total else NdPair({frozenset()}, {u.full()}),
+            }
+            if cls.atomic_heads:
+                atoms = [fired[z] for z in interval]
+                expected[OK.DMT_DET] = NdPair({meet(atoms)}, {join(atoms)})
+            for kind, value in expected.items():
+                assert ops.apply(kind, p, i) == value, (p.text, kind, i)
+        refused = ([OK.IC] if cls.has_aggregates else []) + ([] if cls.atomic_heads else [OK.DMT_DET])
+        for kind in refused:
+            with pytest.raises(ProgramClassError):
+                ops.apply(kind, p, ApproxPair(frozenset(), u.full()))
 
 
 def membership_programs():

@@ -246,6 +246,23 @@ def at_the_least_precise_pair(kind, change):
     return mutant
 
 
+def at_a_total_pair(kind, change):
+    """The operator with `kind`'s value changed at the total pair (x, x), x
+    the universe without its first atom, on a universe of two atoms or more,
+    where x is neither ∅ nor A: deeper in the pair order than (∅, A)."""
+
+    def mutant(k, p, i):
+        value = ops.apply(k, p, i)
+        u = p.universe
+        if k is kind and len(u) > 1 and i.is_total and i.lower == u.unmask((1 << len(u)) - 2):
+            return change(u, value)
+        return value
+
+    return mutant
+
+
+DEEP_MUTANT = "dmt-least-precise-at-a-total-pair"
+
 MUTANTS = {
     "unchanged": ops.apply,
     "dmt-drops-a-lower-member": at_the_least_precise_pair(
@@ -257,13 +274,22 @@ MUTANTS = {
     "dmt-lower-set-is-the-full-set": at_the_least_precise_pair(
         OperatorKind.DMT, lambda u, v: NdPair(frozenset((u.full(),)), v.upper_set)
     ),
+    DEEP_MUTANT: at_a_total_pair(OperatorKind.DMT, lambda u, v: NdPair(frozenset((frozenset(),)), frozenset((u.full(),)))),
 }
 
 
-# Every mutant breaks every one of these laws but two: ultimate's upper set
-# with a member less only fails where ultimate is the less precise side, which
-# precision-chain and ultimate-max never make it.
-UNBROKEN = {("precision-chain", "ultimate-drops-an-upper-member"), ("ultimate-max", "ultimate-drops-an-upper-member")}
+# Every mutant breaks every one of these laws but four, as the frozenset laws
+# decide. Ultimate's upper set with a member less only fails where ultimate is
+# the less precise side, which precision-chain and ultimate-max never make it.
+# The value ({∅}, {A}) is below every value in precision, so no operator is
+# less precise than dmt there (ultimate-max), and its lower set lies
+# Smyth-below its upper set (upwards-coherence).
+UNBROKEN = {
+    ("precision-chain", "ultimate-drops-an-upper-member"),
+    ("ultimate-max", "ultimate-drops-an-upper-member"),
+    ("ultimate-max", DEEP_MUTANT),
+    ("upwards-coherence", DEEP_MUTANT),
+}
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +311,16 @@ def test_precision_codes_give_the_frozenset_outcome(monkeypatch, precision_suite
     assert outcome == laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
     assert outcome[0].ok == (mutant == "unchanged" or (name, mutant) in UNBROKEN)
 
+
+
+def test_a_mutant_breaks_monotonicity_deep_in_the_pair_order(precision_suite):
+    """The total-pair mutant fails monotonicity at a pair (x, y) with x ≠ ∅,
+    after a case count that no mutant at (∅, A) gives, so the closure's
+    fallback walks from a pair inside the order."""
+
+    def first_failure(mutant):
+        return next(out for p in precision_suite if (out := frozenset_monotonicity(p, MUTANTS[mutant]))[1])
+
+    cases, failure = first_failure(DEEP_MUTANT)
+    assert not failure.split("not precision-monotone: ")[1].startswith("(∅,"), failure
+    assert cases not in {first_failure(m)[0] for m in MUTANTS if m not in ("unchanged", DEEP_MUTANT)}
