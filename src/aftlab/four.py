@@ -193,16 +193,37 @@ def ht_satisfies(u: AtomUniverse, i: ApproxPair, f: Formula) -> bool:
     raise AftlabError(f"not a formula: {f!r}")
 
 
-def ht_satisfies_rule(u: AtomUniverse, i: ApproxPair, body: Formula, head: Iterable[str]) -> bool:
-    """HT satisfaction of body -> head-disjunction.
+@record
+class HTRule:
+    """A rule body -> head-disjunction, its formulas built once. Under
+    here-and-there it holds at a consistent pair (x, y) iff its HT
+    implication clause holds there (`here`) and its material implication
+    ¬body ∨ head is classically true at the upper set (`there`), which
+    reads y alone."""
 
-    Requires both the HT implication clause and classical truth of the
-    material implication at the upper set.
-    """
-    head_atoms = tuple(head)
-    if not head_atoms:
-        raise AftlabError("rule head must be non-empty")
-    head_formula = disj(Atom(a) for a in head_atoms)
-    here = (not ht_satisfies(u, i, body)) or ht_satisfies(u, i, head_formula)
-    there = eval_two(u, i.upper, Or(Not(body), head_formula)) is Truth.T
+    body: Formula
+    head: Formula
+    implication: Formula
+
+    @staticmethod
+    def of(body: Formula, head: Iterable[str]) -> "HTRule":
+        head_atoms = tuple(head)
+        if not head_atoms:
+            raise AftlabError("rule head must be non-empty")
+        head_formula = disj(Atom(a) for a in head_atoms)
+        return HTRule(body, head_formula, Or(Not(body), head_formula))
+
+    def here(self, u: AtomUniverse, i: ApproxPair) -> bool:
+        return not ht_satisfies(u, i, self.body) or ht_satisfies(u, i, self.head)
+
+    def there(self, u: AtomUniverse, y: AtomSet) -> bool:
+        return eval_two(u, y, self.implication) is Truth.T
+
+
+def ht_satisfies_rule(u: AtomUniverse, i: ApproxPair, body: Formula, head: Iterable[str]) -> bool:
+    """HT satisfaction of body -> head-disjunction (`HTRule`): the HT
+    implication clause at i and classical truth of the material implication
+    at the upper set."""
+    rule = HTRule.of(body, head)
+    here, there = rule.here(u, i), rule.there(u, i.upper)
     return here and there

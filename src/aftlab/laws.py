@@ -167,9 +167,12 @@ def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     algebraic = sem.ht_pairs(OperatorKind.IC, p)
     if algebraic != sem.ht_models_program(p):
         return 1, "algebraic HT pairs differ from rule-level HT models"
-    # The definition, independent of the compiled masks: HT satisfaction of each rule as a formula.
-    u, rules = p.universe, [(prog.body_formula(r), r.head) for r in p.rules]
-    if algebraic != [i for i in _pairs(p) if all(four.ht_satisfies_rule(u, i, *r) for r in rules)]:
+    # The definition, independent of the compiled masks: HT satisfaction of
+    # each rule as a formula (`four.HTRule`). Its classical half reads y
+    # alone, so it is read once per rule and y.
+    u, rules = p.universe, [four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules]
+    classical = {y: all(r.there(u, y) for r in rules) for y in u.subsets()}
+    if algebraic != [i for i in _pairs(p) if classical[i.upper] and all(r.here(u, i) for r in rules)]:
         return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 

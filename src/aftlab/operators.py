@@ -5,14 +5,16 @@ trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
 All operators are pure. Each value `apply` gives is kept on the program's
-compiled form per (operator, pair) (`Compiled.values`), in front of the
-memos of the operator functions, and the hitting sets of each head family
-are built once per program and kept there too (`_hits`), as is the base
-entry of each set, the heads fired there and their atoms (`_base`). The
-four-valued operators read both sides of a pair in one pass over the rules
-(`_four_heads`). The sweeps read the
-operators from tables instead, built on the program's masks and kept on its
-compiled form.
+compiled form per (operator, pair) (`Compiled.values`). A value not kept is
+read on the pair's masks and probes none of the memos of the operator
+functions, which stay for direct callers: the four-valued operators read
+both sides of a pair in one pass over the rules (`_four_heads`), the others
+walk the interval as submasks over the base entry of each set, the heads
+fired there and their atoms, built once per program and set and kept on its
+compiled form (`_base`, `_interval_value`). The hitting sets of each head
+family are built once per program and kept there too (`_hits`). The sweeps
+read the operators from tables instead, built on the program's masks and
+kept on its compiled form.
 Every rule body is read once as two bit planes over the consistent pairs,
 the pairs where its value has the lower bit and those where it has the
 upper bit, and each operator's `PairPlanes` are built from them
@@ -44,6 +46,7 @@ from .lattice import (
     _closure_steps,
     digit_planes,
     minimal_bits,
+    submasks,
 )
 from .program import Program, ProgramClassError
 
@@ -218,56 +221,70 @@ def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
     return p.universe.unmask(_base(p, p.universe.mask(z))[1])
 
 
-def det_lower(p: Program, w: AtomSet, y: AtomSet) -> AtomSet:
-    """Atoms derivable at every interpretation of [w, y]; the empty interval
-    (w not below y) yields the full universe, keeping the map monotone."""
+# The operators read from the base entries of the sets of an interval
+# (`_interval_value`).
+INTERVAL = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
+
+
+def _interval_value(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
+    """An operator of `INTERVAL` at the pair i = (x, y), `dmt-det` lifted to
+    singletons, read on masks: the pair's masks are resolved once, which
+    refuses an atom outside the universe, and the sets z of [x, y] are
+    walked as the submasks of y - x, reading the base entry of each
+    (`_base`) and building no set per z. Per operator:
+
+    - `dmt`: the hitting sets of the meet and of the join of the entries'
+      heads, the heads activated everywhere and somewhere in [x, y];
+    - `ultimate`: the union of `ic(z)` over [x, y], the hitting sets of each
+      distinct head family, on both sides;
+    - `gz`: `ic(x)` on a total pair, ({∅}, {A}) elsewhere;
+    - `dmt-det`: the AND and the OR of the entries' atom masks, the atoms
+      derived everywhere and somewhere in [x, y], on atomic heads.
+    """
+    check_kind_applicable(kind, p)
+    _require_consistent(i)
     u = p.universe
-    if not w <= y:
-        return u.full()
-    out = (1 << len(u)) - 1
-    for z in u.interval(w, y):
-        out &= _base(p, u.mask(z))[1]
-    return u.unmask(out)
-
-
-def det_upper(p: Program, x: AtomSet, z: AtomSet) -> AtomSet:
-    """Atoms derivable somewhere in [x, z]; only defined for x <= z."""
-    if not x <= z:
-        raise InconsistentPairError("upper interval operator needs x <= z")
-    u, out = p.universe, 0
-    for w in u.interval(x, z):
-        out |= _base(p, u.mask(w))[1]
-    return u.unmask(out)
+    xm, ym = u.mask(i.lower), u.mask(i.upper)
+    if kind is OperatorKind.GZ and xm != ym:
+        return NdPair(frozenset((u.unmask(0),)), frozenset((u.unmask((1 << len(u)) - 1),)))
+    base = p.compile().base
+    entries = [base.get(z) or _base(p, z) for z in [xm | s for s in submasks(ym & ~xm)]]
+    if kind is OperatorKind.GZ:
+        consequences = _hits(p, entries[0][0])
+        return NdPair(consequences, consequences)
+    if kind is OperatorKind.DMT:
+        heads = [h for h, _ in entries]
+        return NdPair(_hits(p, frozenset.intersection(*heads)), _hits(p, frozenset().union(*heads)))
+    if kind is OperatorKind.ULTIMATE:
+        hits = [_hits(p, h) for h in {h for h, _ in entries}]
+        gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
+        return NdPair(gathered, gathered)
+    lower, upper = (1 << len(u)) - 1, 0
+    for _, atoms in entries:
+        lower, upper = lower & atoms, upper | atoms
+    return NdPair(frozenset((u.unmask(lower),)), frozenset((u.unmask(upper),)))
 
 
 @cache
 def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
     """Deterministic interval operator: intersection / union of derivable
     atoms over [x, y]. Needs atomic heads and a consistent pair."""
-    check_kind_applicable(OperatorKind.DMT_DET, p)
-    _require_consistent(i)
-    return ApproxPair(det_lower(p, i.lower, i.upper), det_upper(p, i.lower, i.upper))
+    (lower,), (upper,) = _interval_value(OperatorKind.DMT_DET, p, i)
+    return ApproxPair(lower, upper)
 
 
 @cache
 def dmt_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Interval operator at head level: heads activated everywhere in [x, y]
     below, somewhere in [x, y] above, then hitting sets on each side."""
-    _require_consistent(i)
-    u = p.universe
-    heads = [_base(p, u.mask(z))[0] for z in u.interval(i.lower, i.upper)]
-    return NdPair(_hits(p, frozenset.intersection(*heads)), _hits(p, frozenset().union(*heads)))
+    return _interval_value(OperatorKind.DMT, p, i)
 
 
 @cache
 def ultimate_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Most precise approximating operator: union of the base operator over
     the interval, on both sides."""
-    _require_consistent(i)
-    gathered: NdSet = frozenset()
-    for z in p.universe.interval(i.lower, i.upper):
-        gathered |= ic(p, z)
-    return NdPair(gathered, gathered)
+    return _interval_value(OperatorKind.ULTIMATE, p, i)
 
 
 @cache
@@ -275,11 +292,7 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Trivial operator: exact on total pairs, least precise elsewhere. Its
     total stable fixpoints are not the reduct answer sets; those of
     `ic_triv_ndao` are (README "Known defect")."""
-    _require_consistent(i)
-    if i.is_total:
-        consequences = ic(p, i.lower)
-        return NdPair(consequences, consequences)
-    return NdPair(frozenset((frozenset(),)), frozenset((p.universe.full(),)))
+    return _interval_value(OperatorKind.GZ, p, i)
 
 
 class PairPlanes:
@@ -555,7 +568,9 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     """Uniform dispatch; the deterministic operator is lifted to singletons.
     Each value is kept on the program's compiled form per (kind, pair), a
     refusal is not. A kept value is found with no call into Python: the form
-    is read from the program's dict, and the key hashes in C."""
+    is read from the program's dict, and the key hashes in C. A value not
+    kept is read on masks, `ic_triv_ndao` for the four-valued operators and
+    `_interval_value` for the others, probing none of the memos."""
     values = (p.__dict__.get("_compiled") or p.compile()).values
     found = values.get((kind, i))
     if found is not None:
@@ -564,15 +579,8 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         found = ic_ndao(p, i)
     elif kind is OperatorKind.IC_TRIV:
         found = ic_triv_ndao(p, i)
-    elif kind is OperatorKind.DMT:
-        found = dmt_ndao(p, i)
-    elif kind is OperatorKind.ULTIMATE:
-        found = ultimate_ndao(p, i)
-    elif kind is OperatorKind.GZ:
-        found = gz_ndao(p, i)
-    elif kind is OperatorKind.DMT_DET:
-        pair = dmt_det(p, i)
-        found = NdPair(frozenset((pair.lower,)), frozenset((pair.upper,)))
+    elif kind in INTERVAL:
+        found = _interval_value(kind, p, i)
     else:
         raise AftlabError(f"unknown operator kind {kind!r}")
     values[kind, i] = found

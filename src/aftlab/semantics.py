@@ -157,8 +157,9 @@ def kk_fixpoint_det(p: Program) -> ApproxPair:
 
 def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
     """Stable pairs (x, y) of the deterministic interval operator: x is the
-    least fixpoint of w -> det_lower(w, y) and y the least fixpoint of
-    z -> det_upper(x, z) over the supersets of x. At such pairs each least
+    least fixpoint of w -> the atoms fired everywhere in [w, y] and y the
+    least fixpoint of z -> the atoms fired somewhere in [x, z] over the
+    supersets of x. At such pairs each least
     fixpoint is the one minimal fixpoint, so these are the stable fixpoints of
     the operator lifted to singletons (README "Programs are compiled once")."""
     return stable_fixpoints(OperatorKind.DMT_DET, p)

@@ -276,6 +276,27 @@ def join(sets):
     return frozenset().union(*sets)
 
 
+def lifted_dmt_det(p, i):
+    pair = ops.dmt_det(p, i)
+    return NdPair(frozenset((pair.lower,)), frozenset((pair.upper,)))
+
+
+# The public function of each operator `apply` reads on an interval.
+INTERVAL_REFERENCES = {
+    ops.OperatorKind.DMT: ops.dmt_ndao,
+    ops.OperatorKind.ULTIMATE: ops.ultimate_ndao,
+    ops.OperatorKind.GZ: ops.gz_ndao,
+    ops.OperatorKind.DMT_DET: lifted_dmt_det,
+}
+
+
+def value_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except AftlabError as e:
+        return type(e)
+
+
 def test_reference_operators_equal_their_definitions():
     """`ops.apply` for every operator at every consistent pair, and for `ic`
     and `ic-triv` at every pair, against the definitions on frozensets: `hd`
@@ -285,7 +306,11 @@ def test_reference_operators_equal_their_definitions():
     and ({∅}, {A}) elsewhere, `dmt-det` the meet and the join of the fired
     heads' atoms over the interval, and the four-valued operators the hitting
     sets of the heads whose body reading has the lower bit and the upper bit
-    (`four.eval_pair`). Also `hd`, `ic` and `_fired_atoms` at every set."""
+    (`four.eval_pair`). Also `hd`, `ic` and `_fired_atoms` at every set. The
+    public functions of `dmt`, `ultimate`, `gz` and `dmt-det` (lifted) give
+    what `apply` gives at every pair, and refuse the same pairs with the
+    same error: an inconsistent pair, or any pair of `dmt-det` on a program
+    with a disjunctive head."""
     OK = ops.OperatorKind
     tested = reference_programs()
     assert any(p.compile().classification.has_aggregates for p in tested)
@@ -315,7 +340,15 @@ def test_reference_operators_equal_their_definitions():
                 atoms = [fired[z] for z in interval]
                 expected[OK.DMT_DET] = NdPair({meet(atoms)}, {join(atoms)})
             for kind, value in expected.items():
-                assert ops.apply(kind, p, i) == value, (p.text, kind, i)
+                assert ops.apply(kind, p, i) == INTERVAL_REFERENCES[kind](p, i) == value, (p.text, kind, i)
+        for i in all_pairs(p):
+            for kind, reference in INTERVAL_REFERENCES.items():
+                found = value_or_refusal(ops.apply, kind, p, i)
+                assert found == value_or_refusal(reference, p, i), (p.text, kind, i)
+                if kind is OK.DMT_DET and not cls.atomic_heads:
+                    assert found is ProgramClassError, (p.text, i)
+                elif not i.is_consistent:
+                    assert found is InconsistentPairError, (p.text, kind, i)
         refused = ([OK.IC] if cls.has_aggregates else []) + ([] if cls.atomic_heads else [OK.DMT_DET])
         for kind in refused:
             with pytest.raises(ProgramClassError):
@@ -414,13 +447,7 @@ def test_the_laws_build_each_family_once_per_program(monkeypatch):
 def apply_values(p, visits):
     """ops.apply at each (kind, pair) in the order given: the value, or the
     class of the error it refuses the pair with."""
-    out = {}
-    for kind, i in visits:
-        try:
-            out[kind, i] = ops.apply(kind, p, i)
-        except AftlabError as e:
-            out[kind, i] = type(e)
-    return out
+    return {(kind, i): value_or_refusal(ops.apply, kind, p, i) for kind, i in visits}
 
 
 def test_kept_families_give_the_values_of_a_fresh_parse_visited_in_reverse():

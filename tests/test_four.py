@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from aftlab import four
+from aftlab import corpus, four
 from aftlab.four import And, Atom, Const, Not, Or, Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, AtomUniverse, InconsistentPairError, UnknownAtomError
@@ -185,6 +186,56 @@ def test_ht_rule_examples():
 def test_ht_rule_rejects_empty_head():
     with pytest.raises(Exception):
         four.ht_satisfies_rule(U2, pair(), Const(Truth.T), ())
+
+
+def ref_ht_rule(u, i, body, head):
+    """HT satisfaction of body -> head read from its definition, the head as
+    a set of atoms: if the body holds at (x, y) in HT, a head atom is in x,
+    and if it is classically true at y, a head atom is in y."""
+    here = not four.ht_satisfies(u, i, body) or bool(i.lower & frozenset(head))
+    there = four.eval_two(u, i.upper, body) is not Truth.T or bool(i.upper & frozenset(head))
+    return here and there
+
+
+def _seeded_formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Atom(rng.choice(names)) if rng.random() < 0.85 else Const(rng.choice((Truth.T, Truth.F)))
+    shape = rng.choice((Not, And, Or))
+    if shape is Not:
+        return Not(_seeded_formula(rng, names, depth - 1))
+    return shape(_seeded_formula(rng, names, depth - 1), _seeded_formula(rng, names, depth - 1))
+
+
+def ht_rule_cases():
+    """(universe, body, head) for every rule of the corpus's plain programs,
+    of seeded plain programs, and of seeded rules with general formula
+    bodies over two-valued constants."""
+    plain = [p for p in corpus.programs() if classify(p).plain]
+    plain += [generate_program(GeneratorConfig(atoms=1 + seed % 4, rules=3, seed=seed)) for seed in range(24)]
+    for p in plain:
+        for r in p.rules:
+            yield p.universe, body_formula(r), r.head
+    rng = random.Random(26)
+    names = U3.atoms
+    for _ in range(60):
+        yield U3, _seeded_formula(rng, names, 4), tuple(rng.sample(names, rng.randint(1, 2)))
+
+
+def test_ht_rule_halves_equal_ht_satisfies_rule():
+    """`four.HTRule` reads a rule's HT implication clause at each consistent
+    pair (x, y) and its classical half once per y; together they agree with
+    `ht_satisfies_rule` and with the definition at every pair."""
+    cases = 0
+    for u, body, head in ht_rule_cases():
+        rule = four.HTRule.of(body, head)
+        for y in u.subsets():
+            there = rule.there(u, y)
+            for x in u.interval(frozenset(), y):
+                i = ApproxPair(x, y)
+                expected = ref_ht_rule(u, i, body, head)
+                assert (rule.here(u, i) and there) == four.ht_satisfies_rule(u, i, body, head) == expected, (body, head, i)
+                cases += 1
+    assert cases > 1000
 
 
 def test_three_valued_models_are_ht_models():

@@ -4,7 +4,8 @@ of the four-valued ones (`ic`, `ic-triv`), which read rows over the sets of
 one side with the other side fixed, kept per program, side and key, against
 definitional sweeps kept here that read the operators' families through
 `operators.apply`; the deterministic stable pairs against least-fixpoint
-loops over `operators.det_lower` and `operators.det_upper`; and Kripke-Kleene
+loops over the atoms derived everywhere and somewhere in an interval
+(`det_lower`, `det_upper`, kept here); and Kripke-Kleene
 against the iteration of `operators.dmt_det`. `dmt-det` reads the planes of
 `dmt`, so `dmt` is checked to be `dmt-det` lifted to singletons wherever the
 heads are atomic."""
@@ -160,11 +161,28 @@ def test_ht_pairs_equal_the_definition():
         assert sorted(sem.ht_pairs(kind, p), key=key) == sorted(expected, key=key)
 
 
+def fired_atoms(p, z):
+    return frozenset().union(*ops.hd(p, z))
+
+
+def det_lower(p, w, y):
+    """Atoms derived at every set of [w, y]; the empty interval (w not below
+    y) gives the full universe, which keeps the map monotone."""
+    if not w <= y:
+        return p.universe.full()
+    return frozenset.intersection(*[fired_atoms(p, z) for z in p.universe.interval(w, y)])
+
+
+def det_upper(p, x, z):
+    """Atoms derived at some set of [x, z], for x <= z."""
+    return frozenset().union(*[fired_atoms(p, w) for w in p.universe.interval(x, z)])
+
+
 def ref_least_lower(p, y):
     """The least fixpoint of w -> det_lower(w, y), reached by iteration from
     the empty set."""
     w = frozenset()
-    while (nxt := ops.det_lower(p, w, y)) != w:
+    while (nxt := det_lower(p, w, y)) != w:
         w = nxt
     return w
 
@@ -175,7 +193,7 @@ def ref_det_stable(p):
     x."""
     out = []
     for i in consistent_pairs(p):
-        fixed = [z for z in p.universe.subsets() if i.lower <= z and ops.det_upper(p, i.lower, z) == z]
+        fixed = [z for z in p.universe.subsets() if i.lower <= z and det_upper(p, i.lower, z) == z]
         least = [z for z in fixed if all(z <= other for other in fixed)]
         if ref_least_lower(p, i.upper) == i.lower and least == [i.upper]:
             out.append(i)
@@ -310,12 +328,18 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
         if p.compile().classification.plain:
             sem.run_semantics("three-valued-stable", p)
     assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
-    # A fresh parse: the other tests of this module have filled the family
-    # store of PROGRAMS[-1] (`Compiled.families`).
+    # A fresh parse: the other tests of this module have filled the base
+    # entries and the family store of PROGRAMS[-1] (`Compiled.base`,
+    # `Compiled.families`). A direct `dmt_ndao` at (∅, A) walks the interval
+    # on masks: it fills each of the 2^n base entries once, builds the
+    # families of the meet and the join, and enumerates no interval.
     ops.dmt_ndao.cache_clear()
     fresh = parse(PROGRAMS[-1].text)
+    filled, base = [], ops._base
+    monkeypatch.setattr(ops, "_base", lambda p, xm: filled.append(xm) or base(p, xm))
     ops.dmt_ndao(fresh, ApproxPair(frozenset(), fresh.universe.full()))
-    assert calls["interval"] == 1 and calls["hitting_sets"] == 2
+    assert sorted(filled) == sorted(fresh.compile().base) == list(range(1 << len(fresh.universe)))
+    assert calls == {"interval": 0, "hitting_sets": 2, "apply": 0}
 
 
 def row_key(p, fixed):

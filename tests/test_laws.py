@@ -1,4 +1,6 @@
+import inspect
 import re
+import textwrap
 
 import pytest
 
@@ -109,6 +111,19 @@ def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
     outcomes = laws.run_laws(corpus.programs(), ["ht-equality"])
     assert not outcomes[0].ok
     assert "differ from HT satisfaction of the rules" in outcomes[0].failure
+
+
+def test_ht_equality_reads_the_classical_half_at_the_upper_set(monkeypatch):
+    """A mutant of the law whose classical half reads x instead of y is
+    caught on the corpus."""
+    source = textwrap.dedent(inspect.getsource(laws._law_ht_equality))
+    assert source.count("classical[i.upper]") == 1
+    namespace = dict(vars(laws))
+    exec(source.replace("classical[i.upper]", "classical[i.lower]"), namespace)
+    monkeypatch.setitem(laws.LAWS, "ht-equality", namespace["_law_ht_equality"])
+    outcome = laws.run_laws(corpus.programs(), ["ht-equality"])[0]
+    assert not outcome.ok
+    assert "differ from HT satisfaction of the rules" in outcome.failure
 
 
 def test_suite_programs_deterministic():

@@ -2,7 +2,7 @@ import pytest
 
 from aftlab import corpus, operators as ops
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, InconsistentPairError, NdPair, aprec_leq, smyth_leq
+from aftlab.lattice import AftlabError, ApproxPair, InconsistentPairError, NdPair, UnknownAtomError, aprec_leq, smyth_leq
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, classify, parse
 from conftest import atoms, pair
@@ -124,9 +124,30 @@ def test_ultimate_examples(negation_vs_positive_loop, aggregate_cycle):
 def test_gz_examples(disjunctive_self_defeat, aggregate_cycle):
     rs = ApproxPair(atoms("r", "s"), atoms("r", "s"))
     assert ops.gz_ndao(aggregate_cycle, rs) == NdPair(DELTA2, DELTA2)
-    assert ops.gz_ndao(aggregate_cycle, pair("", "p")) == NdPair(family(()), family({"q", "r", "s"}))
+    assert ops.gz_ndao(aggregate_cycle, pair("", "q")) == NdPair(family(()), family({"q", "r", "s"}))
     for x in disjunctive_self_defeat.universe.subsets():
         assert ops.gz_ndao(disjunctive_self_defeat, ApproxPair(x, x)) == ops.ic_ndao(disjunctive_self_defeat, ApproxPair(x, x))
+
+
+def test_every_kind_refuses_an_atom_outside_the_universe(aggregate_cycle):
+    """p is not an atom of either program. Every operator refuses the pair,
+    `gz` too, although its value off the total pairs does not depend on the
+    pair's atoms, and `apply` keeps nothing. On `aggregate_cycle`, `ic` and
+    `dmt-det` refuse the program first."""
+    atomic = parse("q :- not r.\nr :- not q.\n")
+    off = pair("", "p")
+    for p, refusals in [
+        (atomic, dict.fromkeys(OperatorKind, UnknownAtomError)),
+        (aggregate_cycle, {**dict.fromkeys(OperatorKind, UnknownAtomError),
+                           OperatorKind.IC: ProgramClassError, OperatorKind.DMT_DET: ProgramClassError}),
+    ]:
+        for kind, error in refusals.items():
+            with pytest.raises(error):
+                ops.apply(kind, p, off)
+            assert (kind, off) not in p.compile().values, (p.text, kind)
+    for reference in (ops.dmt_ndao, ops.ultimate_ndao, ops.gz_ndao, ops.dmt_det):
+        with pytest.raises(UnknownAtomError):
+            reference(atomic, off)
 
 
 def test_ic_triv_examples(aggregate_cycle):
