@@ -51,17 +51,6 @@ def neg(v: Truth) -> Truth:
     return _BY_BITS[(~v.value & UPPER_BIT) << 1 | (~v.value & LOWER_BIT) >> 1]
 
 
-def truth_leq_t(a: Truth, b: Truth) -> bool:
-    """Truth order F < {C, U} < T: bitwise inclusion."""
-    return not a.value & ~b.value
-
-
-def truth_leq_i(a: Truth, b: Truth) -> bool:
-    """Information order U < {F, T} < C: inclusion on the lower bit, reverse
-    inclusion on the upper bit."""
-    return not (a.value & ~b.value & LOWER_BIT or b.value & ~a.value & UPPER_BIT)
-
-
 def glb_t(a: Truth, b: Truth) -> Truth:
     return _BY_BITS[a.value & b.value]
 

@@ -88,12 +88,16 @@ def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 
 
 def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+    """Each operator at a total pair (x, x) is ic(x), the hitting sets of the
+    heads fired at x, read from the compiled stores (`operators._base`,
+    `operators._hits`)."""
+    compiled, u = p.compile(), p.universe
     cases = 0
     for kind in _ndao_kinds(p):
-        for x in p.universe.subsets():
+        for x in u.subsets():
             cases += 1
             value = apply_fn(kind, p, ApproxPair(x, x))
-            expected = ops.ic(p, x)
+            expected = ops._hits(compiled, ops._base(p, compiled, u.mask(x))[0])
             if value.lower_set != expected or value.upper_set != expected:
                 return cases, f"{kind.value} not exact at {render.fmt_set(p.universe, x)}"
     return cases, None

@@ -84,11 +84,10 @@ def consistent_only(kind: OperatorKind) -> bool:
     return kind not in FOUR_VALUED
 
 
-def _base(p: Program, xm: int) -> tuple[frozenset[AtomSet], int]:
+def _base(p: Program, compiled: prog.Compiled, xm: int) -> tuple[frozenset[AtomSet], int]:
     """The base entry of the set with mask xm: the heads of the rules whose
     bodies hold there and the mask of their atoms, built by one pass over the
     rules on the first ask and then kept on the program's compiled form."""
-    compiled = p.compile()
     found = compiled.base.get(xm)
     if found is None:
         u, heads, atoms = p.universe, set(), 0
@@ -103,7 +102,7 @@ def _base(p: Program, xm: int) -> tuple[frozenset[AtomSet], int]:
 @cache
 def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
     """Heads of the rules whose bodies are true at the total interpretation x."""
-    return _base(p, p.universe.mask(x))[0]
+    return _base(p, p.compile(), p.universe.mask(x))[0]
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
@@ -128,11 +127,11 @@ def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
     return frozenset(out)
 
 
-def _hits(p: Program, heads: frozenset[AtomSet]) -> NdSet:
+def _hits(compiled: prog.Compiled, heads: frozenset[AtomSet]) -> NdSet:
     """`hitting_sets(heads)`, built on the first ask for the family and then
     kept on the program's compiled form: an operator's value depends on the
     pair only through its head family, and a program has few of them."""
-    kept = p.compile().families
+    kept = compiled.families
     found = kept.get(heads)
     if found is None:
         found = kept[heads] = hitting_sets(heads)
@@ -142,14 +141,14 @@ def _hits(p: Program, heads: frozenset[AtomSet]) -> NdSet:
 @cache
 def ic(p: Program, x: AtomSet) -> NdSet:
     """Immediate consequences of x: hitting sets of the activated heads."""
-    return _hits(p, hd(p, x))
+    return _hits(p.compile(), hd(p, x))
 
 
-def check_kind_applicable(kind: OperatorKind, p: Program) -> None:
+def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
     """Raise when the program falls outside the operator's class, read from
     its compiled classification: `ic` needs an aggregate-free program and
-    `dmt-det` atomic heads. Compiling decides the atom cap first."""
-    cls = p.compile().classification
+    `dmt-det` atomic heads. Compiling, the caller's, decided the atom cap."""
+    cls = compiled.classification
     if kind is OperatorKind.IC and cls.has_aggregates:
         raise ProgramClassError("the four-valued operator needs an aggregate-free program")
     if kind is OperatorKind.DMT_DET and not cls.atomic_heads:
@@ -161,7 +160,7 @@ def _require_consistent(i: ApproxPair) -> None:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
 
 
-def _four_heads(p: Program, i: ApproxPair) -> tuple[frozenset[AtomSet], frozenset[AtomSet]]:
+def _four_heads(p: Program, compiled: prog.Compiled, i: ApproxPair) -> tuple[frozenset[AtomSet], frozenset[AtomSet]]:
     """The heads of the rules whose body value at i = (x, y) has the lower
     bit (is >=_t C), and those whose value has the upper bit (is >=_t U), in
     one pass over the rules. The lower bit is the body's truth at x with
@@ -172,7 +171,7 @@ def _four_heads(p: Program, i: ApproxPair) -> tuple[frozenset[AtomSet], frozense
     u = p.universe
     xm, ym = u.mask(i.lower), u.mask(i.upper)
     lower, upper = set(), set()
-    for r in p.compile().rules:
+    for r in compiled.rules:
         if r.formula is not None:
             bits = four.eval_pair(u, i, r.formula).value
         else:
@@ -203,22 +202,24 @@ def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Four-valued approximating operator: lower heads need body value >=_t C,
     upper heads >=_t U. It is `ic_triv_ndao` on the aggregate-free programs
     it is defined on."""
-    check_kind_applicable(OperatorKind.IC, p)
-    return ic_triv_ndao(p, i)
+    compiled = p.compile()
+    check_kind_applicable(OperatorKind.IC, compiled)
+    return ic_triv_ndao(p, i, compiled)
 
 
-def ic_triv_ndao(p: Program, i: ApproxPair) -> NdPair:
+def ic_triv_ndao(p: Program, i: ApproxPair, compiled: prog.Compiled | None = None) -> NdPair:
     """Four-valued operator with each aggregate literal approximated trivially
     (`program.CompiledAggregate.trivial`); equal to `ic_ndao` on aggregate-free
     programs. Its total stable fixpoints are the reduct answer sets
     (`semantics.gz_answer_sets`); README "Aggregates and GZ answer sets"."""
-    lower, upper = _four_heads(p, i)
-    return NdPair(_hits(p, lower), _hits(p, upper))
+    compiled = compiled or p.compile()
+    lower, upper = _four_heads(p, compiled, i)
+    return NdPair(_hits(compiled, lower), _hits(compiled, upper))
 
 
 @cache
 def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
-    return p.universe.unmask(_base(p, p.universe.mask(z))[1])
+    return p.universe.unmask(_base(p, p.compile(), p.universe.mask(z))[1])
 
 
 # The operators read from the base entries of the sets of an interval
@@ -226,7 +227,7 @@ def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
 INTERVAL = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
 
 
-def _interval_value(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
+def _interval_value(kind: OperatorKind, p: Program, compiled: prog.Compiled, i: ApproxPair) -> NdPair:
     """An operator of `INTERVAL` at the pair i = (x, y), `dmt-det` lifted to
     singletons, read on masks: the pair's masks are resolved once, which
     refuses an atom outside the universe, and the sets z of [x, y] are
@@ -241,22 +242,22 @@ def _interval_value(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     - `dmt-det`: the AND and the OR of the entries' atom masks, the atoms
       derived everywhere and somewhere in [x, y], on atomic heads.
     """
-    check_kind_applicable(kind, p)
+    check_kind_applicable(kind, compiled)
     _require_consistent(i)
     u = p.universe
     xm, ym = u.mask(i.lower), u.mask(i.upper)
     if kind is OperatorKind.GZ and xm != ym:
         return NdPair(frozenset((u.unmask(0),)), frozenset((u.unmask((1 << len(u)) - 1),)))
-    base = p.compile().base
-    entries = [base.get(z) or _base(p, z) for z in [xm | s for s in submasks(ym & ~xm)]]
+    base = compiled.base
+    entries = [base.get(z) or _base(p, compiled, z) for z in [xm | s for s in submasks(ym & ~xm)]]
     if kind is OperatorKind.GZ:
-        consequences = _hits(p, entries[0][0])
+        consequences = _hits(compiled, entries[0][0])
         return NdPair(consequences, consequences)
     if kind is OperatorKind.DMT:
         heads = [h for h, _ in entries]
-        return NdPair(_hits(p, frozenset.intersection(*heads)), _hits(p, frozenset().union(*heads)))
+        return NdPair(_hits(compiled, frozenset.intersection(*heads)), _hits(compiled, frozenset().union(*heads)))
     if kind is OperatorKind.ULTIMATE:
-        hits = [_hits(p, h) for h in {h for h, _ in entries}]
+        hits = [_hits(compiled, h) for h in {h for h, _ in entries}]
         gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
         return NdPair(gathered, gathered)
     lower, upper = (1 << len(u)) - 1, 0
@@ -269,7 +270,7 @@ def _interval_value(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
 def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
     """Deterministic interval operator: intersection / union of derivable
     atoms over [x, y]. Needs atomic heads and a consistent pair."""
-    (lower,), (upper,) = _interval_value(OperatorKind.DMT_DET, p, i)
+    (lower,), (upper,) = _interval_value(OperatorKind.DMT_DET, p, p.compile(), i)
     return ApproxPair(lower, upper)
 
 
@@ -277,14 +278,14 @@ def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
 def dmt_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Interval operator at head level: heads activated everywhere in [x, y]
     below, somewhere in [x, y] above, then hitting sets on each side."""
-    return _interval_value(OperatorKind.DMT, p, i)
+    return _interval_value(OperatorKind.DMT, p, p.compile(), i)
 
 
 @cache
 def ultimate_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Most precise approximating operator: union of the base operator over
     the interval, on both sides."""
-    return _interval_value(OperatorKind.ULTIMATE, p, i)
+    return _interval_value(OperatorKind.ULTIMATE, p, p.compile(), i)
 
 
 @cache
@@ -292,7 +293,7 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Trivial operator: exact on total pairs, least precise elsewhere. Its
     total stable fixpoints are not the reduct answer sets; those of
     `ic_triv_ndao` are (README "Known defect")."""
-    return _interval_value(OperatorKind.GZ, p, i)
+    return _interval_value(OperatorKind.GZ, p, p.compile(), i)
 
 
 class PairPlanes:
@@ -502,9 +503,10 @@ def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
     that asks (`interval_tables`) and then kept on its compiled form. `ic`
     reads the planes of `ic-triv` and `dmt-det` those of `dmt`, the same
     objects, on a program of the operator's class (`check_kind_applicable`)."""
-    check_kind_applicable(kind, p)
+    compiled = p.compile()
+    check_kind_applicable(kind, compiled)
     kind = _SHARED_PLANES.get(kind, kind)
-    kept = p.compile().pair_planes
+    kept = compiled.pair_planes
     planes = kept.get(kind)
     if planes is None:
         planes = kept[kind] = interval_tables(kind, p)
@@ -571,16 +573,17 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     is read from the program's dict, and the key hashes in C. A value not
     kept is read on masks, `ic_triv_ndao` for the four-valued operators and
     `_interval_value` for the others, probing none of the memos."""
-    values = (p.__dict__.get("_compiled") or p.compile()).values
+    compiled = p.__dict__.get("_compiled") or p.compile()
+    values = compiled.values
     found = values.get((kind, i))
     if found is not None:
         return found
-    if kind is OperatorKind.IC:
-        found = ic_ndao(p, i)
-    elif kind is OperatorKind.IC_TRIV:
-        found = ic_triv_ndao(p, i)
+    if kind in FOUR_VALUED:
+        if kind is OperatorKind.IC:
+            check_kind_applicable(kind, compiled)
+        found = ic_triv_ndao(p, i, compiled)
     elif kind in INTERVAL:
-        found = _interval_value(kind, p, i)
+        found = _interval_value(kind, p, compiled, i)
     else:
         raise AftlabError(f"unknown operator kind {kind!r}")
     values[kind, i] = found

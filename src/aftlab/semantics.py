@@ -90,7 +90,7 @@ def _complete_values(
             lambda ym: [xm for xm in submasks(ym) if lower >> number(xm, ym) & 1],
             lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
         )
-    ops.check_kind_applicable(kind, p)
+    ops.check_kind_applicable(kind, p.compile())
     return ops.stable_rows(p)
 
 
@@ -353,7 +353,6 @@ SEMANTICS: dict[str, tuple[str, Callable[[Program, OperatorKind | None], Iterabl
 }
 
 SEMANTICS_NAMES = tuple(SEMANTICS)
-OPERATOR_BASED = tuple(name for name, (takes, _) in SEMANTICS.items() if takes == ANY_OPERATOR)
 
 
 @record

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from aftlab import corpus
-from aftlab.lattice import ApproxPair
+from aftlab import corpus, semantics as sem
+from aftlab.lattice import AftlabError, ApproxPair
+from aftlab.operators import OperatorKind
+
+# Every semantics under each operator it takes, None for none.
+TAKES = {sem.ANY_OPERATOR: list(OperatorKind), sem.DETERMINISTIC_OPERATOR: [OperatorKind.DMT_DET],
+         sem.NO_OPERATOR: [None]}
+SEMANTICS_CELLS = [(name, kind) for name, (takes, _) in sem.SEMANTICS.items() for kind in TAKES[takes]]
 
 
 def atoms(*names: str) -> frozenset[str]:
@@ -17,36 +23,20 @@ def pair(lower: str = "", upper: str = "") -> ApproxPair:
     return ApproxPair(side(lower), side(upper))
 
 
-@pytest.fixture(scope="session")
-def disjunctive_self_defeat():
-    return corpus.load("disjunctive_self_defeat")
+def family(*sets) -> frozenset[frozenset[str]]:
+    return frozenset(frozenset(s) for s in sets)
 
 
-@pytest.fixture(scope="session")
-def negation_vs_positive_loop():
-    return corpus.load("negation_vs_positive_loop")
+def value_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except AftlabError as e:
+        return type(e)
 
 
-@pytest.fixture(scope="session")
-def negation_loop_disjunction():
-    return corpus.load("negation_loop_disjunction")
-
-
-@pytest.fixture(scope="session")
-def aggregate_cycle():
-    return corpus.load("aggregate_cycle")
-
-
-@pytest.fixture(scope="session")
-def no_total_stable_program():
-    return corpus.load("no_total_stable")
-
-
-@pytest.fixture(scope="session")
-def sum_chain_program():
-    return corpus.load("sum_chain")
-
-
-@pytest.fixture(scope="session")
-def sum_split_program():
-    return corpus.load("sum_split")
+# The corpus programs the tests take as session fixtures, by fixture name.
+CORPUS_FIXTURES = {name: name for name in ("disjunctive_self_defeat", "negation_vs_positive_loop",
+                                           "negation_loop_disjunction", "aggregate_cycle")}
+CORPUS_FIXTURES.update({f"{name}_program": name for name in ("no_total_stable", "sum_chain", "sum_split")})
+for _fixture, _name in CORPUS_FIXTURES.items():
+    globals()[_fixture] = pytest.fixture(scope="session", name=_fixture)(lambda _name=_name: corpus.load(_name))

@@ -22,7 +22,7 @@ from pathlib import Path
 from aftlab import cli, corpus
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.operators import OperatorKind
-from aftlab.semantics import OPERATOR_BASED, SEMANTICS_NAMES
+from aftlab.semantics import ANY_OPERATOR, SEMANTICS
 
 GOLDEN_DIR = Path(__file__).parent
 SEEDS = range(50)
@@ -51,8 +51,8 @@ def combinations() -> list[list[str]]:
     """CLI argument tails: every semantics, each operator-based one under
     every operator."""
     out = []
-    for name in SEMANTICS_NAMES:
-        if name in OPERATOR_BASED:
+    for name, (takes, _) in SEMANTICS.items():
+        if takes == ANY_OPERATOR:
             out.extend(["--semantics", name, "--operator", kind.value] for kind in OperatorKind)
         else:
             out.append(["--semantics", name])

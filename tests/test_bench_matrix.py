@@ -9,16 +9,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-from aftlab import semantics as sem
-from aftlab.operators import OperatorKind
+from conftest import SEMANTICS_CELLS
 
 BENCH_MATRIX = Path(__file__).resolve().parents[1] / "tools" / "bench_matrix.py"
-
-TAKES = {
-    sem.ANY_OPERATOR: [kind.value for kind in OperatorKind],
-    sem.DETERMINISTIC_OPERATOR: [OperatorKind.DMT_DET.value],
-    sem.NO_OPERATOR: [None],
-}
 
 
 def load_matrix():
@@ -30,7 +23,7 @@ def load_matrix():
 
 def test_the_matrix_has_each_semantics_with_each_operator_it_takes():
     matrix = load_matrix()
-    expected = [(name, op) for name, (takes, _) in sem.SEMANTICS.items() for op in TAKES[takes]]
+    expected = [(name, kind and kind.value) for name, kind in SEMANTICS_CELLS]
     assert sorted(matrix.ROWS, key=str) == sorted(expected, key=str)
 
 

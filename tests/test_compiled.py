@@ -1,8 +1,9 @@
 """Differential tests: the compiled rule bodies (two bitmasks plus aggregate
 literals read on condition masks), their bit planes over the consistent
 pairs and their rows over the sets of one side with the other fixed, the
-integer hitting-set enumeration, the member rows and the kept program hash,
-against direct readings of the program kept here as references."""
+integer hitting-set enumeration, the reference operators, the member rows
+and the kept program hash, against the readings and definitions of the
+referee (`tests/reference.py`)."""
 
 from __future__ import annotations
 
@@ -12,24 +13,13 @@ import sys
 
 import pytest
 
+import reference as ref
 from aftlab import cli, corpus, four, laws, operators as ops, program as prog, semantics as sem
 from aftlab.four import Truth
-from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, InconsistentPairError, NdPair, digit_planes
-from aftlab.program import (
-    CompiledAggregate,
-    Conj,
-    GeneralFormula,
-    NegatedAgg,
-    NegatedAtom,
-    PositiveAgg,
-    PositiveAtom,
-    ProgramClassError,
-    Rule,
-    eval_aggregate,
-    eval_body,
-    parse,
-)
+from aftlab.program import CompiledAggregate, Conj, GeneralFormula, NegatedAgg, NegatedAtom, PositiveAgg, PositiveAtom
+from aftlab.program import ProgramClassError, Rule, eval_body, parse
+from conftest import value_or_refusal
 
 FORMULA_PROGRAMS = (
     "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n",
@@ -39,59 +29,11 @@ FORMULA_PROGRAMS = (
 
 
 def seeded_aggregate_programs():
-    for seed in range(24):
-        yield generate_program(
-            GeneratorConfig(atoms=2 + seed % 3, rules=3, aggregate_probability=0.6, seed=seed)
-        )
+    return ref.seeded(range(24), atoms=lambda s: 2 + s % 3, rules=3, aggregate_probability=0.6)
 
 
 def programs():
     return [*seeded_aggregate_programs(), *(parse(text) for text in FORMULA_PROGRAMS)]
-
-
-def all_pairs(p):
-    subsets = list(p.universe.subsets())
-    return [ApproxPair(x, y) for x in subsets for y in subsets]
-
-
-def literal_reading(x, lit) -> bool:
-    """Two-valued truth of a body literal at the set x; an undefined
-    aggregate makes it false either way round."""
-    if isinstance(lit, PositiveAtom):
-        return lit.name in x
-    if isinstance(lit, NegatedAtom):
-        return lit.name not in x
-    truth, defined = eval_aggregate(x, lit.agg)
-    return defined and (truth is Truth.T) == isinstance(lit, PositiveAgg)
-
-
-def trivial_aggregate_value(i: ApproxPair, lit) -> Truth:
-    """The trivial approximation of an aggregate literal at i = (x, y), on
-    sets: exact where every entry condition has the same truth at x and at y,
-    else its lower reading holds iff some condition holds at x only and its
-    upper reading iff some condition holds at y only."""
-    at = [(set(e.condition) <= i.lower, set(e.condition) <= i.upper) for e in lit.agg.term.entries]
-    below = any(at_x and not at_y for at_x, at_y in at)
-    above = any(at_y and not at_x for at_x, at_y in at)
-    if below or above:
-        return Truth(below << 1 | above)
-    return Truth.T if literal_reading(i.lower, lit) else Truth.F
-
-
-def formula_reading(rule: Rule, i: ApproxPair) -> four.Formula:
-    """The body as a formula, each aggregate literal replaced by the constant
-    of its trivial approximation at i."""
-    if isinstance(rule.body, GeneralFormula):
-        return rule.body.formula
-    parts = []
-    for lit in rule.body.items:
-        if isinstance(lit, PositiveAtom):
-            parts.append(four.Atom(lit.name))
-        elif isinstance(lit, NegatedAtom):
-            parts.append(four.Not(four.Atom(lit.name)))
-        else:
-            parts.append(four.Const(trivial_aggregate_value(i, lit)))
-    return four.conj(parts)
 
 
 def test_programs_cover_aggregates_and_formula_bodies():
@@ -101,18 +43,9 @@ def test_programs_cover_aggregates_and_formula_bodies():
                for b in bodies) >= 10
 
 
-def heads_at_least(p, i: ApproxPair, threshold: Truth) -> frozenset:
-    """Heads of the rules whose formula reading at i is >=_t threshold."""
-    return frozenset(
-        r.head_set()
-        for r in p.rules
-        if four.truth_leq_t(threshold, four.eval_pair(p.universe, i, formula_reading(r, i)))
-    )
-
-
 def body_bits(p, i: ApproxPair) -> list[int]:
     """The two bits of each rule's formula reading at i, in rule order."""
-    return [four.eval_pair(p.universe, i, formula_reading(r, i)).value for r in p.rules]
+    return [four.eval_pair(p.universe, i, ref.formula_reading(r, i)).value for r in p.rules]
 
 
 def heads_with(p, bits: list[int], bit: int) -> frozenset:
@@ -144,7 +77,7 @@ def test_body_planes_equal_the_two_bit_reading():
         for xm, ym in u.consistent_masks():
             k = digits.number(xm, ym)
             bits = body_bits(p, u.pair(xm, ym))
-            heads = ops._four_heads(p, u.pair(xm, ym))
+            heads = ops._four_heads(p, p.compile(), u.pair(xm, ym))
             for side, bit in enumerate((four.LOWER_BIT, four.UPPER_BIT)):
                 fired = [bool(b & bit) for b in bits]
                 assert [plane[side] >> k & 1 for plane in planes] == fired, (p.text, xm, ym)
@@ -160,19 +93,19 @@ def test_body_planes_equal_the_two_bit_reading():
                 bits = body_bits(p, u.pair(m, fixed))
                 fired = [bool(b & four.LOWER_BIT) for b in bits]
                 assert [row >> m & 1 for row in lower_rows] == fired, (p.text, m, fixed)
-                assert ops._four_heads(p, u.pair(m, fixed))[0] == heads_with(p, bits, four.LOWER_BIT)
+                assert ops._four_heads(p, p.compile(), u.pair(m, fixed))[0] == heads_with(p, bits, four.LOWER_BIT)
                 bits = body_bits(p, u.pair(fixed, m))
                 fired = [bool(b & four.UPPER_BIT) for b in bits]
                 assert [row >> m & 1 for row in upper_rows] == fired, (p.text, fixed, m)
-                assert ops._four_heads(p, u.pair(fixed, m))[1] == heads_with(p, bits, four.UPPER_BIT)
+                assert ops._four_heads(p, p.compile(), u.pair(fixed, m))[1] == heads_with(p, bits, four.UPPER_BIT)
 
 
 @pytest.mark.parametrize("threshold", [Truth.C, Truth.U])
 def test_two_bit_head_selection_equals_the_formula_reading(threshold):
     side = 0 if threshold is Truth.C else 1
     for p in programs():
-        for i in all_pairs(p):
-            assert ops._four_heads(p, i)[side] == heads_at_least(p, i, threshold), (p.text, i)
+        for i in ref.all_pairs(p.universe):
+            assert ops._four_heads(p, p.compile(), i)[side] == ref.heads_at_least(p, i, threshold), (p.text, i)
 
 
 def test_hd_equals_the_eval_body_filter_and_the_literal_reading():
@@ -182,7 +115,7 @@ def test_hd_equals_the_eval_body_filter_and_the_literal_reading():
             assert ops.hd(p, x) == frozenset(r.head_set() for r in p.rules if eval_body(u, x, r))
             for r in p.rules:
                 if isinstance(r.body, Conj):
-                    expected = all(literal_reading(x, lit) for lit in r.body.items)
+                    expected = all(ref.literal_reading(x, lit) for lit in r.body.items)
                 else:
                     expected = four.eval_two(u, x, r.body.formula) is Truth.T
                 assert eval_body(u, x, r) == expected, (p.text, r, x)
@@ -203,11 +136,11 @@ def test_compiled_aggregates_equal_the_set_reading():
         compiled = CompiledAggregate(u, lit)
         for xm in range(1 << len(u)):
             x = u.unmask(xm)
-            assert compiled.holds(xm) == literal_reading(x, lit), (lit, x)
+            assert compiled.holds(xm) == ref.literal_reading(x, lit), (lit, x)
             # Every pair, the inconsistent ones too: ic-triv is total.
             for ym in range(1 << len(u)):
                 i = ApproxPair(x, u.unmask(ym))
-                assert Truth(compiled.trivial(xm, ym)) is trivial_aggregate_value(i, lit), (lit, i)
+                assert Truth(compiled.trivial(xm, ym)) is ref.trivial_aggregate_value(i, lit), (lit, i)
 
 
 def test_sweeps_build_no_sets_to_read_a_body(monkeypatch):
@@ -235,12 +168,6 @@ def test_sweeps_build_no_sets_to_read_a_body(monkeypatch):
     assert len(unmask_calls) == 2 * len(models)
 
 
-def brute_force_hitting_sets(heads):
-    union = sorted(frozenset().union(*heads))
-    candidates = [frozenset(a for k, a in enumerate(union) if m >> k & 1) for m in range(1 << len(union))]
-    return frozenset(c for c in candidates if all(c & delta for delta in heads))
-
-
 def test_hitting_sets_equal_brute_force():
     rng = random.Random(7)
     pool = "pqrsab"
@@ -250,7 +177,7 @@ def test_hitting_sets_equal_brute_force():
             frozenset(rng.sample(pool, rng.randint(1, 3))) for _ in range(rng.randint(1, 4))
         ))
     for heads in families:
-        assert ops.hitting_sets(heads) == brute_force_hitting_sets(heads)
+        assert ops.hitting_sets(heads) == ref.hitting_sets(heads)
     assert ops.hitting_sets(frozenset()) == frozenset((frozenset(),))
     with pytest.raises(AftlabError):
         ops.hitting_sets(frozenset((frozenset("p"), frozenset())))
@@ -259,26 +186,9 @@ def test_hitting_sets_equal_brute_force():
 def reference_programs():
     """The corpus, seeded programs of 1 to 4 atoms with and without
     aggregates, and a program with general formula bodies."""
-    seeded = [
-        generate_program(GeneratorConfig(atoms=n, rules=n + 1, aggregate_probability=aggregates, seed=10 * n + k))
-        for n in range(1, 5)
-        for aggregates in (0.0, 0.5)
-        for k in range(3)
-    ]
+    seeded = [p for n in range(1, 5) for aggregates in (0.0, 0.5)
+              for p in ref.seeded(range(10 * n, 10 * n + 3), atoms=n, rules=n + 1, aggregate_probability=aggregates)]
     return [*corpus.programs(), *seeded, parse(FORMULA_PROGRAMS[0])]
-
-
-def meet(sets):
-    return frozenset.intersection(*sets)
-
-
-def join(sets):
-    return frozenset().union(*sets)
-
-
-def lifted_dmt_det(p, i):
-    pair = ops.dmt_det(p, i)
-    return NdPair(frozenset((pair.lower,)), frozenset((pair.upper,)))
 
 
 # The public function of each operator `apply` reads on an interval.
@@ -286,80 +196,41 @@ INTERVAL_REFERENCES = {
     ops.OperatorKind.DMT: ops.dmt_ndao,
     ops.OperatorKind.ULTIMATE: ops.ultimate_ndao,
     ops.OperatorKind.GZ: ops.gz_ndao,
-    ops.OperatorKind.DMT_DET: lifted_dmt_det,
+    ops.OperatorKind.DMT_DET: lambda p, i: NdPair(*({side} for side in ops.dmt_det(p, i))),
 }
 
 
-def value_or_refusal(fn, *args):
-    try:
-        return fn(*args)
-    except AftlabError as e:
-        return type(e)
-
-
 def test_reference_operators_equal_their_definitions():
-    """`ops.apply` for every operator at every consistent pair, and for `ic`
-    and `ic-triv` at every pair, against the definitions on frozensets: `hd`
-    the heads of the bodies `eval_body` makes true, `ic` their hitting sets,
-    `dmt` the hitting sets of the meet and the join of `hd` over the
-    interval, `ultimate` the union of `ic` over it, `gz` `ic` on a total pair
-    and ({∅}, {A}) elsewhere, `dmt-det` the meet and the join of the fired
-    heads' atoms over the interval, and the four-valued operators the hitting
-    sets of the heads whose body reading has the lower bit and the upper bit
-    (`four.eval_pair`). Also `hd`, `ic` and `_fired_atoms` at every set. The
-    public functions of `dmt`, `ultimate`, `gz` and `dmt-det` (lifted) give
-    what `apply` gives at every pair, and refuse the same pairs with the
-    same error: an inconsistent pair, or any pair of `dmt-det` on a program
-    with a disjunctive head."""
+    """`ops.apply` for every operator at every pair, and `hd`, `ic` and
+    `_fired_atoms` at every set, give the referee's value or refusal, and so
+    do the public functions of `dmt`, `ultimate`, `gz` and `dmt-det`
+    (lifted). A program outside the operator's class is refused at every
+    pair, and an inconsistent pair by all but the four-valued operators."""
     OK = ops.OperatorKind
     tested = reference_programs()
     assert any(p.compile().classification.has_aggregates for p in tested)
     assert any(p.compile().classification.shape == prog.SHAPE_GENERAL for p in tested)
     for p in tested:
         u, cls = p.universe, p.compile().classification
-        hd = {x: frozenset(r.head_set() for r in p.rules if eval_body(u, x, r)) for x in u.subsets()}
-        ic = {x: brute_force_hitting_sets(heads) for x, heads in hd.items()}
-        fired = {x: join(heads) for x, heads in hd.items()}
         for x in u.subsets():
-            assert (ops.hd(p, x), ops.ic(p, x), ops._fired_atoms(p, x)) == (hd[x], ic[x], fired[x]), (p.text, x)
-        four_valued = [OK.IC_TRIV] if cls.has_aggregates else [OK.IC_TRIV, OK.IC]
-        for i in all_pairs(p):
-            lower, upper = (brute_force_hitting_sets(heads_at_least(p, i, t)) for t in (Truth.C, Truth.U))
-            for kind in four_valued:
-                assert ops.apply(kind, p, i) == NdPair(lower, upper), (p.text, kind, i)
-        for i in u.consistent_pairs():
-            interval = list(u.interval(i.lower, i.upper))
-            everywhere, somewhere = meet([hd[z] for z in interval]), join([hd[z] for z in interval])
-            gathered = join([ic[z] for z in interval])
-            expected = {
-                OK.DMT: NdPair(brute_force_hitting_sets(everywhere), brute_force_hitting_sets(somewhere)),
-                OK.ULTIMATE: NdPair(gathered, gathered),
-                OK.GZ: NdPair(ic[i.lower], ic[i.lower]) if i.is_total else NdPair({frozenset()}, {u.full()}),
-            }
-            if cls.atomic_heads:
-                atoms = [fired[z] for z in interval]
-                expected[OK.DMT_DET] = NdPair({meet(atoms)}, {join(atoms)})
-            for kind, value in expected.items():
-                assert ops.apply(kind, p, i) == INTERVAL_REFERENCES[kind](p, i) == value, (p.text, kind, i)
-        for i in all_pairs(p):
-            for kind, reference in INTERVAL_REFERENCES.items():
+            assert (ops.hd(p, x), ops.ic(p, x), ops._fired_atoms(p, x)) == (
+                ref.hd(p, x), ref.ic(p, x), ref.fired_atoms(p, x)), (p.text, x)
+        for i in ref.all_pairs(p.universe):
+            for kind in OK:
                 found = value_or_refusal(ops.apply, kind, p, i)
-                assert found == value_or_refusal(reference, p, i), (p.text, kind, i)
-                if kind is OK.DMT_DET and not cls.atomic_heads:
-                    assert found is ProgramClassError, (p.text, i)
-                elif not i.is_consistent:
+                assert found == value_or_refusal(ref.operator_value, kind, p, i), (p.text, kind, i)
+                if kind in INTERVAL_REFERENCES:
+                    assert found == value_or_refusal(INTERVAL_REFERENCES[kind], p, i), (p.text, kind, i)
+                if kind is OK.IC and cls.has_aggregates or kind is OK.DMT_DET and not cls.atomic_heads:
+                    assert found is ProgramClassError, (p.text, kind, i)
+                elif not i.is_consistent and kind not in ops.FOUR_VALUED:
                     assert found is InconsistentPairError, (p.text, kind, i)
-        refused = ([OK.IC] if cls.has_aggregates else []) + ([] if cls.atomic_heads else [OK.DMT_DET])
-        for kind in refused:
-            with pytest.raises(ProgramClassError):
-                ops.apply(kind, p, ApproxPair(frozenset(), u.full()))
 
 
 def membership_programs():
-    for seed in range(32):
-        cfg = GeneratorConfig(atoms=1 + seed % 4, rules=1 + seed % 3, aggregate_probability=0.6 * (seed % 2), seed=seed)
-        yield generate_program(cfg)
-    yield from (parse(text) for text in FORMULA_PROGRAMS)
+    seeded = ref.seeded(range(32), atoms=lambda s: 1 + s % 4, rules=lambda s: 1 + s % 3,
+                        aggregate_probability=lambda s: 0.6 * (s % 2))
+    return [*seeded, *(parse(text) for text in FORMULA_PROGRAMS)]
 
 
 def test_membership_tests_equal_the_materialised_families():
@@ -370,10 +241,10 @@ def test_membership_tests_equal_the_materialised_families():
         u = p.universe
         lower_rows = [ops.member_row(p, m) for m in range(1 << len(u))]
         upper_rows = [ops.member_row(p, m, upper=True) for m in range(1 << len(u))]
-        for i in all_pairs(p):
+        for i in ref.all_pairs(p.universe):
             xm, ym = u.pair_key(i)
-            lower = ops.hitting_sets(heads_at_least(p, i, Truth.C))
-            upper = ops.hitting_sets(heads_at_least(p, i, Truth.U))
+            lower = ops.hitting_sets(ref.heads_at_least(p, i, Truth.C))
+            upper = ops.hitting_sets(ref.heads_at_least(p, i, Truth.U))
             assert lower_rows[ym] >> xm & 1 == (i.lower in lower), (p.text, i)
             assert upper_rows[xm] >> ym & 1 == (i.upper in upper), (p.text, i)
 
@@ -451,13 +322,10 @@ def apply_values(p, visits):
 
 
 def test_kept_families_give_the_values_of_a_fresh_parse_visited_in_reverse():
-    seeded = [
-        generate_program(GeneratorConfig(atoms=1 + seed % 3, rules=3, aggregate_probability=0.5 * (seed % 2), seed=seed))
-        for seed in range(16)
-    ]
+    seeded = ref.seeded(range(16), atoms=lambda s: 1 + s % 3, rules=3, aggregate_probability=lambda s: 0.5 * (s % 2))
     for p in [*corpus.programs(), *seeded]:
         clear_memos()
-        visits = [(kind, i) for kind in ops.OperatorKind for i in all_pairs(p)]
+        visits = [(kind, i) for kind in ops.OperatorKind for i in ref.all_pairs(p.universe)]
         first = apply_values(p, visits)
         assert any(not isinstance(v, type) for v in first.values()), p.text
         clear_memos()

@@ -1,56 +1,29 @@
-"""Differential tests: the sweeps of every operator, which read bit planes
-kept per program and distinct set of planes, and the complete stable values
-of the four-valued ones (`ic`, `ic-triv`), which read rows over the sets of
-one side with the other side fixed, kept per program, side and key, against
-definitional sweeps kept here that read the operators' families through
-`operators.apply`; the deterministic stable pairs against least-fixpoint
-loops over the atoms derived everywhere and somewhere in an interval
-(`det_lower`, `det_upper`, kept here); and Kripke-Kleene
-against the iteration of `operators.dmt_det`. `dmt-det` reads the planes of
-`dmt`, so `dmt` is checked to be `dmt-det` lifted to singletons wherever the
-heads are atomic."""
+"""The bit planes of every operator, kept per program and set of planes, and
+the rows of the complete stable values of `ic` and `ic-triv`, kept per
+program, side and key: what each is built from, how often, and what they
+share (`dmt-det` reads the planes of `dmt`). `tests/test_referee.py` holds
+their answers against the definitions."""
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
 import pytest
 
-from aftlab import corpus, four, operators as ops, semantics as sem
-from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, digit_planes, leq_i, smyth_leq
+import reference as ref
+from aftlab import four, operators as ops, semantics as sem
+from aftlab.lattice import ApproxPair, AtomUniverse, digit_planes
 from aftlab.operators import OperatorKind
-from aftlab.program import GeneralFormula, NegatedAgg, NegatedAtom, PositiveAgg, ProgramClassError, make_program, parse
+from aftlab.program import GeneralFormula, NegatedAgg, NegatedAtom, PositiveAgg, make_program, parse
 
 INTERVAL_KINDS = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
 FOUR_VALUED_KINDS = (OperatorKind.IC, OperatorKind.IC_TRIV)
-GENERAL_BODY = "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n"
-
-
-def seeded_programs():
-    """n = 1..5, alternately atomic and disjunctive heads, without aggregates,
-    with positive aggregates and with negated ones as well."""
-    for seed in range(45):
-        yield generate_program(
-            GeneratorConfig(
-                atoms=1 + seed % 5,
-                rules=1 + seed % 4,
-                negation_probability=0.4,
-                aggregate_probability=(0.0, 0.5, 0.7)[seed % 3],
-                disjunction_width=1 + seed // 5 % 2,
-                seed=seed,
-            )
-        )
-
-
-PROGRAMS = [*seeded_programs(), *corpus.programs(), parse(GENERAL_BODY)]
 
 
 def cases():
-    for p in PROGRAMS:
+    for p in ref.PROGRAMS:
         for kind in (*INTERVAL_KINDS, *FOUR_VALUED_KINDS):
             if kind is OperatorKind.DMT_DET and any(len(r.head) > 1 for r in p.rules):
                 continue
@@ -59,39 +32,12 @@ def cases():
             yield p, kind
 
 
-def consistent_pairs(p):
-    subsets = list(p.universe.subsets())
-    return [ApproxPair(x, y) for x in subsets for y in subsets if x <= y]
-
-
-def minimal(sets):
-    return {s for s in sets if not any(t < s for t in sets)}
-
-
-def in_domain(kind, x, y):
-    """The four-valued operators are total; the others are read only on
-    consistent pairs."""
-    return kind in FOUR_VALUED_KINDS or x <= y
-
-
-def ref_lower_stable(kind, p, y):
-    return minimal({
-        x for x in p.universe.subsets() if in_domain(kind, x, y) and x in ops.apply(kind, p, ApproxPair(x, y)).lower_set
-    })
-
-
-def ref_upper_stable(kind, p, x):
-    return minimal({
-        y for y in p.universe.subsets() if in_domain(kind, x, y) and y in ops.apply(kind, p, ApproxPair(x, y)).upper_set
-    })
-
-
 def test_programs_cover_every_class():
-    heads = {len(r.head) > 1 for p in PROGRAMS for r in p.rules}
-    literals = {type(lit).__name__ for p in PROGRAMS for r in p.rules for lit in getattr(r.body, "items", ())}
+    heads = {len(r.head) > 1 for p in ref.PROGRAMS for r in p.rules}
+    literals = {type(lit).__name__ for p in ref.PROGRAMS for r in p.rules for lit in getattr(r.body, "items", ())}
     assert heads == {False, True}
     assert {"PositiveAgg", "NegatedAgg", "PositiveAtom", "NegatedAtom"} <= literals
-    assert {len(p.universe) for p in PROGRAMS} >= {1, 2, 3, 4, 5}
+    assert {len(p.universe) for p in ref.PROGRAMS} >= {1, 2, 3, 4, 5}
     assert sum(kind is OperatorKind.DMT_DET for _, kind in cases()) >= 10
     # Both paths of the four-valued complete stable values: rule tables on
     # plain programs and fired heads on the others.
@@ -101,7 +47,7 @@ def test_programs_cover_every_class():
     # fold must run per head rather than per rule.
     assert any(
         first.holds(p.universe, z) != second.holds(p.universe, z)
-        for p in PROGRAMS
+        for p in ref.PROGRAMS
         for first, second in combinations(p.compile().rules, 2)
         if first.head_mask == second.head_mask
         for z in range(1 << len(p.universe))
@@ -128,146 +74,15 @@ def test_interval_folds_are_the_and_and_or_over_each_interval(values):
         assert folds == (reduce(and_, inside), reduce(or_, inside))
 
 
-def test_fixpoints_equal_the_definition():
-    for p, kind in cases():
-        expected = [
-            i for i in consistent_pairs(p)
-            if i.lower in (v := ops.apply(kind, p, i)).lower_set and i.upper in v.upper_set
-        ]
-        assert sorted(sem.fixpoints(kind, p), key=p.universe.pair_key) == sorted(expected, key=p.universe.pair_key)
-
-
-def test_complete_stable_values_and_stable_fixpoints_equal_the_definition():
-    for p, kind in cases():
-        subsets = list(p.universe.subsets())
-        lower = {y: ref_lower_stable(kind, p, y) for y in subsets}
-        upper = {x: ref_upper_stable(kind, p, x) for x in subsets}
-        for s in subsets:
-            assert sem.complete_lower_stable(kind, p, s) == lower[s]
-            assert sem.complete_upper_stable(kind, p, s) == upper[s]
-        expected = [i for i in consistent_pairs(p) if i.lower in lower[i.upper] and i.upper in upper[i.lower]]
-        key = p.universe.pair_key
-        assert sem.stable_fixpoints(kind, p) == sorted(expected, key=key)
-
-
-def test_ht_pairs_equal_the_definition():
-    for p, kind in cases():
-        expected = [
-            i for i in consistent_pairs(p)
-            if smyth_leq(ops.ic(p, i.upper), frozenset((i.upper,)))
-            and smyth_leq(ops.apply(kind, p, i).lower_set, frozenset((i.lower,)))
-        ]
-        key = p.universe.pair_key
-        assert sorted(sem.ht_pairs(kind, p), key=key) == sorted(expected, key=key)
-
-
-def fired_atoms(p, z):
-    return frozenset().union(*ops.hd(p, z))
-
-
-def det_lower(p, w, y):
-    """Atoms derived at every set of [w, y]; the empty interval (w not below
-    y) gives the full universe, which keeps the map monotone."""
-    if not w <= y:
-        return p.universe.full()
-    return frozenset.intersection(*[fired_atoms(p, z) for z in p.universe.interval(w, y)])
-
-
-def det_upper(p, x, z):
-    """Atoms derived at some set of [x, z], for x <= z."""
-    return frozenset().union(*[fired_atoms(p, w) for w in p.universe.interval(x, z)])
-
-
-def ref_least_lower(p, y):
-    """The least fixpoint of w -> det_lower(w, y), reached by iteration from
-    the empty set."""
-    w = frozenset()
-    while (nxt := det_lower(p, w, y)) != w:
-        w = nxt
-    return w
-
-
-def ref_det_stable(p):
-    """Pairs (x, y) with x the least fixpoint of w -> det_lower(w, y) and y
-    the least of the fixpoints of z -> det_upper(x, z) over the supersets of
-    x."""
-    out = []
-    for i in consistent_pairs(p):
-        fixed = [z for z in p.universe.subsets() if i.lower <= z and det_upper(p, i.lower, z) == z]
-        least = [z for z in fixed if all(z <= other for other in fixed)]
-        if ref_least_lower(p, i.upper) == i.lower and least == [i.upper]:
-            out.append(i)
-    return sorted(out, key=p.universe.pair_key)
-
-
-def characteristic_program(atoms, table):
-    """The program with a rule h :- body(z) for each atom h of table[z], where
-    body(z) holds exactly at z; its fired atoms at the set z are table[z]."""
-    rules = []
-    for z, fired in enumerate(table):
-        body = ", ".join(a if z >> i & 1 else f"not {a}" for i, a in enumerate(atoms))
-        rules += [f"{h} :- {body}." for i, h in enumerate(atoms) if fired >> i & 1]
-    return make_program(parse("\n".join(rules)).rules, AtomUniverse.of(atoms))
-
-
-def fired_atom_tables():
-    """Every fired-atom table over 2 atoms, a seeded sample over 3 atoms, and a
-    program whose upper map at x = {a} has two minimal fixpoints, {a, b} and
-    {a, c}."""
-    for k in range(4**4):
-        yield characteristic_program("ab", [k >> 2 * z & 3 for z in range(4)])
-    rng = random.Random(8)
-    for _ in range(150):
-        yield characteristic_program("abc", [rng.randrange(8) for _ in range(8)])
-    yield parse("a :- b.\nb :- b.\na :- c.\nc :- c.\n")
-
-
-def test_det_stable_fixpoints_and_wf_equal_least_fixpoint_loops():
-    det_programs = [p for p, kind in cases() if kind is OperatorKind.DMT_DET]
-    for p in [*det_programs, *fired_atom_tables()]:
-        for y in p.universe.subsets():
-            # The least fixpoint is the one minimal one, if it lies below y.
-            w = ref_least_lower(p, y)
-            assert sem.complete_lower_stable(OperatorKind.DMT_DET, p, y) == ({w} if w <= y else set())
-        expected = ref_det_stable(p)
-        assert sem.det_stable_fixpoints(p) == expected
-        least = [i for i in expected if all(leq_i(i, j) for j in expected)]
-        if len(least) == 1:
-            assert sem.wf_fixpoint_det(p) == least[0]
-        else:
-            with pytest.raises(AftlabError):
-                sem.wf_fixpoint_det(p)
-
-
 def test_dmt_det_is_dmt_on_atomic_heads():
-    atomic = [p for p in PROGRAMS if all(len(r.head) == 1 for r in p.rules)]
+    atomic = [p for p in ref.PROGRAMS if all(len(r.head) == 1 for r in p.rules)]
     pairs = 0
-    for p in [*atomic, *fired_atom_tables()]:
+    for p in [*atomic, *ref.fired_atom_tables()]:
         for i in p.universe.consistent_pairs():
             pairs += 1
             assert ops.apply(OperatorKind.DMT, p, i) == ops.apply(OperatorKind.DMT_DET, p, i)
         assert ops.pair_planes(OperatorKind.DMT_DET, p) is ops.pair_planes(OperatorKind.DMT, p)
     assert pairs == 7359
-
-
-def ref_kk(p):
-    """The Kripke-Kleene pair: `operators.dmt_det` iterated from the least
-    precise pair until it stops moving."""
-    pair = ApproxPair(frozenset(), p.universe.full())
-    while (nxt := ops.dmt_det(p, pair)) != pair:
-        pair = nxt
-    return pair
-
-
-def test_kk_fixpoint_det_is_the_iteration_of_dmt_det():
-    atomic = [p for p in PROGRAMS if all(len(r.head) == 1 for r in p.rules)]
-    assert len(atomic) >= 20
-    for p in [*atomic, *fired_atom_tables()]:
-        assert sem.kk_fixpoint_det(p) == ref_kk(p)
-    for p in PROGRAMS:
-        if p not in atomic:
-            with pytest.raises(ProgramClassError, match="^the deterministic operator needs atomic heads$"):
-                sem.kk_fixpoint_det(p)
 
 
 def test_the_empty_program_has_one_bit_planes():
@@ -299,8 +114,8 @@ def test_the_four_valued_stable_values_read_one_and_two_bit_rows():
         assert sem.run_semantics("stable", p, kind).models == (ApproxPair(none, p_only),)
         assert sem.run_semantics("total-stable", p, kind).models == ()
         for s in (none, p_only):
-            assert sem.complete_lower_stable(kind, p, s) == ref_lower_stable(kind, p, s), (p.text, kind, s)
-            assert sem.complete_upper_stable(kind, p, s) == ref_upper_stable(kind, p, s), (p.text, kind, s)
+            assert sem.complete_lower_stable(kind, p, s) == ref.lower_stable(p, kind)[s], (p.text, kind, s)
+            assert sem.complete_upper_stable(kind, p, s) == ref.upper_stable(p, kind)[s], (p.text, kind, s)
     # The body is C at ({p}, ∅), so {p} hits its head there.
     assert sem.complete_lower_stable(OperatorKind.IC_TRIV, aggregate, none) == {p_only}
 
@@ -324,19 +139,19 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
             sem.run_semantics(name, p, kind)
         if kind is OperatorKind.DMT_DET:
             sem.det_stable_fixpoints(p)
-    for p in PROGRAMS:
+    for p in ref.PROGRAMS:
         if p.compile().classification.plain:
             sem.run_semantics("three-valued-stable", p)
     assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
     # A fresh parse: the other tests of this module have filled the base
-    # entries and the family store of PROGRAMS[-1] (`Compiled.base`,
+    # entries and the family store of ref.PROGRAMS[-1] (`Compiled.base`,
     # `Compiled.families`). A direct `dmt_ndao` at (∅, A) walks the interval
     # on masks: it fills each of the 2^n base entries once, builds the
     # families of the meet and the join, and enumerates no interval.
     ops.dmt_ndao.cache_clear()
-    fresh = parse(PROGRAMS[-1].text)
+    fresh = parse(ref.PROGRAMS[-1].text)
     filled, base = [], ops._base
-    monkeypatch.setattr(ops, "_base", lambda p, xm: filled.append(xm) or base(p, xm))
+    monkeypatch.setattr(ops, "_base", lambda p, compiled, xm: filled.append(xm) or base(p, compiled, xm))
     ops.dmt_ndao(fresh, ApproxPair(frozenset(), fresh.universe.full()))
     assert sorted(filled) == sorted(fresh.compile().base) == list(range(1 << len(fresh.universe)))
     assert calls == {"interval": 0, "hitting_sets": 2, "apply": 0}
@@ -389,7 +204,7 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
     monkeypatch.setattr(ops, "member_row", counting_rows)
     monkeypatch.setattr(ops, "interval_tables", counting_planes)
     monkeypatch.setattr(ops.PairPlanes, "minimal", recording_minimal)
-    for original in PROGRAMS:
+    for original in ref.PROGRAMS:
         p = make_program(original.rules, original.universe)
         for kind in [kind for q, kind in cases() if q is original]:
             before = len(row_builds)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference as ref
 from aftlab import render
 from aftlab.lattice import (
     ApproxPair,
@@ -65,13 +66,9 @@ def test_aprec_least_precise_element():
     assert aprec_leq(some, some)
 
 
-def _all_pairs(u):
-    return [ApproxPair(x, y) for x in u.subsets() for y in u.subsets()]
-
-
 @pytest.mark.parametrize("rel", [leq_t, leq_i])
 def test_pair_orders_are_partial_orders(rel):
-    pairs = _all_pairs(U4)
+    pairs = ref.all_pairs(U4)
     above = {a: {b for b in pairs if rel(a, b)} for a in pairs}
     for a in pairs:
         assert a in above[a]  # reflexive

@@ -4,8 +4,9 @@ import textwrap
 
 import pytest
 
-from aftlab import corpus, laws, operators as ops, render
-from aftlab.lattice import AftlabError, ApproxPair, NdPair, aprec_leq, masks_above_i, smyth_leq
+import reference as ref
+from aftlab import corpus, laws, operators as ops
+from aftlab.lattice import AftlabError, ApproxPair, NdPair
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, parse
 
@@ -183,72 +184,6 @@ def test_dmt_det_collapse_reads_both_operators_through_apply_fn():
     assert outcome.failure.startswith("head-level interval operator does not collapse at ")
 
 
-# The four laws that order operator values, as first written: they compare the
-# values with the frozenset definitions `aprec_leq` and `smyth_leq`, where the
-# laws compare precision codes.
-def frozenset_monotonicity(p, apply_fn):
-    kinds = laws._ndao_kinds(p) + ([OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else [])
-    u = p.universe
-    index = {u.pair_key(i): i for i in laws._pairs(p)}
-    cases = 0
-    for kind in kinds:
-        values = {key: apply_fn(kind, p, i) for key, i in index.items()}
-        for key1, i1 in index.items():
-            for key2 in masks_above_i(*key1):
-                cases += 1
-                if not aprec_leq(values[key1], values[key2]):
-                    return cases, (
-                        f"{kind.value} not precision-monotone: "
-                        f"{render.fmt_pair(u, i1)} <=_i {render.fmt_pair(u, index[key2])}"
-                    )
-    return cases, None
-
-
-def frozenset_precision_chain(p, apply_fn):
-    cases = 0
-    for i in laws._pairs(p):
-        cases += 1
-        gz, dmt, ult = (apply_fn(k, p, i) for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
-        if not aprec_leq(gz, dmt):
-            return cases, f"gz not below dmt at {render.fmt_pair(p.universe, i)}"
-        if not aprec_leq(dmt, ult):
-            return cases, f"dmt not below ultimate at {render.fmt_pair(p.universe, i)}"
-    return cases, None
-
-
-def frozenset_ultimate_max(p, apply_fn):
-    cases = 0
-    for i in laws._pairs(p):
-        ult = apply_fn(OperatorKind.ULTIMATE, p, i)
-        for kind in laws._ndao_kinds(p):
-            if kind is not OperatorKind.ULTIMATE:
-                cases += 1
-                if not aprec_leq(apply_fn(kind, p, i), ult):
-                    return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, i)}"
-    return cases, None
-
-
-def frozenset_upwards_coherence(p, apply_fn):
-    cases = 0
-    for kind in laws._ndao_kinds(p):
-        for i in laws._pairs(p):
-            cases += 1
-            value = apply_fn(kind, p, i)
-            if not value.lower_set or not value.upper_set:
-                return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(p.universe, i)}"
-            if not smyth_leq(value.lower_set, value.upper_set):
-                return cases, f"{kind.value} not upwards coherent at {render.fmt_pair(p.universe, i)}"
-    return cases, None
-
-
-FROZENSET_LAWS = {
-    "monotonicity": frozenset_monotonicity,
-    "precision-chain": frozenset_precision_chain,
-    "ultimate-max": frozenset_ultimate_max,
-    "upwards-coherence": frozenset_upwards_coherence,
-}
-
-
 def at_the_least_precise_pair(kind, change):
     """The operator with `kind`'s value at the non-total pair (∅, A) changed."""
 
@@ -316,16 +251,15 @@ def precision_suite():
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
-@pytest.mark.parametrize("name", FROZENSET_LAWS)
+@pytest.mark.parametrize("name", ref.FROZENSET_LAWS)
 def test_precision_codes_give_the_frozenset_outcome(monkeypatch, precision_suite, name, mutant):
     apply_fn = MUTANTS[mutant]
     per_program = [laws.LAWS[name](p, apply_fn) for p in precision_suite]
-    assert per_program == [FROZENSET_LAWS[name](p, apply_fn) for p in precision_suite]
+    assert per_program == [ref.FROZENSET_LAWS[name](p, apply_fn) for p in precision_suite]
     outcome = laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
-    monkeypatch.setitem(laws.LAWS, name, FROZENSET_LAWS[name])
+    monkeypatch.setitem(laws.LAWS, name, ref.FROZENSET_LAWS[name])
     assert outcome == laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
     assert outcome[0].ok == (mutant == "unchanged" or (name, mutant) in UNBROKEN)
-
 
 
 def test_a_mutant_breaks_monotonicity_deep_in_the_pair_order(precision_suite):
@@ -334,7 +268,7 @@ def test_a_mutant_breaks_monotonicity_deep_in_the_pair_order(precision_suite):
     fallback walks from a pair inside the order."""
 
     def first_failure(mutant):
-        return next(out for p in precision_suite if (out := frozenset_monotonicity(p, MUTANTS[mutant]))[1])
+        return next(out for p in precision_suite if (out := ref.frozenset_monotonicity(p, MUTANTS[mutant]))[1])
 
     cases, failure = first_failure(DEEP_MUTANT)
     assert not failure.split("not precision-monotone: ")[1].startswith("(∅,"), failure

@@ -1,15 +1,11 @@
 import pytest
 
+import reference as ref
 from aftlab import corpus, operators as ops
-from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, InconsistentPairError, NdPair, UnknownAtomError, aprec_leq, smyth_leq
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, classify, parse
-from conftest import atoms, pair
-
-
-def family(*sets):
-    return frozenset(frozenset(s) for s in sets)
+from conftest import atoms, family, pair
 
 
 DELTA1 = family({"q"}, {"r"}, {"q", "r"})
@@ -164,21 +160,15 @@ def test_ic_triv_examples(aggregate_cycle):
 
 
 def _small_programs():
-    programs = [corpus.load(name) for name in corpus.names()]
-    programs += [
-        generate_program(GeneratorConfig(atoms=3, rules=1 + s % 3, aggregate_probability=0.5, seed=s))
-        for s in range(12)
-    ]
-    return programs
+    return corpus.programs() + ref.seeded(range(12), atoms=3, rules=lambda s: 1 + s % 3, aggregate_probability=0.5)
 
 
 def test_ic_triv_is_ic_on_aggregate_free_programs():
     for p in _small_programs():
         if classify(p).has_aggregates:
             continue
-        for x in p.universe.subsets():
-            for y in p.universe.subsets():
-                assert ops.ic_triv_ndao(p, ApproxPair(x, y)) == ops.ic_ndao(p, ApproxPair(x, y))
+        for i in ref.all_pairs(p.universe):
+            assert ops.ic_triv_ndao(p, i) == ops.ic_ndao(p, i)
 
 
 def test_ic_triv_is_an_approximation_below_dmt():
@@ -186,7 +176,7 @@ def test_ic_triv_is_an_approximation_below_dmt():
     and below the head-level interval operator on consistent pairs."""
     for p in _small_programs():
         subsets = list(p.universe.subsets())
-        pairs = [ApproxPair(x, y) for x in subsets for y in subsets]
+        pairs = ref.all_pairs(p.universe)
         values = {i: ops.ic_triv_ndao(p, i) for i in pairs}
         for x in subsets:
             exact = values[ApproxPair(x, x)]

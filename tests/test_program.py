@@ -2,40 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+import reference as ref
 from aftlab import corpus, four
 from aftlab.four import Const, Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, UnknownAtomError
 from aftlab.operators import OperatorKind
-from aftlab.program import (
-    MAX_FORMULA_DEPTH,
-    AggFunc,
-    AggregateAtom,
-    Comparator,
-    CompiledAggregate,
-    Conj,
-    FormulaDepthError,
-    GeneralFormula,
-    NegatedAgg,
-    NegatedAtom,
-    ParseError,
-    PositiveAgg,
-    PositiveAtom,
-    Program,
-    ProgramClassError,
-    Rule,
-    SetTerm,
-    SetTermEntry,
-    classify,
-    eval_aggregate,
-    eval_body,
-    eval_multiset,
-    gl_transform,
-    gz_reduct,
-    make_program,
-    parse,
-    print_program,
-)
+from aftlab.program import MAX_FORMULA_DEPTH, AggFunc, AggregateAtom, Comparator, CompiledAggregate, Conj
+from aftlab.program import FormulaDepthError, GeneralFormula, NegatedAgg, NegatedAtom, ParseError, PositiveAgg
+from aftlab.program import Program, ProgramClassError, Rule, SetTerm, SetTermEntry, classify, eval_aggregate
+from aftlab.program import eval_body, eval_multiset, gl_transform, gz_reduct, make_program, parse
 from aftlab.semantics import stable_fixpoints
 from conftest import atoms, pair
 
@@ -182,7 +158,7 @@ def test_eval_aggregate_examples():
     assert eval_aggregate(atoms(), count) == (Truth.T, True)
 
 
-def trivial_aggregate_value(i: ApproxPair, lit) -> Truth:
+def compiled_trivial(i: ApproxPair, lit) -> Truth:
     """The compiled trivial approximation of lit at i, over the atoms p and q."""
     u = AtomUniverse.of(["p", "q"])
     return Truth(CompiledAggregate(u, lit).trivial(*u.pair_key(i)))
@@ -190,26 +166,26 @@ def trivial_aggregate_value(i: ApproxPair, lit) -> Truth:
 
 def test_trivial_aggregate_value_examples():
     sum_q = PositiveAgg(agg(AggFunc.SUM, [((1,), ("q",))], Comparator.GT, 0))
-    assert trivial_aggregate_value(pair("q", "q"), sum_q) is Truth.T
-    assert trivial_aggregate_value(pair("", ""), sum_q) is Truth.F
-    assert trivial_aggregate_value(pair("", "q"), sum_q) is Truth.U
-    assert trivial_aggregate_value(pair("q", ""), sum_q) is Truth.C
+    assert compiled_trivial(pair("q", "q"), sum_q) is Truth.T
+    assert compiled_trivial(pair("", ""), sum_q) is Truth.F
+    assert compiled_trivial(pair("", "q"), sum_q) is Truth.U
+    assert compiled_trivial(pair("q", ""), sum_q) is Truth.C
     # An unknown condition leaves the value unknown even where every
     # completion of the pair would agree.
-    assert trivial_aggregate_value(pair("", "q"), PositiveAgg(agg(AggFunc.SUM, [((0,), ("q",))], Comparator.GE, 0))) is Truth.U
+    assert compiled_trivial(pair("", "q"), PositiveAgg(agg(AggFunc.SUM, [((0,), ("q",))], Comparator.GE, 0))) is Truth.U
     # Exactness is per condition, not per atom: p & q is false at both ends
     # of (∅, {p}), so the count is known to be 0 there.
     count_pq = agg(AggFunc.COUNT, [((1,), ("p", "q"))], Comparator.LT, 1)
-    assert trivial_aggregate_value(pair("", "p"), PositiveAgg(count_pq)) is Truth.T
-    assert trivial_aggregate_value(pair("", "p"), NegatedAgg(count_pq)) is Truth.F
-    assert trivial_aggregate_value(pair("p", "p,q"), PositiveAgg(count_pq)) is Truth.U
+    assert compiled_trivial(pair("", "p"), PositiveAgg(count_pq)) is Truth.T
+    assert compiled_trivial(pair("", "p"), NegatedAgg(count_pq)) is Truth.F
+    assert compiled_trivial(pair("p", "p,q"), PositiveAgg(count_pq)) is Truth.U
     # An undefined value makes the literal false either way round.
     max_p = agg(AggFunc.MAX, [((1,), ("p",))], Comparator.GE, 0)
-    assert trivial_aggregate_value(pair("", ""), PositiveAgg(max_p)) is Truth.F
-    assert trivial_aggregate_value(pair("", ""), NegatedAgg(max_p)) is Truth.F
+    assert compiled_trivial(pair("", ""), PositiveAgg(max_p)) is Truth.F
+    assert compiled_trivial(pair("", ""), NegatedAgg(max_p)) is Truth.F
     # One condition only below and one only above: both readings hold.
     sum_pq = agg(AggFunc.SUM, [((1,), ("p",)), ((1,), ("q",))], Comparator.GT, 5)
-    assert trivial_aggregate_value(pair("p", "q"), PositiveAgg(sum_pq)) is Truth.T
+    assert compiled_trivial(pair("p", "q"), PositiveAgg(sum_pq)) is Truth.T
 
 
 @pytest.mark.parametrize(
@@ -270,8 +246,7 @@ def test_gz_reduct_is_aggregate_free_and_keeps_universe(sum_chain_program):
 
 
 def test_gz_reduct_identity_on_aggregate_free_programs():
-    for name in ("disjunctive_self_defeat", "negation_vs_positive_loop", "negation_loop_disjunction", "no_total_stable", "ht_strictness"):
-        p = corpus.load(name)
+    for p in ref.plain_corpus():
         for x in p.universe.subsets():
             assert gz_reduct(p, x) == p
 

@@ -8,25 +8,13 @@ which is keyed by atom names."""
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from aftlab import operators as ops, semantics as sem
 from aftlab.generator import ATOM_POOL, GeneratorConfig, generate_program
-from aftlab.lattice import AftlabError, ApproxPair, NdPair
-from aftlab.program import (
-    AggregateAtom,
-    Conj,
-    NegatedAgg,
-    NegatedAtom,
-    PositiveAgg,
-    PositiveAtom,
-    Rule,
-    SetTerm,
-    SetTermEntry,
-    make_program,
-)
+from aftlab.lattice import ApproxPair, NdPair
+from aftlab.program import AggregateAtom, Conj, NegatedAtom, PositiveAtom, Rule, SetTerm, SetTermEntry, make_program
+from conftest import SEMANTICS_CELLS, value_or_refusal
 
 
 def rename_literal(lit, name):
@@ -44,23 +32,6 @@ def renamed(p, name, rng):
     ]
     rng.shuffle(rules)
     return make_program(tuple(rules))
-
-
-def cells():
-    """Every semantics under each operator it takes."""
-    for name, (takes, _) in sem.SEMANTICS.items():
-        if takes == sem.ANY_OPERATOR:
-            for kind in ops.OperatorKind:
-                yield name, kind
-        else:
-            yield name, None
-
-
-def outcome(call):
-    try:
-        return call()
-    except AftlabError as e:
-        return type(e)
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,15 +59,15 @@ def test_renaming_atoms_and_shuffling_rules_renames_every_answer(atoms, rules, a
     def family(f):
         return frozenset(atoms_of(s) for s in f)
 
-    for semantics, kind in cells():
-        original = outcome(lambda: sem.run_semantics(semantics, p, kind))
-        again = outcome(lambda: sem.run_semantics(semantics, q, kind))
+    for semantics, kind in SEMANTICS_CELLS:
+        original = value_or_refusal(sem.run_semantics, semantics, p, kind)
+        again = value_or_refusal(sem.run_semantics, semantics, q, kind)
         if isinstance(original, type):
             assert again is original, (p.text, semantics, kind)
         else:
             assert set(again.models) == {pair(m) for m in original.models}, (p.text, semantics, kind)
     for kind in ops.OperatorKind:
         for i in p.universe.consistent_pairs():
-            value = outcome(lambda: ops.apply(kind, p, i))
+            value = value_or_refusal(ops.apply, kind, p, i)
             expected = value if isinstance(value, type) else NdPair(family(value.lower_set), family(value.upper_set))
-            assert outcome(lambda: ops.apply(kind, q, pair(i))) == expected, (p.text, kind, i)
+            assert value_or_refusal(ops.apply, kind, q, pair(i)) == expected, (p.text, kind, i)

@@ -1,16 +1,12 @@
 import pytest
 
-from aftlab import corpus, four, laws, operators as ops, semantics as sem
+import reference as ref
+from aftlab import corpus, laws, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, CapExceededError, InconsistentPairError, leq_i, leq_t
 from aftlab.operators import OperatorKind
-from aftlab.program import ProgramClassError, body_formula, classify, gl_transform, gz_reduct, parse
-from conftest import atoms, pair
-from test_interval_tables import PROGRAMS as INTERVAL_TABLE_PROGRAMS
-
-
-def family(*sets):
-    return frozenset(frozenset(s) for s in sets)
+from aftlab.program import ProgramClassError, classify, gl_transform, parse
+from conftest import atoms, family, pair
 
 
 NDAO_KINDS = (OperatorKind.IC, OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.IC_TRIV)
@@ -109,8 +105,7 @@ def test_ht_models_edge_cases():
 
 
 def test_ht_pairs_matches_rule_level_on_corpus():
-    for name in ("disjunctive_self_defeat", "negation_vs_positive_loop", "negation_loop_disjunction", "no_total_stable", "ht_strictness"):
-        p = corpus.load(name)
+    for p in ref.plain_corpus():
         assert sem.ht_pairs(OperatorKind.IC, p) == sem.ht_models_program(p)
 
 
@@ -156,11 +151,9 @@ def test_truth_minimal_planes_give_min_t_of_the_ht_pairs():
     """`seq` and `seq-approx` decode only the truth-minimal HT pairs
     (`DigitPlanes.minimal_t`): the list of `min_t(ht_pairs(kind, p))`, order
     included, under every operator that `ht` takes."""
-    seeded = [
-        generate_program(GeneratorConfig(atoms=n, rules=n + s % n, disjunction_width=width,
-                                         aggregate_probability=aggregates, seed=s))
-        for n in range(1, 7) for width in (1, 2, 3) for aggregates in (0.0, 0.5) for s in range(10)
-    ]
+    seeded = [p for n in range(1, 7) for width in (1, 2, 3) for aggregates in (0.0, 0.5)
+              for p in ref.seeded(range(10), atoms=n, rules=lambda s: n + s % n, disjunction_width=width,
+                                  aggregate_probability=aggregates)]
     cases = 0
     for p in [*corpus.programs(), *seeded]:
         for kind in OperatorKind:
@@ -180,8 +173,7 @@ def test_truth_minimal_planes_give_min_t_of_the_ht_pairs():
 
 def test_seq_approx_examples(no_total_stable_program):
     assert sem.seq_no_difference(OperatorKind.IC, parse("")) == [pair()]
-    for name in ("disjunctive_self_defeat", "negation_vs_positive_loop", "negation_loop_disjunction", "no_total_stable", "ht_strictness"):
-        p = corpus.load(name)
+    for p in ref.plain_corpus():
         approx = set(sem.seq_no_difference(OperatorKind.IC, p))
         assert approx >= set(sem.seq(OperatorKind.IC, p))
         for x in sem.total_stable_fixpoints(OperatorKind.IC, p):
@@ -204,44 +196,12 @@ def test_gz_answer_sets_examples(sum_chain_program, sum_split_program):
         sem.gz_answer_sets(parse("p :- not #sum{1:q} > 0."))
 
 
-def is_three_valued_stable(p, i, pairs):
-    """Przymusinski's definition: i is a model of p's GL transformation at i
-    (`sem.is_model`) and no other consistent pair j truth-below i, among
-    `pairs` (every consistent pair of p's universe), is."""
-    return sem.is_model(p, i) and not any(j != i and leq_t(j, i) and sem.is_model(p, i, j) for j in pairs)
-
-
-def three_valued_stable_reference(p):
-    """The three-valued stable models of a plain program by the definition,
-    in `consistent_pairs` order."""
-    pairs = list(p.universe.consistent_pairs())
-    return [i for i in pairs if is_three_valued_stable(p, i, pairs)]
-
-
-def plain_programs(atoms, seeds):
-    """Seeded programs without aggregates: widths 1-3, negation 0.4 and 0.7,
-    1 to 2n rules."""
-    for n in atoms:
-        for width in (1, 2, 3):
-            for negation in (0.4, 0.7):
-                for s in seeds:
-                    yield generate_program(GeneratorConfig(atoms=n, rules=1 + s % (2 * n), seed=s,
-                                                           negation_probability=negation, disjunction_width=width))
-
-
-def test_three_valued_stable_equals_the_definition():
-    programs = [p for p in corpus.programs() if classify(p).plain] + list(plain_programs(range(1, 5), range(8)))
-    assert sum(len(sem.three_valued_stable(p)) > 1 for p in programs) >= 30
-    for p in programs:
-        assert sem.three_valued_stable(p) == three_valued_stable_reference(p), p.text
-
-
 def test_ic_stable_fixpoints_are_three_valued_stable_with_the_same_totals():
     """`ic` asks y to be minimal among all sets, not only among the supersets
     of x: every stable fixpoint of `ic` is three-valued stable, with the same
     total pairs, and not conversely (README "Programs are compiled once")."""
     strict = 0
-    for p in plain_programs(range(1, 7), range(10)):
+    for p in ref.plain_programs(range(1, 7), range(10)):
         ic_stable, three_valued = sem.stable_fixpoints(OperatorKind.IC, p), sem.three_valued_stable(p)
         assert set(ic_stable) <= set(three_valued), p.text
         assert [i for i in ic_stable if i.is_total] == [i for i in three_valued if i.is_total], p.text
@@ -252,37 +212,12 @@ def test_ic_stable_fixpoints_are_three_valued_stable_with_the_same_totals():
     assert sem.stable_fixpoints(OperatorKind.IC, p) == [pair("p", "p")]
 
 
-def gz_answer_sets_reference(p):
-    """The sets x for which (x, x) is a stable model of the reduct program
-    `gz_reduct(p, x)`: a model of its GL transformation at (x, x) with no
-    other such model below it in the truth order."""
-    pairs = list(p.universe.consistent_pairs())
-    return [x for x in p.universe.subsets() if is_three_valued_stable(gz_reduct(p, x), ApproxPair(x, x), pairs)]
-
-
-def test_gz_answer_sets_equal_the_reduct_definition(sum_chain_program, sum_split_program):
-    programs = [sum_chain_program, sum_split_program, parse("p :- #count{1:p & q} < 1."), parse("p :- #sum{1:p} >= 0.")]
-    for s in range(150):
-        cfg = GeneratorConfig(atoms=1 + s % 5, rules=1 + s % 4, aggregate_probability=0.6,
-                              disjunction_width=1 + s // 5 % 2, seed=s)
-        p = generate_program(cfg)
-        if not classify(p).has_negated_aggregates:
-            programs.append(p)
-    assert sum(classify(p).has_aggregates for p in programs) >= 40
-    assert sum(bool(gz_answer_sets_reference(p)) for p in programs if classify(p).has_aggregates) >= 30
-    for p in programs:
-        assert sem.gz_answer_sets(p) == gz_answer_sets_reference(p), p.text
-
-
 def test_gz_answer_sets_equal_total_stable_on_aggregate_free_corpus():
-    for name in ("disjunctive_self_defeat", "negation_vs_positive_loop", "negation_loop_disjunction", "no_total_stable", "ht_strictness"):
-        p = corpus.load(name)
+    for p in ref.plain_corpus():
         assert sem.gz_answer_sets(p) == sem.total_stable_fixpoints(OperatorKind.IC, p)
 
 
 def test_ic_triv_total_stable_fixpoints_are_gz_answer_sets():
-    from aftlab.generator import GeneratorConfig, generate_program
-
     conjunctive = parse("p :- #count{1:p & q} < 1.")
     assert sem.gz_answer_sets(conjunctive) == [atoms("p")]
     assert sem.total_stable_fixpoints(OperatorKind.IC_TRIV, conjunctive) == [atoms("p")]
@@ -328,15 +263,12 @@ def test_gz_answer_sets_are_the_ic_triv_total_stable_fixpoints_at_five_to_eight_
 
 
 def test_three_valued_total_equals_ic_total_stable_on_corpus():
-    for name in ("disjunctive_self_defeat", "negation_vs_positive_loop", "negation_loop_disjunction", "no_total_stable", "ht_strictness"):
-        p = corpus.load(name)
+    for p in ref.plain_corpus():
         totals = [i.lower for i in sem.three_valued_stable(p) if i.is_total]
         assert totals == sem.total_stable_fixpoints(OperatorKind.IC, p)
 
 
 def test_total_stability_needs_only_the_lower_operator():
-    from aftlab.generator import GeneratorConfig, generate_program
-
     programs = [corpus.load(n) for n in ("disjunctive_self_defeat", "negation_vs_positive_loop", "aggregate_cycle", "sum_chain")]
     programs += [generate_program(GeneratorConfig(atoms=3, rules=2, seed=s)) for s in range(10)]
     for p in programs:
@@ -348,6 +280,13 @@ def test_total_stability_needs_only_the_lower_operator():
                 x for x in p.universe.subsets() if x in sem.complete_lower_stable(kind, p, x)
             }
             assert stable_totals == via_lower
+
+
+# The sweeps that take an operator and those that take the program alone.
+OPERATOR_SWEEPS = (sem.fixpoints, sem.stable_fixpoints, sem.total_stable_fixpoints, sem.ht_pairs, sem.seq,
+                   sem.seq_no_difference)
+PROGRAM_SWEEPS = (sem.kk_fixpoint_det, sem.det_stable_fixpoints, sem.wf_fixpoint_det, sem.ht_models_program,
+                  sem.three_valued_stable, sem.gz_answer_sets)
 
 
 def test_cap_is_enforced(monkeypatch):
@@ -363,15 +302,13 @@ def test_cap_is_enforced(monkeypatch):
     # and of the GL semantics: every sweep decides the cap first.
     text += "a0 | a1 :- #count{1:a2} >= 1.\n"
     for kind in OperatorKind:
-        for sweep in (sem.fixpoints, sem.stable_fixpoints, sem.total_stable_fixpoints, sem.ht_pairs, sem.seq,
-                      sem.seq_no_difference):
+        for sweep in OPERATOR_SWEEPS:
             with pytest.raises(CapExceededError):
                 sweep(kind, parse(text))
         for complete in (sem.complete_lower_stable, sem.complete_upper_stable):
             with pytest.raises(CapExceededError):
                 complete(kind, parse(text), frozenset())
-    for sweep in (sem.kk_fixpoint_det, sem.det_stable_fixpoints, sem.wf_fixpoint_det, sem.ht_models_program,
-                  sem.three_valued_stable, sem.gz_answer_sets):
+    for sweep in PROGRAM_SWEEPS:
         with pytest.raises(CapExceededError):
             sweep(parse(text))
 
@@ -381,34 +318,14 @@ def test_a_program_compiled_under_a_larger_cap_runs_everywhere(monkeypatch):
     p = parse("a0.\na1 :- a0.\na2 :- not a1.\n")
     p.compile(3)
     for kind in OperatorKind:
-        for sweep in (sem.fixpoints, sem.stable_fixpoints, sem.total_stable_fixpoints, sem.ht_pairs, sem.seq,
-                      sem.seq_no_difference):
+        for sweep in OPERATOR_SWEEPS:
             sweep(kind, p)
-    for sweep in (sem.kk_fixpoint_det, sem.det_stable_fixpoints, sem.wf_fixpoint_det, sem.ht_models_program,
-                  sem.three_valued_stable, sem.gz_answer_sets):
+    for sweep in PROGRAM_SWEEPS:
         sweep(p)
-    for name in sem.SEMANTICS_NAMES:
-        sem.run_semantics(name, p, OperatorKind.IC if name in sem.OPERATOR_BASED else None)
+    for name, (takes, _) in sem.SEMANTICS.items():
+        sem.run_semantics(name, p, OperatorKind.IC if takes == sem.ANY_OPERATOR else None)
     outcomes = laws.run_laws([p], max_atoms=3)
     assert [o.name for o in outcomes] == list(laws.LAW_NAMES)
-
-
-def test_every_semantics_yields_its_models_once_in_increasing_mask_order():
-    """`run_semantics` returns the models in the order the sweeps yield them."""
-    kinds = {sem.ANY_OPERATOR: list(OperatorKind), sem.DETERMINISTIC_OPERATOR: [OperatorKind.DMT_DET],
-             sem.NO_OPERATOR: [None]}
-    runs = 0
-    for p in INTERVAL_TABLE_PROGRAMS:
-        key = p.universe.pair_key
-        for name, (takes, run) in sem.SEMANTICS.items():
-            for kind in kinds[takes]:
-                try:
-                    keys = [key(i) for i in run(p, kind)]
-                except ProgramClassError:
-                    continue
-                runs += 1
-                assert all(a < b for a, b in zip(keys, keys[1:])), (name, kind, p.text)
-    assert runs == 1901
 
 
 def test_run_semantics_dispatch(disjunctive_self_defeat):
@@ -424,25 +341,8 @@ def test_run_semantics_dispatch(disjunctive_self_defeat):
 
 
 # Aggregate-free programs with 1-3 atoms and heads of width 1-3.
-MASK_TEST_PROGRAMS = [
-    generate_program(
-        GeneratorConfig(atoms=1 + s % 3, rules=1 + s % 4, negation_probability=0.5, disjunction_width=1 + s // 3 % 3, seed=s)
-    )
-    for s in range(210)
-]
-
-
-def gl_model_reference(transformed, j):
-    """Whether j is a model of a GL-transformed program, by evaluating each
-    body formula and head disjunction with `four.eval_pair`."""
-    u = transformed.universe
-    return all(
-        four.truth_leq_t(
-            four.eval_pair(u, j, body_formula(r)),
-            four.eval_pair(u, j, four.disj(four.Atom(a) for a in r.head)),
-        )
-        for r in transformed.rules
-    )
+MASK_TEST_PROGRAMS = ref.seeded(range(210), atoms=lambda s: 1 + s % 3, rules=lambda s: 1 + s % 4,
+                                negation_probability=0.5, disjunction_width=lambda s: 1 + s // 3 % 3)
 
 
 def test_is_model_masks_agree_with_the_gl_transformation():
@@ -450,11 +350,11 @@ def test_is_model_masks_agree_with_the_gl_transformation():
     for p in MASK_TEST_PROGRAMS:
         pairs = list(p.universe.consistent_pairs())
         for i in pairs:
-            transformed = gl_transform(p, i)
+            model = ref.gl_model(p, i)
             assert sem.is_model(p, i) == sem.is_model(p, i, i)
             for j in pairs:
                 if leq_t(j, i):
-                    assert sem.is_model(p, i, j) == gl_model_reference(transformed, j), (p.text, i, j)
+                    assert sem.is_model(p, i, j) == model(j), (p.text, i, j)
                     checked += 1
     assert len({len(r.head) for p in MASK_TEST_PROGRAMS for r in p.rules}) == 3
     assert checked > 10000
@@ -462,12 +362,7 @@ def test_is_model_masks_agree_with_the_gl_transformation():
 
 def test_ht_model_masks_agree_with_ht_satisfaction():
     for p in MASK_TEST_PROGRAMS:
-        expected = [
-            i
-            for i in p.universe.consistent_pairs()
-            if all(four.ht_satisfies_rule(p.universe, i, body_formula(r), r.head) for r in p.rules)
-        ]
-        assert sem.ht_models_program(p) == expected, p.text
+        assert sem.ht_models_program(p) == ref.ht_models(p), p.text
 
 
 def test_is_model_refuses_an_inconsistent_pair():

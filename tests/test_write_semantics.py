@@ -24,11 +24,9 @@ from aftlab.lattice import AftlabError, AtomUniverse
 from aftlab.operators import OperatorKind
 from aftlab.program import parse
 from aftlab.semantics import SemanticsResult
-from test_bench_matrix import TAKES
+from conftest import SEMANTICS_CELLS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# Every semantics with every operator the table accepts for it.
-COMBINATIONS = [(name, op and OperatorKind(op)) for name, (takes, _) in sem.SEMANTICS.items() for op in TAKES[takes]]
 # One HT model per consistent pair: 3^8 = 6561 models, two chunks of 4096.
 VACUOUS_8 = "".join(f"a{i} :- a{i}.\n" for i in range(8))
 
@@ -90,7 +88,7 @@ def assert_same_bytes_everywhere(p) -> int:
     """Compare under every accepted combination the program's class admits;
     the number compared."""
     compared = 0
-    for name, kind in COMBINATIONS:
+    for name, kind in SEMANTICS_CELLS:
         try:
             result = sem.run_semantics(name, p, kind)
         except AftlabError:
