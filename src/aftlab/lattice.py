@@ -101,8 +101,9 @@ class AtomUniverse:
         return {name: 1 << i for i, name in enumerate(self.atoms)}
 
     @cached_property
-    def _sets(self) -> dict[int, AtomSet]:
-        """Mask -> the one set `unmask` gives for it, filled as asked."""
+    def _sets(self) -> dict:
+        """Mask -> the one set `unmask` gives for it, filled as asked, and
+        that set -> its mask, which `mask` reads before it walks a set."""
         return {}
 
     @cached_property
@@ -127,6 +128,9 @@ class AtomUniverse:
         return frozenset(self.atoms)
 
     def mask(self, s: Iterable[str]) -> int:
+        found = self._sets.get(s) if s.__class__ is frozenset else None
+        if found is not None:
+            return found
         bits = self._bits
         m = 0
         try:
@@ -143,6 +147,7 @@ class AtomUniverse:
         s = sets.get(m)
         if s is None:
             s = sets[m] = frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
+            sets[s] = m
         return s
 
     def pair_key(self, pair: ApproxPair) -> tuple[int, int]:

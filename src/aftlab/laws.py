@@ -4,6 +4,11 @@ golden corpus plus seeded random programs.
 Each law reports the number of checked cases and, on violation, a failure
 message with the smallest failing program appended as a reproducer (programs
 are visited in increasing size order).
+
+The laws read the operators only through `apply_fn`: `run_laws` hands each law
+one `OperatorTable` per program in its place, which asks `apply_fn` for a
+(kind, pair) on a law's first read, keeps the value and its precision code, and
+is callable like `apply_fn`. A law given another `apply_fn` builds one over it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import AftlabError, ApproxPair, NdPair, PrecisionCode, masks_above_i, precision_code, smyth_leq
+from .lattice import AftlabError, ApproxPair, NdPair, masks_above_i, precision_code, smyth_leq, submasks
 from .operators import OperatorKind
 from .program import Program
 from .record import record
@@ -42,10 +47,40 @@ def _pairs(p: Program) -> tuple[ApproxPair, ...]:
     return p.universe.consistent_tuple
 
 
-def _precision_codes(p: Program) -> Callable[[NdPair], PrecisionCode]:
-    """`lattice.precision_code` over p's universe, built once per distinct value."""
-    codes: dict[NdPair, PrecisionCode] = {}
-    return lambda value: codes.get(value) or codes.setdefault(value, precision_code(p.universe, value))
+class _Lazy(dict):
+    """A dict that fills a missing key with `fill(key)` on its first read."""
+
+    def __init__(self, fill: Callable):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class OperatorTable:
+    """One program's operators by pair number, x << n | y for the masks (x, y):
+    `values[kind][number]`, asked of `apply_fn` on the first read, and
+    `codes[value]`, the `PrecisionCode` of each distinct value. `sets[m]` is
+    the set with mask m; `consistent` numbers the consistent pairs in order."""
+
+    def __init__(self, p: Program, apply_fn: ApplyFn):
+        u, n = p.universe, len(p.universe)
+        self.program, self.apply_fn, self.n, low = p, apply_fn, n, (1 << n) - 1
+        self.sets = sets = [u.unmask(m) for m in range(1 << n)]
+        self.consistent = [xm << n | ym for xm, ym in u.consistent_masks()]
+        self.values = _Lazy(lambda kind: _Lazy(lambda m: apply_fn(kind, p, ApproxPair(sets[m >> n], sets[m & low]))))
+        self.codes = _Lazy(lambda value: precision_code(u, value))
+
+    def __call__(self, kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
+        if p is not self.program or not i.lower | i.upper <= self.sets[-1]:
+            return self.apply_fn(kind, p, i)
+        return self.values[kind][p.universe.mask(i.lower) << self.n | p.universe.mask(i.upper)]
+
+
+def _table(p: Program, apply_fn: ApplyFn) -> OperatorTable:
+    """`run_laws`' table of p, or a new one over `apply_fn`."""
+    return apply_fn if isinstance(apply_fn, OperatorTable) and apply_fn.program is p else OperatorTable(p, apply_fn)
 
 
 def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
@@ -56,17 +91,16 @@ def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     the ORs of (x + a, y) and (x, y - a). Only a failing pair is walked again
     pair by pair (`masks_above_i`), for the case count and the message."""
     kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else [])
-    u = p.universe
-    code = _precision_codes(p)
+    t, u = _table(p, apply_fn), p.universe
     keys = list(u.consistent_masks())
-    index = dict(zip(keys, _pairs(p)))
     steps = [
         [(key, (key[0] | bit, key[1]), (key[0], key[1] & ~bit)) for key in keys if key[1] & ~key[0] & bit]
         for bit in (1 << a for a in range(len(u)))
     ]
     cases = 0
     for kind in kinds:
-        codes = {key: code(apply_fn(kind, p, i)) for key, i in index.items()}
+        values = t.values[kind]
+        codes = {key: t.codes[values[number]] for key, number in zip(keys, t.consistent)}
         above = {key: c.members for key, c in codes.items()}
         for step in steps:
             for key, with_a, without_a in step:
@@ -82,7 +116,7 @@ def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
             if codes[key2].members & outside:
                 return cases, (
                     f"{kind.value} not precision-monotone: "
-                    f"{render.fmt_pair(u, index[key1])} <=_i {render.fmt_pair(u, index[key2])}"
+                    f"{render.fmt_pair(u, u.pair(*key1))} <=_i {render.fmt_pair(u, u.pair(*key2))}"
                 )
     return cases, None
 
@@ -91,26 +125,25 @@ def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     """Each operator at a total pair (x, x) is ic(x), the hitting sets of the
     heads fired at x, read from the compiled stores (`operators._base`,
     `operators._hits`)."""
-    compiled, u = p.compile(), p.universe
+    compiled, t = p.compile(), _table(p, apply_fn)
     cases = 0
     for kind in _ndao_kinds(p):
-        for x in u.subsets():
+        for m, x in enumerate(t.sets):
             cases += 1
-            value = apply_fn(kind, p, ApproxPair(x, x))
-            expected = ops._hits(compiled, ops._base(p, compiled, u.mask(x))[0])
+            value = t.values[kind][m << t.n | m]
+            expected = ops._hits(compiled, ops._base(p, compiled, m)[0])
             if value.lower_set != expected or value.upper_set != expected:
                 return cases, f"{kind.value} not exact at {render.fmt_set(p.universe, x)}"
     return cases, None
 
 
 def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    code = _precision_codes(p)
+    t = _table(p, apply_fn)
+    gz_of, dmt_of, ult_of = (t.values[k] for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
     cases = 0
-    for i in _pairs(p):
+    for key, i in zip(t.consistent, _pairs(p)):
         cases += 1
-        gz = code(apply_fn(OperatorKind.GZ, p, i))
-        dmt = code(apply_fn(OperatorKind.DMT, p, i))
-        ult = code(apply_fn(OperatorKind.ULTIMATE, p, i))
+        gz, dmt, ult = t.codes[gz_of[key]], t.codes[dmt_of[key]], t.codes[ult_of[key]]
         if dmt.members & ~gz.allowed:
             return cases, f"gz not below dmt at {render.fmt_pair(p.universe, i)}"
         if ult.members & ~dmt.allowed:
@@ -119,14 +152,14 @@ def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None
 
 
 def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    kinds = [k for k in _ndao_kinds(p) if k is not OperatorKind.ULTIMATE]
-    code = _precision_codes(p)
+    t = _table(p, apply_fn)
+    ult_of, kinds = t.values[OperatorKind.ULTIMATE], [k for k in _ndao_kinds(p) if k is not OperatorKind.ULTIMATE]
     cases = 0
-    for i in _pairs(p):
-        ult = code(apply_fn(OperatorKind.ULTIMATE, p, i)).members
+    for key, i in zip(t.consistent, _pairs(p)):
+        ult = t.codes[ult_of[key]].members
         for kind in kinds:
             cases += 1
-            if ult & ~code(apply_fn(kind, p, i)).allowed:
+            if ult & ~t.codes[t.values[kind][key]].allowed:
                 return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, i)}"
     return cases, None
 
@@ -134,13 +167,13 @@ def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     if p.compile().classification.has_aggregates:
         return 0, None
-    ic, u = OperatorKind.IC, p.universe
+    t, u = _table(p, apply_fn), p.universe
+    ic, n = t.values[OperatorKind.IC], t.n
     cases = 0
-    subsets = list(u.subsets())
-    for x in subsets:
-        for y in subsets:
+    for xm, x in enumerate(t.sets):
+        for ym, y in enumerate(t.sets):
             cases += 1
-            if apply_fn(ic, p, ApproxPair(x, y)).lower_set != apply_fn(ic, p, ApproxPair(y, x)).upper_set:
+            if ic[xm << n | ym].lower_set != ic[ym << n | xm].upper_set:
                 return cases, (
                     f"lower at ({render.fmt_set(u, x)}, {render.fmt_set(u, y)}) "
                     f"differs from upper at the swapped pair"
@@ -149,16 +182,17 @@ def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 
 
 def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    code = _precision_codes(p)
-    size = 1 << len(p.universe)
+    t = _table(p, apply_fn)
+    size = 1 << t.n
     cases = 0
     for kind in _ndao_kinds(p):
-        for i in _pairs(p):
+        values = t.values[kind]
+        for key, i in zip(t.consistent, _pairs(p)):
             cases += 1
-            value = apply_fn(kind, p, i)
+            value = values[key]
             if not value.lower_set or not value.upper_set:
                 return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(p.universe, i)}"
-            c = code(value)
+            c = t.codes[value]
             # smyth_leq(lower set, upper set): every upper member is Smyth-above the lower set.
             if c.members >> size & ~c.allowed:
                 return cases, f"{kind.value} not upwards coherent at {render.fmt_pair(p.universe, i)}"
@@ -244,11 +278,13 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]
 def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     if not p.compile().classification.atomic_heads:
         return 0, None
+    t = _table(p, apply_fn)
+    dmt, det = t.values[OperatorKind.DMT], t.values[OperatorKind.DMT_DET]
     cases = 0
-    for i in _pairs(p):
+    for key, i in zip(t.consistent, _pairs(p)):
         cases += 1
         # On atomic heads each set of `dmt` is the one set of its heads' atoms.
-        if apply_fn(OperatorKind.DMT, p, i) != apply_fn(OperatorKind.DMT_DET, p, i):
+        if dmt[key] != det[key]:
             return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, i)}"
     cases += 1
     if sem.stable_fixpoints(OperatorKind.DMT, p) != sem.det_stable_fixpoints(p):
@@ -257,14 +293,15 @@ def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | Non
 
 
 def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    cases = 0
-    u = p.universe
+    t = _table(p, apply_fn)
+    n, sets, cases = t.n, t.sets, 0
     for kind in _ndao_kinds(p):
-        for y in u.subsets():
+        values = t.values[kind]
+        for ym, y in enumerate(sets):
             cases += 1
             fixed, pre = [], []
-            for x in u.interval(frozenset(), y) if ops.consistent_only(kind) else u.subsets():
-                lower_set = apply_fn(kind, p, ApproxPair(x, y)).lower_set
+            for xm in submasks(ym) if ops.consistent_only(kind) else range(1 << n):
+                x, lower_set = sets[xm], values[xm << n | ym].lower_set
                 if x in lower_set:
                     fixed.append(x)
                 if smyth_leq(lower_set, frozenset((x,))):
@@ -272,7 +309,7 @@ def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | 
             if sem.minimal_sets(fixed) != sem.minimal_sets(pre):
                 return cases, (
                     f"{kind.value}: minimal fixpoints and minimal pre-fixpoints differ "
-                    f"at upper bound {render.fmt_set(u, y)}"
+                    f"at upper bound {render.fmt_set(p.universe, y)}"
                 )
     return cases, None
 
@@ -322,7 +359,7 @@ def run_laws(
 ) -> list[LawOutcome]:
     """Run the named laws (all by default), each once in the order first
     named, over the programs, each compiled under the atom cap `max_atoms`
-    (`lattice.atom_cap`)."""
+    (`lattice.atom_cap`) and read through one `OperatorTable` of its own."""
     ordered = sorted(programs, key=lambda p: (len(p.rules), len(p.universe), p.text))
     selected = list(dict.fromkeys(names)) if names is not None else list(LAW_NAMES)
     unknown = [n for n in selected if n not in LAWS]
@@ -330,16 +367,12 @@ def run_laws(
         raise UnknownLawError(f"unknown law name(s): {', '.join(unknown)}")
     for p in ordered:
         p.compile(max_atoms)
-    outcomes = []
-    for name in selected:
-        law = LAWS[name]
-        cases = 0
-        failure = None
-        for p in ordered:
-            checked, detail = law(p, apply_fn)
-            cases += checked
+    cases, failures = dict.fromkeys(selected, 0), dict.fromkeys(selected)
+    for p in ordered:
+        table = OperatorTable(p, apply_fn)
+        for name in [name for name in selected if failures[name] is None]:
+            checked, detail = LAWS[name](p, table)
+            cases[name] += checked
             if detail is not None:
-                failure = f"{detail}\nreproducer:\n{p.text}"
-                break
-        outcomes.append(LawOutcome(name, failure is None, cases, failure))
-    return outcomes
+                failures[name] = f"{detail}\nreproducer:\n{p.text}"
+    return [LawOutcome(name, failures[name] is None, cases[name], failures[name]) for name in selected]

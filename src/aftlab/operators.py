@@ -149,15 +149,10 @@ def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
     its compiled classification: `ic` needs an aggregate-free program and
     `dmt-det` atomic heads. Compiling, the caller's, decided the atom cap."""
     cls = compiled.classification
-    if kind is OperatorKind.IC and cls.has_aggregates:
+    if cls.has_aggregates and kind is OperatorKind.IC:
         raise ProgramClassError("the four-valued operator needs an aggregate-free program")
-    if kind is OperatorKind.DMT_DET and not cls.atomic_heads:
+    if not cls.atomic_heads and kind is OperatorKind.DMT_DET:
         raise ProgramClassError("the deterministic operator needs atomic heads")
-
-
-def _require_consistent(i: ApproxPair) -> None:
-    if not i.is_consistent:
-        raise InconsistentPairError("operator not defined on inconsistent pairs")
 
 
 def _four_heads(p: Program, compiled: prog.Compiled, i: ApproxPair) -> tuple[frozenset[AtomSet], frozenset[AtomSet]]:
@@ -223,7 +218,7 @@ def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
 
 
 # The operators read from the base entries of the sets of an interval
-# (`_interval_value`).
+# (`_interval_value`, which unpacks them in this order).
 INTERVAL = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
 
 
@@ -241,29 +236,35 @@ def _interval_value(kind: OperatorKind, p: Program, compiled: prog.Compiled, i: 
     - `gz`: `ic(x)` on a total pair, ({∅}, {A}) elsewhere;
     - `dmt-det`: the AND and the OR of the entries' atom masks, the atoms
       derived everywhere and somewhere in [x, y], on atomic heads.
-    """
-    check_kind_applicable(kind, compiled)
-    _require_consistent(i)
-    u = p.universe
+
+    The one-set families, of `dmt-det` and of `gz` off the total pairs, are
+    kept with the head families under the set's mask (`single`)."""
+    dmt, ultimate, gz, det = INTERVAL  # `OperatorKind.GZ` takes `EnumType`'s slow attribute path
+    if kind is det:
+        check_kind_applicable(kind, compiled)
+    if not i.lower <= i.upper:
+        raise InconsistentPairError("operator not defined on inconsistent pairs")
+    u, kept = p.universe, compiled.families
+    single = lambda m: kept.get(m) or kept.setdefault(m, frozenset((u.unmask(m),)))  # noqa: E731
     xm, ym = u.mask(i.lower), u.mask(i.upper)
-    if kind is OperatorKind.GZ and xm != ym:
-        return NdPair(frozenset((u.unmask(0),)), frozenset((u.unmask((1 << len(u)) - 1),)))
+    if kind is gz and xm != ym:
+        return NdPair(single(0), single((1 << len(u)) - 1))
     base = compiled.base
-    entries = [base.get(z) or _base(p, compiled, z) for z in [xm | s for s in submasks(ym & ~xm)]]
-    if kind is OperatorKind.GZ:
+    entries = [base.get(xm | s) or _base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
+    if kind is gz:
         consequences = _hits(compiled, entries[0][0])
         return NdPair(consequences, consequences)
-    if kind is OperatorKind.DMT:
+    if kind is dmt:
         heads = [h for h, _ in entries]
         return NdPair(_hits(compiled, frozenset.intersection(*heads)), _hits(compiled, frozenset().union(*heads)))
-    if kind is OperatorKind.ULTIMATE:
+    if kind is ultimate:
         hits = [_hits(compiled, h) for h in {h for h, _ in entries}]
         gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
         return NdPair(gathered, gathered)
     lower, upper = (1 << len(u)) - 1, 0
     for _, atoms in entries:
         lower, upper = lower & atoms, upper | atoms
-    return NdPair(frozenset((u.unmask(lower),)), frozenset((u.unmask(upper),)))
+    return NdPair(single(lower), single(upper))
 
 
 @cache
@@ -571,11 +572,11 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     Each value is kept on the program's compiled form per (kind, pair), a
     refusal is not. A kept value is found with no call into Python: the form
     is read from the program's dict, and the key hashes in C. A value not
-    kept is read on masks, `ic_triv_ndao` for the four-valued operators and
-    `_interval_value` for the others, probing none of the memos."""
+    kept is read on masks, probing none of the memos: `ic_triv_ndao`, or
+    `_interval_value`, which shares the one-set families of `gz` and `dmt-det`."""
     compiled = p.__dict__.get("_compiled") or p.compile()
     values = compiled.values
-    found = values.get((kind, i))
+    found = values.get(key := (kind, i))
     if found is not None:
         return found
     if kind in FOUR_VALUED:
@@ -586,5 +587,5 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         found = _interval_value(kind, p, compiled, i)
     else:
         raise AftlabError(f"unknown operator kind {kind!r}")
-    values[kind, i] = found
+    values[key] = found
     return found

@@ -134,9 +134,9 @@ class Rule:
 
 @record
 class Program:
-    """An immutable program. Its hash and its compiled form are computed the
-    first time they are needed and then kept outside its fields, so pickles
-    leave them behind (str hashes are salted per process)."""
+    """An immutable program. Its hash, digest and compiled form are computed
+    the first time they are needed and then kept outside its fields, so
+    pickles leave them behind (str hashes are salted per process)."""
 
     __slots__ = ("__dict__",)
     rules: tuple[Rule, ...]
@@ -154,7 +154,7 @@ class Program:
         # literal and weight on every lookup cost more than the operators.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.rules, self.universe))
+            h = hash((self.__class__, self.rules, self.universe))
             self.__dict__["_hash"] = h
         return h
 
@@ -268,14 +268,14 @@ class CompiledAggregate:
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`.
     `pair_planes` keeps the `operators.PairPlanes` a sweep has asked for, one
-    per distinct set of planes (`operators.pair_planes`), and `stable_rows`
-    the complete stable values of `ic` and `ic-triv` read from rows, per
-    side and key (`operators.stable_rows`), `families` the hitting sets of
-    each head family the reference operators have built (`operators._hits`),
-    `values` each value `operators.apply` has given, per (kind, pair), and
-    `base` the base entry of each set the reference operators have read, per
-    mask: the heads of the rules whose bodies hold there and the mask of
-    their atoms (`operators._base`)."""
+    per distinct set of planes (`operators.pair_planes`), and `stable_rows` the
+    complete stable values of `ic` and `ic-triv` read from rows, per side and
+    key (`operators.stable_rows`), `families` the hitting sets of each head
+    family the reference operators have built (`operators._hits`) and, under a
+    set's mask, its one-set family, `values` each value `operators.apply` has
+    given, per (kind, pair), and `base` the base entry of each set the
+    reference operators have read, per mask: the heads of the rules whose
+    bodies hold there and the mask of their atoms (`operators._base`)."""
 
     __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families", "values", "base")
 
@@ -352,11 +352,12 @@ def classify(p: Program) -> Classification:
 
 
 def program_hash(p: Program) -> str:
-    # Imported here: hashlib loads OpenSSL, and only the runs that report a
-    # digest need it.
-    import hashlib
+    digest = p.__dict__.get("_digest")  # computed once, kept outside the fields as `_hash` is
+    if digest is None:
+        import hashlib  # here: it loads OpenSSL, and only the runs that report a digest need it
 
-    return hashlib.sha256(p.text.encode()).hexdigest()[:12]
+        digest = p.__dict__["_digest"] = hashlib.sha256(p.text.encode()).hexdigest()[:12]
+    return digest
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@
 optional defaults, as a subclass of `Record` with one slot per field and an
 `__init__` taking the fields positionally or by keyword. `Record` gives
 equality between records of one class with equal field values, a hash of the
-values, the repr `Name(field=value, ...)`, pickles and copies of the values
-alone, and AttributeError on assignment. A record that keeps computed state
-(`program.Program`, `lattice.AtomUniverse`) lists `"__dict__"` in its body's
-`__slots__`.
+class and the values, the repr `Name(field=value, ...)`, pickles and copies of
+the values alone, and AttributeError on assignment. A record that keeps
+computed state (`program.Program`, `lattice.AtomUniverse`) lists `"__dict__"`
+in its body's `__slots__`.
 
 Records replace frozen dataclasses, whose classes take about 0.7 ms each to
 create and load `dataclasses` and `inspect` at every start. A decorator
@@ -29,7 +29,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values(self))
+        return hash((self.__class__, self._values(self)))
 
     def __repr__(self) -> str:
         values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._field_names)

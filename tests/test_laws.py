@@ -155,6 +155,52 @@ def test_prefixpoint_minimal_reads_the_operator_once_per_candidate():
     assert len(calls) == len(set(calls)) == candidates
 
 
+def asks(programs, names=None):
+    """The (kind, program, pair) asks of one `run_laws` over the programs."""
+    asked = []
+
+    def counting(kind, p, i):
+        asked.append((kind, id(p), i))
+        return ops.apply(kind, p, i)
+
+    laws.run_laws(programs, names, apply_fn=counting)
+    return asked
+
+
+def law_reads(p, name):
+    """The (kind, program, pair) asks of a law that passes on p, each read
+    through `apply_fn` pair by pair: `exactness` reads the total pairs
+    alone, `symmetry` and `prefixpoint-minimal` read `ic` at every pair, the
+    inconsistent ones too, and the others the consistent pairs."""
+    u, kinds = p.universe, laws._ndao_kinds(p)
+    consistent, total = set(u.consistent_pairs()), {ApproxPair(x, x) for x in u.subsets()}
+    every = {ApproxPair(x, y) for x in u.subsets() for y in u.subsets()}
+    det = [OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else []
+    reads = {
+        "monotonicity": [(k, consistent) for k in kinds + det],
+        "exactness": [(k, total) for k in kinds],
+        "precision-chain": [(k, consistent) for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE)],
+        "ultimate-max": [(k, consistent) for k in kinds],
+        "symmetry": [(OperatorKind.IC, every)] if OperatorKind.IC in kinds else [],
+        "upwards-coherence": [(k, consistent) for k in kinds],
+        "dmt-det-collapse": [(k, consistent) for k in [OperatorKind.DMT, *det]] if det else [],
+        "prefixpoint-minimal": [(k, consistent if ops.consistent_only(k) else every) for k in kinds],
+    }
+    return {(k, id(p), i) for k, pairs in reads.get(name, []) for i in pairs}
+
+
+def test_each_value_is_read_once_per_run(precision_suite):
+    """`run_laws` asks `apply_fn` for each (kind, program, pair) at most once
+    over all the laws, and each law alone for what it reads."""
+    everything = asks(precision_suite)
+    assert len(everything) == len(set(everything))
+    alone = {name: asks(precision_suite, [name]) for name in laws.LAW_NAMES}
+    for name, asked in alone.items():
+        assert len(asked) == len(set(asked)), name
+        assert set(asked) == set().union(*(law_reads(p, name) for p in precision_suite)), name
+    assert set(everything) == set().union(*alone.values())
+
+
 def is_least_precise(p, i):
     return i == ApproxPair(frozenset(), p.universe.full())
 

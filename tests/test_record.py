@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import reference as ref
 from aftlab import four, program as prog
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig
@@ -85,6 +86,16 @@ def test_equal_fields_of_different_classes_differ():
     assert prog.PositiveAgg(_AGG) != prog.NegatedAgg(_AGG)
     assert four.And(four.Atom("p"), four.Atom("q")) != four.Or(four.Atom("p"), four.Atom("q"))
     assert prog.PositiveAtom("a") != four.Atom("a")
+
+
+def test_equal_fields_of_different_classes_hash_apart():
+    """The class is hashed with the values, so records that differ only in
+    their class, and programs that differ only in such a record, do not all
+    collide in a memo keyed by them."""
+    assert hash(prog.PositiveAtom("a")) != hash(prog.NegatedAtom("a"))
+    assert hash(prog.parse("a :- b.\n")) != hash(prog.parse("a :- not b.\n"))
+    programs = set(ref.fired_atom_tables())
+    assert len({hash(p) for p in programs}) == len(programs) == 407
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 import reference as ref
@@ -6,7 +8,7 @@ from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, CapExceededError, InconsistentPairError, leq_i, leq_t
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, classify, gl_transform, parse
-from conftest import atoms, family, pair
+from conftest import SEMANTICS_CELLS, atoms, family, pair
 
 
 NDAO_KINDS = (OperatorKind.IC, OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.IC_TRIV)
@@ -338,6 +340,21 @@ def test_run_semantics_dispatch(disjunctive_self_defeat):
     assert kk.operator == "dmt-det"
     with pytest.raises(Exception):
         sem.run_semantics("stable", disjunctive_self_defeat, None)
+
+
+def test_the_program_digest_is_computed_once_per_program(monkeypatch, negation_vs_positive_loop):
+    """Every cell of `SEMANTICS` reports the digest; the program computes it
+    once, keeps it outside its fields and leaves it out of a pickle."""
+    import hashlib
+
+    digests = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(data) or sha256(data))
+    p = parse(negation_vs_positive_loop.text)
+    results = [sem.run_semantics(name, p, kind) for name, kind in SEMANTICS_CELLS]
+    assert len(results) == 40 and len(digests) == 1
+    assert {r.program_digest for r in results} == {sha256(p.text.encode()).hexdigest()[:12]}
+    assert "_digest" in vars(p) and vars(pickle.loads(pickle.dumps(p))) == {}
 
 
 # Aggregate-free programs with 1-3 atoms and heads of width 1-3.
