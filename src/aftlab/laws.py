@@ -5,10 +5,14 @@ Each law reports the number of checked cases and, on violation, a failure
 message with the smallest failing program appended as a reproducer (programs
 are visited in increasing size order).
 
-The laws read the operators only through `apply_fn`: `run_laws` hands each law
-one `OperatorTable` per program in its place, which asks `apply_fn` for a
-(kind, pair) on a law's first read, keeps the value and its precision code, and
-is callable like `apply_fn`. A law given another `apply_fn` builds one over it.
+The laws read the operators through one `OperatorTable` per program, which
+`run_laws` hands each law in place of `apply_fn` and which is callable like
+it. With no `apply_fn`, the table reads the reference operators: a law that
+reads every pair of a kind has it from one `operators.values` call, and a law
+that reads some pairs asks `operators.apply` for each on its first read. A
+given `apply_fn`, a mutant say, is asked pair by pair, once per (kind, pair).
+Either way the laws read no plane and no row of the sweeps they referee. A
+law given another `apply_fn` builds a table over it.
 """
 
 from __future__ import annotations
@@ -60,17 +64,29 @@ class _Lazy(dict):
 
 class OperatorTable:
     """One program's operators by pair number, x << n | y for the masks (x, y):
-    `values[kind][number]`, asked of `apply_fn` on the first read, and
+    `values[kind][number]`, asked of `apply_fn` (`ops.apply` if none) on the
+    first read, or read with every pair of the kind's domain by `every`, and
     `codes[value]`, the `PrecisionCode` of each distinct value. `sets[m]` is
     the set with mask m; `consistent` numbers the consistent pairs in order."""
 
-    def __init__(self, p: Program, apply_fn: ApplyFn):
+    def __init__(self, p: Program, apply_fn: ApplyFn | None = None):
         u, n = p.universe, len(p.universe)
-        self.program, self.apply_fn, self.n, low = p, apply_fn, n, (1 << n) - 1
+        self.program, self.n, low = p, n, (1 << n) - 1
+        self.apply_fn = ask = apply_fn or ops.apply
+        self.reference, self.whole = apply_fn is None, set()
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
         self.consistent = [xm << n | ym for xm, ym in u.consistent_masks()]
-        self.values = _Lazy(lambda kind: _Lazy(lambda m: apply_fn(kind, p, ApproxPair(sets[m >> n], sets[m & low]))))
+        self.values = _Lazy(lambda kind: _Lazy(lambda m: ask(kind, p, ApproxPair(sets[m >> n], sets[m & low]))))
         self.codes = _Lazy(lambda value: precision_code(u, value))
+
+    def every(self, kind: OperatorKind) -> dict[int, NdPair]:
+        """`values[kind]` for a law that reads every pair of the kind's
+        domain: on the reference operators, filled by one `ops.values` call."""
+        values = self.values[kind]
+        if self.reference and kind not in self.whole:
+            values.update(ops.values(kind, self.program))
+            self.whole.add(kind)
+        return values
 
     def __call__(self, kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         if p is not self.program or not i.lower | i.upper <= self.sets[-1]:
@@ -78,7 +94,7 @@ class OperatorTable:
         return self.values[kind][p.universe.mask(i.lower) << self.n | p.universe.mask(i.upper)]
 
 
-def _table(p: Program, apply_fn: ApplyFn) -> OperatorTable:
+def _table(p: Program, apply_fn: ApplyFn | None) -> OperatorTable:
     """`run_laws`' table of p, or a new one over `apply_fn`."""
     return apply_fn if isinstance(apply_fn, OperatorTable) and apply_fn.program is p else OperatorTable(p, apply_fn)
 
@@ -99,7 +115,7 @@ def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     ]
     cases = 0
     for kind in kinds:
-        values = t.values[kind]
+        values = t.every(kind)
         codes = {key: t.codes[values[number]] for key, number in zip(keys, t.consistent)}
         above = {key: c.members for key, c in codes.items()}
         for step in steps:
@@ -139,7 +155,7 @@ def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
 
 def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     t = _table(p, apply_fn)
-    gz_of, dmt_of, ult_of = (t.values[k] for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
+    gz_of, dmt_of, ult_of = (t.every(k) for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
     cases = 0
     for key, i in zip(t.consistent, _pairs(p)):
         cases += 1
@@ -153,13 +169,14 @@ def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None
 
 def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     t = _table(p, apply_fn)
-    ult_of, kinds = t.values[OperatorKind.ULTIMATE], [k for k in _ndao_kinds(p) if k is not OperatorKind.ULTIMATE]
+    ult_of = t.every(OperatorKind.ULTIMATE)
+    others = [(kind, t.every(kind)) for kind in _ndao_kinds(p) if kind is not OperatorKind.ULTIMATE]
     cases = 0
     for key, i in zip(t.consistent, _pairs(p)):
         ult = t.codes[ult_of[key]].members
-        for kind in kinds:
+        for kind, values in others:
             cases += 1
-            if ult & ~t.codes[t.values[kind][key]].allowed:
+            if ult & ~t.codes[values[key]].allowed:
                 return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, i)}"
     return cases, None
 
@@ -168,7 +185,7 @@ def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     if p.compile().classification.has_aggregates:
         return 0, None
     t, u = _table(p, apply_fn), p.universe
-    ic, n = t.values[OperatorKind.IC], t.n
+    ic, n = t.every(OperatorKind.IC), t.n
     cases = 0
     for xm, x in enumerate(t.sets):
         for ym, y in enumerate(t.sets):
@@ -186,7 +203,7 @@ def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | No
     size = 1 << t.n
     cases = 0
     for kind in _ndao_kinds(p):
-        values = t.values[kind]
+        values = t.every(kind)
         for key, i in zip(t.consistent, _pairs(p)):
             cases += 1
             value = values[key]
@@ -279,7 +296,7 @@ def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | Non
     if not p.compile().classification.atomic_heads:
         return 0, None
     t = _table(p, apply_fn)
-    dmt, det = t.values[OperatorKind.DMT], t.values[OperatorKind.DMT_DET]
+    dmt, det = t.every(OperatorKind.DMT), t.every(OperatorKind.DMT_DET)
     cases = 0
     for key, i in zip(t.consistent, _pairs(p)):
         cases += 1
@@ -296,7 +313,7 @@ def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | 
     t = _table(p, apply_fn)
     n, sets, cases = t.n, t.sets, 0
     for kind in _ndao_kinds(p):
-        values = t.values[kind]
+        values = t.every(kind)
         for ym, y in enumerate(sets):
             cases += 1
             fixed, pre = [], []
@@ -354,12 +371,13 @@ def suite_programs(count: int = 200, atoms: int = 3, rules: int = 4, seed: int =
 def run_laws(
     programs: Iterable[Program],
     names: Sequence[str] | None = None,
-    apply_fn: ApplyFn = ops.apply,
+    apply_fn: ApplyFn | None = None,
     max_atoms: int | None = None,
 ) -> list[LawOutcome]:
     """Run the named laws (all by default), each once in the order first
     named, over the programs, each compiled under the atom cap `max_atoms`
-    (`lattice.atom_cap`) and read through one `OperatorTable` of its own."""
+    (`lattice.atom_cap`) and read through one `OperatorTable` of its own:
+    over the reference operators, or over `apply_fn` if given."""
     ordered = sorted(programs, key=lambda p: (len(p.rules), len(p.universe), p.text))
     selected = list(dict.fromkeys(names)) if names is not None else list(LAW_NAMES)
     unknown = [n for n in selected if n not in LAWS]

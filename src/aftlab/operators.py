@@ -4,14 +4,17 @@ non-deterministic approximating operators (four-valued, four-valued with
 trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
-All operators are pure. Each value `apply` gives is kept on the program's
-compiled form per (operator, pair) (`Compiled.values`). A value not kept is
-read on the pair's masks and probes none of the memos of the operator
-functions, which stay for direct callers: the four-valued operators read
-both sides of a pair in one pass over the rules (`_four_heads`), the others
-walk the interval as submasks over the base entry of each set, the heads
-fired there and their atoms, built once per program and set and kept on its
-compiled form (`_base`, `_interval_value`). The hitting sets of each head
+All operators are pure, and no value is kept. `apply` reads one pair on its
+masks and probes none of the memos of the operator functions, which stay
+for direct callers: the four-valued operators read both sides of a pair in
+one pass over the rules (`_four_heads`), the others walk the interval as
+submasks over the base entry of each set, the heads fired there and their
+atoms, built once per program and set and kept on its compiled form
+(`_base`, `_interval_value`). `values` reads an operator at every pair of
+its domain in one pass: the four-valued ones pair by pair on masks, the
+others by folding the base entries up the gap of each pair. A head family
+is an int over the program's distinct heads, and each fold becomes a value
+in one step that both share (`_from_fold`). The hitting sets of each head
 family are built once per program and kept there too (`_hits`). The sweeps
 read the operators from tables instead, built on the program's masks and
 kept on its compiled form.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, reduce
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Sequence
 
 from . import four, program as prog
@@ -53,7 +56,7 @@ from .program import Program, ProgramClassError
 
 class OperatorKind(Enum):
     # Members are singletons compared by identity, so they hash by identity
-    # too: `Enum.__hash__` runs in Python on every (kind, pair) key `apply` reads.
+    # too: `Enum.__hash__` runs in Python on every dict key that is a kind.
     __hash__ = object.__hash__
 
     IC = "ic"
@@ -64,13 +67,17 @@ class OperatorKind(Enum):
     IC_TRIV = "ic-triv"
 
 
+# The members as module names: `OperatorKind.GZ` takes `EnumType`'s slow
+# attribute path on every read.
+IC, DMT, ULTIMATE, GZ, DMT_DET, IC_TRIV = OperatorKind
+
 # The four-valued operators, total on every pair. Their complete stable
 # values range over the inconsistent pairs too, so they are not read from
 # planes over the consistent pairs but from rows (`stable_rows`). The
 # minimal planes of `ic-triv` read those values over the consistent pairs
 # alone; on a plain program their pairs are the three-valued stable models
 # (`semantics.three_valued_stable`).
-FOUR_VALUED = (OperatorKind.IC, OperatorKind.IC_TRIV)
+FOUR_VALUED = (IC, IC_TRIV)
 
 
 def consistent_only(kind: OperatorKind) -> bool:
@@ -84,25 +91,32 @@ def consistent_only(kind: OperatorKind) -> bool:
     return kind not in FOUR_VALUED
 
 
-def _base(p: Program, compiled: prog.Compiled, xm: int) -> tuple[frozenset[AtomSet], int]:
+def _base(p: Program, compiled: prog.Compiled, xm: int) -> tuple[int, int]:
     """The base entry of the set with mask xm: the heads of the rules whose
-    bodies hold there and the mask of their atoms, built by one pass over the
-    rules on the first ask and then kept on the program's compiled form."""
+    bodies hold there, as an int over the program's distinct heads, and the
+    mask of their atoms, built by one pass over the rules on the first ask
+    and then kept on the program's compiled form."""
     found = compiled.base.get(xm)
     if found is None:
-        u, heads, atoms = p.universe, set(), 0
+        u, heads, atoms = p.universe, 0, 0
         for r in compiled.rules:
             if r.holds(u, xm):
-                heads.add(r.head)
+                heads |= r.head_bit
                 atoms |= r.head_mask
-        found = compiled.base[xm] = (frozenset(heads), atoms)
+        found = compiled.base[xm] = (heads, atoms)
     return found
+
+
+def _heads(compiled: prog.Compiled, heads: int) -> frozenset[AtomSet]:
+    """The head family with int `heads`: bit k stands for `compiled.heads[k]`."""
+    return frozenset([h for k, h in enumerate(compiled.heads) if heads >> k & 1])
 
 
 @cache
 def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
     """Heads of the rules whose bodies are true at the total interpretation x."""
-    return _base(p, p.compile(), p.universe.mask(x))[0]
+    compiled = p.compile()
+    return _heads(compiled, _base(p, compiled, p.universe.mask(x))[0])
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
@@ -127,21 +141,33 @@ def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
     return frozenset(out)
 
 
-def _hits(compiled: prog.Compiled, heads: frozenset[AtomSet]) -> NdSet:
-    """`hitting_sets(heads)`, built on the first ask for the family and then
-    kept on the program's compiled form: an operator's value depends on the
-    pair only through its head family, and a program has few of them."""
+def _hits(compiled: prog.Compiled, heads: int) -> NdSet:
+    """`hitting_sets` of the head family with int `heads`, built on the
+    first ask for the family and then kept on the program's compiled form:
+    an operator's value depends on the pair only through its head family,
+    and a program has few of them."""
     kept = compiled.families
     found = kept.get(heads)
     if found is None:
-        found = kept[heads] = hitting_sets(heads)
+        found = kept[heads] = hitting_sets(_heads(compiled, heads))
+    return found
+
+
+def _single(compiled: prog.Compiled, u: AtomUniverse, m: int) -> NdSet:
+    """The one-set family of the set with mask m, kept on the program's
+    compiled form."""
+    kept = compiled.singles
+    found = kept.get(m)
+    if found is None:
+        found = kept[m] = frozenset((u.unmask(m),))
     return found
 
 
 @cache
 def ic(p: Program, x: AtomSet) -> NdSet:
     """Immediate consequences of x: hitting sets of the activated heads."""
-    return _hits(p.compile(), hd(p, x))
+    compiled = p.compile()
+    return _hits(compiled, _base(p, compiled, p.universe.mask(x))[0])
 
 
 def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
@@ -149,26 +175,26 @@ def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
     its compiled classification: `ic` needs an aggregate-free program and
     `dmt-det` atomic heads. Compiling, the caller's, decided the atom cap."""
     cls = compiled.classification
-    if cls.has_aggregates and kind is OperatorKind.IC:
+    if cls.has_aggregates and kind is IC:
         raise ProgramClassError("the four-valued operator needs an aggregate-free program")
-    if not cls.atomic_heads and kind is OperatorKind.DMT_DET:
+    if not cls.atomic_heads and kind is DMT_DET:
         raise ProgramClassError("the deterministic operator needs atomic heads")
 
 
-def _four_heads(p: Program, compiled: prog.Compiled, i: ApproxPair) -> tuple[frozenset[AtomSet], frozenset[AtomSet]]:
-    """The heads of the rules whose body value at i = (x, y) has the lower
-    bit (is >=_t C), and those whose value has the upper bit (is >=_t U), in
-    one pass over the rules. The lower bit is the body's truth at x with
+def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int, i: ApproxPair | None = None) -> tuple[int, int]:
+    """The heads, as ints over the program's distinct heads, of the rules
+    whose body value at the pair with masks (xm, ym) has the lower bit (is
+    >=_t C), and those whose value has the upper bit (is >=_t U), in one
+    pass over the rules. The lower bit is the body's truth at x with
     negation read at y, the upper bit its truth at y with negation read at x.
     Aggregate literals take their bits from their trivial approximation
     (`program.CompiledAggregate.trivial`); general bodies from
-    `four.eval_pair`, which reads the pair of atom sets."""
-    u = p.universe
-    xm, ym = u.mask(i.lower), u.mask(i.upper)
-    lower, upper = set(), set()
+    `four.eval_pair`, which reads the pair of atom sets, i if given."""
+    lower = upper = 0
     for r in compiled.rules:
         if r.formula is not None:
-            bits = four.eval_pair(u, i, r.formula).value
+            i = i or p.universe.pair(xm, ym)
+            bits = four.eval_pair(p.universe, i, r.formula).value
         else:
             bits = (not r.pos & ~xm and not r.neg & ym) << 1 | (not r.pos & ~ym and not r.neg & xm)
             for a in r.aggs:
@@ -176,10 +202,10 @@ def _four_heads(p: Program, compiled: prog.Compiled, i: ApproxPair) -> tuple[fro
                     break
                 bits &= a.trivial(xm, ym)
         if bits & four.LOWER_BIT:
-            lower.add(r.head)
+            lower |= r.head_bit
         if bits & four.UPPER_BIT:
-            upper.add(r.head)
-    return frozenset(lower), frozenset(upper)
+            upper |= r.head_bit
+    return lower, upper
 
 
 @cache
@@ -198,7 +224,7 @@ def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
     upper heads >=_t U. It is `ic_triv_ndao` on the aggregate-free programs
     it is defined on."""
     compiled = p.compile()
-    check_kind_applicable(OperatorKind.IC, compiled)
+    check_kind_applicable(IC, compiled)
     return ic_triv_ndao(p, i, compiled)
 
 
@@ -208,8 +234,8 @@ def ic_triv_ndao(p: Program, i: ApproxPair, compiled: prog.Compiled | None = Non
     programs. Its total stable fixpoints are the reduct answer sets
     (`semantics.gz_answer_sets`); README "Aggregates and GZ answer sets"."""
     compiled = compiled or p.compile()
-    lower, upper = _four_heads(p, compiled, i)
-    return NdPair(_hits(compiled, lower), _hits(compiled, upper))
+    u = p.universe
+    return _from_fold(IC_TRIV, compiled, u, _four_heads(p, compiled, u.mask(i.lower), u.mask(i.upper), i))
 
 
 @cache
@@ -217,9 +243,38 @@ def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
     return p.universe.unmask(_base(p, p.compile(), p.universe.mask(z))[1])
 
 
-# The operators read from the base entries of the sets of an interval
-# (`_interval_value`, which unpacks them in this order).
-INTERVAL = (OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ, OperatorKind.DMT_DET)
+# The operators read from the base entries of the sets of an interval.
+INTERVAL = (DMT, ULTIMATE, GZ, DMT_DET)
+
+
+def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fold) -> NdPair:
+    """An operator's value at a pair from what it reads there, the one step
+    from a fold to a value that `apply` and `values` share:
+
+    - `ic`, `ic-triv`: the hitting sets of the two head ints of
+      `_four_heads`;
+    - `dmt`: the hitting sets of the meet and of the join of the heads of the
+      base entries over [x, y], the heads activated everywhere and somewhere
+      there, as the AND and the OR of their ints;
+    - `ultimate`: the union of `ic(z)` over [x, y], the hitting sets of each
+      distinct head int of the entries (the frozenset `fold`), on both sides;
+    - `gz`: `ic(x)`, the hitting sets of the head int of x, on a total pair,
+      ({∅}, {A}) elsewhere (`fold` None);
+    - `dmt-det`: the AND and the OR of the entries' atom masks, the atoms
+      derived everywhere and somewhere in [x, y], as one-set families, on
+      atomic heads."""
+    if kind is DMT or kind in FOUR_VALUED:
+        return NdPair(_hits(compiled, fold[0]), _hits(compiled, fold[1]))
+    if kind is ULTIMATE:
+        hits = [_hits(compiled, h) for h in fold]
+        gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
+        return NdPair(gathered, gathered)
+    if kind is DMT_DET:
+        return NdPair(_single(compiled, u, fold[0]), _single(compiled, u, fold[1]))
+    if fold is None:
+        return NdPair(_single(compiled, u, 0), _single(compiled, u, (1 << len(u)) - 1))
+    consequences = _hits(compiled, fold)
+    return NdPair(consequences, consequences)
 
 
 def _interval_value(kind: OperatorKind, p: Program, compiled: prog.Compiled, i: ApproxPair) -> NdPair:
@@ -227,51 +282,32 @@ def _interval_value(kind: OperatorKind, p: Program, compiled: prog.Compiled, i: 
     singletons, read on masks: the pair's masks are resolved once, which
     refuses an atom outside the universe, and the sets z of [x, y] are
     walked as the submasks of y - x, reading the base entry of each
-    (`_base`) and building no set per z. Per operator:
-
-    - `dmt`: the hitting sets of the meet and of the join of the entries'
-      heads, the heads activated everywhere and somewhere in [x, y];
-    - `ultimate`: the union of `ic(z)` over [x, y], the hitting sets of each
-      distinct head family, on both sides;
-    - `gz`: `ic(x)` on a total pair, ({∅}, {A}) elsewhere;
-    - `dmt-det`: the AND and the OR of the entries' atom masks, the atoms
-      derived everywhere and somewhere in [x, y], on atomic heads.
-
-    The one-set families, of `dmt-det` and of `gz` off the total pairs, are
-    kept with the head families under the set's mask (`single`)."""
-    dmt, ultimate, gz, det = INTERVAL  # `OperatorKind.GZ` takes `EnumType`'s slow attribute path
-    if kind is det:
+    (`_base`) and building no set per z. The entries are folded as
+    `_from_fold` reads them."""
+    if kind is DMT_DET:
         check_kind_applicable(kind, compiled)
     if not i.lower <= i.upper:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
-    u, kept = p.universe, compiled.families
-    single = lambda m: kept.get(m) or kept.setdefault(m, frozenset((u.unmask(m),)))  # noqa: E731
+    u = p.universe
     xm, ym = u.mask(i.lower), u.mask(i.upper)
-    if kind is gz and xm != ym:
-        return NdPair(single(0), single((1 << len(u)) - 1))
+    if kind is GZ:
+        return _from_fold(kind, compiled, u, _base(p, compiled, xm)[0] if xm == ym else None)
     base = compiled.base
     entries = [base.get(xm | s) or _base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
-    if kind is gz:
-        consequences = _hits(compiled, entries[0][0])
-        return NdPair(consequences, consequences)
-    if kind is dmt:
-        heads = [h for h, _ in entries]
-        return NdPair(_hits(compiled, frozenset.intersection(*heads)), _hits(compiled, frozenset().union(*heads)))
-    if kind is ultimate:
-        hits = [_hits(compiled, h) for h in {h for h, _ in entries}]
-        gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
-        return NdPair(gathered, gathered)
-    lower, upper = (1 << len(u)) - 1, 0
-    for _, atoms in entries:
-        lower, upper = lower & atoms, upper | atoms
-    return NdPair(single(lower), single(upper))
+    if kind is ULTIMATE:
+        return _from_fold(kind, compiled, u, frozenset([heads for heads, _ in entries]))
+    side = 0 if kind is DMT else 1
+    lower, upper = -1, 0
+    for entry in entries:
+        lower, upper = lower & entry[side], upper | entry[side]
+    return _from_fold(kind, compiled, u, (lower, upper))
 
 
 @cache
 def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
     """Deterministic interval operator: intersection / union of derivable
     atoms over [x, y]. Needs atomic heads and a consistent pair."""
-    (lower,), (upper,) = _interval_value(OperatorKind.DMT_DET, p, p.compile(), i)
+    (lower,), (upper,) = _interval_value(DMT_DET, p, p.compile(), i)
     return ApproxPair(lower, upper)
 
 
@@ -279,14 +315,14 @@ def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
 def dmt_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Interval operator at head level: heads activated everywhere in [x, y]
     below, somewhere in [x, y] above, then hitting sets on each side."""
-    return _interval_value(OperatorKind.DMT, p, p.compile(), i)
+    return _interval_value(DMT, p, p.compile(), i)
 
 
 @cache
 def ultimate_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Most precise approximating operator: union of the base operator over
     the interval, on both sides."""
-    return _interval_value(OperatorKind.ULTIMATE, p, p.compile(), i)
+    return _interval_value(ULTIMATE, p, p.compile(), i)
 
 
 @cache
@@ -294,7 +330,61 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Trivial operator: exact on total pairs, least precise elsewhere. Its
     total stable fixpoints are not the reduct answer sets; those of
     `ic_triv_ndao` are (README "Known defect")."""
-    return _interval_value(OperatorKind.GZ, p, p.compile(), i)
+    return _interval_value(GZ, p, p.compile(), i)
+
+
+def _fold(n: int, base: Sequence, op: Callable) -> dict[int, object]:
+    """`base[z]` folded by `op` over the interval of each consistent pair,
+    keyed by pair number x << n | y: a total pair (z, z) takes `base[z]`,
+    and a pair (x, y) with a the lowest atom of y - x takes the fold of
+    (x + a, y) with that of (x, y - a), whose intervals cover its own. x
+    runs down, and y up over the supersets of x, so both come first."""
+    full, out = (1 << n) - 1, {}
+    for xm in range(full, -1, -1):
+        row, free, t = xm << n, full & ~xm, 0
+        out[row | xm] = base[xm]
+        while t != free:
+            t = (t - free) & free
+            ym, a = xm | t, t & -t
+            out[row | ym] = op(out[(xm | a) << n | ym], out[row | ym ^ a])
+    return out
+
+
+def values(kind: OperatorKind, p: Program) -> dict[int, NdPair]:
+    """The operator at every pair of its domain, keyed by pair number
+    x << n | y for the masks (x, y), in one pass, equal to `apply` there and
+    refusing a program outside the operator's class as it does. The
+    four-valued operators cover the 4^n pairs, each read by `_four_heads`;
+    the others the 3^n consistent pairs, whose base entries are folded up
+    the gap (`_fold`). Each distinct fold becomes one value (`_from_fold`),
+    shared by the pairs that have it."""
+    compiled = p.compile()
+    check_kind_applicable(kind, compiled)
+    u, n = p.universe, len(p.universe)
+    if kind in FOUR_VALUED:
+        sets = range(1 << n)
+        folds = {xm << n | ym: _four_heads(p, compiled, xm, ym) for xm in sets for ym in sets}
+    elif kind in INTERVAL:
+        base = compiled.base
+        entries = [base.get(z) or _base(p, compiled, z) for z in range(1 << n)]
+        if kind is GZ:
+            folds = dict.fromkeys([xm << n | ym for xm, ym in u.consistent_masks()])
+            folds.update((z << n | z, heads) for z, (heads, _) in enumerate(entries))
+        elif kind is ULTIMATE:
+            folds = _fold(n, [frozenset((heads,)) for heads, _ in entries], or_)
+        else:
+            side = [entry[0 if kind is DMT else 1] for entry in entries]
+            meet, join = _fold(n, side, and_), _fold(n, side, or_)
+            folds = dict(zip(meet, zip(meet.values(), join.values())))
+    else:
+        raise AftlabError(f"unknown operator kind {kind!r}")
+    made, out = {}, {}
+    for number, fold in folds.items():
+        found = made.get(fold)
+        if found is None:
+            found = made[fold] = _from_fold(kind, compiled, u, fold)
+        out[number] = found
+    return out
 
 
 class PairPlanes:
@@ -461,14 +551,14 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
         h = r.head_mask
         body_lower, body_upper = _body_planes(u, r, full, d2, in_y)
         fires[h] = fires.get(h, 0) | body_lower & body_upper & total
-        if kind is OperatorKind.IC_TRIV:
+        if kind is IC_TRIV:
             lower_heads[h] = lower_heads.get(h, 0) | body_lower
             upper_heads[h] = upper_heads.get(h, 0) | body_upper
     closed = full & ~digits.above_x(_missed(fires, d2))
-    if kind is OperatorKind.IC_TRIV:
+    if kind is IC_TRIV:
         lower, upper = _members(full, lower_heads, d2), _members(full, upper_heads, in_y)
         smyth = full & ~_missed(lower_heads, d2)
-    elif kind is OperatorKind.DMT:
+    elif kind is DMT:
         # One side at a time: the folds of the lower side are dropped before
         # those of the upper side are built, which keeps the peak lower.
         meet = {h: digits.fold(plane, True) for h, plane in fires.items()}
@@ -476,13 +566,13 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
         del meet
         join = {h: digits.fold(plane, False) for h, plane in fires.items()}
         upper = _members(full, join, in_y)
-    elif kind is OperatorKind.ULTIMATE:
+    elif kind is ULTIMATE:
         at_y = {h: digits.above_x(plane) for h, plane in fires.items()}
         at_x = {h: digits.below_y(plane) for h, plane in fires.items()}
         lower = digits.below_y(_members(full, at_y, d2))
         upper = digits.above_x(_members(full, at_x, in_y))
         smyth = digits.below_y(full & ~_missed(at_y, d2))
-    elif kind is OperatorKind.GZ:
+    elif kind is GZ:
         # Off the total pairs, x = ∅ is the lower member and y = A the upper.
         exact, off, every = total & _members(full, fires, d2), full ^ total, (1 << len(u)) - 1
         lower, upper = exact | off & ~_meets(every, d2), exact | off & ~_meets(every, d0)
@@ -496,7 +586,7 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
 # aggregate-free programs it is defined on, and on atomic heads `dmt` is
 # `dmt-det` lifted to singletons. `pair_planes` refuses a program outside
 # the operator's class before it maps the operator here.
-_SHARED_PLANES = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}
+_SHARED_PLANES = {IC: IC_TRIV, DMT_DET: DMT}
 
 
 def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
@@ -569,23 +659,15 @@ def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     """Uniform dispatch; the deterministic operator is lifted to singletons.
-    Each value is kept on the program's compiled form per (kind, pair), a
-    refusal is not. A kept value is found with no call into Python: the form
-    is read from the program's dict, and the key hashes in C. A value not
-    kept is read on masks, probing none of the memos: `ic_triv_ndao`, or
-    `_interval_value`, which shares the one-set families of `gz` and `dmt-det`."""
+    The value is read on the pair's masks, probing none of the memos, and
+    not kept; a refusal raises on every ask: `ic_triv_ndao`, or
+    `_interval_value`, which shares the one-set families of `gz` and
+    `dmt-det`. `values` reads the operator at every pair at once."""
     compiled = p.__dict__.get("_compiled") or p.compile()
-    values = compiled.values
-    found = values.get(key := (kind, i))
-    if found is not None:
-        return found
     if kind in FOUR_VALUED:
-        if kind is OperatorKind.IC:
+        if kind is IC:
             check_kind_applicable(kind, compiled)
-        found = ic_triv_ndao(p, i, compiled)
-    elif kind in INTERVAL:
-        found = _interval_value(kind, p, compiled, i)
-    else:
-        raise AftlabError(f"unknown operator kind {kind!r}")
-    values[key] = found
-    return found
+        return ic_triv_ndao(p, i, compiled)
+    if kind in INTERVAL:
+        return _interval_value(kind, p, compiled, i)
+    raise AftlabError(f"unknown operator kind {kind!r}")

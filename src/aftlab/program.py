@@ -201,18 +201,21 @@ class Classification:
 
 
 class CompiledRule:
-    """A rule over its program's universe: its `head` set and `head_mask`. A
-    conjunctive body is read as the mask `pos` of its positive atoms, the mask
-    `neg` of its negated atoms and its aggregate literals `aggs`, each a
-    `CompiledAggregate`; a general body keeps its `formula`."""
+    """A rule over its program's universe: its `head` set, `head_mask` and
+    `head_bit`, its bit among the program's distinct heads (`Compiled.heads`
+    sets it; 0 on a rule compiled alone). A conjunctive body is read as the
+    mask `pos` of its positive atoms, the mask `neg` of its negated atoms and
+    its aggregate literals `aggs`, each a `CompiledAggregate`; a general body
+    keeps its `formula`."""
 
     # Plain classes, not dataclasses: creating a frozen dataclass takes about
     # 0.7 ms at import, and every CLI run pays the import.
-    __slots__ = ("head", "head_mask", "pos", "neg", "aggs", "formula")
+    __slots__ = ("head", "head_mask", "head_bit", "pos", "neg", "aggs", "formula")
 
     def __init__(self, u: AtomUniverse, rule: Rule):
         self.head = rule.head_set()
         self.head_mask = u.mask(rule.head)
+        self.head_bit = 0
         self.pos = self.neg = 0
         self.aggs: tuple[CompiledAggregate, ...] = ()
         self.formula: Formula | None = None
@@ -267,26 +270,31 @@ class CompiledAggregate:
 
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`.
-    `pair_planes` keeps the `operators.PairPlanes` a sweep has asked for, one
-    per distinct set of planes (`operators.pair_planes`), and `stable_rows` the
-    complete stable values of `ic` and `ic-triv` read from rows, per side and
-    key (`operators.stable_rows`), `families` the hitting sets of each head
-    family the reference operators have built (`operators._hits`) and, under a
-    set's mask, its one-set family, `values` each value `operators.apply` has
-    given, per (kind, pair), and `base` the base entry of each set the
-    reference operators have read, per mask: the heads of the rules whose
-    bodies hold there and the mask of their atoms (`operators._base`)."""
+    `heads` are its distinct rule heads in rule order: a head family is read
+    as an int, bit k for `heads[k]`. `pair_planes` keeps the
+    `operators.PairPlanes` a sweep has asked for, one per distinct set of
+    planes (`operators.pair_planes`), and `stable_rows` the complete stable
+    values of `ic` and `ic-triv` read from rows, per side and key
+    (`operators.stable_rows`). The reference operators keep `families`, the
+    hitting sets of each head family they have built, by its int
+    (`operators._hits`), `singles`, the one-set family of each set, by its
+    mask, and `base`, the base entry of each set they have read, by its mask:
+    the int of the heads of the rules whose bodies hold there and the mask of
+    their atoms (`operators._base`). No operator value is kept here."""
 
-    __slots__ = ("rules", "classification", "pair_planes", "stable_rows", "families", "values", "base")
+    __slots__ = ("rules", "heads", "classification", "pair_planes", "stable_rows", "families", "singles", "base")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
         self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
+        self.heads = tuple(dict.fromkeys(r.head for r in self.rules))
+        for r in self.rules:
+            r.head_bit = 1 << self.heads.index(r.head)
         self.classification = classify(p)
         self.pair_planes: dict = {}
         self.stable_rows: dict = {}
         self.families: dict = {}
-        self.values: dict = {}
+        self.singles: dict = {}
         self.base: dict = {}
 
 

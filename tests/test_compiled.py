@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pickle
 import random
-import sys
 
 import pytest
 
@@ -52,6 +51,14 @@ def heads_with(p, bits: list[int], bit: int) -> frozenset:
     return frozenset(r.head_set() for r, b in zip(p.rules, bits) if b & bit)
 
 
+def four_heads(p, i):
+    """`operators._four_heads` at the pair i, read on its masks, as the two
+    families of heads."""
+    compiled, u = p.compile(), p.universe
+    lower, upper = ops._four_heads(p, compiled, u.mask(i.lower), u.mask(i.upper))
+    return ops._heads(compiled, lower), ops._heads(compiled, upper)
+
+
 def test_body_planes_equal_the_two_bit_reading():
     """At each consistent pair k, bit k of a rule's lower (upper) body plane
     is whether the rule's body has the lower (upper) bit there, and
@@ -77,7 +84,7 @@ def test_body_planes_equal_the_two_bit_reading():
         for xm, ym in u.consistent_masks():
             k = digits.number(xm, ym)
             bits = body_bits(p, u.pair(xm, ym))
-            heads = ops._four_heads(p, p.compile(), u.pair(xm, ym))
+            heads = four_heads(p, u.pair(xm, ym))
             for side, bit in enumerate((four.LOWER_BIT, four.UPPER_BIT)):
                 fired = [bool(b & bit) for b in bits]
                 assert [plane[side] >> k & 1 for plane in planes] == fired, (p.text, xm, ym)
@@ -93,11 +100,11 @@ def test_body_planes_equal_the_two_bit_reading():
                 bits = body_bits(p, u.pair(m, fixed))
                 fired = [bool(b & four.LOWER_BIT) for b in bits]
                 assert [row >> m & 1 for row in lower_rows] == fired, (p.text, m, fixed)
-                assert ops._four_heads(p, p.compile(), u.pair(m, fixed))[0] == heads_with(p, bits, four.LOWER_BIT)
+                assert four_heads(p, u.pair(m, fixed))[0] == heads_with(p, bits, four.LOWER_BIT)
                 bits = body_bits(p, u.pair(fixed, m))
                 fired = [bool(b & four.UPPER_BIT) for b in bits]
                 assert [row >> m & 1 for row in upper_rows] == fired, (p.text, fixed, m)
-                assert ops._four_heads(p, p.compile(), u.pair(fixed, m))[1] == heads_with(p, bits, four.UPPER_BIT)
+                assert four_heads(p, u.pair(fixed, m))[1] == heads_with(p, bits, four.UPPER_BIT)
 
 
 @pytest.mark.parametrize("threshold", [Truth.C, Truth.U])
@@ -105,7 +112,7 @@ def test_two_bit_head_selection_equals_the_formula_reading(threshold):
     side = 0 if threshold is Truth.C else 1
     for p in programs():
         for i in ref.all_pairs(p.universe):
-            assert ops._four_heads(p, p.compile(), i)[side] == ref.heads_at_least(p, i, threshold), (p.text, i)
+            assert four_heads(p, i)[side] == ref.heads_at_least(p, i, threshold), (p.text, i)
 
 
 def test_hd_equals_the_eval_body_filter_and_the_literal_reading():
@@ -332,56 +339,6 @@ def test_kept_families_give_the_values_of_a_fresh_parse_visited_in_reverse():
         assert apply_values(parse(p.text), visits[::-1]) == first, p.text
 
 
-# Atomic heads and an aggregate: every operator but `ic` takes it.
-STORE_PROGRAM = "p :- not r.\nq :- not p.\nr :- #sum{1:p; 2:q} > 1.\ns :- p, not q.\n"
-
-
-def test_apply_keeps_each_value_on_the_compiled_form():
-    p = parse(STORE_PROGRAM)
-    values = p.compile().values
-    for kind in ops.OperatorKind:
-        for i in p.universe.consistent_pairs():
-            try:
-                first = ops.apply(kind, p, i)
-            except ProgramClassError:
-                continue
-            assert values[kind, i] is first
-            assert ops.apply(kind, p, i) is first
-    assert {kind for kind, _ in values} == set(ops.OperatorKind) - {ops.OperatorKind.IC}
-    assert len(values) == 5 * 3 ** len(p.universe)
-    # A fresh parse is an equal program with a store of its own, empty.
-    assert parse(p.text).compile().values == {}
-
-
-def test_a_kept_value_is_found_without_a_call_into_python(monkeypatch):
-    p = parse(STORE_PROGRAM)
-    i = ApproxPair(frozenset(), frozenset("pq"))
-    kept = {kind: ops.apply(kind, p, i) for kind in ops.OperatorKind if kind is not ops.OperatorKind.IC}
-    hashes = []
-    program_hash = prog.Program.__hash__
-
-    def counting_hash(program):
-        hashes.append(program)
-        return program_hash(program)
-
-    monkeypatch.setattr(prog.Program, "__hash__", counting_hash)
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(profile)
-    try:
-        found = {kind: ops.apply(kind, p, i) for kind in kept}
-    finally:
-        sys.setprofile(None)
-    assert all(found[kind] is kept[kind] for kind in kept)
-    assert hashes == []
-    # `apply` alone runs in Python: no `Program.__hash__`, no `Enum.__hash__`.
-    assert [name for name in calls if name != "<dictcomp>"] == ["apply"] * len(kept)
-
-
 def test_a_refusal_is_not_kept_and_raises_on_every_ask():
     aggregate = parse("p :- #count{1:q} >= 1.\nq :- not p.\n")
     disjunctive = parse("p | q :- not r.\nr :- p.\n")
@@ -396,7 +353,6 @@ def test_a_refusal_is_not_kept_and_raises_on_every_ask():
         for _ in range(2):
             with pytest.raises(error):
                 ops.apply(kind, p, i)
-        assert (kind, i) not in p.compile().values, kind
     # The planes `ic` and `dmt-det` share, those of `ic-triv` and `dmt`, are
     # refused to them outside their class, and none are built.
     shared = [(ops.OperatorKind.IC, aggregate, "the four-valued operator needs an aggregate-free program"),

@@ -1,0 +1,67 @@
+"""`operators.values`, each operator at every pair of its domain in one pass,
+against `operators.apply` pair by pair, and the laws read through it against
+the laws read through `apply`."""
+
+from __future__ import annotations
+
+from functools import cache
+
+import pytest
+
+import reference as ref
+from aftlab import corpus, laws, operators as ops
+from aftlab.lattice import AftlabError
+from aftlab.operators import OperatorKind
+from aftlab.program import parse
+
+
+def refusal(fn, *args):
+    """The value of the call, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except AftlabError as e:
+        return type(e), str(e)
+
+
+def apply_at_every_pair(kind, p):
+    """`apply` at every pair of the operator's domain, by pair number."""
+    u, n = p.universe, len(p.universe)
+    pairs = u.consistent_masks() if ops.consistent_only(kind) else ((x, y) for x in range(1 << n) for y in range(1 << n))
+    return {x << n | y: ops.apply(kind, p, u.pair(x, y)) for x, y in pairs}
+
+
+AGGREGATES = ref.seeded(range(16), atoms=lambda s: 1 + s % 4, rules=lambda s: 1 + s % 4, negation_probability=0.4,
+                        aggregate_probability=0.6, disjunction_width=lambda s: 1 + s // 4 % 2)
+
+
+@cache
+def programs():
+    scope = [p for part, (build, _) in ref.SCOPE.items() for p in build()]
+    return list(dict.fromkeys([*scope, *corpus.programs(), *AGGREGATES, parse(ref.GENERAL_BODY), parse("")]))
+
+
+def test_the_programs_cover_every_class_and_size():
+    tested = programs()
+    classes = [p.compile().classification for p in tested]
+    assert {len(p.universe) for p in tested} == set(range(6))
+    assert {len(p.universe) for p, c in zip(tested, classes) if c.has_aggregates} >= {1, 2, 3, 4}
+    assert any(c.has_negated_aggregates for c in classes) and any(c.shape == "general" for c in classes)
+    assert any(not c.atomic_heads for c in classes) and any(c.atomic_heads and c.has_aggregates for c in classes)
+
+
+@pytest.mark.parametrize("kind", OperatorKind)
+def test_values_equal_apply_at_every_pair(kind):
+    refused = 0
+    for p in programs():
+        found = refusal(ops.values, kind, p)
+        assert found == refusal(apply_at_every_pair, kind, p), (kind, p.text)
+        refused += not isinstance(found, dict)
+    # `ic` refuses the aggregate programs and `dmt-det` the disjunctive ones.
+    assert bool(refused) == (kind in (OperatorKind.IC, OperatorKind.DMT_DET))
+
+
+def test_the_laws_read_through_values_equal_those_read_through_apply():
+    programs = laws.suite_programs()
+    by_values = laws.run_laws(programs)
+    assert by_values == laws.run_laws(programs, apply_fn=ops.apply)
+    assert [o.name for o in by_values if not o.ok] == ["gz-answer-sets"]
