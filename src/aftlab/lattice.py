@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from functools import cache, cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .record import record
 
@@ -73,6 +73,18 @@ class NdPair(NamedTuple):
 
     lower_set: NdSet
     upper_set: NdSet
+
+
+class Lazy(dict):
+    """A dict that fills a missing key with `fill(key)` on its first read."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 @record

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import AftlabError, ApproxPair, NdPair, masks_above_i, precision_code, smyth_leq, submasks
+from .lattice import AftlabError, ApproxPair, Lazy, NdPair, masks_above_i, precision_code, smyth_leq, submasks
 from .operators import OperatorKind
 from .program import Program
 from .record import record
@@ -51,17 +51,6 @@ def _pairs(p: Program) -> tuple[ApproxPair, ...]:
     return p.universe.consistent_tuple
 
 
-class _Lazy(dict):
-    """A dict that fills a missing key with `fill(key)` on its first read."""
-
-    def __init__(self, fill: Callable):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
-
 class OperatorTable:
     """One program's operators by pair number, x << n | y for the masks (x, y):
     `values[kind][number]`, asked of `apply_fn` (`ops.apply` if none) on the
@@ -76,8 +65,8 @@ class OperatorTable:
         self.reference, self.whole = apply_fn is None, set()
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
         self.consistent = [xm << n | ym for xm, ym in u.consistent_masks()]
-        self.values = _Lazy(lambda kind: _Lazy(lambda m: ask(kind, p, ApproxPair(sets[m >> n], sets[m & low]))))
-        self.codes = _Lazy(lambda value: precision_code(u, value))
+        self.values = Lazy(lambda kind: Lazy(lambda m: ask(kind, p, ApproxPair(sets[m >> n], sets[m & low]))))
+        self.codes = Lazy(lambda value: precision_code(u, value))
 
     def every(self, kind: OperatorKind) -> dict[int, NdPair]:
         """`values[kind]` for a law that reads every pair of the kind's
@@ -144,9 +133,10 @@ def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     compiled, t = p.compile(), _table(p, apply_fn)
     cases = 0
     for kind in _ndao_kinds(p):
+        values = t.values[kind]
         for m, x in enumerate(t.sets):
             cases += 1
-            value = t.values[kind][m << t.n | m]
+            value = values[m << t.n | m]
             expected = ops._hits(compiled, ops._base(p, compiled, m)[0])
             if value.lower_set != expected or value.upper_set != expected:
                 return cases, f"{kind.value} not exact at {render.fmt_set(p.universe, x)}"

@@ -4,14 +4,15 @@ non-deterministic approximating operators (four-valued, four-valued with
 trivially approximated aggregates, interval-intersection, ultimate, trivial)
 plus the deterministic interval operator.
 
-All operators are pure, and no value is kept. `apply` reads one pair on its
-masks and probes none of the memos of the operator functions, which stay
-for direct callers: the four-valued operators read both sides of a pair in
-one pass over the rules (`_four_heads`), the others walk the interval as
-submasks over the base entry of each set, the heads fired there and their
-atoms, built once per program and set and kept on its compiled form
-(`_base`, `_interval_value`). `values` reads an operator at every pair of
-its domain in one pass: the four-valued ones pair by pair on masks, the
+All operators are pure, and no value is kept. `apply` is the one reader of
+a single pair, for every operator: it refuses what the operator is not
+defined on, in a fixed order, and reads the pair on its masks. The
+four-valued operators read both sides of a pair in one pass over the rules
+(`_four_heads`), the others walk the interval as submasks over the base
+entry of each set, the heads fired there and their atoms, built once per
+program and set and kept on its compiled form (`_base`). The memoized
+operator functions read `apply`. `values` reads an operator at every pair
+of its domain in one pass: the four-valued ones pair by pair on masks, the
 others by folding the base entries up the gap of each pair. A head family
 is an int over the program's distinct heads, and each fold becomes a value
 in one step that both share (`_from_fold`). The hitting sets of each head
@@ -55,10 +56,6 @@ from .program import Program, ProgramClassError
 
 
 class OperatorKind(Enum):
-    # Members are singletons compared by identity, so they hash by identity
-    # too: `Enum.__hash__` runs in Python on every dict key that is a kind.
-    __hash__ = object.__hash__
-
     IC = "ic"
     DMT = "dmt"
     ULTIMATE = "ultimate"
@@ -153,16 +150,6 @@ def _hits(compiled: prog.Compiled, heads: int) -> NdSet:
     return found
 
 
-def _single(compiled: prog.Compiled, u: AtomUniverse, m: int) -> NdSet:
-    """The one-set family of the set with mask m, kept on the program's
-    compiled form."""
-    kept = compiled.singles
-    found = kept.get(m)
-    if found is None:
-        found = kept[m] = frozenset((u.unmask(m),))
-    return found
-
-
 @cache
 def ic(p: Program, x: AtomSet) -> NdSet:
     """Immediate consequences of x: hitting sets of the activated heads."""
@@ -181,7 +168,7 @@ def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
         raise ProgramClassError("the deterministic operator needs atomic heads")
 
 
-def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int, i: ApproxPair | None = None) -> tuple[int, int]:
+def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int) -> tuple[int, int]:
     """The heads, as ints over the program's distinct heads, of the rules
     whose body value at the pair with masks (xm, ym) has the lower bit (is
     >=_t C), and those whose value has the upper bit (is >=_t U), in one
@@ -189,12 +176,11 @@ def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int, i: Approx
     negation read at y, the upper bit its truth at y with negation read at x.
     Aggregate literals take their bits from their trivial approximation
     (`program.CompiledAggregate.trivial`); general bodies from
-    `four.eval_pair`, which reads the pair of atom sets, i if given."""
-    lower = upper = 0
+    `four.eval_pair` on the pair of atom sets."""
+    u, lower, upper = p.universe, 0, 0
     for r in compiled.rules:
         if r.formula is not None:
-            i = i or p.universe.pair(xm, ym)
-            bits = four.eval_pair(p.universe, i, r.formula).value
+            bits = four.eval_pair(u, u.pair(xm, ym), r.formula).value
         else:
             bits = (not r.pos & ~xm and not r.neg & ym) << 1 | (not r.pos & ~ym and not r.neg & xm)
             for a in r.aggs:
@@ -221,21 +207,9 @@ def ic_upper_set(p: Program, i: ApproxPair) -> NdSet:
 
 def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Four-valued approximating operator: lower heads need body value >=_t C,
-    upper heads >=_t U. It is `ic_triv_ndao` on the aggregate-free programs
-    it is defined on."""
-    compiled = p.compile()
-    check_kind_applicable(IC, compiled)
-    return ic_triv_ndao(p, i, compiled)
-
-
-def ic_triv_ndao(p: Program, i: ApproxPair, compiled: prog.Compiled | None = None) -> NdPair:
-    """Four-valued operator with each aggregate literal approximated trivially
-    (`program.CompiledAggregate.trivial`); equal to `ic_ndao` on aggregate-free
-    programs. Its total stable fixpoints are the reduct answer sets
-    (`semantics.gz_answer_sets`); README "Aggregates and GZ answer sets"."""
-    compiled = compiled or p.compile()
-    u = p.universe
-    return _from_fold(IC_TRIV, compiled, u, _four_heads(p, compiled, u.mask(i.lower), u.mask(i.upper), i))
+    upper heads >=_t U. It is `ic-triv` on the aggregate-free programs it is
+    defined on."""
+    return apply(IC, p, i)
 
 
 @cache
@@ -270,44 +244,59 @@ def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fol
         gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
         return NdPair(gathered, gathered)
     if kind is DMT_DET:
-        return NdPair(_single(compiled, u, fold[0]), _single(compiled, u, fold[1]))
+        return NdPair(frozenset((u.unmask(fold[0]),)), frozenset((u.unmask(fold[1]),)))
     if fold is None:
-        return NdPair(_single(compiled, u, 0), _single(compiled, u, (1 << len(u)) - 1))
+        return NdPair(frozenset((u.unmask(0),)), frozenset((u.unmask((1 << len(u)) - 1),)))
     consequences = _hits(compiled, fold)
     return NdPair(consequences, consequences)
 
 
-def _interval_value(kind: OperatorKind, p: Program, compiled: prog.Compiled, i: ApproxPair) -> NdPair:
-    """An operator of `INTERVAL` at the pair i = (x, y), `dmt-det` lifted to
-    singletons, read on masks: the pair's masks are resolved once, which
-    refuses an atom outside the universe, and the sets z of [x, y] are
-    walked as the submasks of y - x, reading the base entry of each
-    (`_base`) and building no set per z. The entries are folded as
-    `_from_fold` reads them."""
-    if kind is DMT_DET:
-        check_kind_applicable(kind, compiled)
-    if not i.lower <= i.upper:
+def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
+    """The operator at the pair i, the deterministic one lifted to
+    singletons: the one reader of a single pair, which `eval`, the memoized
+    functions below and a law's reads of single pairs go through. Nothing is
+    kept but the compiled stores it reads (`_base`, `_hits`), so a refusal
+    raises on every ask, in this order:
+
+    1. a program outside the kind's class (`check_kind_applicable`);
+    2. for the operators of `INTERVAL`, an inconsistent pair, tested on the
+       frozensets;
+    3. an atom outside the universe, refused when the pair's masks are
+       resolved, for every operator.
+
+    The pair is then folded on its masks: `ic` and `ic-triv` by
+    `_four_heads`, the others by walking the sets z of [x, y] as the
+    submasks of y - x over the base entry of each, building no set per z.
+    `_from_fold` turns the fold into the value. `values` reads the operator
+    at every pair at once."""
+    compiled = p.compile()
+    check_kind_applicable(kind, compiled)
+    if kind in INTERVAL and not i.lower <= i.upper:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
     u = p.universe
     xm, ym = u.mask(i.lower), u.mask(i.upper)
-    if kind is GZ:
-        return _from_fold(kind, compiled, u, _base(p, compiled, xm)[0] if xm == ym else None)
-    base = compiled.base
-    entries = [base.get(xm | s) or _base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
-    if kind is ULTIMATE:
-        return _from_fold(kind, compiled, u, frozenset([heads for heads, _ in entries]))
-    side = 0 if kind is DMT else 1
-    lower, upper = -1, 0
-    for entry in entries:
-        lower, upper = lower & entry[side], upper | entry[side]
-    return _from_fold(kind, compiled, u, (lower, upper))
+    if kind in FOUR_VALUED:
+        fold = _four_heads(p, compiled, xm, ym)
+    elif kind is GZ:
+        fold = _base(p, compiled, xm)[0] if xm == ym else None
+    elif kind in INTERVAL:
+        base = compiled.base
+        entries = [base.get(xm | s) or _base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
+        if kind is ULTIMATE:
+            fold = frozenset([heads for heads, _ in entries])
+        else:
+            sides = [entry[0 if kind is DMT else 1] for entry in entries]
+            fold = reduce(and_, sides), reduce(or_, sides)
+    else:
+        raise AftlabError(f"unknown operator kind {kind!r}")
+    return _from_fold(kind, compiled, u, fold)
 
 
 @cache
 def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
     """Deterministic interval operator: intersection / union of derivable
     atoms over [x, y]. Needs atomic heads and a consistent pair."""
-    (lower,), (upper,) = _interval_value(DMT_DET, p, p.compile(), i)
+    (lower,), (upper,) = apply(DMT_DET, p, i)
     return ApproxPair(lower, upper)
 
 
@@ -315,22 +304,22 @@ def dmt_det(p: Program, i: ApproxPair) -> ApproxPair:
 def dmt_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Interval operator at head level: heads activated everywhere in [x, y]
     below, somewhere in [x, y] above, then hitting sets on each side."""
-    return _interval_value(DMT, p, p.compile(), i)
+    return apply(DMT, p, i)
 
 
 @cache
 def ultimate_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Most precise approximating operator: union of the base operator over
     the interval, on both sides."""
-    return _interval_value(ULTIMATE, p, p.compile(), i)
+    return apply(ULTIMATE, p, i)
 
 
 @cache
 def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     """Trivial operator: exact on total pairs, least precise elsewhere. Its
-    total stable fixpoints are not the reduct answer sets; those of
-    `ic_triv_ndao` are (README "Known defect")."""
-    return _interval_value(GZ, p, p.compile(), i)
+    total stable fixpoints are not the reduct answer sets; those of `ic-triv`
+    are (README "Known defect")."""
+    return apply(GZ, p, i)
 
 
 def _fold(n: int, base: Sequence, op: Callable) -> dict[int, object]:
@@ -656,18 +645,3 @@ def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[
 
     return (lambda ym: value(ym, False)), (lambda xm: value(xm, True))
 
-
-def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
-    """Uniform dispatch; the deterministic operator is lifted to singletons.
-    The value is read on the pair's masks, probing none of the memos, and
-    not kept; a refusal raises on every ask: `ic_triv_ndao`, or
-    `_interval_value`, which shares the one-set families of `gz` and
-    `dmt-det`. `values` reads the operator at every pair at once."""
-    compiled = p.__dict__.get("_compiled") or p.compile()
-    if kind in FOUR_VALUED:
-        if kind is IC:
-            check_kind_applicable(kind, compiled)
-        return ic_triv_ndao(p, i, compiled)
-    if kind in INTERVAL:
-        return _interval_value(kind, p, compiled, i)
-    raise AftlabError(f"unknown operator kind {kind!r}")

@@ -160,7 +160,7 @@ class Program:
 
     def compile(self, max_atoms: int | None = None) -> "Compiled":
         """The compiled form, built on first use and then kept in the
-        program's dict as `_compiled`, where `operators.apply` reads it.
+        program's dict as `_compiled`.
 
         The one place the atom cap (`lattice.atom_cap`) is decided: raises
         CapExceededError when the universe has more atoms than the cap, when
@@ -277,12 +277,13 @@ class Compiled:
     values of `ic` and `ic-triv` read from rows, per side and key
     (`operators.stable_rows`). The reference operators keep `families`, the
     hitting sets of each head family they have built, by its int
-    (`operators._hits`), `singles`, the one-set family of each set, by its
-    mask, and `base`, the base entry of each set they have read, by its mask:
-    the int of the heads of the rules whose bodies hold there and the mask of
-    their atoms (`operators._base`). No operator value is kept here."""
+    (`operators._hits`), and `base`, the base entry of each set they have
+    read, by its mask: the int of the heads of the rules whose bodies hold
+    there and the mask of their atoms (`operators._base`). `operators.apply`
+    and `operators.values` read these stores; no operator value is kept
+    here."""
 
-    __slots__ = ("rules", "heads", "classification", "pair_planes", "stable_rows", "families", "singles", "base")
+    __slots__ = ("rules", "heads", "classification", "pair_planes", "stable_rows", "families", "base")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
@@ -294,7 +295,6 @@ class Compiled:
         self.pair_planes: dict = {}
         self.stable_rows: dict = {}
         self.families: dict = {}
-        self.singles: dict = {}
         self.base: dict = {}
 
 

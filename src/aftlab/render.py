@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .lattice import ApproxPair, AtomSet, AtomUniverse, NdPair, NdSet
+from .lattice import ApproxPair, AtomSet, AtomUniverse, Lazy, NdPair, NdSet
 from .semantics import SemanticsResult
 
 # Models per write of `write_semantics`.
@@ -44,18 +44,6 @@ def json_pair(u: AtomUniverse, pair: ApproxPair) -> dict[str, list[str]]:
     return {"lower": json_set(u, pair.lower), "upper": json_set(u, pair.upper)}
 
 
-class _Texts(dict):
-    """Side set -> its text, rendered on first ask."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, s: AtomSet) -> str:
-        text = self[s] = self.render(s)
-        return text
-
-
 def _json_list(items: list[str], indent: int) -> str:
     """The JSON strings `items` as an array laid out as by json.dumps(indent=2),
     one item per line at `indent` spaces."""
@@ -71,14 +59,14 @@ def write_semantics(result: SemanticsResult, form: str) -> None:
     atoms, count = result.universe, len(result.models)
     if form == "json":
         quoted = [json.dumps(a) for a in atoms]
-        texts = _Texts(lambda s: _json_list([q for a, q in zip(atoms, quoted) if a in s], 8))
+        texts = Lazy(lambda s: _json_list([q for a, q in zip(atoms, quoted) if a in s], 8))
         head = (f'{{\n  "universe": {_json_list(quoted, 4)},\n  "operator": {json.dumps(result.operator)},\n'
                 f'  "semantics": {json.dumps(result.kind)},\n  "models": [')
         start, mid, end, sep = '\n    {\n      "lower": ', ',\n      "upper": ', "\n    }", ","
         tail = (("\n  ]" if count else "]") + f',\n  "counts": {{\n    "models": {count},\n    "consistent_pairs": '
                 f'{3 ** len(atoms)}\n  }},\n  "program": {json.dumps(result.program_digest)}\n}}\n')
     else:
-        texts = _Texts(lambda s: "{" + ",".join(a for a in atoms if a in s) + "}" if s else "∅")
+        texts = Lazy(lambda s: "{" + ",".join(a for a in atoms if a in s) + "}" if s else "∅")
         head = (f"semantics: {result.kind}\noperator: {result.operator or '-'}\n"
                 f"universe: {texts[frozenset(atoms)]}\nmodels ({count}):")
         start, mid, end, sep, tail = "\n  (", ", ", ")", "", "\n"

@@ -1,7 +1,8 @@
 """The bench matrix (`tools/bench_matrix.py`) keeps its own copy of the
 semantics table, so that two checkouts are timed on the same cells. A
-semantics or an operator added to the table must still get its row there.
-It compiles the tree it times before the first cell."""
+semantics or an operator added to the table must still get its row there,
+and each operator its `eval` cell. It compiles the tree it times before the
+first cell."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from aftlab.operators import OperatorKind
 from conftest import SEMANTICS_CELLS
 
 BENCH_MATRIX = Path(__file__).resolve().parents[1] / "tools" / "bench_matrix.py"
@@ -27,6 +29,32 @@ def test_the_matrix_has_each_semantics_with_each_operator_it_takes():
     assert sorted(matrix.ROWS, key=str) == sorted(expected, key=str)
 
 
+def test_each_operator_has_an_eval_cell_at_the_full_pair(tmp_path, monkeypatch):
+    """`eval` at (∅, A) on the n=12 program of each series that the rows of
+    the operator read: width 1 for `dmt-det`, and `ic` on the plain series
+    only."""
+    matrix = load_matrix()
+    asked = []
+
+    def cell(src, argv):
+        asked.append(argv)
+        return {"seconds": 0.0, "engine_s": 0.0, "exit": 0, "output": ""}, "{}"
+
+    monkeypatch.setattr(matrix, "measure_cell", cell)
+    monkeypatch.setattr(matrix, "program_file", lambda src, tmp, n, width, aggregates, positive:
+                        f"n{n}-w{width}-a{aggregates}-{positive}.lp")
+    monkeypatch.setattr(matrix, "universe", lambda src, program: ["p", "q"])
+    cells = matrix.eval_cells(tmp_path, tmp_path)
+    for kind in OperatorKind:
+        width = 1 if kind is OperatorKind.DMT_DET else 2
+        for aggregates in (0.0, matrix.AGGREGATE_PROBABILITY)[: 1 if kind is OperatorKind.IC else 2]:
+            argv = ["eval", "--program", f"n12-w{width}-a{aggregates}-False.lp", "--operator", kind.value,
+                    "--pair", ";p,q", "--format", "json"]
+            assert argv in asked, (kind, aggregates)
+    assert len(cells) == len(asked) == 2 * len(OperatorKind) - 1
+    assert all(c["n"] == 12 and c["exit"] == 0 for c in cells)
+
+
 def test_the_src_tree_is_compiled_before_the_first_cell(tmp_path, monkeypatch):
     """Every cell, the first included, finds a bytecode cache of each module
     of the `--src` tree, and the output header says that it was compiled."""
@@ -43,6 +71,7 @@ def test_the_src_tree_is_compiled_before_the_first_cell(tmp_path, monkeypatch):
 
     monkeypatch.setattr(matrix, "measure_cell", cell)
     monkeypatch.setattr(matrix, "program_file", lambda *args: "program.lp")
+    monkeypatch.setattr(matrix, "universe", lambda *args: ["p"])
     monkeypatch.chdir(tmp_path)
     assert matrix.main(["--label", "compiled", "--src", str(package.parent)]) == 0
     assert cached and all(names == {"__init__", "cli"} for names in cached)

@@ -145,16 +145,17 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
     # A fresh parse: the other tests of this module have filled the base
     # entries and the family store of ref.PROGRAMS[-1] (`Compiled.base`,
-    # `Compiled.families`). A direct `dmt_ndao` at (∅, A) walks the interval
-    # on masks: it fills each of the 2^n base entries once, builds the
-    # families of the meet and the join, and enumerates no interval.
+    # `Compiled.families`). A direct `dmt_ndao` at (∅, A) reads `apply`
+    # once, which walks the interval on masks: it fills each of the 2^n base
+    # entries once, builds the families of the meet and the join, and
+    # enumerates no interval.
     ops.dmt_ndao.cache_clear()
     fresh = parse(ref.PROGRAMS[-1].text)
     filled, base = [], ops._base
     monkeypatch.setattr(ops, "_base", lambda p, compiled, xm: filled.append(xm) or base(p, compiled, xm))
     ops.dmt_ndao(fresh, ApproxPair(frozenset(), fresh.universe.full()))
     assert sorted(filled) == sorted(fresh.compile().base) == list(range(1 << len(fresh.universe)))
-    assert calls == {"interval": 0, "hitting_sets": 2, "apply": 0}
+    assert calls == {"interval": 0, "hitting_sets": 2, "apply": 1}
 
 
 def row_key(p, fixed):

@@ -145,16 +145,71 @@ def test_every_kind_refuses_an_atom_outside_the_universe(aggregate_cycle):
             reference(atomic, off)
 
 
+# The memoized functions of each kind; each reads `apply`.
+MEMOIZED = {
+    OperatorKind.IC: (ops.ic_ndao, ops.ic_lower_set, ops.ic_upper_set),
+    OperatorKind.DMT: (ops.dmt_ndao,),
+    OperatorKind.ULTIMATE: (ops.ultimate_ndao,),
+    OperatorKind.GZ: (ops.gz_ndao,),
+    OperatorKind.DMT_DET: (ops.dmt_det,),
+    OperatorKind.IC_TRIV: (),
+}
+CLASS_REFUSALS = {
+    OperatorKind.IC: "the four-valued operator needs an aggregate-free program",
+    OperatorKind.DMT_DET: "the deterministic operator needs atomic heads",
+}
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except AftlabError as e:
+        return type(e), str(e)
+    return None
+
+
+def test_refusals_come_in_the_order_apply_states():
+    """A program outside the kind's class is refused first, then, by the
+    operators defined on consistent pairs only, an inconsistent pair, then
+    an atom outside the universe: by `apply` and by every memoized function,
+    on each input alone and on each combination. `values` refuses the class
+    as `apply` does. The second program has an aggregate and a disjunctive
+    head, so it is outside the class of both `ic` and `dmt-det`."""
+    inside, outside = parse("q :- not r.\nr :- not q.\n"), parse("q | r :- #count{1:q} < 1.\n")
+    pairs = {
+        (): pair("q", "q,r"),
+        ("inconsistent",): pair("q,r", "q"),
+        ("unknown",): pair("", "q,z"),
+        ("inconsistent", "unknown"): pair("q,z", "q"),
+    }
+    for p in (inside, outside):
+        for kind in OperatorKind:
+            outside_class = p is outside and kind in CLASS_REFUSALS
+            refused_class = (ProgramClassError, CLASS_REFUSALS[kind]) if outside_class else None
+            assert _refusal(ops.values, kind, p) == refused_class, (p.text, kind)
+            for flags, i in pairs.items():
+                if refused_class:
+                    expected = refused_class
+                elif "inconsistent" in flags and ops.consistent_only(kind):
+                    expected = (InconsistentPairError, "operator not defined on inconsistent pairs")
+                elif "unknown" in flags:
+                    expected = (UnknownAtomError, "unknown atom 'z'")
+                else:
+                    expected = None
+                for reader in (lambda p, i: ops.apply(kind, p, i), *MEMOIZED[kind]):
+                    assert _refusal(reader, p, i) == expected, (p.text, kind, flags, reader)
+
+
 def test_ic_triv_examples(aggregate_cycle):
     rs = ApproxPair(atoms("r", "s"), atoms("r", "s"))
-    assert ops.ic_triv_ndao(aggregate_cycle, rs) == NdPair(DELTA2, DELTA2)
+    assert ops.apply(OperatorKind.IC_TRIV, aggregate_cycle, rs) == NdPair(DELTA2, DELTA2)
     # At (∅, {r, s}) both sums have an unknown condition, so both bodies are U.
-    assert ops.ic_triv_ndao(aggregate_cycle, pair("", "r,s")) == NdPair(family(()), DELTA2)
+    assert ops.apply(OperatorKind.IC_TRIV, aggregate_cycle, pair("", "r,s")) == NdPair(family(()), DELTA2)
     # At (∅, {r}) the condition s is false on both sides: the first body is F.
-    assert ops.ic_triv_ndao(aggregate_cycle, pair("", "r")) == NdPair(family(()), family({"s"}))
+    assert ops.apply(OperatorKind.IC_TRIV, aggregate_cycle, pair("", "r")) == NdPair(family(()), family({"s"}))
     conjunctive = parse("p :- #count{1:p & q} < 1.")
-    assert ops.ic_triv_ndao(conjunctive, pair("", "p")) == NdPair(family({"p"}), family({"p"}))
-    assert ops.ic_triv_ndao(conjunctive, pair("p", "p,q")) == NdPair(family(()), family({"p"}))
+    assert ops.apply(OperatorKind.IC_TRIV, conjunctive, pair("", "p")) == NdPair(family({"p"}), family({"p"}))
+    assert ops.apply(OperatorKind.IC_TRIV, conjunctive, pair("p", "p,q")) == NdPair(family(()), family({"p"}))
     assert ops.apply(OperatorKind.IC_TRIV, aggregate_cycle, pair("s", "")) is not None
 
 
@@ -167,7 +222,7 @@ def test_ic_triv_is_ic_on_aggregate_free_programs():
         if classify(p).has_aggregates:
             continue
         for i in ref.all_pairs(p.universe):
-            assert ops.ic_triv_ndao(p, i) == ops.ic_ndao(p, i)
+            assert ops.apply(OperatorKind.IC_TRIV, p, i) == ops.ic_ndao(p, i)
 
 
 def test_ic_triv_is_an_approximation_below_dmt():
@@ -176,7 +231,7 @@ def test_ic_triv_is_an_approximation_below_dmt():
     for p in _small_programs():
         subsets = list(p.universe.subsets())
         pairs = ref.all_pairs(p.universe)
-        values = {i: ops.ic_triv_ndao(p, i) for i in pairs}
+        values = {i: ops.apply(OperatorKind.IC_TRIV, p, i) for i in pairs}
         for x in subsets:
             exact = values[ApproxPair(x, x)]
             assert exact.lower_set == exact.upper_set == ops.ic(p, x)

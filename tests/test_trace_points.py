@@ -1,15 +1,39 @@
 """The benchmark's tracer (`perfbench/tracing.py`) finds the functions it wraps
 by name, so a renamed or deleted one breaks its traced runs. Building its
-wrapper plan, without installing it, reads every one of those names."""
+wrapper plan, without installing it, reads every one of those names;
+installing it also reads the `AtomUniverse` methods it wraps, so one traced
+run is made in a child process, which the patches leave behind with it."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from aftlab import operators as ops
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+# A traced run of one `semantics` command and one law suite over two corpus
+# programs; prints the exit code and the names of the spans it recorded.
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from aftlab import cli, corpus, laws
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[2])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+argv = ["semantics", "--program", str(corpus.path("aggregate_cycle")), "--semantics", "stable",
+        "--operator", "ultimate", "--format", "json"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+laws.run_laws([corpus.load("aggregate_cycle"), corpus.load("disjunctive_self_defeat")])
+print(json.dumps({"code": code, "spans": sorted({node[0] for node in tracer.finish()["nodes"]})}))
+"""
 
 
 def test_the_tracer_finds_every_function_it_wraps():
@@ -19,3 +43,12 @@ def test_the_tracer_finds_every_function_it_wraps():
     plan = tracing._wrappers(tracing.Tracer())
     assert all(callable(wrapper) for wrapper in plan.values())
     assert all(hasattr(getattr(ops, name), "cache_info") for name in tracing.MEMO)
+
+
+def test_a_traced_run_records_the_spans_of_the_command_the_laws_and_the_lattice():
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(TRACING)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout)
+    assert run["code"] == 0
+    assert {"cli.main", "laws.run_laws", "lattice.unmask"} <= set(run["spans"])

@@ -26,7 +26,10 @@ runs the whole law suite, `aftlab check --all --format json`, the same way;
 it exits 3, because one law fails by design (README "Known defect"). And one,
 `text_cell`, runs `semantics --semantics ht --operator gz --format text` on
 the n=12 program of the aggregates series, the largest output of the matrix,
-so that the bytes of the text form are checked too.
+so that the bytes of the text form are checked too. The `eval_cells` time
+the one-pair reader, `operators.apply`: `eval --operator K --pair "∅;A"
+--format json` on the n=12 program of each series, A its universe, once per
+operator that the series' rows take, with the same programs as those rows.
 
 Each cell also records `engine_s`, the time of the `main(...)` call alone,
 taken inside the interpreter after its imports and sent to the launcher over
@@ -74,8 +77,10 @@ ROWS = (
     + [("kk", "dmt-det"), ("wf", "dmt-det"), ("three-valued-stable", None), ("gz-answer-sets", None)]
 )
 AGGREGATE_PROBABILITY = 0.5
+# The operators defined on aggregates: all but `ic`.
+AGGREGATE_OPERATORS = ("ic-triv", "dmt", "ultimate", "gz", "dmt-det")
 AGGREGATE_ROWS = (
-    [(s, op) for op in ("ic-triv", "dmt", "ultimate", "gz", "dmt-det") for s in OPERATOR_BASED]
+    [(s, op) for op in AGGREGATE_OPERATORS for s in OPERATOR_BASED]
     + [("kk", "dmt-det"), ("wf", "dmt-det"), ("gz-answer-sets", None)]
 )
 # Rows of the aggregates series whose programs have no negation at all.
@@ -168,6 +173,15 @@ def program_file(src: Path, tmp: Path, n: int, width: int, aggregates: float, po
     return str(path)
 
 
+def universe(src: Path, program: str) -> list[str]:
+    """The program's atoms, as `eval` prints them at the pair (∅, ∅)."""
+    code, text, _, _, _ = run_cli(src, ["eval", "--program", program, "--operator", "gz", "--pair", ";",
+                                        "--format", "json"])
+    if code != 0:
+        raise SystemExit(f"eval failed on {program}")
+    return json.loads(text)["universe"]
+
+
 def compile_tree(src: Path) -> bool:
     """Write the bytecode caches of every module under src; False if one did
     not compile."""
@@ -204,6 +218,28 @@ def measure_row(src: Path, tmp: Path, semantics: str, operator: str | None, aggr
     return cells
 
 
+def eval_cells(src: Path, tmp: Path) -> list[dict]:
+    """One `eval` cell per operator and series at the pair (∅, A) of the
+    series' n=12 program (width 1 for `dmt-det`)."""
+    cells = []
+    for aggregates, operators in ((0.0, OPERATORS), (AGGREGATE_PROBABILITY, AGGREGATE_OPERATORS)):
+        for operator in operators:
+            program = program_file(src, tmp, ATOMS[-1], 1 if operator == "dmt-det" else 2, aggregates, False)
+            pair = ";" + ",".join(universe(src, program))
+            argv = ["eval", "--program", program, "--operator", operator, "--pair", pair, "--format", "json"]
+            try:
+                cell, _ = measure_cell(src, argv)
+            except subprocess.TimeoutExpired:
+                cell = {"timeout": True}
+            cell = {"operator": operator, "n": ATOMS[-1], **cell}
+            if aggregates:
+                cell["series"] = "aggregates"
+            cells.append(cell)
+            print(cell.get("series", "plain"), "eval", operator, cell.get("engine_s", "T/O"), cell.get("exit", ""),
+                  flush=True)
+    return cells
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -237,7 +273,8 @@ def main(argv: list[str] | None = None) -> int:
             text_cell, _ = measure_cell(src, ["semantics", "--program", program, *TEXT_CELL])
         except subprocess.TimeoutExpired:
             text_cell = {"timeout": True}
-    print("text cell", " ".join(TEXT_CELL), text_cell.get("engine_s", "T/O"), text_cell.get("exit", ""), flush=True)
+        print("text cell", " ".join(TEXT_CELL), text_cell.get("engine_s", "T/O"), text_cell.get("exit", ""), flush=True)
+        evals = eval_cells(src, Path(tmp))
     try:
         law_suite, _ = measure_cell(src, LAW_SUITE)
     except subprocess.TimeoutExpired:
@@ -259,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         "rows": rows,
         "law_suite": {"argv": LAW_SUITE, **law_suite},
         "text_cell": {"argv": TEXT_CELL, "n": ATOMS[-1], "series": "aggregates", **text_cell},
+        "eval_cells": {"argv": ["eval", "--program", "<the n=12 program of the series>", "--operator", "<operator>",
+                                "--pair", ";<its atoms>", "--format", "json"], "cells": evals},
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
