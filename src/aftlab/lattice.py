@@ -90,8 +90,8 @@ class Lazy(dict):
 @record
 class AtomUniverse:
     """Ordered set of distinct atom names; atom i maps to bit i of a mask.
-    The maps `_bits` and `_sets` and the tuple `consistent_tuple` are built on
-    demand and kept outside its fields, so pickles leave them behind."""
+    The maps `_bits` and `_sets` are built on demand and kept outside its
+    fields, so pickles leave them behind."""
 
     __slots__ = ("__dict__",)
     atoms: tuple[str, ...]
@@ -117,12 +117,6 @@ class AtomUniverse:
         """Mask -> the one set `unmask` gives for it, filled as asked, and
         that set -> its mask, which `mask` reads before it walks a set."""
         return {}
-
-    @cached_property
-    def consistent_tuple(self) -> tuple[ApproxPair, ...]:
-        """All 3^n consistent pairs, in `consistent_pairs` order, built on the
-        first ask and kept: the laws read them again and again."""
-        return tuple(self.consistent_pairs())
 
     def __contains__(self, name: str) -> bool:
         return name in self._bits
@@ -161,9 +155,6 @@ class AtomUniverse:
             s = sets[m] = frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
             sets[s] = m
         return s
-
-    def pair_key(self, pair: ApproxPair) -> tuple[int, int]:
-        return (self.mask(pair.lower), self.mask(pair.upper))
 
     def subsets(self) -> Iterator[AtomSet]:
         """All subsets in mask-counting order (first atom is the low bit)."""

@@ -5,14 +5,14 @@ Each law reports the number of checked cases and, on violation, a failure
 message with the smallest failing program appended as a reproducer (programs
 are visited in increasing size order).
 
-The laws read the operators through one `OperatorTable` per program, which
-`run_laws` hands each law in place of `apply_fn` and which is callable like
-it. With no `apply_fn`, the table reads the reference operators: a law that
-reads every pair of a kind has it from one `operators.values` call, and a law
-that reads some pairs asks `operators.apply` for each on its first read. A
-given `apply_fn`, a mutant say, is asked pair by pair, once per (kind, pair).
-Either way the laws read no plane and no row of the sweeps they referee. A
-law given another `apply_fn` builds a table over it.
+Every law takes the program and its `OperatorTable`, which `run_laws` builds
+once per program and hands each law. With no `apply_fn`, the table reads the
+reference operators: a law that reads every pair of a kind has it from one
+`operators.values` call, and a law that reads some pairs asks
+`operators.apply` for each on its first read. A given `apply_fn`, a mutant
+say, is asked pair by pair, once per (kind, pair). Either way the laws read
+no plane and no row of the sweeps they referee. A pair is named by its
+number in the table; an `ApproxPair` is built only for a failure message.
 """
 
 from __future__ import annotations
@@ -42,13 +42,9 @@ class LawOutcome:
 
 
 def _ndao_kinds(p: Program) -> list[OperatorKind]:
-    kinds = [] if p.compile().classification.has_aggregates else [OperatorKind.IC]
-    kinds += [OperatorKind.DMT, OperatorKind.ULTIMATE, OperatorKind.GZ]
+    kinds = [] if p.compile().classification.has_aggregates else [ops.IC]
+    kinds += [ops.DMT, ops.ULTIMATE, ops.GZ]
     return kinds
-
-
-def _pairs(p: Program) -> tuple[ApproxPair, ...]:
-    return p.universe.consistent_tuple
 
 
 class OperatorTable:
@@ -56,17 +52,23 @@ class OperatorTable:
     `values[kind][number]`, asked of `apply_fn` (`ops.apply` if none) on the
     first read, or read with every pair of the kind's domain by `every`, and
     `codes[value]`, the `PrecisionCode` of each distinct value. `sets[m]` is
-    the set with mask m; `consistent` numbers the consistent pairs in order."""
+    the set with mask m; `consistent` numbers the consistent pairs in order,
+    and `pair(number)` is the pair itself. Called with `apply_fn`'s signature
+    on its own program and a pair over its universe, it reads `values`."""
 
     def __init__(self, p: Program, apply_fn: ApplyFn | None = None):
         u, n = p.universe, len(p.universe)
-        self.program, self.n, low = p, n, (1 << n) - 1
-        self.apply_fn = ask = apply_fn or ops.apply
+        self.program, self.n, self.low = p, n, (low := (1 << n) - 1)
+        ask = apply_fn or ops.apply
         self.reference, self.whole = apply_fn is None, set()
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
         self.consistent = [xm << n | ym for xm, ym in u.consistent_masks()]
-        self.values = Lazy(lambda kind: Lazy(lambda m: ask(kind, p, ApproxPair(sets[m >> n], sets[m & low]))))
+        # The fill reads locals, not the table, so a table is freed without a cycle collection.
+        self.values = Lazy(lambda kind: Lazy(lambda k: ask(kind, p, ApproxPair(sets[k >> n], sets[k & low]))))
         self.codes = Lazy(lambda value: precision_code(u, value))
+
+    def pair(self, number: int) -> ApproxPair:
+        return ApproxPair(self.sets[number >> self.n], self.sets[number & self.low])
 
     def every(self, kind: OperatorKind) -> dict[int, NdPair]:
         """`values[kind]` for a law that reads every pair of the kind's
@@ -78,59 +80,50 @@ class OperatorTable:
         return values
 
     def __call__(self, kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
-        if p is not self.program or not i.lower | i.upper <= self.sets[-1]:
-            return self.apply_fn(kind, p, i)
         return self.values[kind][p.universe.mask(i.lower) << self.n | p.universe.mask(i.upper)]
 
 
-def _table(p: Program, apply_fn: ApplyFn | None) -> OperatorTable:
-    """`run_laws`' table of p, or a new one over `apply_fn`."""
-    return apply_fn if isinstance(apply_fn, OperatorTable) and apply_fn.program is p else OperatorTable(p, apply_fn)
-
-
-def _law_monotonicity(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_monotonicity(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     """Each pair is checked against every pair above it in the information
     order, 3^|y - x| cases at (x, y) and 5^n per operator. The members of
     those pairs are ORed once per operator, one pass per atom (the zeta
     transform of `lattice.DigitPlanes`): a pair with atom a in y - x takes
     the ORs of (x + a, y) and (x, y - a). Only a failing pair is walked again
     pair by pair (`masks_above_i`), for the case count and the message."""
-    kinds = _ndao_kinds(p) + ([OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else [])
-    t, u = _table(p, apply_fn), p.universe
-    keys = list(u.consistent_masks())
-    steps = [
-        [(key, (key[0] | bit, key[1]), (key[0], key[1] & ~bit)) for key in keys if key[1] & ~key[0] & bit]
-        for bit in (1 << a for a in range(len(u)))
-    ]
+    kinds = _ndao_kinds(p) + ([ops.DMT_DET] if p.compile().classification.atomic_heads else [])
+    u, n, consistent = p.universe, t.n, t.consistent
+    # (x + a, y) is number k | a << n and (x, y - a) is k ^ a.
+    steps = [[(k, k | a << n, k ^ a) for k in consistent if k & ~(k >> n) & a] for a in (1 << i for i in range(n))]
     cases = 0
     for kind in kinds:
         values = t.every(kind)
-        codes = {key: t.codes[values[number]] for key, number in zip(keys, t.consistent)}
-        above = {key: c.members for key, c in codes.items()}
+        codes = {k: t.codes[values[k]] for k in consistent}
+        above = {k: c.members for k, c in codes.items()}
         for step in steps:
-            for key, with_a, without_a in step:
-                above[key] |= above[with_a] | above[without_a]
-        key1 = next((key for key in keys if above[key] & ~codes[key].allowed), None)
-        if key1 is None:
-            cases += 5 ** len(u)
+            for k, with_a, without_a in step:
+                above[k] |= above[with_a] | above[without_a]
+        k1 = next((k for k in consistent if above[k] & ~codes[k].allowed), None)
+        if k1 is None:
+            cases += 5**n
             continue
-        cases += sum(3 ** (ym & ~xm).bit_count() for xm, ym in keys[: keys.index(key1)])
-        outside = ~codes[key1].allowed
-        for key2 in masks_above_i(*key1):
+        cases += sum(3 ** (k & t.low & ~(k >> n)).bit_count() for k in consistent[: consistent.index(k1)])
+        outside = ~codes[k1].allowed
+        for xm, ym in masks_above_i(k1 >> n, k1 & t.low):
+            k2 = xm << n | ym
             cases += 1
-            if codes[key2].members & outside:
+            if codes[k2].members & outside:
                 return cases, (
                     f"{kind.value} not precision-monotone: "
-                    f"{render.fmt_pair(u, u.pair(*key1))} <=_i {render.fmt_pair(u, u.pair(*key2))}"
+                    f"{render.fmt_pair(u, t.pair(k1))} <=_i {render.fmt_pair(u, t.pair(k2))}"
                 )
     return cases, None
 
 
-def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_exactness(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     """Each operator at a total pair (x, x) is ic(x), the hitting sets of the
     heads fired at x, read from the compiled stores (`operators._base`,
     `operators._hits`)."""
-    compiled, t = p.compile(), _table(p, apply_fn)
+    compiled = p.compile()
     cases = 0
     for kind in _ndao_kinds(p):
         values = t.values[kind]
@@ -143,39 +136,34 @@ def _law_exactness(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_precision_chain(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    t = _table(p, apply_fn)
-    gz_of, dmt_of, ult_of = (t.every(k) for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
-    cases = 0
-    for key, i in zip(t.consistent, _pairs(p)):
-        cases += 1
-        gz, dmt, ult = t.codes[gz_of[key]], t.codes[dmt_of[key]], t.codes[ult_of[key]]
+def _law_precision_chain(p: Program, t: OperatorTable) -> tuple[int, str | None]:
+    gz_of, dmt_of, ult_of = (t.every(k) for k in (ops.GZ, ops.DMT, ops.ULTIMATE))
+    for cases, k in enumerate(t.consistent, 1):
+        gz, dmt, ult = t.codes[gz_of[k]], t.codes[dmt_of[k]], t.codes[ult_of[k]]
         if dmt.members & ~gz.allowed:
-            return cases, f"gz not below dmt at {render.fmt_pair(p.universe, i)}"
+            return cases, f"gz not below dmt at {render.fmt_pair(p.universe, t.pair(k))}"
         if ult.members & ~dmt.allowed:
-            return cases, f"dmt not below ultimate at {render.fmt_pair(p.universe, i)}"
-    return cases, None
+            return cases, f"dmt not below ultimate at {render.fmt_pair(p.universe, t.pair(k))}"
+    return len(t.consistent), None
 
 
-def _law_ultimate_max(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    t = _table(p, apply_fn)
-    ult_of = t.every(OperatorKind.ULTIMATE)
-    others = [(kind, t.every(kind)) for kind in _ndao_kinds(p) if kind is not OperatorKind.ULTIMATE]
+def _law_ultimate_max(p: Program, t: OperatorTable) -> tuple[int, str | None]:
+    ult_of = t.every(ops.ULTIMATE)
+    others = [(kind, t.every(kind)) for kind in _ndao_kinds(p) if kind is not ops.ULTIMATE]
     cases = 0
-    for key, i in zip(t.consistent, _pairs(p)):
-        ult = t.codes[ult_of[key]].members
+    for k in t.consistent:
+        ult = t.codes[ult_of[k]].members
         for kind, values in others:
             cases += 1
-            if ult & ~t.codes[values[key]].allowed:
-                return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, i)}"
+            if ult & ~t.codes[values[k]].allowed:
+                return cases, f"{kind.value} not below ultimate at {render.fmt_pair(p.universe, t.pair(k))}"
     return cases, None
 
 
-def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_symmetry(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if p.compile().classification.has_aggregates:
         return 0, None
-    t, u = _table(p, apply_fn), p.universe
-    ic, n = t.every(OperatorKind.IC), t.n
+    u, ic, n = p.universe, t.every(ops.IC), t.n
     cases = 0
     for xm, x in enumerate(t.sets):
         for ym, y in enumerate(t.sets):
@@ -188,28 +176,27 @@ def _law_symmetry(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_upwards_coherence(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    t = _table(p, apply_fn)
-    size = 1 << t.n
+def _law_upwards_coherence(p: Program, t: OperatorTable) -> tuple[int, str | None]:
+    u, size = p.universe, 1 << t.n
     cases = 0
     for kind in _ndao_kinds(p):
         values = t.every(kind)
-        for key, i in zip(t.consistent, _pairs(p)):
+        for k in t.consistent:
             cases += 1
-            value = values[key]
+            value = values[k]
             if not value.lower_set or not value.upper_set:
-                return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(p.universe, i)}"
+                return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(u, t.pair(k))}"
             c = t.codes[value]
             # smyth_leq(lower set, upper set): every upper member is Smyth-above the lower set.
             if c.members >> size & ~c.allowed:
-                return cases, f"{kind.value} not upwards coherent at {render.fmt_pair(p.universe, i)}"
+                return cases, f"{kind.value} not upwards coherent at {render.fmt_pair(u, t.pair(k))}"
     return cases, None
 
 
-def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if not p.compile().classification.plain:
         return 0, None
-    algebraic = sem.ht_pairs(OperatorKind.IC, p)
+    algebraic = sem.ht_pairs(ops.IC, p)
     if algebraic != sem.ht_models_program(p):
         return 1, "algebraic HT pairs differ from rule-level HT models"
     # The definition, independent of the compiled masks: HT satisfaction of
@@ -217,12 +204,12 @@ def _law_ht_equality(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     # alone, so it is read once per rule and y.
     u, rules = p.universe, [four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules]
     classical = {y: all(r.there(u, y) for r in rules) for y in u.subsets()}
-    if algebraic != [i for i in _pairs(p) if classical[i.upper] and all(r.here(u, i) for r in rules)]:
+    if algebraic != [i for i in u.consistent_pairs() if classical[i.upper] and all(r.here(u, i) for r in rules)]:
         return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 
 
-def _law_total_stable_ht(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_total_stable_ht(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
@@ -233,7 +220,7 @@ def _law_total_stable_ht(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None
     return cases, None
 
 
-def _law_seq_nonempty(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_seq_nonempty(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
@@ -247,7 +234,7 @@ def _law_seq_nonempty(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
     return cases, None
 
 
-def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_stable_t_minimal(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
@@ -258,12 +245,12 @@ def _law_stable_t_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | Non
     return cases, None
 
 
-def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_gz_answer_sets(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     cls = p.compile().classification
     if cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     cases = 1
-    non_total = [i for i in sem.min_t(sem.fixpoints(OperatorKind.GZ, p)) if not i.is_total]
+    non_total = [i for i in sem.min_t(sem.fixpoints(ops.GZ, p)) if not i.is_total]
     if non_total:
         return cases, (
             f"truth-minimal trivial-operator fixpoint {render.fmt_pair(p.universe, non_total[0])} is not total"
@@ -271,7 +258,7 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]
     if not cls.has_negated_aggregates:
         cases += 1
         # Both come in increasing mask order.
-        stable = sem.total_stable_fixpoints(OperatorKind.GZ, p)
+        stable = sem.total_stable_fixpoints(ops.GZ, p)
         answer_sets = sem.gz_answer_sets(p)
         if stable != answer_sets:
             return cases, (
@@ -282,25 +269,21 @@ def _law_gz_answer_sets(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]
     return cases, None
 
 
-def _law_dmt_det_collapse(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
+def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if not p.compile().classification.atomic_heads:
         return 0, None
-    t = _table(p, apply_fn)
-    dmt, det = t.every(OperatorKind.DMT), t.every(OperatorKind.DMT_DET)
-    cases = 0
-    for key, i in zip(t.consistent, _pairs(p)):
-        cases += 1
+    dmt, det = t.every(ops.DMT), t.every(ops.DMT_DET)
+    for cases, k in enumerate(t.consistent, 1):
         # On atomic heads each set of `dmt` is the one set of its heads' atoms.
-        if dmt[key] != det[key]:
-            return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, i)}"
-    cases += 1
-    if sem.stable_fixpoints(OperatorKind.DMT, p) != sem.det_stable_fixpoints(p):
+        if dmt[k] != det[k]:
+            return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, t.pair(k))}"
+    cases = len(t.consistent) + 1
+    if sem.stable_fixpoints(ops.DMT, p) != sem.det_stable_fixpoints(p):
         return cases, "interval-operator stable fixpoints differ from the deterministic stable pairs"
     return cases, None
 
 
-def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | None]:
-    t = _table(p, apply_fn)
+def _law_prefixpoint_minimal(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     n, sets, cases = t.n, t.sets, 0
     for kind in _ndao_kinds(p):
         values = t.every(kind)
@@ -321,7 +304,7 @@ def _law_prefixpoint_minimal(p: Program, apply_fn: ApplyFn) -> tuple[int, str | 
     return cases, None
 
 
-LAWS: dict[str, Callable[[Program, ApplyFn], tuple[int, str | None]]] = {
+LAWS: dict[str, Callable[[Program, OperatorTable], tuple[int, str | None]]] = {
     "monotonicity": _law_monotonicity,
     "exactness": _law_exactness,
     "precision-chain": _law_precision_chain,

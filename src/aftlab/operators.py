@@ -488,11 +488,12 @@ def _missed(heads: dict[int, int], inside: Sequence[int]) -> int:
     return out
 
 
-def _members(full: int, heads: dict[int, int], inside: Sequence[int]) -> int:
+def _members(full: int, heads: dict[int, int], inside: Sequence[int], missed: int) -> int:
     """The pairs whose set on one side (`inside[i]` marks atom i in it) is a
-    hitting set of the heads marked there: it misses none of them and has no
-    atom outside them."""
-    out = _missed(heads, inside)
+    hitting set of the heads marked there: it misses none of them (`missed`,
+    `_missed(heads, inside)`, passed in so that a caller that also reads it
+    builds it once) and has no atom outside them."""
+    out = missed
     for i, within in enumerate(inside):
         covered = 0
         for h, plane in heads.items():
@@ -543,27 +544,30 @@ def interval_tables(kind: OperatorKind, p: Program) -> PairPlanes:
         if kind is IC_TRIV:
             lower_heads[h] = lower_heads.get(h, 0) | body_lower
             upper_heads[h] = upper_heads.get(h, 0) | body_upper
-    closed = full & ~digits.above_x(_missed(fires, d2))
+    fires_missed = _missed(fires, d2)
+    closed = full & ~digits.above_x(fires_missed)
     if kind is IC_TRIV:
-        lower, upper = _members(full, lower_heads, d2), _members(full, upper_heads, in_y)
-        smyth = full & ~_missed(lower_heads, d2)
+        missed = _missed(lower_heads, d2)
+        lower, smyth = _members(full, lower_heads, d2, missed), full & ~missed
+        upper = _members(full, upper_heads, in_y, _missed(upper_heads, in_y))
     elif kind is DMT:
         # One side at a time: the folds of the lower side are dropped before
         # those of the upper side are built, which keeps the peak lower.
         meet = {h: digits.fold(plane, True) for h, plane in fires.items()}
-        lower, smyth = _members(full, meet, d2), full & ~_missed(meet, d2)
+        missed = _missed(meet, d2)
+        lower, smyth = _members(full, meet, d2, missed), full & ~missed
         del meet
         join = {h: digits.fold(plane, False) for h, plane in fires.items()}
-        upper = _members(full, join, in_y)
+        upper = _members(full, join, in_y, _missed(join, in_y))
     elif kind is ULTIMATE:
         at_y = {h: digits.above_x(plane) for h, plane in fires.items()}
         at_x = {h: digits.below_y(plane) for h, plane in fires.items()}
-        lower = digits.below_y(_members(full, at_y, d2))
-        upper = digits.above_x(_members(full, at_x, in_y))
-        smyth = digits.below_y(full & ~_missed(at_y, d2))
+        missed = _missed(at_y, d2)
+        lower, smyth = digits.below_y(_members(full, at_y, d2, missed)), digits.below_y(full & ~missed)
+        upper = digits.above_x(_members(full, at_x, in_y, _missed(at_x, in_y)))
     elif kind is GZ:
         # Off the total pairs, x = ∅ is the lower member and y = A the upper.
-        exact, off, every = total & _members(full, fires, d2), full ^ total, (1 << len(u)) - 1
+        exact, off, every = total & _members(full, fires, d2, fires_missed), full ^ total, (1 << len(u)) - 1
         lower, upper = exact | off & ~_meets(every, d2), exact | off & ~_meets(every, d0)
         smyth = off | closed & total
     else:
@@ -611,7 +615,7 @@ def member_row(p: Program, fixed: int, upper: bool = False) -> int:
     for r in p.compile().rules:
         lower_row, upper_row = _body_planes(u, r, full, in_x, in_y)
         heads[r.head_mask] = heads.get(r.head_mask, 0) | (upper_row if upper else lower_row)
-    return _members(full, heads, inside)
+    return _members(full, heads, inside, _missed(heads, inside))
 
 
 def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[[int], tuple[int, ...]]]:

@@ -148,7 +148,7 @@ def kk_fixpoint_det(p: Program) -> ApproxPair:
     the `dmt-det` planes (`operators.PairPlanes`): atom i is in x iff every
     fixpoint has digit 2 there, and in y iff some fixpoint has a digit
     other than 0."""
-    planes = ops.pair_planes(OperatorKind.DMT_DET, p)
+    planes = ops.pair_planes(ops.DMT_DET, p)
     fixed, digits = planes.lower & planes.upper, planes.digits
     xm = sum(1 << i for i, d2 in enumerate(digits.d2) if not fixed & ~d2)
     ym = sum(1 << i for i, d0 in enumerate(digits.d0) if fixed & ~d0)
@@ -162,7 +162,7 @@ def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
     supersets of x. At such pairs each least
     fixpoint is the one minimal fixpoint, so these are the stable fixpoints of
     the operator lifted to singletons (README "Programs are compiled once")."""
-    return stable_fixpoints(OperatorKind.DMT_DET, p)
+    return stable_fixpoints(ops.DMT_DET, p)
 
 
 def wf_fixpoint_det(p: Program) -> ApproxPair:
@@ -281,7 +281,7 @@ def three_valued_stable(p: Program) -> list[ApproxPair]:
     negation read at y, and y a minimal model among the supersets of x of the
     reduct with negation read at x (README "Programs are compiled once")."""
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
-    return _minimal_pairs(p, ops.pair_planes(OperatorKind.IC_TRIV, p))
+    return _minimal_pairs(p, ops.pair_planes(ops.IC_TRIV, p))
 
 
 def _is_minimal_model(rules: list[tuple[int, int]], xm: int) -> bool:
@@ -376,9 +376,9 @@ def run_semantics(name: str, p: Program, kind: OperatorKind | None = None) -> Se
     if takes == ANY_OPERATOR and kind is None:
         raise SemanticsChoiceError(f"semantics {name!r} needs --operator")
     if takes == DETERMINISTIC_OPERATOR:
-        if kind not in (None, OperatorKind.DMT_DET):
+        if kind not in (None, ops.DMT_DET):
             raise SemanticsChoiceError(f"semantics {name!r} only works with --operator dmt-det")
-        kind = OperatorKind.DMT_DET
+        kind = ops.DMT_DET
     if takes == NO_OPERATOR and kind is not None:
         raise SemanticsChoiceError(f"semantics {name!r} does not take an operator")
     return SemanticsResult(

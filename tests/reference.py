@@ -24,8 +24,8 @@ from aftlab.program import Rule, body_formula, classify, gl_transform, gz_reduct
 
 def forget() -> None:
     """Drop what the readings below keep, and the programs they hold."""
-    for fn in (hd, ic, values, lower_stable, upper_stable, stable, ht_pairs, least_lower, least_upper, det_stable,
-               is_three_valued_stable):
+    for fn in (consistent, hd, ic, values, lower_stable, upper_stable, stable, ht_pairs, least_lower, least_upper,
+               det_stable, is_three_valued_stable):
         fn.cache_clear()
 
 
@@ -90,6 +90,12 @@ def all_pairs(u) -> list[ApproxPair]:
     """Every pair (x, y) over the universe u, the inconsistent ones too."""
     subsets = list(u.subsets())
     return [ApproxPair(x, y) for x in subsets for y in subsets]
+
+
+@cache
+def consistent(u) -> tuple[ApproxPair, ...]:
+    """The 3^n consistent pairs over the universe u, in `consistent_pairs` order."""
+    return tuple(u.consistent_pairs())
 
 
 def meet(sets):
@@ -170,7 +176,7 @@ def values(p, kind: OperatorKind) -> dict:
 
 def fixpoints(p, kind: OperatorKind) -> list[ApproxPair]:
     v = values(p, kind)
-    return [i for i in p.universe.consistent_tuple if i.lower in v[i].lower_set and i.upper in v[i].upper_set]
+    return [i for i in consistent(p.universe) if i.lower in v[i].lower_set and i.upper in v[i].upper_set]
 
 
 @cache
@@ -192,7 +198,7 @@ def upper_stable(p, kind: OperatorKind) -> dict:
 @cache
 def stable(p, kind: OperatorKind) -> list[ApproxPair]:
     lower, upper = lower_stable(p, kind), upper_stable(p, kind)
-    return [i for i in p.universe.consistent_tuple if i.lower in lower[i.upper] and i.upper in upper[i.lower]]
+    return [i for i in consistent(p.universe) if i.lower in lower[i.upper] and i.upper in upper[i.lower]]
 
 
 @cache
@@ -200,7 +206,7 @@ def ht_pairs(p, kind: OperatorKind) -> list[ApproxPair]:
     """The pairs (x, y) with y closed, a member of `ic(y)` within y, and a
     member of the operator's lower set at (x, y) within x."""
     v, closed = values(p, kind), {y: smyth_leq(ic(p, y), {y}) for y in p.universe.subsets()}
-    return [i for i in p.universe.consistent_tuple if closed[i.upper] and smyth_leq(v[i].lower_set, {i.lower})]
+    return [i for i in consistent(p.universe) if closed[i.upper] and smyth_leq(v[i].lower_set, {i.lower})]
 
 
 def seq_approx(p, kind: OperatorKind) -> list[ApproxPair]:
@@ -236,7 +242,7 @@ def det_stable(p) -> list[ApproxPair]:
     """Pairs (x, y) with x `least_lower(y)` and y `least_upper(x)`. The
     operator is defined on atomic heads only (`values` refuses)."""
     values(p, OperatorKind.DMT_DET)
-    pairs = p.universe.consistent_tuple
+    pairs = consistent(p.universe)
     return [i for i in pairs if least_lower(p, i.upper) == i.lower and least_upper(p, i.lower) == i.upper]
 
 
@@ -284,7 +290,7 @@ def is_three_valued_stable(p, i: ApproxPair) -> bool:
     """Przymusinski's definition: i is a model of p's GL transformation at i
     and no other consistent pair truth-below i is."""
     model = gl_model(p, i)
-    return model(i) and not any(j != i and leq_t(j, i) and model(j) for j in p.universe.consistent_tuple)
+    return model(i) and not any(j != i and leq_t(j, i) and model(j) for j in consistent(p.universe))
 
 
 def gz_answer_sets(p) -> list:
@@ -306,7 +312,7 @@ def ht_rule(u, i: ApproxPair, body, head) -> bool:
 def ht_models(p) -> list[ApproxPair]:
     """The pairs at which every rule is HT-satisfied (`four.HTRule`)."""
     u, rules = p.universe, [four.HTRule.of(body_formula(r), r.head) for r in p.rules]
-    return [i for i in p.universe.consistent_tuple if all(r.here(u, i) and r.there(u, i.upper) for r in rules)]
+    return [i for i in consistent(p.universe) if all(r.here(u, i) and r.there(u, i.upper) for r in rules)]
 
 
 def semi_equilibrium(p) -> list[ApproxPair]:
@@ -325,7 +331,7 @@ CELLS = {
     "ht": ht_pairs,
     "seq": lambda p, kind: sem.mc(sem.min_t(ht_pairs(p, kind))),
     "seq-approx": seq_approx,
-    "three-valued-stable": lambda p, kind: [i for i in p.universe.consistent_tuple if is_three_valued_stable(p, i)],
+    "three-valued-stable": lambda p, kind: [i for i in consistent(p.universe) if is_three_valued_stable(p, i)],
     "gz-answer-sets": lambda p, kind: [ApproxPair(x, x) for x in gz_answer_sets(p)],
 }
 
@@ -338,7 +344,7 @@ CELLS = {
 def frozenset_monotonicity(p, apply_fn):
     kinds = laws._ndao_kinds(p) + ([OperatorKind.DMT_DET] if p.compile().classification.atomic_heads else [])
     u, cases = p.universe, 0
-    index = {u.pair_key(i): i for i in laws._pairs(p)}
+    index = dict(zip(u.consistent_masks(), consistent(u)))
     for kind in kinds:
         found = {key: apply_fn(kind, p, i) for key, i in index.items()}
         for key1, key2 in ((key1, key2) for key1 in index for key2 in masks_above_i(*key1)):
@@ -350,17 +356,18 @@ def frozenset_monotonicity(p, apply_fn):
 
 
 def frozenset_precision_chain(p, apply_fn):
-    for cases, i in enumerate(laws._pairs(p), 1):
+    pairs = consistent(p.universe)
+    for cases, i in enumerate(pairs, 1):
         gz, dmt, ult = (apply_fn(k, p, i) for k in (OperatorKind.GZ, OperatorKind.DMT, OperatorKind.ULTIMATE))
         for below, above, what in ((gz, dmt, "gz not below dmt"), (dmt, ult, "dmt not below ultimate")):
             if not aprec_leq(below, above):
                 return cases, f"{what} at {render.fmt_pair(p.universe, i)}"
-    return len(laws._pairs(p)), None
+    return len(pairs), None
 
 
 def frozenset_ultimate_max(p, apply_fn):
     cases = 0
-    for i in laws._pairs(p):
+    for i in consistent(p.universe):
         ult = apply_fn(OperatorKind.ULTIMATE, p, i)
         for kind in (k for k in laws._ndao_kinds(p) if k is not OperatorKind.ULTIMATE):
             cases += 1
@@ -372,7 +379,7 @@ def frozenset_ultimate_max(p, apply_fn):
 def frozenset_upwards_coherence(p, apply_fn):
     cases = 0
     for kind in laws._ndao_kinds(p):
-        for i in laws._pairs(p):
+        for i in consistent(p.universe):
             cases += 1
             value = apply_fn(kind, p, i)
             if not value.lower_set or not value.upper_set:

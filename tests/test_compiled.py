@@ -249,7 +249,7 @@ def test_membership_tests_equal_the_materialised_families():
         lower_rows = [ops.member_row(p, m) for m in range(1 << len(u))]
         upper_rows = [ops.member_row(p, m, upper=True) for m in range(1 << len(u))]
         for i in ref.all_pairs(p.universe):
-            xm, ym = u.pair_key(i)
+            xm, ym = u.mask(i.lower), u.mask(i.upper)
             lower = ops.hitting_sets(ref.heads_at_least(p, i, Truth.C))
             upper = ops.hitting_sets(ref.heads_at_least(p, i, Truth.U))
             assert lower_rows[ym] >> xm & 1 == (i.lower in lower), (p.text, i)

@@ -190,7 +190,7 @@ def test_mask_enumerations_equal_the_order_scans(n):
     pairs = list(u.consistent_pairs())
     assert [u.pair(*m) for m in u.consistent_masks()] == pairs
     for i in pairs:
-        assert [u.pair(*m) for m in masks_above_i(*u.pair_key(i))] == [j for j in pairs if leq_i(i, j)]
+        assert [u.pair(*m) for m in masks_above_i(u.mask(i.lower), u.mask(i.upper))] == [j for j in pairs if leq_i(i, j)]
 
 
 def test_atom_cap_env(monkeypatch):

@@ -161,7 +161,7 @@ def test_eval_aggregate_examples():
 def compiled_trivial(i: ApproxPair, lit) -> Truth:
     """The compiled trivial approximation of lit at i, over the atoms p and q."""
     u = AtomUniverse.of(["p", "q"])
-    return Truth(CompiledAggregate(u, lit).trivial(*u.pair_key(i)))
+    return Truth(CompiledAggregate(u, lit).trivial(u.mask(i.lower), u.mask(i.upper)))
 
 
 def test_trivial_aggregate_value_examples():

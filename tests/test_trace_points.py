@@ -12,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from aftlab import operators as ops
+from aftlab import laws, operators as ops
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 # A traced run of one `semantics` command and one law suite over two corpus
-# programs; prints the exit code and the names of the spans it recorded.
+# programs; prints the exit code, the names of the spans it recorded and
+# those of the spans opened directly under `laws.run_laws`.
 TRACED_RUN = """
 import contextlib, importlib.util, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -32,7 +33,9 @@ argv = ["semantics", "--program", str(corpus.path("aggregate_cycle")), "--semant
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv)
 laws.run_laws([corpus.load("aggregate_cycle"), corpus.load("disjunctive_self_defeat")])
-print(json.dumps({"code": code, "spans": sorted({node[0] for node in tracer.finish()["nodes"]})}))
+nodes = tracer.finish()["nodes"]
+under_run_laws = [node[0] for node in nodes if nodes[node[1]][0] == "laws.run_laws"]
+print(json.dumps({"code": code, "spans": sorted({node[0] for node in nodes}), "under_run_laws": under_run_laws}))
 """
 
 
@@ -52,3 +55,7 @@ def test_a_traced_run_records_the_spans_of_the_command_the_laws_and_the_lattice(
     run = json.loads(done.stdout)
     assert run["code"] == 0
     assert {"cli.main", "laws.run_laws", "lattice.unmask"} <= set(run["spans"])
+    # One span per law, each called by `run_laws` with the program and its table.
+    law_spans = sorted(name for name in run["under_run_laws"] if name.startswith("laws."))
+    assert len(laws.LAW_NAMES) == 13
+    assert law_spans == sorted(f"laws.{name}" for name in laws.LAW_NAMES)
