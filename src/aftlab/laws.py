@@ -7,12 +7,12 @@ are visited in increasing size order).
 
 Every law takes the program and its `OperatorTable`, which `run_laws` builds
 once per program and hands each law. With no `apply_fn`, the table reads the
-reference operators: a law that reads every pair of a kind has it from one
-`operators.values` call, and a law that reads some pairs asks
-`operators.apply` for each on its first read. A given `apply_fn`, a mutant
-say, is asked pair by pair, once per (kind, pair). Either way the laws read
-no plane and no row of the sweeps they referee. A pair is named by its
-number in the table; an `ApproxPair` is built only for a failure message.
+reference operators, each kind from one `operators.values` call on the
+first read; it holds the kind's domain alone, so a read outside it is a
+`KeyError`, not a refusal. A given `apply_fn`, a mutant say, is asked pair
+by pair, once per (kind, pair). Either way the laws read no plane and no
+row of the sweeps they referee. A pair is named by its number in the table;
+an `ApproxPair` is built only for a failure message.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _ndao_kinds(p: Program) -> list[OperatorKind]:
 
 class OperatorTable:
     """One program's operators by pair number, x << n | y for the masks (x, y):
-    `values[kind][number]`, asked of `apply_fn` (`ops.apply` if none) on the
-    first read, or read with every pair of the kind's domain by `every`, and
+    `values[kind]`, the dict of one `ops.values` call, which has the kind's
+    domain alone (a pair outside it is a `KeyError`, not a refusal), or with
+    an `apply_fn`, asked of it at each pair on its first read, and
     `codes[value]`, the `PrecisionCode` of each distinct value. `sets[m]` is
     the set with mask m; `consistent` numbers the consistent pairs in order,
     and `pair(number)` is the pair itself. Called with `apply_fn`'s signature
@@ -58,26 +59,16 @@ class OperatorTable:
 
     def __init__(self, p: Program, apply_fn: ApplyFn | None = None):
         u, n = p.universe, len(p.universe)
-        self.program, self.n, self.low = p, n, (low := (1 << n) - 1)
-        ask = apply_fn or ops.apply
-        self.reference, self.whole = apply_fn is None, set()
+        self.n, self.low = n, (low := (1 << n) - 1)
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
         self.consistent = [xm << n | ym for xm, ym in u.consistent_masks()]
-        # The fill reads locals, not the table, so a table is freed without a cycle collection.
-        self.values = Lazy(lambda kind: Lazy(lambda k: ask(kind, p, ApproxPair(sets[k >> n], sets[k & low]))))
+        # The fills read locals, not the table, so a table is freed without a cycle collection.
+        per_pair = lambda kind: Lazy(lambda k: apply_fn(kind, p, ApproxPair(sets[k >> n], sets[k & low])))
+        self.values = Lazy(per_pair if apply_fn else lambda kind: ops.values(kind, p))
         self.codes = Lazy(lambda value: precision_code(u, value))
 
     def pair(self, number: int) -> ApproxPair:
         return ApproxPair(self.sets[number >> self.n], self.sets[number & self.low])
-
-    def every(self, kind: OperatorKind) -> dict[int, NdPair]:
-        """`values[kind]` for a law that reads every pair of the kind's
-        domain: on the reference operators, filled by one `ops.values` call."""
-        values = self.values[kind]
-        if self.reference and kind not in self.whole:
-            values.update(ops.values(kind, self.program))
-            self.whole.add(kind)
-        return values
 
     def __call__(self, kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         return self.values[kind][p.universe.mask(i.lower) << self.n | p.universe.mask(i.upper)]
@@ -96,7 +87,7 @@ def _law_monotonicity(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     steps = [[(k, k | a << n, k ^ a) for k in consistent if k & ~(k >> n) & a] for a in (1 << i for i in range(n))]
     cases = 0
     for kind in kinds:
-        values = t.every(kind)
+        values = t.values[kind]
         codes = {k: t.codes[values[k]] for k in consistent}
         above = {k: c.members for k, c in codes.items()}
         for step in steps:
@@ -137,7 +128,7 @@ def _law_exactness(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 
 
 def _law_precision_chain(p: Program, t: OperatorTable) -> tuple[int, str | None]:
-    gz_of, dmt_of, ult_of = (t.every(k) for k in (ops.GZ, ops.DMT, ops.ULTIMATE))
+    gz_of, dmt_of, ult_of = (t.values[k] for k in (ops.GZ, ops.DMT, ops.ULTIMATE))
     for cases, k in enumerate(t.consistent, 1):
         gz, dmt, ult = t.codes[gz_of[k]], t.codes[dmt_of[k]], t.codes[ult_of[k]]
         if dmt.members & ~gz.allowed:
@@ -148,8 +139,8 @@ def _law_precision_chain(p: Program, t: OperatorTable) -> tuple[int, str | None]
 
 
 def _law_ultimate_max(p: Program, t: OperatorTable) -> tuple[int, str | None]:
-    ult_of = t.every(ops.ULTIMATE)
-    others = [(kind, t.every(kind)) for kind in _ndao_kinds(p) if kind is not ops.ULTIMATE]
+    ult_of = t.values[ops.ULTIMATE]
+    others = [(kind, t.values[kind]) for kind in _ndao_kinds(p) if kind is not ops.ULTIMATE]
     cases = 0
     for k in t.consistent:
         ult = t.codes[ult_of[k]].members
@@ -163,7 +154,7 @@ def _law_ultimate_max(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 def _law_symmetry(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if p.compile().classification.has_aggregates:
         return 0, None
-    u, ic, n = p.universe, t.every(ops.IC), t.n
+    u, ic, n = p.universe, t.values[ops.IC], t.n
     cases = 0
     for xm, x in enumerate(t.sets):
         for ym, y in enumerate(t.sets):
@@ -180,7 +171,7 @@ def _law_upwards_coherence(p: Program, t: OperatorTable) -> tuple[int, str | Non
     u, size = p.universe, 1 << t.n
     cases = 0
     for kind in _ndao_kinds(p):
-        values = t.every(kind)
+        values = t.values[kind]
         for k in t.consistent:
             cases += 1
             value = values[k]
@@ -272,13 +263,18 @@ def _law_gz_answer_sets(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if not p.compile().classification.atomic_heads:
         return 0, None
-    dmt, det = t.every(ops.DMT), t.every(ops.DMT_DET)
+    dmt, det = t.values[ops.DMT], t.values[ops.DMT_DET]
     for cases, k in enumerate(t.consistent, 1):
         # On atomic heads each set of `dmt` is the one set of its heads' atoms.
         if dmt[k] != det[k]:
             return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, t.pair(k))}"
+    # `det`'s stable pairs as read: x minimal among its lower members within y, y among its upper ones around x.
+    n, sets, masks, minimal = t.n, t.sets, range(1 << t.n), sem.minimal_sets
+    lower = [minimal(sets[x] for x in submasks(y) if sets[x] in det[x << n | y].lower_set) for y in masks]
+    upper = [minimal(sets[y] for y in masks if not x & ~y and sets[y] in det[x << n | y].upper_set) for x in masks]
+    stable = [t.pair(k) for k in t.consistent if sets[k >> n] in lower[k & t.low] and sets[k & t.low] in upper[k >> n]]
     cases = len(t.consistent) + 1
-    if sem.stable_fixpoints(ops.DMT, p) != sem.det_stable_fixpoints(p):
+    if stable != sem.det_stable_fixpoints(p):
         return cases, "interval-operator stable fixpoints differ from the deterministic stable pairs"
     return cases, None
 
@@ -286,7 +282,7 @@ def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None
 def _law_prefixpoint_minimal(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     n, sets, cases = t.n, t.sets, 0
     for kind in _ndao_kinds(p):
-        values = t.every(kind)
+        values = t.values[kind]
         for ym, y in enumerate(sets):
             cases += 1
             fixed, pre = [], []

@@ -253,10 +253,10 @@ def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fol
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     """The operator at the pair i, the deterministic one lifted to
-    singletons: the one reader of a single pair, which `eval`, the memoized
-    functions below and a law's reads of single pairs go through. Nothing is
-    kept but the compiled stores it reads (`_base`, `_hits`), so a refusal
-    raises on every ask, in this order:
+    singletons: the one reader of a single pair, which `eval` and the
+    memoized functions below go through. Nothing is kept but the compiled
+    stores it reads (`_base`, `_hits`), so a refusal raises on every ask, in
+    this order:
 
     1. a program outside the kind's class (`check_kind_applicable`);
     2. for the operators of `INTERVAL`, an inconsistent pair, tested on the
@@ -280,8 +280,7 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     elif kind is GZ:
         fold = _base(p, compiled, xm)[0] if xm == ym else None
     elif kind in INTERVAL:
-        base = compiled.base
-        entries = [base.get(xm | s) or _base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
+        entries = [_base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
         if kind is ULTIMATE:
             fold = frozenset([heads for heads, _ in entries])
         else:
@@ -354,8 +353,7 @@ def values(kind: OperatorKind, p: Program) -> dict[int, NdPair]:
         sets = range(1 << n)
         folds = {xm << n | ym: _four_heads(p, compiled, xm, ym) for xm in sets for ym in sets}
     elif kind in INTERVAL:
-        base = compiled.base
-        entries = [base.get(z) or _base(p, compiled, z) for z in range(1 << n)]
+        entries = [_base(p, compiled, z) for z in range(1 << n)]
         if kind is GZ:
             folds = dict.fromkeys([xm << n | ym for xm, ym in u.consistent_masks()])
             folds.update((z << n | z, heads) for z, (heads, _) in enumerate(entries))

@@ -252,6 +252,39 @@ def test_dmt_det_collapse_reads_both_operators_through_apply_fn():
     assert outcome.failure.startswith("head-level interval operator does not collapse at ")
 
 
+def test_dmt_det_collapse_checks_the_shared_planes(monkeypatch):
+    """`dmt` and `dmt-det` share one set of planes (`operators.pair_planes`),
+    so a fault there is the same on both sides of a comparison of their
+    stable fixpoints. The law compares the deterministic stable pairs with
+    those of `dmt-det` as the reference operators give it, pair by pair."""
+    tables = ops.interval_tables
+
+    def upper_misses_the_total_pairs(kind, p):
+        planes = tables(kind, p)
+        if kind is OperatorKind.DMT:
+            digits = planes.digits
+            return ops.PairPlanes(digits, planes.lower, planes.upper & ~digits.total, planes.smyth, planes.closed)
+        return planes
+
+    monkeypatch.setattr(ops, "interval_tables", upper_misses_the_total_pairs)
+    outcome = laws.run_laws(laws.suite_programs(), ["dmt-det-collapse"])[0]
+    assert not outcome.ok
+    assert outcome.cases == 4
+    assert outcome.failure.startswith("interval-operator stable fixpoints differ from the deterministic stable pairs\n")
+
+
+@pytest.mark.parametrize("names", [[name] for name in laws.LAW_NAMES] + [None], ids=[*laws.LAW_NAMES, "all"])
+def test_the_reference_laws_never_ask_apply(monkeypatch, names):
+    """With no `apply_fn`, the laws read each operator from one
+    `operators.values` call, whichever law reads it first, and give the
+    outcomes they give over `apply`."""
+    expected = laws.run_laws(laws.suite_programs(60), names, apply_fn=ops.apply)
+    calls, apply = [], ops.apply
+    monkeypatch.setattr(ops, "apply", lambda *args: calls.append(args) or apply(*args))
+    assert laws.run_laws(laws.suite_programs(60), names) == expected
+    assert calls == []
+
+
 def at_the_least_precise_pair(kind, change):
     """The operator with `kind`'s value at the non-total pair (∅, A) changed."""
 

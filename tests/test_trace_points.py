@@ -16,9 +16,10 @@ from aftlab import laws, operators as ops
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
-# A traced run of one `semantics` command and one law suite over two corpus
-# programs; prints the exit code, the names of the spans it recorded and
-# those of the spans opened directly under `laws.run_laws`.
+# A traced run of one `semantics` command, one law suite over two corpus
+# programs and `exactness` alone over them; prints the exit code, the names of
+# the spans it recorded, those of the spans opened directly under
+# `laws.run_laws` and those opened at any depth under `laws.exactness`.
 TRACED_RUN = """
 import contextlib, importlib.util, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -32,10 +33,18 @@ argv = ["semantics", "--program", str(corpus.path("aggregate_cycle")), "--semant
         "--operator", "ultimate", "--format", "json"]
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv)
-laws.run_laws([corpus.load("aggregate_cycle"), corpus.load("disjunctive_self_defeat")])
+programs = lambda: [corpus.load("aggregate_cycle"), corpus.load("disjunctive_self_defeat")]
+laws.run_laws(programs())
+laws.run_laws(programs(), ["exactness"])
 nodes = tracer.finish()["nodes"]
 under_run_laws = [node[0] for node in nodes if nodes[node[1]][0] == "laws.run_laws"]
-print(json.dumps({"code": code, "spans": sorted({node[0] for node in nodes}), "under_run_laws": under_run_laws}))
+def callers(node):
+    while node[1] >= 0:
+        node = nodes[node[1]]
+        yield node[0]
+under_exactness = sorted({node[0] for node in nodes if "laws.exactness" in callers(node)})
+print(json.dumps({"code": code, "spans": sorted({node[0] for node in nodes}), "under_run_laws": under_run_laws,
+                  "under_exactness": under_exactness}))
 """
 
 
@@ -59,3 +68,5 @@ def test_a_traced_run_records_the_spans_of_the_command_the_laws_and_the_lattice(
     law_spans = sorted(name for name in run["under_run_laws"] if name.startswith("laws."))
     assert len(laws.LAW_NAMES) == 13
     assert law_spans == sorted(f"laws.{name}" for name in laws.LAW_NAMES)
+    # The reference operators are read whole (`operators.values`), even by a law run alone.
+    assert not [name for name in run["under_exactness"] if name.startswith("operators.apply.")], run["under_exactness"]
