@@ -6,7 +6,6 @@ Identical configuration and seed always produce the identical program.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .lattice import AftlabError
 from .program import (
@@ -43,12 +42,12 @@ class GeneratorConfig:
 def _aggregate(rng: random.Random, atoms: tuple[str, ...]) -> AggregateAtom:
     entries = []
     for _ in range(rng.randint(1, 2)):
-        weights = (Fraction(rng.randint(-1, 2)),)
+        weights = (rng.randint(-1, 2),)
         condition = tuple(rng.sample(atoms, rng.randint(1, min(2, len(atoms)))))
         entries.append(SetTermEntry(weights, condition))
     func = rng.choice((AggFunc.SUM, AggFunc.COUNT, AggFunc.MAX))
     comparator = rng.choice(tuple(Comparator))
-    bound = Fraction(rng.randint(-1, 2))
+    bound = rng.randint(-1, 2)
     return AggregateAtom(func, SetTerm(tuple(entries)), comparator, bound)
 
 

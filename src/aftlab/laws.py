@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import AftlabError, ApproxPair, Lazy, NdPair, masks_above_i, precision_code, smyth_leq, submasks
+from .lattice import AftlabError, ApproxPair, Lazy, NdPair, NdSet, masks_above_i, precision_code, smyth_leq, submasks
 from .operators import OperatorKind
 from .program import Program
 from .record import record
@@ -280,18 +280,28 @@ def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None
 
 
 def _law_prefixpoint_minimal(p: Program, t: OperatorTable) -> tuple[int, str | None]:
+    """At each upper bound y, the minimal x with x a member of the lower set
+    at (x, y) are the minimal x with the lower set Smyth-below {x}. Operator
+    values share their lower sets (`operators._hits`), so both tests are
+    made once per distinct (lower set, x), for every kind and y at once."""
     n, sets, cases = t.n, t.sets, 0
+
+    def member_and_pre(key: tuple[NdSet, int]) -> tuple[bool, bool]:
+        lower_set, x = key[0], sets[key[1]]
+        return x in lower_set, smyth_leq(lower_set, frozenset((x,)))
+
+    tests = Lazy(member_and_pre)
     for kind in _ndao_kinds(p):
         values = t.values[kind]
         for ym, y in enumerate(sets):
             cases += 1
             fixed, pre = [], []
             for xm in submasks(ym) if ops.consistent_only(kind) else range(1 << n):
-                x, lower_set = sets[xm], values[xm << n | ym].lower_set
-                if x in lower_set:
-                    fixed.append(x)
-                if smyth_leq(lower_set, frozenset((x,))):
-                    pre.append(x)
+                is_fixed, is_pre = tests[values[xm << n | ym].lower_set, xm]
+                if is_fixed:
+                    fixed.append(sets[xm])
+                if is_pre:
+                    pre.append(sets[xm])
             if sem.minimal_sets(fixed) != sem.minimal_sets(pre):
                 return cases, (
                     f"{kind.value}: minimal fixpoints and minimal pre-fixpoints differ "

@@ -430,7 +430,7 @@ def _aggregate_planes(a: prog.CompiledAggregate, full: int, in_x: Sequence[int],
     hold in it, where exactly they hold. On a consistent pair no condition
     is C."""
     at_x_only, at_y_only, parts = 0, 0, [(full, 0)]
-    for c in a.conditions:
+    for c, _ in a.entries:
         at_x, at_y = _within(c, in_x, full), _within(c, in_y, full)
         at_x_only |= at_x & ~at_y
         at_y_only |= at_y & ~at_x
@@ -631,7 +631,7 @@ def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[
         if r.formula is not None:
             read |= u.mask(four.formula_atoms(r.formula))
         elif r.aggs:
-            read |= reduce(or_, [c for a in r.aggs for c in a.conditions], r.neg)
+            read |= reduce(or_, [c for a in r.aggs for c, _ in a.entries], r.neg)
     live = [(1 << len(plain_negs)) - 1]
     for i in range(len(u)):
         with_neg = sum(1 << k for k, neg in enumerate(plain_negs) if neg >> i & 1)

@@ -14,16 +14,19 @@ Grammar (UTF-8, '%' comments to end of line):
     formula := atom | "not" formula | formula "&" formula | formula "|" formula
              | "(" formula ")" | "#true" | "#false" | "#u" | "#c"
 
-Weights and bounds are exact rationals ("2", "-1", "1/2", "0.5").
+Weights and bounds are exact rationals: an integral one ("2", "-1", "2.0",
+"4/2") is an `int`, any other ("1/2", "0.5") a `fractions.Fraction`, and
+their sums and comparisons are exact (an int plus a Fraction is a Fraction).
+`fractions` is imported only to read a number with a '.' or a '/'.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from fractions import Fraction
+from itertools import islice
 from operator import eq, ge, gt, le, lt
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from . import four
 from .lattice import (
@@ -37,6 +40,9 @@ from .lattice import (
 )
 from .four import Formula, Truth
 from .record import record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ParseError(AftlabError):
@@ -70,7 +76,7 @@ class Comparator(Enum):
 
 @record
 class SetTermEntry:
-    weights: tuple[Fraction, ...]
+    weights: tuple[int | Fraction, ...]
     condition: tuple[str, ...]  # non-empty conjunction of atoms
 
 
@@ -84,7 +90,7 @@ class AggregateAtom:
     func: AggFunc
     term: SetTerm
     comparator: Comparator
-    bound: Fraction
+    bound: int | Fraction
 
 
 @record
@@ -238,21 +244,21 @@ class CompiledRule:
 
 class CompiledAggregate:
     """An aggregate literal over its program's universe: its aggregate `agg`,
-    whether it is `positive`, and the mask of each entry condition,
-    `conditions`. A set holds a condition iff the mask lies within it."""
+    whether it is `positive`, and per entry the mask of its condition with
+    its first weight, `entries`. A set holds a condition iff the mask lies
+    within it."""
 
-    __slots__ = ("agg", "positive", "conditions")
+    __slots__ = ("agg", "positive", "entries")
 
     def __init__(self, u: AtomUniverse, lit: PositiveAgg | NegatedAgg):
         self.agg = lit.agg
         self.positive = isinstance(lit, PositiveAgg)
-        self.conditions = tuple(u.mask(entry.condition) for entry in lit.agg.term.entries)
+        self.entries = tuple((u.mask(entry.condition), entry.weights[0]) for entry in lit.agg.term.entries)
 
     def holds(self, xm: int) -> bool:
         """Two-valued truth of the literal at the set with mask xm; an
         undefined aggregate makes it false either way round."""
-        firsts = [e.weights[0] for e, c in zip(self.agg.term.entries, self.conditions) if not c & ~xm]
-        truth, defined = _aggregate_truth(self.agg, firsts)
+        truth, defined = _aggregate_truth(self.agg, [w for c, w in self.entries if not c & ~xm])
         return defined and (truth is Truth.T) == self.positive
 
     def trivial(self, xm: int, ym: int) -> int:
@@ -263,7 +269,7 @@ class CompiledAggregate:
         holds iff some condition holds at x but not at y (is C), and its upper
         reading iff some condition holds at y but not at x (is U); so on a
         consistent pair the value is exact or U."""
-        seen = {(not c & ~xm) << 1 | (not c & ~ym) for c in self.conditions}
+        seen = {(not c & ~xm) << 1 | (not c & ~ym) for c, _ in self.entries}
         inexact = (Truth.C.value in seen) << 1 | (Truth.U.value in seen)
         return inexact or (Truth.T.value if self.holds(xm) else Truth.F.value)
 
@@ -380,6 +386,7 @@ MAX_FORMULA_DEPTH = 128
 
 _HASH_CONSTS = {"#true": four.TRUE, "#false": four.FALSE, "#u": four.Const(Truth.U), "#c": four.Const(Truth.C)}
 _AGG_FUNCS = {"#sum": AggFunc.SUM, "#count": AggFunc.COUNT, "#max": AggFunc.MAX}
+_COMPARATORS = {c.value: c for c in Comparator}
 
 # A token is a tuple (kind, text, line, column); its kind is "ident", "number",
 # "hash", "eof" or the punctuation itself.
@@ -447,8 +454,8 @@ class _Parser:
         self.pos = 0
         self.nesting = 0  # parentheses and negations open around the formula being parsed
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]  # `next` stops at the closing "eof"
 
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos][0] == kind
@@ -475,12 +482,19 @@ class _Parser:
         self.next()
         return text
 
-    def number(self) -> Fraction:
+    def number(self) -> int | Fraction:
+        """An integral number as an `int`, any other as a `Fraction`."""
         tok = self.expect("number")
+        text = tok[1]
         try:
-            return Fraction(tok[1])
+            if "." not in text and "/" not in text:
+                return int(text)
+            from fractions import Fraction  # here: only a number with a '.' or a '/' needs it
+
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            raise _error(f"bad number {tok[1]!r}", tok) from None
+            raise _error(f"bad number {text!r}", tok) from None
+        return value.numerator if value.denominator == 1 else value
 
     # -- rules ------------------------------------------------------------
 
@@ -519,28 +533,28 @@ class _Parser:
         """Scan ahead to the rule-terminating '.' deciding the body alternative.
 
         '&', '|' and parentheses at aggregate-brace depth 0 only occur in
-        formulas, as do the truth constants.
+        formulas, as do the truth constants. The tokens end with "eof", so
+        the scan returns or raises by then.
         """
         depth = 0
-        offset = 0
-        while True:
-            tok = self.peek(offset)
+        for tok in islice(self.tokens, self.pos, None):
             kind = tok[0]
-            if kind == "eof":
-                raise _error("missing '.' at end of rule", tok)
             if kind == "{":
                 depth += 1
             elif kind == "}":
                 depth -= 1
-            elif kind == "." and depth == 0:
+            elif kind == "eof":
+                raise _error("missing '.' at end of rule", tok)
+            elif depth:
+                continue
+            elif kind == ".":
                 return False
-            elif depth == 0 and (kind in ("&", "|", "(", ")") or tok[1] in _HASH_CONSTS):
+            elif kind in ("&", "|", "(", ")") or tok[1] in _HASH_CONSTS:
                 return True
-            offset += 1
 
     def literal(self) -> BodyLiteral:
         negated = False
-        if self.peek()[:2] == ("ident", "not"):
+        if self.peek()[1] == "not":  # only an identifier reads "not"
             self.next()
             negated = True
         if self.at("hash"):
@@ -560,12 +574,11 @@ class _Parser:
             self.next()
             entries.append(self.entry())
         self.expect("}")
-        comparator = self.peek()[0]
-        if comparator not in ("<", "<=", ">", ">=", "="):
+        comparator = _COMPARATORS.get(self.peek()[0])
+        if comparator is None:
             self.fail("expected comparison operator")
         self.next()
-        bound = self.number()
-        return AggregateAtom(func, SetTerm(tuple(entries)), Comparator(comparator), bound)
+        return AggregateAtom(func, SetTerm(tuple(entries)), comparator, self.number())
 
     def entry(self) -> SetTermEntry:
         weights = [self.number()]
@@ -701,7 +714,7 @@ def print_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_multiset(x: AtomSet, term: SetTerm) -> tuple[tuple[Fraction, ...], ...]:
+def eval_multiset(x: AtomSet, term: SetTerm) -> tuple[tuple[int | Fraction, ...], ...]:
     """Weight lists of the entries whose condition holds in x, as a sorted
     multiset; duplicates contribute multiply."""
     picked = [entry.weights for entry in term.entries if set(entry.condition) <= x]
@@ -717,7 +730,7 @@ _COMPARE = {
 }
 
 
-def _aggregate_truth(agg: AggregateAtom, firsts: list[Fraction]) -> tuple[Truth, bool]:
+def _aggregate_truth(agg: AggregateAtom, firsts: list[int | Fraction]) -> tuple[Truth, bool]:
     """Two-valued truth of the positive aggregate atom whose picked entries
     have the first weights `firsts`, plus a definedness flag.
 
@@ -725,9 +738,9 @@ def _aggregate_truth(agg: AggregateAtom, firsts: list[Fraction]) -> tuple[Truth,
     empty multiset, and an undefined value makes the atom false.
     """
     if agg.func is AggFunc.SUM:
-        value = sum(firsts, Fraction(0))
+        value = sum(firsts)
     elif agg.func is AggFunc.COUNT:
-        value = Fraction(len(firsts))
+        value = len(firsts)
     else:
         if not firsts:
             return Truth.F, False
@@ -824,7 +837,7 @@ def gz_reduct(p: Program, x: AtomSet) -> Program:
             if not agg.holds(xm):
                 break
             replacement: set[str] = set()
-            for entry, c in zip(lit.agg.term.entries, agg.conditions):
+            for entry, (c, _) in zip(lit.agg.term.entries, agg.entries):
                 if not c & ~xm:
                     replacement.update(entry.condition)
             items.extend(PositiveAtom(a) for a in sorted(replacement))

@@ -317,7 +317,7 @@ def gz_answer_sets(p: Program) -> list[AtomSet]:
                 continue
             body = r.pos
             for a in r.aggs:
-                for c in a.conditions:
+                for c, _ in a.entries:
                     if not c & ~xm:
                         body |= c
             reduct.append((body, r.head_mask))

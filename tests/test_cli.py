@@ -675,10 +675,31 @@ def test_help_returns_0_and_lists_the_table(command):
 def test_importing_the_cli_does_not_import_argparse():
     # Nor `dataclasses` or `inspect`: the value types are records (`aftlab.record`).
     # Nor `hashlib`, which loads OpenSSL: only `program.program_hash` needs it.
+    # Nor `fractions` with `decimal` and `numbers`: only a fractional number needs it.
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import aftlab.cli, aftlab.laws; "
-        "print(sorted(m for m in ('argparse', 'dataclasses', 'inspect', 'hashlib') if m in sys.modules))"
+        "print(sorted(m for m in ('argparse', 'dataclasses', 'inspect', 'hashlib', 'fractions', 'decimal', 'numbers')"
+        " if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_integral_aggregates_and_the_law_suite_do_not_import_fractions(tmp_path):
+    path = tmp_path / "p.lp"
+    path.write_text("p | q :- #sum{2:p; -1:q} >= 1, not #count{1:q & r} = 0.\nr :- #max{1:p; 2:q} > 1.\nq.\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import aftlab.cli, aftlab.laws; "
+        "sys.stdout = io.StringIO(); "
+        "codes = [aftlab.cli.main(['semantics', '--program', sys.argv[2], '--semantics', s, '--operator', 'dmt'])"
+        " for s in ('stable', 'fixpoints')]; "
+        "outcomes = aftlab.laws.run_laws(aftlab.laws.suite_programs(20)); "
+        "sys.stdout = sys.__stdout__; "
+        "print(codes, sum(o.cases for o in outcomes) > 0, 'fractions' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(src), str(path)], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout == "[0, 0] True False\n"

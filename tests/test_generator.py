@@ -48,3 +48,10 @@ def test_invalid_configs_rejected():
         generate_program(GeneratorConfig(negation_probability=1.5))
     with pytest.raises(AftlabError):
         generate_program(GeneratorConfig(aggregate_probability=-0.1))
+
+
+def test_weights_and_bounds_are_ints():
+    programs = [generate_program(GeneratorConfig(atoms=3, rules=4, aggregate_probability=0.8, seed=s)) for s in range(20)]
+    aggs = [lit.agg for p in programs for rule in p.rules for lit in rule.body.items if hasattr(lit, "agg")]
+    numbers = [w for a in aggs for e in a.term.entries for w in e.weights] + [a.bound for a in aggs]
+    assert numbers and {type(x) for x in numbers} == {int}

@@ -177,6 +177,22 @@ def test_prefixpoint_minimal_reads_the_operator_once_per_candidate():
     assert len(calls) == len(set(calls)) == candidates
 
 
+def test_prefixpoint_minimal_tells_smyth_below_from_member():
+    """A dmt whose lower set at (x, A) is {∅} for x ≠ ∅ and {A} at x = ∅ has
+    no fixpoint under A, while every x ≠ ∅ is a pre-fixpoint: the law fails
+    unless its Smyth test is more than the membership test."""
+
+    def mutant(kind, p, i):
+        u = p.universe
+        if kind is OperatorKind.DMT and i.upper == u.full():
+            return NdPair(frozenset((frozenset() if i.lower else u.full(),)), frozenset((u.full(),)))
+        return ops.apply(kind, p, i)
+
+    outcome = laws.run_laws([parse("p | q.")], ["prefixpoint-minimal"], apply_fn=mutant)[0]
+    assert not outcome.ok
+    assert outcome.failure.startswith("dmt: minimal fixpoints and minimal pre-fixpoints differ at upper bound {p,q}\n")
+
+
 def asks(programs, names=None):
     """The (kind, program, pair) asks of one `run_laws` over the programs."""
     asked = []

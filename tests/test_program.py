@@ -11,7 +11,7 @@ from aftlab.operators import OperatorKind
 from aftlab.program import MAX_FORMULA_DEPTH, AggFunc, AggregateAtom, Comparator, CompiledAggregate, Conj
 from aftlab.program import FormulaDepthError, GeneralFormula, NegatedAgg, NegatedAtom, ParseError, PositiveAgg
 from aftlab.program import Program, ProgramClassError, Rule, SetTerm, SetTermEntry, classify, eval_aggregate
-from aftlab.program import eval_body, eval_multiset, gl_transform, gz_reduct, make_program, parse
+from aftlab.program import eval_body, eval_multiset, gl_transform, gz_reduct, make_program, parse, program_hash
 from aftlab.semantics import stable_fixpoints
 from conftest import atoms, pair
 
@@ -94,6 +94,43 @@ def test_rational_weights_round_trip():
     assert lit.agg.term.entries[0].weights == (Fraction(1, 2),)
     assert lit.agg.term.entries[1].weights == (Fraction(1, 4),)
     assert lit.agg.bound == Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2", 2), ("-1", -1), ("-0", 0), ("2.0", 2), ("4/2", 2), ("٣", 3),
+     ("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("2/4", Fraction(1, 2)), ("-0.5", Fraction(-1, 2))],
+)
+def test_integral_numbers_parse_to_ints_and_the_others_to_fractions(text, value):
+    lit = parse(f"p :- #sum{{{text}:q}} >= {text}.").rules[0].body.items[0]
+    numbers = [lit.agg.term.entries[0].weights[0], lit.agg.bound]
+    assert [(type(x), x) for x in numbers] == [(type(value), value)] * 2
+
+
+def test_mixed_sums_and_maxima_are_exact():
+    # Rule s needs exact arithmetic: in floating point 0.1 + 0.2 != 0.3.
+    p = parse(
+        "p :- #sum{1/3:a; 2/3:b} = 1.\nq :- #max{1:a; 3/2:b; 2:c} = 3/2.\nr :- #max{1:a; 3/2:b; 2:c} > 3/2.\n"
+        "s :- #sum{1/10:a; 1/5:b} = 3/10."
+    )
+    compiled = p.compile()
+    bodies = lambda *names: [r.holds(p.universe, p.universe.mask(atoms(*names))) for r in compiled.rules]
+    assert bodies("a", "b") == [True, True, False, True]
+    assert bodies("a", "b", "c") == [True, False, True, True]
+    assert bodies("a") == [False, False, False, False]
+    assert eval_aggregate(atoms("a", "b"), p.rules[0].body.items[0].agg) == (Truth.T, True)
+
+
+def test_fraction_weights_equal_and_hash_like_parsed_ints():
+    built = make_program(
+        (Rule(("p",), Conj((PositiveAgg(agg(AggFunc.SUM, [((2, 1), ("q",))], Comparator.GE, -1)),))),)
+    )
+    parsed = parse("p :- #sum{2,1:q} >= -1.")
+    assert {type(w) for w in built.rules[0].body.items[0].agg.term.entries[0].weights} == {Fraction}
+    assert built == parsed
+    assert hash(built) == hash(parsed)
+    assert built.text == parsed.text
+    assert program_hash(built) == program_hash(parsed)
 
 
 def test_round_trip_on_corpus():

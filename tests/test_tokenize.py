@@ -136,6 +136,8 @@ def test_unicode_identifiers_and_decimal_digits_parse():
     "text, message, line, col",
     [
         ("p :- #sum{²:q} >= 1.", "bad number '²'", 1, 11),
+        ("p :- #sum{1:q} >= 1/0.", "bad number '1/0'", 1, 19),
+        ("p :- #sum{2.³:q} >= 1.", "bad number '2.³'", 1, 11),
         # The end of input after a trailing comment sits at its '%'.
         ("p :- q % c", "missing '.' at end of rule", 1, 8),
         ("p :- q.\nr :- ½.", "unexpected character '½'", 2, 6),
