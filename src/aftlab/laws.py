@@ -10,8 +10,8 @@ once per program and hands each law. With no `apply_fn`, the table reads the
 reference operators, each kind from one `operators.values` call on the
 first read; it holds the kind's domain alone, so a read outside it is a
 `KeyError`, not a refusal. A given `apply_fn`, a mutant say, is asked pair
-by pair, once per (kind, pair). Either way the laws read no plane and no
-row of the sweeps they referee. A pair is named by its number in the table;
+by pair, once per (kind, pair). Either way the table reads no plane and no
+row of the sweeps the laws referee. A pair is named by its number in the table;
 an `ApproxPair` is built only for a failure message.
 """
 
@@ -21,7 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import AftlabError, ApproxPair, Lazy, NdPair, NdSet, masks_above_i, precision_code, smyth_leq, submasks
+from .lattice import (
+    AftlabError, ApproxPair, Lazy, NdPair, NdSet, masks_above_i, minimal_bits, precision_code, smyth_leq, submasks
+)
 from .operators import OperatorKind
 from .program import Program
 from .record import record
@@ -201,10 +203,14 @@ def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 
 
 def _law_total_stable_ht(p: Program, t: OperatorTable) -> tuple[int, str | None]:
+    """The total truth-minimal HT pairs are the total stable fixpoints. The
+    truth-minimal HT pairs are read off the `minimal_t` plane, as `seq`
+    reads them (`semantics._ht_plane_pairs`), and the stable fixpoints from
+    the operator's `minimal` planes or rows, which read no `minimal_t`."""
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        ht_totals = {i for i in sem.min_t(sem.ht_pairs(kind, p)) if i.is_total}
+        ht_totals = {i for i in sem._ht_plane_pairs(kind, p, True) if i.is_total}
         stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
         if ht_totals != stable_totals:
             return cases, f"{kind.value}: total truth-minimal HT pairs differ from total stable fixpoints"
@@ -261,6 +267,12 @@ def _law_gz_answer_sets(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 
 
 def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None]:
+    """On atomic heads `dmt` is `dmt-det` lifted to singletons at every
+    consistent pair, and the stable pairs of `dmt-det` as the table reads it
+    are the deterministic stable pairs: x minimal among its lower members
+    within y, and y among its upper members around x. Each side's members
+    are collected as a row, bit m for the set with mask m, and the masks of
+    the minimal ones read off it (`lattice.minimal_bits`)."""
     if not p.compile().classification.atomic_heads:
         return 0, None
     dmt, det = t.values[ops.DMT], t.values[ops.DMT_DET]
@@ -268,11 +280,14 @@ def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None
         # On atomic heads each set of `dmt` is the one set of its heads' atoms.
         if dmt[k] != det[k]:
             return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, t.pair(k))}"
-    # `det`'s stable pairs as read: x minimal among its lower members within y, y among its upper ones around x.
-    n, sets, masks, minimal = t.n, t.sets, range(1 << t.n), sem.minimal_sets
-    lower = [minimal(sets[x] for x in submasks(y) if sets[x] in det[x << n | y].lower_set) for y in masks]
-    upper = [minimal(sets[y] for y in masks if not x & ~y and sets[y] in det[x << n | y].upper_set) for x in masks]
-    stable = [t.pair(k) for k in t.consistent if sets[k >> n] in lower[k & t.low] and sets[k & t.low] in upper[k >> n]]
+    n, sets, masks = t.n, t.sets, range(1 << t.n)
+
+    def minimal(members: Iterable[int]) -> frozenset[int]:
+        return frozenset(minimal_bits(n, sum([1 << m for m in members])))
+
+    lower = [minimal(x for x in submasks(y) if sets[x] in det[x << n | y].lower_set) for y in masks]
+    upper = [minimal(y for y in masks if not x & ~y and sets[y] in det[x << n | y].upper_set) for x in masks]
+    stable = [t.pair(k) for k in t.consistent if k >> n in lower[k & t.low] and k & t.low in upper[k >> n]]
     cases = len(t.consistent) + 1
     if stable != sem.det_stable_fixpoints(p):
         return cases, "interval-operator stable fixpoints differ from the deterministic stable pairs"
@@ -283,7 +298,9 @@ def _law_prefixpoint_minimal(p: Program, t: OperatorTable) -> tuple[int, str | N
     """At each upper bound y, the minimal x with x a member of the lower set
     at (x, y) are the minimal x with the lower set Smyth-below {x}. Operator
     values share their lower sets (`operators._hits`), so both tests are
-    made once per distinct (lower set, x), for every kind and y at once."""
+    made once per distinct (lower set, x), for every kind and y at once. The
+    x passing each test at y are collected as a row, bit m for the set with
+    mask m, and the minimal ones read off it (`lattice.minimal_bits`)."""
     n, sets, cases = t.n, t.sets, 0
 
     def member_and_pre(key: tuple[NdSet, int]) -> tuple[bool, bool]:
@@ -295,14 +312,14 @@ def _law_prefixpoint_minimal(p: Program, t: OperatorTable) -> tuple[int, str | N
         values = t.values[kind]
         for ym, y in enumerate(sets):
             cases += 1
-            fixed, pre = [], []
+            fixed = pre = 0
             for xm in submasks(ym) if ops.consistent_only(kind) else range(1 << n):
                 is_fixed, is_pre = tests[values[xm << n | ym].lower_set, xm]
                 if is_fixed:
-                    fixed.append(sets[xm])
+                    fixed |= 1 << xm
                 if is_pre:
-                    pre.append(sets[xm])
-            if sem.minimal_sets(fixed) != sem.minimal_sets(pre):
+                    pre |= 1 << xm
+            if fixed != pre and minimal_bits(n, fixed) != minimal_bits(n, pre):
                 return cases, (
                     f"{kind.value}: minimal fixpoints and minimal pre-fixpoints differ "
                     f"at upper bound {render.fmt_set(p.universe, y)}"

@@ -12,8 +12,10 @@ four-valued operators read both sides of a pair in one pass over the rules
 entry of each set, the heads fired there and their atoms, built once per
 program and set and kept on its compiled form (`_base`). The memoized
 operator functions read `apply`. `values` reads an operator at every pair
-of its domain in one pass: the four-valued ones pair by pair on masks, the
-others by folding the base entries up the gap of each pair. A head family
+of its domain in one pass: the four-valued ones from two ints over the
+rules per set, those whose pos lies within it and those whose neg misses
+it, ANDed at each pair (`_four_folds`), the others by folding the base
+entries up the gap of each pair. A head family
 is an int over the program's distinct heads, and each fold becomes a value
 in one step that both share (`_from_fold`). The hitting sets of each head
 family are built once per program and kept there too (`_hits`). The sweeps
@@ -45,6 +47,7 @@ from .lattice import (
     AtomUniverse,
     DigitPlanes,
     InconsistentPairError,
+    Lazy,
     NdPair,
     NdSet,
     _closure_steps,
@@ -168,25 +171,31 @@ def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
         raise ProgramClassError("the deterministic operator needs atomic heads")
 
 
+def _body_bits(u: AtomUniverse, r: prog.CompiledRule, xm: int, ym: int) -> int:
+    """The two bits (`four.Truth`) of the body value of r at the pair with
+    masks (xm, ym): the lower bit (>=_t C) is the body's truth at x with
+    negation read at y, the upper bit (>=_t U) its truth at y with negation
+    read at x. Aggregate literals take their bits from their trivial
+    approximation (`program.CompiledAggregate.trivial`); general bodies from
+    `four.eval_pair` on the pair of atom sets."""
+    if r.formula is not None:
+        return four.eval_pair(u, u.pair(xm, ym), r.formula).value
+    bits = (not r.pos & ~xm and not r.neg & ym) << 1 | (not r.pos & ~ym and not r.neg & xm)
+    for a in r.aggs:
+        if not bits:
+            break
+        bits &= a.trivial(xm, ym)
+    return bits
+
+
 def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int) -> tuple[int, int]:
     """The heads, as ints over the program's distinct heads, of the rules
-    whose body value at the pair with masks (xm, ym) has the lower bit (is
-    >=_t C), and those whose value has the upper bit (is >=_t U), in one
-    pass over the rules. The lower bit is the body's truth at x with
-    negation read at y, the upper bit its truth at y with negation read at x.
-    Aggregate literals take their bits from their trivial approximation
-    (`program.CompiledAggregate.trivial`); general bodies from
-    `four.eval_pair` on the pair of atom sets."""
+    whose body value at the pair with masks (xm, ym) has the lower bit, and
+    those whose value has the upper bit (`_body_bits`), in one pass over the
+    rules."""
     u, lower, upper = p.universe, 0, 0
     for r in compiled.rules:
-        if r.formula is not None:
-            bits = four.eval_pair(u, u.pair(xm, ym), r.formula).value
-        else:
-            bits = (not r.pos & ~xm and not r.neg & ym) << 1 | (not r.pos & ~ym and not r.neg & xm)
-            for a in r.aggs:
-                if not bits:
-                    break
-                bits &= a.trivial(xm, ym)
+        bits = _body_bits(u, r, xm, ym)
         if bits & four.LOWER_BIT:
             lower |= r.head_bit
         if bits & four.UPPER_BIT:
@@ -338,20 +347,56 @@ def _fold(n: int, base: Sequence, op: Callable) -> dict[int, object]:
     return out
 
 
+def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int]]:
+    """`_four_heads` at each of the 4^n pairs, keyed by pair number, read on
+    ints over the rules (bit k for rule k). A body of atoms and negated atoms
+    has the lower bit at (x, y) iff its pos lies within x and its neg misses
+    y, and the upper bit iff its pos lies within y and its neg misses x. Per
+    set m, `within[m]` marks those rules whose pos lies within m and
+    `missing[m]` those whose neg misses m, each built with one doubling per
+    atom, so the lower rules at (x, y) are `within[x] & missing[y]` and the
+    upper ones `within[y] & missing[x]`, each side read from its own
+    definition. Rules with aggregate literals or a general body are read
+    pair by pair (`_body_bits`), and each distinct rule int becomes a head
+    int once."""
+    u, n, rules = p.universe, len(p.universe), compiled.rules
+    within = [sum(1 << k for k, r in enumerate(rules) if r.formula is None and not r.aggs)]
+    missing = within
+    for bit in (1 << i for i in range(n)):
+        lacks_pos = sum(1 << k for k, r in enumerate(rules) if not r.pos & bit)
+        lacks_neg = sum(1 << k for k, r in enumerate(rules) if not r.neg & bit)
+        within = [w & lacks_pos for w in within] + within
+        missing = missing + [m & lacks_neg for m in missing]
+    read = [(1 << k, r) for k, r in enumerate(rules) if r.formula is not None or r.aggs]
+    heads = Lazy(lambda rule_int: reduce(or_, [r.head_bit for k, r in enumerate(rules) if rule_int >> k & 1], 0))
+    folds = {}
+    for xm in range(1 << n):
+        within_x, missing_x, row = within[xm], missing[xm], xm << n
+        for ym in range(1 << n):
+            lower, upper = within_x & missing[ym], within[ym] & missing_x
+            for rule_bit, r in read:
+                bits = _body_bits(u, r, xm, ym)
+                if bits & four.LOWER_BIT:
+                    lower |= rule_bit
+                if bits & four.UPPER_BIT:
+                    upper |= rule_bit
+            folds[row | ym] = heads[lower], heads[upper]
+    return folds
+
+
 def values(kind: OperatorKind, p: Program) -> dict[int, NdPair]:
     """The operator at every pair of its domain, keyed by pair number
     x << n | y for the masks (x, y), in one pass, equal to `apply` there and
     refusing a program outside the operator's class as it does. The
-    four-valued operators cover the 4^n pairs, each read by `_four_heads`;
-    the others the 3^n consistent pairs, whose base entries are folded up
-    the gap (`_fold`). Each distinct fold becomes one value (`_from_fold`),
-    shared by the pairs that have it."""
+    four-valued operators cover the 4^n pairs, their rules read as ints per
+    set (`_four_folds`); the others the 3^n consistent pairs, whose base
+    entries are folded up the gap (`_fold`). Each distinct fold becomes one
+    value (`_from_fold`), shared by the pairs that have it."""
     compiled = p.compile()
     check_kind_applicable(kind, compiled)
     u, n = p.universe, len(p.universe)
     if kind in FOUR_VALUED:
-        sets = range(1 << n)
-        folds = {xm << n | ym: _four_heads(p, compiled, xm, ym) for xm in sets for ym in sets}
+        folds = _four_folds(p, compiled)
     elif kind in INTERVAL:
         entries = [_base(p, compiled, z) for z in range(1 << n)]
         if kind is GZ:
@@ -463,7 +508,7 @@ def _body_planes(
     u: AtomUniverse, r: prog.CompiledRule, full: int, in_x: Sequence[int], in_y: Sequence[int]
 ) -> tuple[int, int]:
     """The planes of the consistent pairs (x, y) at which the body of r has
-    the lower bit and the upper bit, the two bits that `_four_heads` reads
+    the lower bit and the upper bit, the two bits that `_body_bits` reads
     one pair at a time. An atom has the lower bit where it is in x (`in_x`) and
     the upper bit where it is in y (`in_y`); a conjunctive body is the AND of
     its literals."""

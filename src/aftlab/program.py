@@ -401,15 +401,17 @@ def _token_pattern(digits: str = "", numerals: str = "") -> re.Pattern:
     `\\d` accepts the decimal digits only, so the text's other digits
     (superscripts, circled digits) come as `digits` and the word characters
     that are neither letters nor digits (fractions, Roman numerals) as
-    `numerals`."""
+    `numerals`. Each match takes the blanks before its token, which is
+    group `kind` of the match; a comment, and the blanks at the end of the
+    text, are a match without a kind."""
     d = rf"[\d{digits}]"
     return re.compile(
-        rf"""(?P<newline>\n) | [ \t\r]+ | %[^\n]*
+        rf"""[ \t\r]* (?: (?P<newline>\n) | %[^\n]*
         | (?P<ident>[^\W\d{digits}{numerals}]\w*)
         | (?P<number>(?:{d}|-(?={d}))(?:{d}|[./](?={d}))*)
         | (?P<hash>\#[^\W\d_{digits}{numerals}]*)
         | (?P<punct>:-|<=|>=|[.|,;:&(){{}}<>=])
-        | (?P<other>.)""",
+        | (?P<other>.) | \Z )""",
         re.VERBOSE | re.DOTALL,
     )
 
@@ -433,10 +435,10 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind == "other":
-            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - line_start + 1)
+            raise ParseError(f"unexpected character {m[kind]!r}", line, m.start(kind) - line_start + 1)
         else:
-            word = m.group()
-            tokens.append((word if kind == "punct" else kind, word, line, m.start() - line_start + 1))
+            word = m[kind]
+            tokens.append((word if kind == "punct" else kind, word, line, m.start(kind) - line_start + 1))
     # Columns count the characters before a token on its line, comments
     # excepted; only the end of input can follow a comment on its line.
     comment = text.find("%", line_start)

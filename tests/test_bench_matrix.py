@@ -2,14 +2,16 @@
 semantics table, so that two checkouts are timed on the same cells. A
 semantics or an operator added to the table must still get its row there,
 and each operator its `eval` cell. It compiles the tree it times before the
-first cell."""
+first cell, and runs the law suite at each size of its law cells."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
+from aftlab import cli
 from aftlab.operators import OperatorKind
 from conftest import SEMANTICS_CELLS
 
@@ -67,7 +69,7 @@ def test_the_src_tree_is_compiled_before_the_first_cell(tmp_path, monkeypatch):
 
     def cell(src, argv):
         cached.append({path.name.split(".")[0] for path in (package / "__pycache__").glob("*.pyc")})
-        return {"seconds": 0.0, "engine_s": 0.0, "exit": 0, "output": ""}, '{"counts": {"models": 0}}'
+        return {"seconds": 0.0, "engine_s": 0.0, "exit": 0, "output": ""}, '{"counts": {"models": 0}, "laws": []}'
 
     monkeypatch.setattr(matrix, "measure_cell", cell)
     monkeypatch.setattr(matrix, "program_file", lambda *args: "program.lp")
@@ -76,3 +78,30 @@ def test_the_src_tree_is_compiled_before_the_first_cell(tmp_path, monkeypatch):
     assert matrix.main(["--label", "compiled", "--src", str(package.parent)]) == 0
     assert cached and all(names == {"__init__", "cli"} for names in cached)
     assert "compileall" in json.loads((tmp_path / "BENCH_compiled.json").read_text())["bytecode"]
+
+
+def test_the_law_cells_run_the_law_suite_at_each_size(tmp_path, monkeypatch):
+    """`check --all` on LAW_PROGRAMS random programs of n atoms and up to n
+    rules, n = 4..8, each cell recording every law's name, ok and cases; the
+    cells stop at the first timeout, as a row does."""
+    matrix = load_matrix()
+    assert list(matrix.LAW_ATOMS) == [4, 5, 6, 7, 8]
+    args = cli.parse_args(matrix.law_argv(8))
+    assert (args.command, args.all, args.atoms, args.rules, args.programs, args.format) == (
+        "check", True, 8, 8, matrix.LAW_PROGRAMS, "json")
+    report = {"ok": False, "laws": [{"name": "exactness", "ok": True, "cases": 9, "failure": None},
+                                    {"name": "gz-answer-sets", "ok": False, "cases": 1, "failure": "x"}]}
+    asked = []
+
+    def cell(src, argv):
+        asked.append(argv)
+        if argv[3] == "7":
+            raise subprocess.TimeoutExpired(argv, matrix.TIMEOUT_S)
+        return {"seconds": 0.0, "engine_s": 0.0, "exit": 3, "output": ""}, json.dumps(report)
+
+    monkeypatch.setattr(matrix, "measure_cell", cell)
+    cells = matrix.law_cells(tmp_path)
+    assert asked == [matrix.law_argv(n) for n in (4, 5, 6, 7)]
+    laws = [["exactness", True, 9], ["gz-answer-sets", False, 1]]
+    assert cells == [*({"n": n, "seconds": 0.0, "engine_s": 0.0, "exit": 3, "output": "", "laws": laws}
+                       for n in (4, 5, 6)), {"n": 7, "timeout": True}]

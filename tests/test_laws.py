@@ -5,8 +5,8 @@ import textwrap
 import pytest
 
 import reference as ref
-from aftlab import corpus, laws, operators as ops
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, NdPair
+from aftlab import corpus, lattice, laws, operators as ops
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, DigitPlanes, NdPair
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, parse
 
@@ -254,6 +254,56 @@ def test_symmetry_reads_ic_through_apply_fn():
     assert not outcome.ok
     assert "differs from upper at the swapped pair\nreproducer:" in outcome.failure
 
+
+
+def test_symmetry_catches_a_fault_in_the_lower_reading_of_the_ic_fill_alone(monkeypatch):
+    """A mutant of `operators.values`' four-valued fill whose lower reading
+    ignores the neg of the first rule, its upper reading unchanged, fails
+    `symmetry`: each side of a pair is read from its own definition, so the
+    upper side is not the lower one at the swapped pair."""
+    source = textwrap.dedent(inspect.getsource(ops._four_folds))
+    reading = "lower, upper = within_x & missing[ym], within[ym] & missing_x"
+    assert source.count(reading) == 1
+    namespace = dict(vars(ops))
+    exec(source.replace(reading, "lower, upper = within_x & (missing[ym] | 1), within[ym] & missing_x"), namespace)
+    monkeypatch.setattr(ops, "_four_folds", namespace["_four_folds"])
+    outcome = laws.run_laws(laws.suite_programs(), ["symmetry"])[0]
+    assert (outcome.ok, outcome.cases) == (False, 6)
+    assert outcome.failure == (
+        "lower at (∅, {p}) differs from upper at the swapped pair\nreproducer:\np :- not p.\n"
+    )
+
+
+# Mutants of `DigitPlanes.minimal_t`: the last test steps down from digit 1
+# alone, and the up-closure steps up to digit 1 alone. Dropping one of the
+# two shifts per atom from the up-closure is no such mutant: an HT plane
+# marks (x, z) wherever it marks (x, y) and (z, z) with y within z, so one
+# step per atom closes it and the mutant keeps the same pairs.
+MINIMAL_T_MUTANTS = {
+    "steps-down-from-digit-1": ("plane &= ~((d1 | d1 << s) & (closed << s))", "plane &= ~(d1 & (closed << s))"),
+    "closes-up-to-digit-1": ("closed |= (d1 | d1 << s) & (closed << s)", "closed |= d1 & (closed << s)"),
+}
+
+
+@pytest.mark.parametrize("mutant", MINIMAL_T_MUTANTS)
+def test_total_stable_ht_reads_the_truth_minimal_plane(monkeypatch, mutant):
+    """`total-stable-ht` reads the truth-minimal HT pairs off the
+    `minimal_t` plane and the stable fixpoints off planes and rows that read
+    no `minimal_t`, so a fault there fails it; `stable-t-minimal` and
+    `gz-answer-sets`, which read `semantics.min_t`, keep their outcomes."""
+    programs = laws.suite_programs()
+    others = ["stable-t-minimal", "gz-answer-sets"]
+    expected = laws.run_laws(programs, others)
+    source = textwrap.dedent(inspect.getsource(DigitPlanes.minimal_t))
+    old, new = MINIMAL_T_MUTANTS[mutant]
+    assert source.count(old) == 1
+    namespace = dict(vars(lattice))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(DigitPlanes, "minimal_t", namespace["minimal_t"])
+    outcome, *rest = laws.run_laws(programs, ["total-stable-ht", *others])
+    assert not outcome.ok
+    assert ": total truth-minimal HT pairs differ from total stable fixpoints\nreproducer:" in outcome.failure
+    assert rest == expected
 
 def test_dmt_det_collapse_reads_both_operators_through_apply_fn():
     def complemented(kind, p, i):

@@ -30,6 +30,10 @@ so that the bytes of the text form are checked too. The `eval_cells` time
 the one-pair reader, `operators.apply`: `eval --operator K --pair "∅;A"
 --format json` on the n=12 program of each series, A its universe, once per
 operator that the series' rows take, with the same programs as those rows.
+The `law_cells` run the law suite at the sizes of the matrix: `check --all
+--atoms n --rules n --programs LAW_PROGRAMS --format json` for n in
+LAW_ATOMS, each recording every law's `(ok, cases)` besides the seconds and
+peak MB; like a row, they stop at the first timeout.
 
 Each cell also records `engine_s`, the time of the `main(...)` call alone,
 taken inside the interpreter after its imports and sent to the launcher over
@@ -86,6 +90,11 @@ AGGREGATE_ROWS = (
 # Rows of the aggregates series whose programs have no negation at all.
 POSITIVE_AGGREGATE_ROWS = {("gz-answer-sets", None)}
 LAW_SUITE = ["check", "--all", "--format", "json"]
+LAW_ATOMS = range(4, 9)
+# Random programs per law cell: at 64, the n=8 cell took about 10 s of the
+# 30 s timeout, on a 2-vCPU host, before `operators.values` read the
+# four-valued operators on per-set rule ints.
+LAW_PROGRAMS = 64
 # The text cell's argv, after `--program` and the n=12 program of the aggregates series.
 TEXT_CELL = ["--semantics", "ht", "--operator", "gz", "--format", "text"]
 # A cell: its first argument is the pipe to write the seconds of `main` to.
@@ -240,6 +249,29 @@ def eval_cells(src: Path, tmp: Path) -> list[dict]:
     return cells
 
 
+def law_argv(n: int | str) -> list[str]:
+    """The argv of the law cell with n atoms; `law_argv("<n>")` is its template."""
+    return ["check", "--all", "--atoms", str(n), "--rules", str(n), "--programs", str(LAW_PROGRAMS), "--format", "json"]
+
+
+def law_cells(src: Path) -> list[dict]:
+    """One law-suite cell per n in LAW_ATOMS, with each law's name, ok and
+    cases as `laws` when the suite ran (exit 0, or 3 for a failing law)."""
+    cells = []
+    for n in LAW_ATOMS:
+        try:
+            cell, out = measure_cell(src, law_argv(n))
+        except subprocess.TimeoutExpired:
+            cells.append({"n": n, "timeout": True})
+            break
+        cell = {"n": n, **cell}
+        if cell["exit"] in (0, 3):
+            cell["laws"] = [[law["name"], law["ok"], law["cases"]] for law in json.loads(out)["laws"]]
+        cells.append(cell)
+        print("law cell", n, cell["engine_s"], cell["exit"], flush=True)
+    return cells
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -280,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except subprocess.TimeoutExpired:
         law_suite = {"timeout": True}
     print("law suite", " ".join(LAW_SUITE), law_suite.get("engine_s", "T/O"), law_suite.get("exit", ""), flush=True)
+    laws = law_cells(src)
     payload = {
         "label": args.label,
         "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
@@ -298,6 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         "text_cell": {"argv": TEXT_CELL, "n": ATOMS[-1], "series": "aggregates", **text_cell},
         "eval_cells": {"argv": ["eval", "--program", "<the n=12 program of the series>", "--operator", "<operator>",
                                 "--pair", ";<its atoms>", "--format", "json"], "cells": evals},
+        "law_cells": {"argv": law_argv("<n>"), "programs": LAW_PROGRAMS, "cells": laws},
     }
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
