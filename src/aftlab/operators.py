@@ -15,7 +15,8 @@ operator functions read `apply`. `values` reads an operator at every pair
 of its domain in one pass: the four-valued ones from two ints over the
 rules per set, those whose pos lies within it and those whose neg misses
 it, ANDed at each pair (`_four_folds`), the others by folding the base
-entries up the gap of each pair. A head family
+entries up the gap of each pair. Each of those others is defined once, by
+its leaf and fold in one table (`_FOLDS`) that both read. A head family
 is an int over the program's distinct heads, and each fold becomes a value
 in one step that both share (`_from_fold`). The hitting sets of each head
 family are built once per program and kept there too (`_hits`). The sweeps
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, reduce
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Sequence
 
 from . import four, program as prog
@@ -226,38 +227,54 @@ def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
     return p.universe.unmask(_base(p, p.compile(), p.universe.mask(z))[1])
 
 
-# The operators read from the base entries of the sets of an interval.
-INTERVAL = (DMT, ULTIMATE, GZ, DMT_DET)
+def _meet_join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] & b[0], a[1] | b[1]
+
+
+# The operators read from the base entries (heads, atoms) of the sets z of
+# [x, y], each defined once: the leaf the entry of z gives and how two
+# leaves fold. `apply` folds the leaves of one pair (`reduce`), `values`
+# those of every pair (`_fold`), and `_from_fold` makes the value:
+# - `dmt`: the AND and the OR of the head ints, the heads activated
+#   everywhere and somewhere in [x, y], then the hitting sets of each;
+# - `dmt-det`: the AND and the OR of the atom masks, the atoms derived
+#   everywhere and somewhere in [x, y], as one-set families (atomic heads);
+# - `ultimate`: the union of `ic(z)` over [x, y], the hitting sets of each
+#   distinct head int, on both sides;
+# - `gz`: `ic(x)` at a total pair, by `dmt`'s path; None elsewhere, for
+#   ({∅}, {A}), which reads no entry, so `apply` reads none there.
+_FOLDS = {
+    DMT: (lambda heads, atoms: (heads, heads), _meet_join),
+    DMT_DET: (lambda heads, atoms: (atoms, atoms), _meet_join),
+    ULTIMATE: (lambda heads, atoms: frozenset((heads,)), or_),
+    GZ: (lambda heads, atoms: (heads, heads), lambda a, b: None),
+}
+
+
+def _folding(kind: OperatorKind) -> tuple[Callable, Callable]:
+    """The leaf and the fold of a kind that is not four-valued (`_FOLDS`),
+    refusing an unknown kind: the one place that does."""
+    found = _FOLDS.get(kind)
+    if found is None:
+        raise AftlabError(f"unknown operator kind {kind!r}")
+    return found
 
 
 def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fold) -> NdPair:
     """An operator's value at a pair from what it reads there, the one step
-    from a fold to a value that `apply` and `values` share:
-
-    - `ic`, `ic-triv`: the hitting sets of the two head ints of
-      `_four_heads`;
-    - `dmt`: the hitting sets of the meet and of the join of the heads of the
-      base entries over [x, y], the heads activated everywhere and somewhere
-      there, as the AND and the OR of their ints;
-    - `ultimate`: the union of `ic(z)` over [x, y], the hitting sets of each
-      distinct head int of the entries (the frozenset `fold`), on both sides;
-    - `gz`: `ic(x)`, the hitting sets of the head int of x, on a total pair,
-      ({∅}, {A}) elsewhere (`fold` None);
-    - `dmt-det`: the AND and the OR of the entries' atom masks, the atoms
-      derived everywhere and somewhere in [x, y], as one-set families, on
-      atomic heads."""
-    if kind is DMT or kind in FOUR_VALUED:
-        return NdPair(_hits(compiled, fold[0]), _hits(compiled, fold[1]))
+    from a fold to a value that `apply` and `values` share: the hitting sets
+    of two head ints, those of `_four_heads` for `ic` and `ic-triv` and the
+    `_FOLDS` fold for `dmt` and for `gz` at a total pair; for `ultimate`
+    the union of the hitting sets of each head int of the frozenset `fold`,
+    on both sides; for `dmt-det` one set per side; ({∅}, {A}) for None."""
+    if fold is None or kind is DMT_DET:
+        lower, upper = (0, (1 << len(u)) - 1) if fold is None else fold
+        return NdPair(frozenset((u.unmask(lower),)), frozenset((u.unmask(upper),)))
     if kind is ULTIMATE:
         hits = [_hits(compiled, h) for h in fold]
         gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
         return NdPair(gathered, gathered)
-    if kind is DMT_DET:
-        return NdPair(frozenset((u.unmask(fold[0]),)), frozenset((u.unmask(fold[1]),)))
-    if fold is None:
-        return NdPair(frozenset((u.unmask(0),)), frozenset((u.unmask((1 << len(u)) - 1),)))
-    consequences = _hits(compiled, fold)
-    return NdPair(consequences, consequences)
+    return NdPair(_hits(compiled, fold[0]), _hits(compiled, fold[1]))
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
@@ -268,35 +285,32 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     this order:
 
     1. a program outside the kind's class (`check_kind_applicable`);
-    2. for the operators of `INTERVAL`, an inconsistent pair, tested on the
-       frozensets;
+    2. for the kinds of `consistent_only`, an inconsistent pair, tested on
+       the frozensets;
     3. an atom outside the universe, refused when the pair's masks are
-       resolved, for every operator.
+       resolved, for every operator;
+    4. an unknown kind (`_folding`).
 
     The pair is then folded on its masks: `ic` and `ic-triv` by
     `_four_heads`, the others by walking the sets z of [x, y] as the
-    submasks of y - x over the base entry of each, building no set per z.
-    `_from_fold` turns the fold into the value. `values` reads the operator
-    at every pair at once."""
+    submasks of y - x over the base entry of each, building no set per z,
+    and folding their leaves (`_FOLDS`); `gz` reads no entry off the total
+    pairs. `_from_fold` turns the fold into the value. `values` reads the
+    operator at every pair at once."""
     compiled = p.compile()
     check_kind_applicable(kind, compiled)
-    if kind in INTERVAL and not i.lower <= i.upper:
+    if consistent_only(kind) and not i.lower <= i.upper:
         raise InconsistentPairError("operator not defined on inconsistent pairs")
     u = p.universe
     xm, ym = u.mask(i.lower), u.mask(i.upper)
     if kind in FOUR_VALUED:
         fold = _four_heads(p, compiled, xm, ym)
-    elif kind is GZ:
-        fold = _base(p, compiled, xm)[0] if xm == ym else None
-    elif kind in INTERVAL:
-        entries = [_base(p, compiled, xm | s) for s in submasks(ym & ~xm)]
-        if kind is ULTIMATE:
-            fold = frozenset([heads for heads, _ in entries])
-        else:
-            sides = [entry[0 if kind is DMT else 1] for entry in entries]
-            fold = reduce(and_, sides), reduce(or_, sides)
+    elif kind is GZ and xm != ym:
+        fold = None
     else:
-        raise AftlabError(f"unknown operator kind {kind!r}")
+        leaf, join = _folding(kind)
+        # Each distinct entry once: every join called here is idempotent (gz calls none).
+        fold = reduce(join, [leaf(*e) for e in {_base(p, compiled, xm | s) for s in submasks(ym & ~xm)}])
     return _from_fold(kind, compiled, u, fold)
 
 
@@ -387,36 +401,21 @@ def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int
 def values(kind: OperatorKind, p: Program) -> dict[int, NdPair]:
     """The operator at every pair of its domain, keyed by pair number
     x << n | y for the masks (x, y), in one pass, equal to `apply` there and
-    refusing a program outside the operator's class as it does. The
-    four-valued operators cover the 4^n pairs, their rules read as ints per
-    set (`_four_folds`); the others the 3^n consistent pairs, whose base
-    entries are folded up the gap (`_fold`). Each distinct fold becomes one
-    value (`_from_fold`), shared by the pairs that have it."""
+    refusing a program outside the operator's class or an unknown kind as it
+    does. The four-valued operators cover the 4^n pairs, their rules read as
+    ints per set (`_four_folds`); the others the 3^n consistent pairs, whose
+    leaves (`_FOLDS`) are folded up the gap (`_fold`). Each distinct fold
+    becomes one value (`_from_fold`), shared by the pairs that have it."""
     compiled = p.compile()
     check_kind_applicable(kind, compiled)
     u, n = p.universe, len(p.universe)
     if kind in FOUR_VALUED:
         folds = _four_folds(p, compiled)
-    elif kind in INTERVAL:
-        entries = [_base(p, compiled, z) for z in range(1 << n)]
-        if kind is GZ:
-            folds = dict.fromkeys([xm << n | ym for xm, ym in u.consistent_masks()])
-            folds.update((z << n | z, heads) for z, (heads, _) in enumerate(entries))
-        elif kind is ULTIMATE:
-            folds = _fold(n, [frozenset((heads,)) for heads, _ in entries], or_)
-        else:
-            side = [entry[0 if kind is DMT else 1] for entry in entries]
-            meet, join = _fold(n, side, and_), _fold(n, side, or_)
-            folds = dict(zip(meet, zip(meet.values(), join.values())))
     else:
-        raise AftlabError(f"unknown operator kind {kind!r}")
-    made, out = {}, {}
-    for number, fold in folds.items():
-        found = made.get(fold)
-        if found is None:
-            found = made[fold] = _from_fold(kind, compiled, u, fold)
-        out[number] = found
-    return out
+        leaf, join = _folding(kind)
+        folds = _fold(n, [leaf(*_base(p, compiled, z)) for z in range(1 << n)], join)
+    made = Lazy(lambda fold: _from_fold(kind, compiled, u, fold))
+    return {number: made[fold] for number, fold in folds.items()}
 
 
 class PairPlanes:

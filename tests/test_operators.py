@@ -125,6 +125,24 @@ def test_gz_examples(disjunctive_self_defeat, aggregate_cycle):
         assert ops.gz_ndao(disjunctive_self_defeat, ApproxPair(x, x)) == ops.ic_ndao(disjunctive_self_defeat, ApproxPair(x, x))
 
 
+def test_gz_reads_no_base_entry_off_the_total_pairs(monkeypatch):
+    """`gz` is ({∅}, {A}) at every consistent pair that is not total,
+    whatever the program, so `apply` reads no base entry there; at a total
+    pair (z, z) it reads the one entry of z."""
+    read, base = [], ops._base
+    monkeypatch.setattr(ops, "_base", lambda p, compiled, xm: read.append(xm) or base(p, compiled, xm))
+    for p in ref.PROGRAMS:
+        u = p.universe
+        for xm, ym in u.consistent_masks():
+            read.clear()
+            value = ops.apply(OperatorKind.GZ, p, u.pair(xm, ym))
+            if xm == ym:
+                assert read == [xm], (p.text, xm)
+            else:
+                assert read == [], (p.text, xm, ym)
+                assert value == NdPair(frozenset([frozenset()]), frozenset([u.full()])), (p.text, xm, ym)
+
+
 def test_every_kind_refuses_an_atom_outside_the_universe(aggregate_cycle):
     """p is not an atom of either program. Every operator refuses the pair,
     `gz` too, although its value off the total pairs does not depend on the
@@ -198,6 +216,18 @@ def test_refusals_come_in_the_order_apply_states():
                     expected = None
                 for reader in (lambda p, i: ops.apply(kind, p, i), *MEMOIZED[kind]):
                     assert _refusal(reader, p, i) == expected, (p.text, kind, flags, reader)
+
+
+def test_an_unknown_kind_is_refused_naming_it():
+    """A kind that is not an `OperatorKind`, such as a member's value, is
+    refused by `apply` at any consistent pair and by `values`, with one
+    `AftlabError` that names it."""
+    p = parse("q :- not r.\nr :- not q.\n")
+    for kind in ("dmt", "ic", "gz", None):
+        expected = (AftlabError, f"unknown operator kind {kind!r}")
+        assert _refusal(ops.values, kind, p) == expected, kind
+        for i in (pair("", "q,r"), pair("q", "q")):
+            assert _refusal(ops.apply, kind, p, i) == expected, (kind, i)
 
 
 def test_ic_triv_examples(aggregate_cycle):
