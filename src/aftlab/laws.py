@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
 from .lattice import (
-    AftlabError, ApproxPair, Lazy, NdPair, NdSet, masks_above_i, minimal_bits, precision_code, smyth_leq, submasks
+    AftlabError, ApproxPair, Lazy, NdSet, masks_above_i, minimal_bits, precision_code, smyth_leq, submasks
 )
 from .operators import OperatorKind
 from .program import Program
@@ -56,8 +56,7 @@ class OperatorTable:
     an `apply_fn`, asked of it at each pair on its first read, and
     `codes[value]`, the `PrecisionCode` of each distinct value. `sets[m]` is
     the set with mask m; `consistent` numbers the consistent pairs in order,
-    and `pair(number)` is the pair itself. Called with `apply_fn`'s signature
-    on its own program and a pair over its universe, it reads `values`."""
+    and `pair(number)` is the pair itself."""
 
     def __init__(self, p: Program, apply_fn: ApplyFn | None = None):
         u, n = p.universe, len(p.universe)
@@ -71,9 +70,6 @@ class OperatorTable:
 
     def pair(self, number: int) -> ApproxPair:
         return ApproxPair(self.sets[number >> self.n], self.sets[number & self.low])
-
-    def __call__(self, kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
-        return self.values[kind][p.universe.mask(i.lower) << self.n | p.universe.mask(i.upper)]
 
 
 def _law_monotonicity(p: Program, t: OperatorTable) -> tuple[int, str | None]:

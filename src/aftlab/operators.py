@@ -29,8 +29,8 @@ upper bit, and each operator's `PairPlanes` are built from them
 `dmt-det` those of `dmt`, on the programs of their class, which
 `pair_planes` checks. The complete stable values of `ic` and `ic-triv`
 range over the inconsistent pairs too; they read the same body readings
-with one side of the pair fixed, as rows of one bit per set of the other
-side (`member_row`, `stable_rows`).
+with x fixed, one row of one bit per set y for each x, which gives the
+lower and the upper value alike (`member_row`, `stable_rows`).
 """
 
 from __future__ import annotations
@@ -172,35 +172,16 @@ def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
         raise ProgramClassError("the deterministic operator needs atomic heads")
 
 
-def _body_bits(u: AtomUniverse, r: prog.CompiledRule, xm: int, ym: int) -> int:
-    """The two bits (`four.Truth`) of the body value of r at the pair with
-    masks (xm, ym): the lower bit (>=_t C) is the body's truth at x with
-    negation read at y, the upper bit (>=_t U) its truth at y with negation
-    read at x. Aggregate literals take their bits from their trivial
-    approximation (`program.CompiledAggregate.trivial`); general bodies from
-    `four.eval_pair` on the pair of atom sets."""
-    if r.formula is not None:
-        return four.eval_pair(u, u.pair(xm, ym), r.formula).value
-    bits = (not r.pos & ~xm and not r.neg & ym) << 1 | (not r.pos & ~ym and not r.neg & xm)
-    for a in r.aggs:
-        if not bits:
-            break
-        bits &= a.trivial(xm, ym)
-    return bits
-
-
 def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int) -> tuple[int, int]:
     """The heads, as ints over the program's distinct heads, of the rules
     whose body value at the pair with masks (xm, ym) has the lower bit, and
-    those whose value has the upper bit (`_body_bits`), in one pass over the
-    rules."""
+    those whose value has the upper bit (`program.CompiledRule.bits`), in one
+    pass over the rules."""
     u, lower, upper = p.universe, 0, 0
     for r in compiled.rules:
-        bits = _body_bits(u, r, xm, ym)
-        if bits & four.LOWER_BIT:
-            lower |= r.head_bit
-        if bits & four.UPPER_BIT:
-            upper |= r.head_bit
+        bits = r.bits(u, xm, ym)
+        lower |= r.head_bit if bits & four.LOWER_BIT else 0
+        upper |= r.head_bit if bits & four.UPPER_BIT else 0
     return lower, upper
 
 
@@ -371,8 +352,8 @@ def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int
     atom, so the lower rules at (x, y) are `within[x] & missing[y]` and the
     upper ones `within[y] & missing[x]`, each side read from its own
     definition. Rules with aggregate literals or a general body are read
-    pair by pair (`_body_bits`), and each distinct rule int becomes a head
-    int once."""
+    pair by pair (`CompiledRule.bits`), and each distinct rule int becomes a
+    head int once."""
     u, n, rules = p.universe, len(p.universe), compiled.rules
     within = [sum(1 << k for k, r in enumerate(rules) if r.formula is None and not r.aggs)]
     missing = within
@@ -389,11 +370,9 @@ def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int
         for ym in range(1 << n):
             lower, upper = within_x & missing[ym], within[ym] & missing_x
             for rule_bit, r in read:
-                bits = _body_bits(u, r, xm, ym)
-                if bits & four.LOWER_BIT:
-                    lower |= rule_bit
-                if bits & four.UPPER_BIT:
-                    upper |= rule_bit
+                bits = r.bits(u, xm, ym)
+                lower |= rule_bit if bits & four.LOWER_BIT else 0
+                upper |= rule_bit if bits & four.UPPER_BIT else 0
             folds[row | ym] = heads[lower], heads[upper]
     return folds
 
@@ -507,10 +486,10 @@ def _body_planes(
     u: AtomUniverse, r: prog.CompiledRule, full: int, in_x: Sequence[int], in_y: Sequence[int]
 ) -> tuple[int, int]:
     """The planes of the consistent pairs (x, y) at which the body of r has
-    the lower bit and the upper bit, the two bits that `_body_bits` reads
-    one pair at a time. An atom has the lower bit where it is in x (`in_x`) and
-    the upper bit where it is in y (`in_y`); a conjunctive body is the AND of
-    its literals."""
+    the lower bit and the upper bit, the two bits that `CompiledRule.bits`
+    reads one pair at a time. An atom has the lower bit where it is in x
+    (`in_x`) and the upper bit where it is in y (`in_y`); a conjunctive body
+    is the AND of its literals."""
     if r.formula is not None:
         return _formula_planes(r.formula, lambda a: (in_x[u.index(a)], in_y[u.index(a)]), full)
     lower = _within(r.pos, in_x, full) & ~_meets(r.neg, in_y)
@@ -639,35 +618,31 @@ def pair_planes(kind: OperatorKind, p: Program) -> PairPlanes:
     return planes
 
 
-def member_row(p: Program, fixed: int, upper: bool = False) -> int:
-    """`ic-triv`, so also `ic`, with one side of the pair fixed at the set
-    with mask `fixed`, as a row over the 2^n sets of the other side: bit m
-    marks the sets m in its lower set at (m, fixed), or (upper) in its upper
-    set at (fixed, m).
-    Each rule body is read by `_body_planes` on rows: an atom of the free
-    side is the row of the sets containing it, one of the fixed side all
-    ones or 0. A set is a member iff it hits the heads marked at its bit
-    (`_members`)."""
+def member_row(p: Program, fixed: int) -> int:
+    """`ic-triv`, so also `ic`, with x fixed at the set with mask `fixed`, as
+    a row over the 2^n sets w: bit w marks the sets w in its upper set at
+    (fixed, w), which is its lower set at (w, fixed), since every body's two
+    bits swap with x and y. Each body's upper plane is read by `_body_planes`
+    on rows: an atom of y is the row of the sets containing it, one of x all
+    ones or 0, so an aggregate's conditions at x split no row. A set is a
+    member iff it hits the heads marked at its bit (`_members`)."""
     u = p.universe
     full = (1 << (1 << len(u))) - 1
     inside = [full ^ without for _, without, _ in _closure_steps(len(u))]
     fixed_side = [full if fixed >> i & 1 else 0 for i in range(len(u))]
-    in_x, in_y = (fixed_side, inside) if upper else (inside, fixed_side)
     heads: dict[int, int] = {}
     for r in p.compile().rules:
-        lower_row, upper_row = _body_planes(u, r, full, in_x, in_y)
-        heads[r.head_mask] = heads.get(r.head_mask, 0) | (upper_row if upper else lower_row)
+        heads[r.head_mask] = heads.get(r.head_mask, 0) | _body_planes(u, r, full, fixed_side, inside)[1]
     return _members(full, heads, inside, _missed(heads, inside))
 
 
-def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[[int], tuple[int, ...]]]:
-    """The complete stable values of `ic` and `ic-triv`, the lower one at
-    each set y and the upper one at each set x, as functions of its mask
-    giving the minimal members of `member_row` in increasing order. A row
-    depends on the fixed set only through its key: the plain rules whose neg
-    misses it (`live`, built with one doubling per atom) and the atoms of it
-    that aggregate and formula bodies read. Each row is built once per
-    program, side and key, and kept on its compiled form."""
+def stable_rows(p: Program) -> Callable[[int], tuple[int, ...]]:
+    """The complete stable value of `ic` and `ic-triv` at each set, lower
+    and upper alike, as a function of its mask giving the minimal members
+    of `member_row` in increasing order. A row depends on the fixed set only
+    through its key: the plain rules whose neg misses it (`live`, built with
+    one doubling per atom) and the atoms of it that aggregate and formula
+    bodies read. Each row is built once per program and key, and kept."""
     compiled, u = p.compile(), p.universe
     plain_negs = [r.neg for r in compiled.rules if r.formula is None and not r.aggs]
     read = 0
@@ -682,12 +657,12 @@ def stable_rows(p: Program) -> tuple[Callable[[int], tuple[int, ...]], Callable[
         live += [m & ~with_neg for m in live]
     kept = compiled.stable_rows
 
-    def value(m: int, upper: bool) -> tuple[int, ...]:
-        key = (upper, live[m], m & read)
+    def value(m: int) -> tuple[int, ...]:
+        key = live[m], m & read
         found = kept.get(key)
         if found is None:
-            found = kept[key] = tuple(minimal_bits(len(u), member_row(p, m, upper)))
+            found = kept[key] = tuple(minimal_bits(len(u), member_row(p, m)))
         return found
 
-    return (lambda ym: value(ym, False)), (lambda xm: value(xm, True))
+    return value
 

@@ -12,7 +12,10 @@ Grammar (UTF-8, '%' comments to end of line):
     func    := "sum" | "count" | "max"
     cmp     := "<" | "<=" | ">" | ">=" | "="
     formula := atom | "not" formula | formula "&" formula | formula "|" formula
-             | "(" formula ")" | "#true" | "#false" | "#u" | "#c"
+             | "(" formula ")" | "#true" | "#false"
+
+U and C are not in the grammar, and `_check_rules` refuses a body holding
+one; only `gl_transform`'s output, which nothing compiles, holds them.
 
 Weights and bounds are exact rationals: an integral one ("2", "-1", "2.0",
 "4/2") is an `int`, any other ("1/2", "0.5") a `fractions.Fraction`, and
@@ -234,12 +237,26 @@ class CompiledRule:
         self.neg = u.mask(lit.name for lit in items if isinstance(lit, NegatedAtom))
         self.aggs = tuple(CompiledAggregate(u, lit) for lit in items if isinstance(lit, (PositiveAgg, NegatedAgg)))
 
-    def holds(self, u: AtomUniverse, xm: int) -> bool:
-        """Two-valued truth of the body at the set with mask xm: pos within
-        it, neg outside it, and every aggregate literal true."""
+    def bits(self, u: AtomUniverse, xm: int, ym: int) -> int:
+        """The two bits (`four.Truth`) of the body value at the pair of
+        masks (xm, ym): the lower bit (>=_t C) is its truth at x with negation
+        read at y, the upper bit (>=_t U) its truth at y with negation read
+        at x. Aggregate literals take their trivial approximation
+        (`CompiledAggregate.trivial`), general bodies `four.eval_pair`.
+        Swapping x and y swaps the two bits (no body holds U or C)."""
         if self.formula is not None:
-            return four.eval_two(u, u.unmask(xm), self.formula) is Truth.T
-        return not self.pos & ~xm and not self.neg & xm and all(a.holds(xm) for a in self.aggs)
+            return four.eval_pair(u, u.pair(xm, ym), self.formula).value
+        bits = (not self.pos & ~xm and not self.neg & ym) << 1 | (not self.pos & ~ym and not self.neg & xm)
+        for a in self.aggs:
+            if not bits:
+                break
+            bits &= a.trivial(xm, ym)
+        return bits
+
+    def holds(self, u: AtomUniverse, xm: int) -> bool:
+        """Two-valued truth of the body at the set with mask xm: its bits at
+        the total pair (xm, xm) are T."""
+        return self.bits(u, xm, xm) == Truth.T.value
 
 
 class CompiledAggregate:
@@ -280,14 +297,13 @@ class Compiled:
     as an int, bit k for `heads[k]`. `pair_planes` keeps the
     `operators.PairPlanes` a sweep has asked for, one per distinct set of
     planes (`operators.pair_planes`), and `stable_rows` the complete stable
-    values of `ic` and `ic-triv` read from rows, per side and key
-    (`operators.stable_rows`). The reference operators keep `families`, the
-    hitting sets of each head family they have built, by its int
-    (`operators._hits`), and `base`, the base entry of each set they have
-    read, by its mask: the int of the heads of the rules whose bodies hold
-    there and the mask of their atoms (`operators._base`). `operators.apply`
-    and `operators.values` read these stores; no operator value is kept
-    here."""
+    values of `ic` and `ic-triv`, one row per key (`operators.stable_rows`).
+    The reference operators keep `families`, the hitting sets of each head
+    family they have built, by its int (`operators._hits`), and `base`, the
+    base entry of each set they have read, by its mask: the int of the heads
+    of the rules whose bodies hold there and the mask of their atoms
+    (`operators._base`). `operators.apply` and `operators.values` read these
+    stores; no operator value is kept here."""
 
     __slots__ = ("rules", "heads", "classification", "pair_planes", "stable_rows", "families", "base")
 
@@ -318,23 +334,35 @@ def _rule_atoms(rule: Rule) -> set[str]:
     return atoms
 
 
+def _inexact_constant(f: Formula) -> bool:
+    """Whether the formula holds the truth constant U or C."""
+    if isinstance(f, (four.Atom, four.Const)):
+        return isinstance(f, four.Const) and f.value in (Truth.U, Truth.C)
+    return any(map(_inexact_constant, (f.operand,) if isinstance(f, four.Not) else (f.left, f.right)))
+
+
 def _check_rules(rules: tuple[Rule, ...]) -> None:
     """Refuse a rule with an empty head, which no set hits and the printer
-    cannot write, and a formula body nested deeper than `MAX_FORMULA_DEPTH`."""
+    cannot write, and a formula body nested deeper than `MAX_FORMULA_DEPTH`
+    or holding U or C, which keeps one bit only at a total pair."""
     for rule in rules:
         if not rule.head:
             raise AftlabError("a rule needs at least one head atom")
-        if isinstance(rule.body, GeneralFormula) and four.formula_depth(rule.body.formula) > MAX_FORMULA_DEPTH:
-            raise FormulaDepthError(
-                f"the body of a rule with head {' | '.join(rule.head)} nests deeper than {MAX_FORMULA_DEPTH} levels"
-            )
+        if isinstance(rule.body, GeneralFormula):
+            f, head = rule.body.formula, " | ".join(rule.head)
+            if four.formula_depth(f) > MAX_FORMULA_DEPTH:
+                raise FormulaDepthError(
+                    f"the body of a rule with head {head} nests deeper than {MAX_FORMULA_DEPTH} levels"
+                )
+            if _inexact_constant(f):
+                raise AftlabError(f"the body of a rule with head {head} holds the truth constant U or C")
 
 
 def make_program(rules: tuple[Rule, ...], universe: AtomUniverse | None = None) -> Program:
     """A program of the rules, over the atoms they mention unless a universe
-    is given. Empty heads and formula bodies nested deeper than
-    `MAX_FORMULA_DEPTH` are refused, as the parser refuses them, before
-    anything recurses into them."""
+    is given. Empty heads, formula bodies nested deeper than
+    `MAX_FORMULA_DEPTH` and bodies holding U or C are refused, as the
+    parser refuses them, before anything recurses into them."""
     _check_rules(rules)
     if universe is None:
         atoms: set[str] = set()
@@ -384,7 +412,7 @@ def program_hash(p: Program) -> str:
 # connectives do; Python stops recursing at 1000 frames.
 MAX_FORMULA_DEPTH = 128
 
-_HASH_CONSTS = {"#true": four.TRUE, "#false": four.FALSE, "#u": four.Const(Truth.U), "#c": four.Const(Truth.C)}
+_HASH_CONSTS = {"#true": four.TRUE, "#false": four.FALSE}
 _AGG_FUNCS = {"#sum": AggFunc.SUM, "#count": AggFunc.COUNT, "#max": AggFunc.MAX}
 _COMPARATORS = {c.value: c for c in Comparator}
 
@@ -789,7 +817,8 @@ def _require(condition: bool, message: str) -> None:
 def gl_transform(p: Program, i: ApproxPair) -> Program:
     """Replace each negated literal by its four-valued truth constant at i,
     yielding a positive program. Requires a disjunctively normal,
-    aggregate-free program and a consistent pair."""
+    aggregate-free program and a consistent pair. The result may hold U and
+    C, so it is read as formulas (`body_formula`), not compiled."""
     cls = p.compile().classification
     _require(cls.shape != SHAPE_GENERAL, "GL transformation needs conjunctive rule bodies")
     _require(cls.aggregate_free, "GL transformation needs an aggregate-free program")

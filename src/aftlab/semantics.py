@@ -12,10 +12,11 @@ consistent pair, built from the two planes of each rule body and kept per
 program and distinct set of planes (`operators.pair_planes`), and decode
 only the set bits. Only the complete stable values of the four-valued
 operators, which range over the inconsistent pairs too, read otherwise: rows
-of one bit per set, the same body readings with one side of the pair fixed,
-kept per program, side and key (`operators.stable_rows`). Sets are built
-only for the models returned. The planes and rows refuse a program outside
-the operator's class, so the sweeps check nothing of their own.
+of one bit per set, the same body readings with x fixed, one row per set
+giving the lower and the upper value alike, kept per program and key
+(`operators.stable_rows`). Sets are built only for the models returned. The
+planes and rows refuse a program outside the operator's class, so the sweeps
+check nothing of their own.
 """
 
 from __future__ import annotations
@@ -77,10 +78,11 @@ def _complete_values(
     minimal planes (`operators.PairPlanes.minimal`) at each candidate pair's
     number, and every set for the total four-valued ones, whose candidates
     include inconsistent pairs, where the planes say nothing. Those are read
-    from rows over all 2^n sets with the other side fixed
-    (`operators.stable_rows`); on a plain program they are the minimal models
-    of the reduct at the other side. A program outside the operator's class
-    is refused, by `operators.pair_planes` or here, before either is read.
+    from rows over all 2^n sets with x fixed (`operators.stable_rows`), one
+    function for both: every body's two bits swap with x and y, so y is in
+    the upper set at (x, y) iff it is in the lower set at (y, x). A program
+    outside the operator's class is refused, by `operators.pair_planes` or
+    here, before either is read.
     """
     if ops.consistent_only(kind):
         planes = ops.pair_planes(kind, p)
@@ -91,7 +93,7 @@ def _complete_values(
             lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
         )
     ops.check_kind_applicable(kind, p.compile())
-    return ops.stable_rows(p)
+    return (ops.stable_rows(p),) * 2
 
 
 def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
@@ -118,17 +120,13 @@ def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x among the complete lower stable values
     for y and y among the complete upper stable values for x; for a
     consistent-only operator, the AND of the planes of both
-    (`operators.PairPlanes.minimal`)."""
+    (`operators.PairPlanes.minimal`), and for a four-valued one the pairs
+    with x within y, x in C(y) and y in C(x), C the one function of its
+    rows (`_complete_values`)."""
     if ops.consistent_only(kind):
         return _minimal_pairs(p, ops.pair_planes(kind, p))
-    lower_value, upper_value = _complete_values(kind, p)
-    u = p.universe
-    return [
-        u.pair(xm, ym)
-        for xm in range(1 << len(u))
-        for ym in upper_value(xm)
-        if not xm & ~ym and xm in lower_value(ym)
-    ]
+    value, u = _complete_values(kind, p)[0], p.universe
+    return [u.pair(xm, ym) for xm in range(1 << len(u)) for ym in value(xm) if not xm & ~ym and xm in value(ym)]
 
 
 def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:

@@ -409,7 +409,7 @@ def seeded(seeds, **config):
 # n = 1..5, alternately atomic and disjunctive heads, without aggregates, with
 # positive aggregates and with negated ones as well; the corpus; and a program
 # with general formula bodies: every class of body and head.
-GENERAL_BODY = "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n"
+GENERAL_BODY = "p :- not (q & r) | s.\nq :- not p | #false.\nr | s :- not not p & (q | #true).\n"
 PROGRAMS = [
     *seeded(range(45), atoms=lambda s: 1 + s % 5, rules=lambda s: 1 + s % 4, negation_probability=0.4,
             aggregate_probability=lambda s: (0.0, 0.5, 0.7)[s % 3], disjunction_width=lambda s: 1 + s // 5 % 2),

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aftlab import cli, corpus
 from aftlab.cli import COMMANDS, HELP, UsageError
+from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.operators import OperatorKind
 from aftlab.program import GeneralFormula, Rule, make_program, parse, print_program
@@ -399,7 +400,7 @@ TOKENS = (":-", ".", "|", ",", ";", ":", "&", "(", ")", "{", "}", "<", ">=", "="
 
 heads = st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2).map(lambda names: tuple(sorted(set(names))))
 formula_programs = st.lists(
-    st.tuples(heads, _formula_strategy(ATOMS)), min_size=1, max_size=3
+    st.tuples(heads, _formula_strategy(ATOMS, consts=(Truth.T, Truth.F))), min_size=1, max_size=3
 ).map(lambda rules: make_program(tuple(Rule(head, GeneralFormula(f)) for head, f in rules)))
 generated_programs = st.builds(
     GeneratorConfig,

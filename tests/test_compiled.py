@@ -21,9 +21,9 @@ from aftlab.program import ProgramClassError, Rule, eval_body, parse
 from conftest import value_or_refusal
 
 FORMULA_PROGRAMS = (
-    "p :- not (q & r) | s.\nq :- #u.\nr | s :- not not p & #c.\n",
-    "p | q :- (p | not q) & not #false.\nq :- not p | #u.\nr :- q & #c | not r.\n",
-    "a :- b.\nb :- not a & (c | #true).\nc | a :- not (b | #u).\n",
+    ref.GENERAL_BODY,
+    "p | q :- (p | not q) & not #false.\nq :- not p | (r & #true).\nr :- q & not #true | not r.\n",
+    "a :- b.\nb :- not a & (c | #true).\nc | a :- not (b | #false).\n",
 )
 
 
@@ -241,19 +241,34 @@ def membership_programs():
 
 
 def test_membership_tests_equal_the_materialised_families():
-    """At every pair (x, y), the inconsistent ones too: bit x of the member
-    row at fixed y is whether x is in the lower set, and bit y of the upper
-    member row at fixed x whether y is in the upper set."""
+    """At every pair (m, w), the inconsistent ones too: bit w of the member
+    row at fixed m is whether w is in the upper set at (m, w), and whether w
+    is in the lower set at (w, m)."""
     for p in membership_programs():
         u = p.universe
-        lower_rows = [ops.member_row(p, m) for m in range(1 << len(u))]
-        upper_rows = [ops.member_row(p, m, upper=True) for m in range(1 << len(u))]
+        rows = [ops.member_row(p, m) for m in range(1 << len(u))]
         for i in ref.all_pairs(p.universe):
-            xm, ym = u.mask(i.lower), u.mask(i.upper)
-            lower = ops.hitting_sets(ref.heads_at_least(p, i, Truth.C))
+            m, w = u.mask(i.lower), u.mask(i.upper)
             upper = ops.hitting_sets(ref.heads_at_least(p, i, Truth.U))
-            assert lower_rows[ym] >> xm & 1 == (i.lower in lower), (p.text, i)
-            assert upper_rows[xm] >> ym & 1 == (i.upper in upper), (p.text, i)
+            lower = ops.hitting_sets(ref.heads_at_least(p, ApproxPair(i.upper, i.lower), Truth.C))
+            assert rows[m] >> w & 1 == (i.upper in upper) == (i.upper in lower), (p.text, i)
+
+
+def test_the_four_valued_lower_set_at_a_pair_is_the_upper_set_at_the_swapped_pair():
+    """Derived, not measured: a body's lower bit at (x, y) is its truth at x
+    with negation read at y, its upper bit at (y, x) its truth at x with
+    negation read at y. That holds atom by atom, for `not`, `&` and `|`
+    (negation swaps and complements the two bits), for `#true` and `#false`
+    (both bits equal), and for an aggregate literal's trivial approximation
+    (C at (x, y) iff U at (y, x), and exact at both or neither). So the heads
+    fired in the lower set at (x, y) are those fired in the upper set at
+    (y, x), and their hitting sets are equal. `#u` and `#c` would break it;
+    the parser and `make_program` refuse them."""
+    for p in programs():
+        values, n = ops.values(ops.IC_TRIV, p), len(p.universe)
+        for number, value in values.items():
+            swapped = values[(number & (1 << n) - 1) << n | number >> n]
+            assert value.lower_set == swapped.upper_set, (p.text, number)
 
 
 # Every memoized operator. Programs equal in value share their entries, so
@@ -393,12 +408,15 @@ def test_kept_hash_and_compiled_form_keep_value_equality():
 
 
 def test_hd_reads_a_formula_body_two_valued():
-    # #c has only its lower bit set, so its rule fires in the lower
-    # four-valued head selection; but hd is two-valued and C is not T.
-    p = parse("p :- #c.\nq :- #true.\n")
+    # The body of p is F at every total pair, so hd never fires its rule;
+    # at (∅, {q}) it is U, whose upper bit fires it in the upper
+    # four-valued head selection.
+    p = parse("p :- not (q | not q).\nq :- #true.\n")
+    body = p.rules[0].body.formula
     for x in p.universe.subsets():
         assert ops.hd(p, x) == frozenset({frozenset({"q"})})
-        assert four.eval_pair(p.universe, ApproxPair(x, x), four.Const(Truth.C)) is Truth.C
-    assert ops.ic_lower_set(p, ApproxPair(frozenset(), frozenset())) == ops.hitting_sets(
-        frozenset({frozenset({"p"}), frozenset({"q"})})
-    )
+        assert four.eval_pair(p.universe, ApproxPair(x, x), body) is Truth.F
+    gap = ApproxPair(frozenset(), frozenset({"q"}))
+    assert four.eval_pair(p.universe, gap, body) is Truth.U
+    assert ops.ic_upper_set(p, gap) == ops.hitting_sets(frozenset({frozenset({"p"}), frozenset({"q"})}))
+    assert ops.ic_lower_set(p, gap) == ops.hitting_sets(frozenset({frozenset({"q"})}))

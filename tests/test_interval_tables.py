@@ -104,7 +104,7 @@ def test_the_four_valued_stable_values_read_one_and_two_bit_rows():
     atom: rows of two bits, whose candidates include the inconsistent pair
     ({p}, ∅), at which the aggregate's condition is C."""
     empty, none = parse(""), frozenset()
-    assert ops.member_row(empty, 0) == ops.member_row(empty, 0, upper=True) == 1
+    assert ops.member_row(empty, 0) == 1
     for kind in FOUR_VALUED_KINDS:
         for name in ("stable", "total-stable"):
             assert sem.run_semantics(name, empty, kind).models == (ApproxPair(none, none),)
@@ -183,8 +183,9 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
     `dmt-det`, swept after `dmt`, and `ic-triv`, swept after `ic`, build
     none, nor do three-valued stable models, which read the minimal planes of
     `ic`. The complete stable values of `ic` and `ic-triv` build one row per
-    program, side and key (`row_key`), shared by both operators and by every
-    fixed set with that key; a consistent-only operator builds none."""
+    program and key (`row_key`), shared by both operators, by the lower and
+    the upper value and by every fixed set with that key; a consistent-only
+    operator builds none."""
     row_builds = []
     plane_builds = []
     minimal_reads = []
@@ -193,9 +194,9 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
         minimal_reads.append(planes)
         return minimal(planes)
 
-    def counting_rows(p, fixed, upper=False):
-        row_builds.append((upper, row_key(p, p.universe.unmask(fixed))))
-        return member_row(p, fixed, upper)
+    def counting_rows(p, fixed):
+        row_builds.append(row_key(p, p.universe.unmask(fixed)))
+        return member_row(p, fixed)
 
     def counting_planes(kind, p):
         plane_builds.append(kind)
@@ -223,7 +224,7 @@ def test_each_program_builds_its_rule_tables_once(monkeypatch):
             sem.three_valued_stable(p)
             assert (len(row_builds), len(plane_builds)) == builds
             assert len(minimal_reads) == 1 and minimal_reads[0] is ops.pair_planes(OperatorKind.IC, p)
-        keys = {(upper, row_key(p, s)) for upper in (False, True) for s in p.universe.subsets()}
+        keys = {row_key(p, s) for s in p.universe.subsets()}
         assert len(row_builds) == len(keys) and set(row_builds) == keys
         shared = {OperatorKind.IC: OperatorKind.IC_TRIV, OperatorKind.DMT_DET: OperatorKind.DMT}
         assert plane_builds == list(dict.fromkeys(shared.get(kind, kind) for q, kind in cases() if q is original))

@@ -1,14 +1,17 @@
+import contextlib
 import inspect
+import io
 import re
 import textwrap
 
 import pytest
 
 import reference as ref
-from aftlab import corpus, lattice, laws, operators as ops
+from aftlab import cli, corpus, lattice, laws, operators as ops
+from aftlab.four import And, Atom, Const, Not, Truth
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, DigitPlanes, NdPair
 from aftlab.operators import OperatorKind
-from aftlab.program import ProgramClassError, parse
+from aftlab.program import GeneralFormula, ParseError, Program, ProgramClassError, Rule, make_program, parse
 
 
 @pytest.fixture(scope="module")
@@ -70,19 +73,30 @@ def test_law_selection():
     assert all(o.ok for o in outcomes)
 
 
-def test_the_laws_assume_bodies_without_truth_constants():
-    """The failing laws below are measured, not derived. The argument: at a
-    total pair a body `#c` keeps the lower bit only and `#u` the upper bit
-    only, while `hd` reads the body two-valued, so `ic` is not exact there
-    and the laws that compare it with `hd` fail. The corpus has no such
-    body, and no suite program has a formula body."""
-    failing = {
-        text: [o.name for o in laws.run_laws([parse(text)]) if not o.ok] for text in ("p :- #c.\n", "p :- #u.\n")
-    }
-    assert failing == {
-        "p :- #c.\n": ["exactness", "ultimate-max", "symmetry", "upwards-coherence", "total-stable-ht", "seq-nonempty"],
-        "p :- #u.\n": ["exactness", "symmetry", "total-stable-ht", "seq-nonempty"],
-    }
+def test_the_laws_assume_bodies_without_truth_constants(tmp_path):
+    """At a total pair a body holding U or C may keep one bit only, while
+    `hd` reads it two-valued, so `ic` would not be exact there and no law
+    would hold of it. The parser refuses `#u` and `#c` at their position,
+    `make_program` and `Program.compile` a body built with U or C, and the
+    CLI exits 2 on such a file without a traceback."""
+    for text, col in [("p :- #c.", 6), ("p :- #u.", 6), ("p :- q & #u.", 10), ("p :- q, #c.", 9)]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col), text
+    for value in (Truth.U, Truth.C):
+        for body in (Const(value), And(Atom("q"), Not(Const(value)))):
+            rules = (Rule(("p",), GeneralFormula(body)),)
+            with pytest.raises(AftlabError, match="truth constant U or C"):
+                make_program(rules)
+            with pytest.raises(AftlabError, match="truth constant U or C"):
+                Program(rules, AtomUniverse.of("pq")).compile()
+    path = tmp_path / "constant.lp"
+    path.write_text("q.\np :- q & #u.\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["semantics", "--program", str(path), "--semantics", "stable", "--operator", "ic"])
+    assert code == 2 and err.getvalue().startswith("error: line 2, column 10: ")
+    assert "Traceback" not in err.getvalue()
     for p in corpus.programs():
         assert not re.search(r"#(true|false|u|c)\b", p.text), p.text
     assert all(p.compile().classification.shape != "general" for p in laws.suite_programs())
@@ -427,7 +441,7 @@ def test_precision_codes_give_the_frozenset_outcome(monkeypatch, precision_suite
     per_program = [laws.LAWS[name](p, laws.OperatorTable(p, apply_fn)) for p in precision_suite]
     assert per_program == [ref.FROZENSET_LAWS[name](p, apply_fn) for p in precision_suite]
     outcome = laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
-    monkeypatch.setitem(laws.LAWS, name, ref.FROZENSET_LAWS[name])
+    monkeypatch.setitem(laws.LAWS, name, lambda p, table: ref.FROZENSET_LAWS[name](p, apply_fn))
     assert outcome == laws.run_laws(precision_suite, [name], apply_fn=apply_fn)
     assert outcome[0].ok == (mutant == "unchanged" or (name, mutant) in UNBROKEN)
 

@@ -75,10 +75,10 @@ def test_parse_formula_body():
 
 
 def test_parse_truth_constants():
-    p = parse("p :- #true & not #false.\nq :- #u.\nr :- #c.")
+    p = parse("p :- #true & not #false.\nq :- #true.\nr :- #false.")
     assert isinstance(p.rules[0].body, GeneralFormula)
-    assert p.rules[1].body == GeneralFormula(Const(Truth.U))
-    assert p.rules[2].body == GeneralFormula(Const(Truth.C))
+    assert p.rules[1].body == GeneralFormula(Const(Truth.T))
+    assert p.rules[2].body == GeneralFormula(Const(Truth.F))
 
 
 def test_empty_body_prints_and_parses():
