@@ -1,5 +1,6 @@
 """Four-valued truth algebra (T, F, U, C), formula evaluation under an
-approximating pair, and here-and-there satisfaction of rules.
+approximating pair, and here-and-there satisfaction of rules, pair by pair
+and as tables over every pair at once (`ht_tables`).
 
 Conjunction is the greatest lower bound and disjunction the least upper bound
 of the truth order F < {C, U} < T (C and U incomparable); negation swaps T/F
@@ -19,6 +20,7 @@ from .lattice import (
     AtomUniverse,
     InconsistentPairError,
     UnknownAtomError,
+    key_columns,
 )
 from .record import record
 
@@ -180,6 +182,39 @@ def ht_satisfies(u: AtomUniverse, i: ApproxPair, f: Formula) -> bool:
     if isinstance(f, Or):
         return ht_satisfies(u, i, f.left) or ht_satisfies(u, i, f.right)
     raise AftlabError(f"not a formula: {f!r}")
+
+
+def ht_tables(u: AtomUniverse, f: Formula) -> tuple[int, int]:
+    """f read at every pair (x, y) over u at once, as two tables over the
+    pair keys x << n | y (`lattice.key_columns`): the keys where f is
+    classically true at y (`eval_two` at the upper set) and those where it
+    holds in here-and-there (`ht_satisfies`, which only the consistent keys
+    read). An atom is its Y column classically and its X column in HT; a
+    negation is the complement of its operand's classical table in both;
+    `&` and `|` act key by key; T is every key and the other constants none,
+    so a formula holding U or C, which no accepted body does, is read as
+    two-valued."""
+    xs, ys, _ = key_columns(len(u))
+    every = (1 << (1 << 2 * len(u))) - 1
+
+    def read(g: Formula) -> tuple[int, int]:
+        if isinstance(g, Atom):
+            i = u.index(g.name)
+            return ys[i], xs[i]
+        if isinstance(g, Const):
+            table = every if g.value is Truth.T else 0
+            return table, table
+        if isinstance(g, Not):
+            table = every & ~read(g.operand)[0]
+            return table, table
+        if isinstance(g, (And, Or)):
+            (left_y, left_ht), (right_y, right_ht) = read(g.left), read(g.right)
+            if isinstance(g, And):
+                return left_y & right_y, left_ht & right_ht
+            return left_y | right_y, left_ht | right_ht
+        raise AftlabError(f"not a formula: {g!r}")
+
+    return read(f)
 
 
 @record

@@ -2,7 +2,8 @@
 orders (also as one AND on precision codes), lattice difference, and
 deterministic enumeration of intervals and consistent pairs, also as pairs of
 masks and information-above a pair, bit planes over the consistent pairs (one
-bit per pair) and rows over the 2^n sets (one bit per set).
+bit per pair), rows over the 2^n sets (one bit per set) and tables over the
+4^n pair keys x << n | y (one bit per key).
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
 ordering (lexicographic) that every enumeration and rendering follows, atom i
@@ -323,17 +324,14 @@ class DigitPlanes:
 
     def pairs(self, plane: int) -> Iterator[tuple[int, int]]:
         """The (x, y) masks of the marked pairs, in increasing order. Only the
-        set bits are visited: the digits of each pair number are split at
-        digit n // 2 and read from two tables of 3^(n/2) entries, which give
-        x << n | y, a key in (x, y) order."""
+        set bits are visited (`bit_indices`): the digits of each pair number
+        are split at digit n // 2 and read from two tables of 3^(n/2)
+        entries, which give x << n | y, a key in (x, y) order."""
         base, low_keys, high_keys = self._decode
-        bits = bin(plane)[:1:-1]
         keys = []
-        k = bits.find("1")
-        while k >= 0:
+        for k in bit_indices(plane):
             high, low = divmod(k, base)
             keys.append(high_keys[high] | low_keys[low])
-            k = bits.find("1", k + 1)
         keys.sort()
         n, y = self.n, (1 << self.n) - 1
         return ((key >> n, key & y) for key in keys)
@@ -353,6 +351,43 @@ def _pair_keys(n: int, atoms: range) -> list[int]:
 def digit_planes(n: int) -> DigitPlanes:
     """The digit planes over n atoms, built once per n on first use."""
     return DigitPlanes(n)
+
+
+@cache
+def key_columns(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Tables over the 4^n pairs of n atoms, consistent or not, by their keys
+    x << n | y for the masks (x, y): an int of 4^n bits, bit k for key k. Per
+    atom i, the X column marks the keys whose x holds i (key bit n + i) and
+    the Y column those whose y holds i (key bit i); the column of key bit j
+    is 2^j zeros and 2^j ones, repeated by shift-or doubling. The third table
+    marks the consistent keys, the AND over the atoms of "not in x without
+    y". Built once per n on first use."""
+    size = 1 << 2 * n
+
+    def column(j: int) -> int:
+        block, period = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
+        while period < size:
+            block |= block << period
+            period *= 2
+        return block
+
+    xs, ys = tuple(column(n + i) for i in range(n)), tuple(column(i) for i in range(n))
+    consistent = (1 << size) - 1
+    for x, y in zip(xs, ys):
+        consistent &= ~(x & ~y)
+    return xs, ys, consistent
+
+
+def bit_indices(table: int) -> list[int]:
+    """The indices of the set bits of a non-negative int, in increasing
+    order: its binary digits, lowest first, are searched for each next 1 in
+    turn, so only the set bits cost a step in Python."""
+    bits = bin(table)[:1:-1]
+    found, k = [], bits.find("1")
+    while k >= 0:
+        found.append(k)
+        k = bits.find("1", k + 1)
+    return found
 
 
 def leq_t(a: ApproxPair, b: ApproxPair) -> bool:

@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Sequence
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
 from .lattice import (
-    AftlabError, ApproxPair, Lazy, NdSet, masks_above_i, minimal_bits, precision_code, smyth_leq, submasks
+    AftlabError, ApproxPair, Lazy, NdSet, bit_indices, key_columns, masks_above_i, minimal_bits, precision_code,
+    smyth_leq, submasks,
 )
 from .operators import OperatorKind
 from .program import Program
@@ -62,7 +63,7 @@ class OperatorTable:
         u, n = p.universe, len(p.universe)
         self.n, self.low = n, (low := (1 << n) - 1)
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
-        self.consistent = [xm << n | ym for xm, ym in u.consistent_masks()]
+        self.consistent = bit_indices(key_columns(n)[2])
         # The fills read locals, not the table, so a table is freed without a cycle collection.
         per_pair = lambda kind: Lazy(lambda k: apply_fn(kind, p, ApproxPair(sets[k >> n], sets[k & low])))
         self.values = Lazy(per_pair if apply_fn else lambda kind: ops.values(kind, p))
@@ -188,12 +189,17 @@ def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     algebraic = sem.ht_pairs(ops.IC, p)
     if algebraic != sem.ht_models_program(p):
         return 1, "algebraic HT pairs differ from rule-level HT models"
-    # The definition, independent of the compiled masks: HT satisfaction of
-    # each rule as a formula (`four.HTRule`). Its classical half reads y
-    # alone, so it is read once per rule and y.
-    u, rules = p.universe, [four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules]
-    classical = {y: all(r.there(u, y) for r in rules) for y in u.subsets()}
-    if algebraic != [i for i in u.consistent_pairs() if classical[i.upper] and all(r.here(u, i) for r in rules)]:
+    # The definition, independent of the compiled masks and of the planes:
+    # HT satisfaction of each rule as a formula (`four.HTRule`), read at every
+    # pair key at once (`four.ht_tables`): the HT implication clause, and the
+    # material implication ¬body ∨ head classically true at y, ANDed with the
+    # consistent keys.
+    u, n = p.universe, t.n
+    models = key_columns(n)[2]
+    for r in (four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules):
+        (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, r.body), four.ht_tables(u, r.head)
+        models &= (~body_ht | head_ht) & (~body_y | head_y)
+    if [u.mask(i.lower) << n | u.mask(i.upper) for i in algebraic] != bit_indices(models):
         return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 

@@ -478,6 +478,15 @@ def _error(message: str, tok: _Token) -> ParseError:
     return ParseError(message, tok[2], tok[3])
 
 
+def _unknown_hash(tok: _Token, what: str) -> ParseError:
+    """A '#' word that is no `what` ("constant" or "aggregate function
+    symbol"). `#u` and `#c`, the four-valued constants, get one message in
+    either body kind."""
+    if tok[1] in ("#u", "#c"):
+        return _error(f"truth constant {tok[1]!r} is not in the language; write #true or #false", tok)
+    return _error(f"unknown {what} {tok[1]!r}", tok)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -596,7 +605,7 @@ class _Parser:
     def aggregate(self) -> AggregateAtom:
         tok = self.expect("hash")
         if tok[1] not in _AGG_FUNCS:
-            raise _error(f"unknown aggregate function symbol {tok[1]!r}", tok)
+            raise _unknown_hash(tok, "aggregate function symbol")
         func = _AGG_FUNCS[tok[1]]
         self.expect("{")
         entries = [self.entry()]
@@ -670,7 +679,7 @@ class _Parser:
             if text in _AGG_FUNCS:
                 raise _error("aggregate atom not allowed in a formula body", tok)
             if text not in _HASH_CONSTS:
-                raise _error(f"unknown constant {text!r}", tok)
+                raise _unknown_hash(tok, "constant")
             self.next()
             return _HASH_CONSTS[text], 0
         return four.Atom(self.atom_name()), 0

@@ -30,7 +30,9 @@ from .lattice import (
     AtomSet,
     InconsistentPairError,
     NdSet,
+    bit_indices,
     gap,
+    key_columns,
     leq_i,
     leq_t,
     submasks,
@@ -187,13 +189,31 @@ def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
 
 def ht_models_program(p: Program) -> list[ApproxPair]:
     """Pairs (x, y) satisfying every rule under here-and-there satisfaction:
-    the models (x, y) of p's GL transformation at (y, y), that is, every rule
-    has pos within x and neg outside y imply that the head meets x, and pos
-    within y and neg outside y imply that the head meets y."""
+    the models (x, y) of p's GL transformation at (y, y) (`_gl_model`), that
+    is, every rule has pos within x and neg outside y imply that the head
+    meets x, and pos within y and neg outside y imply that the head meets y.
+    Read at every pair key x << n | y at once (`lattice.key_columns`): a
+    rule breaks its first clause at the keys in every X column of pos and
+    in no Y column of neg nor X column of the head, and its second at those
+    in every Y column of pos and in no Y column of neg or the head. The
+    consistent keys that break none are decoded in increasing key order,
+    which is `consistent_masks` order."""
     rules = p.compile().rules
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    u = p.universe
-    return [u.pair(xm, ym) for xm, ym in u.consistent_masks() if _gl_model(rules, ym, ym, xm, ym)]
+    u, n = p.universe, len(p.universe)
+    xs, ys, models = key_columns(n)
+    for r in rules:
+        x_pos = y_pos = -1
+        y_neg = x_head = y_head = 0
+        for i in range(n):
+            if r.pos >> i & 1:
+                x_pos, y_pos = x_pos & xs[i], y_pos & ys[i]
+            if r.neg >> i & 1:
+                y_neg |= ys[i]
+            if r.head_mask >> i & 1:
+                x_head, y_head = x_head | xs[i], y_head | ys[i]
+        models &= ~(x_pos & ~(y_neg | x_head) | y_pos & ~(y_neg | y_head))
+    return [u.pair(k >> n, k & (1 << n) - 1) for k in bit_indices(models)]
 
 
 def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:

@@ -230,6 +230,44 @@ def test_ht_rule_halves_equal_ht_satisfies_rule():
     assert cases > 1000
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_ht_tables_agree_with_eval_two_and_ht_satisfies_at_every_key(n):
+    """At key x << n | y the classical table is `eval_two` at y (every key,
+    consistent or not) and the HT table `ht_satisfies` at (x, y) (every
+    consistent key), on seeded formulas with T and F constants and on
+    nested negations; n = 0 has the one key 0."""
+    u = AtomUniverse.of("bcpq"[:n])
+    rng = random.Random(38 + n)
+    formulas = [_seeded_formula(rng, u.atoms, 4) for _ in range(40 if n else 0)]
+    formulas += [Const(Truth.T), Const(Truth.F), Not(Not(Const(Truth.F))), Or(Const(Truth.F), Not(Const(Truth.T)))]
+    formulas += [Not(Not(Atom(a))) for a in u.atoms] + [Not(And(Atom(a), Not(Atom(a)))) for a in u.atoms]
+    low, checked = (1 << n) - 1, 0
+    for f in formulas:
+        classical, here = four.ht_tables(u, f)
+        assert 0 <= classical < 1 << (1 << 2 * n) and 0 <= here < 1 << (1 << 2 * n)
+        for k in range(1 << 2 * n):
+            x, y = u.unmask(k >> n), u.unmask(k & low)
+            assert classical >> k & 1 == (four.eval_two(u, y, f) is Truth.T), (f, k)
+            if x <= y:
+                assert here >> k & 1 == four.ht_satisfies(u, ApproxPair(x, y), f), (f, k)
+                checked += 1
+    assert checked == len(formulas) * 3**n
+
+
+def test_ht_tables_of_constants_and_unknown_atoms():
+    empty = AtomUniverse.of([])
+    assert four.ht_tables(empty, Const(Truth.T)) == (1, 1)
+    assert four.ht_tables(empty, Const(Truth.F)) == (0, 0)
+    assert four.ht_tables(empty, Not(Const(Truth.F))) == (1, 1)
+    assert four.ht_tables(U2, Not(Const(Truth.T))) == (0, 0)
+    assert four.ht_tables(U2, Const(Truth.T)) == ((1 << 16) - 1,) * 2
+    for f in (Atom("zz"), And(Atom("p"), Not(Atom("zz"))), Or(Const(Truth.T), Atom("zz"))):
+        with pytest.raises(UnknownAtomError):
+            four.ht_tables(U2, f)
+        with pytest.raises(UnknownAtomError):
+            four.eval_pair(U2, pair(), f)
+
+
 def test_three_valued_models_are_ht_models():
     # strictness witness: (0,{c}) is an HT model of {b :- not c.} but no model
     from aftlab.program import parse

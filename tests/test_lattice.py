@@ -14,10 +14,12 @@ from aftlab.lattice import (
     NdPair,
     aprec_leq,
     atom_cap,
+    bit_indices,
     difference,
     digit_planes,
     gap,
     hoare_leq,
+    key_columns,
     leq_i,
     leq_t,
     masks_above_i,
@@ -262,3 +264,27 @@ def test_a_universe_above_the_cap_renders_without_filling_its_sets():
     assert render.json_pair(u, u.pair(1, full))["lower"] == ["a00"]
     assert p.text.startswith("a00 :- not a01.")
     assert {m for m in u.__dict__["_sets"] if isinstance(m, int)} == {0, 1, full}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_key_columns_mark_the_atoms_of_each_key_and_the_consistent_keys(n):
+    """Key x << n | y is in atom i's X column iff x holds i, in its Y column
+    iff y holds i, and among the consistent keys iff x lies within y; these
+    come in `consistent_masks` order."""
+    xs, ys, consistent = key_columns(n)
+    size = 1 << 2 * n
+    for table in (*xs, *ys, consistent):
+        assert 0 <= table < 1 << size
+    for k in range(size):
+        x, y = k >> n, k & (1 << n) - 1
+        assert [c >> k & 1 for c in xs] == [x >> i & 1 for i in range(n)]
+        assert [c >> k & 1 for c in ys] == [y >> i & 1 for i in range(n)]
+    u = AtomUniverse.of("pqrs"[:n])
+    assert bit_indices(consistent) == [x << n | y for x, y in u.consistent_masks()]
+
+
+def test_bit_indices():
+    assert bit_indices(0) == []
+    assert bit_indices(1) == [0]
+    assert bit_indices(0b1011000) == [3, 4, 6]
+    assert bit_indices(1 << 700 | 1 << 3) == [3, 700]

@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import reference as ref
-from aftlab import cli, corpus, lattice, laws, operators as ops
+from aftlab import cli, corpus, four, lattice, laws, operators as ops
 from aftlab.four import And, Atom, Const, Not, Truth
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, DigitPlanes, NdPair
 from aftlab.operators import OperatorKind
@@ -153,14 +153,29 @@ def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
     assert "differ from HT satisfaction of the rules" in outcomes[0].failure
 
 
+def _ht_tables_mutant(monkeypatch, atom_columns):
+    """`four.ht_tables` with an atom read as `atom_columns` (its classical
+    and its HT column) in place of its Y and its X column."""
+    source = textwrap.dedent(inspect.getsource(four.ht_tables))
+    assert source.count("return ys[i], xs[i]") == 1
+    namespace = dict(vars(four))
+    exec(source.replace("return ys[i], xs[i]", f"return {atom_columns}"), namespace)
+    monkeypatch.setattr(four, "ht_tables", namespace["ht_tables"])
+
+
 def test_ht_equality_reads_the_classical_half_at_the_upper_set(monkeypatch):
-    """A mutant of the law whose classical half reads x instead of y is
+    """A mutant whose classical half reads x (the X columns) instead of y is
     caught on the corpus."""
-    source = textwrap.dedent(inspect.getsource(laws._law_ht_equality))
-    assert source.count("classical[i.upper]") == 1
-    namespace = dict(vars(laws))
-    exec(source.replace("classical[i.upper]", "classical[i.lower]"), namespace)
-    monkeypatch.setitem(laws.LAWS, "ht-equality", namespace["_law_ht_equality"])
+    _ht_tables_mutant(monkeypatch, "xs[i], xs[i]")
+    outcome = laws.run_laws(corpus.programs(), ["ht-equality"])[0]
+    assert not outcome.ok
+    assert "differ from HT satisfaction of the rules" in outcome.failure
+
+
+def test_ht_equality_reads_the_ht_atoms_at_the_lower_set(monkeypatch):
+    """A mutant whose HT half reads an atom at y (its Y column) instead of x
+    is caught on the corpus."""
+    _ht_tables_mutant(monkeypatch, "ys[i], ys[i]")
     outcome = laws.run_laws(corpus.programs(), ["ht-equality"])[0]
     assert not outcome.ok
     assert "differ from HT satisfaction of the rules" in outcome.failure

@@ -81,6 +81,27 @@ def test_parse_truth_constants():
     assert p.rules[2].body == GeneralFormula(Const(Truth.F))
 
 
+@pytest.mark.parametrize(
+    "text, name, line, col",
+    [
+        ("p :- #c.", "#c", 1, 6),
+        ("p :- q, #c.", "#c", 1, 9),
+        ("p :- not #c.", "#c", 1, 10),
+        ("q.\np :- #sum{1:q} > 0, #u.", "#u", 2, 21),
+        ("p :- q & #u.", "#u", 1, 10),
+    ],
+)
+def test_the_four_valued_constants_are_named_in_either_body_kind(text, name, line, col):
+    """`#u` and `#c` give one message, in a conjunctive body (where a '#'
+    word is read as an aggregate) and in a formula body alike."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == (
+        f"line {line}, column {col}: truth constant {name!r} is not in the language; write #true or #false"
+    )
+
+
 def test_empty_body_prints_and_parses():
     p = parse("h.")
     assert p.text == "h :- .\n"

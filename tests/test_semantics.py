@@ -5,9 +5,9 @@ import pytest
 import reference as ref
 from aftlab import corpus, laws, operators as ops, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import ApproxPair, CapExceededError, InconsistentPairError, leq_i, leq_t
+from aftlab.lattice import ApproxPair, AtomUniverse, CapExceededError, InconsistentPairError, leq_i, leq_t
 from aftlab.operators import OperatorKind
-from aftlab.program import ProgramClassError, classify, gl_transform, parse
+from aftlab.program import ProgramClassError, classify, gl_transform, make_program, parse
 from conftest import SEMANTICS_CELLS, atoms, family, pair
 
 
@@ -380,6 +380,25 @@ def test_is_model_masks_agree_with_the_gl_transformation():
 def test_ht_model_masks_agree_with_ht_satisfaction():
     for p in MASK_TEST_PROGRAMS:
         assert sem.ht_models_program(p) == ref.ht_models(p), p.text
+
+
+def test_ht_models_program_agrees_with_the_reference_and_is_model_at_every_pair():
+    """The table reading of the HT models is the rule-level definition
+    (`reference.ht_models`), and (x, y) is among them iff it is a model of
+    the GL transformation at (y, y) (`is_model`), over n = 0..4 atoms."""
+    programs = ref.seeded(range(80), atoms=lambda s: 1 + s % 4, rules=lambda s: 1 + s % 5,
+                          negation_probability=0.5, disjunction_width=lambda s: 1 + s % 3)
+    programs += [parse(""), parse("p :- not p."), make_program(parse("p :- q, not r.").rules, AtomUniverse.of("pqrs"))]
+    assert {len(p.universe) for p in programs} == {0, 1, 2, 3, 4}
+    checked = 0
+    for p in programs:
+        models = sem.ht_models_program(p)
+        assert models == ref.ht_models(p), p.text
+        found = set(models)
+        for i in p.universe.consistent_pairs():
+            assert (i in found) == sem.is_model(p, ApproxPair(i.upper, i.upper), i), (p.text, i)
+            checked += 1
+    assert checked > 1000
 
 
 def test_is_model_refuses_an_inconsistent_pair():
