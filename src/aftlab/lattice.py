@@ -322,19 +322,18 @@ class DigitPlanes:
         for each atom i of y."""
         return sum(s * ((xm >> i & 1) + (ym >> i & 1)) for i, s in enumerate(self.steps))
 
-    def pairs(self, plane: int) -> Iterator[tuple[int, int]]:
-        """The (x, y) masks of the marked pairs, in increasing order. Only the
-        set bits are visited (`bit_indices`): the digits of each pair number
-        are split at digit n // 2 and read from two tables of 3^(n/2)
-        entries, which give x << n | y, a key in (x, y) order."""
+    def keys(self, plane: int) -> list[int]:
+        """The keys x << n | y of the marked pairs (x, y), in increasing
+        order, which is (x, y) order. Only the set bits are visited
+        (`bit_indices`): the digits of each pair number are split at digit
+        n // 2 and read from two tables of 3^(n/2) entries."""
         base, low_keys, high_keys = self._decode
         keys = []
         for k in bit_indices(plane):
             high, low = divmod(k, base)
             keys.append(high_keys[high] | low_keys[low])
         keys.sort()
-        n, y = self.n, (1 << self.n) - 1
-        return ((key >> n, key & y) for key in keys)
+        return keys
 
 
 def _pair_keys(n: int, atoms: range) -> list[int]:

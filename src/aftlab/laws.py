@@ -11,8 +11,10 @@ reference operators, each kind from one `operators.values` call on the
 first read; it holds the kind's domain alone, so a read outside it is a
 `KeyError`, not a refusal. A given `apply_fn`, a mutant say, is asked pair
 by pair, once per (kind, pair). Either way the table reads no plane and no
-row of the sweeps the laws referee. A pair is named by its number in the table;
-an `ApproxPair` is built only for a failure message.
+row of the sweeps the laws referee. A pair is named by its number in the table,
+the key x << n | y that the semantics' key readers return too, so the
+semantics laws compare sorted key lists; an `ApproxPair` is built only for a
+failure message.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class OperatorTable:
 
     def pair(self, number: int) -> ApproxPair:
         return ApproxPair(self.sets[number >> self.n], self.sets[number & self.low])
+
+    def totals(self, numbers: Iterable[int]) -> list[int]:
+        """The numbers of the total pairs among `numbers`, in their order."""
+        return [k for k in numbers if k >> self.n == k & self.low]
 
 
 def _law_monotonicity(p: Program, t: OperatorTable) -> tuple[int, str | None]:
@@ -186,8 +192,8 @@ def _law_upwards_coherence(p: Program, t: OperatorTable) -> tuple[int, str | Non
 def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if not p.compile().classification.plain:
         return 0, None
-    algebraic = sem.ht_pairs(ops.IC, p)
-    if algebraic != sem.ht_models_program(p):
+    algebraic = sem._ht_keys(ops.IC, p, False)
+    if algebraic != sem._ht_model_keys(p):
         return 1, "algebraic HT pairs differ from rule-level HT models"
     # The definition, independent of the compiled masks and of the planes:
     # HT satisfaction of each rule as a formula (`four.HTRule`), read at every
@@ -199,7 +205,7 @@ def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     for r in (four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules):
         (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, r.body), four.ht_tables(u, r.head)
         models &= (~body_ht | head_ht) & (~body_y | head_y)
-    if [u.mask(i.lower) << n | u.mask(i.upper) for i in algebraic] != bit_indices(models):
+    if algebraic != bit_indices(models):
         return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 
@@ -207,14 +213,12 @@ def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 def _law_total_stable_ht(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     """The total truth-minimal HT pairs are the total stable fixpoints. The
     truth-minimal HT pairs are read off the `minimal_t` plane, as `seq`
-    reads them (`semantics._ht_plane_pairs`), and the stable fixpoints from
-    the operator's `minimal` planes or rows, which read no `minimal_t`."""
+    reads them (`semantics._ht_keys`), and the stable fixpoints from the
+    operator's `minimal` planes or rows, which read no `minimal_t`."""
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        ht_totals = {i for i in sem._ht_plane_pairs(kind, p, True) if i.is_total}
-        stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
-        if ht_totals != stable_totals:
+        if t.totals(sem._ht_keys(kind, p, True)) != t.totals(sem._stable_keys(kind, p)):
             return cases, f"{kind.value}: total truth-minimal HT pairs differ from total stable fixpoints"
     return cases, None
 
@@ -223,13 +227,11 @@ def _law_seq_nonempty(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        models = sem.seq(kind, p)
+        models = sem._seq_keys(kind, p)
         if not models:
             return cases, f"{kind.value}: no semi-equilibrium model"
-        if any(i.is_total for i in models):
-            stable_totals = {i for i in sem.stable_fixpoints(kind, p) if i.is_total}
-            if set(models) != stable_totals:
-                return cases, f"{kind.value}: semi-equilibrium models differ from total stable fixpoints"
+        if t.totals(models) and models != t.totals(sem._stable_keys(kind, p)):
+            return cases, f"{kind.value}: semi-equilibrium models differ from total stable fixpoints"
     return cases, None
 
 
@@ -237,10 +239,10 @@ def _law_stable_t_minimal(p: Program, t: OperatorTable) -> tuple[int, str | None
     cases = 0
     for kind in _ndao_kinds(p):
         cases += 1
-        minimal = set(sem.min_t(sem.fixpoints(kind, p)))
-        for i in sem.stable_fixpoints(kind, p):
-            if i not in minimal:
-                return cases, f"{kind.value}: stable fixpoint {render.fmt_pair(p.universe, i)} not truth-minimal"
+        minimal = set(sem._fixpoint_keys(kind, p, True))
+        for k in sem._stable_keys(kind, p):
+            if k not in minimal:
+                return cases, f"{kind.value}: stable fixpoint {render.fmt_pair(p.universe, t.pair(k))} not truth-minimal"
     return cases, None
 
 
@@ -249,10 +251,10 @@ def _law_gz_answer_sets(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if cls.shape == prog.SHAPE_GENERAL:
         return 0, None
     cases = 1
-    non_total = [i for i in sem.min_t(sem.fixpoints(ops.GZ, p)) if not i.is_total]
+    non_total = [k for k in sem._fixpoint_keys(ops.GZ, p, True) if k >> t.n != k & t.low]
     if non_total:
         return cases, (
-            f"truth-minimal trivial-operator fixpoint {render.fmt_pair(p.universe, non_total[0])} is not total"
+            f"truth-minimal trivial-operator fixpoint {render.fmt_pair(p.universe, t.pair(non_total[0]))} is not total"
         )
     if not cls.has_negated_aggregates:
         cases += 1
@@ -289,9 +291,9 @@ def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None
 
     lower = [minimal(x for x in submasks(y) if sets[x] in det[x << n | y].lower_set) for y in masks]
     upper = [minimal(y for y in masks if not x & ~y and sets[y] in det[x << n | y].upper_set) for x in masks]
-    stable = [t.pair(k) for k in t.consistent if k >> n in lower[k & t.low] and k & t.low in upper[k >> n]]
+    stable = [k for k in t.consistent if k >> n in lower[k & t.low] and k & t.low in upper[k >> n]]
     cases = len(t.consistent) + 1
-    if stable != sem.det_stable_fixpoints(p):
+    if stable != sem._stable_keys(ops.DMT_DET, p):
         return cases, "interval-operator stable fixpoints differ from the deterministic stable pairs"
     return cases, None
 

@@ -6,17 +6,17 @@ of the GL transformation), and GZ answer sets as minimal models of the reduct.
 Every solver decides each of the 3^n consistent pairs (or the 2^n total
 interpretations); n is bounded by the atom cap. The fixpoint, HT and stable
 sweeps of every operator, the truth-minimal HT pairs of `seq` and
-`seq-approx`, and the three-valued stable models, which are the pairs of
-the minimal planes of `ic-triv`, AND bit planes, one bit per
-consistent pair, built from the two planes of each rule body and kept per
-program and distinct set of planes (`operators.pair_planes`), and decode
-only the set bits. Only the complete stable values of the four-valued
-operators, which range over the inconsistent pairs too, read otherwise: rows
-of one bit per set, the same body readings with x fixed, one row per set
-giving the lower and the upper value alike, kept per program and key
-(`operators.stable_rows`). Sets are built only for the models returned. The
-planes and rows refuse a program outside the operator's class, so the sweeps
-check nothing of their own.
+`seq-approx`, and the three-valued stable models, which are the pairs of the
+minimal planes of `ic-triv`, AND bit planes, one bit per consistent pair,
+built from the two planes of each rule body and kept per program and distinct
+set of planes (`operators.pair_planes`). The set bits are read as sorted pair
+keys x << n | y (`lattice.DigitPlanes.keys`), which the laws compare and only
+the public sweeps decode (`_pairs`). Only the complete stable values of the
+four-valued operators, which range over the inconsistent pairs too, read
+otherwise: rows of one bit per set, the same body readings with x fixed, one
+row per set giving the lower and the upper value alike, kept per program and
+key (`operators.stable_rows`). The planes and rows refuse a program outside
+the operator's class, so the sweeps check nothing of their own.
 """
 
 from __future__ import annotations
@@ -50,17 +50,30 @@ class WellFoundedAnomalyError(AftlabError):
         self.pairs = pairs
 
 
+def _pairs(p: Program, keys: Iterable[int]) -> list[ApproxPair]:
+    """The pairs (x, y) of the keys x << n | y, in the keys' order."""
+    u, n = p.universe, len(p.universe)
+    low = (1 << n) - 1
+    return [u.pair(k >> n, k & low) for k in keys]
+
+
+def _plane_keys(planes: ops.PairPlanes, plane: int, truth_minimal: bool) -> list[int]:
+    """The sorted keys of the pairs marked in `plane`, or (truth_minimal) of
+    its truth-minimal ones (`lattice.DigitPlanes.minimal_t`)."""
+    digits = planes.digits
+    return digits.keys(digits.minimal_t(plane) if truth_minimal else plane)
+
+
+def _fixpoint_keys(kind: OperatorKind, p: Program, truth_minimal: bool = False) -> list[int]:
+    planes = ops.pair_planes(kind, p)
+    return _plane_keys(planes, planes.lower & planes.upper, truth_minimal)
+
+
 def fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Consistent pairs (x, y) with x in the lower and y in the upper set of
     the operator at (x, y): the AND of its lower and upper planes
     (`operators.PairPlanes`)."""
-    planes = ops.pair_planes(kind, p)
-    return _decode(p, planes, planes.lower & planes.upper)
-
-
-def _decode(p: Program, planes: ops.PairPlanes, plane: int) -> list[ApproxPair]:
-    """The pairs whose bits are set in `plane`, a plane over the pair numbers of `planes`."""
-    return [p.universe.pair(xm, ym) for xm, ym in planes.digits.pairs(plane)]
+    return _pairs(p, _fixpoint_keys(kind, p))
 
 
 def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
@@ -110,12 +123,18 @@ def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
     return frozenset(map(u.unmask, _complete_values(kind, p)[1](u.mask(x))))
 
 
-def _minimal_pairs(p: Program, planes: ops.PairPlanes) -> list[ApproxPair]:
-    """The pairs (x, y) with x among the minimal lower members below y and y
-    among the minimal upper members above x: the AND of the planes'
-    `minimal` planes, decoded."""
+def _minimal_keys(planes: ops.PairPlanes) -> list[int]:
+    """The sorted keys of the pairs (x, y) with x a minimal lower member below
+    y and y a minimal upper member above x: the AND of the `minimal` planes."""
     lower, upper = planes.minimal()
-    return _decode(p, planes, lower & upper)
+    return planes.digits.keys(lower & upper)
+
+
+def _stable_keys(kind: OperatorKind, p: Program) -> list[int]:
+    if ops.consistent_only(kind):
+        return _minimal_keys(ops.pair_planes(kind, p))
+    value, n = _complete_values(kind, p)[0], len(p.universe)
+    return [xm << n | ym for xm in range(1 << n) for ym in value(xm) if not xm & ~ym and xm in value(ym)]
 
 
 def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
@@ -125,10 +144,7 @@ def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     (`operators.PairPlanes.minimal`), and for a four-valued one the pairs
     with x within y, x in C(y) and y in C(x), C the one function of its
     rows (`_complete_values`)."""
-    if ops.consistent_only(kind):
-        return _minimal_pairs(p, ops.pair_planes(kind, p))
-    value, u = _complete_values(kind, p)[0], p.universe
-    return [u.pair(xm, ym) for xm in range(1 << len(u)) for ym in value(xm) if not xm & ~ym and xm in value(ym)]
+    return _pairs(p, _stable_keys(kind, p))
 
 
 def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:
@@ -198,9 +214,13 @@ def ht_models_program(p: Program) -> list[ApproxPair]:
     in every Y column of pos and in no Y column of neg or the head. The
     consistent keys that break none are decoded in increasing key order,
     which is `consistent_masks` order."""
+    return _pairs(p, _ht_model_keys(p))
+
+
+def _ht_model_keys(p: Program) -> list[int]:
     rules = p.compile().rules
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    u, n = p.universe, len(p.universe)
+    n = len(p.universe)
     xs, ys, models = key_columns(n)
     for r in rules:
         x_pos = y_pos = -1
@@ -213,7 +233,7 @@ def ht_models_program(p: Program) -> list[ApproxPair]:
             if r.head_mask >> i & 1:
                 x_head, y_head = x_head | xs[i], y_head | ys[i]
         models &= ~(x_pos & ~(y_neg | x_head) | y_pos & ~(y_neg | y_head))
-    return [u.pair(k >> n, k & (1 << n) - 1) for k in bit_indices(models)]
+    return bit_indices(models)
 
 
 def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
@@ -222,16 +242,14 @@ def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     operator's `closed` and `smyth` planes (`operators.PairPlanes`). y is
     closed iff some member of ic(y), the hitting sets of hd(y), lies within
     y, that is iff y misses the head of no rule fired at y."""
-    return _ht_plane_pairs(kind, p, False)
+    return _pairs(p, _ht_keys(kind, p, False))
 
 
-def _ht_plane_pairs(kind: OperatorKind, p: Program, truth_minimal: bool) -> list[ApproxPair]:
-    """The HT pairs, or (truth_minimal) only the truth-minimal ones,
-    `min_t(ht_pairs(kind, p))`, read on the plane
-    (`lattice.DigitPlanes.minimal_t`), so only those are decoded."""
+def _ht_keys(kind: OperatorKind, p: Program, truth_minimal: bool) -> list[int]:
+    """The keys of the HT pairs, or (truth_minimal) only of the
+    truth-minimal ones, those of `min_t(ht_pairs(kind, p))`."""
     planes = ops.pair_planes(kind, p)
-    plane = planes.smyth & planes.closed
-    return _decode(p, planes, planes.digits.minimal_t(plane) if truth_minimal else plane)
+    return _plane_keys(planes, planes.smyth & planes.closed, truth_minimal)
 
 
 def min_t(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
@@ -253,15 +271,25 @@ def mc(pairs: Iterable[ApproxPair]) -> list[ApproxPair]:
     return [a for a in collected if not any(gap(b) < gap(a) for b in collected)]
 
 
+def _seq_keys(kind: OperatorKind, p: Program) -> list[int]:
+    """`mc` on the keys of the truth-minimal HT pairs: a key is dropped when
+    its gap y & ~x strictly contains another's."""
+    n = len(p.universe)
+    low = (1 << n) - 1
+    keys = _ht_keys(kind, p, True)
+    gaps = [k & low & ~(k >> n) for k in keys]
+    return [k for k, g in zip(keys, gaps) if not any(h != g and not h & ~g for h in gaps)]
+
+
 def seq(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Semi-equilibrium models: maximal canonical truth-minimal HT pairs."""
-    return mc(_ht_plane_pairs(kind, p, True))
+    return _pairs(p, _seq_keys(kind, p))
 
 
 def seq_no_difference(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Difference-free approximation: information-maximal truth-minimal HT
     pairs; always a superset of the semi-equilibrium models."""
-    minimal = _ht_plane_pairs(kind, p, True)
+    minimal = _pairs(p, _ht_keys(kind, p, True))
     return [a for a in minimal if not any(b != a and leq_i(a, b) for b in minimal)]
 
 
@@ -299,7 +327,7 @@ def three_valued_stable(p: Program) -> list[ApproxPair]:
     negation read at y, and y a minimal model among the supersets of x of the
     reduct with negation read at x (README "Programs are compiled once")."""
     _require_disjunctively_normal_aggregate_free(p, "three-valued stable semantics")
-    return _minimal_pairs(p, ops.pair_planes(ops.IC_TRIV, p))
+    return _pairs(p, _minimal_keys(ops.pair_planes(ops.IC_TRIV, p)))
 
 
 def _is_minimal_model(rules: list[tuple[int, int]], xm: int) -> bool:

@@ -60,13 +60,14 @@ def test_interval_folds_are_the_and_and_or_over_each_interval(values):
     where values[z] has it; its folds give bit b of the AND and the OR."""
     n = len(values).bit_length() - 1
     digits = digit_planes(n)
-    assert list(digits.pairs(digits.full)) == [(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
-    assert list(digits.pairs(digits.total)) == [(z, z) for z in range(1 << n)]
+    consistent = [(x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y]
+    assert digits.keys(digits.full) == [x << n | y for x, y in consistent]
+    assert digits.keys(digits.total) == [z << n | z for z in range(1 << n)]
     bits = range(max(values).bit_length())
     at_total = [sum(1 << digits.number(z, z) for z, v in enumerate(values) if v >> b & 1) for b in bits]
     meet = [digits.fold(plane, True) for plane in at_total]
     join = [digits.fold(plane, False) for plane in at_total]
-    for x, y in digits.pairs(digits.full):
+    for x, y in consistent:
         # Digit i of the pair number is 2, 1 or 0 as atom i is in x, in y - x or outside y.
         k = sum((2 if x >> i & 1 else y >> i & 1) * 3**i for i in range(n))
         inside = [values[z] for z in range(1 << n) if not x & ~z and not z & ~y]

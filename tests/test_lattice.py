@@ -159,7 +159,23 @@ def test_the_number_of_a_pair_marks_that_pair_alone(n):
     for x in range(1 << n):
         for y in range(1 << n):
             if not x & ~y:
-                assert list(digits.pairs(1 << digits.number(x, y))) == [(x, y)]
+                assert digits.keys(1 << digits.number(x, y)) == [x << n | y]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_keys_give_the_marked_pairs_as_sorted_pair_keys(n):
+    """`DigitPlanes.keys` reads the pair numbers of a plane's set bits as the
+    keys x << n | y of those pairs, in increasing order: the full and total
+    planes, the empty one, and random subsets of the consistent pairs."""
+    digits, rng = digit_planes(n), random.Random(n)
+    consistent = [x << n | y for x in range(1 << n) for y in range(1 << n) if not x & ~y]
+    assert digits.keys(digits.full) == consistent == bit_indices(key_columns(n)[2])
+    assert digits.keys(digits.total) == [z << n | z for z in range(1 << n)]
+    assert digits.keys(0) == []
+    for _ in range(20):
+        chosen = sorted(rng.sample(consistent, rng.randint(0, len(consistent))))
+        plane = sum(1 << digits.number(k >> n, k & (1 << n) - 1) for k in chosen)
+        assert digits.keys(plane) == chosen
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -173,9 +189,9 @@ def test_minimal_t_keeps_the_truth_minimal_marked_pairs(n):
         planes = [sum(1 << k for k in numbers if rng.random() < density)
                   for density in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7) for _ in range(20)]
     for plane in planes:
-        marked = list(digits.pairs(plane))
+        marked = [(k >> n, k & (1 << n) - 1) for k in digits.keys(plane)]
         below = [(x, y) for x, y in marked if not any((w, z) != (x, y) and not w & ~x and not z & ~y for w, z in marked)]
-        assert list(digits.pairs(digits.minimal_t(plane))) == below
+        assert digits.keys(digits.minimal_t(plane)) == [x << n | y for x, y in below]
 
 
 def test_consistent_pairs_enumeration():

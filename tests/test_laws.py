@@ -143,11 +143,12 @@ def test_corrupted_operator_fails_with_reproducer():
 
 
 def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
-    # A fault shared by both mask-computed sides (here: both drop the last
-    # pair) is caught by the formula-level definition.
-    ht_pairs, ht_models = laws.sem.ht_pairs, laws.sem.ht_models_program
-    monkeypatch.setattr(laws.sem, "ht_pairs", lambda kind, p: ht_pairs(kind, p)[:-1])
-    monkeypatch.setattr(laws.sem, "ht_models_program", lambda p: ht_models(p)[:-1])
+    # A fault shared by both mask-computed sides, the two key readers the law
+    # compares (here: both drop the last key), is caught by the formula-level
+    # definition.
+    ht_keys, ht_model_keys = laws.sem._ht_keys, laws.sem._ht_model_keys
+    monkeypatch.setattr(laws.sem, "_ht_keys", lambda kind, p, truth_minimal: ht_keys(kind, p, truth_minimal)[:-1])
+    monkeypatch.setattr(laws.sem, "_ht_model_keys", lambda p: ht_model_keys(p)[:-1])
     outcomes = laws.run_laws(corpus.programs(), ["ht-equality"])
     assert not outcomes[0].ok
     assert "differ from HT satisfaction of the rules" in outcomes[0].failure
@@ -321,8 +322,11 @@ MINIMAL_T_MUTANTS = {
 def test_total_stable_ht_reads_the_truth_minimal_plane(monkeypatch, mutant):
     """`total-stable-ht` reads the truth-minimal HT pairs off the
     `minimal_t` plane and the stable fixpoints off planes and rows that read
-    no `minimal_t`, so a fault there fails it; `stable-t-minimal` and
-    `gz-answer-sets`, which read `semantics.min_t`, keep their outcomes."""
+    no `minimal_t`, so a fault there fails it. `stable-t-minimal` and
+    `gz-answer-sets` read `minimal_t` too, on the fixpoint plane, and keep
+    their outcomes (measured): either mutant drops fewer pairs, never a
+    truth-minimal one, so every stable fixpoint stays among those it keeps,
+    and `gz-answer-sets` fails at its first program either way."""
     programs = laws.suite_programs()
     others = ["stable-t-minimal", "gz-answer-sets"]
     expected = laws.run_laws(programs, others)

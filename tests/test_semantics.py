@@ -152,7 +152,10 @@ def test_seq_guarded_choice_all_operators():
 def test_truth_minimal_planes_give_min_t_of_the_ht_pairs():
     """`seq` and `seq-approx` decode only the truth-minimal HT pairs
     (`DigitPlanes.minimal_t`): the list of `min_t(ht_pairs(kind, p))`, order
-    included, under every operator that `ht` takes."""
+    included, under every operator that `ht` takes. The truth-minimal
+    fixpoint keys that `stable-t-minimal` and `gz-answer-sets` read decode
+    to `min_t(fixpoints(kind, p))`, and `seq`, which applies `mc`'s gap test
+    to the keys, gives `mc` of the truth-minimal HT pairs."""
     seeded = [p for n in range(1, 7) for width in (1, 2, 3) for aggregates in (0.0, 0.5)
               for p in ref.seeded(range(10), atoms=n, rules=lambda s: n + s % n, disjunction_width=width,
                                   aggregate_probability=aggregates)]
@@ -164,7 +167,8 @@ def test_truth_minimal_planes_give_min_t_of_the_ht_pairs():
             except ProgramClassError:
                 continue
             minimal = sem.min_t(ht)
-            assert sem._ht_plane_pairs(kind, p, True) == minimal, (p.text, kind)
+            assert sem._pairs(p, sem._ht_keys(kind, p, True)) == minimal, (p.text, kind)
+            assert sem._pairs(p, sem._fixpoint_keys(kind, p, True)) == sem.min_t(sem.fixpoints(kind, p)), (p.text, kind)
             assert sem.seq(kind, p) == sem.mc(minimal), (p.text, kind)
             assert sem.seq_no_difference(kind, p) == [
                 a for a in minimal if not any(b != a and leq_i(a, b) for b in minimal)
