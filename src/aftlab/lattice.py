@@ -2,8 +2,9 @@
 orders (also as one AND on precision codes), lattice difference, and
 deterministic enumeration of intervals and consistent pairs, also as pairs of
 masks and information-above a pair, bit planes over the consistent pairs (one
-bit per pair), rows over the 2^n sets (one bit per set) and tables over the
-4^n pair keys x << n | y (one bit per key).
+bit per pair), rows over the 2^n sets (one bit per set: an operator value
+is a lower and an upper row, with its hitting sets, closures and precision
+code) and tables over the 4^n pair keys x << n | y (one bit per key).
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
 ordering (lexicographic) that every enumeration and rendering follows, atom i
@@ -156,6 +157,15 @@ class AtomUniverse:
             s = sets[m] = frozenset(a for i, a in enumerate(self.atoms) if m >> i & 1)
             sets[s] = m
         return s
+
+    def family(self, row: int) -> NdSet:
+        """The sets marked in a row over the 2^n sets, bit m for the set with
+        mask m: the one decode of an operator value, at the API edge."""
+        return frozenset([self.unmask(m) for m in bit_indices(row)])
+
+    def row(self, sets: Iterable[AtomSet]) -> int:
+        """The row of a set of sets, bit m for the set with mask m."""
+        return sum(1 << m for m in {self.mask(s) for s in sets})
 
     def subsets(self) -> Iterator[AtomSet]:
         """All subsets in mask-counting order (first atom is the low bit)."""
@@ -416,8 +426,8 @@ def aprec_leq(a: NdPair, b: NdPair) -> bool:
 
 
 class PrecisionCode(NamedTuple):
-    """An `NdPair` over n atoms as two ints of 2^(n+1) bits: bit m stands for
-    the set with mask m in the lower set, bit 2^n + m for it in the upper set.
+    """An operator value over n atoms as two ints of 2^(n+1) bits: bit m
+    stands for the set with mask m in its lower row, bit 2^n + m in its upper.
     `members` marks the members; `allowed` marks the sets Smyth-above the
     lower set and those Hoare-below the upper set. So `aprec_leq(a, b)` holds
     iff `not code(b).members & ~code(a).allowed`."""
@@ -429,47 +439,70 @@ class PrecisionCode(NamedTuple):
 @cache
 def _closure_steps(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per atom i: its bit, and the sets without atom i as a row (bit m for
-    mask m) and as the upper half of a `PrecisionCode`."""
-    steps = []
+    mask m: 2^i ones and 2^i zeros, repeated by shift-or doubling) and as
+    the upper half of a `PrecisionCode`."""
+    size, steps = 1 << n, []
     for i in range(n):
         bit = 1 << i
-        without = sum(1 << m for m in range(1 << n) if not m & bit)
-        steps.append((bit, without, without << (1 << n)))
+        without, period = (1 << bit) - 1, 2 * bit
+        while period < size:
+            without, period = without | without << period, 2 * period
+        steps.append((bit, without, without << size))
     return tuple(steps)
 
 
+def up_closure(n: int, row: int) -> int:
+    """The sets above some marked set of a row over the 2^n sets of n atoms,
+    one shift per atom (the OR form of the zeta transform of `DigitPlanes`).
+    Bit x of the closure of a lower row is the Smyth test against {x}, and
+    two rows have the same minimal sets iff they have the same closure."""
+    for bit, without, _ in _closure_steps(n):
+        row |= (row & without) << bit
+    return row
+
+
 def minimal_bits(n: int, row: int) -> list[int]:
-    """The minimal sets of a row over the 2^n sets of n atoms (bit m for the
-    set with mask m), as masks in increasing order: the marked m with no
-    marked proper submask. As in `DigitPlanes.minimal_x`, one shift per atom
-    marks the up-closure `closed`, and m has a marked proper submask iff some
-    atom a of m has m - a in it."""
-    closed, steps = row, _closure_steps(n)
-    for bit, without, _ in steps:
-        closed |= (closed & without) << bit
-    for bit, without, _ in steps:
+    """The minimal sets of a row over the 2^n sets of n atoms, as masks in
+    increasing order: the marked m with no marked proper submask. As in
+    `DigitPlanes.minimal_x`, m has a marked proper submask iff some atom a
+    of m has m - a in the row's `up_closure`."""
+    closed = up_closure(n, row)
+    for bit, without, _ in _closure_steps(n):
         row &= ~((closed & without) << bit)
-    found = []
-    while row:
-        found.append((row & -row).bit_length() - 1)
-        row &= row - 1
-    return found
+    return bit_indices(row)
 
 
-def precision_code(u: AtomUniverse, value: NdPair) -> PrecisionCode:
-    """The precision code of an operator value. The lower set's up-closure and
-    the upper set's down-closure are the OR form of the subset zeta transform
-    (`DigitPlanes`): one shift-and-or pass per atom."""
-    size = 1 << len(u)
-    mask = u.mask
-    members = 0
-    for s in value.lower_set:
-        members |= 1 << mask(s)
-    for s in value.upper_set:
-        members |= 1 << (size + mask(s))
-    allowed = members
-    for bit, lower, upper in _closure_steps(len(u)):
-        allowed |= ((allowed & lower) << bit) | ((allowed >> bit) & upper)
+def hitting_row(n: int, heads: Iterable[int]) -> int:
+    """The hitting sets of a family of head masks over n atoms as a row over
+    the 2^n sets: the subsets of the heads' union (the AND of the `without`
+    rows of the atoms outside it) that miss no head h (the AND of the
+    `without` rows of h's atoms). The empty family gives {∅}; an empty head
+    is refused."""
+    steps = _closure_steps(n)
+    row = full = (1 << (1 << n)) - 1
+    union = 0
+    for h in heads:
+        if not h:
+            raise AftlabError("empty head set has no hitting sets")
+        missing = full
+        for bit, without, _ in steps:
+            if h & bit:
+                missing &= without
+        row &= ~missing
+        union |= h
+    for bit, without, _ in steps:
+        if not union & bit:
+            row &= without
+    return row
+
+
+def precision_code(n: int, lower: int, upper: int) -> PrecisionCode:
+    """The precision code of an operator value given by its lower and upper
+    rows. The lower set's up-closure and the upper set's down-closure take
+    one shift-and-or pass per atom."""
+    members = allowed = lower | upper << (1 << n)
+    for bit, lower_half, upper_half in _closure_steps(n):
+        allowed |= ((allowed & lower_half) << bit) | ((allowed >> bit) & upper_half)
     return PrecisionCode(members, allowed)
 
 

@@ -5,16 +5,17 @@ Each law reports the number of checked cases and, on violation, a failure
 message with the smallest failing program appended as a reproducer (programs
 are visited in increasing size order).
 
-Every law takes the program and its `OperatorTable`, which `run_laws` builds
-once per program and hands each law. With no `apply_fn`, the table reads the
-reference operators, each kind from one `operators.values` call on the
-first read; it holds the kind's domain alone, so a read outside it is a
-`KeyError`, not a refusal. A given `apply_fn`, a mutant say, is asked pair
-by pair, once per (kind, pair). Either way the table reads no plane and no
-row of the sweeps the laws referee. A pair is named by its number in the table,
-the key x << n | y that the semantics' key readers return too, so the
-semantics laws compare sorted key lists; an `ApproxPair` is built only for a
-failure message.
+Every law takes the program and its `OperatorTable`, which `run_laws`
+builds once per program and hands each law. With no `apply_fn`, the table
+reads the reference operators, each kind from one `operators.values` call
+on the first read; it holds the kind's domain alone, so a read outside it
+is a `KeyError`, not a refusal. A given `apply_fn`, a mutant say, is asked
+pair by pair, once per (kind, pair), and its value encoded. Either way a
+value is two rows of one bit per set, the laws test and compare bits, and
+the table reads no plane and no row of the sweeps the laws referee. A pair
+is named by its number in the table, the key x << n | y that the
+semantics' key readers return too, so the semantics laws compare sorted
+key lists; an `ApproxPair` is built only for a failure message.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 from . import corpus, four, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
 from .lattice import (
-    AftlabError, ApproxPair, Lazy, NdSet, bit_indices, key_columns, masks_above_i, minimal_bits, precision_code,
-    smyth_leq, submasks,
+    AftlabError, ApproxPair, Lazy, bit_indices, key_columns, masks_above_i, minimal_bits, precision_code, submasks,
+    up_closure,
 )
 from .operators import OperatorKind
 from .program import Program
@@ -53,13 +54,14 @@ def _ndao_kinds(p: Program) -> list[OperatorKind]:
 
 
 class OperatorTable:
-    """One program's operators by pair number, x << n | y for the masks (x, y):
-    `values[kind]`, the dict of one `ops.values` call, which has the kind's
-    domain alone (a pair outside it is a `KeyError`, not a refusal), or with
-    an `apply_fn`, asked of it at each pair on its first read, and
-    `codes[value]`, the `PrecisionCode` of each distinct value. `sets[m]` is
-    the set with mask m; `consistent` numbers the consistent pairs in order,
-    and `pair(number)` is the pair itself."""
+    """One program's operators by pair number, x << n | y for the masks (x, y),
+    each value as its lower and upper rows over the 2^n sets (bit m for the
+    set with mask m): `values[kind]`, the dict of one `ops.values` call,
+    which has the kind's domain alone (a pair outside it is a `KeyError`,
+    not a refusal), or with an `apply_fn`, asked of it at each pair on its
+    first read and encoded, and `codes[value]`, the `PrecisionCode` of each
+    distinct value. `sets[m]` is the set with mask m; `consistent` numbers
+    the consistent pairs in order, and `pair(number)` is the pair itself."""
 
     def __init__(self, p: Program, apply_fn: ApplyFn | None = None):
         u, n = p.universe, len(p.universe)
@@ -67,9 +69,10 @@ class OperatorTable:
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
         self.consistent = bit_indices(key_columns(n)[2])
         # The fills read locals, not the table, so a table is freed without a cycle collection.
-        per_pair = lambda kind: Lazy(lambda k: apply_fn(kind, p, ApproxPair(sets[k >> n], sets[k & low])))
+        rows = lambda value: (u.row(value.lower_set), u.row(value.upper_set))
+        per_pair = lambda kind: Lazy(lambda k: rows(apply_fn(kind, p, ApproxPair(sets[k >> n], sets[k & low]))))
         self.values = Lazy(per_pair if apply_fn else lambda kind: ops.values(kind, p))
-        self.codes = Lazy(lambda value: precision_code(u, value))
+        self.codes = Lazy(lambda value: precision_code(n, *value))
 
     def pair(self, number: int) -> ApproxPair:
         return ApproxPair(self.sets[number >> self.n], self.sets[number & self.low])
@@ -125,9 +128,8 @@ def _law_exactness(p: Program, t: OperatorTable) -> tuple[int, str | None]:
         values = t.values[kind]
         for m, x in enumerate(t.sets):
             cases += 1
-            value = values[m << t.n | m]
-            expected = ops._hits(compiled, ops._base(p, compiled, m)[0])
-            if value.lower_set != expected or value.upper_set != expected:
+            expected = ops._hits(compiled, p.universe, ops._base(p, compiled, m)[0])
+            if values[m << t.n | m] != (expected, expected):
                 return cases, f"{kind.value} not exact at {render.fmt_set(p.universe, x)}"
     return cases, None
 
@@ -164,7 +166,7 @@ def _law_symmetry(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     for xm, x in enumerate(t.sets):
         for ym, y in enumerate(t.sets):
             cases += 1
-            if ic[xm << n | ym].lower_set != ic[ym << n | xm].upper_set:
+            if ic[xm << n | ym][0] != ic[ym << n | xm][1]:
                 return cases, (
                     f"lower at ({render.fmt_set(u, x)}, {render.fmt_set(u, y)}) "
                     f"differs from upper at the swapped pair"
@@ -180,7 +182,7 @@ def _law_upwards_coherence(p: Program, t: OperatorTable) -> tuple[int, str | Non
         for k in t.consistent:
             cases += 1
             value = values[k]
-            if not value.lower_set or not value.upper_set:
+            if value[0] == 0 or value[1] == 0:
                 return cases, f"{kind.value} returned an empty candidate set at {render.fmt_pair(u, t.pair(k))}"
             c = t.codes[value]
             # smyth_leq(lower set, upper set): every upper member is Smyth-above the lower set.
@@ -284,13 +286,9 @@ def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None
         # On atomic heads each set of `dmt` is the one set of its heads' atoms.
         if dmt[k] != det[k]:
             return cases, f"head-level interval operator does not collapse at {render.fmt_pair(p.universe, t.pair(k))}"
-    n, sets, masks = t.n, t.sets, range(1 << t.n)
-
-    def minimal(members: Iterable[int]) -> frozenset[int]:
-        return frozenset(minimal_bits(n, sum([1 << m for m in members])))
-
-    lower = [minimal(x for x in submasks(y) if sets[x] in det[x << n | y].lower_set) for y in masks]
-    upper = [minimal(y for y in masks if not x & ~y and sets[y] in det[x << n | y].upper_set) for x in masks]
+    n, masks = t.n, range(1 << t.n)
+    lower = [frozenset(minimal_bits(n, sum([det[x << n | y][0] & 1 << x for x in submasks(y)]))) for y in masks]
+    upper = [frozenset(minimal_bits(n, sum([det[x << n | y][1] & 1 << y for y in masks if not x & ~y]))) for x in masks]
     stable = [k for k in t.consistent if k >> n in lower[k & t.low] and k & t.low in upper[k >> n]]
     cases = len(t.consistent) + 1
     if stable != sem._stable_keys(ops.DMT_DET, p):
@@ -300,33 +298,28 @@ def _law_dmt_det_collapse(p: Program, t: OperatorTable) -> tuple[int, str | None
 
 def _law_prefixpoint_minimal(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     """At each upper bound y, the minimal x with x a member of the lower set
-    at (x, y) are the minimal x with the lower set Smyth-below {x}. Operator
-    values share their lower sets (`operators._hits`), so both tests are
-    made once per distinct (lower set, x), for every kind and y at once. The
-    x passing each test at y are collected as a row, bit m for the set with
-    mask m, and the minimal ones read off it (`lattice.minimal_bits`)."""
-    n, sets, cases = t.n, t.sets, 0
-
-    def member_and_pre(key: tuple[NdSet, int]) -> tuple[bool, bool]:
-        lower_set, x = key[0], sets[key[1]]
-        return x in lower_set, smyth_leq(lower_set, frozenset((x,)))
-
-    tests = Lazy(member_and_pre)
+    at (x, y) are the minimal x with the lower set Smyth-below {x}. The x
+    passing each test at y are collected as a row, bit m for the set with
+    mask m: x is a member iff bit x of the lower row is set, and the lower
+    set is Smyth-below {x} iff bit x of the row's up-closure is set
+    (`lattice.up_closure`), taken once per distinct row, for every kind and
+    y at once, since operator values share their rows. Two rows have the same
+    minimal sets iff they have the same up-closure."""
+    n, cases = t.n, 0
+    closed = Lazy(lambda row: up_closure(n, row))
     for kind in _ndao_kinds(p):
         values = t.values[kind]
-        for ym, y in enumerate(sets):
+        for ym in range(1 << n):
             cases += 1
             fixed = pre = 0
             for xm in submasks(ym) if ops.consistent_only(kind) else range(1 << n):
-                is_fixed, is_pre = tests[values[xm << n | ym].lower_set, xm]
-                if is_fixed:
-                    fixed |= 1 << xm
-                if is_pre:
-                    pre |= 1 << xm
-            if fixed != pre and minimal_bits(n, fixed) != minimal_bits(n, pre):
+                row = values[xm << n | ym][0]
+                fixed |= row & 1 << xm
+                pre |= closed[row] & 1 << xm
+            if fixed != pre and up_closure(n, fixed) != up_closure(n, pre):
                 return cases, (
                     f"{kind.value}: minimal fixpoints and minimal pre-fixpoints differ "
-                    f"at upper bound {render.fmt_set(p.universe, y)}"
+                    f"at upper bound {render.fmt_set(p.universe, t.sets[ym])}"
                 )
     return cases, None
 

@@ -18,10 +18,12 @@ it, ANDed at each pair (`_four_folds`), the others by folding the base
 entries up the gap of each pair. Each of those others is defined once, by
 its leaf and fold in one table (`_FOLDS`) that both read. A head family
 is an int over the program's distinct heads, and each fold becomes a value
-in one step that both share (`_from_fold`). The hitting sets of each head
-family are built once per program and kept there too (`_hits`). The sweeps
-read the operators from tables instead, built on the program's masks and
-kept on its compiled form.
+in one step that both share (`_from_fold`): a lower and an upper row over
+the 2^n sets, bit m for the set with mask m. The hitting-set row of each
+head family is built once per program and kept there too (`_hits`); only
+`apply` and the functions that read it decode rows to sets. The sweeps read
+the operators from tables instead, built on the program's masks and kept
+on its compiled form.
 Every rule body is read once as two bit planes over the consistent pairs,
 the pairs where its value has the lower bit and those where it has the
 upper bit, and each operator's `PairPlanes` are built from them
@@ -53,6 +55,7 @@ from .lattice import (
     NdSet,
     _closure_steps,
     digit_planes,
+    hitting_row,
     minimal_bits,
     submasks,
 )
@@ -121,44 +124,31 @@ def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
-    """All subsets of the union of `heads` meeting every member.
-
-    The empty family yields {{}} (the single vacuous hitting set); sets are
-    not restricted to minimal ones. Candidates are the submasks of the union,
-    with atom k of the union as bit k; only members become frozensets.
-    """
-    heads = frozenset(heads)
-    if frozenset() in heads:
-        raise AftlabError("empty head set has no hitting sets")
-    bit = {a: 1 << k for k, a in enumerate(frozenset().union(*heads))}
-    masks = [sum([bit[a] for a in delta]) for delta in heads]
-    out = []
-    for m in range(1 << len(bit)):
-        for h in masks:
-            if not m & h:
-                break
-        else:
-            out.append(frozenset([a for a, b in bit.items() if m & b]))
-    return frozenset(out)
+    """All subsets of the union of `heads` meeting every member, not only
+    the minimal ones; the empty family yields {{}}. The row of
+    `lattice.hitting_row` over the union's atoms, decoded."""
+    u = AtomUniverse.of(frozenset().union(*heads))
+    return u.family(hitting_row(len(u), frozenset([u.mask(h) for h in heads])))
 
 
-def _hits(compiled: prog.Compiled, heads: int) -> NdSet:
-    """`hitting_sets` of the head family with int `heads`, built on the
-    first ask for the family and then kept on the program's compiled form:
-    an operator's value depends on the pair only through its head family,
-    and a program has few of them."""
+def _hits(compiled: prog.Compiled, u: AtomUniverse, heads: int) -> int:
+    """The hitting sets of the head family with int `heads` as a row over
+    the sets of u (`lattice.hitting_row`, on the masks of its heads), built
+    on the first ask for the family and then kept on the program's compiled
+    form: an operator's value depends on the pair only through its head
+    family, and a program has few of them."""
     kept = compiled.families
     found = kept.get(heads)
     if found is None:
-        found = kept[heads] = hitting_sets(_heads(compiled, heads))
+        found = kept[heads] = hitting_row(len(u), frozenset([u.mask(h) for h in _heads(compiled, heads)]))
     return found
 
 
 @cache
 def ic(p: Program, x: AtomSet) -> NdSet:
     """Immediate consequences of x: hitting sets of the activated heads."""
-    compiled = p.compile()
-    return _hits(compiled, _base(p, compiled, p.universe.mask(x))[0])
+    compiled, u = p.compile(), p.universe
+    return u.family(_hits(compiled, u, _base(p, compiled, u.mask(x))[0]))
 
 
 def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
@@ -220,8 +210,8 @@ def _meet_join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 #   everywhere and somewhere in [x, y], then the hitting sets of each;
 # - `dmt-det`: the AND and the OR of the atom masks, the atoms derived
 #   everywhere and somewhere in [x, y], as one-set families (atomic heads);
-# - `ultimate`: the union of `ic(z)` over [x, y], the hitting sets of each
-#   distinct head int, on both sides;
+# - `ultimate`: the union of `ic(z)` over [x, y], the OR of the hitting-set
+#   rows of each distinct head int, on both sides;
 # - `gz`: `ic(x)` at a total pair, by `dmt`'s path; None elsewhere, for
 #   ({∅}, {A}), which reads no entry, so `apply` reads none there.
 _FOLDS = {
@@ -241,21 +231,22 @@ def _folding(kind: OperatorKind) -> tuple[Callable, Callable]:
     return found
 
 
-def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fold) -> NdPair:
-    """An operator's value at a pair from what it reads there, the one step
-    from a fold to a value that `apply` and `values` share: the hitting sets
-    of two head ints, those of `_four_heads` for `ic` and `ic-triv` and the
-    `_FOLDS` fold for `dmt` and for `gz` at a total pair; for `ultimate`
-    the union of the hitting sets of each head int of the frozenset `fold`,
-    on both sides; for `dmt-det` one set per side; ({∅}, {A}) for None."""
-    if fold is None or kind is DMT_DET:
-        lower, upper = (0, (1 << len(u)) - 1) if fold is None else fold
-        return NdPair(frozenset((u.unmask(lower),)), frozenset((u.unmask(upper),)))
+def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fold) -> tuple[int, int]:
+    """An operator's value at a pair from what it reads there, as its lower
+    and upper rows: the one step from a fold to a value that `apply` and
+    `values` share. The rows of two head ints (`_hits`), those of
+    `_four_heads` for `ic` and `ic-triv` and the `_FOLDS` fold for `dmt` and
+    for `gz` at a total pair; for `ultimate` the OR of the rows of each head
+    int of the frozenset `fold`, on both sides; for `dmt-det` one set per
+    side; ({∅}, {A}) for None."""
+    if fold is None:
+        return 1, 1 << (1 << len(u)) - 1
+    if kind is DMT_DET:
+        return 1 << fold[0], 1 << fold[1]
     if kind is ULTIMATE:
-        hits = [_hits(compiled, h) for h in fold]
-        gathered = hits[0] if len(hits) == 1 else frozenset().union(*hits)
-        return NdPair(gathered, gathered)
-    return NdPair(_hits(compiled, fold[0]), _hits(compiled, fold[1]))
+        gathered = reduce(or_, [_hits(compiled, u, h) for h in fold])
+        return gathered, gathered
+    return _hits(compiled, u, fold[0]), _hits(compiled, u, fold[1])
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
@@ -276,8 +267,8 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     `_four_heads`, the others by walking the sets z of [x, y] as the
     submasks of y - x over the base entry of each, building no set per z,
     and folding their leaves (`_FOLDS`); `gz` reads no entry off the total
-    pairs. `_from_fold` turns the fold into the value. `values` reads the
-    operator at every pair at once."""
+    pairs. `_from_fold` turns the fold into the value's rows, decoded here.
+    `values` reads the operator at every pair at once."""
     compiled = p.compile()
     check_kind_applicable(kind, compiled)
     if consistent_only(kind) and not i.lower <= i.upper:
@@ -292,7 +283,8 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
         leaf, join = _folding(kind)
         # Each distinct entry once: every join called here is idempotent (gz calls none).
         fold = reduce(join, [leaf(*e) for e in {_base(p, compiled, xm | s) for s in submasks(ym & ~xm)}])
-    return _from_fold(kind, compiled, u, fold)
+    lower, upper = _from_fold(kind, compiled, u, fold)
+    return NdPair(u.family(lower), u.family(upper))
 
 
 @cache
@@ -377,23 +369,24 @@ def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int
     return folds
 
 
-def values(kind: OperatorKind, p: Program) -> dict[int, NdPair]:
+def values(kind: OperatorKind, p: Program) -> dict[int, tuple[int, int]]:
     """The operator at every pair of its domain, keyed by pair number
-    x << n | y for the masks (x, y), in one pass, equal to `apply` there and
-    refusing a program outside the operator's class or an unknown kind as it
-    does. The four-valued operators cover the 4^n pairs, their rules read as
-    ints per set (`_four_folds`); the others the 3^n consistent pairs, whose
-    leaves (`_FOLDS`) are folded up the gap (`_fold`). Each distinct fold
-    becomes one value (`_from_fold`), shared by the pairs that have it."""
+    x << n | y for the masks (x, y), in one pass, as its lower and upper
+    rows over the 2^n sets: `apply` there, before the decode, refusing a
+    program outside the operator's class or an unknown kind as it does. The
+    four-valued operators cover the 4^n pairs, their rules read as ints per
+    set (`_four_folds`); the others the 3^n consistent pairs, whose leaves
+    (`_FOLDS`) are folded up the gap (`_fold`). Each distinct fold becomes
+    one value (`_from_fold`), shared by the pairs that have it."""
     compiled = p.compile()
     check_kind_applicable(kind, compiled)
-    u, n = p.universe, len(p.universe)
+    n = len(p.universe)
     if kind in FOUR_VALUED:
         folds = _four_folds(p, compiled)
     else:
         leaf, join = _folding(kind)
         folds = _fold(n, [leaf(*_base(p, compiled, z)) for z in range(1 << n)], join)
-    made = Lazy(lambda fold: _from_fold(kind, compiled, u, fold))
+    made = Lazy(lambda fold: _from_fold(kind, compiled, p.universe, fold))
     return {number: made[fold] for number, fold in folds.items()}
 
 

@@ -298,7 +298,7 @@ class Compiled:
     `operators.PairPlanes` a sweep has asked for, one per distinct set of
     planes (`operators.pair_planes`), and `stable_rows` the complete stable
     values of `ic` and `ic-triv`, one row per key (`operators.stable_rows`).
-    The reference operators keep `families`, the hitting sets of each head
+    The reference operators keep `families`, the hitting-set row of each head
     family they have built, by its int (`operators._hits`), and `base`, the
     base entry of each set they have read, by its mask: the int of the heads
     of the rules whose bodies hold there and the mask of their atoms

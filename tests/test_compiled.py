@@ -266,9 +266,9 @@ def test_the_four_valued_lower_set_at_a_pair_is_the_upper_set_at_the_swapped_pai
     the parser and `make_program` refuse them."""
     for p in programs():
         values, n = ops.values(ops.IC_TRIV, p), len(p.universe)
-        for number, value in values.items():
+        for number, (lower, _) in values.items():
             swapped = values[(number & (1 << n) - 1) << n | number >> n]
-            assert value.lower_set == swapped.upper_set, (p.text, number)
+            assert lower == swapped[1], (p.text, number)
 
 
 # Every memoized operator. Programs equal in value share their entries, so
@@ -286,15 +286,17 @@ def clear_memos() -> None:
 
 
 def _count_hitting_sets(monkeypatch) -> list:
+    """Record each hitting-set family built, as the arguments of the one
+    builder, `hitting_row`: the number of atoms and the head masks."""
     clear_memos()
     calls = []
-    hitting_sets = ops.hitting_sets
+    hitting_row = ops.hitting_row
 
-    def counting(heads):
-        calls.append(heads)
-        return hitting_sets(heads)
+    def counting(n, heads):
+        calls.append((n, heads))
+        return hitting_row(n, heads)
 
-    monkeypatch.setattr(ops, "hitting_sets", counting)
+    monkeypatch.setattr(ops, "hitting_row", counting)
     return calls
 
 

@@ -122,8 +122,8 @@ def test_the_four_valued_stable_values_read_one_and_two_bit_rows():
 
 
 def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
-    calls = {"interval": 0, "hitting_sets": 0, "apply": 0}
-    interval, hitting_sets, apply = AtomUniverse.interval, ops.hitting_sets, ops.apply
+    calls = {"interval": 0, "hitting_row": 0, "apply": 0}
+    interval, hitting_row, apply = AtomUniverse.interval, ops.hitting_row, ops.apply
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -133,7 +133,7 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(AtomUniverse, "interval", counting("interval", interval))
-    monkeypatch.setattr(ops, "hitting_sets", counting("hitting_sets", hitting_sets))
+    monkeypatch.setattr(ops, "hitting_row", counting("hitting_row", hitting_row))
     monkeypatch.setattr(ops, "apply", counting("apply", apply))
     for p, kind in cases():
         for name in ("fixpoints", "stable", "ht", "seq", "seq-approx"):
@@ -143,7 +143,7 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     for p in ref.PROGRAMS:
         if p.compile().classification.plain:
             sem.run_semantics("three-valued-stable", p)
-    assert calls == {"interval": 0, "hitting_sets": 0, "apply": 0}
+    assert calls == {"interval": 0, "hitting_row": 0, "apply": 0}
     # A fresh parse: the other tests of this module have filled the base
     # entries and the family store of ref.PROGRAMS[-1] (`Compiled.base`,
     # `Compiled.families`). A direct `dmt_ndao` at (∅, A) reads `apply`
@@ -156,7 +156,7 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     monkeypatch.setattr(ops, "_base", lambda p, compiled, xm: filled.append(xm) or base(p, compiled, xm))
     ops.dmt_ndao(fresh, ApproxPair(frozenset(), fresh.universe.full()))
     assert sorted(filled) == sorted(fresh.compile().base) == list(range(1 << len(fresh.universe)))
-    assert calls == {"interval": 0, "hitting_sets": 2, "apply": 1}
+    assert calls == {"interval": 0, "hitting_row": 2, "apply": 1}
 
 
 def row_key(p, fixed):

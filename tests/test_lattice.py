@@ -7,6 +7,7 @@ import pytest
 import reference as ref
 from aftlab import render
 from aftlab.lattice import (
+    AftlabError,
     ApproxPair,
     AtomUniverse,
     CapExceededError,
@@ -18,15 +19,19 @@ from aftlab.lattice import (
     difference,
     digit_planes,
     gap,
+    hitting_row,
     hoare_leq,
     key_columns,
     leq_i,
     leq_t,
     masks_above_i,
+    minimal_bits,
     precision_code,
     smyth_leq,
+    up_closure,
 )
 from aftlab.program import parse
+from aftlab.semantics import minimal_sets
 from conftest import atoms, pair
 
 
@@ -235,7 +240,7 @@ def test_precision_code_decides_aprec_leq(n):
     size = 1 << n
     fams = list(families(u, random.Random(n), 12))
     values = [NdPair(a, b) for a in fams for b in fams]
-    codes = [precision_code(u, v) for v in values]
+    codes = [precision_code(n, u.row(v.lower_set), u.row(v.upper_set)) for v in values]
     for v, c in zip(values, codes):
         for m, s in enumerate(u.subsets()):
             assert (c.members >> m & 1, c.members >> (size + m) & 1) == (s in v.lower_set, s in v.upper_set)
@@ -245,6 +250,52 @@ def test_precision_code_decides_aprec_leq(n):
     for a, ca in zip(values, codes):
         for b, cb in zip(values, codes):
             assert aprec_leq(a, b) == (not cb.members & ~ca.allowed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_hitting_rows_give_the_hitting_sets_of_every_head_family(n):
+    """Every family of non-empty heads over n atoms: the row decodes to the
+    subsets of the heads' union meeting every head, and encodes back."""
+    u = AtomUniverse.of("pqr"[:n])
+    heads = range(1, 1 << n)
+    for family in range(1 << len(heads)):
+        chosen = [h for k, h in enumerate(heads) if family >> k & 1]
+        row = hitting_row(n, chosen)
+        expected = ref.hitting_sets(frozenset(u.unmask(h) for h in chosen))
+        assert u.family(row) == expected and u.row(expected) == row, chosen
+    with pytest.raises(AftlabError, match="empty head set has no hitting sets"):
+        hitting_row(n, [0])
+
+
+def closure_rows(n):
+    """Every row at n <= 3; at n = 4 seeded rows, each with a second row
+    that adds some sets of its up-closure, so that the two share it."""
+    if n <= 3:
+        return list(range(1 << (1 << n)))
+    rng, rows = random.Random(n), []
+    for _ in range(150):
+        row = rng.getrandbits(1 << n) & rng.getrandbits(1 << n)
+        rows += [row, row | up_closure(n, row) & rng.getrandbits(1 << n)]
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_up_closures_give_the_smyth_test_and_decide_equal_minimal_sets(n):
+    """Bit x of a row's up-closure is the Smyth test of its sets against
+    {x}; `minimal_bits` gives the minimal sets; and over every pair of rows,
+    two rows have the same minimal sets iff they have the same up-closure."""
+    u = AtomUniverse.of("pqrs"[:n])
+    rows = closure_rows(n)
+    minimal, closed = [], []
+    for row in rows:
+        sets = u.family(row)
+        minimal.append(minimal_sets(sets))
+        closed.append(up_closure(n, row))
+        assert [u.unmask(m) for m in minimal_bits(n, row)] == sorted(minimal[-1], key=u.mask)
+        assert [closed[-1] >> x & 1 for x in range(1 << n)] == [smyth_leq(sets, {x}) for x in u.subsets()]
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        assert (minimal[a] == minimal[b]) == (closed[a] == closed[b]), (rows[a], rows[b])
+    assert n < 4 or sum(rows[k] != rows[k + 1] for k in range(0, len(rows), 2)) >= 50
 
 
 def test_unmask_keeps_one_set_per_mask():

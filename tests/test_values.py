@@ -10,7 +10,7 @@ import pytest
 
 import reference as ref
 from aftlab import corpus, laws, operators as ops
-from aftlab.lattice import AftlabError
+from aftlab.lattice import AftlabError, NdPair, aprec_leq, precision_code, smyth_leq
 from aftlab.operators import OperatorKind
 from aftlab.program import parse
 
@@ -49,15 +49,60 @@ def test_the_programs_cover_every_class_and_size():
     assert any(not c.atomic_heads for c in classes) and any(c.atomic_heads and c.has_aggregates for c in classes)
 
 
+def decoded_values(kind, p):
+    """`ops.values` with each value's two rows decoded to an `NdPair`."""
+    u = p.universe
+    return {number: NdPair(u.family(lower), u.family(upper)) for number, (lower, upper) in ops.values(kind, p).items()}
+
+
 @pytest.mark.parametrize("kind", OperatorKind)
 def test_values_equal_apply_at_every_pair(kind):
     refused = 0
     for p in programs():
-        found = refusal(ops.values, kind, p)
+        found = refusal(decoded_values, kind, p)
         assert found == refusal(apply_at_every_pair, kind, p), (kind, p.text)
         refused += not isinstance(found, dict)
     # `ic` refuses the aggregate programs and `dmt-det` the disjunctive ones.
     assert bool(refused) == (kind in (OperatorKind.IC, OperatorKind.DMT_DET))
+
+
+def test_every_family_the_values_build_is_the_hitting_sets_of_its_heads():
+    """Each kind read on each program of the referee, every row kept in the
+    family store decodes to `reference.hitting_sets` of its head family."""
+    checked = 0
+    for p in ref.PROGRAMS:
+        compiled = p.compile()
+        for kind in OperatorKind:
+            refusal(ops.values, kind, p)
+        for heads, row in compiled.families.items():
+            checked += 1
+            assert p.universe.family(row) == ref.hitting_sets(ops._heads(compiled, heads)), (p.text, heads)
+    # 150 families, measured.
+    assert checked >= 150
+
+
+def test_precision_codes_of_the_values_decide_the_frozenset_orders():
+    """Over every pair of distinct values of each kind on the referee's
+    programs, the `PrecisionCode` test is `aprec_leq` on the decoded values,
+    and for each value the test `upwards-coherence` makes on its code is
+    `smyth_leq` of its lower set and its upper set."""
+    pairs = 0
+    for p in ref.PROGRAMS:
+        u, n = p.universe, len(p.universe)
+        for kind in OperatorKind:
+            found = refusal(ops.values, kind, p)
+            if not isinstance(found, dict):
+                continue
+            distinct = list(dict.fromkeys(found.values()))
+            codes = [precision_code(n, *value) for value in distinct]
+            decoded = [NdPair(u.family(lower), u.family(upper)) for lower, upper in distinct]
+            for a, code_a, value_a in zip(distinct, codes, decoded):
+                coherent = not code_a.members >> (1 << n) & ~code_a.allowed
+                assert coherent == smyth_leq(value_a.lower_set, value_a.upper_set), (p.text, kind, a)
+                for b, code_b, value_b in zip(distinct, codes, decoded):
+                    pairs += a != b
+                    assert (not code_b.members & ~code_a.allowed) == aprec_leq(value_a, value_b), (p.text, kind, a, b)
+    assert pairs >= 9000, pairs
 
 
 def test_the_laws_read_through_values_equal_those_read_through_apply():
