@@ -221,13 +221,13 @@ def help_text(command: str | None = None) -> str:
 
 def _load_program(path: str, max_atoms: int | None) -> Program:
     """Parse and compile the program; compiling refuses a universe above the
-    atom cap."""
+    atom cap. Its bytes are decoded as UTF-8, with CR LF and CR read as LF."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read program file: {exc}") from exc
-    p = prog.parse(text)
+    p = prog.parse(text.replace("\r\n", "\n").replace("\r", "\n"))
     p.compile(max_atoms)
     return p
 

@@ -11,16 +11,19 @@ minimal planes of `ic-triv`, AND bit planes, one bit per consistent pair,
 built from the two planes of each rule body and kept per program and distinct
 set of planes (`operators.pair_planes`). The set bits are read as sorted pair
 keys x << n | y (`lattice.DigitPlanes.keys`), which the laws compare and only
-the public sweeps decode (`_pairs`). Only the complete stable values of the
-four-valued operators, which range over the inconsistent pairs too, read
-otherwise: rows of one bit per set, the same body readings with x fixed, one
-row per set giving the lower and the upper value alike, kept per program and
-key (`operators.stable_rows`). The planes and rows refuse a program outside
-the operator's class, so the sweeps check nothing of their own.
+the public sweeps decode (`_pairs`). The complete stable values of the
+four-valued operators, which range over the inconsistent pairs too, read rows
+of one bit per set instead: the same body readings with x fixed, one row per
+set giving the lower and the upper value alike, kept per program and key
+(`operators.stable_rows`). So do GZ answer sets, of no operator: one model row
+per program, one reduct row per model. The planes and rows refuse a program
+outside the operator's class, so their sweeps check nothing of their own.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from . import operators as ops, program as prog
@@ -30,6 +33,7 @@ from .lattice import (
     AtomSet,
     InconsistentPairError,
     NdSet,
+    _closure_steps,
     bit_indices,
     gap,
     key_columns,
@@ -330,44 +334,40 @@ def three_valued_stable(p: Program) -> list[ApproxPair]:
     return _pairs(p, _minimal_keys(ops.pair_planes(ops.IC_TRIV, p)))
 
 
-def _is_minimal_model(rules: list[tuple[int, int]], xm: int) -> bool:
-    """Whether xm is a model of the positive rules, given as (body, head)
-    mask pairs, and no proper submask of xm is."""
-
-    def model(s: int) -> bool:
-        return all(body & ~s or head & s for body, head in rules)
-
-    return model(xm) and not any(model(s) for s in submasks(xm) if s != xm)
-
-
 def gz_answer_sets(p: Program) -> list[AtomSet]:
     """Sets x whose total pair is an answer set of the GZ reduct at x; these
     are the total stable fixpoints of the `ic-triv` operator.
 
-    The reduct at x (`program.gz_reduct`) is read as (body, head) mask pairs:
-    of the rules whose neg misses x and whose aggregates hold at x, the body
-    is pos together with the x-true conditions of the aggregates. (x, x) is a
-    stable model of it iff x is a minimal model of those pairs: at (x, x) the
-    three-valued GL test of a pair (a, b) is the same test on a and on b."""
+    The reduct at x (`program.gz_reduct`) keeps the rules whose neg misses x
+    and whose aggregates hold at x, with pos and the x-true conditions of the
+    aggregates as body; (x, x) is a stable model of it iff x is a minimal
+    model of it, as at (x, x) the GL test of a rule reads one set. All sets
+    are read at once, as rows of one bit per set, by the readers of
+    `operators.member_row`. x is a model of its reduct iff it is a classical
+    model of p, since the conditions added lie within x: the AND over the
+    rules of body row implying head row. At each such x, the rules whose
+    body holds at x are those of the reduct that can fire within x, and x is
+    an answer set iff no proper subset of x satisfies all their clauses."""
     compiled = p.compile()
     if compiled.classification.shape == prog.SHAPE_GENERAL:
         raise ProgramClassError("GZ answer sets need conjunctive rule bodies")
     if compiled.classification.has_negated_aggregates:
         raise ProgramClassError("GZ answer sets do not allow negated aggregate atoms")
     u = p.universe
+    without = [w for _, w, _ in _closure_steps(len(u))]
+    every, full = (1 << len(u)) - 1, (1 << (1 << len(u))) - 1
+    inside, models, rules = [full ^ w for w in without], full, []
+    for r in compiled.rules:
+        body, head = ops._body_planes(u, r, full, inside, inside)[0], ops._meets(r.head_mask, inside)
+        models &= head | ~body
+        rules.append((body, head, ops._within(r.pos, inside, full), [c for a in r.aggs for c, _ in a.entries]))
     out = []
-    for xm in range(1 << len(u)):
-        reduct = []
-        for r in compiled.rules:
-            if r.neg & xm or not all(a.holds(xm) for a in r.aggs):
-                continue
-            body = r.pos
-            for a in r.aggs:
-                for c, _ in a.entries:
-                    if not c & ~xm:
-                        body |= c
-            reduct.append((body, r.head_mask))
-        if _is_minimal_model(reduct, xm):
+    for xm in bit_indices(models):
+        left = ops._within(every & ~xm, without, full)
+        for body, head, pos, conds in rules:
+            if body >> xm & 1:
+                left &= head | ~ops._within(reduce(or_, [c for c in conds if not c & ~xm], 0), inside, pos)
+        if left == 1 << xm:
             out.append(u.unmask(xm))
     return out
 

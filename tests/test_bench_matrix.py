@@ -2,7 +2,8 @@
 semantics table, so that two checkouts are timed on the same cells. A
 semantics or an operator added to the table must still get its row there,
 and each operator its `eval` cell. It compiles the tree it times before the
-first cell, and runs the law suite at each size of its law cells."""
+first cell and leaves no cache there afterwards, and runs the law suite at
+each size of its law cells."""
 
 from __future__ import annotations
 
@@ -59,7 +60,9 @@ def test_each_operator_has_an_eval_cell_at_the_full_pair(tmp_path, monkeypatch):
 
 def test_the_src_tree_is_compiled_before_the_first_cell(tmp_path, monkeypatch):
     """Every cell, the first included, finds a bytecode cache of each module
-    of the `--src` tree, and the output header says that it was compiled."""
+    of the `--src` tree, and the output header says that it was compiled.
+    Once the matrix returns, the tree holds no cache: a run from the same
+    tree afterwards would otherwise start from bytecode."""
     matrix = load_matrix()
     package = tmp_path / "src" / "aftlab"
     package.mkdir(parents=True)
@@ -78,6 +81,7 @@ def test_the_src_tree_is_compiled_before_the_first_cell(tmp_path, monkeypatch):
     assert matrix.main(["--label", "compiled", "--src", str(package.parent)]) == 0
     assert cached and all(names == {"__init__", "cli"} for names in cached)
     assert "compileall" in json.loads((tmp_path / "BENCH_compiled.json").read_text())["bytecode"]
+    assert not list(package.parent.rglob("__pycache__"))
 
 
 def test_the_law_cells_run_the_law_suite_at_each_size(tmp_path, monkeypatch):

@@ -242,6 +242,33 @@ def test_parse_error_exits_2(tmp_path):
     assert "line 1" in err
 
 
+def test_a_program_file_that_is_not_utf8_is_a_usage_error(tmp_path):
+    bad = tmp_path / "bad.lp"
+    bad.write_bytes(b"p :- q.\n\xff\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); from aftlab.cli import main; sys.exit(main(sys.argv[2:]))"
+    argv = ["semantics", "--program", str(bad), "--semantics", "gz-answer-sets"]
+    done = subprocess.run([sys.executable, "-c", probe, str(src), *argv], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("usage error: cannot read program file: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_program_files_read_as_lf(tmp_path, newline):
+    for name in corpus.names():
+        copy = tmp_path / f"{name}.lp"
+        copy.write_bytes(corpus.path(name).read_bytes().replace(b"\n", newline.encode()))
+        for argv in (["--semantics", "gz-answer-sets"], ["--semantics", "stable", "--operator", "dmt"]):
+            lf = run("semantics", "--program", corpus_arg(name), *argv, "--format", "json")
+            assert lf[0] in (0, 2)
+            assert run("semantics", "--program", str(copy), *argv, "--format", "json") == lf
+    broken = tmp_path / "broken.lp"
+    broken.write_bytes("p.\nq :- r,\n  s & .\n".replace("\n", newline).encode())
+    code, _, err = run("semantics", "--program", str(broken), "--semantics", "stable", "--operator", "ic")
+    assert (code, err) == (2, "error: line 2, column 7: expected '.', found ','\n")
+
+
 def test_max_atoms_flag_and_env(monkeypatch, tmp_path):
     wide = tmp_path / "wide.lp"
     wide.write_text("".join(f"a{i} :- .\n" for i in range(5)), encoding="utf-8")

@@ -54,7 +54,9 @@ every cell starts from bytecode caches. When the environment sets
 PYTHONDONTWRITEBYTECODE, a tree without them compiles each module in each
 cell, about 45 ms a cell on a 2-vCPU x86_64 host; compiled first, two trees
 are timed alike whether or not they held caches before. The output header
-says so.
+says so. Once the last cell has run, or the run has stopped, the caches
+that were not in the tree before are deleted, so that what runs from the
+tree afterwards, such as a benchmark pair, finds it as it was.
 """
 
 from __future__ import annotations
@@ -197,6 +199,20 @@ def compile_tree(src: Path) -> bool:
     return compileall.compile_dir(str(src), quiet=1)
 
 
+def caches(src: Path) -> set[Path]:
+    """The bytecode caches under src."""
+    return set(src.rglob("__pycache__/*.pyc"))
+
+
+def remove_caches(src: Path, kept: set[Path]) -> None:
+    """Delete the caches under src that are not in kept, and each
+    `__pycache__` directory that this leaves empty."""
+    for path in caches(src) - kept:
+        path.unlink()
+        if not any(path.parent.iterdir()):
+            path.parent.rmdir()
+
+
 def measure_cell(src: Path, argv: list[str]) -> tuple[dict, str]:
     """One cell and its output; raises `subprocess.TimeoutExpired`."""
     ref_before = reference_s()
@@ -281,6 +297,15 @@ def main(argv: list[str] | None = None) -> int:
     if not (src / "aftlab" / "__init__.py").is_file():
         print(f"bench_matrix: no aftlab package under {src}", file=sys.stderr)
         return 2
+    kept = caches(src)
+    try:
+        return measure_matrix(args.label, src)
+    finally:
+        remove_caches(src, kept)
+
+
+def measure_matrix(label: str, src: Path) -> int:
+    """Compile src, time every cell and write BENCH_<label>.json."""
     if not compile_tree(src):
         print(f"bench_matrix: a module under {src} does not compile", file=sys.stderr)
         return 2
@@ -314,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     print("law suite", " ".join(LAW_SUITE), law_suite.get("engine_s", "T/O"), law_suite.get("exit", ""), flush=True)
     laws = law_cells(src)
     payload = {
-        "label": args.label,
+        "label": label,
         "host": {"machine": platform.machine(), "python": platform.python_version(), "cpus": os.cpu_count()},
         "programs": "aftlab generate --atoms n --rules n --width 2 --seed n (width 1 for dmt-det); rows of the"
                     f" aggregates series add --aggregate-probability {AGGREGATE_PROBABILITY}, and rows marked"
@@ -333,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "--pair", ";<its atoms>", "--format", "json"], "cells": evals},
         "law_cells": {"argv": law_argv("<n>"), "programs": LAW_PROGRAMS, "cells": laws},
     }
-    out = Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{label}.json")
     out.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

@@ -165,6 +165,44 @@ MUTANTS = {
         "return value",
         "the parser reads an integral number written with '.' or '/' as a `Fraction`, not an `int`",
     ),
+    # GZ answer sets on rows, and the program file reader.
+    "gz-model-row-ignores-the-heads": (
+        "src/aftlab/semantics.py",
+        "models &= head | ~body",
+        "models &= ~body",
+        "`gz_answer_sets` keeps as candidates only the sets at which no body holds, whatever the heads",
+    ),
+    "gz-minimality-row-skips-an-atom": (
+        "src/aftlab/semantics.py",
+        "left = ops._within(every & ~xm, without, full)",
+        "left = ops._within(every & ~xm & ~1, without, full)",
+        "`gz_answer_sets` restricts the reduct's models with no `without` row of atom 0, so they range over"
+        " the subsets of x with atom 0",
+    ),
+    "gz-reduct-body-drops-the-aggregate-conditions": (
+        "src/aftlab/semantics.py",
+        "reduce(or_, [c for c in conds if not c & ~xm], 0)",
+        "0",
+        "`gz_answer_sets` reads a reduct body as pos alone, without the conditions of its aggregates within x",
+    ),
+    "gz-holds-test-read-at-the-wrong-bit": (
+        "src/aftlab/semantics.py",
+        "if body >> xm & 1:",
+        "if body >> (xm | 1) & 1:",
+        "`gz_answer_sets` reads whether a rule is in the reduct at x from its body row at x with atom 0 added",
+    ),
+    "program-file-lone-cr-not-a-newline": (
+        "src/aftlab/cli.py",
+        '.replace("\\r", "\\n"))',
+        ")",
+        "the program file reader leaves a lone carriage return in the text instead of reading it as a newline",
+    ),
+    "program-file-decode-error-escapes": (
+        "src/aftlab/cli.py",
+        "except (OSError, UnicodeDecodeError) as exc:",
+        "except OSError as exc:",
+        "a program file that is not UTF-8 ends in a traceback instead of a usage error",
+    ),
     "tokenizer-carriage-return-not-blank": (
         "src/aftlab/program.py",
         r"[ \t\r]* (?: (?P<newline>",
