@@ -4,7 +4,11 @@ deterministic enumeration of intervals and consistent pairs, also as pairs of
 masks and information-above a pair, bit planes over the consistent pairs (one
 bit per pair), rows over the 2^n sets (one bit per set: an operator value
 is a lower and an upper row, with its hitting sets, closures and precision
-code) and tables over the 4^n pair keys x << n | y (one bit per key).
+code) and tables over the 4^n pair keys x << n | y (one bit per key). The
+three share one kit: columns tiled by shift-or doubling (`_tile`), "holds
+every atom of m" and "has some atom of m" (`_within`, `_meets`), and one
+closure and minimal-set pass over (shift, mask) runs (`_closure`,
+`_minimal`).
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
 ordering (lexicographic) that every enumeration and rendering follows, atom i
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import os
 from functools import cache, cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .record import record
 
@@ -215,6 +219,54 @@ def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
             yield a, a | t
 
 
+def _tile(block: int, period: int, size: int) -> int:
+    """The block, within [0, period), repeated every period bits by shift-or
+    doubling, cut at size bits: the one builder of the columns of rows,
+    planes and key tables."""
+    while period < size:
+        block |= block << period
+        period *= 2
+    return block & (1 << size) - 1
+
+
+def _within(m: int, inside: Sequence[int], full: int) -> int:
+    """The bits of `full` whose set (`inside[i]` marks those holding atom i)
+    holds every atom of the mask m."""
+    while m:
+        full &= inside[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return full
+
+
+def _meets(m: int, inside: Sequence[int]) -> int:
+    """The bits whose set (`inside[i]` marks those holding atom i) has some
+    atom of the mask m."""
+    out = 0
+    while m:
+        out |= inside[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return out
+
+
+def _closure(marks: int, runs: Sequence[tuple[int, int]]) -> int:
+    """The marks closed along each run (shift, mask) in turn: a bit in the
+    mask is marked when the bit `shift` below it is. With one run per atom
+    (a shift by its weight, the mask of the places it may step up from)
+    this is the OR form of the subset zeta transform of `DigitPlanes`."""
+    for shift, mask in runs:
+        marks |= mask & (marks << shift)
+    return marks
+
+
+def _minimal(marks: int, runs: Sequence[tuple[int, int]]) -> int:
+    """The marks with no mark one or more steps down the runs: a mark has
+    one iff one step down some run lands in the `_closure`."""
+    closed = _closure(marks, runs)
+    for shift, mask in runs:
+        marks &= ~(mask & (closed << shift))
+    return marks
+
+
 class DigitPlanes:
     """Bit planes over the 3^n consistent pairs of n atoms (`digit_planes`).
     Pair (x, y) is number k, whose base-3 digit i is 2, 1 or 0 as atom i is
@@ -223,22 +275,24 @@ class DigitPlanes:
     bit-parallel technique of Baeza-Yates and Gonnet ("A new approach to text
     searching", CACM 1992). `d0[i]`, `d1[i]` and `d2[i]` mark the pairs whose
     digit i is 0, 1 and 2, `total` those with x = y and `full` every pair.
-    Only `d1` is kept; `d0` and `d2`, the same runs one run lower and
-    higher, and `total` are built from it when asked, so the instance that
-    `digit_planes` keeps per n holds n planes.
+    Only `d1` is kept, tiled from its run of 3^i ones (`_tile`); `d0` and
+    `d2`, the same runs one run lower and higher, and `total` are built from
+    it when asked, so the instance that `digit_planes` keeps per n holds n
+    planes.
 
     The pair (x, y - a) is number k - 3^a and (x + a, y) is k + 3^a, so a
     shift by 3^a moves every pair's value to its neighbour along atom a. The
     folds and closures below take one such shift per atom: the subset-lattice
     zeta transform (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets
-    Möbius", STOC 2007) run on every pair at once."""
+    Möbius", STOC 2007) run on every pair at once, the closures and minimal
+    sets as `_closure` and `_minimal` over the runs (3^i, mask)."""
 
     __slots__ = ("n", "steps", "d1", "_decode")
 
     def __init__(self, n: int):
         self.n = n
         self.steps = tuple(3**i for i in range(n))
-        self.d1 = tuple(self._repeat(((1 << s) - 1) << s, 3 * s) for s in self.steps)
+        self.d1 = tuple(_tile(((1 << s) - 1) << s, 3 * s, 3**n) for s in self.steps)
         low = n // 2
         self._decode = (3**low, _pair_keys(n, range(low)), _pair_keys(n, range(low, n)))
 
@@ -248,10 +302,7 @@ class DigitPlanes:
 
     @property
     def total(self) -> int:
-        total = self.full
-        for d in self.d1:
-            total &= ~d
-        return total
+        return self.full & ~_meets((1 << self.n) - 1, self.d1)
 
     @property
     def d0(self) -> tuple[int, ...]:
@@ -260,14 +311,6 @@ class DigitPlanes:
     @property
     def d2(self) -> tuple[int, ...]:
         return tuple(d << s for d, s in zip(self.d1, self.steps))
-
-    def _repeat(self, block: int, period: int) -> int:
-        """The block, within [0, period), repeated every period bits by
-        shift-or doubling, cut at 3^n bits."""
-        while period < 3**self.n:
-            block |= block << period
-            period *= 2
-        return block & self.full
 
     def fold(self, plane: int, meet: bool) -> int:
         """The AND (meet) or OR of the plane's total pairs over each interval:
@@ -283,9 +326,7 @@ class DigitPlanes:
 
     def below_y(self, plane: int) -> int:
         """Pair (x, y) marked iff some (x, z) with z in [x, y] is."""
-        for s, d1 in zip(self.steps, self.d1):
-            plane |= d1 & (plane << s)
-        return plane
+        return _closure(plane, tuple(zip(self.steps, self.d1)))
 
     def above_x(self, plane: int) -> int:
         """Pair (x, y) marked iff some (z, y) with z in [x, y] is."""
@@ -295,37 +336,20 @@ class DigitPlanes:
 
     def minimal_x(self, plane: int) -> int:
         """The marked pairs (x, y) with no marked (w, y), w a proper subset of
-        x. `closed` marks (x, y) when some (w, y) with w within x is marked;
-        (x, y) has a marked proper subset iff some atom a of x has (x - a, y)
-        in `closed`."""
-        closed, runs = plane, tuple(zip(self.steps, self.d2))
-        for s, d2 in runs:
-            closed |= d2 & (closed << s)
-        for s, d2 in runs:
-            plane &= ~(d2 & (closed << s))
-        return plane
+        x: the runs step an atom up into x, where digit i is 2."""
+        return _minimal(plane, tuple(zip(self.steps, self.d2)))
 
     def minimal_y(self, plane: int) -> int:
         """The marked pairs (x, y) with no marked (x, z), z a proper subset of
-        y."""
-        closed = self.below_y(plane)
-        for s, d1 in zip(self.steps, self.d1):
-            plane &= ~(d1 & (closed << s))
-        return plane
+        y: the runs step an atom up into y - x, where digit i is 1."""
+        return _minimal(plane, tuple(zip(self.steps, self.d1)))
 
     def minimal_t(self, plane: int) -> int:
         """The marked pairs with no marked pair truth-below them. On consistent
-        pairs ≤_t is the digit-wise order on pair numbers, so `closed`, the
-        up-closure, takes two shifts by 3^i per atom i, each kept where digit
-        i is at least 1, and a pair has a marked pair below it iff one step
-        down some digit lands in `closed`."""
-        closed, runs = plane, tuple(zip(self.steps, self.d1))
-        for s, d1 in runs:
-            for _ in range(2):
-                closed |= (d1 | d1 << s) & (closed << s)
-        for s, d1 in runs:
-            plane &= ~((d1 | d1 << s) & (closed << s))
-        return plane
+        pairs ≤_t is the digit-wise order on pair numbers, so each atom i's
+        run, a shift by 3^i kept where digit i is at least 1, is taken twice,
+        from digit 0 to 1 and from 1 to 2."""
+        return _minimal(plane, tuple((s, d1 | d1 << s) for s, d1 in zip(self.steps, self.d1) for _ in range(2)))
 
     def number(self, xm: int, ym: int) -> int:
         """The number of the pair (x, y): 3^i for each atom i of x, plus 3^i
@@ -368,18 +392,11 @@ def key_columns(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     x << n | y for the masks (x, y): an int of 4^n bits, bit k for key k. Per
     atom i, the X column marks the keys whose x holds i (key bit n + i) and
     the Y column those whose y holds i (key bit i); the column of key bit j
-    is 2^j zeros and 2^j ones, repeated by shift-or doubling. The third table
-    marks the consistent keys, the AND over the atoms of "not in x without
-    y". Built once per n on first use."""
+    is 2^j zeros and 2^j ones, tiled (`_tile`). The third table marks the
+    consistent keys, the AND over the atoms of "not in x without y". Built
+    once per n on first use."""
     size = 1 << 2 * n
-
-    def column(j: int) -> int:
-        block, period = ((1 << (1 << j)) - 1) << (1 << j), 2 << j
-        while period < size:
-            block |= block << period
-            period *= 2
-        return block
-
+    column = lambda j: _tile(((1 << (1 << j)) - 1) << (1 << j), 2 << j, size)
     xs, ys = tuple(column(n + i) for i in range(n)), tuple(column(i) for i in range(n))
     consistent = (1 << size) - 1
     for x, y in zip(xs, ys):
@@ -437,71 +454,62 @@ class PrecisionCode(NamedTuple):
 
 
 @cache
-def _closure_steps(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per atom i: its bit, and the sets without atom i as a row (bit m for
-    mask m: 2^i ones and 2^i zeros, repeated by shift-or doubling) and as
-    the upper half of a `PrecisionCode`."""
-    size, steps = 1 << n, []
-    for i in range(n):
-        bit = 1 << i
-        without, period = (1 << bit) - 1, 2 * bit
-        while period < size:
-            without, period = without | without << period, 2 * period
-        steps.append((bit, without, without << size))
-    return tuple(steps)
+def row_columns(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Rows over the 2^n sets of n atoms, bit m for the set with mask m:
+    every set, and per atom i the sets without i (2^i ones and 2^i zeros,
+    tiled by `_tile`) and the sets with i. Built once per n on first use."""
+    size = 1 << n
+    full = (1 << size) - 1
+    without = tuple(_tile((1 << (1 << i)) - 1, 2 << i, size) for i in range(n))
+    return full, without, tuple(full ^ w for w in without)
+
+
+@cache
+def _row_runs(n: int) -> tuple[tuple[int, int], ...]:
+    """The runs (2^i, sets with atom i) of `_closure` and `_minimal` on rows
+    over the 2^n sets: the shift by 2^i moves a set without atom i to the set
+    with it."""
+    return tuple((1 << i, with_i) for i, with_i in enumerate(row_columns(n)[2]))
 
 
 def up_closure(n: int, row: int) -> int:
-    """The sets above some marked set of a row over the 2^n sets of n atoms,
-    one shift per atom (the OR form of the zeta transform of `DigitPlanes`).
-    Bit x of the closure of a lower row is the Smyth test against {x}, and
-    two rows have the same minimal sets iff they have the same closure."""
-    for bit, without, _ in _closure_steps(n):
-        row |= (row & without) << bit
-    return row
+    """The sets above some marked set of a row over the 2^n sets of n atoms
+    (`_closure`). Bit x of the closure of a lower row is the Smyth test
+    against {x}, and two rows have the same minimal sets iff they have the
+    same closure."""
+    return _closure(row, _row_runs(n))
 
 
 def minimal_bits(n: int, row: int) -> list[int]:
     """The minimal sets of a row over the 2^n sets of n atoms, as masks in
-    increasing order: the marked m with no marked proper submask. As in
-    `DigitPlanes.minimal_x`, m has a marked proper submask iff some atom a
-    of m has m - a in the row's `up_closure`."""
-    closed = up_closure(n, row)
-    for bit, without, _ in _closure_steps(n):
-        row &= ~((closed & without) << bit)
-    return bit_indices(row)
+    increasing order: the marked m with no marked proper submask
+    (`_minimal`)."""
+    return bit_indices(_minimal(row, _row_runs(n)))
 
 
 def hitting_row(n: int, heads: Iterable[int]) -> int:
     """The hitting sets of a family of head masks over n atoms as a row over
-    the 2^n sets: the subsets of the heads' union (the AND of the `without`
-    rows of the atoms outside it) that miss no head h (the AND of the
-    `without` rows of h's atoms). The empty family gives {∅}; an empty head
-    is refused."""
-    steps = _closure_steps(n)
-    row = full = (1 << (1 << n)) - 1
+    the 2^n sets: the sets that meet every head h (`_meets` of h) and lie
+    within the heads' union (`_within` the `without` rows of the atoms
+    outside it). The empty family gives {∅}; an empty head is refused."""
+    row, without, inside = row_columns(n)
     union = 0
     for h in heads:
         if not h:
             raise AftlabError("empty head set has no hitting sets")
-        missing = full
-        for bit, without, _ in steps:
-            if h & bit:
-                missing &= without
-        row &= ~missing
+        row &= _meets(h, inside)
         union |= h
-    for bit, without, _ in steps:
-        if not union & bit:
-            row &= without
-    return row
+    return _within((1 << n) - 1 & ~union, without, row)
 
 
 def precision_code(n: int, lower: int, upper: int) -> PrecisionCode:
     """The precision code of an operator value given by its lower and upper
     rows. The lower set's up-closure and the upper set's down-closure take
     one shift-and-or pass per atom."""
-    members = allowed = lower | upper << (1 << n)
-    for bit, lower_half, upper_half in _closure_steps(n):
+    size = 1 << n
+    members = allowed = lower | upper << size
+    for i, lower_half in enumerate(row_columns(n)[1]):
+        bit, upper_half = 1 << i, lower_half << size
         allowed |= ((allowed & lower_half) << bit) | ((allowed >> bit) & upper_half)
     return PrecisionCode(members, allowed)
 

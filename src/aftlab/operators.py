@@ -53,10 +53,12 @@ from .lattice import (
     Lazy,
     NdPair,
     NdSet,
-    _closure_steps,
+    _meets,
+    _within,
     digit_planes,
     hitting_row,
     minimal_bits,
+    row_columns,
     submasks,
 )
 from .program import Program, ProgramClassError
@@ -417,24 +419,6 @@ class PairPlanes:
         return self._minimal
 
 
-def _within(m: int, inside: Sequence[int], full: int) -> int:
-    """The pairs whose set on one side (`inside[i]` marks atom i in it)
-    contains every atom of the mask m."""
-    while m:
-        full &= inside[(m & -m).bit_length() - 1]
-        m &= m - 1
-    return full
-
-
-def _meets(m: int, inside: Sequence[int]) -> int:
-    """The pairs whose set on one side has some atom of the mask m."""
-    out = 0
-    while m:
-        out |= inside[(m & -m).bit_length() - 1]
-        m &= m - 1
-    return out
-
-
 def _aggregate_planes(a: prog.CompiledAggregate, full: int, in_x: Sequence[int], in_y: Sequence[int]) -> tuple[int, int]:
     """The lower and upper planes of an aggregate literal under its trivial
     approximation (`program.CompiledAggregate.trivial`). The literal has the
@@ -620,8 +604,7 @@ def member_row(p: Program, fixed: int) -> int:
     ones or 0, so an aggregate's conditions at x split no row. A set is a
     member iff it hits the heads marked at its bit (`_members`)."""
     u = p.universe
-    full = (1 << (1 << len(u))) - 1
-    inside = [full ^ without for _, without, _ in _closure_steps(len(u))]
+    full, _, inside = row_columns(len(u))
     fixed_side = [full if fixed >> i & 1 else 0 for i in range(len(u))]
     heads: dict[int, int] = {}
     for r in p.compile().rules:

@@ -33,12 +33,14 @@ from .lattice import (
     AtomSet,
     InconsistentPairError,
     NdSet,
-    _closure_steps,
+    _meets,
+    _within,
     bit_indices,
     gap,
     key_columns,
     leq_i,
     leq_t,
+    row_columns,
     submasks,
 )
 from .operators import OperatorKind
@@ -224,19 +226,11 @@ def ht_models_program(p: Program) -> list[ApproxPair]:
 def _ht_model_keys(p: Program) -> list[int]:
     rules = p.compile().rules
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    n = len(p.universe)
-    xs, ys, models = key_columns(n)
+    xs, ys, models = key_columns(len(p.universe))
     for r in rules:
-        x_pos = y_pos = -1
-        y_neg = x_head = y_head = 0
-        for i in range(n):
-            if r.pos >> i & 1:
-                x_pos, y_pos = x_pos & xs[i], y_pos & ys[i]
-            if r.neg >> i & 1:
-                y_neg |= ys[i]
-            if r.head_mask >> i & 1:
-                x_head, y_head = x_head | xs[i], y_head | ys[i]
-        models &= ~(x_pos & ~(y_neg | x_head) | y_pos & ~(y_neg | y_head))
+        y_neg, h = _meets(r.neg, ys), r.head_mask
+        models &= ~(_within(r.pos, xs, models) & ~(y_neg | _meets(h, xs)))
+        models &= ~(_within(r.pos, ys, models) & ~(y_neg | _meets(h, ys)))
     return bit_indices(models)
 
 
@@ -354,19 +348,18 @@ def gz_answer_sets(p: Program) -> list[AtomSet]:
     if compiled.classification.has_negated_aggregates:
         raise ProgramClassError("GZ answer sets do not allow negated aggregate atoms")
     u = p.universe
-    without = [w for _, w, _ in _closure_steps(len(u))]
-    every, full = (1 << len(u)) - 1, (1 << (1 << len(u))) - 1
-    inside, models, rules = [full ^ w for w in without], full, []
+    (full, without, inside), every = row_columns(len(u)), (1 << len(u)) - 1
+    models, rules = full, []
     for r in compiled.rules:
-        body, head = ops._body_planes(u, r, full, inside, inside)[0], ops._meets(r.head_mask, inside)
+        body, head = ops._body_planes(u, r, full, inside, inside)[0], _meets(r.head_mask, inside)
         models &= head | ~body
-        rules.append((body, head, ops._within(r.pos, inside, full), [c for a in r.aggs for c, _ in a.entries]))
+        rules.append((body, head, _within(r.pos, inside, full), [c for a in r.aggs for c, _ in a.entries]))
     out = []
     for xm in bit_indices(models):
-        left = ops._within(every & ~xm, without, full)
+        left = _within(every & ~xm, without, full)
         for body, head, pos, conds in rules:
             if body >> xm & 1:
-                left &= head | ~ops._within(reduce(or_, [c for c in conds if not c & ~xm], 0), inside, pos)
+                left &= head | ~_within(reduce(or_, [c for c in conds if not c & ~xm], 0), inside, pos)
         if left == 1 << xm:
             out.append(u.unmask(xm))
     return out

@@ -8,6 +8,11 @@ import reference as ref
 from aftlab import render
 from aftlab.lattice import (
     AftlabError,
+    _closure,
+    _meets,
+    _minimal,
+    _tile,
+    _within,
     ApproxPair,
     AtomUniverse,
     CapExceededError,
@@ -27,6 +32,7 @@ from aftlab.lattice import (
     masks_above_i,
     minimal_bits,
     precision_code,
+    row_columns,
     smyth_leq,
     up_closure,
 )
@@ -355,3 +361,110 @@ def test_bit_indices():
     assert bit_indices(1) == [0]
     assert bit_indices(0b1011000) == [3, 4, 6]
     assert bit_indices(1 << 700 | 1 << 3) == [3, 700]
+
+
+@pytest.mark.parametrize("size", [0, 1, 5, 8, 27, 64, 81])
+def test_tile_repeats_the_block_every_period_bits_cut_at_size(size):
+    for period in range(1, 10):
+        for block in range(1 << period):
+            expected = sum(1 << k for k in range(size) if block >> k % period & 1)
+            assert _tile(block, period, size) == expected, (block, period)
+
+
+def kit_cases(n, elements, sets):
+    """Brute-force the kit on one space: `elements` lists its bits, `sets`
+    gives the set of atoms (as a mask over the space's atoms) of each bit,
+    and `inside[i]` must mark the bits whose set holds atom i."""
+    full = sum(1 << e for e in elements)
+    inside = [sum(1 << e for e in elements if sets(e) >> i & 1) for i in range(n)]
+    for m in range(1 << n):
+        assert _within(m, inside, full) == sum(1 << e for e in elements if not m & ~sets(e)), m
+        assert _meets(m, inside) == sum(1 << e for e in elements if m & sets(e)), m
+    return full, inside
+
+
+def kit_marks(elements, rng, count):
+    """Seeded random subsets of the elements, of several densities, and the
+    empty and the full one."""
+    yield 0
+    yield sum(1 << e for e in elements)
+    for density in (0.1, 0.3, 0.6):
+        for _ in range(count):
+            yield sum(1 << e for e in elements if rng.random() < density)
+
+
+def closure_and_minimal(marks, elements, below):
+    """The brute-force closure (the elements with a marked element below or
+    at them) and minimal marks (marked, with none strictly below), for the
+    strict order `below(a, b)`."""
+    marked = [e for e in elements if marks >> e & 1]
+    closed = sum(1 << e for e in elements if any(a == e or below(a, e) for a in marked))
+    minimal = sum(1 << e for e in marked if not any(below(a, e) for a in marked))
+    return closed, minimal
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_the_kit_on_rows_equals_brute_force(n):
+    """Rows over the 2^n sets: `row_columns`, and `_within`, `_meets`,
+    `_closure` and `_minimal` on the runs (2^i, sets with atom i), whose
+    closure is the up-closure under the subset order."""
+    sets = range(1 << n)
+    full, without, inside = row_columns(n)
+    assert (full, list(inside)) == kit_cases(n, sets, lambda m: m)
+    assert without == tuple(full ^ w for w in inside)
+    runs = tuple((1 << i, with_i) for i, with_i in enumerate(inside))
+    marks = range(1 << (1 << n)) if n <= 3 else kit_marks(sets, random.Random(n), 30)
+    for row in marks:
+        closed, minimal = closure_and_minimal(row, sets, lambda a, b: a != b and not a & ~b)
+        assert (_closure(row, runs), _minimal(row, runs)) == (closed, minimal), row
+        assert (up_closure(n, row), minimal_bits(n, row)) == (closed, bit_indices(minimal))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_kit_on_planes_equals_brute_force(n):
+    """Planes over the consistent pairs, each bit read by `DigitPlanes.number`:
+    the digit columns, `_within` and `_meets` on x (`d2`) and on y (not `d0`),
+    and `_closure` and `_minimal` on the runs of `below_y` (atoms stepping
+    up into y - x), of `minimal_x` (into x) and of `minimal_t` (each atom's
+    run twice, any step up the truth order)."""
+    digits, rng = digit_planes(n), random.Random(n)
+    pairs = {digits.number(x, y): (x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y}
+    elements = sorted(pairs)
+    assert elements == list(range(3**n))
+    for i in range(n):
+        for k, (x, y) in pairs.items():
+            digit = (x >> i & 1) + (y >> i & 1)
+            assert [d[i] >> k & 1 for d in (digits.d0, digits.d1, digits.d2)] == [digit == d for d in range(3)]
+    assert (digits.full, list(digits.d2)) == kit_cases(n, elements, lambda k: pairs[k][0])
+    assert (digits.full, [digits.full ^ d for d in digits.d0]) == kit_cases(n, elements, lambda k: pairs[k][1])
+    steps = digits.steps
+    orders = {
+        tuple(zip(steps, digits.d1)): lambda a, b: a[0] == b[0] and a[1] != b[1] and not a[1] & ~b[1],
+        tuple(zip(steps, digits.d2)): lambda a, b: a[1] == b[1] and a[0] != b[0] and not a[0] & ~b[0],
+        tuple((s, d1 | d1 << s) for s, d1 in zip(steps, digits.d1) for _ in range(2)):
+            lambda a, b: a != b and not a[0] & ~b[0] and not a[1] & ~b[1],
+    }
+    for plane in kit_marks(elements, rng, 20):
+        for runs, below in orders.items():
+            closed, minimal = closure_and_minimal(plane, elements, lambda a, b: below(pairs[a], pairs[b]))
+            assert (_closure(plane, runs), _minimal(plane, runs)) == (closed, minimal), plane
+        assert digits.below_y(plane) == _closure(plane, tuple(zip(steps, digits.d1)))
+        assert digits.minimal_x(plane) == _minimal(plane, tuple(zip(steps, digits.d2)))
+        assert digits.minimal_y(plane) == _minimal(plane, tuple(zip(steps, digits.d1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_kit_on_key_tables_equals_brute_force(n):
+    """Tables over the 4^n pair keys x << n | y: `_within` and `_meets` on
+    the X and the Y columns of `key_columns`, and `_closure` and `_minimal`
+    on one run per key bit, whose closure is the up-closure of the keys as
+    sets of key bits."""
+    keys, low = range(1 << 2 * n), (1 << n) - 1
+    xs, ys, _ = key_columns(n)
+    full = (1 << len(keys)) - 1
+    assert (full, list(xs)) == kit_cases(n, keys, lambda k: k >> n)
+    assert (full, list(ys)) == kit_cases(n, keys, lambda k: k & low)
+    runs = tuple((1 << j, column) for j, column in enumerate(ys + xs))
+    for table in kit_marks(keys, random.Random(n), 10):
+        closed, minimal = closure_and_minimal(table, keys, lambda a, b: a != b and not a & ~b)
+        assert (_closure(table, runs), _minimal(table, runs)) == (closed, minimal), table

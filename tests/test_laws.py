@@ -307,14 +307,15 @@ def test_symmetry_catches_a_fault_in_the_lower_reading_of_the_ic_fill_alone(monk
     )
 
 
-# Mutants of `DigitPlanes.minimal_t`: the last test steps down from digit 1
-# alone, and the up-closure steps up to digit 1 alone. Dropping one of the
-# two shifts per atom from the up-closure is no such mutant: an HT plane
-# marks (x, z) wherever it marks (x, y) and (z, z) with y within z, so one
-# step per atom closes it and the mutant keeps the same pairs.
+# Mutants of `DigitPlanes.minimal_t`: its runs are kept only where digit i
+# is 1, so the up-closure steps up to digit 1 alone and the last test steps
+# down from digit 1 alone; or atom 0 has no run. Taking each run once is no
+# such mutant: an HT plane marks (x, z) wherever it marks (x, y) and (z, z)
+# with y within z, so one step per atom closes it and the mutant keeps the
+# same pairs.
 MINIMAL_T_MUTANTS = {
-    "steps-down-from-digit-1": ("plane &= ~((d1 | d1 << s) & (closed << s))", "plane &= ~(d1 & (closed << s))"),
-    "closes-up-to-digit-1": ("closed |= (d1 | d1 << s) & (closed << s)", "closed |= d1 & (closed << s)"),
+    "runs-keep-digit-1-alone": ("(s, d1 | d1 << s)", "(s, d1)"),
+    "drops-the-run-of-atom-0": ("zip(self.steps, self.d1)", "zip(self.steps[1:], self.d1[1:])"),
 }
 
 

@@ -81,9 +81,12 @@ def test_seq_of_ic_is_the_semi_equilibrium_models_of_amendola_et_al(part):
             assert sem.run_semantics("seq", p, OperatorKind.IC).models == tuple(ref.semi_equilibrium(p)), p.text
 
 
-# The builders of the engine's bit planes and rows.
+# The builders of the engine's bit planes and rows, and the bit-parallel kit
+# they share (`lattice`: the column tiler, the atom tests, the closure and
+# minimal-set pass and the row columns).
 FORBIDDEN = {"pair_planes", "PairPlanes", "stable_rows", "member_row", "interval_tables", "digit_planes",
-             "DigitPlanes", "minimal_bits", "_complete_values"}
+             "DigitPlanes", "minimal_bits", "_complete_values", "_tile", "_within", "_meets", "_closure",
+             "_minimal", "row_columns", "_row_runs"}
 
 
 def forbidden_names(source: str) -> set[str]:
@@ -95,3 +98,5 @@ def test_the_referee_reads_no_plane_or_row():
     assert forbidden_names(Path(__file__).with_name("reference.py").read_text(encoding="utf-8")) == set()
     source = "from aftlab.operators import stable_rows\nops.pair_planes(k, p)\ngetattr(ops, 'member_row')"
     assert forbidden_names(source) == {"stable_rows", "pair_planes", "member_row"}
+    source = "from aftlab.lattice import _within, _minimal\nminimal(closure(x)) within meets"
+    assert forbidden_names(source) == {"_within", "_minimal"}
