@@ -233,9 +233,9 @@ def _load_program(path: str, max_atoms: int | None) -> Program:
 
 
 def _parse_pair(u: AtomUniverse, spec: str) -> ApproxPair:
-    if ";" not in spec:
+    if spec.count(";") != 1:
         raise UsageError('pair must be given as "x;y"')
-    lower_text, upper_text = spec.split(";", 1)
+    lower_text, upper_text = spec.split(";")
 
     def side(text: str) -> frozenset[str]:
         names = [part.strip() for part in text.split(",") if part.strip()]

@@ -258,10 +258,13 @@ def _closure(marks: int, runs: Sequence[tuple[int, int]]) -> int:
     return marks
 
 
-def _minimal(marks: int, runs: Sequence[tuple[int, int]]) -> int:
+def _minimal(marks: int, runs: Sequence[tuple[int, int]], passes: int = 1) -> int:
     """The marks with no mark one or more steps down the runs: a mark has
-    one iff one step down some run lands in the `_closure`."""
-    closed = _closure(marks, runs)
+    one iff one step down some run lands in the `_closure`, taken `passes`
+    times over for runs that step a place up more than once."""
+    closed = marks
+    for _ in range(passes):
+        closed = _closure(closed, runs)
     for shift, mask in runs:
         marks &= ~(mask & (closed << shift))
     return marks
@@ -346,10 +349,10 @@ class DigitPlanes:
 
     def minimal_t(self, plane: int) -> int:
         """The marked pairs with no marked pair truth-below them. On consistent
-        pairs ≤_t is the digit-wise order on pair numbers, so each atom i's
-        run, a shift by 3^i kept where digit i is at least 1, is taken twice,
-        from digit 0 to 1 and from 1 to 2."""
-        return _minimal(plane, tuple((s, d1 | d1 << s) for s, d1 in zip(self.steps, self.d1) for _ in range(2)))
+        pairs ≤_t is the digit-wise order on pair numbers: each atom's run
+        (`_truth_runs`) steps its digit up by one, so the closure takes the
+        runs twice over, and one step down a run into it finds any mark below."""
+        return _minimal(plane, _truth_runs(self.n), 2)
 
     def number(self, xm: int, ym: int) -> int:
         """The number of the pair (x, y): 3^i for each atom i of x, plus 3^i
@@ -384,6 +387,14 @@ def _pair_keys(n: int, atoms: range) -> list[int]:
 def digit_planes(n: int) -> DigitPlanes:
     """The digit planes over n atoms, built once per n on first use."""
     return DigitPlanes(n)
+
+
+@cache
+def _truth_runs(n: int) -> tuple[tuple[int, int], ...]:
+    """The runs (3^i, pairs whose digit i is at least 1) of `minimal_t` over
+    n atoms, built once per n on first use."""
+    digits = digit_planes(n)
+    return tuple((s, d1 | d1 << s) for s, d1 in zip(digits.steps, digits.d1))
 
 
 @cache

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from . import corpus, four, operators as ops, program as prog, render, semantics as sem
+from . import corpus, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
 from .lattice import (
     AftlabError, ApproxPair, Lazy, bit_indices, key_columns, masks_above_i, minimal_bits, precision_code, submasks,
@@ -120,15 +120,13 @@ def _law_monotonicity(p: Program, t: OperatorTable) -> tuple[int, str | None]:
 
 def _law_exactness(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     """Each operator at a total pair (x, x) is ic(x), the hitting sets of the
-    heads fired at x, read from the compiled stores (`operators._base`,
-    `operators._hits`)."""
-    compiled = p.compile()
-    cases = 0
+    heads fired at x, read from the compiled stores (`program.Compiled`)."""
+    compiled, cases = p.compile(), 0
     for kind in _ndao_kinds(p):
         values = t.values[kind]
         for m, x in enumerate(t.sets):
             cases += 1
-            expected = ops._hits(compiled, p.universe, ops._base(p, compiled, m)[0])
+            expected = compiled.families[compiled.base[m][0]]
             if values[m << t.n | m] != (expected, expected):
                 return cases, f"{kind.value} not exact at {render.fmt_set(p.universe, x)}"
     return cases, None
@@ -194,20 +192,8 @@ def _law_upwards_coherence(p: Program, t: OperatorTable) -> tuple[int, str | Non
 def _law_ht_equality(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     if not p.compile().classification.plain:
         return 0, None
-    algebraic = sem._ht_keys(ops.IC, p, False)
-    if algebraic != sem._ht_model_keys(p):
-        return 1, "algebraic HT pairs differ from rule-level HT models"
-    # The definition, independent of the compiled masks and of the planes:
-    # HT satisfaction of each rule as a formula (`four.HTRule`), read at every
-    # pair key at once (`four.ht_tables`): the HT implication clause, and the
-    # material implication ¬body ∨ head classically true at y, ANDed with the
-    # consistent keys.
-    u, n = p.universe, t.n
-    models = key_columns(n)[2]
-    for r in (four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules):
-        (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, r.body), four.ht_tables(u, r.head)
-        models &= (~body_ht | head_ht) & (~body_y | head_y)
-    if algebraic != bit_indices(models):
+    # The HT models are read from the rules as formulas, not from the planes.
+    if sem._ht_keys(ops.IC, p, False) != sem._ht_model_keys(p):
         return 1, "algebraic HT pairs differ from HT satisfaction of the rules"
     return 1, None
 

@@ -9,21 +9,20 @@ a single pair, for every operator: it refuses what the operator is not
 defined on, in a fixed order, and reads the pair on its masks. The
 four-valued operators read both sides of a pair in one pass over the rules
 (`_four_heads`), the others walk the interval as submasks over the base
-entry of each set, the heads fired there and their atoms, built once per
-program and set and kept on its compiled form (`_base`). The memoized
-operator functions read `apply`. `values` reads an operator at every pair
-of its domain in one pass: the four-valued ones from two ints over the
-rules per set, those whose pos lies within it and those whose neg misses
-it, ANDed at each pair (`_four_folds`), the others by folding the base
-entries up the gap of each pair. Each of those others is defined once, by
-its leaf and fold in one table (`_FOLDS`) that both read. A head family
-is an int over the program's distinct heads, and each fold becomes a value
-in one step that both share (`_from_fold`): a lower and an upper row over
-the 2^n sets, bit m for the set with mask m. The hitting-set row of each
-head family is built once per program and kept there too (`_hits`); only
-`apply` and the functions that read it decode rows to sets. The sweeps read
-the operators from tables instead, built on the program's masks and kept
-on its compiled form.
+entry of each set, the heads fired there and their atoms
+(`program.Compiled.base`). The memoized operator functions read `apply`.
+`values` reads an operator at every pair of its domain in one pass: the
+four-valued ones from two ints over the rules per set, those whose pos lies
+within it and those whose neg misses it, ANDed at each pair
+(`_four_folds`), the others by folding the base entries up the gap of each
+pair. Each of those others is defined once, by its leaf and fold in one
+table (`_FOLDS`) that both read. A head family is an int over the
+program's distinct heads, and each fold becomes a value in one step that
+both share (`_from_fold`): a lower and an upper row over the 2^n sets, bit
+m for the set with mask m, the hitting-set rows of its head families
+(`program.Compiled.families`); only `apply` and the functions that read it
+decode rows to sets. The sweeps read the operators from tables instead,
+built on the program's masks and kept on its compiled form.
 Every rule body is read once as two bit planes over the consistent pairs,
 the pairs where its value has the lower bit and those where it has the
 upper bit, and each operator's `PairPlanes` are built from them
@@ -97,22 +96,6 @@ def consistent_only(kind: OperatorKind) -> bool:
     return kind not in FOUR_VALUED
 
 
-def _base(p: Program, compiled: prog.Compiled, xm: int) -> tuple[int, int]:
-    """The base entry of the set with mask xm: the heads of the rules whose
-    bodies hold there, as an int over the program's distinct heads, and the
-    mask of their atoms, built by one pass over the rules on the first ask
-    and then kept on the program's compiled form."""
-    found = compiled.base.get(xm)
-    if found is None:
-        u, heads, atoms = p.universe, 0, 0
-        for r in compiled.rules:
-            if r.holds(u, xm):
-                heads |= r.head_bit
-                atoms |= r.head_mask
-        found = compiled.base[xm] = (heads, atoms)
-    return found
-
-
 def _heads(compiled: prog.Compiled, heads: int) -> frozenset[AtomSet]:
     """The head family with int `heads`: bit k stands for `compiled.heads[k]`."""
     return frozenset([h for k, h in enumerate(compiled.heads) if heads >> k & 1])
@@ -122,7 +105,7 @@ def _heads(compiled: prog.Compiled, heads: int) -> frozenset[AtomSet]:
 def hd(p: Program, x: AtomSet) -> frozenset[AtomSet]:
     """Heads of the rules whose bodies are true at the total interpretation x."""
     compiled = p.compile()
-    return _heads(compiled, _base(p, compiled, p.universe.mask(x))[0])
+    return _heads(compiled, compiled.base[p.universe.mask(x)][0])
 
 
 def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
@@ -133,24 +116,11 @@ def hitting_sets(heads: frozenset[AtomSet]) -> NdSet:
     return u.family(hitting_row(len(u), frozenset([u.mask(h) for h in heads])))
 
 
-def _hits(compiled: prog.Compiled, u: AtomUniverse, heads: int) -> int:
-    """The hitting sets of the head family with int `heads` as a row over
-    the sets of u (`lattice.hitting_row`, on the masks of its heads), built
-    on the first ask for the family and then kept on the program's compiled
-    form: an operator's value depends on the pair only through its head
-    family, and a program has few of them."""
-    kept = compiled.families
-    found = kept.get(heads)
-    if found is None:
-        found = kept[heads] = hitting_row(len(u), frozenset([u.mask(h) for h in _heads(compiled, heads)]))
-    return found
-
-
 @cache
 def ic(p: Program, x: AtomSet) -> NdSet:
     """Immediate consequences of x: hitting sets of the activated heads."""
     compiled, u = p.compile(), p.universe
-    return u.family(_hits(compiled, u, _base(p, compiled, u.mask(x))[0]))
+    return u.family(compiled.families[compiled.base[u.mask(x)][0]])
 
 
 def check_kind_applicable(kind: OperatorKind, compiled: prog.Compiled) -> None:
@@ -197,7 +167,7 @@ def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
 
 @cache
 def _fired_atoms(p: Program, z: AtomSet) -> AtomSet:
-    return p.universe.unmask(_base(p, p.compile(), p.universe.mask(z))[1])
+    return p.universe.unmask(p.compile().base[p.universe.mask(z)][1])
 
 
 def _meet_join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -236,7 +206,7 @@ def _folding(kind: OperatorKind) -> tuple[Callable, Callable]:
 def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fold) -> tuple[int, int]:
     """An operator's value at a pair from what it reads there, as its lower
     and upper rows: the one step from a fold to a value that `apply` and
-    `values` share. The rows of two head ints (`_hits`), those of
+    `values` share. The rows of two head ints (`Compiled.families`), those of
     `_four_heads` for `ic` and `ic-triv` and the `_FOLDS` fold for `dmt` and
     for `gz` at a total pair; for `ultimate` the OR of the rows of each head
     int of the frozenset `fold`, on both sides; for `dmt-det` one set per
@@ -246,17 +216,17 @@ def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fol
     if kind is DMT_DET:
         return 1 << fold[0], 1 << fold[1]
     if kind is ULTIMATE:
-        gathered = reduce(or_, [_hits(compiled, u, h) for h in fold])
+        gathered = reduce(or_, [compiled.families[h] for h in fold])
         return gathered, gathered
-    return _hits(compiled, u, fold[0]), _hits(compiled, u, fold[1])
+    return compiled.families[fold[0]], compiled.families[fold[1]]
 
 
 def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     """The operator at the pair i, the deterministic one lifted to
     singletons: the one reader of a single pair, which `eval` and the
     memoized functions below go through. Nothing is kept but the compiled
-    stores it reads (`_base`, `_hits`), so a refusal raises on every ask, in
-    this order:
+    stores it reads (`program.Compiled`), so a refusal raises on every ask,
+    in this order:
 
     1. a program outside the kind's class (`check_kind_applicable`);
     2. for the kinds of `consistent_only`, an inconsistent pair, tested on
@@ -284,7 +254,7 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     else:
         leaf, join = _folding(kind)
         # Each distinct entry once: every join called here is idempotent (gz calls none).
-        fold = reduce(join, [leaf(*e) for e in {_base(p, compiled, xm | s) for s in submasks(ym & ~xm)}])
+        fold = reduce(join, [leaf(*e) for e in {compiled.base[xm | s] for s in submasks(ym & ~xm)}])
     lower, upper = _from_fold(kind, compiled, u, fold)
     return NdPair(u.family(lower), u.family(upper))
 
@@ -387,7 +357,7 @@ def values(kind: OperatorKind, p: Program) -> dict[int, tuple[int, int]]:
         folds = _four_folds(p, compiled)
     else:
         leaf, join = _folding(kind)
-        folds = _fold(n, [leaf(*_base(p, compiled, z)) for z in range(1 << n)], join)
+        folds = _fold(n, [leaf(*compiled.base[z]) for z in range(1 << n)], join)
     made = Lazy(lambda fold: _from_fold(kind, compiled, p.universe, fold))
     return {number: made[fold] for number, fold in folds.items()}
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import reduce
 from itertools import islice
-from operator import eq, ge, gt, le, lt
+from operator import eq, ge, gt, le, lt, or_
 from typing import TYPE_CHECKING, Iterator, Union
 
 from . import four
@@ -39,7 +40,9 @@ from .lattice import (
     AtomUniverse,
     CapExceededError,
     InconsistentPairError,
+    Lazy,
     atom_cap,
+    hitting_row,
 )
 from .four import Formula, Truth
 from .record import record
@@ -294,30 +297,36 @@ class CompiledAggregate:
 class Compiled:
     """What the operators read of a program, built once by `Program.compile`.
     `heads` are its distinct rule heads in rule order: a head family is read
-    as an int, bit k for `heads[k]`. `pair_planes` keeps the
-    `operators.PairPlanes` a sweep has asked for, one per distinct set of
-    planes (`operators.pair_planes`), and `stable_rows` the complete stable
-    values of `ic` and `ic-triv`, one row per key (`operators.stable_rows`).
-    The reference operators keep `families`, the hitting-set row of each head
-    family they have built, by its int (`operators._hits`), and `base`, the
-    base entry of each set they have read, by its mask: the int of the heads
-    of the rules whose bodies hold there and the mask of their atoms
-    (`operators._base`). `operators.apply` and `operators.values` read these
-    stores; no operator value is kept here."""
+    as an int, bit k for `heads[k]`. `base` and `families` fill themselves on
+    the first read of a key (`lattice.Lazy`): `base[xm]` is the int of the
+    heads of the rules whose bodies hold at the set with mask xm and the mask
+    of their atoms, `families[heads]` the hitting-set row of the head family
+    with that int (`lattice.hitting_row`). `pair_planes` keeps each distinct
+    `operators.PairPlanes` a sweep has asked for (`operators.pair_planes`),
+    `stable_rows` each row of `operators.stable_rows`."""
 
     __slots__ = ("rules", "heads", "classification", "pair_planes", "stable_rows", "families", "base")
 
     def __init__(self, p: Program):
         _check_rules(p.rules)
-        self.rules = tuple(CompiledRule(p.universe, r) for r in p.rules)
-        self.heads = tuple(dict.fromkeys(r.head for r in self.rules))
-        for r in self.rules:
-            r.head_bit = 1 << self.heads.index(r.head)
+        u = p.universe
+        rules = self.rules = tuple(CompiledRule(u, r) for r in p.rules)
+        heads = self.heads = tuple(dict.fromkeys(r.head for r in rules))
+        for r in rules:
+            r.head_bit = 1 << heads.index(r.head)
         self.classification = classify(p)
         self.pair_planes: dict = {}
         self.stable_rows: dict = {}
-        self.families: dict = {}
-        self.base: dict = {}
+
+        # The fills read locals, not the compiled form, so it is freed without a cycle collection.
+        def base(xm: int) -> tuple[int, int]:
+            fired = [r for r in rules if r.holds(u, xm)]
+            return reduce(or_, [r.head_bit for r in fired], 0), reduce(or_, [r.head_mask for r in fired], 0)
+
+        self.base = Lazy(base)
+        self.families = Lazy(
+            lambda family: hitting_row(len(u), [u.mask(h) for k, h in enumerate(heads) if family >> k & 1])
+        )
 
 
 def _rule_atoms(rule: Rule) -> set[str]:

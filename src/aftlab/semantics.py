@@ -26,7 +26,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
-from . import operators as ops, program as prog
+from . import four, operators as ops, program as prog
 from .lattice import (
     AftlabError,
     ApproxPair,
@@ -210,27 +210,20 @@ def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
 
 
 def ht_models_program(p: Program) -> list[ApproxPair]:
-    """Pairs (x, y) satisfying every rule under here-and-there satisfaction:
-    the models (x, y) of p's GL transformation at (y, y) (`_gl_model`), that
-    is, every rule has pos within x and neg outside y imply that the head
-    meets x, and pos within y and neg outside y imply that the head meets y.
-    Read at every pair key x << n | y at once (`lattice.key_columns`): a
-    rule breaks its first clause at the keys in every X column of pos and
-    in no Y column of neg nor X column of the head, and its second at those
-    in every Y column of pos and in no Y column of neg or the head. The
-    consistent keys that break none are decoded in increasing key order,
-    which is `consistent_masks` order."""
+    """Pairs (x, y) satisfying every rule under here-and-there satisfaction
+    (Lifschitz, Pearce and Valverde, ACM TOCL 2001), each rule read as the
+    formulas body -> head-disjunction (`four.HTRule`) at every pair key
+    x << n | y at once (`four.ht_tables`); the consistent keys where every
+    rule holds are decoded in increasing key order, `consistent_masks` order."""
     return _pairs(p, _ht_model_keys(p))
 
 
 def _ht_model_keys(p: Program) -> list[int]:
-    rules = p.compile().rules
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    xs, ys, models = key_columns(len(p.universe))
-    for r in rules:
-        y_neg, h = _meets(r.neg, ys), r.head_mask
-        models &= ~(_within(r.pos, xs, models) & ~(y_neg | _meets(h, xs)))
-        models &= ~(_within(r.pos, ys, models) & ~(y_neg | _meets(h, ys)))
+    u, models = p.universe, key_columns(len(p.universe))[2]
+    for r in (four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules):
+        (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, r.body), four.ht_tables(u, r.head)
+        models &= (~body_ht | head_ht) & (~body_y | head_y)
     return bit_indices(models)
 
 

@@ -130,6 +130,14 @@ def fired_atoms(p, z):
     return join(hd(p, z))
 
 
+def weakly_supported_models(p) -> list:
+    """The models x of p in which every atom is in the head of a rule whose
+    body holds at x (Brass and Dix, "Characterizations of the disjunctive
+    stable semantics by partial evaluation", JLP 1997): each head of
+    `hd(p, x)` meets x, and x lies within their union."""
+    return [x for x in p.universe.subsets() if all(h & x for h in hd(p, x)) and x <= join(hd(p, x))]
+
+
 def heads_at_least(p, i: ApproxPair, threshold: Truth) -> frozenset:
     """The heads of the rules whose formula reading at i is >=_t threshold."""
     return frozenset(

@@ -73,6 +73,15 @@ def test_eval_unknown_atom_exits_2():
     assert "unknown atom" in err
 
 
+@pytest.mark.parametrize("spec", ["p;q;r", ";;", "p,q", ";p;"])
+def test_eval_pair_without_exactly_one_separator_is_a_usage_error(spec):
+    code, out, err = run(
+        "eval", "--program", corpus_arg("disjunctive_self_defeat"), "--operator", "ic", "--pair", spec
+    )
+    assert (code, out) == (1, "")
+    assert 'pair must be given as "x;y"' in err
+
+
 def test_eval_json_golden():
     code, out, _ = run(
         "eval", "--program", corpus_arg("aggregate_cycle"), "--operator", "dmt",

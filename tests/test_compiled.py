@@ -287,16 +287,20 @@ def clear_memos() -> None:
 
 def _count_hitting_sets(monkeypatch) -> list:
     """Record each hitting-set family built, as the arguments of the one
-    builder, `hitting_row`: the number of atoms and the head masks."""
+    builder, `hitting_row`: the number of atoms and the head masks. It is
+    wrapped where the family store's fill reads it (`program`) and where
+    `operators.hitting_sets` does."""
     clear_memos()
     calls = []
     hitting_row = ops.hitting_row
 
     def counting(n, heads):
+        heads = frozenset(heads)
         calls.append((n, heads))
         return hitting_row(n, heads)
 
     monkeypatch.setattr(ops, "hitting_row", counting)
+    monkeypatch.setattr(prog, "hitting_row", counting)
     return calls
 
 
@@ -316,10 +320,16 @@ def test_four_valued_sweeps_build_no_hitting_set_family(monkeypatch):
 
 
 def test_eval_still_builds_the_family(monkeypatch):
+    """`eval` reads the two head families of its pair from the program's
+    family store, which builds each on its first read."""
     calls = _count_hitting_sets(monkeypatch)
     path = str(corpus.path("disjunctive_self_defeat"))
     assert cli.main(["eval", "--program", path, "--operator", "ic", "--pair", ";p,q", "--format", "json"]) == 0
     assert len(calls) == 2
+    p = parse(corpus.text("disjunctive_self_defeat"))
+    calls.clear()
+    ops.apply(ops.IC, p, ApproxPair(frozenset(), frozenset("pq")))
+    assert len(calls) == len(p.compile().families) == 2
 
 
 def test_the_laws_build_each_family_once_per_program(monkeypatch):
@@ -329,7 +339,7 @@ def test_the_laws_build_each_family_once_per_program(monkeypatch):
         calls.clear()
         laws.run_laws([p])
         built = list(calls)
-        assert built and len(built) == len(set(built)), name
+        assert built and len(built) == len(set(built)) == len(p.compile().families), name
         laws.run_laws([p])
         assert calls == built, name
         # A fresh parse has a store of its own and builds the families again.

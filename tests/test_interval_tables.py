@@ -13,7 +13,7 @@ from operator import and_, or_
 import pytest
 
 import reference as ref
-from aftlab import four, operators as ops, semantics as sem
+from aftlab import four, operators as ops, program as prog, semantics as sem
 from aftlab.lattice import ApproxPair, AtomUniverse, digit_planes
 from aftlab.operators import OperatorKind
 from aftlab.program import GeneralFormula, NegatedAgg, NegatedAtom, PositiveAgg, make_program, parse
@@ -133,8 +133,12 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(AtomUniverse, "interval", counting("interval", interval))
+    # The family store's fill reads `hitting_row` in `program`, `hitting_sets` in `operators`.
     monkeypatch.setattr(ops, "hitting_row", counting("hitting_row", hitting_row))
+    monkeypatch.setattr(prog, "hitting_row", ops.hitting_row)
     monkeypatch.setattr(ops, "apply", counting("apply", apply))
+    stores = lambda: {p: (len(p.compile().base), len(p.compile().families)) for p in ref.PROGRAMS}
+    before = stores()
     for p, kind in cases():
         for name in ("fixpoints", "stable", "ht", "seq", "seq-approx"):
             sem.run_semantics(name, p, kind)
@@ -144,6 +148,7 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
         if p.compile().classification.plain:
             sem.run_semantics("three-valued-stable", p)
     assert calls == {"interval": 0, "hitting_row": 0, "apply": 0}
+    assert stores() == before
     # A fresh parse: the other tests of this module have filled the base
     # entries and the family store of ref.PROGRAMS[-1] (`Compiled.base`,
     # `Compiled.families`). A direct `dmt_ndao` at (∅, A) reads `apply`
@@ -152,10 +157,12 @@ def test_interval_sweeps_build_no_interval_or_hitting_set_family(monkeypatch):
     # enumerates no interval.
     ops.dmt_ndao.cache_clear()
     fresh = parse(ref.PROGRAMS[-1].text)
-    filled, base = [], ops._base
-    monkeypatch.setattr(ops, "_base", lambda p, compiled, xm: filled.append(xm) or base(p, compiled, xm))
+    compiled, filled = fresh.compile(), []
+    fill = compiled.base.fill
+    compiled.base.fill = lambda xm: filled.append(xm) or fill(xm)
     ops.dmt_ndao(fresh, ApproxPair(frozenset(), fresh.universe.full()))
-    assert sorted(filled) == sorted(fresh.compile().base) == list(range(1 << len(fresh.universe)))
+    assert sorted(filled) == sorted(compiled.base) == list(range(1 << len(fresh.universe)))
+    assert len(compiled.families) == 2
     assert calls == {"interval": 0, "hitting_row": 2, "apply": 1}
 
 

@@ -12,6 +12,7 @@ from aftlab.lattice import (
     _meets,
     _minimal,
     _tile,
+    _truth_runs,
     _within,
     ApproxPair,
     AtomUniverse,
@@ -425,8 +426,9 @@ def test_the_kit_on_planes_equals_brute_force(n):
     """Planes over the consistent pairs, each bit read by `DigitPlanes.number`:
     the digit columns, `_within` and `_meets` on x (`d2`) and on y (not `d0`),
     and `_closure` and `_minimal` on the runs of `below_y` (atoms stepping
-    up into y - x), of `minimal_x` (into x) and of `minimal_t` (each atom's
-    run twice, any step up the truth order)."""
+    up into y - x), of `minimal_x` (into x) and of `minimal_t` (one run per
+    atom, `_truth_runs`, closed along twice over: any step up the truth
+    order)."""
     digits, rng = digit_planes(n), random.Random(n)
     pairs = {digits.number(x, y): (x, y) for x in range(1 << n) for y in range(1 << n) if not x & ~y}
     elements = sorted(pairs)
@@ -441,13 +443,16 @@ def test_the_kit_on_planes_equals_brute_force(n):
     orders = {
         tuple(zip(steps, digits.d1)): lambda a, b: a[0] == b[0] and a[1] != b[1] and not a[1] & ~b[1],
         tuple(zip(steps, digits.d2)): lambda a, b: a[1] == b[1] and a[0] != b[0] and not a[0] & ~b[0],
-        tuple((s, d1 | d1 << s) for s, d1 in zip(steps, digits.d1) for _ in range(2)):
-            lambda a, b: a != b and not a[0] & ~b[0] and not a[1] & ~b[1],
     }
+    truth = lambda a, b: a != b and not a[0] & ~b[0] and not a[1] & ~b[1]
     for plane in kit_marks(elements, rng, 20):
         for runs, below in orders.items():
             closed, minimal = closure_and_minimal(plane, elements, lambda a, b: below(pairs[a], pairs[b]))
             assert (_closure(plane, runs), _minimal(plane, runs)) == (closed, minimal), plane
+        closed, minimal = closure_and_minimal(plane, elements, lambda a, b: truth(pairs[a], pairs[b]))
+        runs = _truth_runs(n)
+        assert (_closure(_closure(plane, runs), runs), _minimal(plane, runs, 2)) == (closed, minimal), plane
+        assert digits.minimal_t(plane) == minimal
         assert digits.below_y(plane) == _closure(plane, tuple(zip(steps, digits.d1)))
         assert digits.minimal_x(plane) == _minimal(plane, tuple(zip(steps, digits.d2)))
         assert digits.minimal_y(plane) == _minimal(plane, tuple(zip(steps, digits.d1)))

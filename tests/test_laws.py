@@ -9,7 +9,7 @@ import pytest
 import reference as ref
 from aftlab import cli, corpus, four, lattice, laws, operators as ops
 from aftlab.four import And, Atom, Const, Not, Truth
-from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, DigitPlanes, NdPair
+from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, NdPair
 from aftlab.operators import OperatorKind
 from aftlab.program import GeneralFormula, ParseError, Program, ProgramClassError, Rule, make_program, parse
 
@@ -142,16 +142,32 @@ def test_corrupted_operator_fails_with_reproducer():
     assert "gz not exact" in outcomes[0].failure
 
 
-def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
-    # A fault shared by both mask-computed sides, the two key readers the law
-    # compares (here: both drop the last key), is caught by the formula-level
-    # definition.
-    ht_keys, ht_model_keys = laws.sem._ht_keys, laws.sem._ht_model_keys
+def _ht_keys_drop_the_last_key(monkeypatch):
+    ht_keys = laws.sem._ht_keys
     monkeypatch.setattr(laws.sem, "_ht_keys", lambda kind, p, truth_minimal: ht_keys(kind, p, truth_minimal)[:-1])
-    monkeypatch.setattr(laws.sem, "_ht_model_keys", lambda p: ht_model_keys(p)[:-1])
-    outcomes = laws.run_laws(corpus.programs(), ["ht-equality"])
-    assert not outcomes[0].ok
-    assert "differ from HT satisfaction of the rules" in outcomes[0].failure
+
+
+def _closed_plane_misses_the_total_pairs(monkeypatch):
+    tables = ops.interval_tables
+
+    def faulty(kind, p):
+        planes = tables(kind, p)
+        closed = planes.closed & ~planes.digits.total
+        return ops.PairPlanes(planes.digits, planes.lower, planes.upper, planes.smyth, closed)
+
+    monkeypatch.setattr(ops, "interval_tables", faulty)
+
+
+def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
+    """A fault on the algebraic side alone, in the key reader or in the
+    planes it ANDs, is caught against HT satisfaction of the rules as
+    formulas (`semantics._ht_model_keys`), which reads neither."""
+    for fault in (_ht_keys_drop_the_last_key, _closed_plane_misses_the_total_pairs):
+        fault(monkeypatch)
+        outcome = laws.run_laws(corpus.programs(), ["ht-equality"])[0]
+        assert not outcome.ok, fault.__name__
+        assert "algebraic HT pairs differ from HT satisfaction of the rules\nreproducer:" in outcome.failure
+        monkeypatch.undo()
 
 
 def _ht_tables_mutant(monkeypatch, atom_columns):
@@ -307,15 +323,15 @@ def test_symmetry_catches_a_fault_in_the_lower_reading_of_the_ic_fill_alone(monk
     )
 
 
-# Mutants of `DigitPlanes.minimal_t`: its runs are kept only where digit i
-# is 1, so the up-closure steps up to digit 1 alone and the last test steps
-# down from digit 1 alone; or atom 0 has no run. Taking each run once is no
-# such mutant: an HT plane marks (x, z) wherever it marks (x, y) and (z, z)
-# with y within z, so one step per atom closes it and the mutant keeps the
-# same pairs.
+# Mutants of the runs of `DigitPlanes.minimal_t` (`lattice._truth_runs`):
+# they are kept only where digit i is 1, so the up-closure steps up to digit
+# 1 alone and the last test steps down from digit 1 alone; or atom 0 has no
+# run. Closing along each run once is no such mutant: an HT plane marks
+# (x, z) wherever it marks (x, y) and (z, z) with y within z, so one step
+# per atom closes it and the mutant keeps the same pairs.
 MINIMAL_T_MUTANTS = {
     "runs-keep-digit-1-alone": ("(s, d1 | d1 << s)", "(s, d1)"),
-    "drops-the-run-of-atom-0": ("zip(self.steps, self.d1)", "zip(self.steps[1:], self.d1[1:])"),
+    "drops-the-run-of-atom-0": ("zip(digits.steps, digits.d1)", "zip(digits.steps[1:], digits.d1[1:])"),
 }
 
 
@@ -331,12 +347,12 @@ def test_total_stable_ht_reads_the_truth_minimal_plane(monkeypatch, mutant):
     programs = laws.suite_programs()
     others = ["stable-t-minimal", "gz-answer-sets"]
     expected = laws.run_laws(programs, others)
-    source = textwrap.dedent(inspect.getsource(DigitPlanes.minimal_t))
+    source = inspect.getsource(lattice._truth_runs)
     old, new = MINIMAL_T_MUTANTS[mutant]
     assert source.count(old) == 1
     namespace = dict(vars(lattice))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(DigitPlanes, "minimal_t", namespace["minimal_t"])
+    monkeypatch.setattr(lattice, "_truth_runs", namespace["_truth_runs"])
     outcome, *rest = laws.run_laws(programs, ["total-stable-ht", *others])
     assert not outcome.ok
     assert ": total truth-minimal HT pairs differ from total stable fixpoints\nreproducer:" in outcome.failure

@@ -2,7 +2,8 @@ import pytest
 
 import reference as ref
 from aftlab import corpus, operators as ops
-from aftlab.lattice import AftlabError, ApproxPair, InconsistentPairError, NdPair, UnknownAtomError, aprec_leq, smyth_leq
+from aftlab.lattice import AftlabError, ApproxPair, InconsistentPairError, Lazy, NdPair, UnknownAtomError, aprec_leq
+from aftlab.lattice import smyth_leq
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, classify, parse
 from conftest import atoms, family, pair
@@ -128,11 +129,18 @@ def test_gz_examples(disjunctive_self_defeat, aggregate_cycle):
 def test_gz_reads_no_base_entry_off_the_total_pairs(monkeypatch):
     """`gz` is ({∅}, {A}) at every consistent pair that is not total,
     whatever the program, so `apply` reads no base entry there; at a total
-    pair (z, z) it reads the one entry of z."""
-    read, base = [], ops._base
-    monkeypatch.setattr(ops, "_base", lambda p, compiled, xm: read.append(xm) or base(p, compiled, xm))
+    pair (z, z) it reads the one entry of z. Every read of the program's
+    base store (`Compiled.base`) is recorded, kept or not."""
+    read = []
+
+    class Recorded(Lazy):
+        def __getitem__(self, xm):
+            read.append(xm)
+            return super().__getitem__(xm)
+
     for p in ref.PROGRAMS:
-        u = p.universe
+        compiled, u = p.compile(), p.universe
+        monkeypatch.setattr(compiled, "base", Recorded(compiled.base.fill))
         for xm, ym in u.consistent_masks():
             read.clear()
             value = ops.apply(OperatorKind.GZ, p, u.pair(xm, ym))

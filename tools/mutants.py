@@ -111,8 +111,8 @@ MUTANTS = {
     ),
     "ultimate-keeps-one-family": (
         "src/aftlab/operators.py",
-        "gathered = reduce(or_, [_hits(compiled, u, h) for h in fold])",
-        "gathered = _hits(compiled, u, min(fold))",
+        "gathered = reduce(or_, [compiled.families[h] for h in fold])",
+        "gathered = compiled.families[min(fold)]",
         "`ultimate` takes the hitting sets of one head family of the interval, not their union",
     ),
     "least-precise-value-upper-is-every-set": (
@@ -239,6 +239,25 @@ MUTANTS = {
         r"[ \t\r]* (?: (?P<newline>",
         r"[ \t]* (?: (?P<newline>",
         "the tokenizer does not take a carriage return as a blank",
+    ),
+    # The compiled stores that fill themselves, and the one HT reading.
+    "base-fill-skips-the-last-rule": (
+        "src/aftlab/program.py",
+        "fired = [r for r in rules if r.holds(u, xm)]",
+        "fired = [r for r in rules[:-1] if r.holds(u, xm)]",
+        "`Compiled.base` fills each base entry from every rule but the last",
+    ),
+    "family-fill-drops-the-highest-head": (
+        "src/aftlab/program.py",
+        "if family >> k & 1])",
+        "if family >> k & 1 and family >> k > 1])",
+        "`Compiled.families` builds the hitting sets of a head family without the highest head of its int",
+    ),
+    "ht-model-keys-read-the-head-classically-at-x": (
+        "src/aftlab/semantics.py",
+        "models &= (~body_ht | head_ht) & (~body_y | head_y)",
+        "models &= (~body_ht | head_ht) & (~body_y | head_ht)",
+        "`semantics._ht_model_keys` reads a head's classical half at x (its HT table) in place of y",
     ),
 }
 
