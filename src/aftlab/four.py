@@ -42,6 +42,7 @@ class Truth(Enum):
 
 LOWER_BIT = 0b10
 UPPER_BIT = 0b01
+TRUE_BITS = LOWER_BIT | UPPER_BIT  # `Truth.T.value`, read without enum's Python-level property
 
 # The value of two bits, by index: `Truth(bits)` runs `EnumMeta.__call__` in
 # Python.

@@ -7,19 +7,21 @@ are visited in increasing size order).
 
 Every law takes the program and its `OperatorTable`, which `run_laws`
 builds once per program and hands each law. With no `apply_fn`, the table
-reads the reference operators, each kind from one `operators.values` call
-on the first read; it holds the kind's domain alone, so a read outside it
-is a `KeyError`, not a refusal. A given `apply_fn`, a mutant say, is asked
-pair by pair, once per (kind, pair), and its value encoded. Either way a
-value is two rows of one bit per set, the laws test and compare bits, and
-the table reads no plane and no row of the sweeps the laws referee. A pair
-is named by its number in the table, the key x << n | y that the
+reads the reference operators, each kind as the list of one
+`operators.values` call on the first read, by pair number, None at a pair
+outside its domain, not a refusal. A given `apply_fn`, a mutant say, is
+asked pair by pair, once per (kind, pair), and its value encoded. Either
+way a value is two rows of one bit per set, the laws test and compare bits,
+and the table reads no plane and no row of the sweeps the laws referee. A
+pair is named by its number in the table, the key x << n | y that the
 semantics' key readers return too, so the semantics laws compare sorted
 key lists; an `ApproxPair` is built only for a failure message.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from . import corpus, operators as ops, program as prog, render, semantics as sem
@@ -53,13 +55,22 @@ def _ndao_kinds(p: Program) -> list[OperatorKind]:
     return kinds
 
 
+@cache
+def _monotone_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per atom a, the steps of `_law_monotonicity`, built once per n: the
+    numbers k of the consistent pairs (x, y) with a in y - x, with those of
+    (x + a, y), k | a << n, and (x, y - a), k ^ a."""
+    consistent, atoms = bit_indices(key_columns(n)[2]), [1 << i for i in range(n)]
+    return tuple(tuple((k, k | a << n, k ^ a) for k in consistent if k & ~(k >> n) & a) for a in atoms)
+
+
 class OperatorTable:
     """One program's operators by pair number, x << n | y for the masks (x, y),
     each value as its lower and upper rows over the 2^n sets (bit m for the
-    set with mask m): `values[kind]`, the dict of one `ops.values` call,
-    which has the kind's domain alone (a pair outside it is a `KeyError`,
-    not a refusal), or with an `apply_fn`, asked of it at each pair on its
-    first read and encoded, and `codes[value]`, the `PrecisionCode` of each
+    set with mask m): `values[kind]`, the list of one `ops.values` call,
+    None off the kind's domain (not a refusal), or with an `apply_fn`, a
+    dict asked of it at each pair on its first read and encoded, so a law
+    sizes a list by n; and `codes[value]`, the `PrecisionCode` of each
     distinct value. `sets[m]` is the set with mask m; `consistent` numbers
     the consistent pairs in order, and `pair(number)` is the pair itself."""
 
@@ -87,18 +98,17 @@ def _law_monotonicity(p: Program, t: OperatorTable) -> tuple[int, str | None]:
     order, 3^|y - x| cases at (x, y) and 5^n per operator. The members of
     those pairs are ORed once per operator, one pass per atom (the zeta
     transform of `lattice.DigitPlanes`): a pair with atom a in y - x takes
-    the ORs of (x + a, y) and (x, y - a). Only a failing pair is walked again
-    pair by pair (`masks_above_i`), for the case count and the message."""
+    the ORs of (x + a, y) and (x, y - a) (`_monotone_steps`). Only a failing
+    pair is walked again (`masks_above_i`), for the case count and message."""
     kinds = _ndao_kinds(p) + ([ops.DMT_DET] if p.compile().classification.atomic_heads else [])
-    u, n, consistent = p.universe, t.n, t.consistent
-    # (x + a, y) is number k | a << n and (x, y - a) is k ^ a.
-    steps = [[(k, k | a << n, k ^ a) for k in consistent if k & ~(k >> n) & a] for a in (1 << i for i in range(n))]
+    u, n, consistent, size = p.universe, t.n, t.consistent, 1 << 2 * t.n
     cases = 0
     for kind in kinds:
-        values = t.values[kind]
-        codes = {k: t.codes[values[k]] for k in consistent}
-        above = {k: c.members for k, c in codes.items()}
-        for step in steps:
+        values, codes, above = t.values[kind], [None] * size, [0] * size
+        for k in consistent:
+            codes[k] = code = t.codes[values[k]]
+            above[k] = code.members
+        for step in _monotone_steps(n):
             for k, with_a, without_a in step:
                 above[k] |= above[with_a] | above[without_a]
         k1 = next((k for k in consistent if above[k] & ~codes[k].allowed), None)
@@ -356,8 +366,11 @@ def run_laws(
     """Run the named laws (all by default), each once in the order first
     named, over the programs, each compiled under the atom cap `max_atoms`
     (`lattice.atom_cap`) and read through one `OperatorTable` of its own:
-    over the reference operators, or over `apply_fn` if given."""
-    ordered = sorted(programs, key=lambda p: (len(p.rules), len(p.universe), p.text))
+    over the reference operators, or over `apply_fn` if given. They are
+    visited by rules, atoms and text, printed only to order a tie."""
+    size, ordered = (lambda p: (len(p.rules), len(p.universe))), []
+    for _, tied in groupby(sorted(programs, key=size), key=size):
+        ordered += sorted(tied, key=lambda p: p.text) if len(tied := list(tied)) > 1 else tied
     selected = list(dict.fromkeys(names)) if names is not None else list(LAW_NAMES)
     unknown = [n for n in selected if n not in LAWS]
     if unknown:

@@ -11,17 +11,17 @@ four-valued operators read both sides of a pair in one pass over the rules
 (`_four_heads`), the others walk the interval as submasks over the base
 entry of each set, the heads fired there and their atoms
 (`program.Compiled.base`). The memoized operator functions read `apply`.
-`values` reads an operator at every pair of its domain in one pass: the
-four-valued ones from two ints over the rules per set, those whose pos lies
-within it and those whose neg misses it, ANDed at each pair
+`values` lists an operator at every pair of its domain by pair number in
+one pass: the four-valued ones from two ints over the rules per set, those
+whose pos lies within it and those whose neg misses it, ANDed at each pair
 (`_four_folds`), the others by folding the base entries up the gap of each
-pair. Each of those others is defined once, by its leaf and fold in one
-table (`_FOLDS`) that both read. A head family is an int over the
-program's distinct heads, and each fold becomes a value in one step that
-both share (`_from_fold`): a lower and an upper row over the 2^n sets, bit
-m for the set with mask m, the hitting-set rows of its head families
-(`program.Compiled.families`); only `apply` and the functions that read it
-decode rows to sets. The sweeps read the operators from tables instead,
+pair in one walk order per n, built once (`_walk`). Each of those others is
+defined once, by its leaf and fold in one table (`_FOLDS`) that both read.
+A head family is an int over the program's distinct heads, and each fold
+becomes a value in one step that both share (`_from_fold`): a lower and an
+upper row over the 2^n sets, bit m for the set with mask m, the hitting-set
+rows of its head families (`program.Compiled.families`); only `apply` and
+the functions that read it decode rows to sets. The sweeps read the operators from tables instead,
 built on the program's masks and kept on its compiled form.
 Every rule body is read once as two bit planes over the consistent pairs,
 the pairs where its value has the lower bit and those where it has the
@@ -54,6 +54,7 @@ from .lattice import (
     NdSet,
     _meets,
     _within,
+    bit_indices,
     digit_planes,
     hitting_row,
     minimal_bits,
@@ -64,6 +65,7 @@ from .program import Program, ProgramClassError
 
 
 class OperatorKind(Enum):
+    __hash__ = object.__hash__  # by identity, in C: `Enum.__hash__` runs in Python
     IC = "ic"
     DMT = "dmt"
     ULTIMATE = "ultimate"
@@ -175,22 +177,22 @@ def _meet_join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 # The operators read from the base entries (heads, atoms) of the sets z of
-# [x, y], each defined once: the leaf the entry of z gives and how two
-# leaves fold. `apply` folds the leaves of one pair (`reduce`), `values`
-# those of every pair (`_fold`), and `_from_fold` makes the value:
+# [x, y], each defined once: the leaf the entry of z gives, read with the
+# family rows, and how two leaves fold. `apply` folds the leaves of one pair
+# (`reduce`), `values` those of every pair (`_walk`); `_from_fold` makes the value:
 # - `dmt`: the AND and the OR of the head ints, the heads activated
 #   everywhere and somewhere in [x, y], then the hitting sets of each;
 # - `dmt-det`: the AND and the OR of the atom masks, the atoms derived
 #   everywhere and somewhere in [x, y], as one-set families (atomic heads);
 # - `ultimate`: the union of `ic(z)` over [x, y], the OR of the hitting-set
-#   rows of each distinct head int, on both sides;
+#   rows of the head ints, on both sides;
 # - `gz`: `ic(x)` at a total pair, by `dmt`'s path; None elsewhere, for
 #   ({∅}, {A}), which reads no entry, so `apply` reads none there.
 _FOLDS = {
-    DMT: (lambda heads, atoms: (heads, heads), _meet_join),
-    DMT_DET: (lambda heads, atoms: (atoms, atoms), _meet_join),
-    ULTIMATE: (lambda heads, atoms: frozenset((heads,)), or_),
-    GZ: (lambda heads, atoms: (heads, heads), lambda a, b: None),
+    DMT: (lambda families, heads, atoms: (heads, heads), _meet_join),
+    DMT_DET: (lambda families, heads, atoms: (atoms, atoms), _meet_join),
+    ULTIMATE: (lambda families, heads, atoms: families[heads], or_),
+    GZ: (lambda families, heads, atoms: (heads, heads), lambda a, b: None),
 }
 
 
@@ -208,16 +210,14 @@ def _from_fold(kind: OperatorKind, compiled: prog.Compiled, u: AtomUniverse, fol
     and upper rows: the one step from a fold to a value that `apply` and
     `values` share. The rows of two head ints (`Compiled.families`), those of
     `_four_heads` for `ic` and `ic-triv` and the `_FOLDS` fold for `dmt` and
-    for `gz` at a total pair; for `ultimate` the OR of the rows of each head
-    int of the frozenset `fold`, on both sides; for `dmt-det` one set per
-    side; ({∅}, {A}) for None."""
+    for `gz` at a total pair; for `ultimate` the row `fold` on both sides;
+    for `dmt-det` one set per side; ({∅}, {A}) for None."""
     if fold is None:
         return 1, 1 << (1 << len(u)) - 1
     if kind is DMT_DET:
         return 1 << fold[0], 1 << fold[1]
     if kind is ULTIMATE:
-        gathered = reduce(or_, [compiled.families[h] for h in fold])
-        return gathered, gathered
+        return fold, fold
     return compiled.families[fold[0]], compiled.families[fold[1]]
 
 
@@ -254,7 +254,7 @@ def apply(kind: OperatorKind, p: Program, i: ApproxPair) -> NdPair:
     else:
         leaf, join = _folding(kind)
         # Each distinct entry once: every join called here is idempotent (gz calls none).
-        fold = reduce(join, [leaf(*e) for e in {compiled.base[xm | s] for s in submasks(ym & ~xm)}])
+        fold = reduce(join, [leaf(compiled.families, *e) for e in {compiled.base[xm | s] for s in submasks(ym & ~xm)}])
     lower, upper = _from_fold(kind, compiled, u, fold)
     return NdPair(u.family(lower), u.family(upper))
 
@@ -289,36 +289,35 @@ def gz_ndao(p: Program, i: ApproxPair) -> NdPair:
     return apply(GZ, p, i)
 
 
-def _fold(n: int, base: Sequence, op: Callable) -> dict[int, object]:
-    """`base[z]` folded by `op` over the interval of each consistent pair,
-    keyed by pair number x << n | y: a total pair (z, z) takes `base[z]`,
-    and a pair (x, y) with a the lowest atom of y - x takes the fold of
-    (x + a, y) with that of (x, y - a), whose intervals cover its own. x
-    runs down, and y up over the supersets of x, so both come first."""
-    full, out = (1 << n) - 1, {}
+@cache
+def _walk(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The order in which `values` folds the pairs (x, y) with x < y, built
+    once per n: the numbers x << n | y of (x, y), (x + a, y) and (x, y - a)
+    for a the lowest atom of y - x, whose intervals cover its own. x runs
+    down, and y up over the supersets of x, so both come first."""
+    full, steps = (1 << n) - 1, []
     for xm in range(full, -1, -1):
         row, free, t = xm << n, full & ~xm, 0
-        out[row | xm] = base[xm]
         while t != free:
             t = (t - free) & free
             ym, a = xm | t, t & -t
-            out[row | ym] = op(out[(xm | a) << n | ym], out[row | ym ^ a])
-    return out
+            steps.append((row | ym, (xm | a) << n | ym, row | ym ^ a))
+    return tuple(steps)
 
 
-def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int]]:
-    """`_four_heads` at each of the 4^n pairs, keyed by pair number, read on
-    ints over the rules (bit k for rule k). A body of atoms and negated atoms
-    has the lower bit at (x, y) iff its pos lies within x and its neg misses
-    y, and the upper bit iff its pos lies within y and its neg misses x. Per
-    set m, `within[m]` marks those rules whose pos lies within m and
-    `missing[m]` those whose neg misses m, each built with one doubling per
-    atom, so the lower rules at (x, y) are `within[x] & missing[y]` and the
-    upper ones `within[y] & missing[x]`, each side read from its own
-    definition. Rules with aggregate literals or a general body are read
-    pair by pair (`CompiledRule.bits`), and each distinct rule int becomes a
-    head int once."""
-    u, n, rules = p.universe, len(p.universe), compiled.rules
+def _four_folds(p: Program, compiled: prog.Compiled) -> list[tuple[int, int]]:
+    """`_four_heads` at each of the 4^n pairs, as the family rows of its two
+    head ints, by pair number, read on ints over the rules (bit k for rule
+    k). A body of atoms and negated atoms has the lower bit at (x, y) iff
+    its pos lies within x and its neg misses y, and the upper bit iff its
+    pos lies within y and its neg misses x. Per set m, `within[m]` marks
+    those rules whose pos lies within m and `missing[m]` those whose neg
+    misses m, each built with one doubling per atom, so the lower rules at
+    (x, y) are `within[x] & missing[y]` and the upper ones
+    `within[y] & missing[x]`, each side read from its own definition. Rules
+    with aggregate literals or a general body are read pair by pair
+    (`CompiledRule.bits`); each distinct rule int becomes a row once."""
+    u, n, rules, families = p.universe, len(p.universe), compiled.rules, compiled.families
     within = [sum(1 << k for k, r in enumerate(rules) if r.formula is None and not r.aggs)]
     missing = within
     for bit in (1 << i for i in range(n)):
@@ -327,39 +326,45 @@ def _four_folds(p: Program, compiled: prog.Compiled) -> dict[int, tuple[int, int
         within = [w & lacks_pos for w in within] + within
         missing = missing + [m & lacks_neg for m in missing]
     read = [(1 << k, r) for k, r in enumerate(rules) if r.formula is not None or r.aggs]
-    heads = Lazy(lambda rule_int: reduce(or_, [r.head_bit for k, r in enumerate(rules) if rule_int >> k & 1], 0))
-    folds = {}
+    rows = Lazy(lambda rule_int: families[reduce(or_, [rules[k].head_bit for k in bit_indices(rule_int)], 0)])
+    out = []
     for xm in range(1 << n):
-        within_x, missing_x, row = within[xm], missing[xm], xm << n
+        within_x, missing_x = within[xm], missing[xm]
         for ym in range(1 << n):
             lower, upper = within_x & missing[ym], within[ym] & missing_x
             for rule_bit, r in read:
                 bits = r.bits(u, xm, ym)
                 lower |= rule_bit if bits & four.LOWER_BIT else 0
                 upper |= rule_bit if bits & four.UPPER_BIT else 0
-            folds[row | ym] = heads[lower], heads[upper]
-    return folds
+            out.append((rows[lower], rows[upper]))
+    return out
 
 
-def values(kind: OperatorKind, p: Program) -> dict[int, tuple[int, int]]:
-    """The operator at every pair of its domain, keyed by pair number
-    x << n | y for the masks (x, y), in one pass, as its lower and upper
-    rows over the 2^n sets: `apply` there, before the decode, refusing a
-    program outside the operator's class or an unknown kind as it does. The
+def values(kind: OperatorKind, p: Program) -> list[tuple[int, int] | None]:
+    """The operator at every pair of its domain in one pass, listed by pair
+    number x << n | y for the masks (x, y), as its lower and upper rows over
+    the 2^n sets: `apply` there, before the decode, refusing a program
+    outside the operator's class or an unknown kind as it does. The
     four-valued operators cover the 4^n pairs, their rules read as ints per
-    set (`_four_folds`); the others the 3^n consistent pairs, whose leaves
-    (`_FOLDS`) are folded up the gap (`_fold`). Each distinct fold becomes
-    one value (`_from_fold`), shared by the pairs that have it."""
+    set (`_four_folds`); the others the 3^n consistent pairs, None at the
+    rest: (z, z) takes the leaf (`_FOLDS`) of z's base entry, and the others
+    in turn (`_walk`) the join of the folds of two pairs covering their
+    interval. Each distinct fold becomes one value (`_from_fold`)."""
     compiled = p.compile()
     check_kind_applicable(kind, compiled)
-    n = len(p.universe)
     if kind in FOUR_VALUED:
-        folds = _four_folds(p, compiled)
-    else:
-        leaf, join = _folding(kind)
-        folds = _fold(n, [leaf(*compiled.base[z]) for z in range(1 << n)], join)
-    made = Lazy(lambda fold: _from_fold(kind, compiled, p.universe, fold))
-    return {number: made[fold] for number, fold in folds.items()}
+        return _four_folds(p, compiled)
+    leaf, join = _folding(kind)
+    u, n, families = p.universe, len(p.universe), compiled.families
+    made = Lazy(lambda fold: _from_fold(kind, compiled, u, fold))
+    folds, out = [None] * (1 << 2 * n), [None] * (1 << 2 * n)
+    # The total pair (z, z) has number z << n | z, z (2^n + 1).
+    folds[:: (1 << n) + 1] = leaves = [leaf(families, *compiled.base[z]) for z in range(1 << n)]
+    out[:: (1 << n) + 1] = [made[fold] for fold in leaves]
+    for k, with_a, without_a in _walk(n):
+        folds[k] = fold = join(folds[with_a], folds[without_a])
+        out[k] = made[fold]
+    return out
 
 
 class PairPlanes:

@@ -44,7 +44,7 @@ from .lattice import (
     atom_cap,
     hitting_row,
 )
-from .four import Formula, Truth
+from .four import LOWER_BIT, TRUE_BITS, UPPER_BIT, Formula, Truth
 from .record import record
 
 if TYPE_CHECKING:
@@ -259,7 +259,7 @@ class CompiledRule:
     def holds(self, u: AtomUniverse, xm: int) -> bool:
         """Two-valued truth of the body at the set with mask xm: its bits at
         the total pair (xm, xm) are T."""
-        return self.bits(u, xm, xm) == Truth.T.value
+        return self.bits(u, xm, xm) == TRUE_BITS
 
 
 class CompiledAggregate:
@@ -290,8 +290,9 @@ class CompiledAggregate:
         reading iff some condition holds at y but not at x (is U); so on a
         consistent pair the value is exact or U."""
         seen = {(not c & ~xm) << 1 | (not c & ~ym) for c, _ in self.entries}
-        inexact = (Truth.C.value in seen) << 1 | (Truth.U.value in seen)
-        return inexact or (Truth.T.value if self.holds(xm) else Truth.F.value)
+        # C has the lower bit alone and U the upper bit alone; F has neither.
+        inexact = (LOWER_BIT in seen) << 1 | (UPPER_BIT in seen)
+        return inexact or (TRUE_BITS if self.holds(xm) else 0)
 
 
 class Compiled:

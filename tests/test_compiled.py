@@ -266,7 +266,7 @@ def test_the_four_valued_lower_set_at_a_pair_is_the_upper_set_at_the_swapped_pai
     the parser and `make_program` refuse them."""
     for p in programs():
         values, n = ops.values(ops.IC_TRIV, p), len(p.universe)
-        for number, (lower, _) in values.items():
+        for number, (lower, _) in enumerate(values):
             swapped = values[(number & (1 << n) - 1) << n | number >> n]
             assert lower == swapped[1], (p.text, number)
 

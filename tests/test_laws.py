@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import reference as ref
-from aftlab import cli, corpus, four, lattice, laws, operators as ops
+from aftlab import cli, corpus, four, lattice, laws, operators as ops, program as prog
 from aftlab.four import And, Atom, Const, Not, Truth
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, NdPair
 from aftlab.operators import OperatorKind
@@ -203,6 +203,30 @@ def test_suite_programs_deterministic():
     b = [p.text for p in laws.suite_programs(10, 3, 4, 0)]
     assert a == b
     assert len(a) == 10 + len(corpus.names())
+
+
+def test_run_laws_visits_by_rules_atoms_and_text(monkeypatch):
+    """The programs are visited by (rules, atoms, text), ties in that kept
+    in the order given: the suite's programs, then reparsed copies of the
+    last ones in reverse, which tie with them in all three."""
+    programs = laws.suite_programs()
+    programs += [parse(p.text) for p in reversed(programs[-40:])]
+    visited, table = [], laws.OperatorTable
+    monkeypatch.setattr(laws, "OperatorTable", lambda p, apply_fn=None: visited.append(p) or table(p, apply_fn))
+    laws.run_laws(programs, ["exactness"])
+    expected = sorted(programs, key=lambda p: (len(p.rules), len(p.universe), p.text))
+    assert [id(p) for p in visited] == [id(p) for p in expected]
+
+
+def test_run_laws_prints_no_program_that_ties_with_none(monkeypatch):
+    """A text is printed only to order programs of equal rules and atoms."""
+    programs = [parse("p :- q.\nq.\n"), parse("p."), parse("p :- q, not r.\n"), parse("p :- not q.\n")]
+    printed, print_program = [], prog.print_program
+    monkeypatch.setattr(prog, "print_program", lambda p: printed.append(p) or print_program(p))
+    assert all(o.ok for o in laws.run_laws(programs, ["exactness"]))
+    assert printed == []
+    laws.run_laws(programs + [parse("q :- not p.\n")], ["exactness"])
+    assert len(printed) >= 2
 
 
 def test_prefixpoint_minimal_reads_the_operator_once_per_candidate():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 import reference as ref
@@ -224,6 +226,19 @@ def test_refusals_come_in_the_order_apply_states():
                     expected = None
                 for reader in (lambda p, i: ops.apply(kind, p, i), *MEMOIZED[kind]):
                     assert _refusal(reader, p, i) == expected, (p.text, kind, flags, reader)
+
+
+def test_operator_kinds_hash_by_identity_and_stay_singletons():
+    """`OperatorKind` hashes its members by identity, in C. Each member is
+    one object, looked up by value and restored by pickle as itself, so a
+    dict keyed by kind finds it however it was reached."""
+    assert OperatorKind.__hash__ is object.__hash__
+    assert OperatorKind("ic") is ops.IC
+    by_kind = {kind: kind.value for kind in OperatorKind}
+    for kind in OperatorKind:
+        again = pickle.loads(pickle.dumps(kind))
+        assert again is kind and OperatorKind(kind.value) is kind
+        assert by_kind[again] == kind.value and hash(again) == hash(kind)
 
 
 def test_an_unknown_kind_is_refused_naming_it():

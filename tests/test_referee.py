@@ -12,7 +12,7 @@ import pytest
 
 import reference as ref
 from aftlab import semantics as sem
-from aftlab.lattice import AftlabError, ApproxPair
+from aftlab.lattice import AftlabError, ApproxPair, leq_i
 from aftlab.operators import OperatorKind
 from aftlab.program import ProgramClassError, classify
 from conftest import SEMANTICS_CELLS, value_or_refusal
@@ -114,6 +114,32 @@ def test_total_fixpoints_are_the_weakly_supported_models_of_brass_and_dix(part):
         ref.forget()
     # Measured: 6,587 cells over the six parts, 1,103 programs with a weakly supported model.
     assert cells and found, part
+
+
+def atomic_head_programs():
+    """The atomic-head programs of the scope, and seeded atomic-head
+    programs of 1 to 5 atoms with positive and negated aggregates."""
+    scope = [p for build, _ in ref.SCOPE.values() for p in build()]
+    seeded = ref.seeded(range(200, 260), atoms=lambda s: 1 + s % 5, rules=lambda s: 1 + s % 5,
+                        negation_probability=0.4, aggregate_probability=0.6, disjunction_width=1)
+    return [p for p in dict.fromkeys(scope + seeded) if classify(p).atomic_heads]
+
+
+def test_kk_and_wf_of_dmt_det_are_its_least_fixpoint_and_least_stable_fixpoint():
+    """Cited, not measured: the Kripke-Kleene fixpoint of an approximator is
+    its <=_i-least fixpoint, and the well-founded fixpoint its <=_i-least
+    stable fixpoint (Denecker, Marek and Truszczyński 2000, 2004), so
+    kk <=_i wf. Checked for `dmt-det`: the engine's `kk` and `wf` against
+    the referee's fixpoints and stable fixpoints, read through `apply`."""
+    programs = atomic_head_programs()
+    for p in programs:
+        kk, fixed = sem.kk_fixpoint_det(p), ref.fixpoints(p, OperatorKind.DMT_DET)
+        assert kk in fixed and all(leq_i(kk, j) for j in fixed), p.text
+        wf, stable = sem.wf_fixpoint_det(p), ref.stable(p, OperatorKind.DMT_DET)
+        assert wf in stable and all(leq_i(wf, j) for j in stable), p.text
+        assert leq_i(kk, wf), p.text
+        ref.forget()
+    assert {len(p.universe) for p in programs if classify(p).has_aggregates} == {1, 2, 3, 4, 5}
 
 
 # The builders of the engine's bit planes and rows, and the bit-parallel kit

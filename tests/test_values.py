@@ -50,9 +50,11 @@ def test_the_programs_cover_every_class_and_size():
 
 
 def decoded_values(kind, p):
-    """`ops.values` with each value's two rows decoded to an `NdPair`."""
+    """`ops.values` with each value's two rows decoded to an `NdPair`, by
+    pair number, leaving out the None of a pair outside the domain."""
     u = p.universe
-    return {number: NdPair(u.family(lower), u.family(upper)) for number, (lower, upper) in ops.values(kind, p).items()}
+    return {number: NdPair(u.family(value[0]), u.family(value[1]))
+            for number, value in enumerate(ops.values(kind, p)) if value is not None}
 
 
 @pytest.mark.parametrize("kind", OperatorKind)
@@ -64,6 +66,27 @@ def test_values_equal_apply_at_every_pair(kind):
         refused += not isinstance(found, dict)
     # `ic` refuses the aggregate programs and `dmt-det` the disjunctive ones.
     assert bool(refused) == (kind in (OperatorKind.IC, OperatorKind.DMT_DET))
+
+
+@pytest.mark.parametrize("kind", [kind for kind in OperatorKind if ops.consistent_only(kind)])
+def test_a_consistent_only_list_is_none_exactly_off_the_consistent_pairs(kind):
+    """The list of a consistent-only kind has one entry per pair number,
+    None exactly at the inconsistent pairs, and at each consistent pair
+    `apply` there, before the decode."""
+    checked = 0
+    for p in programs():
+        found = refusal(ops.values, kind, p)
+        if not isinstance(found, list):
+            continue
+        u, n = p.universe, len(p.universe)
+        assert len(found) == 1 << 2 * n, p.text
+        assert [k for k, value in enumerate(found) if value is None] == [
+            x << n | y for x in range(1 << n) for y in range(1 << n) if x & ~y], p.text
+        for x, y in u.consistent_masks():
+            value = ops.apply(kind, p, u.pair(x, y))
+            assert found[x << n | y] == (u.row(value.lower_set), u.row(value.upper_set)), (p.text, x, y)
+            checked += 1
+    assert checked >= 1000, checked
 
 
 def test_every_family_the_values_build_is_the_hitting_sets_of_its_heads():
@@ -91,9 +114,9 @@ def test_precision_codes_of_the_values_decide_the_frozenset_orders():
         u, n = p.universe, len(p.universe)
         for kind in OperatorKind:
             found = refusal(ops.values, kind, p)
-            if not isinstance(found, dict):
+            if not isinstance(found, list):
                 continue
-            distinct = list(dict.fromkeys(found.values()))
+            distinct = list(dict.fromkeys(value for value in found if value is not None))
             codes = [precision_code(n, *value) for value in distinct]
             decoded = [NdPair(u.family(lower), u.family(upper)) for lower, upper in distinct]
             for a, code_a, value_a in zip(distinct, codes, decoded):

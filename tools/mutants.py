@@ -111,8 +111,8 @@ MUTANTS = {
     ),
     "ultimate-keeps-one-family": (
         "src/aftlab/operators.py",
-        "gathered = reduce(or_, [compiled.families[h] for h in fold])",
-        "gathered = compiled.families[min(fold)]",
+        "ULTIMATE: (lambda families, heads, atoms: families[heads], or_),",
+        "ULTIMATE: (lambda families, heads, atoms: families[heads], lambda a, b: a),",
         "`ultimate` takes the hitting sets of one head family of the interval, not their union",
     ),
     "least-precise-value-upper-is-every-set": (
@@ -258,6 +258,31 @@ MUTANTS = {
         "models &= (~body_ht | head_ht) & (~body_y | head_y)",
         "models &= (~body_ht | head_ht) & (~body_y | head_ht)",
         "`semantics._ht_model_keys` reads a head's classical half at x (its HT table) in place of y",
+    ),
+    # The law table on lists: the cached walk of `values` and the cached monotonicity steps.
+    "walk-drops-its-last-triple": (
+        "src/aftlab/operators.py",
+        "    return tuple(steps)\n",
+        "    return tuple(steps[:-1])\n",
+        "`operators._walk` leaves out its last pair, (∅, A), so `values` never folds it",
+    ),
+    "ultimate-join-ands": (
+        "src/aftlab/operators.py",
+        "ULTIMATE: (lambda families, heads, atoms: families[heads], or_),",
+        "ULTIMATE: (lambda families, heads, atoms: families[heads], lambda a, b: a & b),",
+        "`ultimate` joins the hitting-set rows of the interval by AND, their intersection, not their union",
+    ),
+    "gz-off-the-total-pairs-swaps-its-rows": (
+        "src/aftlab/operators.py",
+        "        return 1, 1 << (1 << len(u)) - 1\n",
+        "        return 1 << (1 << len(u)) - 1, 1\n",
+        "`gz` off the total pairs is ({A}, {∅}), its two rows swapped, in place of ({∅}, {A})",
+    ),
+    "monotone-steps-skip-atom-0": (
+        "src/aftlab/laws.py",
+        "[1 << i for i in range(n)]",
+        "[1 << i for i in range(1, n)]",
+        "the cached steps of `monotonicity` take no pass for atom 0, so no pair is checked above it along atom 0",
     ),
 }
 
