@@ -32,7 +32,6 @@ from .program import (
 from .operators import OperatorKind, apply, hd, hitting_sets, ic
 from .semantics import (
     SemanticsResult,
-    WellFoundedAnomalyError,
     fixpoints,
     gz_answer_sets,
     ht_models_program,

@@ -2,8 +2,7 @@
 generate random programs.
 
 Exit codes: 0 ok, 1 usage, 2 precondition or class violation or a failed
-write to standard output (a closed pipe ends quietly), 3 law violation (or
-well-founded anomaly).
+write to standard output (a closed pipe ends quietly), 3 law violation.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .lattice import AftlabError, ApproxPair, AtomUniverse
 from .operators import OperatorKind
 from .program import Program
 from .record import asdict
-from .semantics import WellFoundedAnomalyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -343,9 +341,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, sem.SemanticsChoiceError, laws.UnknownLawError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except WellFoundedAnomalyError as exc:
-        print(f"anomaly: {exc}", file=sys.stderr)
-        return EXIT_LAW
     except AftlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -218,37 +218,14 @@ def ht_tables(u: AtomUniverse, f: Formula) -> tuple[int, int]:
     return read(f)
 
 
-@record
-class HTRule:
-    """A rule body -> head-disjunction, its formulas built once. Under
-    here-and-there it holds at a consistent pair (x, y) iff its HT
-    implication clause holds there (`here`) and its material implication
-    ¬body ∨ head is classically true at the upper set (`there`), which
-    reads y alone."""
-
-    body: Formula
-    head: Formula
-    implication: Formula
-
-    @staticmethod
-    def of(body: Formula, head: Iterable[str]) -> "HTRule":
-        head_atoms = tuple(head)
-        if not head_atoms:
-            raise AftlabError("rule head must be non-empty")
-        head_formula = disj(Atom(a) for a in head_atoms)
-        return HTRule(body, head_formula, Or(Not(body), head_formula))
-
-    def here(self, u: AtomUniverse, i: ApproxPair) -> bool:
-        return not ht_satisfies(u, i, self.body) or ht_satisfies(u, i, self.head)
-
-    def there(self, u: AtomUniverse, y: AtomSet) -> bool:
-        return eval_two(u, y, self.implication) is Truth.T
-
-
 def ht_satisfies_rule(u: AtomUniverse, i: ApproxPair, body: Formula, head: Iterable[str]) -> bool:
-    """HT satisfaction of body -> head-disjunction (`HTRule`): the HT
-    implication clause at i and classical truth of the material implication
-    at the upper set."""
-    rule = HTRule.of(body, head)
-    here, there = rule.here(u, i), rule.there(u, i.upper)
+    """HT satisfaction of body -> head-disjunction at a consistent pair
+    (x, y): its HT half, the head holding in HT wherever the body does, and
+    its classical half, the material implication ¬body ∨ head true at y."""
+    head_atoms = tuple(head)
+    if not head_atoms:
+        raise AftlabError("rule head must be non-empty")
+    head_formula = disj(Atom(a) for a in head_atoms)
+    here = not ht_satisfies(u, i, body) or ht_satisfies(u, i, head_formula)
+    there = eval_two(u, i.upper, Or(Not(body), head_formula)) is Truth.T
     return here and there

@@ -56,11 +56,17 @@ def _ndao_kinds(p: Program) -> list[OperatorKind]:
 
 
 @cache
+def _consistent(n: int) -> tuple[int, ...]:
+    """The numbers of the consistent pairs over n atoms, in order, once per n."""
+    return tuple(bit_indices(key_columns(n)[2]))
+
+
+@cache
 def _monotone_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per atom a, the steps of `_law_monotonicity`, built once per n: the
     numbers k of the consistent pairs (x, y) with a in y - x, with those of
     (x + a, y), k | a << n, and (x, y - a), k ^ a."""
-    consistent, atoms = bit_indices(key_columns(n)[2]), [1 << i for i in range(n)]
+    consistent, atoms = _consistent(n), [1 << i for i in range(n)]
     return tuple(tuple((k, k | a << n, k ^ a) for k in consistent if k & ~(k >> n) & a) for a in atoms)
 
 
@@ -72,13 +78,14 @@ class OperatorTable:
     dict asked of it at each pair on its first read and encoded, so a law
     sizes a list by n; and `codes[value]`, the `PrecisionCode` of each
     distinct value. `sets[m]` is the set with mask m; `consistent` numbers
-    the consistent pairs in order, and `pair(number)` is the pair itself."""
+    the consistent pairs in order, one tuple per n (`_consistent`), and
+    `pair(number)` is the pair itself."""
 
     def __init__(self, p: Program, apply_fn: ApplyFn | None = None):
         u, n = p.universe, len(p.universe)
         self.n, self.low = n, (low := (1 << n) - 1)
         self.sets = sets = [u.unmask(m) for m in range(1 << n)]
-        self.consistent = bit_indices(key_columns(n)[2])
+        self.consistent = _consistent(n)
         # The fills read locals, not the table, so a table is freed without a cycle collection.
         rows = lambda value: (u.row(value.lower_set), u.row(value.upper_set))
         per_pair = lambda kind: Lazy(lambda k: rows(apply_fn(kind, p, ApproxPair(sets[k >> n], sets[k & low]))))

@@ -151,20 +151,15 @@ def _four_heads(p: Program, compiled: prog.Compiled, xm: int, ym: int) -> tuple[
 
 @cache
 def ic_lower_set(p: Program, i: ApproxPair) -> NdSet:
-    """Lower component of the four-valued operator; total on arbitrary pairs."""
-    return ic_ndao(p, i).lower_set
+    """Lower component of the four-valued operator, total on arbitrary
+    pairs: its lower heads need body value >=_t C, its upper ones >=_t U. It
+    is `ic-triv` on the aggregate-free programs it is defined on."""
+    return apply(IC, p, i).lower_set
 
 
 @cache
 def ic_upper_set(p: Program, i: ApproxPair) -> NdSet:
-    return ic_ndao(p, i).upper_set
-
-
-def ic_ndao(p: Program, i: ApproxPair) -> NdPair:
-    """Four-valued approximating operator: lower heads need body value >=_t C,
-    upper heads >=_t U. It is `ic-triv` on the aggregate-free programs it is
-    defined on."""
-    return apply(IC, p, i)
+    return apply(IC, p, i).upper_set
 
 
 @cache
@@ -587,14 +582,16 @@ def member_row(p: Program, fixed: int) -> int:
     return _members(full, heads, inside, _missed(heads, inside))
 
 
-def stable_rows(p: Program) -> Callable[[int], tuple[int, ...]]:
-    """The complete stable value of `ic` and `ic-triv` at each set, lower
+def stable_rows(kind: OperatorKind, p: Program) -> Callable[[int], tuple[int, ...]]:
+    """The complete stable value of `ic` or `ic-triv` at each set, lower
     and upper alike, as a function of its mask giving the minimal members
-    of `member_row` in increasing order. A row depends on the fixed set only
+    of `member_row` in increasing order, on a program of the operator's
+    class (`check_kind_applicable`). A row depends on the fixed set only
     through its key: the plain rules whose neg misses it (`live`, built with
     one doubling per atom) and the atoms of it that aggregate and formula
     bodies read. Each row is built once per program and key, and kept."""
     compiled, u = p.compile(), p.universe
+    check_kind_applicable(kind, compiled)
     plain_negs = [r.neg for r in compiled.rules if r.formula is None and not r.aggs]
     read = 0
     for r in compiled.rules:

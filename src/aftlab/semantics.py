@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import four, operators as ops, program as prog
 from .lattice import (
@@ -38,22 +38,12 @@ from .lattice import (
     bit_indices,
     gap,
     key_columns,
-    leq_i,
     leq_t,
     row_columns,
-    submasks,
 )
 from .operators import OperatorKind
 from .program import Program, ProgramClassError
 from .record import record
-
-
-class WellFoundedAnomalyError(AftlabError):
-    """Raised when no unique information-least stable fixpoint exists."""
-
-    def __init__(self, pairs: tuple[ApproxPair, ...]):
-        super().__init__(f"no unique information-least stable fixpoint; minimal ones: {pairs}")
-        self.pairs = pairs
 
 
 def _pairs(p: Program, keys: Iterable[int]) -> list[ApproxPair]:
@@ -87,46 +77,26 @@ def minimal_sets(sets: Iterable[AtomSet]) -> NdSet:
     return frozenset(s for s in collected if not any(t < s for t in collected))
 
 
-def _complete_values(
-    kind: OperatorKind, p: Program
-) -> tuple[Callable[[int], Sequence[int]], Callable[[int], Sequence[int]]]:
-    """The complete lower stable value at the mask y (minimal x with x a
-    member of the lower operator at (x, y)) and the complete upper one at the
-    mask x, as functions giving the minimal masks in increasing order.
-
-    Candidates range over the operator's domain: the subsets of y (supersets
-    of x) for the consistent-only operators, whose values are read from their
-    minimal planes (`operators.PairPlanes.minimal`) at each candidate pair's
-    number, and every set for the total four-valued ones, whose candidates
-    include inconsistent pairs, where the planes say nothing. Those are read
-    from rows over all 2^n sets with x fixed (`operators.stable_rows`), one
-    function for both: every body's two bits swap with x and y, so y is in
-    the upper set at (x, y) iff it is in the lower set at (y, x). A program
-    outside the operator's class is refused, by `operators.pair_planes` or
-    here, before either is read.
-    """
-    if ops.consistent_only(kind):
-        planes = ops.pair_planes(kind, p)
-        lower, upper = planes.minimal()
-        number, full = planes.digits.number, (1 << len(p.universe)) - 1
-        return (
-            lambda ym: [xm for xm in submasks(ym) if lower >> number(xm, ym) & 1],
-            lambda xm: [xm | t for t in submasks(full & ~xm) if upper >> number(xm, xm | t) & 1],
-        )
-    ops.check_kind_applicable(kind, p.compile())
-    return (ops.stable_rows(p),) * 2
-
-
 def complete_lower_stable(kind: OperatorKind, p: Program, y: AtomSet) -> NdSet:
-    """Minimal x with x a member of the lower operator at (x, y)."""
-    u = p.universe
-    return frozenset(map(u.unmask, _complete_values(kind, p)[0](u.mask(y))))
+    """Minimal x with x a member of the lower operator at (x, y): the x of
+    the keys with y of a consistent-only operator's lower `minimal` plane,
+    or a four-valued operator's row at y (`operators.stable_rows`)."""
+    u, n = p.universe, len(p.universe)
+    if not ops.consistent_only(kind):
+        return frozenset(map(u.unmask, ops.stable_rows(kind, p)(u.mask(y))))
+    planes, ym = ops.pair_planes(kind, p), u.mask(y)
+    return frozenset(u.unmask(k >> n) for k in planes.digits.keys(planes.minimal()[0]) if k & (1 << n) - 1 == ym)
 
 
 def complete_upper_stable(kind: OperatorKind, p: Program, x: AtomSet) -> NdSet:
-    """Minimal y with y a member of the upper operator at (x, y)."""
-    u = p.universe
-    return frozenset(map(u.unmask, _complete_values(kind, p)[1](u.mask(x))))
+    """Minimal y with y a member of the upper operator at (x, y): the y of
+    the keys with x of the upper `minimal` plane, or the row at x, which
+    gives the lower and the upper value of a four-valued operator alike."""
+    u, n = p.universe, len(p.universe)
+    if not ops.consistent_only(kind):
+        return frozenset(map(u.unmask, ops.stable_rows(kind, p)(u.mask(x))))
+    planes, xm = ops.pair_planes(kind, p), u.mask(x)
+    return frozenset(u.unmask(k & (1 << n) - 1) for k in planes.digits.keys(planes.minimal()[1]) if k >> n == xm)
 
 
 def _minimal_keys(planes: ops.PairPlanes) -> list[int]:
@@ -139,7 +109,7 @@ def _minimal_keys(planes: ops.PairPlanes) -> list[int]:
 def _stable_keys(kind: OperatorKind, p: Program) -> list[int]:
     if ops.consistent_only(kind):
         return _minimal_keys(ops.pair_planes(kind, p))
-    value, n = _complete_values(kind, p)[0], len(p.universe)
+    value, n = ops.stable_rows(kind, p), len(p.universe)
     return [xm << n | ym for xm in range(1 << n) for ym in value(xm) if not xm & ~ym and xm in value(ym)]
 
 
@@ -148,13 +118,15 @@ def stable_fixpoints(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     for y and y among the complete upper stable values for x; for a
     consistent-only operator, the AND of the planes of both
     (`operators.PairPlanes.minimal`), and for a four-valued one the pairs
-    with x within y, x in C(y) and y in C(x), C the one function of its
-    rows (`_complete_values`)."""
+    with x within y, x in C(y) and y in C(x), C the value of its rows
+    (`operators.stable_rows`)."""
     return _pairs(p, _stable_keys(kind, p))
 
 
 def total_stable_fixpoints(kind: OperatorKind, p: Program) -> list[AtomSet]:
-    return [i.lower for i in stable_fixpoints(kind, p) if i.is_total]
+    """The sets x of the stable keys x << n | y with x = y."""
+    n = len(p.universe)
+    return [p.universe.unmask(k >> n) for k in _stable_keys(kind, p) if k >> n == k & (1 << n) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +160,18 @@ def det_stable_fixpoints(p: Program) -> list[ApproxPair]:
 
 
 def wf_fixpoint_det(p: Program) -> ApproxPair:
-    """Information-least deterministic stable fixpoint."""
-    stable = det_stable_fixpoints(p)
-    if not stable:
-        raise AftlabError("program has no deterministic stable fixpoint")
-    least = [i for i in stable if all(leq_i(i, j) for j in stable)]
-    if len(least) == 1:
-        return least[0]
-    minimal = tuple(i for i in stable if not any(leq_i(j, i) and j != i for j in stable))
-    raise WellFoundedAnomalyError(minimal)
+    """Information-least deterministic stable fixpoint: (∩x, ∪y) over the
+    stable keys x << n | y of `dmt-det`, the AND of their x masks and the OR
+    of their y masks. `dmt-det` is <=_i-monotone on the consistent pairs, so
+    its well-founded fixpoint is a stable fixpoint <=_i every other
+    (Denecker, Marek and Truszczyński 2000, 2004), and so it is that meet.
+    A meet that is not stable, which the theorem rules out, is refused."""
+    keys, n = _stable_keys(ops.DMT_DET, p), len(p.universe)
+    low = (1 << n) - 1
+    xm, ym = reduce(lambda a, k: a & k >> n, keys, low), reduce(or_, [k & low for k in keys], 0)
+    if xm << n | ym not in keys:
+        raise AftlabError("program has no information-least deterministic stable fixpoint")
+    return p.universe.pair(xm, ym)
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +187,19 @@ def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
 def ht_models_program(p: Program) -> list[ApproxPair]:
     """Pairs (x, y) satisfying every rule under here-and-there satisfaction
     (Lifschitz, Pearce and Valverde, ACM TOCL 2001), each rule read as the
-    formulas body -> head-disjunction (`four.HTRule`) at every pair key
-    x << n | y at once (`four.ht_tables`); the consistent keys where every
-    rule holds are decoded in increasing key order, `consistent_masks` order."""
+    formulas body -> head-disjunction (`four.ht_satisfies_rule`) at every
+    pair key x << n | y at once (`four.ht_tables`); the consistent keys where
+    every rule holds are decoded in increasing key order, `consistent_masks`
+    order."""
     return _pairs(p, _ht_model_keys(p))
 
 
 def _ht_model_keys(p: Program) -> list[int]:
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
     u, models = p.universe, key_columns(len(p.universe))[2]
-    for r in (four.HTRule.of(prog.body_formula(r), r.head) for r in p.rules):
-        (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, r.body), four.ht_tables(u, r.head)
+    for r in p.rules:
+        body, head = prog.body_formula(r), four.disj(map(four.Atom, r.head))
+        (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, body), four.ht_tables(u, head)
         models &= (~body_ht | head_ht) & (~body_y | head_y)
     return bit_indices(models)
 
@@ -279,9 +256,12 @@ def seq(kind: OperatorKind, p: Program) -> list[ApproxPair]:
 
 def seq_no_difference(kind: OperatorKind, p: Program) -> list[ApproxPair]:
     """Difference-free approximation: information-maximal truth-minimal HT
-    pairs; always a superset of the semi-equilibrium models."""
-    minimal = _pairs(p, _ht_keys(kind, p, True))
-    return [a for a in minimal if not any(b != a and leq_i(a, b) for b in minimal)]
+    pairs; always a superset of the semi-equilibrium models. A key
+    x << n | y is dropped when another, w << n | z, has x within w and z
+    within y."""
+    n, keys = len(p.universe), _ht_keys(kind, p, True)
+    low = (1 << n) - 1
+    return _pairs(p, [k for k in keys if not any(j != k and not k >> n & ~(j >> n) and not j & low & ~k for j in keys)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +281,9 @@ def is_model(p: Program, i: ApproxPair, j: ApproxPair | None = None) -> bool:
     u = p.universe
     xi, yi = u.mask(i.lower), u.mask(i.upper)
     xj, yj = (xi, yi) if j is None else (u.mask(j.lower), u.mask(j.upper))
-    return _gl_model(p.compile().rules, xi, yi, xj, yj)
-
-
-def _gl_model(rules: Iterable[prog.CompiledRule], xi: int, yi: int, xj: int, yj: int) -> bool:
     return all(
         (r.pos & ~xj or r.neg & yi or r.head_mask & xj) and (r.pos & ~yj or r.neg & xi or r.head_mask & yj)
-        for r in rules
+        for r in p.compile().rules
     )
 
 

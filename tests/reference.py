@@ -275,11 +275,9 @@ def wf(p) -> ApproxPair:
     """The information-least deterministic stable pair, if there is one."""
     found = det_stable(p)
     least = [i for i in found if all(leq_i(i, j) for j in found)]
-    if len(least) == 1:
-        return least[0]
-    if not found:
-        raise AftlabError("program has no deterministic stable fixpoint")
-    raise sem.WellFoundedAnomalyError(tuple(i for i in found if not any(leq_i(j, i) and j != i for j in found)))
+    if not least:
+        raise AftlabError("program has no information-least deterministic stable fixpoint")
+    return least[0]
 
 
 # Three-valued stable models, GZ answer sets, HT models and SEQ.
@@ -318,9 +316,9 @@ def ht_rule(u, i: ApproxPair, body, head) -> bool:
 
 
 def ht_models(p) -> list[ApproxPair]:
-    """The pairs at which every rule is HT-satisfied (`four.HTRule`)."""
-    u, rules = p.universe, [four.HTRule.of(body_formula(r), r.head) for r in p.rules]
-    return [i for i in consistent(p.universe) if all(r.here(u, i) and r.there(u, i.upper) for r in rules)]
+    """The pairs at which every rule is HT-satisfied (`ht_rule`)."""
+    u, rules = p.universe, [(body_formula(r), r.head) for r in p.rules]
+    return [i for i in consistent(p.universe) if all(ht_rule(u, i, body, head) for body, head in rules)]
 
 
 def semi_equilibrium(p) -> list[ApproxPair]:

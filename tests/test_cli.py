@@ -166,6 +166,19 @@ def test_semantics_wf_and_kk():
     assert "(∅, {p,q})" in out
 
 
+def test_wf_refuses_a_meet_of_the_stable_keys_that_is_not_stable(monkeypatch, tmp_path):
+    """Ruled out for `dmt-det` by its theorem (Denecker, Marek and
+    Truszczyński 2000, 2004), so forced here: with the stable keys of a
+    choice program cut to its two total ones, their meet (∅, {p, q}) is not
+    among them, and `wf` is refused as a precondition error."""
+    program = tmp_path / "choice.lp"
+    program.write_text("p :- not q.\nq :- not p.\n", encoding="utf-8")
+    stable_keys = sem._stable_keys
+    monkeypatch.setattr(sem, "_stable_keys", lambda kind, p: [k for k in stable_keys(kind, p) if k >> 2 == k & 3])
+    assert run("semantics", "--program", str(program), "--semantics", "wf") == (
+        2, "", "error: program has no information-least deterministic stable fixpoint\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -69,22 +69,22 @@ def test_aggregate_cycle_full_table(aggregate_cycle):
 
 
 def test_ic_ndao_examples(disjunctive_self_defeat):
-    assert ops.ic_ndao(disjunctive_self_defeat, pair("", "q")) == NdPair(family(()), PQ_HITS)
-    assert ops.ic_ndao(disjunctive_self_defeat, pair("q", "q")) == NdPair(family(()), family(()))
+    assert ops.apply(OperatorKind.IC, disjunctive_self_defeat, pair("", "q")) == NdPair(family(()), PQ_HITS)
+    assert ops.apply(OperatorKind.IC, disjunctive_self_defeat, pair("q", "q")) == NdPair(family(()), family(()))
     for x in disjunctive_self_defeat.universe.subsets():
-        total = ops.ic_ndao(disjunctive_self_defeat, ApproxPair(x, x))
+        total = ops.apply(OperatorKind.IC, disjunctive_self_defeat, ApproxPair(x, x))
         assert total.lower_set == total.upper_set == ops.ic(disjunctive_self_defeat, x)
 
 
 def test_ic_ndao_is_total_on_inconsistent_pairs(disjunctive_self_defeat):
-    value = ops.ic_ndao(disjunctive_self_defeat, pair("q", "p"))
+    value = ops.apply(OperatorKind.IC, disjunctive_self_defeat, pair("q", "p"))
     assert value.lower_set == PQ_HITS  # negated q is contradictory there, so >=_t C
     assert value.upper_set == family(())
 
 
 def test_ic_ndao_rejects_aggregates(sum_chain_program):
     with pytest.raises(ProgramClassError):
-        ops.ic_ndao(sum_chain_program, pair())
+        ops.apply(OperatorKind.IC, sum_chain_program, pair())
 
 
 def test_dmt_det_examples(negation_vs_positive_loop, sum_split_program):
@@ -125,7 +125,7 @@ def test_gz_examples(disjunctive_self_defeat, aggregate_cycle):
     assert ops.gz_ndao(aggregate_cycle, rs) == NdPair(DELTA2, DELTA2)
     assert ops.gz_ndao(aggregate_cycle, pair("", "q")) == NdPair(family(()), family({"q", "r", "s"}))
     for x in disjunctive_self_defeat.universe.subsets():
-        assert ops.gz_ndao(disjunctive_self_defeat, ApproxPair(x, x)) == ops.ic_ndao(disjunctive_self_defeat, ApproxPair(x, x))
+        assert ops.gz_ndao(disjunctive_self_defeat, ApproxPair(x, x)) == ops.apply(OperatorKind.IC, disjunctive_self_defeat, ApproxPair(x, x))
 
 
 def test_gz_reads_no_base_entry_off_the_total_pairs(monkeypatch):
@@ -175,7 +175,7 @@ def test_every_kind_refuses_an_atom_outside_the_universe(aggregate_cycle):
 
 # The memoized functions of each kind; each reads `apply`.
 MEMOIZED = {
-    OperatorKind.IC: (ops.ic_ndao, ops.ic_lower_set, ops.ic_upper_set),
+    OperatorKind.IC: (ops.ic_lower_set, ops.ic_upper_set),
     OperatorKind.DMT: (ops.dmt_ndao,),
     OperatorKind.ULTIMATE: (ops.ultimate_ndao,),
     OperatorKind.GZ: (ops.gz_ndao,),
@@ -275,7 +275,7 @@ def test_ic_triv_is_ic_on_aggregate_free_programs():
         if classify(p).has_aggregates:
             continue
         for i in ref.all_pairs(p.universe):
-            assert ops.apply(OperatorKind.IC_TRIV, p, i) == ops.ic_ndao(p, i)
+            assert ops.apply(OperatorKind.IC_TRIV, p, i) == ops.apply(OperatorKind.IC, p, i)
 
 
 def test_ic_triv_is_an_approximation_below_dmt():

@@ -43,7 +43,6 @@ SAMPLES = {
     four.Not: lambda: four.Not(four.Atom("p")),
     four.And: lambda: four.And(four.Atom("p"), four.Const(Truth.T)),
     four.Or: lambda: four.Or(four.Atom("p"), four.Atom("q")),
-    four.HTRule: lambda: four.HTRule.of(four.Atom("p"), ("q",)),
     prog.SetTermEntry: lambda: _ENTRY,
     prog.SetTerm: lambda: _AGG.term,
     prog.AggregateAtom: lambda: _AGG,

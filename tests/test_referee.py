@@ -146,7 +146,7 @@ def test_kk_and_wf_of_dmt_det_are_its_least_fixpoint_and_least_stable_fixpoint()
 # they share (`lattice`: the column tiler, the atom tests, the closure and
 # minimal-set pass and the row columns).
 FORBIDDEN = {"pair_planes", "PairPlanes", "stable_rows", "member_row", "interval_tables", "digit_planes",
-             "DigitPlanes", "minimal_bits", "_complete_values", "_tile", "_within", "_meets", "_closure",
+             "DigitPlanes", "minimal_bits", "_tile", "_within", "_meets", "_closure",
              "_minimal", "row_columns", "_row_runs", "_truth_runs"}
 
 

@@ -284,6 +284,25 @@ MUTANTS = {
         "[1 << i for i in range(1, n)]",
         "the cached steps of `monotonicity` take no pass for atom 0, so no pair is checked above it along atom 0",
     ),
+    # The semantics' filters on pair keys.
+    "wf-ors-the-x-masks": (
+        "src/aftlab/semantics.py",
+        "reduce(lambda a, k: a & k >> n, keys, low)",
+        "reduce(lambda a, k: a | k >> n, keys, 0)",
+        "`wf` takes the OR of the stable keys' x masks, their join, in place of their AND",
+    ),
+    "seq-approx-reads-the-x-side-the-wrong-way-round": (
+        "src/aftlab/semantics.py",
+        "not k >> n & ~(j >> n)",
+        "not j >> n & ~(k >> n)",
+        "`seq-approx` drops a key when another key's x lies within its x, in place of holding it",
+    ),
+    "total-stable-keeps-a-non-total-key": (
+        "src/aftlab/semantics.py",
+        "if k >> n == k & (1 << n) - 1]",
+        "if k >> n | 1 == k & (1 << n) - 1 | 1]",
+        "`total_stable_fixpoints` keeps the stable keys whose x and y differ only at atom 0",
+    ),
 }
 
 
