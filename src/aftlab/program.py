@@ -47,6 +47,16 @@ from .lattice import (
 from .four import LOWER_BIT, TRUE_BITS, UPPER_BIT, Formula, Truth
 from .record import record
 
+# The interpreter's built-in SHA-256, bound at import and so before any fork:
+# `hashlib` loads OpenSSL, whose pages each forked job faults in on its first digest.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -404,11 +414,11 @@ def classify(p: Program) -> Classification:
 
 
 def program_hash(p: Program) -> str:
+    """The first 12 hex digits of the SHA-256 of `p.text` in UTF-8, as
+    `hashlib.sha256` gives them; computed once per program."""
     digest = p.__dict__.get("_digest")  # computed once, kept outside the fields as `_hash` is
     if digest is None:
-        import hashlib  # here: it loads OpenSSL, and only the runs that report a digest need it
-
-        digest = p.__dict__["_digest"] = hashlib.sha256(p.text.encode()).hexdigest()[:12]
+        digest = p.__dict__["_digest"] = _sha256(p.text.encode()).hexdigest()[:12]
     return digest
 
 

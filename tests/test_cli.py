@@ -18,7 +18,7 @@ from aftlab.cli import COMMANDS, HELP, UsageError
 from aftlab.four import Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.operators import OperatorKind
-from aftlab.program import GeneralFormula, Rule, make_program, parse, print_program
+from aftlab.program import GeneralFormula, Rule, make_program, parse, print_program, program_hash
 from aftlab import semantics as sem
 from test_four import _formula_strategy
 
@@ -734,6 +734,25 @@ def test_importing_the_cli_does_not_import_argparse():
     )
     done = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_a_semantics_run_does_not_import_hashlib(tmp_path):
+    """The program digest reads the interpreter's built-in SHA-256, so a run
+    that reports it loads neither `hashlib` nor OpenSSL (`_hashlib`)."""
+    path = tmp_path / "p.lp"
+    path.write_text("p | q :- not r.\nr :- #count{1:p; 1:q} >= 2.\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import io, json, sys; sys.path.insert(0, sys.argv[1]); import aftlab.cli; "
+        "sys.stdout = io.StringIO(); "
+        "code = aftlab.cli.main(['semantics', '--program', sys.argv[2], '--semantics', 'stable', '--operator', 'dmt',"
+        " '--format', 'json']); "
+        "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__; "
+        "print(code, json.loads(out)['program'], [m for m in ('hashlib', '_hashlib') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(src), str(path)], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == f"0 {program_hash(parse(path.read_text()))} []\n"
 
 
 def test_integral_aggregates_and_the_law_suite_do_not_import_fractions(tmp_path):

@@ -1,9 +1,12 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import reference as ref
-from aftlab import corpus, four
+from aftlab import corpus, four, program as prog
 from aftlab.four import Const, Truth
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import AftlabError, ApproxPair, AtomUniverse, UnknownAtomError
@@ -152,6 +155,36 @@ def test_fraction_weights_equal_and_hash_like_parsed_ints():
     assert hash(built) == hash(parsed)
     assert built.text == parsed.text
     assert program_hash(built) == program_hash(parsed)
+
+
+NON_ASCII = "größe | λ :- not café.\ncafé :- #count{1:größe; 2:λ} >= 1.\nπ :- not größe & (λ | #true).\n"
+
+
+def test_the_program_digest_is_the_hashlib_sha256_prefix():
+    """`program_hash` reads the interpreter's built-in SHA-256, not
+    `hashlib`'s; the digits are the same, non-ASCII atoms included."""
+    import hashlib
+
+    programs = [*ref.PROGRAMS, parse(NON_ASCII)]  # seeded programs, the corpus and formula bodies
+    assert any(not p.text.isascii() for p in programs)
+    assert [program_hash(p) for p in programs] == [hashlib.sha256(p.text.encode()).hexdigest()[:12] for p in programs]
+
+
+def test_without_the_built_in_modules_the_digest_falls_back_to_hashlib(tmp_path):
+    """With `_sha2` and `_sha256` blocked, `program` binds `hashlib.sha256`,
+    and the digest is the same."""
+    path = tmp_path / "p.lp"
+    path.write_text(NON_ASCII, encoding="utf-8")
+    src = Path(prog.__file__).resolve().parents[1]
+    probe = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; sys.path.insert(0, sys.argv[1]); "
+        "import hashlib; import aftlab; from aftlab import program; "
+        "text = open(sys.argv[2], encoding='utf-8').read(); "
+        "print(program._sha256 is hashlib.sha256, program.program_hash(program.parse(text)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(src), str(path)], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == f"True {program_hash(parse(NON_ASCII))}\n"
 
 
 def test_round_trip_on_corpus():

@@ -3,7 +3,7 @@ import pickle
 import pytest
 
 import reference as ref
-from aftlab import corpus, laws, operators as ops, semantics as sem
+from aftlab import corpus, laws, operators as ops, program as prog, semantics as sem
 from aftlab.generator import GeneratorConfig, generate_program
 from aftlab.lattice import ApproxPair, AtomUniverse, CapExceededError, InconsistentPairError, leq_i, leq_t
 from aftlab.operators import OperatorKind
@@ -371,16 +371,17 @@ def test_run_semantics_dispatch(disjunctive_self_defeat):
 
 def test_the_program_digest_is_computed_once_per_program(monkeypatch, negation_vs_positive_loop):
     """Every cell of `SEMANTICS` reports the digest; the program computes it
-    once, keeps it outside its fields and leaves it out of a pickle."""
+    once, with the SHA-256 constructor `program` binds at import, keeps it
+    outside its fields and leaves it out of a pickle."""
     import hashlib
 
     digests = []
-    sha256 = hashlib.sha256
-    monkeypatch.setattr(hashlib, "sha256", lambda data: digests.append(data) or sha256(data))
+    sha256 = prog._sha256
+    monkeypatch.setattr(prog, "_sha256", lambda data: digests.append(data) or sha256(data))
     p = parse(negation_vs_positive_loop.text)
     results = [sem.run_semantics(name, p, kind) for name, kind in SEMANTICS_CELLS]
     assert len(results) == 40 and len(digests) == 1
-    assert {r.program_digest for r in results} == {sha256(p.text.encode()).hexdigest()[:12]}
+    assert {r.program_digest for r in results} == {hashlib.sha256(p.text.encode()).hexdigest()[:12]}
     assert "_digest" in vars(p) and vars(pickle.loads(pickle.dumps(p))) == {}
 
 

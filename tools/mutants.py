@@ -303,6 +303,33 @@ MUTANTS = {
         "if k >> n | 1 == k & (1 << n) - 1 | 1]",
         "`total_stable_fixpoints` keeps the stable keys whose x and y differ only at atom 0",
     ),
+    # The program digest on the interpreter's built-in SHA-256.
+    "program-hash-takes-the-wrong-digits": (
+        "src/aftlab/program.py",
+        ".hexdigest()[:12]",
+        ".hexdigest()[1:13]",
+        "`program_hash` takes hex digits 2-13 of the SHA-256, in place of the first 12",
+    ),
+    "program-hash-drops-the-last-newline": (
+        "src/aftlab/program.py",
+        "_sha256(p.text.encode())",
+        "_sha256(p.text[:-1].encode())",
+        "`program_hash` hashes the program text without its last newline",
+    ),
+    "program-hash-is-not-kept": (
+        "src/aftlab/program.py",
+        'digest = p.__dict__["_digest"] = _sha256(',
+        "digest = _sha256(",
+        "`program_hash` computes the digest on every call and keeps none",
+    ),
+    "program-binds-hashlib": (
+        "src/aftlab/program.py",
+        "try:\n    from _sha2 import sha256 as _sha256  # Python 3.12 and later\n"
+        "except ImportError:\n    try:\n        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11\n"
+        "    except ImportError:\n        from hashlib import sha256 as _sha256\n",
+        "from hashlib import sha256 as _sha256\n",
+        "`program` binds `hashlib.sha256`, which loads OpenSSL, in place of the built-in SHA-256",
+    ),
 }
 
 
