@@ -1,6 +1,6 @@
 """Four-valued truth algebra (T, F, U, C), formula evaluation under an
 approximating pair, and here-and-there satisfaction of rules, pair by pair
-and as tables over every pair at once (`ht_tables`).
+and as planes over every consistent pair at once (`ht_tables`).
 
 Conjunction is the greatest lower bound and disjunction the least upper bound
 of the truth order F < {C, U} < T (C and U incomparable); negation swaps T/F
@@ -20,7 +20,7 @@ from .lattice import (
     AtomUniverse,
     InconsistentPairError,
     UnknownAtomError,
-    key_columns,
+    digit_planes,
 )
 from .record import record
 
@@ -186,27 +186,30 @@ def ht_satisfies(u: AtomUniverse, i: ApproxPair, f: Formula) -> bool:
 
 
 def ht_tables(u: AtomUniverse, f: Formula) -> tuple[int, int]:
-    """f read at every pair (x, y) over u at once, as two tables over the
-    pair keys x << n | y (`lattice.key_columns`): the keys where f is
+    """f read at every consistent pair (x, y) over u at once, as two planes
+    over the pair numbers of `lattice.DigitPlanes`: the pairs where f is
     classically true at y (`eval_two` at the upper set) and those where it
-    holds in here-and-there (`ht_satisfies`, which only the consistent keys
-    read). An atom is its Y column classically and its X column in HT; a
-    negation is the complement of its operand's classical table in both;
-    `&` and `|` act key by key; T is every key and the other constants none,
-    so a formula holding U or C, which no accepted body does, is read as
+    holds in here-and-there (`ht_satisfies`). An atom is its y column
+    classically (not its `d0` plane) and its x column in HT (its `d2`
+    plane), both shifted from its `d1` plane when read; a negation is the
+    complement of its operand's classical plane in both; `&` and `|` act
+    pair by pair; T is every pair and the other constants none, so a
+    formula holding U or C, which no accepted body does, is read as
     two-valued."""
-    xs, ys, _ = key_columns(len(u))
-    every = (1 << (1 << 2 * len(u))) - 1
+    digits = digit_planes(len(u))
+    full = digits.full
 
     def read(g: Formula) -> tuple[int, int]:
         if isinstance(g, Atom):
             i = u.index(g.name)
-            return ys[i], xs[i]
+            d1, s = digits.d1[i], digits.steps[i]
+            in_x, in_y = d1 << s, full ^ d1 >> s
+            return in_y, in_x
         if isinstance(g, Const):
-            table = every if g.value is Truth.T else 0
+            table = full if g.value is Truth.T else 0
             return table, table
         if isinstance(g, Not):
-            table = every & ~read(g.operand)[0]
+            table = full & ~read(g.operand)[0]
             return table, table
         if isinstance(g, (And, Or)):
             (left_y, left_ht), (right_y, right_ht) = read(g.left), read(g.right)

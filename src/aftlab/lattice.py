@@ -2,12 +2,11 @@
 orders (also as one AND on precision codes), lattice difference, and
 deterministic enumeration of intervals and consistent pairs, also as pairs of
 masks and information-above a pair, bit planes over the consistent pairs (one
-bit per pair), rows over the 2^n sets (one bit per set: an operator value
+bit per pair) and rows over the 2^n sets (one bit per set: an operator value
 is a lower and an upper row, with its hitting sets, closures and precision
-code) and tables over the 4^n pair keys x << n | y (one bit per key). The
-three share one kit: columns tiled by shift-or doubling (`_tile`), "holds
-every atom of m" and "has some atom of m" (`_within`, `_meets`), and one
-closure and minimal-set pass over (shift, mask) runs (`_closure`,
+code). The two share one kit: columns tiled by shift-or doubling (`_tile`),
+"holds every atom of m" and "has some atom of m" (`_within`, `_meets`), and
+one closure and minimal-set pass over (shift, mask) runs (`_closure`,
 `_minimal`).
 
 Sets of atoms are plain frozensets; an :class:`AtomUniverse` fixes the atom
@@ -221,8 +220,8 @@ def masks_above_i(xm: int, ym: int) -> Iterator[tuple[int, int]]:
 
 def _tile(block: int, period: int, size: int) -> int:
     """The block, within [0, period), repeated every period bits by shift-or
-    doubling, cut at size bits: the one builder of the columns of rows,
-    planes and key tables."""
+    doubling, cut at size bits: the one builder of the columns of rows and
+    planes."""
     while period < size:
         block |= block << period
         period *= 2
@@ -395,24 +394,6 @@ def _truth_runs(n: int) -> tuple[tuple[int, int], ...]:
     n atoms, built once per n on first use."""
     digits = digit_planes(n)
     return tuple((s, d1 | d1 << s) for s, d1 in zip(digits.steps, digits.d1))
-
-
-@cache
-def key_columns(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Tables over the 4^n pairs of n atoms, consistent or not, by their keys
-    x << n | y for the masks (x, y): an int of 4^n bits, bit k for key k. Per
-    atom i, the X column marks the keys whose x holds i (key bit n + i) and
-    the Y column those whose y holds i (key bit i); the column of key bit j
-    is 2^j zeros and 2^j ones, tiled (`_tile`). The third table marks the
-    consistent keys, the AND over the atoms of "not in x without y". Built
-    once per n on first use."""
-    size = 1 << 2 * n
-    column = lambda j: _tile(((1 << (1 << j)) - 1) << (1 << j), 2 << j, size)
-    xs, ys = tuple(column(n + i) for i in range(n)), tuple(column(i) for i in range(n))
-    consistent = (1 << size) - 1
-    for x, y in zip(xs, ys):
-        consistent &= ~(x & ~y)
-    return xs, ys, consistent
 
 
 def bit_indices(table: int) -> list[int]:

@@ -26,10 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import corpus, operators as ops, program as prog, render, semantics as sem
 from .generator import GeneratorConfig, generate_program
-from .lattice import (
-    AftlabError, ApproxPair, Lazy, bit_indices, key_columns, masks_above_i, minimal_bits, precision_code, submasks,
-    up_closure,
-)
+from .lattice import AftlabError, ApproxPair, Lazy, masks_above_i, minimal_bits, precision_code, submasks, up_closure
 from .operators import OperatorKind
 from .program import Program
 from .record import record
@@ -58,7 +55,7 @@ def _ndao_kinds(p: Program) -> list[OperatorKind]:
 @cache
 def _consistent(n: int) -> tuple[int, ...]:
     """The numbers of the consistent pairs over n atoms, in order, once per n."""
-    return tuple(bit_indices(key_columns(n)[2]))
+    return tuple(x << n | y for x, y in masks_above_i(0, (1 << n) - 1))
 
 
 @cache

@@ -36,8 +36,8 @@ from .lattice import (
     _meets,
     _within,
     bit_indices,
+    digit_planes,
     gap,
-    key_columns,
     leq_t,
     row_columns,
 )
@@ -187,21 +187,22 @@ def _require_disjunctively_normal_aggregate_free(p: Program, what: str) -> None:
 def ht_models_program(p: Program) -> list[ApproxPair]:
     """Pairs (x, y) satisfying every rule under here-and-there satisfaction
     (Lifschitz, Pearce and Valverde, ACM TOCL 2001), each rule read as the
-    formulas body -> head-disjunction (`four.ht_satisfies_rule`) at every
-    pair key x << n | y at once (`four.ht_tables`); the consistent keys where
-    every rule holds are decoded in increasing key order, `consistent_masks`
-    order."""
+    formulas body -> head-disjunction (`four.ht_satisfies_rule`) on the digit
+    planes, at every consistent pair at once (`four.ht_tables`); the pairs
+    where every rule holds are decoded in increasing key order x << n | y,
+    `consistent_masks` order (`lattice.DigitPlanes.keys`)."""
     return _pairs(p, _ht_model_keys(p))
 
 
 def _ht_model_keys(p: Program) -> list[int]:
     _require_disjunctively_normal_aggregate_free(p, "HT model enumeration")
-    u, models = p.universe, key_columns(len(p.universe))[2]
+    u, digits = p.universe, digit_planes(len(p.universe))
+    models = digits.full
     for r in p.rules:
         body, head = prog.body_formula(r), four.disj(map(four.Atom, r.head))
         (body_y, body_ht), (head_y, head_ht) = four.ht_tables(u, body), four.ht_tables(u, head)
         models &= (~body_ht | head_ht) & (~body_y | head_y)
-    return bit_indices(models)
+    return digits.keys(models)
 
 
 def ht_pairs(kind: OperatorKind, p: Program) -> list[ApproxPair]:

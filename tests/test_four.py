@@ -8,7 +8,7 @@ import reference as ref
 from aftlab import corpus, four
 from aftlab.four import And, Atom, Const, Not, Or, Truth
 from aftlab.generator import GeneratorConfig, generate_program
-from aftlab.lattice import ApproxPair, AtomUniverse, InconsistentPairError, UnknownAtomError
+from aftlab.lattice import ApproxPair, AtomUniverse, InconsistentPairError, UnknownAtomError, digit_planes
 from aftlab.program import body_formula, classify
 from aftlab import semantics as sem
 from conftest import atoms, pair
@@ -225,27 +225,26 @@ def test_ht_rule_halves_equal_ht_satisfies_rule():
     assert cases > 1000
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
 def test_ht_tables_agree_with_eval_two_and_ht_satisfies_at_every_key(n):
-    """At key x << n | y the classical table is `eval_two` at y (every key,
-    consistent or not) and the HT table `ht_satisfies` at (x, y) (every
-    consistent key), on seeded formulas with T and F constants and on
-    nested negations; n = 0 has the one key 0."""
-    u = AtomUniverse.of("bcpq"[:n])
+    """At the number of each consistent pair (x, y) (`DigitPlanes.number`)
+    the classical plane is `eval_two` at y and the HT plane `ht_satisfies`
+    at (x, y), on seeded formulas with T and F constants and on nested
+    negations; n = 0 has the one pair (∅, ∅), number 0."""
+    u, digits = AtomUniverse.of("bcpqr"[:n]), digit_planes(n)
     rng = random.Random(38 + n)
     formulas = [_seeded_formula(rng, u.atoms, 4) for _ in range(40 if n else 0)]
     formulas += [Const(Truth.T), Const(Truth.F), Not(Not(Const(Truth.F))), Or(Const(Truth.F), Not(Const(Truth.T)))]
     formulas += [Not(Not(Atom(a))) for a in u.atoms] + [Not(And(Atom(a), Not(Atom(a)))) for a in u.atoms]
-    low, checked = (1 << n) - 1, 0
+    checked = 0
     for f in formulas:
         classical, here = four.ht_tables(u, f)
-        assert 0 <= classical < 1 << (1 << 2 * n) and 0 <= here < 1 << (1 << 2 * n)
-        for k in range(1 << 2 * n):
-            x, y = u.unmask(k >> n), u.unmask(k & low)
-            assert classical >> k & 1 == (four.eval_two(u, y, f) is Truth.T), (f, k)
-            if x <= y:
-                assert here >> k & 1 == four.ht_satisfies(u, ApproxPair(x, y), f), (f, k)
-                checked += 1
+        assert 0 <= classical <= digits.full and 0 <= here <= digits.full
+        for xm, ym in u.consistent_masks():
+            k, x, y = digits.number(xm, ym), u.unmask(xm), u.unmask(ym)
+            assert classical >> k & 1 == (four.eval_two(u, y, f) is Truth.T), (f, x, y)
+            assert here >> k & 1 == four.ht_satisfies(u, ApproxPair(x, y), f), (f, x, y)
+            checked += 1
     assert checked == len(formulas) * 3**n
 
 
@@ -255,7 +254,7 @@ def test_ht_tables_of_constants_and_unknown_atoms():
     assert four.ht_tables(empty, Const(Truth.F)) == (0, 0)
     assert four.ht_tables(empty, Not(Const(Truth.F))) == (1, 1)
     assert four.ht_tables(U2, Not(Const(Truth.T))) == (0, 0)
-    assert four.ht_tables(U2, Const(Truth.T)) == ((1 << 16) - 1,) * 2
+    assert four.ht_tables(U2, Const(Truth.T)) == ((1 << 9) - 1,) * 2
     for f in (Atom("zz"), And(Atom("p"), Not(Atom("zz"))), Or(Const(Truth.T), Atom("zz"))):
         with pytest.raises(UnknownAtomError):
             four.ht_tables(U2, f)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import reference as ref
-from aftlab import render
+from aftlab import laws, render
 from aftlab.lattice import (
     AftlabError,
     _closure,
@@ -27,7 +27,6 @@ from aftlab.lattice import (
     gap,
     hitting_row,
     hoare_leq,
-    key_columns,
     leq_i,
     leq_t,
     masks_above_i,
@@ -181,7 +180,8 @@ def test_keys_give_the_marked_pairs_as_sorted_pair_keys(n):
     planes, the empty one, and random subsets of the consistent pairs."""
     digits, rng = digit_planes(n), random.Random(n)
     consistent = [x << n | y for x in range(1 << n) for y in range(1 << n) if not x & ~y]
-    assert digits.keys(digits.full) == consistent == bit_indices(key_columns(n)[2])
+    assert digits.keys(digits.full) == consistent == list(laws._consistent(n))
+    assert consistent == [x << n | y for x, y in masks_above_i(0, (1 << n) - 1)]
     assert digits.keys(digits.total) == [z << n | z for z in range(1 << n)]
     assert digits.keys(0) == []
     for _ in range(20):
@@ -340,23 +340,6 @@ def test_a_universe_above_the_cap_renders_without_filling_its_sets():
     assert {m for m in u.__dict__["_sets"] if isinstance(m, int)} == {0, 1, full}
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_key_columns_mark_the_atoms_of_each_key_and_the_consistent_keys(n):
-    """Key x << n | y is in atom i's X column iff x holds i, in its Y column
-    iff y holds i, and among the consistent keys iff x lies within y; these
-    come in `consistent_masks` order."""
-    xs, ys, consistent = key_columns(n)
-    size = 1 << 2 * n
-    for table in (*xs, *ys, consistent):
-        assert 0 <= table < 1 << size
-    for k in range(size):
-        x, y = k >> n, k & (1 << n) - 1
-        assert [c >> k & 1 for c in xs] == [x >> i & 1 for i in range(n)]
-        assert [c >> k & 1 for c in ys] == [y >> i & 1 for i in range(n)]
-    u = AtomUniverse.of("pqrs"[:n])
-    assert bit_indices(consistent) == [x << n | y for x, y in u.consistent_masks()]
-
-
 def test_bit_indices():
     assert bit_indices(0) == []
     assert bit_indices(1) == [0]
@@ -456,20 +439,3 @@ def test_the_kit_on_planes_equals_brute_force(n):
         assert digits.below_y(plane) == _closure(plane, tuple(zip(steps, digits.d1)))
         assert digits.minimal_x(plane) == _minimal(plane, tuple(zip(steps, digits.d2)))
         assert digits.minimal_y(plane) == _minimal(plane, tuple(zip(steps, digits.d1)))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_the_kit_on_key_tables_equals_brute_force(n):
-    """Tables over the 4^n pair keys x << n | y: `_within` and `_meets` on
-    the X and the Y columns of `key_columns`, and `_closure` and `_minimal`
-    on one run per key bit, whose closure is the up-closure of the keys as
-    sets of key bits."""
-    keys, low = range(1 << 2 * n), (1 << n) - 1
-    xs, ys, _ = key_columns(n)
-    full = (1 << len(keys)) - 1
-    assert (full, list(xs)) == kit_cases(n, keys, lambda k: k >> n)
-    assert (full, list(ys)) == kit_cases(n, keys, lambda k: k & low)
-    runs = tuple((1 << j, column) for j, column in enumerate(ys + xs))
-    for table in kit_marks(keys, random.Random(n), 10):
-        closed, minimal = closure_and_minimal(table, keys, lambda a, b: a != b and not a & ~b)
-        assert (_closure(table, runs), _minimal(table, runs)) == (closed, minimal), table

@@ -172,27 +172,27 @@ def test_ht_equality_checks_against_ht_satisfaction(monkeypatch):
 
 def _ht_tables_mutant(monkeypatch, atom_columns):
     """`four.ht_tables` with an atom read as `atom_columns` (its classical
-    and its HT column) in place of its Y and its X column."""
+    and its HT plane) in place of its y and its x column."""
     source = textwrap.dedent(inspect.getsource(four.ht_tables))
-    assert source.count("return ys[i], xs[i]") == 1
+    assert source.count("return in_y, in_x") == 1
     namespace = dict(vars(four))
-    exec(source.replace("return ys[i], xs[i]", f"return {atom_columns}"), namespace)
+    exec(source.replace("return in_y, in_x", f"return {atom_columns}"), namespace)
     monkeypatch.setattr(four, "ht_tables", namespace["ht_tables"])
 
 
 def test_ht_equality_reads_the_classical_half_at_the_upper_set(monkeypatch):
-    """A mutant whose classical half reads x (the X columns) instead of y is
+    """A mutant whose classical half reads x (the x columns) instead of y is
     caught on the corpus."""
-    _ht_tables_mutant(monkeypatch, "xs[i], xs[i]")
+    _ht_tables_mutant(monkeypatch, "in_x, in_x")
     outcome = laws.run_laws(corpus.programs(), ["ht-equality"])[0]
     assert not outcome.ok
     assert "differ from HT satisfaction of the rules" in outcome.failure
 
 
 def test_ht_equality_reads_the_ht_atoms_at_the_lower_set(monkeypatch):
-    """A mutant whose HT half reads an atom at y (its Y column) instead of x
+    """A mutant whose HT half reads an atom at y (its y column) instead of x
     is caught on the corpus."""
-    _ht_tables_mutant(monkeypatch, "ys[i], ys[i]")
+    _ht_tables_mutant(monkeypatch, "in_y, in_y")
     outcome = laws.run_laws(corpus.programs(), ["ht-equality"])[0]
     assert not outcome.ok
     assert "differ from HT satisfaction of the rules" in outcome.failure

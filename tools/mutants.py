@@ -155,15 +155,27 @@ MUTANTS = {
     # The mutants of the HT tables and the key readers (re-expressed from CHANGES.md).
     "ht-tables-classical-half-reads-x": (
         "src/aftlab/four.py",
-        "return ys[i], xs[i]",
-        "return xs[i], xs[i]",
-        "`four.ht_tables` reads an atom classically at x (its X column) in place of y",
+        "return in_y, in_x",
+        "return in_x, in_x",
+        "`four.ht_tables` reads an atom classically at x (its x column) in place of y",
     ),
     "ht-tables-ht-half-reads-y": (
         "src/aftlab/four.py",
-        "return ys[i], xs[i]",
-        "return ys[i], ys[i]",
-        "`four.ht_tables` reads an atom in HT at y (its Y column) in place of x",
+        "return in_y, in_x",
+        "return in_y, in_y",
+        "`four.ht_tables` reads an atom in HT at y (its y column) in place of x",
+    ),
+    "ht-tables-negation-reads-the-ht-plane": (
+        "src/aftlab/four.py",
+        "~read(g.operand)[0]",
+        "~read(g.operand)[1]",
+        "`four.ht_tables` negates its operand's HT plane in place of its classical plane",
+    ),
+    "consistent-numbers-drop-the-top-atom": (
+        "src/aftlab/laws.py",
+        "masks_above_i(0, (1 << n) - 1)",
+        "masks_above_i(0, (1 << n) - 1 >> 1)",
+        "`laws._consistent` numbers only the consistent pairs without the highest atom",
     ),
     "pairs-drop-an-atom-of-some-upper-sets": (
         "src/aftlab/semantics.py",
